@@ -9,7 +9,9 @@ vector |j, j>, which keeps it trace preserving and deterministic.
 
 The convergence experiments evaluate trace-norm distances on a finite grid of
 local parameters; a true supremum is never computed and the grid is recorded
-in every sweep record.
+in every sweep record.  Blocks and the limit state enter in factor form, so
+every distance is diagonalized on the few leading rows the factors reach, or
+on the span of two factors.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from .errors import TruncationError, ValidationError
 from .irreps import HalfInteger, LocalParam, spin_coherent_coords
-from .numerics import trace_norm
+from .numerics import factor_difference_eigvals, psd_factor, trace_norm
 from .oscillator import (
     FockOperator,
     FockTruncation,
@@ -38,12 +40,9 @@ from .qubit_model import (
     block_weight,
     concentration_set,
     ensemble,
+    ensemble_difference,
     valid_spins,
 )
-
-# Blocks whose weight is below this cannot move any reported distance above
-# the 1e-10 test tolerances; the skipped weight is still accounted for.
-NEGLIGIBLE_WEIGHT = 1e-14
 
 
 @dataclass(frozen=True)
@@ -93,6 +92,30 @@ def inverse_channel_block(phi: np.ndarray | FockOperator, emb: EmbeddingMap) -> 
     return out
 
 
+def _forward_corner(
+    ens: EnsembleState, trunc: FockTruncation, js: tuple[HalfInteger, ...] | None
+) -> np.ndarray:
+    """Weighted sum of the included blocks' F F^dag on the rows they reach."""
+    include = None if js is None else set(js)
+    blocks = []
+    for b in ens.blocks:
+        if include is not None and b.j not in include:
+            continue
+        if b.weight == 0.0:
+            continue
+        if b.j.dim > trunc.dim:
+            raise TruncationError(
+                f"truncation dim {trunc.dim} below block dim {b.j.dim} (spin {b.j})"
+            )
+        blocks.append(b)
+    rows = max((b.factor.shape[0] for b in blocks), default=0)
+    out = np.zeros((rows, rows), dtype=complex)
+    for b in blocks:
+        r = b.factor.shape[0]
+        out[:r, :r] += b.weight * (b.factor @ b.factor.conj().T)
+    return out
+
+
 def forward_channel(
     ens: EnsembleState,
     trunc: FockTruncation,
@@ -103,49 +126,47 @@ def forward_channel(
     The trace of the result equals the total weight of the included blocks,
     so an excluded-weight report is one subtraction away.
     """
-    include = None if js is None else set(js)
+    corner = _forward_corner(ens, trunc, js)
     out = np.zeros((trunc.dim, trunc.dim), dtype=complex)
-    for b in ens.blocks:
-        if include is not None and b.j not in include:
-            continue
-        if b.weight == 0.0:
-            continue
-        if b.j.dim > trunc.dim:
-            raise TruncationError(
-                f"truncation dim {trunc.dim} below block dim {b.j.dim} (spin {b.j})"
-            )
-        out[: b.j.dim, : b.j.dim] += b.weight * b.matrix
+    out[: corner.shape[0], : corner.shape[0]] = corner
     return FockOperator(FockTruncation(trunc.dim), out)
 
 
 def inverse_channel(phi: np.ndarray | FockOperator, params: ModelParams) -> EnsembleState:
-    """Map an oscillator state to a block-diagonal ensemble with the model weights."""
-    m = phi.matrix if isinstance(phi, FockOperator) else np.asarray(phi, dtype=complex)
+    """Map an oscillator state to a block-diagonal ensemble with the model weights.
+
+    Works on a factor G of phi: the one it carries, or else one from its
+    eigendecomposition (phi must then be positive semidefinite).  Block j
+    gets the corner G[:2j+1] plus the column sqrt(leftover) e_0, where the
+    leftover is the trace of phi outside the block image; that is
+    ``inverse_channel_block`` in factor form.
+    """
+    if isinstance(phi, FockOperator) and phi.factor is not None:
+        g = phi.factor
+    else:
+        m = phi.matrix if isinstance(phi, FockOperator) else np.asarray(phi, dtype=complex)
+        g = psd_factor(m)
+    row_mass = np.sum(g.real ** 2 + g.imag ** 2, axis=1)
     blocks = []
     for j in valid_spins(params.n):
-        emb = EmbeddingMap(j, FockTruncation(max(m.shape[0], j.dim)))
-        blocks.append(BlockState(j, block_weight(params, j), inverse_channel_block(m, emb)))
+        factor = g[: j.dim]
+        leftover = float(row_mass[j.dim :].sum())
+        if leftover > 0.0:
+            column = np.zeros((factor.shape[0], 1), dtype=complex)
+            column[0, 0] = math.sqrt(leftover)
+            factor = np.hstack([factor, column])
+        blocks.append(BlockState(j, block_weight(params, j), factor))
     return EnsembleState(params, LocalParam(0.0, 0.0), tuple(blocks))
 
 
 def ensemble_distance(a: EnsembleState, b: EnsembleState) -> float:
     """Trace-norm distance between two ensembles sharing block structure.
 
-    Both states must carry the same (n, mu), hence the same weights, and the
-    multiplicity factors cancel: the distance is the weighted sum of block
-    trace norms.  Blocks of negligible weight are skipped and bounded by the
-    worst case 2 * weight instead of being diagonalized.
+    The weighted sum of block trace norms (``ensemble_difference``); blocks
+    of negligible weight count at the worst case 2 * weight instead of being
+    diagonalized.
     """
-    if a.params.n != b.params.n or a.params.mu != b.params.mu:
-        raise ValidationError("ensemble distance needs matching (n, mu)")
-    total = 0.0
-    skipped = 0.0
-    for ba, bb in zip(a.blocks, b.blocks):
-        if ba.weight <= NEGLIGIBLE_WEIGHT:
-            skipped += ba.weight
-            continue
-        total += ba.weight * trace_norm(ba.matrix - bb.matrix)
-    return total + 2.0 * skipped
+    return ensemble_difference(a, b).trace_norm
 
 
 def coherent_vector_distance(
@@ -198,6 +219,7 @@ class PointStats:
     forward: float
     block_max: float
     reverse: float
+    error_bound: float  # truncation tail + limit-state trace deficit + block rank cut
 
 
 @dataclass(frozen=True)
@@ -217,6 +239,7 @@ class ConvergenceRecord:
     excluded_weight: float
     trunc_dim: int
     tail_bound: float
+    error_bound: float  # largest point error bound, which also bounds each sup
     points: tuple[PointStats, ...] = field(repr=False)
 
 
@@ -254,18 +277,28 @@ def _sweep_point(args) -> PointStats:
     phi = displaced_thermal(u, settings.mu, trunc)
     js = concentration_set(params)
     included = js if settings.restrict_to_concentration else None
-    t_out = forward_channel(ens, trunc, js=included)
-    forward = trace_norm(t_out.matrix - phi.matrix)
+    corner = _forward_corner(ens, trunc, included)
+    # everything past the rows the factors reach is zero on both sides
+    rows = max(corner.shape[0], phi.factor.shape[0])
+    diff = -phi.matrix[:rows, :rows]
+    diff[: corner.shape[0], : corner.shape[0]] += corner
+    forward = trace_norm(diff)
     jset = set(js)
     block_max = 0.0
     for b in ens.blocks:
         if b.j not in jset:
             continue
-        emb = embed_block(b.matrix, EmbeddingMap(b.j, trunc))
-        block_max = max(block_max, trace_norm(emb.matrix - phi.matrix))
+        EmbeddingMap(b.j, trunc)  # raises if the block does not fit
+        tnorm = float(np.abs(factor_difference_eigvals(b.factor, phi.factor)).sum())
+        block_max = max(block_max, tnorm)
     s_out = inverse_channel(phi, params)
     reverse = ensemble_distance(ens, s_out)
-    return PointStats(n=n, u=u, forward=forward, block_max=block_max, reverse=reverse)
+    # the inverse channel is trace-norm contractive, so phi's own deficit and
+    # the largest block rank cut bound all three distances
+    bound = trunc.tail_bound + phi.trunc.tail_bound + max(b.discarded for b in ens.blocks)
+    return PointStats(
+        n=n, u=u, forward=forward, block_max=block_max, reverse=reverse, error_bound=bound
+    )
 
 
 def convergence_sweep(settings: SweepSettings) -> list[ConvergenceRecord]:
@@ -306,6 +339,7 @@ def convergence_sweep(settings: SweepSettings) -> list[ConvergenceRecord]:
                 excluded_weight=excluded,
                 trunc_dim=trunc.dim,
                 tail_bound=trunc.tail_bound,
+                error_bound=max(s.error_bound for s in pts),
                 points=pts,
             )
         )

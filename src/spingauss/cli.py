@@ -167,8 +167,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def effective_config(args: argparse.Namespace) -> dict[str, str]:
-    """Apply CLI > file > defaults; the result is echoed into the report.
+def effective_config(args: argparse.Namespace) -> tuple[dict[str, str], str]:
+    """Apply CLI > file > defaults; return the config echoed into the report
+    and the output path.
 
     The output path is dropped from the echo: it never influences a number,
     and keeping it would break byte-identical reruns written to new files.
@@ -236,12 +237,12 @@ def run_convergence(cfg: dict[str, str]) -> RiskReport:
         )
         for rec in convergence_sweep(settings):
             for pt in rec.points:
-                rows.append(ReportRow(rec.n, mu, pt.u.ux, pt.u.uy, "forward_distance", pt.forward, rec.tail_bound))
-                rows.append(ReportRow(rec.n, mu, pt.u.ux, pt.u.uy, "block_distance_max", pt.block_max, rec.tail_bound))
-                rows.append(ReportRow(rec.n, mu, pt.u.ux, pt.u.uy, "reverse_distance", pt.reverse, rec.tail_bound))
-            rows.append(ReportRow(rec.n, mu, rec.forward_argmax.ux, rec.forward_argmax.uy, "forward_sup", rec.forward_sup, rec.tail_bound))
-            rows.append(ReportRow(rec.n, mu, rec.block_argmax.ux, rec.block_argmax.uy, "block_sup", rec.block_sup, rec.tail_bound))
-            rows.append(ReportRow(rec.n, mu, rec.reverse_argmax.ux, rec.reverse_argmax.uy, "reverse_sup", rec.reverse_sup, rec.tail_bound))
+                rows.append(ReportRow(rec.n, mu, pt.u.ux, pt.u.uy, "forward_distance", pt.forward, pt.error_bound))
+                rows.append(ReportRow(rec.n, mu, pt.u.ux, pt.u.uy, "block_distance_max", pt.block_max, pt.error_bound))
+                rows.append(ReportRow(rec.n, mu, pt.u.ux, pt.u.uy, "reverse_distance", pt.reverse, pt.error_bound))
+            rows.append(ReportRow(rec.n, mu, rec.forward_argmax.ux, rec.forward_argmax.uy, "forward_sup", rec.forward_sup, rec.error_bound))
+            rows.append(ReportRow(rec.n, mu, rec.block_argmax.ux, rec.block_argmax.uy, "block_sup", rec.block_sup, rec.error_bound))
+            rows.append(ReportRow(rec.n, mu, rec.reverse_argmax.ux, rec.reverse_argmax.uy, "reverse_sup", rec.reverse_sup, rec.error_bound))
             rows.append(ReportRow(rec.n, mu, 0.0, 0.0, "excluded_weight", rec.excluded_weight, 0.0))
     return RiskReport("convergence", __version__, int(cfg["seed"]), cfg, tuple(rows))
 
@@ -266,7 +267,7 @@ def run_discriminate(cfg: dict[str, str]) -> RiskReport:
             rows.append(ReportRow(0, mu, u.ux, u.uy, "position_risk_baseline", position_measurement_risk(u), 0.0))
             for n in _ns(cfg):
                 res = finite_n_discrimination(ModelParams(n, mu, eps), u)
-                rows.append(ReportRow(n, mu, u.ux, u.uy, "helstrom_risk", res.risk, 0.0))
+                rows.append(ReportRow(n, mu, u.ux, u.uy, "helstrom_risk", res.risk, res.error_bound))
     return RiskReport("discriminate", __version__, int(cfg["seed"]), cfg, tuple(rows))
 
 

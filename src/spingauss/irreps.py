@@ -20,14 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln
 
 from .errors import DomainError
-from .numerics import unitary_exp
+from .numerics import tridiagonal_propagator, unitary_exp
 
 
 @dataclass(frozen=True, order=True)
@@ -130,36 +128,39 @@ def rotation_generator(j: HalfInteger, u: LocalParam) -> np.ndarray:
 
 
 def rotation_unitary(j: HalfInteger, u: LocalParam) -> np.ndarray:
-    """U_j(u): unitary exp of the collective rotation generator."""
+    """U_j(u): unitary exp of the collective rotation generator.
+
+    Dense route through an eigendecomposition of the (2j+1)-dimensional
+    generator, kept as the reference for ``rotation_columns``.
+    """
     return unitary_exp(rotation_generator(j, u))
-
-
-@lru_cache(maxsize=8)
-def _x_rotation_eigensystem(twoj: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigensystem of the real symmetric tridiagonal x generator X_j."""
-    d = twoj + 1
-    if d == 1:
-        return np.zeros(1), np.ones((1, 1))
-    i = np.arange(1, d)
-    off = np.sqrt(i * (twoj + 1.0 - i))
-    return eigh_tridiagonal(np.zeros(d), off)
 
 
 def rotation_columns(j: HalfInteger, u: LocalParam, cols: int, rows: int | None = None) -> np.ndarray:
     """Leading ``rows`` x ``cols`` block of rotation_unitary(j, u).
 
-    The generator is gauge-equivalent, via a diagonal phase, to |u| times the
-    fixed tridiagonal x generator, whose eigensystem is cached per j.  This
-    avoids a dense eigendecomposition per (j, u) pair in grid sweeps; the
-    result agrees with rotation_unitary to eigensolver accuracy.
+    The generator is gauge-equivalent, via the diagonal phase
+    e^{ik atan2(u_y, u_x)}, to |u| times the fixed tridiagonal x generator X_j
+    with couplings sqrt(i (2j + 1 - i)), so the columns come from the
+    Chebyshev propagator without any eigendecomposition.  With ``rows`` None
+    only the rows the columns reach are returned (at most 2j + 1); rows past
+    them are zero to the propagator's accuracy, and a larger ``rows`` pads
+    with exact zeros.
     """
     d = j.dim
-    cols = min(cols, d)
-    rows = d if rows is None else min(rows, d)
-    theta, v = _x_rotation_eigensystem(j.twoj)
-    phase = np.exp(1j * math.atan2(u.uy, u.ux) * np.arange(d))
-    m = (v[:rows, :] * np.exp(1j * u.norm * theta)[None, :]) @ v[:cols, :].T
-    return phase[:rows, None] * m * phase[:cols].conj()[None, :]
+    out = tridiagonal_propagator(
+        lambda i: np.sqrt(i * (j.twoj + 1.0 - i)),
+        u.norm,
+        math.atan2(u.uy, u.ux),
+        cols,
+        size=d,
+    )
+    if rows is None:
+        return out
+    rows = min(rows, d)
+    if rows <= out.shape[0]:
+        return out[:rows]
+    return np.vstack([out, np.zeros((rows - out.shape[0], out.shape[1]), dtype=complex)])
 
 
 def spin_coherent_coords(j: HalfInteger, w: LocalParam) -> np.ndarray:

@@ -33,14 +33,16 @@ from .errors import AccuracyError, DomainError, ValidationError
 from .irreps import HalfInteger, LocalParam, rotation_columns, _spin_coherent_rows
 from .oscillator import FockTruncation, PolarGrid, _coherent_rows, heterodyne_pdf
 from .qubit_model import (
+    NEGLIGIBLE_WEIGHT,
     EnsembleState,
     ModelParams,
+    block_spectrum,
     concentration_set,
+    effective_rank,
     ensemble,
+    ensemble_difference,
     log_block_weight,
 )
-
-NEGLIGIBLE_WEIGHT = 1e-14
 
 
 @dataclass(frozen=True)
@@ -52,6 +54,7 @@ class BinaryTestResult:
     n: int | None = None
     u: LocalParam | None = None
     mu: float | None = None
+    error_bound: float = 0.0  # skipped blocks and rank cuts; 0 for dense pairs
 
 
 def _pair_risk(rho_plus: np.ndarray, rho_minus: np.ndarray) -> tuple[float, int]:
@@ -66,30 +69,22 @@ def helstrom_risk(rho_plus, rho_minus) -> BinaryTestResult:
     """Minimal error probability for equal priors, 1/2 (1 - ||r+ - r-||_1 / 2).
 
     Accepts a pair of density matrices or a pair of EnsembleState objects with
-    identical block structure; ensembles are handled blockwise, multiplicity
-    spaces cancel.
+    identical block structure; ensembles are handled blockwise on their
+    factors (``ensemble_difference``), multiplicity spaces cancel.
     """
     if isinstance(rho_plus, EnsembleState) or isinstance(rho_minus, EnsembleState):
         if not (isinstance(rho_plus, EnsembleState) and isinstance(rho_minus, EnsembleState)):
             raise ValidationError("mixing an ensemble with a bare matrix")
-        pa, pb = rho_plus.params, rho_minus.params
-        if pa.n != pb.n or pa.mu != pb.mu:
-            raise ValidationError("ensembles must share block structure (same n, mu)")
-        tnorm = 0.0
-        rank = 0
-        for ba, bb in zip(rho_plus.blocks, rho_minus.blocks):
-            if ba.weight <= NEGLIGIBLE_WEIGHT:
-                tnorm += 2.0 * ba.weight
-                continue
-            eigs = np.linalg.eigvalsh(ba.matrix - bb.matrix)
-            tnorm += ba.weight * float(np.abs(eigs).sum())
-            rank += int(np.sum(eigs > 0))
+        diff = ensemble_difference(rho_plus, rho_minus)
+        # a skipped block's true trace norm lies in [0, 2 w], and each rank
+        # cut moves the trace norm by at most its discarded trace
         return BinaryTestResult(
-            risk=0.5 * (1.0 - 0.5 * tnorm),
-            optimal_projector_rank=rank,
-            n=pa.n,
+            risk=0.5 * (1.0 - 0.5 * diff.trace_norm),
+            optimal_projector_rank=diff.positive_rank,
+            n=rho_plus.params.n,
             u=rho_plus.u,
-            mu=pa.mu,
+            mu=rho_plus.params.mu,
+            error_bound=0.5 * diff.skipped + 0.25 * diff.discarded,
         )
     risk, rank = _pair_risk(rho_plus, rho_minus)
     return BinaryTestResult(risk=risk, optimal_projector_rank=rank)
@@ -322,12 +317,6 @@ def default_tv_grid(mu: float, u: LocalParam, n_min: int) -> PolarGrid:
     return PolarGrid(center=(u.ux, u.uy), radius=min(radius, limit), n_radial=64, n_angular=96)
 
 
-def _effective_rank(p: float, dim: int) -> int:
-    if p == 0.0:
-        return 1
-    return min(dim, math.ceil(math.log(1e-15) / math.log(p)) + 1)
-
-
 def _row_support(peak: float, dim: int) -> int:
     return min(dim, math.ceil(peak + 10.0 * math.sqrt(peak + 4.0) + 25.0))
 
@@ -352,11 +341,8 @@ def _block_density_pair(
     n, mu, p = params.n, params.mu, params.p
     sq = math.sqrt(n)
     d = j.dim
-    rank = _effective_rank(p, d)
-    if p == 0.0:
-        lam = np.ones(1)
-    else:
-        lam = (1.0 - p) * p ** np.arange(rank) / (1.0 - p ** d)
+    rank = effective_rank(p, d)
+    lam = block_spectrum(p, d, rank)
     # the rank-truncated rotation columns carry all the support that matters:
     # the inner products need grid-vector rows only where those columns live
     peak_a = rank + 2.0 * j.twoj * math.sin(min(u.norm / sq, math.pi / 2.0)) ** 2
@@ -469,9 +455,8 @@ def measurement_tv_sweep(
     """TV comparison over an (n, u) grid, looping spins outside the u loop.
 
     Produces the same numbers as measurement_tv_distance per point (identical
-    per-block arithmetic and ascending-j accumulation), but the cached
-    per-spin rotation eigensystem is reused across the whole u grid, which is
-    where the time goes at large n.
+    per-block arithmetic and ascending-j accumulation), with the block weight
+    evaluated once per spin for the whole u grid.
     """
     out = []
     for n in n_values:

@@ -1,4 +1,4 @@
-"""Dense complex linear algebra primitives shared by all other modules.
+"""Complex linear algebra primitives shared by all other modules.
 
 Everything operates on plain numpy arrays.  Matrices that are supposed to be
 Hermitian are validated rather than trusted: every density matrix in the
@@ -6,25 +6,35 @@ pipeline is the end product of a long chain of rotations, embeddings and
 quadratures, and silent asymmetry is the most common way those chains go
 wrong.
 
+Two structured routines carry the rotated states.  ``tridiagonal_propagator``
+applies the exponential of a phase-gauged tridiagonal generator to the first
+few unit vectors (spin rotations and oscillator displacements are both of
+this form), and ``factor_difference_eigvals`` diagonalizes F F^dag - G G^dag
+on the span of the two low-rank factors instead of on the full space.
+
 All tolerances are absolute on matrices pre-normalized to unit trace, so the
 distances reported downstream carry no hidden scaling.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg
+from scipy.special import jv
 
 from .errors import ValidationError
 
 # Relative asymmetry (against the largest entry) accepted as rounding noise.
 HERMITICITY_RTOL = 1e-12
-# Eigenvalues of nominally PSD matrices above this are clamped to zero;
-# anything below PSD_REJECT is treated as a genuinely invalid state.
-PSD_CLAMP = -1e-10
+# Negative eigenvalues of nominally PSD matrices down to this are clamped to
+# zero; anything below is treated as a genuinely invalid state.
 PSD_REJECT = -1e-8
+# Chebyshev terms with |J_k(t s)| at or below this are dropped: far below the
+# rounding of the O(1) entries the propagator returns.
+CHEBYSHEV_TOL = 1e-18
 
 
 class EigenSystem(NamedTuple):
@@ -86,14 +96,122 @@ def trace_norm(a) -> float:
     return float(scipy.linalg.svdvals(a).sum())
 
 
-def _psd_root(rho) -> np.ndarray:
-    """Matrix square root of a PSD matrix with eigenvalue clamping."""
+def _chebyshev_degree(a: float) -> int:
+    """Smallest K with |J_k(a)| <= CHEBYSHEV_TOL for every k >= K.
+
+    Past k ~ a the Bessel coefficients decay super-exponentially; the
+    evaluated range reaches 20 transition widths a^(1/3) beyond a.
+    """
+    if a == 0.0:
+        return 0
+    k = np.arange(math.ceil(a + 20.0 * a ** (1.0 / 3.0) + 40.0))
+    return int(np.nonzero(np.abs(jv(k, a)) > CHEBYSHEV_TOL)[0][-1]) + 1
+
+
+def tridiagonal_propagator(
+    off: Callable[[np.ndarray], np.ndarray],
+    t: float,
+    phase: float,
+    cols: int,
+    size: int | None = None,
+) -> np.ndarray:
+    """Leading columns of diag(e^{ik phase}) exp(i t T) diag(e^{-ik phase}).
+
+    T is the real symmetric tridiagonal matrix of order ``size`` (None:
+    unbounded) with zero diagonal and T[i-1, i] = T[i, i-1] = off(i), where
+    ``off`` maps an index array i = 1, 2, ... to the couplings.  The action on
+    the first ``cols`` unit vectors is the Chebyshev series (Tal-Ezer and
+    Kosloff, J. Chem. Phys. 81, 1984) sum_k eps_k i^k J_k(t s) T_k(T / s) e_c.
+
+    A degree-K polynomial of a tridiagonal matrix moves e_c by at most K
+    rows, so the series only touches the leading cols + K rows, and s is the
+    Gershgorin bound of the leading cols + K + 1 rows (coupling to the next
+    row included), found together with K by fixed-point iteration.  Only
+    those cols + K rows are returned; every row past them is zero to the
+    series accuracy.  The recurrence runs in real arithmetic, since T and the
+    unit vectors are real and only the coefficients i^k J_k are complex.
+    """
+    cap = math.inf if size is None else size
+    cols = min(cols, cap)
+    degree = 0
+    while True:
+        rows = min(cap, cols + degree + 1)
+        b = off(np.arange(1, rows + (rows < cap)))
+        radius = np.zeros(rows)
+        radius[1:] += b[: rows - 1]
+        radius[: len(b)] += b[:rows]
+        scale = float(radius.max())
+        need = _chebyshev_degree(t * scale)
+        if need <= degree:
+            break
+        degree = need
+    rows = min(cap, cols + degree)
+    k = np.arange(degree + 1)
+    coef = jv(k, t * scale) * np.array([1.0, 1.0, -1.0, -1.0])[k % 4]
+    coef[1:] *= 2.0
+    basis = np.zeros((degree + 1, rows, cols))
+    basis[0, :cols] = np.eye(cols)
+    if degree:
+        b = (off(np.arange(1, rows)) / scale)[:, None]
+        basis[1, 1:] = b * basis[0, :-1]
+        basis[1, :-1] += b * basis[0, 1:]
+        b2 = 2.0 * b
+        for m in range(2, degree + 1):
+            h = min(rows, cols + m)  # T_m(T) e_c reaches row c + m at most
+            cur, nxt = basis[m - 1], basis[m]
+            np.negative(basis[m - 2, :h], out=nxt[:h])
+            nxt[1:h] += b2[: h - 1] * cur[: h - 1]
+            nxt[: h - 1] += b2[: h - 1] * cur[1:h]
+    out = np.tensordot(coef[0::2], basis[0::2], axes=1) + 1j * np.tensordot(
+        coef[1::2], basis[1::2], axes=1
+    )
+    gauge = np.exp(1j * phase * np.arange(rows))
+    return gauge[:, None] * out * gauge[:cols].conj()[None, :]
+
+
+def factor_difference_eigvals(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Spectrum of F F^dag - G G^dag on the span of [F G], ascending.
+
+    These are its nonzero eigenvalues plus zeros, so the sum of their
+    absolute values is the trace norm of the difference.  The factors hold the leading rows of their operators (missing rows are
+    zero), so they may differ in row count.  The difference lives on the span
+    of [F G]: after a QR of the stacked factors it is diagonalized as
+    (Q^dag F)(Q^dag F)^dag - (Q^dag G)(Q^dag G)^dag, at most
+    (rank F + rank G)-dimensional.  Equal factors give exactly zero, because
+    both products are then computed from identical operands.
+    """
+    rows = max(f.shape[0], g.shape[0])
+    fp = np.zeros((rows, f.shape[1]), dtype=complex)
+    gp = np.zeros((rows, g.shape[1]), dtype=complex)
+    fp[: f.shape[0]] = f
+    gp[: g.shape[0]] = g
+    q, _ = np.linalg.qr(np.hstack([fp, gp]))
+    qh = q.conj().T
+    a = qh @ fp
+    b = qh @ gp
+    return np.linalg.eigvalsh(a @ a.conj().T - b @ b.conj().T)
+
+
+def _psd_eig(rho) -> EigenSystem:
+    """Eigensystem of a PSD matrix with small negative eigenvalues clamped."""
     w, v = hermitian_eig(rho)
     if w[0] < PSD_REJECT:
         raise ValidationError(
             f"matrix is not positive semidefinite: eigenvalue {w[0]:.3e} below {PSD_REJECT:.1e}"
         )
-    w = np.clip(w, 0.0, None)
+    return EigenSystem(np.clip(w, 0.0, None), v)
+
+
+def psd_factor(rho) -> np.ndarray:
+    """F with F F^dag = rho, one column per positive eigenvalue."""
+    w, v = _psd_eig(rho)
+    keep = w > 0.0
+    return v[:, keep] * np.sqrt(w[keep])
+
+
+def _psd_root(rho) -> np.ndarray:
+    """Matrix square root of a PSD matrix with eigenvalue clamping."""
+    w, v = _psd_eig(rho)
     return (v * np.sqrt(w)) @ v.conj().T
 
 

@@ -21,8 +21,8 @@ from scipy.special import gammaln
 
 from .errors import AccuracyError, DomainError, TruncationError
 from .irreps import LocalParam
-from .numerics import unitary_exp
-from .qubit_model import ModelParams, concentration_set
+from .numerics import tridiagonal_propagator, unitary_exp
+from .qubit_model import ModelParams, concentration_set, effective_rank
 
 
 @dataclass(frozen=True)
@@ -52,10 +52,15 @@ class Displacement:
 
 @dataclass(frozen=True)
 class FockOperator:
-    """Operator on the truncated oscillator space."""
+    """Operator on the truncated oscillator space.
+
+    A state built in factor form also carries ``factor``: F with
+    matrix = F F^dag, holding only the leading (nonzero) rows.
+    """
 
     trunc: FockTruncation
     matrix: np.ndarray = field(repr=False)
+    factor: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.matrix.shape != (self.trunc.dim, self.trunc.dim):
@@ -183,6 +188,8 @@ def displacement_operator(
 ) -> FockOperator:
     """Displacement D(z) = exp(z a^dag - conj(z) a), built padded then cropped.
 
+    Dense reference for the propagator columns in ``displaced_thermal``.
+
     Two adequacy checks feed the reported deficit.  The unitarity deficit is
     the worst entry of D^dag D - 1 over the lower half of the cropped block:
     it measures the mass a column loses to the cropped rows, so it is the
@@ -220,36 +227,34 @@ def displaced_thermal(
     mu: float,
     trunc: FockTruncation,
     trace_tol: float = 1e-6,
-    pad: int | None = None,
 ) -> FockOperator:
     """Displaced thermal state D(z) phi0 D(z)^dag with z = sqrt(2 mu - 1) alpha_u.
 
-    Conjugation happens on the padded space and the result is cropped, so the
-    output is positive semidefinite by construction; the cropped-away trace is
-    the reported tail bound.
+    The thermal spectrum (1 - p) p^k is cut at the effective rank, and the
+    kept columns D(z)|k> come from the Chebyshev propagator: z a^dag - z* a is
+    the gauge of i |z| (a + a^dag) by the phase e^{ik (arg z - pi/2)}, and the
+    number-basis couplings are sqrt(k).  The result is kept as a factor F
+    (its rows cropped to the truncation) with the dense F F^dag alongside, so
+    it is positive semidefinite by construction; the trace lost to the rank
+    cut and the crop is the reported tail bound.
     """
     if not 0.5 < mu <= 1.0:
         raise DomainError(f"mu must lie in (1/2, 1], got {mu!r}")
     p = (1.0 - mu) / mu
     z = displacement_amplitude(u, mu)
-    if pad is None:
-        pad = default_pad(z)
-    dim_pad = trunc.dim + pad
-    diag = (1.0 - p) * p ** np.arange(dim_pad)
-    if abs(z) == 0.0:
-        out = np.diag(diag[: trunc.dim]).astype(complex)
-    else:
-        a = _annihilation(dim_pad)
-        gen = z * a.conj().T - np.conj(z) * a
-        dmat = unitary_exp(-1j * gen)
-        out = ((dmat * diag[None, :]) @ dmat.conj().T)[: trunc.dim, : trunc.dim]
+    r = effective_rank(p)
+    cols = tridiagonal_propagator(np.sqrt, abs(z), np.angle(z) - math.pi / 2.0, r)
+    factor = cols[: trunc.dim] * np.sqrt((1.0 - p) * p ** np.arange(r))[None, :]
+    rows = factor.shape[0]
+    out = np.zeros((trunc.dim, trunc.dim), dtype=complex)
+    out[:rows, :rows] = factor @ factor.conj().T
     tail = max(0.0, 1.0 - float(np.trace(out).real))
     if tail > trace_tol:
         raise TruncationError(
             f"displaced thermal trace deficit {tail:.3e} above {trace_tol:.1e} "
             f"(dim={trunc.dim}, |z|={abs(z):.3f})"
         )
-    return FockOperator(FockTruncation(trunc.dim, tail_bound=tail), out)
+    return FockOperator(FockTruncation(trunc.dim, tail_bound=tail), out, factor)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,11 @@ spin j.  This module provides the block weights, multiplicities, block density
 matrices and the concentration set of spins that carries asymptotically all of
 the weight.
 
+Rotated blocks are stored as low-rank factors: the unrotated block has
+spectrum proportional to p^k, so the eigenvalues below RANK_CUT are dropped
+and rho_j ~ F F^dag with F the rotated leading columns scaled by the square
+roots of the kept eigenvalues.  The dropped trace is recorded per block.
+
 All weights are computed in log space and exponentiated only at the end;
 multiplicities and mu-powers overflow or underflow for n beyond a few hundred
 otherwise.
@@ -20,8 +25,16 @@ from scipy.special import gammaln
 
 import numpy as np
 
-from .errors import DomainError
-from .irreps import HalfInteger, LocalParam, rotation_unitary
+from .errors import DomainError, ValidationError
+from .irreps import HalfInteger, LocalParam, rotation_columns, rotation_unitary
+from .numerics import factor_difference_eigvals
+
+# Eigenvalues of a geometric spectrum below this fraction are dropped from the
+# low-rank factors; for p = 1/3 that keeps 33 of them.
+RANK_CUT = 1e-15
+# Blocks whose weight is below this cannot move any reported distance above
+# the 1e-10 test tolerances; they are skipped and bounded by the worst case.
+NEGLIGIBLE_WEIGHT = 1e-14
 
 
 @dataclass(frozen=True)
@@ -49,11 +62,26 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class BlockState:
-    """One spin-j summand: its weight and its (2j+1)-dimensional density matrix."""
+    """One spin-j summand: its weight and a factor of its density matrix.
+
+    ``factor`` is F with rho_j = F F^dag up to the trace ``discarded`` that
+    the rank cut dropped; it holds only the leading rows, which are the
+    nonzero ones, of the (2j+1)-dimensional block.
+    """
 
     j: HalfInteger
     weight: float
-    matrix: np.ndarray
+    factor: np.ndarray
+    discarded: float = 0.0
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense (2j+1)-dimensional F F^dag, rebuilt on every access."""
+        d = self.j.dim
+        rows = self.factor.shape[0]
+        out = np.zeros((d, d), dtype=complex)
+        out[:rows, :rows] = self.factor @ self.factor.conj().T
+        return out
 
 
 @dataclass(frozen=True)
@@ -186,23 +214,43 @@ def concentration_weight(params: ModelParams) -> float:
     return float(sum(block_weight(params, j) for j in concentration_set(params)))
 
 
+def effective_rank(p: float, dim: int | None = None) -> int:
+    """Number of eigenvalues p^k kept above RANK_CUT, at most ``dim``."""
+    rank = 1 if p == 0.0 else math.ceil(math.log(RANK_CUT) / math.log(p)) + 1
+    return rank if dim is None else min(dim, rank)
+
+
+def block_spectrum(p: float, dim: int, count: int | None = None) -> np.ndarray:
+    """Leading ``count`` eigenvalues (1-p) p^k / (1 - p^dim) of an unrotated block."""
+    count = dim if count is None else count
+    if p == 0.0:
+        out = np.zeros(count)
+        out[0] = 1.0
+        return out
+    c = (1.0 - p) / (1.0 - p ** dim)
+    return c * p ** np.arange(count)
+
+
+def discarded_weight(p: float, dim: int) -> float:
+    """Trace the rank cut drops from a block: (p^r - p^dim) / (1 - p^dim)."""
+    r = effective_rank(p, dim)
+    if r == dim:
+        return 0.0
+    return (p ** r - p ** dim) / (1.0 - p ** dim)
+
+
 def block_state_zero(params: ModelParams, j: HalfInteger) -> np.ndarray:
     """Unrotated spin-j block: diagonal entries proportional to p^k, descending m."""
     _check_spin(params.n, j)
-    p = params.p
-    d = j.dim
-    out = np.zeros((d, d), dtype=complex)
-    if p == 0.0:
-        out[0, 0] = 1.0
-        return out
-    k = np.arange(d)
-    c = (1.0 - p) / (1.0 - p ** d)
-    out[k, k] = c * p ** k
-    return out
+    return np.diag(block_spectrum(params.p, j.dim)).astype(complex)
 
 
 def block_state(params: ModelParams, j: HalfInteger, u: LocalParam) -> np.ndarray:
-    """Rotated spin-j block U_j(u/sqrt(n)) rho0_j U_j(u/sqrt(n))^dag."""
+    """Rotated spin-j block U_j(u/sqrt(n)) rho0_j U_j(u/sqrt(n))^dag.
+
+    Dense reference for ``rotated_block``: one eigendecomposition and two
+    (2j+1)^3 products.
+    """
     rho0 = block_state_zero(params, j)
     if u.norm == 0.0:
         return rho0
@@ -210,10 +258,53 @@ def block_state(params: ModelParams, j: HalfInteger, u: LocalParam) -> np.ndarra
     return um @ rho0 @ um.conj().T
 
 
+def rotated_block(params: ModelParams, j: HalfInteger, u: LocalParam) -> BlockState:
+    """The rotated spin-j block in factor form, with its weight."""
+    weight = block_weight(params, j)
+    p, d = params.p, j.dim
+    r = effective_rank(p, d)
+    cols = rotation_columns(j, u.scaled(1.0 / math.sqrt(params.n)), cols=r)
+    factor = cols * np.sqrt(block_spectrum(p, d, r))[None, :]
+    return BlockState(j, weight, factor, discarded_weight(p, d))
+
+
 def ensemble(params: ModelParams, u: LocalParam) -> EnsembleState:
     """The full block-diagonal ensemble state for local parameter u."""
-    blocks = tuple(
-        BlockState(j, block_weight(params, j), block_state(params, j, u))
-        for j in valid_spins(params.n)
-    )
+    blocks = tuple(rotated_block(params, j, u) for j in valid_spins(params.n))
     return EnsembleState(params, u, blocks)
+
+
+@dataclass(frozen=True)
+class EnsembleDifference:
+    """Blockwise spectrum summary of the difference of two ensembles."""
+
+    trace_norm: float    # includes the worst case 2 * skipped
+    positive_rank: int   # positive eigenvalues over the diagonalized blocks
+    skipped: float       # weight of the blocks at or below NEGLIGIBLE_WEIGHT
+    discarded: float     # sum of weight * (discarded_a + discarded_b)
+
+
+def ensemble_difference(a: EnsembleState, b: EnsembleState) -> EnsembleDifference:
+    """Weighted sum of block trace norms of a - b.
+
+    Both states must carry the same (n, mu), hence the same weights, and the
+    multiplicity spaces cancel.  Each block is diagonalized on the span of its
+    two factors; blocks of negligible weight are skipped and counted at the
+    worst case 2 * weight.  ``discarded`` bounds how far the rank cuts can
+    move the trace norm.
+    """
+    if a.params.n != b.params.n or a.params.mu != b.params.mu:
+        raise ValidationError("ensembles must share block structure (same n, mu)")
+    total = 0.0
+    rank = 0
+    skipped = 0.0
+    discarded = 0.0
+    for ba, bb in zip(a.blocks, b.blocks):
+        if ba.weight <= NEGLIGIBLE_WEIGHT:
+            skipped += ba.weight
+            continue
+        eigs = factor_difference_eigvals(ba.factor, bb.factor)
+        total += ba.weight * float(np.abs(eigs).sum())
+        rank += int(np.sum(eigs > 0))
+        discarded += ba.weight * (ba.discarded + bb.discarded)
+    return EnsembleDifference(total + 2.0 * skipped, rank, skipped, discarded)

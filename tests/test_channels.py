@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from spingauss import qubit_model
 from spingauss.channels import (
     EmbeddingMap,
     SweepSettings,
+    _sweep_point,
+    _sweep_truncation,
     coherent_vector_distance,
     composition_defect,
     convergence_sweep,
@@ -19,12 +22,23 @@ from spingauss.channels import (
 from spingauss.errors import TruncationError
 from spingauss.irreps import HalfInteger, LocalParam, rotation_unitary
 from spingauss.numerics import trace_norm
-from spingauss.oscillator import FockTruncation, displaced_thermal, thermal_state
+from spingauss.oscillator import (
+    Displacement,
+    FockTruncation,
+    displaced_thermal,
+    displacement_amplitude,
+    displacement_operator,
+    thermal_state,
+)
 from spingauss.qubit_model import (
+    NEGLIGIBLE_WEIGHT,
     ModelParams,
+    block_state,
     block_state_zero,
+    block_weight,
     concentration_set,
     ensemble,
+    valid_spins,
 )
 
 
@@ -314,3 +328,63 @@ def test_ensemble_distance_zero_and_symmetry():
     b = ensemble(params, LocalParam(-0.2, 0.5))
     assert ensemble_distance(a, a) == 0.0
     assert ensemble_distance(a, b) == pytest.approx(ensemble_distance(b, a), abs=1e-14)
+
+
+def dense_sweep_point(settings, n, u):
+    """Oracle: the three distances from dense blocks and a padded dense phi."""
+    params = ModelParams(n, settings.mu, settings.epsilon)
+    dim = _sweep_truncation(settings, params).dim
+    pad = 48
+    p = params.p
+    d_op = displacement_operator(
+        Displacement(displacement_amplitude(u, settings.mu)), FockTruncation(dim + pad), pad=pad
+    ).matrix
+    thermal = (1 - p) * p ** np.arange(dim + pad)
+    phi = ((d_op * thermal) @ d_op.conj().T)[:dim, :dim]
+    trunc = FockTruncation(dim)
+    jset = set(concentration_set(params))
+    fwd = np.zeros((dim, dim), dtype=complex)
+    block_max = 0.0
+    reverse = 0.0
+    for j in valid_spins(n):
+        w = block_weight(params, j)
+        rho = block_state(params, j, u)
+        emb = embed_block(rho, EmbeddingMap(j, trunc)).matrix
+        fwd += w * emb
+        if j in jset:
+            block_max = max(block_max, trace_norm(emb - phi))
+        if w <= NEGLIGIBLE_WEIGHT:
+            reverse += 2 * w
+        else:
+            back = inverse_channel_block(phi, EmbeddingMap(j, trunc))
+            reverse += w * trace_norm(rho - back)
+    return trace_norm(fwd - phi), block_max, reverse
+
+
+@pytest.mark.parametrize("mu", [0.75, 1.0])
+def test_sweep_point_matches_dense_recomputation(mu):
+    n = 64
+    for u in (LocalParam(0.0, 0.0), LocalParam(0.7, -0.4), LocalParam(-1.0, 1.0)):
+        settings = SweepSettings(mu=mu, n_values=(n,), u_grid=(u,))
+        pt = _sweep_point((settings, n, u))
+        want = dense_sweep_point(settings, n, u)
+        got = (pt.forward, pt.block_max, pt.reverse)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert 0.0 <= pt.error_bound < 1e-12
+
+
+def test_sweep_point_error_bound_covers_rank_cut(monkeypatch):
+    # under-resolve on purpose: a coarse rank cut drops visible trace from
+    # every block and from the limit state; the bound must cover the shift
+    n, u = 36, LocalParam(0.8, -0.5)
+    settings = SweepSettings(mu=0.75, n_values=(n,), u_grid=(u,))
+    resolved = _sweep_point((settings, n, u))
+    monkeypatch.setattr(qubit_model, "RANK_CUT", 1e-7)
+    coarse = _sweep_point((settings, n, u))
+    assert coarse.error_bound > 1e-8
+    for stat in ("forward", "block_max", "reverse"):
+        shift = abs(getattr(coarse, stat) - getattr(resolved, stat))
+        assert shift <= coarse.error_bound
+    assert max(
+        abs(getattr(coarse, s) - getattr(resolved, s)) for s in ("forward", "block_max", "reverse")
+    ) > 1e-9

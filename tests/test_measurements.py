@@ -26,7 +26,15 @@ from spingauss.measurements import _block_density_pair
 from spingauss.numerics import trace_norm
 from spingauss.oscillator import FockTruncation, PolarGrid, _coherent_rows
 from spingauss.measurements import plane_jacobian
-from spingauss.qubit_model import ModelParams, block_state, block_state_zero, ensemble
+from spingauss import qubit_model
+from spingauss.qubit_model import (
+    ModelParams,
+    block_state,
+    block_state_zero,
+    block_weight,
+    ensemble,
+    valid_spins,
+)
 
 
 def random_density(rng, dim):
@@ -87,6 +95,37 @@ def test_helstrom_ensembles_vs_brute_force_tensor_oracle():
         big_minus = np.kron(big_minus, one_minus)
     want = 0.5 * (1 - 0.5 * trace_norm(big_plus - big_minus))
     assert got == pytest.approx(want, abs=1e-10)
+
+
+def dense_discrimination_risk(params, u):
+    """Oracle: blockwise dense trace norms, every block diagonalized."""
+    tnorm = sum(
+        block_weight(params, j) * trace_norm(block_state(params, j, u) - block_state(params, j, -u))
+        for j in valid_spins(params.n)
+    )
+    return 0.5 * (1 - 0.5 * tnorm)
+
+
+@pytest.mark.parametrize("mu", [0.75, 1.0])
+def test_finite_n_discrimination_matches_dense_blocks(mu):
+    params = ModelParams(64, mu)
+    for u in (LocalParam(0.5, 0.0), LocalParam(-0.3, 0.9)):
+        res = finite_n_discrimination(params, u)
+        assert res.risk == pytest.approx(dense_discrimination_risk(params, u), abs=1e-12)
+        assert 0.0 <= res.error_bound < 1e-13
+
+
+def test_discrimination_error_bound_covers_skipped_blocks_and_rank_cut(monkeypatch):
+    # under-resolve on purpose: skip blocks up to 1e-2 weight and cut block
+    # ranks at 1e-4, then compare with the fully resolved dense oracle
+    params = ModelParams(12, 0.75)
+    u = LocalParam(0.9, -0.4)
+    want = dense_discrimination_risk(params, u)
+    monkeypatch.setattr(qubit_model, "NEGLIGIBLE_WEIGHT", 1e-2)
+    monkeypatch.setattr(qubit_model, "RANK_CUT", 1e-4)
+    res = finite_n_discrimination(params, u)
+    assert abs(res.risk - want) > 1e-4
+    assert abs(res.risk - want) <= res.error_bound
 
 
 def test_helstrom_mismatched_ensembles_rejected():

@@ -4,7 +4,17 @@ import numpy as np
 import pytest
 
 from spingauss.errors import ValidationError
-from spingauss.numerics import fidelity, hermitian_eig, trace_norm, unitary_exp
+from spingauss.irreps import HalfInteger, LocalParam, rotation_unitary
+from spingauss.numerics import (
+    factor_difference_eigvals,
+    fidelity,
+    hermitian_eig,
+    psd_factor,
+    trace_norm,
+    tridiagonal_propagator,
+    unitary_exp,
+)
+from spingauss.oscillator import Displacement, FockTruncation, displacement_operator
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -115,6 +125,76 @@ def test_trace_norm_triangle_inequality():
         a = random_hermitian(rng, 5)
         b = random_hermitian(rng, 5)
         assert trace_norm(a + b) <= trace_norm(a) + trace_norm(b) + 1e-10
+
+
+def test_propagator_matches_dense_rotation_unitary():
+    # oracle: the dense eigendecomposition route, over the rows the series
+    # returns; past them the dense columns are at rounding level
+    rng = np.random.default_rng(47)
+    for twoj in (0, 1, 2, 9, 40, 100):
+        j = HalfInteger(twoj)
+        for _ in range(3):
+            u = LocalParam(*rng.uniform(-1.5, 1.5, size=2))  # |u| up to 2.1
+            full = rotation_unitary(j, u)
+            for cols in (1, 5, j.dim):
+                got = tridiagonal_propagator(
+                    lambda i: np.sqrt(i * (twoj + 1.0 - i)),
+                    u.norm,
+                    math.atan2(u.uy, u.ux),
+                    cols,
+                    size=j.dim,
+                )
+                rows = got.shape[0]
+                assert got.shape[1] == min(cols, j.dim)
+                np.testing.assert_allclose(got, full[:rows, : got.shape[1]], atol=1e-12)
+                assert np.abs(full[rows:, : got.shape[1]]).max(initial=0.0) < 1e-12
+
+
+def test_propagator_matches_displacement_operator_columns():
+    # z a^dag - z* a is the gauge of i |z| (a + a^dag) by e^{ik (arg z - pi/2)}
+    rng = np.random.default_rng(53)
+    for mag in (0.0, 0.4, 1.0, 2.2, 3.0):
+        z = mag * np.exp(2j * math.pi * rng.uniform())
+        dense = displacement_operator(Displacement(z), FockTruncation(160), pad=64).matrix
+        got = tridiagonal_propagator(np.sqrt, abs(z), np.angle(z) - math.pi / 2, 12)
+        rows = got.shape[0]
+        assert rows < 160
+        np.testing.assert_allclose(got, dense[:rows, :12], atol=1e-12)
+        assert np.abs(dense[rows:, :12]).max() < 1e-12
+
+
+def test_factor_trace_norm_matches_dense_trace_norm():
+    rng = np.random.default_rng(59)
+    for rows_f, rank_f, rows_g, rank_g in ((6, 2, 6, 3), (9, 4, 5, 1), (3, 3, 12, 5), (7, 6, 7, 6)):
+        f = rng.standard_normal((rows_f, rank_f)) + 1j * rng.standard_normal((rows_f, rank_f))
+        g = rng.standard_normal((rows_g, rank_g)) + 1j * rng.standard_normal((rows_g, rank_g))
+        dim = max(rows_f, rows_g)
+        dense = np.zeros((dim, dim), dtype=complex)
+        dense[:rows_f, :rows_f] += f @ f.conj().T
+        dense[:rows_g, :rows_g] -= g @ g.conj().T
+        want = np.linalg.eigvalsh(dense)
+        got = factor_difference_eigvals(f, g)
+        # the dense spectrum is the factor spectrum padded with zeros
+        np.testing.assert_allclose(
+            np.sort(np.abs(got))[::-1], np.sort(np.abs(want))[::-1][: len(got)], atol=1e-11
+        )
+        assert np.abs(got).sum() == pytest.approx(trace_norm(dense), abs=1e-11)
+
+
+def test_factor_trace_norm_identical_factors_exactly_zero():
+    rng = np.random.default_rng(61)
+    f = rng.standard_normal((40, 7)) + 1j * rng.standard_normal((40, 7))
+    assert np.abs(factor_difference_eigvals(f, f)).sum() == 0.0
+    assert np.abs(factor_difference_eigvals(f, f.copy())).sum() == 0.0
+
+
+def test_psd_factor_reconstructs_state():
+    rng = np.random.default_rng(67)
+    rho = random_density(rng, 6)
+    f = psd_factor(rho)
+    np.testing.assert_allclose(f @ f.conj().T, rho, atol=1e-14)
+    with pytest.raises(ValidationError):
+        psd_factor(np.diag([1.1, -0.1]).astype(complex))
 
 
 def test_fidelity_self_is_one():

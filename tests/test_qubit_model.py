@@ -17,6 +17,7 @@ from spingauss.qubit_model import (
     ensemble,
     log_multiplicity,
     multiplicity,
+    rotated_block,
     spin_center,
     valid_spins,
 )
@@ -210,6 +211,21 @@ def test_ensemble_single_copy_is_rotated_qubit():
     um = rotation_unitary(HalfInteger(1), u)
     want = um @ np.diag([mu, 1 - mu]).astype(complex) @ um.conj().T
     np.testing.assert_allclose(ens.blocks[0].matrix, want, atol=1e-13)
+
+
+def test_rotated_block_factor_matches_dense_block_state():
+    # oracle: the dense conjugation; the factor drops exactly the trace it
+    # reports as discarded
+    params = ModelParams(300, 0.75)
+    u = LocalParam(0.8, -0.6)
+    for twoj in (0, 10, 40, 150, 300):
+        j = HalfInteger(twoj)
+        b = rotated_block(params, j, u)
+        assert b.weight == block_weight(params, j)
+        if twoj >= 150:
+            assert b.factor.shape[0] < j.dim / 2
+        np.testing.assert_allclose(b.matrix, block_state(params, j, u), atol=1e-14)
+        assert b.discarded == pytest.approx(1.0 - np.trace(b.matrix).real, abs=1e-15)
 
 
 def test_ensemble_weights_and_traces_normalized():
