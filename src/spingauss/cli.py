@@ -51,9 +51,6 @@ DEFAULTS = {
     "out": "",
     "format": "csv",
     "workers": "1",
-    "quad_radial": "200",
-    "quad_angular": "256",
-    "grid_radius": "0",
 }
 
 CONFIG_KEYS = set(DEFAULTS)
@@ -161,9 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", default=None, choices=("csv", "json"), dest="fmt")
         p.add_argument("--config", default=None, help="flat key = value config file")
         p.add_argument("--workers", default=None, help="parallel workers for sweeps")
-        p.add_argument("--quad-radial", default=None, dest="quad_radial")
-        p.add_argument("--quad-angular", default=None, dest="quad_angular")
-        p.add_argument("--grid-radius", default=None, dest="grid_radius")
     return parser
 
 
@@ -188,9 +182,6 @@ def effective_config(args: argparse.Namespace) -> tuple[dict[str, str], str]:
         "out": args.out,
         "format": getattr(args, "fmt", None),
         "workers": args.workers,
-        "quad_radial": args.quad_radial,
-        "quad_angular": args.quad_angular,
-        "grid_radius": args.grid_radius,
     }
     for key, val in overrides.items():
         if val is not None:

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError
 from .numerics import tridiagonal_propagator, unitary_exp
@@ -193,7 +192,11 @@ def _spin_coherent_rows(twoj: int, wx: np.ndarray, wy: np.ndarray, num_rows: int
         raise DomainError("spin coherent coordinates need |w| < pi/2")
     phi = np.arctan2(wx, -wy)
     k = np.arange(num_rows)
-    logbin = 0.5 * (gammaln(twoj + 1) - gammaln(k + 1) - gammaln(twoj - k + 1))
+    # log sqrt(C(2j, k)) as a running sum of log((2j - i)/(i + 1)): the
+    # difference of gammaln values near 2j would lose 1e-12 at 2j ~ 2000
+    with np.errstate(divide="ignore"):  # rows past 2j have C(2j, k) = 0
+        steps = np.log(np.maximum(twoj - k[:-1], 0) / (k[:-1] + 1.0))
+    logbin = 0.5 * np.concatenate(([0.0], np.cumsum(steps)))
     out = np.zeros((len(r), num_rows), dtype=complex)
     pos = r > 0
     if np.any(pos):

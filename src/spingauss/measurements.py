@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,11 +38,11 @@ from .qubit_model import (
     EnsembleState,
     ModelParams,
     block_spectrum,
+    block_weight,
     concentration_set,
     effective_rank,
     ensemble,
     ensemble_difference,
-    log_block_weight,
 )
 
 
@@ -181,17 +182,8 @@ def heterodyne_estimation_risk(
                 f"quadrature risk error bound {bound:.3e} above 2% of value {value:.3e}"
             )
         return RiskEstimate(value=value, error_bound=bound, method="quadrature", mass=mass)
-    rng = np.random.default_rng(mc.seed)
-    sp = mc.proposal_scale * sig
-    pts = rng.standard_normal((mc.samples, 2)) * sp + np.array([u.ux, u.uy])
+    pts, weights = heterodyne_samples(mu, u, mc, trunc)
     sq = (pts[:, 0] - u.ux) ** 2 + (pts[:, 1] - u.uy) ** 2
-    proposal = np.exp(-sq / (2.0 * sp * sp)) / (2.0 * math.pi * sp * sp)
-    if trunc is not None:
-        mc_trunc = trunc
-    else:
-        mc_trunc = _risk_truncation(mu, u, math.sqrt(sq.max()))
-    dens = heterodyne_pdf(pts, u, mu, mc_trunc)
-    weights = dens / proposal
     vals = sq * weights
     value = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(mc.samples))
@@ -321,39 +313,119 @@ def _row_support(peak: float, dim: int) -> int:
     return min(dim, math.ceil(peak + 10.0 * math.sqrt(peak + 4.0) + 25.0))
 
 
-def _block_density_pair(
+def _concentration_weights(params: ModelParams) -> tuple[tuple[HalfInteger, float], ...]:
+    """(j, p_n(j)) over the concentration set, ascending j."""
+    return tuple((j, block_weight(params, j)) for j in concentration_set(params))
+
+
+# Largest log of the factor cos(r)^(2j - 2J) that rescales reference rows to a
+# block's rows: below it the factor and the table entries stay finite.
+TABLE_LOG_RANGE = 600.0
+
+
+class _Block(NamedTuple):
+    """An included block: spin, weight, conjugated rotation columns (only the
+    rows the propagator reaches) and the spin of its reference table."""
+
+    j: HalfInteger
+    weight: float
+    a_conj: np.ndarray
+    twoj_ref: int
+
+
+@dataclass(frozen=True)
+class _TvGrid:
+    """Everything one (n, u) grid shares across its blocks.
+
+    ``tables`` maps a reference spin 2J to its spin-coherent rows, as wide as
+    the widest column set it serves; every smaller spin's rows are a
+    rescaling of them (``_spin_amplitudes``).  The largest included spin
+    serves every block unless a grid reaches so close to the injectivity edge
+    that the rescaling would leave TABLE_LOG_RANGE; then the blocks split
+    into spin ranges with one table each.
+    """
+
+    params: ModelParams
+    jac: np.ndarray
+    log_cos: np.ndarray
+    coh: np.ndarray
+    tables: dict[int, np.ndarray]
+    blocks: tuple[_Block, ...]
+
+
+def _tv_grid(
     params: ModelParams,
-    j: HalfInteger,
     u: LocalParam,
     pts: np.ndarray,
-    radii: np.ndarray,
-    jac: np.ndarray,
-    coh_rows_grid: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+    block_weights: tuple[tuple[HalfInteger, float], ...],
+) -> _TvGrid:
+    n, mu = params.n, params.mu
+    radii = np.hypot(pts[:, 0], pts[:, 1])
+    if radii.max() >= injectivity_radius(n):
+        raise DomainError("grid leaves the injectivity disk; shrink its radius")
+    zmag = math.sqrt(2.0 * mu - 1.0) * radii.max()
+    z = math.sqrt(2.0 * mu - 1.0) * (-pts[:, 1] + 1j * pts[:, 0])
+    sq = math.sqrt(n)
+    log_cos = np.log(np.cos(radii / sq))
+    spin_span = TABLE_LOG_RANGE / max(-log_cos.min(), 1e-300)
+    blocks = []
+    ref = None
+    for j, bw in reversed(block_weights):
+        if bw > NEGLIGIBLE_WEIGHT:
+            if ref is None or ref - j.twoj > spin_span:
+                ref = j.twoj
+            a = rotation_columns(j, u.scaled(1.0 / sq), cols=effective_rank(params.p, j.dim))
+            blocks.append(_Block(j, bw, a.conj(), ref))
+    blocks.reverse()
+    widths: dict[int, int] = {}
+    for b in blocks:
+        widths[b.twoj_ref] = max(widths.get(b.twoj_ref, 0), b.a_conj.shape[0])
+    return _TvGrid(
+        params=params,
+        jac=plane_jacobian(n, radii),
+        log_cos=log_cos,
+        coh=_coherent_rows(z, _row_support(zmag * zmag, n + 1)),
+        tables={
+            ref: _spin_coherent_rows(ref, pts[:, 0] / sq, pts[:, 1] / sq, width)
+            for ref, width in widths.items()
+        },
+        blocks=tuple(blocks),
+    )
+
+
+def _spin_amplitudes(tv: _TvGrid, block: _Block) -> np.ndarray:
+    """Spin-coherent rows of the block's spin times its ``a_conj``.
+
+    With J the reference spin, entry k of the spin-j row at polar angle r is
+    the reference entry times cos(r)^(2j - 2J) sqrt(C(2j, k) / C(2J, k)); the
+    binomial factor scales the rows of ``a_conj`` and the cosine factor the
+    rows of the product, both built in log space.
+    """
+    rows = block.a_conj.shape[0]
+    tj, tr = block.j.twoj, block.twoj_ref
+    # C(2j, k) / C(2J, k) = prod_{i < k} (1 - (2J - 2j) / (2J - i))
+    steps = np.log1p(-(tr - tj) / (tr - np.arange(rows - 1.0)))
+    log_ratio = 0.5 * np.concatenate(([0.0], np.cumsum(steps)))
+    b = tv.tables[tr][:, :rows] @ (np.exp(log_ratio)[:, None] * block.a_conj)
+    return b * np.exp((tj - tr) * tv.log_cos)[:, None]
+
+
+def _block_density_pair(tv: _TvGrid, block: _Block) -> tuple[np.ndarray, np.ndarray]:
     """Covariant and pulled-back densities of the rotated block, low-rank route.
 
     The unrotated block's spectrum decays geometrically, so the rotated block
-    is reconstructed from the leading columns of the rotation, and the spin
-    coherent and coherent grid vectors are truncated to the rows where they
-    have support.  Both truncations sit at the 1e-15 level, far below the
-    quadrature resolution.
+    is rebuilt from its leading rotation columns, and both grid contractions
+    run over the rows those columns reach.  The rank cut sits at the 1e-15
+    level, far below the quadrature resolution.
     """
-    n, mu, p = params.n, params.mu, params.p
-    sq = math.sqrt(n)
-    d = j.dim
-    rank = effective_rank(p, d)
-    lam = block_spectrum(p, d, rank)
-    # the rank-truncated rotation columns carry all the support that matters:
-    # the inner products need grid-vector rows only where those columns live
-    peak_a = rank + 2.0 * j.twoj * math.sin(min(u.norm / sq, math.pi / 2.0)) ** 2
-    rows_a = min(d, math.ceil(peak_a + 12.0 * math.sqrt(peak_a + 4.0) + 30.0))
-    a_conj = rotation_columns(j, u.scaled(1.0 / sq), cols=rank, rows=rows_a).conj()
-    w_m = _spin_coherent_rows(j.twoj, pts[:, 0] / sq, pts[:, 1] / sq, rows_a)
-    b_m = w_m @ a_conj
-    dens_m = (d / (4.0 * math.pi)) * ((b_m.real ** 2 + b_m.imag ** 2) @ lam) * jac
-    rows_h = min(rows_a, coh_rows_grid.shape[1])
-    b_h = coh_rows_grid[:, :rows_h] @ a_conj[:rows_h, :]
-    dens_h = (2.0 * mu - 1.0) / math.pi * ((b_h.real ** 2 + b_h.imag ** 2) @ lam)
+    a_conj = block.a_conj
+    d = block.j.dim
+    lam = block_spectrum(tv.params.p, d, a_conj.shape[1])
+    b_m = _spin_amplitudes(tv, block)
+    dens_m = (d / (4.0 * math.pi)) * ((b_m.real ** 2 + b_m.imag ** 2) @ lam) * tv.jac
+    rows_h = min(a_conj.shape[0], tv.coh.shape[1])
+    b_h = tv.coh[:, :rows_h] @ a_conj[:rows_h, :]
+    dens_h = (2.0 * tv.params.mu - 1.0) / math.pi * ((b_h.real ** 2 + b_h.imag ** 2) @ lam)
     return dens_m, dens_h
 
 
@@ -364,26 +436,14 @@ def outcome_density_field(
     if grid is None:
         grid = default_tv_grid(params.mu, u, params.n)
     pts, w = grid.nodes()
-    radii = np.hypot(pts[:, 0], pts[:, 1])
-    if radii.max() >= injectivity_radius(params.n):
-        raise DomainError("grid leaves the injectivity disk; shrink its radius")
-    jac = plane_jacobian(params.n, radii)
-    zmag = math.sqrt(2.0 * params.mu - 1.0) * radii.max()
-    coh_dim = _row_support(zmag * zmag, params.n + 1)
-    z = math.sqrt(2.0 * params.mu - 1.0) * (-pts[:, 1] + 1j * pts[:, 0])
-    coh_rows_grid = _coherent_rows(z, coh_dim)
+    block_weights = _concentration_weights(params)
+    tv = _tv_grid(params, u, pts, block_weights)
     total_m = np.zeros(len(pts))
     total_h = np.zeros(len(pts))
-    weights = []
-    for j in concentration_set(params):
-        logw = log_block_weight(params, j)
-        bw = 0.0 if logw == -math.inf else math.exp(logw)
-        weights.append(bw)
-        if bw <= NEGLIGIBLE_WEIGHT:
-            continue
-        dens_m, dens_h = _block_density_pair(params, j, u, pts, radii, jac, coh_rows_grid)
-        total_m += bw * dens_m
-        total_h += bw * dens_h
+    for block in tv.blocks:
+        dens_m, dens_h = _block_density_pair(tv, block)
+        total_m += block.weight * dens_m
+        total_h += block.weight * dens_h
     return OutcomeDensityField(
         n=params.n,
         mu=params.mu,
@@ -392,57 +452,19 @@ def outcome_density_field(
         weights=w,
         covariant=total_m,
         heterodyne=total_h,
-        block_weights=tuple(weights),
+        block_weights=tuple(bw for _, bw in block_weights),
     )
 
 
 def measurement_tv_distance(
     params: ModelParams, u: LocalParam, grid: PolarGrid | None = None
 ) -> TvEstimate:
-    """Weighted total variation between the two outcome densities.
+    """Weighted total variation between the two outcome densities at one (n, u).
 
-    Sums p_n(j) * integral |covariant - heterodyne| over the grid for spins in
-    the concentration set, then adds twice the excluded weight as the worst
-    case contribution of the remaining blocks.
+    The sweep kernel run over a single point; see ``measurement_tv_sweep``.
     """
-    if grid is None:
-        grid = default_tv_grid(params.mu, u, params.n)
-    pts, w = grid.nodes()
-    radii = np.hypot(pts[:, 0], pts[:, 1])
-    if radii.max() >= injectivity_radius(params.n):
-        raise DomainError("grid leaves the injectivity disk; shrink its radius")
-    jac = plane_jacobian(params.n, radii)
-    zmag = math.sqrt(2.0 * params.mu - 1.0) * radii.max()
-    coh_dim = _row_support(zmag * zmag, params.n + 1)
-    z = math.sqrt(2.0 * params.mu - 1.0) * (-pts[:, 1] + 1j * pts[:, 0])
-    coh_rows_grid = _coherent_rows(z, coh_dim)
-    grid_term = 0.0
-    mass_m = 0.0
-    mass_h = 0.0
-    included = 0.0
-    for j in concentration_set(params):
-        logw = log_block_weight(params, j)
-        bw = 0.0 if logw == -math.inf else math.exp(logw)
-        if bw <= NEGLIGIBLE_WEIGHT:
-            continue
-        dens_m, dens_h = _block_density_pair(params, j, u, pts, radii, jac, coh_rows_grid)
-        grid_term += bw * float(np.sum(w * np.abs(dens_m - dens_h)))
-        mass_m += bw * float(np.sum(w * dens_m))
-        mass_h += bw * float(np.sum(w * dens_h))
-        included += bw
-    deficit = max(0.0, 1.0 - included)
-    out_of_grid = max(0.0, included - mass_m) + max(0.0, included - mass_h)
-    return TvEstimate(
-        n=params.n,
-        mu=params.mu,
-        u=u,
-        tv_bound=grid_term + 2.0 * deficit,
-        grid_term=grid_term,
-        concentration_deficit=deficit,
-        covariant_mass=mass_m / included if included else 0.0,
-        heterodyne_mass=mass_h / included if included else 0.0,
-        out_of_grid_bound=out_of_grid,
-    )
+    grids = None if grid is None else {(params.n, u): grid}
+    return measurement_tv_sweep(params.mu, (params.n,), (u,), params.epsilon, grids)[0]
 
 
 def measurement_tv_sweep(
@@ -452,68 +474,45 @@ def measurement_tv_sweep(
     epsilon: float = 0.1,
     grids: dict | None = None,
 ) -> list[TvEstimate]:
-    """TV comparison over an (n, u) grid, looping spins outside the u loop.
+    """TV comparison of the two measurements over an (n, u) grid.
 
-    Produces the same numbers as measurement_tv_distance per point (identical
-    per-block arithmetic and ascending-j accumulation), with the block weight
-    evaluated once per spin for the whole u grid.
+    Sums p_n(j) * integral |covariant - heterodyne| over the grid for spins in
+    the concentration set, then adds twice the excluded weight as the worst
+    case contribution of the remaining blocks.  Block weights are evaluated
+    once per n; the grid, its coherent rows and its spin-coherent table once
+    per (n, u).
     """
     out = []
     for n in n_values:
         params = ModelParams(n, mu, epsilon)
-        per_u = []
+        block_weights = _concentration_weights(params)
         for u in u_list:
             grid = (grids or {}).get((n, u)) or default_tv_grid(mu, u, n)
             pts, w = grid.nodes()
-            radii = np.hypot(pts[:, 0], pts[:, 1])
-            if radii.max() >= injectivity_radius(n):
-                raise DomainError("grid leaves the injectivity disk; shrink its radius")
-            jac = plane_jacobian(n, radii)
-            zmag = math.sqrt(2.0 * mu - 1.0) * radii.max()
-            coh_dim = _row_support(zmag * zmag, n + 1)
-            z = math.sqrt(2.0 * mu - 1.0) * (-pts[:, 1] + 1j * pts[:, 0])
-            per_u.append(
-                {
-                    "u": u,
-                    "pts": pts,
-                    "w": w,
-                    "radii": radii,
-                    "jac": jac,
-                    "coh": _coherent_rows(z, coh_dim),
-                    "grid_term": 0.0,
-                    "mass_m": 0.0,
-                    "mass_h": 0.0,
-                    "included": 0.0,
-                }
-            )
-        for j in concentration_set(params):
-            logw = log_block_weight(params, j)
-            bw = 0.0 if logw == -math.inf else math.exp(logw)
-            if bw <= NEGLIGIBLE_WEIGHT:
-                continue
-            for acc in per_u:
-                dens_m, dens_h = _block_density_pair(
-                    params, j, acc["u"], acc["pts"], acc["radii"], acc["jac"], acc["coh"]
-                )
-                acc["grid_term"] += bw * float(np.sum(acc["w"] * np.abs(dens_m - dens_h)))
-                acc["mass_m"] += bw * float(np.sum(acc["w"] * dens_m))
-                acc["mass_h"] += bw * float(np.sum(acc["w"] * dens_h))
-                acc["included"] += bw
-        for acc in per_u:
-            included = acc["included"]
+            tv = _tv_grid(params, u, pts, block_weights)
+            grid_term = 0.0
+            mass_m = 0.0
+            mass_h = 0.0
+            included = 0.0
+            for block in tv.blocks:
+                bw = block.weight
+                dens_m, dens_h = _block_density_pair(tv, block)
+                grid_term += bw * float(np.sum(w * np.abs(dens_m - dens_h)))
+                mass_m += bw * float(np.sum(w * dens_m))
+                mass_h += bw * float(np.sum(w * dens_h))
+                included += bw
             deficit = max(0.0, 1.0 - included)
             out.append(
                 TvEstimate(
                     n=n,
                     mu=mu,
-                    u=acc["u"],
-                    tv_bound=acc["grid_term"] + 2.0 * deficit,
-                    grid_term=acc["grid_term"],
+                    u=u,
+                    tv_bound=grid_term + 2.0 * deficit,
+                    grid_term=grid_term,
                     concentration_deficit=deficit,
-                    covariant_mass=acc["mass_m"] / included if included else 0.0,
-                    heterodyne_mass=acc["mass_h"] / included if included else 0.0,
-                    out_of_grid_bound=max(0.0, included - acc["mass_m"])
-                    + max(0.0, included - acc["mass_h"]),
+                    covariant_mass=mass_m / included if included else 0.0,
+                    heterodyne_mass=mass_h / included if included else 0.0,
+                    out_of_grid_bound=max(0.0, included - mass_m) + max(0.0, included - mass_h),
                 )
             )
     return out

@@ -344,17 +344,14 @@ def heterodyne_density(u_hat: LocalParam, mu: float, trunc: FockTruncation) -> F
 def heterodyne_pdf(points, u: LocalParam, mu: float, trunc: FockTruncation) -> np.ndarray:
     """Outcome density Tr(phi^u h(u_hat)) evaluated at an (G, 2) array of points.
 
-    The displaced thermal state has a geometrically decaying spectrum, so the
-    quadratic form is evaluated through its rank-truncated PSD factor; the
-    discarded eigenvalues sit at the 1e-18 level.
+    The quadratic form is evaluated through the displaced thermal state's
+    stored factor, whose spectrum is cut at ``RANK_CUT``; the coherent rows
+    run only over the factor's rows.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    state = displaced_thermal(u, mu, trunc)
-    w, v = np.linalg.eigh(state.matrix)
-    keep = w > 1e-18
-    factor = v[:, keep] * np.sqrt(w[keep])[None, :]
+    factor = displaced_thermal(u, mu, trunc).factor
     z = math.sqrt(2.0 * mu - 1.0) * (-pts[:, 1] + 1j * pts[:, 0])
-    rows = _coherent_rows(z, trunc.dim)
+    rows = _coherent_rows(z, factor.shape[0])
     amps = rows.conj() @ factor
     vals = np.einsum("gk,gk->g", amps.real, amps.real) + np.einsum(
         "gk,gk->g", amps.imag, amps.imag

@@ -128,6 +128,16 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert err.startswith("error: config:") and "muu" in err
 
 
+@pytest.mark.parametrize("key", ["quad_radial", "quad_angular", "grid_radius"])
+def test_removed_grid_keys_rejected(tmp_path, capsys, key):
+    # these keys never reached a grid; a config that sets one is an error
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(f"{key} = 200\n", encoding="utf-8")
+    assert run_cli(["measure-compare", "--config", str(cfg), "--n", "4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and key in err
+
+
 def test_bad_mu_exit_code(capsys):
     assert run_cli(["risk", "--mu", "0.4"]) == 2
     assert capsys.readouterr().err.startswith("error: config:")

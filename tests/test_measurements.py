@@ -22,16 +22,23 @@ from spingauss.measurements import (
     outcome_density_field,
     position_measurement_risk,
 )
-from spingauss.measurements import _block_density_pair
+from spingauss.measurements import (
+    _block_density_pair,
+    _concentration_weights,
+    _spin_amplitudes,
+    _tv_grid,
+    default_tv_grid,
+)
+from spingauss.irreps import _spin_coherent_rows
 from spingauss.numerics import trace_norm
-from spingauss.oscillator import FockTruncation, PolarGrid, _coherent_rows
-from spingauss.measurements import plane_jacobian
+from spingauss.oscillator import FockTruncation, PolarGrid
 from spingauss import qubit_model
 from spingauss.qubit_model import (
     ModelParams,
     block_state,
     block_state_zero,
     block_weight,
+    concentration_set,
     ensemble,
     valid_spins,
 )
@@ -307,13 +314,8 @@ def test_block_density_pair_matches_public_densities():
     j = HalfInteger(18)
     grid = PolarGrid(center=(u.ux, u.uy), radius=6.0, n_radial=24, n_angular=16)
     pts, _ = grid.nodes()
-    radii = np.hypot(pts[:, 0], pts[:, 1])
-    jac = plane_jacobian(params.n, radii)
-    zmag = math.sqrt(2 * params.mu - 1) * radii.max()
-    coh_dim = int(zmag ** 2 + 10 * math.sqrt(zmag ** 2 + 4) + 25)
-    z = math.sqrt(2 * params.mu - 1) * (-pts[:, 1] + 1j * pts[:, 0])
-    coh = _coherent_rows(z, coh_dim)
-    dens_m, dens_h = _block_density_pair(params, j, u, pts, radii, jac, coh)
+    tv = _tv_grid(params, u, pts, _concentration_weights(params))
+    dens_m, dens_h = _block_density_pair(tv, next(b for b in tv.blocks if b.j == j))
     rho = block_state(params, j, u)
     want_m = covariant_block_density(j, params.n, rho, pts)
     want_h = heterodyne_pullback_density(j, rho, params.mu, pts)
@@ -344,14 +346,60 @@ def test_measurement_tv_smoke_and_decrease():
     assert est64.grid_term < est16.grid_term
 
 
-def test_measurement_tv_sweep_matches_single_calls():
-    u_list = (LocalParam(0, 0), LocalParam(1, 0))
+def dense_tv(mu, n, u):
+    """Oracle: grid term and masses from dense blocks and the public densities."""
+    params = ModelParams(n, mu)
+    pts, w = default_tv_grid(mu, u, n).nodes()
+    grid_term = mass_m = mass_h = included = 0.0
+    for j in concentration_set(params):
+        bw = block_weight(params, j)
+        rho = block_state(params, j, u)
+        dens_m = covariant_block_density(j, n, rho, pts)
+        dens_h = heterodyne_pullback_density(j, rho, mu, pts)
+        grid_term += bw * np.sum(w * np.abs(dens_m - dens_h))
+        mass_m += bw * np.sum(w * dens_m)
+        mass_h += bw * np.sum(w * dens_h)
+        included += bw
+    return grid_term, mass_m / included, mass_h / included
+
+
+def test_measurement_tv_sweep_matches_dense_blocks():
+    u_list = (LocalParam(0, 0), LocalParam(1, 0), LocalParam(-0.6, 0.9))
     swept = measurement_tv_sweep(0.75, (16, 36), u_list)
-    singles = [
-        measurement_tv_distance(ModelParams(n, 0.75), u) for n in (16, 36) for u in u_list
-    ]
-    for a, b in zip(swept, singles):
-        assert a.n == b.n and a.u == b.u
-        assert a.grid_term == b.grid_term
-        assert a.tv_bound == b.tv_bound
-        assert a.covariant_mass == b.covariant_mass
+    assert [(e.n, e.u) for e in swept] == [(n, u) for n in (16, 36) for u in u_list]
+    for est in swept:
+        grid_term, mass_m, mass_h = dense_tv(0.75, est.n, est.u)
+        assert est.grid_term == pytest.approx(grid_term, abs=1e-12)
+        assert est.covariant_mass == pytest.approx(mass_m, abs=1e-12)
+        assert est.heterodyne_mass == pytest.approx(mass_h, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "n, radius_frac",
+    [(4096, None), (16, 0.98), (4096, 0.98)],
+    ids=["n4096-default-grid", "n16-edge-grid", "n4096-edge-grid"],
+)
+def test_spin_amplitudes_from_reference_table(n, radius_frac):
+    # block amplitudes rebuilt from a reference table at a larger spin must
+    # match the rows computed at the block's own spin
+    params = ModelParams(n, 0.75)
+    u = LocalParam(0.8, -0.5)
+    weights = _concentration_weights(params)
+    if radius_frac is None:
+        grid = default_tv_grid(params.mu, u, n)
+        # one block on the full grid: the lightest spin kept, farthest
+        # below the reference spin
+        kept = [jw for jw in weights if jw[1] > qubit_model.NEGLIGIBLE_WEIGHT]
+        weights = (kept[0], kept[-1])
+    else:
+        grid = PolarGrid(radius=radius_frac * injectivity_radius(n), n_radial=24, n_angular=16)
+    pts, _ = grid.nodes()
+    tv = _tv_grid(params, u, pts, weights)
+    checked = [b for b in tv.blocks if b.j.twoj < b.twoj_ref]
+    assert checked
+    sq = math.sqrt(n)
+    for block in checked:
+        got = _spin_amplitudes(tv, block)
+        rows = _spin_coherent_rows(block.j.twoj, pts[:, 0] / sq, pts[:, 1] / sq, block.a_conj.shape[0])
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, rows @ block.a_conj, rtol=0, atol=1e-13)

@@ -210,6 +210,20 @@ def test_heterodyne_pdf_gaussian_oracle():
     np.testing.assert_allclose(got, want, atol=1e-6)
 
 
+@pytest.mark.parametrize("mu", [0.75, 0.9, 1.0])
+def test_heterodyne_pdf_matches_dense_quadratic_form(mu):
+    # oracle: (2mu-1)/pi <z|rho|z> with the dense matrix over all levels
+    trunc = FockTruncation(140)
+    u = LocalParam(2.5, -1.5)
+    pts = np.array([[2.5, -1.5], [0.0, 0.0], [3.5, -0.5], [1.0, -3.0], [5.0, 1.0]])
+    rho = displaced_thermal(u, mu, trunc).matrix
+    want = []
+    for x, y in pts:
+        c = coherent_coefficients(math.sqrt(2 * mu - 1) * complex(-y, x), trunc.dim)
+        want.append((2 * mu - 1) / math.pi * np.vdot(c, rho @ c).real)
+    np.testing.assert_allclose(heterodyne_pdf(pts, u, mu, trunc), want, rtol=0, atol=1e-14)
+
+
 def test_heterodyne_pdf_integrates_to_one():
     mu = 0.75
     u = LocalParam(0.5, 0.5)
