@@ -34,6 +34,7 @@ from .oscillator import (
     displaced_thermal,
 )
 from .qubit_model import (
+    NEGLIGIBLE_WEIGHT,
     BlockState,
     EnsembleState,
     ModelParams,
@@ -190,24 +191,32 @@ def coherent_vector_distance(
     return float(np.linalg.norm(padded - target))
 
 
+def _qubit_rotation(u: LocalParam) -> np.ndarray:
+    """U_1/2(u) from the closed form in the ``irreps`` docstring."""
+    c, s = math.cos(u.norm), math.sin(u.norm)
+    e = complex(math.cos(u.angle), math.sin(u.angle))
+    return np.array([[c, -e.conjugate() * s], [e * s, c]])
+
+
 def composition_defect(j: HalfInteger, u: LocalParam, v: LocalParam, n: int) -> float:
     """Trace distance between composing two scaled rotations and rotating once.
 
     Both states are pure, so the distance is 2 sqrt(1 - |overlap|^2) with the
-    overlap of U_j(u/sqrt(n)) |j, v/sqrt(n)> against |j, (u+v)/sqrt(n)>.
+    overlap of U_j(u/sqrt(n)) |j, v/sqrt(n)> against |j, (u+v)/sqrt(n)>.  Both
+    are product states of 2j qubits, so the overlap is g_00^(2j) with
+    g = U_1/2(u+v)^dag U_1/2(u) U_1/2(v), and 1 - |overlap|^2 =
+    1 - (1 - |g_10|^2)^(2j), which stays accurate when g is near diagonal.
     """
-    from .irreps import rotation_unitary
-
     s = 1.0 / math.sqrt(n)
-    psi = rotation_unitary(j, u.scaled(s)) @ spin_coherent_coords(j, v.scaled(s))
-    chi = spin_coherent_coords(j, (u + v).scaled(s))
-    inner = np.vdot(chi, psi)
-    overlap = min(abs(inner), 1.0)
-    # 1 - |ov| through the phase-aligned difference: stable when the states
-    # nearly coincide, where 1 - |<chi|psi>| drowns in rounding
-    phase = inner / abs(inner) if abs(inner) > 0 else 1.0
-    one_minus = 0.5 * float(np.linalg.norm(psi - chi * phase) ** 2)
-    return 2.0 * math.sqrt(max(0.0, one_minus * (1.0 + overlap)))
+    g = (
+        _qubit_rotation((u + v).scaled(s)).conj().T
+        @ _qubit_rotation(u.scaled(s))
+        @ _qubit_rotation(v.scaled(s))
+    )
+    # capped at the largest double below 1, so log1p stays finite where
+    # |g_10| rounds to 1
+    g10_sq = min(abs(g[1, 0]) ** 2, 1.0 - 2.0 ** -53)
+    return 2.0 * math.sqrt(-math.expm1(j.twoj * math.log1p(-g10_sq)))
 
 
 @dataclass(frozen=True)
@@ -286,7 +295,8 @@ def _sweep_point(args) -> PointStats:
     jset = set(js)
     block_max = 0.0
     for b in ens.blocks:
-        if b.j not in jset:
+        # blocks that carry no weight do not occur in the state
+        if b.j not in jset or b.weight <= NEGLIGIBLE_WEIGHT:
             continue
         EmbeddingMap(b.j, trunc)  # raises if the block does not fit
         tnorm = float(np.abs(factor_difference_eigvals(b.factor, phi.factor)).sum())

@@ -135,31 +135,23 @@ def rotation_unitary(j: HalfInteger, u: LocalParam) -> np.ndarray:
     return unitary_exp(rotation_generator(j, u))
 
 
-def rotation_columns(j: HalfInteger, u: LocalParam, cols: int, rows: int | None = None) -> np.ndarray:
-    """Leading ``rows`` x ``cols`` block of rotation_unitary(j, u).
+def rotation_columns(j: HalfInteger, u: LocalParam, cols: int) -> np.ndarray:
+    """Leading ``cols`` columns of rotation_unitary(j, u), on the rows they reach.
 
     The generator is gauge-equivalent, via the diagonal phase
     e^{ik atan2(u_y, u_x)}, to |u| times the fixed tridiagonal x generator X_j
     with couplings sqrt(i (2j + 1 - i)), so the columns come from the
-    Chebyshev propagator without any eigendecomposition.  With ``rows`` None
-    only the rows the columns reach are returned (at most 2j + 1); rows past
-    them are zero to the propagator's accuracy, and a larger ``rows`` pads
-    with exact zeros.
+    Chebyshev propagator without any eigendecomposition.  Only the rows the
+    columns reach are returned (at most 2j + 1); rows past them are zero to
+    the propagator's accuracy.
     """
-    d = j.dim
-    out = tridiagonal_propagator(
+    return tridiagonal_propagator(
         lambda i: np.sqrt(i * (j.twoj + 1.0 - i)),
         u.norm,
         math.atan2(u.uy, u.ux),
         cols,
-        size=d,
+        size=j.dim,
     )
-    if rows is None:
-        return out
-    rows = min(rows, d)
-    if rows <= out.shape[0]:
-        return out[:rows]
-    return np.vstack([out, np.zeros((rows - out.shape[0], out.shape[1]), dtype=complex)])
 
 
 def spin_coherent_coords(j: HalfInteger, w: LocalParam) -> np.ndarray:

@@ -161,9 +161,9 @@ def heterodyne_estimation_risk(
     sig = heterodyne_outcome_std(mu)
     if quad is None:
         quad = PolarGrid(center=(u.ux, u.uy), radius=8.0 * sig, n_radial=160, n_angular=128)
-    if trunc is None:
-        trunc = _risk_truncation(mu, u, quad.radius)
     if mc is None:
+        if trunc is None:
+            trunc = _risk_truncation(mu, u, quad.radius)
         pts, w = quad.nodes()
         dens = heterodyne_pdf(pts, u, mu, trunc)
         sq = (pts[:, 0] - u.ux) ** 2 + (pts[:, 1] - u.uy) ** 2
@@ -318,38 +318,28 @@ def _concentration_weights(params: ModelParams) -> tuple[tuple[HalfInteger, floa
     return tuple((j, block_weight(params, j)) for j in concentration_set(params))
 
 
-# Largest log of the factor cos(r)^(2j - 2J) that rescales reference rows to a
-# block's rows: below it the factor and the table entries stay finite.
-TABLE_LOG_RANGE = 600.0
-
-
 class _Block(NamedTuple):
-    """An included block: spin, weight, conjugated rotation columns (only the
-    rows the propagator reaches) and the spin of its reference table."""
+    """An included block: spin, weight and conjugated rotation columns (only
+    the rows the propagator reaches)."""
 
     j: HalfInteger
     weight: float
     a_conj: np.ndarray
-    twoj_ref: int
 
 
 @dataclass(frozen=True)
 class _TvGrid:
     """Everything one (n, u) grid shares across its blocks.
 
-    ``tables`` maps a reference spin 2J to its spin-coherent rows, as wide as
-    the widest column set it serves; every smaller spin's rows are a
-    rescaling of them (``_spin_amplitudes``).  The largest included spin
-    serves every block unless a grid reaches so close to the injectivity edge
-    that the rescaling would leave TABLE_LOG_RANGE; then the blocks split
-    into spin ranges with one table each.
+    ``log_q`` is log(1 - (1 - p) s^2) per point, with s^2 the infidelity
+    between the qubit states |1/2, u_hat/sqrt(n)> and |1/2, u/sqrt(n)>; every
+    block's covariant density is a power of it (``_block_density_pair``).
     """
 
     params: ModelParams
     jac: np.ndarray
-    log_cos: np.ndarray
+    log_q: np.ndarray
     coh: np.ndarray
-    tables: dict[int, np.ndarray]
     blocks: tuple[_Block, ...]
 
 
@@ -366,63 +356,48 @@ def _tv_grid(
     zmag = math.sqrt(2.0 * mu - 1.0) * radii.max()
     z = math.sqrt(2.0 * mu - 1.0) * (-pts[:, 1] + 1j * pts[:, 0])
     sq = math.sqrt(n)
-    log_cos = np.log(np.cos(radii / sq))
-    spin_span = TABLE_LOG_RANGE / max(-log_cos.min(), 1e-300)
-    blocks = []
-    ref = None
-    for j, bw in reversed(block_weights):
-        if bw > NEGLIGIBLE_WEIGHT:
-            if ref is None or ref - j.twoj > spin_span:
-                ref = j.twoj
-            a = rotation_columns(j, u.scaled(1.0 / sq), cols=effective_rank(params.p, j.dim))
-            blocks.append(_Block(j, bw, a.conj(), ref))
-    blocks.reverse()
-    widths: dict[int, int] = {}
-    for b in blocks:
-        widths[b.twoj_ref] = max(widths.get(b.twoj_ref, 0), b.a_conj.shape[0])
+    a, b = u.norm / sq, radii / sq
+    # <down| U_1/2(u/sqrt(n))^dag U_1/2(u_hat/sqrt(n)) |up>: a difference that
+    # vanishes at u_hat = u, so s^2 keeps full accuracy there, where
+    # 1 - |<up|...|up>|^2 would cancel
+    amp = math.cos(a) * np.sin(b) * np.exp(1j * np.arctan2(pts[:, 0], -pts[:, 1]))
+    amp -= math.sin(a) * np.cos(b) * np.exp(1j * u.angle)
+    s2 = np.minimum(amp.real ** 2 + amp.imag ** 2, 1.0)
+    # -inf only at p = 0, where every included block has 2j = n > 0
+    with np.errstate(divide="ignore"):
+        log_q = np.log1p(-(1.0 - params.p) * s2)
+    w = u.scaled(1.0 / sq)
+    blocks = tuple(
+        _Block(j, bw, rotation_columns(j, w, cols=effective_rank(params.p, j.dim)).conj())
+        for j, bw in block_weights
+        if bw > NEGLIGIBLE_WEIGHT
+    )
     return _TvGrid(
         params=params,
         jac=plane_jacobian(n, radii),
-        log_cos=log_cos,
+        log_q=log_q,
         coh=_coherent_rows(z, _row_support(zmag * zmag, n + 1)),
-        tables={
-            ref: _spin_coherent_rows(ref, pts[:, 0] / sq, pts[:, 1] / sq, width)
-            for ref, width in widths.items()
-        },
-        blocks=tuple(blocks),
+        blocks=blocks,
     )
 
 
-def _spin_amplitudes(tv: _TvGrid, block: _Block) -> np.ndarray:
-    """Spin-coherent rows of the block's spin times its ``a_conj``.
-
-    With J the reference spin, entry k of the spin-j row at polar angle r is
-    the reference entry times cos(r)^(2j - 2J) sqrt(C(2j, k) / C(2J, k)); the
-    binomial factor scales the rows of ``a_conj`` and the cosine factor the
-    rows of the product, both built in log space.
-    """
-    rows = block.a_conj.shape[0]
-    tj, tr = block.j.twoj, block.twoj_ref
-    # C(2j, k) / C(2J, k) = prod_{i < k} (1 - (2J - 2j) / (2J - i))
-    steps = np.log1p(-(tr - tj) / (tr - np.arange(rows - 1.0)))
-    log_ratio = 0.5 * np.concatenate(([0.0], np.cumsum(steps)))
-    b = tv.tables[tr][:, :rows] @ (np.exp(log_ratio)[:, None] * block.a_conj)
-    return b * np.exp((tj - tr) * tv.log_cos)[:, None]
-
-
 def _block_density_pair(tv: _TvGrid, block: _Block) -> tuple[np.ndarray, np.ndarray]:
-    """Covariant and pulled-back densities of the rotated block, low-rank route.
+    """Covariant and pulled-back densities of the rotated block.
 
-    The unrotated block's spectrum decays geometrically, so the rotated block
-    is rebuilt from its leading rotation columns, and both grid contractions
-    run over the rows those columns reach.  The rank cut sits at the 1e-15
-    level, far below the quadrature resolution.
+    Covariant side in closed form: with U = U_j(u/sqrt(n)) the vector
+    U^dag |j, w> is the spin coherent vector of a qubit state at infidelity
+    s^2 from |up>, and the unrotated block has weights proportional to p^k,
+    so the binomial theorem gives
+    <j, w| U rho_j U^dag |j, w> = (1 - p)/(1 - p^(2j+1)) (1 - (1 - p) s^2)^(2j)
+    (Arecchi, Courtens, Gilmore & Thomas, PRA 6, 2211, 1972).  Heterodyne
+    side: the rotated block is rebuilt from its leading rotation columns and
+    the coherent rows are contracted over the rows those columns reach; the
+    rank cut sits at the 1e-15 level, far below the quadrature resolution.
     """
     a_conj = block.a_conj
     d = block.j.dim
     lam = block_spectrum(tv.params.p, d, a_conj.shape[1])
-    b_m = _spin_amplitudes(tv, block)
-    dens_m = (d / (4.0 * math.pi)) * ((b_m.real ** 2 + b_m.imag ** 2) @ lam) * tv.jac
+    dens_m = (d / (4.0 * math.pi)) * lam[0] * np.exp(block.j.twoj * tv.log_q) * tv.jac
     rows_h = min(a_conj.shape[0], tv.coh.shape[1])
     b_h = tv.coh[:, :rows_h] @ a_conj[:rows_h, :]
     dens_h = (2.0 * tv.params.mu - 1.0) / math.pi * ((b_h.real ** 2 + b_h.imag ** 2) @ lam)
@@ -479,7 +454,7 @@ def measurement_tv_sweep(
     Sums p_n(j) * integral |covariant - heterodyne| over the grid for spins in
     the concentration set, then adds twice the excluded weight as the worst
     case contribution of the remaining blocks.  Block weights are evaluated
-    once per n; the grid, its coherent rows and its spin-coherent table once
+    once per n; the grid, its coherent rows and its qubit infidelities once
     per (n, u).
     """
     out = []

@@ -233,6 +233,29 @@ def test_composition_defect_decreases_along_n():
     assert vals[0] > vals[1] > vals[2]
 
 
+def dense_composition_defect(j, u, v, n):
+    """Oracle: both pure states from dense rotations, 1 - |overlap| through
+    the phase-aligned difference."""
+    s = 1 / math.sqrt(n)
+    e0 = np.zeros(j.dim)
+    e0[0] = 1.0
+    psi = rotation_unitary(j, u.scaled(s)) @ (rotation_unitary(j, v.scaled(s)) @ e0)
+    chi = rotation_unitary(j, (u + v).scaled(s)) @ e0
+    inner = np.vdot(chi, psi)
+    one_minus = 0.5 * np.linalg.norm(psi - chi * inner / abs(inner)) ** 2
+    return 2 * math.sqrt(one_minus * (1 + abs(inner)))
+
+
+def test_composition_defect_matches_dense_rotations():
+    rng = np.random.default_rng(11)
+    for twoj in (1, 2, 5, 12, 30):
+        for n in (16, 64):
+            u, v = (LocalParam(*rng.uniform(-2, 2, size=2)) for _ in range(2))
+            j = HalfInteger(twoj)
+            got = composition_defect(j, u, v, n)
+            assert got == pytest.approx(dense_composition_defect(j, u, v, n), abs=1e-13)
+
+
 def test_sweep_smoke_and_structure():
     settings = SweepSettings(
         mu=0.75,
@@ -351,7 +374,7 @@ def dense_sweep_point(settings, n, u):
         rho = block_state(params, j, u)
         emb = embed_block(rho, EmbeddingMap(j, trunc)).matrix
         fwd += w * emb
-        if j in jset:
+        if j in jset and w > NEGLIGIBLE_WEIGHT:
             block_max = max(block_max, trace_norm(emb - phi))
         if w <= NEGLIGIBLE_WEIGHT:
             reverse += 2 * w
@@ -371,6 +394,17 @@ def test_sweep_point_matches_dense_recomputation(mu):
         got = (pt.forward, pt.block_max, pt.reverse)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         assert 0.0 <= pt.error_bound < 1e-12
+
+
+def test_sweep_point_block_max_skips_weightless_blocks():
+    # at mu = 1 only the block 2j = n carries weight; the weightless blocks of
+    # the concentration set (0.224 from 2j = 202 here) must not count
+    n, u = 256, LocalParam(1.0, 0.0)
+    settings = SweepSettings(mu=1.0, n_values=(n,), u_grid=(u,))
+    pt = _sweep_point((settings, n, u))
+    want = dense_sweep_point(settings, n, u)
+    np.testing.assert_allclose((pt.forward, pt.block_max, pt.reverse), want, rtol=0, atol=1e-12)
+    assert pt.block_max < 0.01
 
 
 def test_sweep_point_error_bound_covers_rank_cut(monkeypatch):

@@ -108,21 +108,20 @@ def test_rotation_columns_agree_with_full_unitary():
         full = rotation_unitary(j, u)
         cols = rotation_columns(j, u, cols=j.dim)
         np.testing.assert_allclose(cols, full, atol=1e-11)
-        part = rotation_columns(j, u, cols=3, rows=5)
+        part = rotation_columns(j, u, cols=3)[:5]
         np.testing.assert_allclose(part, full[: min(5, j.dim), : min(3, j.dim)], atol=1e-11)
 
 
-def test_rotation_columns_support_and_zero_padding():
-    # the columns reach only a few rows past ``cols``; a larger ``rows`` pads
-    # with exact zeros, where the dense unitary is at rounding level
+def test_rotation_columns_support():
+    # the columns reach only a few rows past ``cols``; past them the dense
+    # unitary is at rounding level
     j, u = HalfInteger(200), LocalParam(0.05, -0.04)
     support = rotation_columns(j, u, cols=4)
-    padded = rotation_columns(j, u, cols=4, rows=j.dim)
     rows = support.shape[0]
     assert rows < j.dim
-    np.testing.assert_array_equal(padded[:rows], support)
-    assert not padded[rows:].any()
-    np.testing.assert_allclose(padded, rotation_unitary(j, u)[:, :4], atol=1e-12)
+    full = rotation_unitary(j, u)[:, :4]
+    np.testing.assert_allclose(support, full[:rows], atol=1e-12)
+    np.testing.assert_allclose(full[rows:], 0.0, atol=1e-12)
 
 
 def test_spin_coherent_at_zero_is_highest_weight():

@@ -25,14 +25,12 @@ from spingauss.measurements import (
 from spingauss.measurements import (
     _block_density_pair,
     _concentration_weights,
-    _spin_amplitudes,
     _tv_grid,
     default_tv_grid,
 )
-from spingauss.irreps import _spin_coherent_rows
 from spingauss.numerics import trace_norm
-from spingauss.oscillator import FockTruncation, PolarGrid
-from spingauss import qubit_model
+from spingauss.oscillator import FockTruncation, PolarGrid, heterodyne_pdf
+from spingauss import measurements, qubit_model
 from spingauss.qubit_model import (
     ModelParams,
     block_state,
@@ -213,6 +211,25 @@ def test_heterodyne_risk_monte_carlo_reproducible_and_consistent():
     assert abs(a.value - heterodyne_risk_reference(mu)) <= a.error_bound + 0.02
 
 
+def test_heterodyne_risk_monte_carlo_uses_sample_truncation(monkeypatch):
+    # away from u = 0 the Monte Carlo value is the mean over the points and
+    # weights heterodyne_samples returns, with the truncation it sizes from
+    # the farthest sample, not from the quadrature radius
+    mu, u = 0.75, LocalParam(1.3, -0.7)
+    mc = McSpec(seed=5, samples=20_000)
+    dims = []
+
+    def recording_pdf(pts, u, mu, trunc):
+        dims.append(trunc.dim)
+        return heterodyne_pdf(pts, u, mu, trunc)
+
+    monkeypatch.setattr(measurements, "heterodyne_pdf", recording_pdf)
+    pts, weights = heterodyne_samples(mu, u, mc)
+    want = float((((pts[:, 0] - u.ux) ** 2 + (pts[:, 1] - u.uy) ** 2) * weights).mean())
+    assert heterodyne_estimation_risk(mu, u, mc=mc).value == want
+    assert dims[0] == dims[1]
+
+
 def test_heterodyne_pdf_moments_match_derived_variance():
     # importance-sampled moments of the computed outcome density, 3 sigma bands
     mu = 0.75
@@ -374,32 +391,44 @@ def test_measurement_tv_sweep_matches_dense_blocks():
         assert est.heterodyne_mass == pytest.approx(mass_h, abs=1e-12)
 
 
-@pytest.mark.parametrize(
-    "n, radius_frac",
-    [(4096, None), (16, 0.98), (4096, 0.98)],
-    ids=["n4096-default-grid", "n16-edge-grid", "n4096-edge-grid"],
-)
-def test_spin_amplitudes_from_reference_table(n, radius_frac):
-    # block amplitudes rebuilt from a reference table at a larger spin must
-    # match the rows computed at the block's own spin
+def block_densities(params, u, pts):
+    tv = _tv_grid(params, u, pts, _concentration_weights(params))
+    return [(block, *_block_density_pair(tv, block)) for block in tv.blocks]
+
+
+def test_closed_form_covariant_density_matches_dense_blocks():
+    for n in (16, 36):
+        for mu in (0.75, 0.9, 1.0):
+            params = ModelParams(n, mu)
+            for u in (LocalParam(0, 0), LocalParam(1, -0.5), LocalParam(-2.1, 1.3)):
+                pts, _ = default_tv_grid(mu, u, n).nodes()
+                for block, dens_m, _ in block_densities(params, u, pts):
+                    rho = block_state(params, block.j, u)
+                    want = covariant_block_density(block.j, n, rho, pts)
+                    np.testing.assert_allclose(dens_m, want, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [16, 4096], ids=["n16-edge-grid", "n4096-edge-grid"])
+def test_closed_form_covariant_density_finite_at_edge(n):
+    # at 0.98 of the injectivity radius the densities stay finite for every
+    # included block, down to the lightest spin
     params = ModelParams(n, 0.75)
-    u = LocalParam(0.8, -0.5)
-    weights = _concentration_weights(params)
-    if radius_frac is None:
-        grid = default_tv_grid(params.mu, u, n)
-        # one block on the full grid: the lightest spin kept, farthest
-        # below the reference spin
-        kept = [jw for jw in weights if jw[1] > qubit_model.NEGLIGIBLE_WEIGHT]
-        weights = (kept[0], kept[-1])
-    else:
-        grid = PolarGrid(radius=radius_frac * injectivity_radius(n), n_radial=24, n_angular=16)
+    grid = PolarGrid(radius=0.98 * injectivity_radius(n), n_radial=24, n_angular=16)
     pts, _ = grid.nodes()
-    tv = _tv_grid(params, u, pts, weights)
-    checked = [b for b in tv.blocks if b.j.twoj < b.twoj_ref]
-    assert checked
-    sq = math.sqrt(n)
-    for block in checked:
-        got = _spin_amplitudes(tv, block)
-        rows = _spin_coherent_rows(block.j.twoj, pts[:, 0] / sq, pts[:, 1] / sq, block.a_conj.shape[0])
-        assert np.all(np.isfinite(got))
-        np.testing.assert_allclose(got, rows @ block.a_conj, rtol=0, atol=1e-13)
+    pairs = block_densities(params, LocalParam(0.8, -0.5), pts)
+    assert pairs
+    for _, dens_m, dens_h in pairs:
+        assert np.all(np.isfinite(dens_m)) and np.all(dens_m >= 0.0)
+        assert np.all(np.isfinite(dens_h))
+
+
+def test_closed_form_covariant_density_pure_antipode():
+    # p = 0 and an outcome at the antipode of the rotated highest weight
+    # vector (infidelity s^2 = 1, up to rounding): the density vanishes and
+    # is not NaN
+    n, u = 16, LocalParam(3.0, 0.0)
+    pts = np.array([[3.0 - 0.5 * math.pi * math.sqrt(n), 0.0], [0.5, 0.2]])
+    (block, dens_m, _), = block_densities(ModelParams(n, 1.0), u, pts)
+    assert 0.0 <= dens_m[0] < 1e-200
+    want = covariant_block_density(block.j, n, block_state(ModelParams(n, 1.0), block.j, u), pts[1])
+    assert dens_m[1] == pytest.approx(want, abs=1e-13)
