@@ -11,7 +11,9 @@ The convergence experiments evaluate trace-norm distances on a finite grid of
 local parameters; a true supremum is never computed and the grid is recorded
 in every sweep record.  Blocks and the limit state enter in factor form, so
 every distance is diagonalized on the few leading rows the factors reach, or
-on the span of two factors.
+on the span of two factors.  At one u they share the gauge angle psi =
+u.angle, under which all of them are real, so every sweep distance is taken
+in real arithmetic.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .errors import TruncationError, ValidationError
 from .irreps import HalfInteger, LocalParam, spin_coherent_coords
-from .numerics import factor_difference_eigvals, psd_factor, trace_norm
+from .numerics import factor_difference_eigvals, gauge_phases, psd_factor, trace_norm
 from .oscillator import (
     FockOperator,
     FockTruncation,
@@ -96,7 +98,10 @@ def inverse_channel_block(phi: np.ndarray | FockOperator, emb: EmbeddingMap) -> 
 def _forward_corner(
     ens: EnsembleState, trunc: FockTruncation, js: tuple[HalfInteger, ...] | None
 ) -> np.ndarray:
-    """Weighted sum of the included blocks' F F^dag on the rows they reach."""
+    """Weighted sum of the included blocks' core core^dag on the rows they reach.
+
+    This is the forward channel's output in the ensemble's gauge ``ens.psi``.
+    """
     include = None if js is None else set(js)
     blocks = []
     for b in ens.blocks:
@@ -109,11 +114,11 @@ def _forward_corner(
                 f"truncation dim {trunc.dim} below block dim {b.j.dim} (spin {b.j})"
             )
         blocks.append(b)
-    rows = max((b.factor.shape[0] for b in blocks), default=0)
-    out = np.zeros((rows, rows), dtype=complex)
+    rows = max((b.core.shape[0] for b in blocks), default=0)
+    out = np.zeros((rows, rows), dtype=np.result_type(float, *(b.core for b in blocks)))
     for b in blocks:
-        r = b.factor.shape[0]
-        out[:r, :r] += b.weight * (b.factor @ b.factor.conj().T)
+        r = b.core.shape[0]
+        out[:r, :r] += b.weight * (b.core @ b.core.conj().T)
     return out
 
 
@@ -128,35 +133,38 @@ def forward_channel(
     so an excluded-weight report is one subtraction away.
     """
     corner = _forward_corner(ens, trunc, js)
+    rows = corner.shape[0]
+    phases = gauge_phases(ens.psi, rows)
     out = np.zeros((trunc.dim, trunc.dim), dtype=complex)
-    out[: corner.shape[0], : corner.shape[0]] = corner
+    out[:rows, :rows] = phases[:, None] * corner * phases.conj()[None, :]
     return FockOperator(FockTruncation(trunc.dim), out)
 
 
 def inverse_channel(phi: np.ndarray | FockOperator, params: ModelParams) -> EnsembleState:
     """Map an oscillator state to a block-diagonal ensemble with the model weights.
 
-    Works on a factor G of phi: the one it carries, or else one from its
-    eigendecomposition (phi must then be positive semidefinite).  Block j
-    gets the corner G[:2j+1] plus the column sqrt(leftover) e_0, where the
-    leftover is the trace of phi outside the block image; that is
-    ``inverse_channel_block`` in factor form.
+    Works on a factor G of phi: the core it carries (the blocks keep its
+    gauge), or else one from its eigendecomposition (phi must then be
+    positive semidefinite).  Block j gets the corner G[:2j+1] plus the column
+    sqrt(leftover) e_0, where the leftover is the trace of phi outside the
+    block image; that is ``inverse_channel_block`` in factor form (e_0 is
+    unchanged by any gauge).
     """
-    if isinstance(phi, FockOperator) and phi.factor is not None:
-        g = phi.factor
+    if isinstance(phi, FockOperator) and phi.core is not None:
+        g, psi = phi.core, phi.psi
     else:
         m = phi.matrix if isinstance(phi, FockOperator) else np.asarray(phi, dtype=complex)
-        g = psd_factor(m)
-    row_mass = np.sum(g.real ** 2 + g.imag ** 2, axis=1)
+        g, psi = psd_factor(m), 0.0
+    row_mass = np.sum((g * g.conj()).real, axis=1)
     blocks = []
     for j in valid_spins(params.n):
-        factor = g[: j.dim]
+        core = g[: j.dim]
         leftover = float(row_mass[j.dim :].sum())
         if leftover > 0.0:
-            column = np.zeros((factor.shape[0], 1), dtype=complex)
+            column = np.zeros((core.shape[0], 1), dtype=g.dtype)
             column[0, 0] = math.sqrt(leftover)
-            factor = np.hstack([factor, column])
-        blocks.append(BlockState(j, block_weight(params, j), factor))
+            core = np.hstack([core, column])
+        blocks.append(BlockState(j, block_weight(params, j), core, psi))
     return EnsembleState(params, LocalParam(0.0, 0.0), tuple(blocks))
 
 
@@ -228,7 +236,7 @@ class PointStats:
     forward: float
     block_max: float
     reverse: float
-    error_bound: float  # truncation tail + limit-state trace deficit + block rank cut
+    error_bound: float  # truncation tail + limit-state distance bound + block rank cut
 
 
 @dataclass(frozen=True)
@@ -286,11 +294,14 @@ def _sweep_point(args) -> PointStats:
     phi = displaced_thermal(u, settings.mu, trunc)
     js = concentration_set(params)
     included = js if settings.restrict_to_concentration else None
+    # blocks and phi share the gauge u.angle, so the real corners compare
     corner = _forward_corner(ens, trunc, included)
     # everything past the rows the factors reach is zero on both sides
-    rows = max(corner.shape[0], phi.factor.shape[0])
-    diff = -phi.matrix[:rows, :rows]
-    diff[: corner.shape[0], : corner.shape[0]] += corner
+    rows = max(corner.shape[0], phi.core.shape[0])
+    diff = np.zeros((rows, rows))
+    diff[: corner.shape[0], : corner.shape[0]] = corner
+    r = phi.core.shape[0]
+    diff[:r, :r] -= phi.core @ phi.core.T
     forward = trace_norm(diff)
     jset = set(js)
     block_max = 0.0
@@ -299,13 +310,13 @@ def _sweep_point(args) -> PointStats:
         if b.j not in jset or b.weight <= NEGLIGIBLE_WEIGHT:
             continue
         EmbeddingMap(b.j, trunc)  # raises if the block does not fit
-        tnorm = float(np.abs(factor_difference_eigvals(b.factor, phi.factor)).sum())
-        block_max = max(block_max, tnorm)
+        eigs = factor_difference_eigvals(b.core, phi.core, b.psi, phi.psi)
+        block_max = max(block_max, float(np.abs(eigs).sum()))
     s_out = inverse_channel(phi, params)
     reverse = ensemble_distance(ens, s_out)
-    # the inverse channel is trace-norm contractive, so phi's own deficit and
-    # the largest block rank cut bound all three distances
-    bound = trunc.tail_bound + phi.trunc.tail_bound + max(b.discarded for b in ens.blocks)
+    # the inverse channel is trace-norm contractive, so the distance bound of
+    # phi's truncation and the largest block rank cut bound all three
+    bound = trunc.tail_bound + phi.distance_bound + max(b.discarded for b in ens.blocks)
     return PointStats(
         n=n, u=u, forward=forward, block_max=block_max, reverse=reverse, error_bound=bound
     )

@@ -251,9 +251,9 @@ def run_discriminate(cfg: dict[str, str]) -> RiskReport:
                 trunc = int(cfg["trunc"]) or 128
                 ft = FockTruncation(trunc)
                 plus = displaced_thermal(u, mu, ft)
-                minus = displaced_thermal(-u, mu, ft)
-                limit = helstrom_risk(plus.matrix, minus.matrix).risk
-                limit_err = plus.trunc.tail_bound + minus.trunc.tail_bound
+                minus = plus.mirrored()  # D(-z) = S D(z) S, in the same gauge
+                limit = helstrom_risk(plus, minus).risk
+                limit_err = plus.distance_bound + minus.distance_bound
             rows.append(ReportRow(0, mu, u.ux, u.uy, "limit_risk", limit, limit_err))
             rows.append(ReportRow(0, mu, u.ux, u.uy, "position_risk_baseline", position_measurement_risk(u), 0.0))
             for n in _ns(cfg):

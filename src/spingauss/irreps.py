@@ -81,7 +81,11 @@ class LocalParam:
     @property
     def angle(self) -> float:
         """Arg(-u_y + i u_x); by convention 0 at u = 0 (only ever used through
-        zeta = e^{i angle} sin|u|, which vanishes there)."""
+        zeta = e^{i angle} sin|u|, which vanishes there).
+
+        It is also the gauge angle psi of every rotated state at u: rotated
+        blocks and the displaced thermal state are real cores under the
+        diagonal phase e^{ik psi}."""
         if self.norm == 0.0:
             return 0.0
         return math.atan2(self.ux, -self.uy)
@@ -136,21 +140,22 @@ def rotation_unitary(j: HalfInteger, u: LocalParam) -> np.ndarray:
 
 
 def rotation_columns(j: HalfInteger, u: LocalParam, cols: int) -> np.ndarray:
-    """Leading ``cols`` columns of rotation_unitary(j, u), on the rows they reach.
+    """Real core of the leading ``cols`` columns of rotation_unitary(j, u).
 
     The generator is gauge-equivalent, via the diagonal phase
     e^{ik atan2(u_y, u_x)}, to |u| times the fixed tridiagonal x generator X_j
     with couplings sqrt(i (2j + 1 - i)), so the columns come from the
-    Chebyshev propagator without any eigendecomposition.  Only the rows the
-    columns reach are returned (at most 2j + 1); rows past them are zero to
-    the propagator's accuracy.
+    Chebyshev propagator without any eigendecomposition:
+
+        rotation_unitary(j, u)[r, c] = e^{i(r-c) psi} M[r, c]
+
+    with psi = u.angle and M the real matrix returned here, which depends on
+    |u| only.  U_j(-u) is then S U_j(u) S with S = diag((-1)^k).  Only the
+    rows the columns reach are returned (at most 2j + 1); rows past them are
+    zero to the propagator's accuracy.
     """
     return tridiagonal_propagator(
-        lambda i: np.sqrt(i * (j.twoj + 1.0 - i)),
-        u.norm,
-        math.atan2(u.uy, u.ux),
-        cols,
-        size=j.dim,
+        lambda i: np.sqrt(i * (j.twoj + 1.0 - i)), u.norm, cols, size=j.dim
     )
 
 

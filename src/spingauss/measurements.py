@@ -32,7 +32,8 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError, ValidationError
 from .irreps import HalfInteger, LocalParam, rotation_columns, _spin_coherent_rows
-from .oscillator import FockTruncation, PolarGrid, _coherent_rows, heterodyne_pdf
+from .numerics import factor_difference_eigvals
+from .oscillator import FockOperator, FockTruncation, PolarGrid, _coherent_rows, heterodyne_pdf
 from .qubit_model import (
     NEGLIGIBLE_WEIGHT,
     EnsembleState,
@@ -58,20 +59,13 @@ class BinaryTestResult:
     error_bound: float = 0.0  # skipped blocks and rank cuts; 0 for dense pairs
 
 
-def _pair_risk(rho_plus: np.ndarray, rho_minus: np.ndarray) -> tuple[float, int]:
-    diff = np.asarray(rho_plus, dtype=complex) - np.asarray(rho_minus, dtype=complex)
-    eigs = np.linalg.eigvalsh(diff)
-    tnorm = float(np.abs(eigs).sum())
-    rank = int(np.sum(eigs > 0))
-    return 0.5 * (1.0 - 0.5 * tnorm), rank
-
-
 def helstrom_risk(rho_plus, rho_minus) -> BinaryTestResult:
     """Minimal error probability for equal priors, 1/2 (1 - ||r+ - r-||_1 / 2).
 
-    Accepts a pair of density matrices or a pair of EnsembleState objects with
-    identical block structure; ensembles are handled blockwise on their
-    factors (``ensemble_difference``), multiplicity spaces cancel.
+    Accepts a pair of density matrices, a pair of factor-form FockOperators
+    (diagonalized on the span of their cores), or a pair of EnsembleState
+    objects with identical block structure; ensembles are handled blockwise
+    on their factors (``ensemble_difference``), multiplicity spaces cancel.
     """
     if isinstance(rho_plus, EnsembleState) or isinstance(rho_minus, EnsembleState):
         if not (isinstance(rho_plus, EnsembleState) and isinstance(rho_minus, EnsembleState)):
@@ -87,8 +81,19 @@ def helstrom_risk(rho_plus, rho_minus) -> BinaryTestResult:
             mu=rho_plus.params.mu,
             error_bound=0.5 * diff.skipped + 0.25 * diff.discarded,
         )
-    risk, rank = _pair_risk(rho_plus, rho_minus)
-    return BinaryTestResult(risk=risk, optimal_projector_rank=rank)
+    pair = (rho_plus, rho_minus)
+    if any(isinstance(op, FockOperator) for op in pair):
+        if not all(isinstance(op, FockOperator) and op.core is not None for op in pair):
+            raise ValidationError("Fock operators are compared in factor form only")
+        eigs = factor_difference_eigvals(rho_plus.core, rho_minus.core, rho_plus.psi, rho_minus.psi)
+    else:
+        eigs = np.linalg.eigvalsh(
+            np.asarray(rho_plus, dtype=complex) - np.asarray(rho_minus, dtype=complex)
+        )
+    tnorm = float(np.abs(eigs).sum())
+    return BinaryTestResult(
+        risk=0.5 * (1.0 - 0.5 * tnorm), optimal_projector_rank=int(np.sum(eigs > 0))
+    )
 
 
 def discrimination_limit(u: LocalParam) -> float:
@@ -97,8 +102,13 @@ def discrimination_limit(u: LocalParam) -> float:
 
 
 def finite_n_discrimination(params: ModelParams, u: LocalParam) -> BinaryTestResult:
-    """Optimal risk for separating the ensembles at +u and -u."""
-    return helstrom_risk(ensemble(params, u), ensemble(params, -u))
+    """Optimal risk for separating the ensembles at +u and -u.
+
+    The ensemble at -u is the exact mirror of the one at +u
+    (U_j(-w) = S U_j(w) S), so it shares its gauge and costs no rotation.
+    """
+    plus = ensemble(params, u)
+    return helstrom_risk(plus, plus.mirrored())
 
 
 def position_measurement_risk(u: LocalParam) -> float:
@@ -319,12 +329,12 @@ def _concentration_weights(params: ModelParams) -> tuple[tuple[HalfInteger, floa
 
 
 class _Block(NamedTuple):
-    """An included block: spin, weight and conjugated rotation columns (only
-    the rows the propagator reaches)."""
+    """An included block: spin, weight and the real core of its rotation
+    columns (only the rows the propagator reaches)."""
 
     j: HalfInteger
     weight: float
-    a_conj: np.ndarray
+    cols: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -334,6 +344,8 @@ class _TvGrid:
     ``log_q`` is log(1 - (1 - p) s^2) per point, with s^2 the infidelity
     between the qubit states |1/2, u_hat/sqrt(n)> and |1/2, u/sqrt(n)>; every
     block's covariant density is a power of it (``_block_density_pair``).
+    ``coh`` holds the coherent rows in the blocks' gauge u.angle, in the real
+    layout [Re; Im] (``oscillator._coherent_rows``).
     """
 
     params: ModelParams
@@ -368,7 +380,7 @@ def _tv_grid(
         log_q = np.log1p(-(1.0 - params.p) * s2)
     w = u.scaled(1.0 / sq)
     blocks = tuple(
-        _Block(j, bw, rotation_columns(j, w, cols=effective_rank(params.p, j.dim)).conj())
+        _Block(j, bw, rotation_columns(j, w, cols=effective_rank(params.p, j.dim)))
         for j, bw in block_weights
         if bw > NEGLIGIBLE_WEIGHT
     )
@@ -376,7 +388,7 @@ def _tv_grid(
         params=params,
         jac=plane_jacobian(n, radii),
         log_q=log_q,
-        coh=_coherent_rows(z, _row_support(zmag * zmag, n + 1)),
+        coh=_coherent_rows(z, _row_support(zmag * zmag, n + 1), gauge=u.angle),
         blocks=blocks,
     )
 
@@ -390,17 +402,21 @@ def _block_density_pair(tv: _TvGrid, block: _Block) -> tuple[np.ndarray, np.ndar
     so the binomial theorem gives
     <j, w| U rho_j U^dag |j, w> = (1 - p)/(1 - p^(2j+1)) (1 - (1 - p) s^2)^(2j)
     (Arecchi, Courtens, Gilmore & Thomas, PRA 6, 2211, 1972).  Heterodyne
-    side: the rotated block is rebuilt from its leading rotation columns and
-    the coherent rows are contracted over the rows those columns reach; the
-    rank cut sits at the 1e-15 level, far below the quadrature resolution.
+    side: the rotated block is rebuilt from the real core of its leading
+    rotation columns, and the gauged coherent rows are contracted with it
+    over the rows the core reaches, one real product; the rank cut sits at
+    the 1e-15 level, far below the quadrature resolution.
     """
-    a_conj = block.a_conj
+    cols = block.cols
     d = block.j.dim
-    lam = block_spectrum(tv.params.p, d, a_conj.shape[1])
+    lam = block_spectrum(tv.params.p, d, cols.shape[1])
     dens_m = (d / (4.0 * math.pi)) * lam[0] * np.exp(block.j.twoj * tv.log_q) * tv.jac
-    rows_h = min(a_conj.shape[0], tv.coh.shape[1])
-    b_h = tv.coh[:, :rows_h] @ a_conj[:rows_h, :]
-    dens_h = (2.0 * tv.params.mu - 1.0) / math.pi * ((b_h.real ** 2 + b_h.imag ** 2) @ lam)
+    rows_h = min(cols.shape[0], tv.coh.shape[1])
+    b_h = tv.coh[:, :rows_h] @ cols[:rows_h, :]
+    b_h *= b_h
+    points = len(tv.jac)
+    b_h[:points] += b_h[points:]
+    dens_h = (2.0 * tv.params.mu - 1.0) / math.pi * (b_h[:points] @ lam)
     return dens_m, dens_h
 
 

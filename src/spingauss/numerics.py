@@ -1,4 +1,4 @@
-"""Complex linear algebra primitives shared by all other modules.
+"""Linear algebra primitives shared by all other modules.
 
 Everything operates on plain numpy arrays.  Matrices that are supposed to be
 Hermitian are validated rather than trusted: every density matrix in the
@@ -9,8 +9,11 @@ wrong.
 Two structured routines carry the rotated states.  ``tridiagonal_propagator``
 applies the exponential of a phase-gauged tridiagonal generator to the first
 few unit vectors (spin rotations and oscillator displacements are both of
-this form), and ``factor_difference_eigvals`` diagonalizes F F^dag - G G^dag
-on the span of the two low-rank factors instead of on the full space.
+this form).  The generator is bipartite, so the result is a real matrix under
+a diagonal phase gauge e^{ik psi}, and it is returned as that real core.
+``factor_difference_eigvals`` diagonalizes F F^dag - G G^dag on the span of
+the two low-rank factors instead of on the full space, in real arithmetic
+when both share a gauge.
 
 All tolerances are absolute on matrices pre-normalized to unit trace, so the
 distances reported downstream carry no hidden scaling.
@@ -45,14 +48,16 @@ class EigenSystem(NamedTuple):
 
 
 def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
+    """``a`` as a real array if it is real, else as a complex one."""
+    a = np.asarray(a)
+    a = a.astype(float if np.isrealobj(a) else complex, copy=False)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"{name} must be square, got shape {a.shape}")
     return a
 
 
 def validate_hermitian(h, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
-    """Return ``h`` as a complex array, or raise naming the worst entry."""
+    """Return ``h`` as an array (``as_square_matrix``), or raise naming the worst entry."""
     h = as_square_matrix(h, "hermitian matrix")
     asym = np.abs(h - h.conj().T)
     scale = max(np.abs(h).max(), 1.0)
@@ -111,25 +116,33 @@ def _chebyshev_degree(a: float) -> int:
 def tridiagonal_propagator(
     off: Callable[[np.ndarray], np.ndarray],
     t: float,
-    phase: float,
     cols: int,
     size: int | None = None,
 ) -> np.ndarray:
-    """Leading columns of diag(e^{ik phase}) exp(i t T) diag(e^{-ik phase}).
+    """Leading columns of the real propagator exp(t A), the gauge of exp(i t T).
 
     T is the real symmetric tridiagonal matrix of order ``size`` (None:
     unbounded) with zero diagonal and T[i-1, i] = T[i, i-1] = off(i), where
-    ``off`` maps an index array i = 1, 2, ... to the couplings.  The action on
-    the first ``cols`` unit vectors is the Chebyshev series (Tal-Ezer and
-    Kosloff, J. Chem. Phys. 81, 1984) sum_k eps_k i^k J_k(t s) T_k(T / s) e_c.
+    ``off`` maps an index array i = 1, 2, ... to the couplings.  T is
+    bipartite, so with G = diag(i^k) the gauge A = G^-1 (i T) G is real and
+    antisymmetric, A[i, i-1] = -A[i-1, i] = off(i), and
 
-    A degree-K polynomial of a tridiagonal matrix moves e_c by at most K
-    rows, so the series only touches the leading cols + K rows, and s is the
-    Gershgorin bound of the leading cols + K + 1 rows (coupling to the next
-    row included), found together with K by fixed-point iteration.  Only
-    those cols + K rows are returned; every row past them is zero to the
-    series accuracy.  The recurrence runs in real arithmetic, since T and the
-    unit vectors are real and only the coefficients i^k J_k are complex.
+        exp(i t T)[r, c] = i^(r-c) exp(t A)[r, c].
+
+    A further phase gauge diag(e^{ik phi}) exp(i t T) diag(e^{-ik phi}) is
+    therefore e^{i(r-c) psi} exp(t A)[r, c] with psi = phi + pi/2: every
+    phase-gauged propagator is this real matrix under one diagonal phase.
+
+    The action on the first ``cols`` unit vectors is the Chebyshev series
+    (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 1984) of exp(i t T) carried
+    through the gauge: with Q_k = i^k G^-1 T_k(T / s) G, which obeys the real
+    recurrence Q_{k+1} = (2 A / s) Q_k + Q_{k-1}, exp(t A) = sum_k eps_k
+    J_k(t s) Q_k.  A degree-K polynomial of a tridiagonal matrix moves e_c
+    by at most K rows, so the series only touches the leading cols + K rows,
+    and s is the Gershgorin bound of the leading cols + K + 1 rows (coupling
+    to the next row included), found together with K by fixed-point
+    iteration.  Only those cols + K rows are returned; every row past them is
+    zero to the series accuracy.
     """
     cap = math.inf if size is None else size
     cols = min(cols, cap)
@@ -146,43 +159,64 @@ def tridiagonal_propagator(
             break
         degree = need
     rows = min(cap, cols + degree)
-    k = np.arange(degree + 1)
-    coef = jv(k, t * scale) * np.array([1.0, 1.0, -1.0, -1.0])[k % 4]
+    coef = jv(np.arange(degree + 1), t * scale)
     coef[1:] *= 2.0
     basis = np.zeros((degree + 1, rows, cols))
     basis[0, :cols] = np.eye(cols)
     if degree:
         b = (off(np.arange(1, rows)) / scale)[:, None]
         basis[1, 1:] = b * basis[0, :-1]
-        basis[1, :-1] += b * basis[0, 1:]
+        basis[1, :-1] -= b * basis[0, 1:]
         b2 = 2.0 * b
         for m in range(2, degree + 1):
-            h = min(rows, cols + m)  # T_m(T) e_c reaches row c + m at most
+            h = min(rows, cols + m)  # Q_m e_c reaches row c + m at most
             cur, nxt = basis[m - 1], basis[m]
-            np.negative(basis[m - 2, :h], out=nxt[:h])
+            nxt[:h] = basis[m - 2, :h]
             nxt[1:h] += b2[: h - 1] * cur[: h - 1]
-            nxt[: h - 1] += b2[: h - 1] * cur[1:h]
-    out = np.tensordot(coef[0::2], basis[0::2], axes=1) + 1j * np.tensordot(
-        coef[1::2], basis[1::2], axes=1
-    )
-    gauge = np.exp(1j * phase * np.arange(rows))
-    return gauge[:, None] * out * gauge[:cols].conj()[None, :]
+            nxt[: h - 1] -= b2[: h - 1] * cur[1:h]
+    return np.tensordot(coef, basis, axes=1)
 
 
-def factor_difference_eigvals(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+def gauge_phases(psi: float, count: int) -> np.ndarray:
+    """The diagonal e^{ik psi}, k = 0 .. count - 1, of a phase gauge."""
+    return np.exp(1j * psi * np.arange(count))
+
+
+def mirror_rows(core: np.ndarray) -> np.ndarray:
+    """S core with S = diag((-1)^k): the gauge angle moved by pi."""
+    out = core.copy()
+    out[1::2] = -out[1::2]
+    return out
+
+
+def factor_difference_eigvals(
+    f: np.ndarray, g: np.ndarray, psi_f: float = 0.0, psi_g: float = 0.0
+) -> np.ndarray:
     """Spectrum of F F^dag - G G^dag on the span of [F G], ascending.
 
-    These are its nonzero eigenvalues plus zeros, so the sum of their
-    absolute values is the trace norm of the difference.  The factors hold the leading rows of their operators (missing rows are
-    zero), so they may differ in row count.  The difference lives on the span
-    of [F G]: after a QR of the stacked factors it is diagonalized as
-    (Q^dag F)(Q^dag F)^dag - (Q^dag G)(Q^dag G)^dag, at most
+    ``f`` and ``g`` are cores in the phase gauges ``psi_f`` and ``psi_g``:
+    F = diag(e^{ik psi_f}) f, and likewise G.  These are its nonzero
+    eigenvalues plus zeros, so the sum of their absolute values is the trace
+    norm of the difference.  A common gauge is a unitary that leaves the
+    spectrum alone, so equal angles diagonalize the cores as they are (in
+    real arithmetic for real cores), and angles pi apart differ by the row
+    sign flip ``mirror_rows``; only other pairs are brought to complex
+    factors.  The cores hold the leading rows of their operators (missing
+    rows are zero), so they may differ in row count.  After a QR of the
+    stacked cores the difference is diagonalized as
+    (Q^dag f)(Q^dag f)^dag - (Q^dag g)(Q^dag g)^dag, at most
     (rank F + rank G)-dimensional.  Equal factors give exactly zero, because
     both products are then computed from identical operands.
     """
+    if psi_g == psi_f + math.pi or psi_f == psi_g + math.pi:
+        g = mirror_rows(g)
+    elif psi_g != psi_f:
+        f = gauge_phases(psi_f, f.shape[0])[:, None] * f
+        g = gauge_phases(psi_g, g.shape[0])[:, None] * g
     rows = max(f.shape[0], g.shape[0])
-    fp = np.zeros((rows, f.shape[1]), dtype=complex)
-    gp = np.zeros((rows, g.shape[1]), dtype=complex)
+    dtype = np.result_type(f, g, float)
+    fp = np.zeros((rows, f.shape[1]), dtype=dtype)
+    gp = np.zeros((rows, g.shape[1]), dtype=dtype)
     fp[: f.shape[0]] = f
     gp[: g.shape[0]] = g
     q, _ = np.linalg.qr(np.hstack([fp, gp]))

@@ -14,14 +14,14 @@ and displacement leakage stay below the test tolerances used downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import gammaln
 
 from .errors import AccuracyError, DomainError, TruncationError
 from .irreps import LocalParam
-from .numerics import tridiagonal_propagator, unitary_exp
+from .numerics import gauge_phases, mirror_rows, tridiagonal_propagator, unitary_exp
 from .qubit_model import ModelParams, concentration_set, effective_rank
 
 
@@ -54,19 +54,59 @@ class Displacement:
 class FockOperator:
     """Operator on the truncated oscillator space.
 
-    A state built in factor form also carries ``factor``: F with
-    matrix = F F^dag, holding only the leading (nonzero) rows.
+    Either ``dense``, the full matrix, or, for a state built in factor form,
+    a ``core`` in the phase gauge ``psi``: matrix = F F^dag with
+    F = diag(e^{ik psi}) core holding only the leading (nonzero) rows.  For a
+    factor-form state ``crop`` is the trace of the factor rows that the
+    truncation cut off.
     """
 
     trunc: FockTruncation
-    matrix: np.ndarray = field(repr=False)
-    factor: np.ndarray | None = field(default=None, repr=False)
+    dense: np.ndarray | None = field(default=None, repr=False)
+    core: np.ndarray | None = field(default=None, repr=False)
+    psi: float = 0.0
+    crop: float = 0.0
 
     def __post_init__(self):
-        if self.matrix.shape != (self.trunc.dim, self.trunc.dim):
+        if (self.dense is None) == (self.core is None):
+            raise DomainError("a Fock operator needs exactly one of a dense matrix and a core")
+        if self.dense is not None and self.dense.shape != (self.trunc.dim, self.trunc.dim):
             raise DomainError(
-                f"matrix shape {self.matrix.shape} does not match truncation dim {self.trunc.dim}"
+                f"matrix shape {self.dense.shape} does not match truncation dim {self.trunc.dim}"
             )
+
+    @property
+    def factor(self) -> np.ndarray | None:
+        """The complex factor F of a factor-form state, rebuilt on every access."""
+        if self.core is None:
+            return None
+        return gauge_phases(self.psi, self.core.shape[0])[:, None] * self.core
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense matrix; a factor-form state rebuilds it on every access."""
+        if self.dense is not None:
+            return self.dense
+        f = self.factor
+        rows = f.shape[0]
+        out = np.zeros((self.trunc.dim, self.trunc.dim), dtype=complex)
+        out[:rows, :rows] = f @ f.conj().T
+        return out
+
+    @property
+    def distance_bound(self) -> float:
+        """How far the truncation can move a trace distance to this state.
+
+        The rank cut enters linearly; cropping the factor rows of mass
+        eps = ``crop`` moves it by at most eps + 2 sqrt(eps) (gentle
+        measurement).  ``tail_bound`` holds the rank cut plus eps.
+        """
+        return self.trunc.tail_bound + 2.0 * math.sqrt(self.crop)
+
+    def mirrored(self) -> "FockOperator":
+        """S rho S with S = diag((-1)^k), for a factor-form state: the row sign
+        flip of its core.  For a displaced state it is D(-z) = S D(z) S."""
+        return replace(self, core=mirror_rows(self.core))
 
 
 def displacement_amplitude(u: LocalParam, mu: float) -> complex:
@@ -114,22 +154,37 @@ def coherent_coefficients(z: complex, dim: int) -> np.ndarray:
     return amp * np.exp(1j * np.angle(z) * k)
 
 
-def _coherent_rows(z: np.ndarray, dim: int) -> np.ndarray:
-    """Vectorized coherent coefficients for an array of amplitudes: (points, dim)."""
+def _coherent_rows(z: np.ndarray, dim: int, gauge: float | None = None) -> np.ndarray:
+    """Vectorized coherent coefficients for an array of amplitudes: (points, dim).
+
+    With ``gauge`` = psi the rows are those of the rotated amplitudes
+    e^{-i psi} z, which contract with real cores in the gauge psi, in the
+    real layout [Re; Im] of shape (2 points, dim).
+    """
     z = np.asarray(z, dtype=complex)
     az = np.abs(z)
     k = np.arange(dim)
-    out = np.zeros((len(z), dim), dtype=complex)
     pos = az > 0
-    if np.any(pos):
-        amp = np.exp(
-            -az[pos, None] ** 2 / 2.0
-            + k[None, :] * np.log(az[pos, None])
-            - 0.5 * gammaln(k + 1)[None, :]
-        )
+    amp = np.exp(
+        -az[pos, None] ** 2 / 2.0
+        + k[None, :] * np.log(az[pos, None])
+        - 0.5 * gammaln(k + 1)[None, :]
+    )
+    if gauge is None:
+        out = np.zeros((len(z), dim), dtype=complex)
         out[pos] = amp * np.exp(1j * np.angle(z[pos])[:, None] * k[None, :])
-    out[~pos, 0] = 1.0
-    return out
+        out[~pos, 0] = 1.0
+        return out
+    out = np.zeros((2, len(z), dim))
+    arg = (np.angle(z[pos]) - gauge)[:, None] * k[None, :]
+    part = np.cos(arg)
+    part *= amp
+    out[0, pos] = part
+    np.sin(arg, out=part)
+    part *= amp
+    out[1, pos] = part
+    out[0, ~pos, 0] = 1.0
+    return out.reshape(2 * len(z), dim)
 
 
 def coherent_leakage(z: complex, dim: int) -> float:
@@ -233,28 +288,32 @@ def displaced_thermal(
     The thermal spectrum (1 - p) p^k is cut at the effective rank, and the
     kept columns D(z)|k> come from the Chebyshev propagator: z a^dag - z* a is
     the gauge of i |z| (a + a^dag) by the phase e^{ik (arg z - pi/2)}, and the
-    number-basis couplings are sqrt(k).  The result is kept as a factor F
-    (its rows cropped to the truncation) with the dense F F^dag alongside, so
-    it is positive semidefinite by construction; the trace lost to the rank
-    cut and the crop is the reported tail bound.
+    number-basis couplings are sqrt(k), so D(z)[r, c] = e^{i(r-c) psi} M[r, c]
+    with M real and psi = arg z = u.angle, the gauge of the spin blocks at
+    the same u.  The result is kept in factor form only: the real core (its
+    rows cropped to the truncation) and psi, so it is positive semidefinite
+    by construction and ``matrix`` is rebuilt on access.  The trace lost to
+    the rank cut and the crop is the reported tail bound; the mass of the
+    cropped rows alone is ``crop``.
     """
     if not 0.5 < mu <= 1.0:
         raise DomainError(f"mu must lie in (1/2, 1], got {mu!r}")
     p = (1.0 - mu) / mu
     z = displacement_amplitude(u, mu)
     r = effective_rank(p)
-    cols = tridiagonal_propagator(np.sqrt, abs(z), np.angle(z) - math.pi / 2.0, r)
-    factor = cols[: trunc.dim] * np.sqrt((1.0 - p) * p ** np.arange(r))[None, :]
-    rows = factor.shape[0]
-    out = np.zeros((trunc.dim, trunc.dim), dtype=complex)
-    out[:rows, :rows] = factor @ factor.conj().T
-    tail = max(0.0, 1.0 - float(np.trace(out).real))
+    full = tridiagonal_propagator(np.sqrt, abs(z), r)
+    full *= np.sqrt((1.0 - p) * p ** np.arange(r))[None, :]
+    core = full[: trunc.dim]
+    crop = float(np.sum(full[trunc.dim :] ** 2))
+    tail = max(0.0, 1.0 - float(np.sum(core ** 2)))
     if tail > trace_tol:
         raise TruncationError(
             f"displaced thermal trace deficit {tail:.3e} above {trace_tol:.1e} "
             f"(dim={trunc.dim}, |z|={abs(z):.3f})"
         )
-    return FockOperator(FockTruncation(trunc.dim, tail_bound=tail), out, factor)
+    return FockOperator(
+        FockTruncation(trunc.dim, tail_bound=tail), core=core, psi=u.angle, crop=crop
+    )
 
 
 @dataclass(frozen=True)
@@ -345,15 +404,13 @@ def heterodyne_pdf(points, u: LocalParam, mu: float, trunc: FockTruncation) -> n
     """Outcome density Tr(phi^u h(u_hat)) evaluated at an (G, 2) array of points.
 
     The quadratic form is evaluated through the displaced thermal state's
-    stored factor, whose spectrum is cut at ``RANK_CUT``; the coherent rows
-    run only over the factor's rows.
+    stored real core, whose spectrum is cut at ``RANK_CUT``: the coherent
+    rows, in the core's gauge and in real layout, run only over the core's
+    rows, so the contraction is one real product.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    factor = displaced_thermal(u, mu, trunc).factor
+    phi = displaced_thermal(u, mu, trunc)
     z = math.sqrt(2.0 * mu - 1.0) * (-pts[:, 1] + 1j * pts[:, 0])
-    rows = _coherent_rows(z, factor.shape[0])
-    amps = rows.conj() @ factor
-    vals = np.einsum("gk,gk->g", amps.real, amps.real) + np.einsum(
-        "gk,gk->g", amps.imag, amps.imag
-    )
-    return (2.0 * mu - 1.0) / math.pi * vals
+    amps = _coherent_rows(z, phi.core.shape[0], gauge=phi.psi) @ phi.core
+    vals = np.einsum("gk,gk->g", amps, amps)
+    return (2.0 * mu - 1.0) / math.pi * (vals[: len(pts)] + vals[len(pts) :])

@@ -10,6 +10,8 @@ Rotated blocks are stored as low-rank factors: the unrotated block has
 spectrum proportional to p^k, so the eigenvalues below RANK_CUT are dropped
 and rho_j ~ F F^dag with F the rotated leading columns scaled by the square
 roots of the kept eigenvalues.  The dropped trace is recorded per block.
+F is kept as a real core under the diagonal phase e^{ik psi} with psi =
+u.angle, shared by every block of an ensemble (``irreps.rotation_columns``).
 
 All weights are computed in log space and exponentiated only at the end;
 multiplicities and mu-powers overflow or underflow for n beyond a few hundred
@@ -19,7 +21,7 @@ otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from scipy.special import gammaln
 
@@ -27,7 +29,7 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .irreps import HalfInteger, LocalParam, rotation_columns, rotation_unitary
-from .numerics import factor_difference_eigvals
+from .numerics import factor_difference_eigvals, gauge_phases, mirror_rows
 
 # Eigenvalues of a geometric spectrum below this fraction are dropped from the
 # low-rank factors; for p = 1/3 that keeps 33 of them.
@@ -64,39 +66,67 @@ class ModelParams:
 class BlockState:
     """One spin-j summand: its weight and a factor of its density matrix.
 
-    ``factor`` is F with rho_j = F F^dag up to the trace ``discarded`` that
-    the rank cut dropped; it holds only the leading rows, which are the
-    nonzero ones, of the (2j+1)-dimensional block.
+    The factor is F = diag(e^{ik psi}) core with rho_j = F F^dag up to the
+    trace ``discarded`` that the rank cut dropped; ``core`` holds only the
+    leading rows, which are the nonzero ones, of the (2j+1)-dimensional
+    block.  A block that does not occur in the state (weight exactly 0) is
+    not rotated: its core has no columns.
     """
 
     j: HalfInteger
     weight: float
-    factor: np.ndarray
+    core: np.ndarray
+    psi: float = 0.0
     discarded: float = 0.0
+
+    @property
+    def factor(self) -> np.ndarray:
+        """The complex factor F, rebuilt on every access."""
+        return gauge_phases(self.psi, self.core.shape[0])[:, None] * self.core
 
     @property
     def matrix(self) -> np.ndarray:
         """The dense (2j+1)-dimensional F F^dag, rebuilt on every access."""
         d = self.j.dim
-        rows = self.factor.shape[0]
+        rows = self.core.shape[0]
         out = np.zeros((d, d), dtype=complex)
-        out[:rows, :rows] = self.factor @ self.factor.conj().T
+        f = self.factor
+        out[:rows, :rows] = f @ f.conj().T
         return out
+
+    def mirrored(self) -> "BlockState":
+        """The block at -u: U_j(-w) = S U_j(w) S with S = diag((-1)^k)."""
+        return replace(self, core=mirror_rows(self.core))
 
 
 @dataclass(frozen=True)
 class EnsembleState:
-    """Full block-diagonal ensemble state: parameters plus all spin blocks."""
+    """Full block-diagonal ensemble state: parameters plus all spin blocks.
+
+    Every block carries the same gauge angle ``psi``.
+    """
 
     params: ModelParams
     u: LocalParam
     blocks: tuple[BlockState, ...]
+
+    def __post_init__(self):
+        if any(b.psi != self.blocks[0].psi for b in self.blocks):
+            raise ValidationError("the blocks of an ensemble must share one gauge angle")
+
+    @property
+    def psi(self) -> float:
+        return self.blocks[0].psi
 
     def weights(self) -> np.ndarray:
         return np.array([b.weight for b in self.blocks])
 
     def spins(self) -> tuple[HalfInteger, ...]:
         return tuple(b.j for b in self.blocks)
+
+    def mirrored(self) -> "EnsembleState":
+        """The ensemble at -u, as the row sign flip of every block's core."""
+        return EnsembleState(self.params, -self.u, tuple(b.mirrored() for b in self.blocks))
 
 
 def valid_spins(n: int) -> tuple[HalfInteger, ...]:
@@ -264,13 +294,24 @@ def rotated_block(params: ModelParams, j: HalfInteger, u: LocalParam) -> BlockSt
     p, d = params.p, j.dim
     r = effective_rank(p, d)
     cols = rotation_columns(j, u.scaled(1.0 / math.sqrt(params.n)), cols=r)
-    factor = cols * np.sqrt(block_spectrum(p, d, r))[None, :]
-    return BlockState(j, weight, factor, discarded_weight(p, d))
+    core = cols * np.sqrt(block_spectrum(p, d, r))[None, :]
+    return BlockState(j, weight, core, u.angle, discarded_weight(p, d))
 
 
 def ensemble(params: ModelParams, u: LocalParam) -> EnsembleState:
-    """The full block-diagonal ensemble state for local parameter u."""
-    blocks = tuple(rotated_block(params, j, u) for j in valid_spins(params.n))
+    """The full block-diagonal ensemble state for local parameter u.
+
+    Blocks of weight exactly 0 (at mu = 1, every block but 2j = n) do not
+    occur in the state and are not rotated: their core is empty, so their
+    matrix is zero.
+    """
+    empty = np.zeros((0, 0))
+    blocks = tuple(
+        rotated_block(params, j, u)
+        if block_weight(params, j) > 0.0
+        else BlockState(j, 0.0, empty, u.angle)
+        for j in valid_spins(params.n)
+    )
     return EnsembleState(params, u, blocks)
 
 
@@ -303,7 +344,7 @@ def ensemble_difference(a: EnsembleState, b: EnsembleState) -> EnsembleDifferenc
         if ba.weight <= NEGLIGIBLE_WEIGHT:
             skipped += ba.weight
             continue
-        eigs = factor_difference_eigvals(ba.factor, bb.factor)
+        eigs = factor_difference_eigvals(ba.core, bb.core, ba.psi, bb.psi)
         total += ba.weight * float(np.abs(eigs).sum())
         rank += int(np.sum(eigs > 0))
         discarded += ba.weight * (ba.discarded + bb.discarded)

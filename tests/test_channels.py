@@ -422,3 +422,20 @@ def test_sweep_point_error_bound_covers_rank_cut(monkeypatch):
     assert max(
         abs(getattr(coarse, s) - getattr(resolved, s)) for s in ("forward", "block_max", "reverse")
     ) > 1e-9
+
+
+@pytest.mark.parametrize("mu", [0.75, 1.0])
+def test_sweep_point_error_bound_covers_cropped_limit_state(mu):
+    # under-resolve on purpose: at --trunc 19 the limit state's factor rows
+    # reach past the truncation, and cropping them moves a distance by up to
+    # eps + 2 sqrt(eps) (gentle measurement), far more than the cropped trace
+    # eps itself; the bound must cover the shift against --trunc 80
+    n, u = 16, LocalParam(1.0, 1.0)
+    coarse, fine = (
+        _sweep_point((SweepSettings(mu=mu, n_values=(n,), u_grid=(u,), trunc_dim=t), n, u))
+        for t in (19, 80)
+    )
+    for stat in ("forward", "block_max", "reverse"):
+        shift = abs(getattr(coarse, stat) - getattr(fine, stat))
+        assert shift <= coarse.error_bound
+    assert abs(coarse.forward - fine.forward) > 1e-11

@@ -15,6 +15,12 @@ from spingauss.irreps import (
 )
 
 
+def gauged(core, psi):
+    """The complex columns e^{i(r-c) psi} core[r, c] of a real core."""
+    r, c = np.indices(core.shape)
+    return np.exp(1j * psi * (r - c)) * core
+
+
 def test_half_integer_basics():
     j = HalfInteger(3)
     assert j.value == 1.5 and j.dim == 4 and str(j) == "3/2"
@@ -106,9 +112,9 @@ def test_rotation_columns_agree_with_full_unitary():
         j = HalfInteger(twoj)
         u = LocalParam(*rng.uniform(-1.5, 1.5, size=2))
         full = rotation_unitary(j, u)
-        cols = rotation_columns(j, u, cols=j.dim)
+        cols = gauged(rotation_columns(j, u, cols=j.dim), u.angle)
         np.testing.assert_allclose(cols, full, atol=1e-11)
-        part = rotation_columns(j, u, cols=3)[:5]
+        part = gauged(rotation_columns(j, u, cols=3)[:5], u.angle)
         np.testing.assert_allclose(part, full[: min(5, j.dim), : min(3, j.dim)], atol=1e-11)
 
 
@@ -116,12 +122,38 @@ def test_rotation_columns_support():
     # the columns reach only a few rows past ``cols``; past them the dense
     # unitary is at rounding level
     j, u = HalfInteger(200), LocalParam(0.05, -0.04)
-    support = rotation_columns(j, u, cols=4)
+    support = gauged(rotation_columns(j, u, cols=4), u.angle)
     rows = support.shape[0]
     assert rows < j.dim
     full = rotation_unitary(j, u)[:, :4]
     np.testing.assert_allclose(support, full[:rows], atol=1e-12)
     np.testing.assert_allclose(full[rows:], 0.0, atol=1e-12)
+
+
+def test_rotation_columns_real_core_in_gauge_u_angle():
+    # the real core and the one gauge angle psi = u.angle rebuild the dense
+    # unitary, over 2j <= 100 and |u| up to 2.1
+    rng = np.random.default_rng(41)
+    for twoj in (0, 1, 2, 9, 40, 100):
+        j = HalfInteger(twoj)
+        for _ in range(3):
+            u = LocalParam(*rng.uniform(-1.5, 1.5, size=2))
+            core = rotation_columns(j, u, cols=j.dim)
+            assert core.dtype == np.float64
+            full = rotation_unitary(j, u)
+            np.testing.assert_allclose(gauged(core, u.angle), full[: core.shape[0]], atol=1e-12)
+
+
+def test_rotation_mirror_identity():
+    # U_j(-w) = S U_j(w) S with S = diag((-1)^k)
+    rng = np.random.default_rng(43)
+    for twoj in (1, 4, 17, 60):
+        j = HalfInteger(twoj)
+        s = np.diag((-1.0) ** np.arange(j.dim))
+        w = LocalParam(*rng.uniform(-1.5, 1.5, size=2))
+        np.testing.assert_allclose(
+            rotation_unitary(j, -w), s @ rotation_unitary(j, w) @ s, atol=1e-12
+        )
 
 
 def test_spin_coherent_at_zero_is_highest_weight():

@@ -160,6 +160,19 @@ def test_discrimination_limit_matches_truncated_fock_oracle():
         assert got == pytest.approx(discrimination_limit(u), abs=1e-6)
 
 
+def test_helstrom_factor_form_limit_states_match_dense():
+    # the mu < 1 limit risk compares the +-u cores in one gauge; the dense
+    # pair of independently built states is the oracle
+    from spingauss.oscillator import displaced_thermal
+
+    trunc = FockTruncation(128)
+    for mu, u in ((0.75, LocalParam(0.6, -0.3)), (0.9, LocalParam(-1.2, 0.4))):
+        plus = displaced_thermal(u, mu, trunc)
+        got = helstrom_risk(plus, plus.mirrored()).risk
+        want = helstrom_risk(plus.matrix, displaced_thermal(-u, mu, trunc).matrix).risk
+        assert got == pytest.approx(want, abs=1e-13)
+
+
 def test_finite_n_discrimination_symmetries():
     params = ModelParams(6, 0.75)
     u = LocalParam(0.4, 0.2)

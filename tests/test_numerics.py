@@ -8,7 +8,9 @@ from spingauss.irreps import HalfInteger, LocalParam, rotation_unitary
 from spingauss.numerics import (
     factor_difference_eigvals,
     fidelity,
+    gauge_phases,
     hermitian_eig,
+    mirror_rows,
     psd_factor,
     trace_norm,
     tridiagonal_propagator,
@@ -29,6 +31,12 @@ def random_density(rng, dim):
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
+
+
+def gauged(core, psi):
+    """The complex columns e^{i(r-c) psi} core[r, c] of a real core."""
+    r, c = np.indices(core.shape)
+    return np.exp(1j * psi * (r - c)) * core
 
 
 def test_eig_diagonal_input():
@@ -137,12 +145,11 @@ def test_propagator_matches_dense_rotation_unitary():
             u = LocalParam(*rng.uniform(-1.5, 1.5, size=2))  # |u| up to 2.1
             full = rotation_unitary(j, u)
             for cols in (1, 5, j.dim):
-                got = tridiagonal_propagator(
-                    lambda i: np.sqrt(i * (twoj + 1.0 - i)),
-                    u.norm,
-                    math.atan2(u.uy, u.ux),
-                    cols,
-                    size=j.dim,
+                got = gauged(
+                    tridiagonal_propagator(
+                        lambda i: np.sqrt(i * (twoj + 1.0 - i)), u.norm, cols, size=j.dim
+                    ),
+                    math.atan2(u.uy, u.ux) + math.pi / 2,
                 )
                 rows = got.shape[0]
                 assert got.shape[1] == min(cols, j.dim)
@@ -151,12 +158,13 @@ def test_propagator_matches_dense_rotation_unitary():
 
 
 def test_propagator_matches_displacement_operator_columns():
-    # z a^dag - z* a is the gauge of i |z| (a + a^dag) by e^{ik (arg z - pi/2)}
+    # z a^dag - z* a is the gauge of i |z| (a + a^dag) by e^{ik (arg z - pi/2)},
+    # so D(z) is the real propagator in the gauge psi = arg z
     rng = np.random.default_rng(53)
     for mag in (0.0, 0.4, 1.0, 2.2, 3.0):
         z = mag * np.exp(2j * math.pi * rng.uniform())
         dense = displacement_operator(Displacement(z), FockTruncation(160), pad=64).matrix
-        got = tridiagonal_propagator(np.sqrt, abs(z), np.angle(z) - math.pi / 2, 12)
+        got = gauged(tridiagonal_propagator(np.sqrt, abs(z), 12), np.angle(z))
         rows = got.shape[0]
         assert rows < 160
         np.testing.assert_allclose(got, dense[:rows, :12], atol=1e-12)
@@ -186,6 +194,39 @@ def test_factor_trace_norm_identical_factors_exactly_zero():
     f = rng.standard_normal((40, 7)) + 1j * rng.standard_normal((40, 7))
     assert np.abs(factor_difference_eigvals(f, f)).sum() == 0.0
     assert np.abs(factor_difference_eigvals(f, f.copy())).sum() == 0.0
+
+
+def test_factor_trace_norm_real_gauge_matches_complex_path():
+    # cores in a shared gauge psi (or psi + pi) run in real arithmetic; the
+    # complex path on the gauged factors must give the same spectrum
+    rng = np.random.default_rng(71)
+    for rows_f, rank_f, rows_g, rank_g in ((6, 2, 6, 3), (9, 4, 5, 1), (3, 3, 12, 5), (40, 7, 35, 7)):
+        # unit-trace states: F F^dag and G G^dag as density matrices
+        f = rng.standard_normal((rows_f, rank_f))
+        g = rng.standard_normal((rows_g, rank_g))
+        f /= np.linalg.norm(f)
+        g /= np.linalg.norm(g)
+        psi = rng.uniform(-math.pi, math.pi)
+        ff = gauge_phases(psi, rows_f)[:, None] * f
+        for psi_g, sign in ((psi, 1.0), (psi + math.pi, -1.0)):
+            gg = gauge_phases(psi, rows_g)[:, None] * (g if sign > 0 else mirror_rows(g))
+            want = factor_difference_eigvals(ff, gg)
+            got = factor_difference_eigvals(f, g, psi, psi_g)
+            assert got.dtype == np.float64
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+        # different directions fall back to the complex factors
+        other = factor_difference_eigvals(f, g, psi, psi + 0.3)
+        want = factor_difference_eigvals(ff, gauge_phases(psi + 0.3, rows_g)[:, None] * g)
+        np.testing.assert_allclose(other, want, rtol=0, atol=1e-14)
+    f = rng.standard_normal((40, 7))
+    assert np.abs(factor_difference_eigvals(f, f, 0.4, 0.4)).sum() == 0.0
+    assert np.abs(factor_difference_eigvals(f, f.copy(), 0.4, 0.4)).sum() == 0.0
+
+
+def test_mirror_rows_flips_odd_rows():
+    core = np.arange(12.0).reshape(4, 3)
+    want = core * np.array([1.0, -1.0, 1.0, -1.0])[:, None]
+    np.testing.assert_array_equal(mirror_rows(core), want)
 
 
 def test_psd_factor_reconstructs_state():

@@ -121,6 +121,48 @@ def test_displaced_thermal_reduces_to_thermal_and_coherent():
     assert trace_norm(pure.matrix - want) < 1e-8
 
 
+def test_displaced_thermal_real_core_matches_displacement_operator():
+    # the core in the gauge psi = u.angle rebuilds D(z)|k> sqrt((1-p) p^k)
+    # from the dense displacement operator, over |z| up to 3
+    rng = np.random.default_rng(73)
+    for mu in (0.75, 1.0):
+        p = (1 - mu) / mu
+        for mag in (0.0, 0.4, 1.0, 2.2, 3.0 / math.sqrt(2 * mu - 1)):
+            t = rng.uniform(0, 2 * math.pi)
+            u = LocalParam(mag * math.cos(t), mag * math.sin(t))
+            op = displaced_thermal(u, mu, FockTruncation(160))
+            assert op.psi == u.angle and op.core.dtype == np.float64 and op.dense is None
+            rows, rank = op.core.shape
+            d_op = displacement_operator(
+                Displacement(displacement_amplitude(u, mu)), FockTruncation(160), pad=64
+            ).matrix
+            want = d_op[:rows, :rank] * np.sqrt((1 - p) * p ** np.arange(rank))
+            r, c = np.indices(op.core.shape)
+            np.testing.assert_allclose(np.exp(1j * op.psi * (r - c)) * op.core, want, atol=1e-12)
+
+
+def test_displaced_thermal_crop_is_the_mass_past_the_truncation():
+    # exactly 0 when the truncation holds every row the factor reaches
+    u, mu = LocalParam(1.0, 1.0), 0.75
+    full = displaced_thermal(u, mu, FockTruncation(400))
+    cut = displaced_thermal(u, mu, FockTruncation(19))
+    assert full.core.shape[0] < 400 and full.crop == 0.0
+    assert cut.crop == pytest.approx(float(np.sum(full.core[19:] ** 2)), rel=1e-12)
+    assert cut.crop > 0.0
+    assert cut.trunc.tail_bound == pytest.approx(full.trunc.tail_bound + cut.crop, rel=1e-12)
+    assert cut.distance_bound == cut.trunc.tail_bound + 2 * math.sqrt(cut.crop)
+
+
+def test_displaced_thermal_mirror_is_minus_u():
+    # D(-z) = S D(z) S: the mirrored state is the state at -u
+    u, mu = LocalParam(0.7, -0.4), 0.8
+    plus = displaced_thermal(u, mu, T64)
+    np.testing.assert_allclose(
+        plus.mirrored().matrix, displaced_thermal(-u, mu, T64).matrix, atol=1e-14
+    )
+    assert plus.mirrored().psi == plus.psi
+
+
 def test_displaced_thermal_quadrature_means():
     # quadrature-moment oracle: the state is displaced by sqrt(2 mu - 1) alpha_u,
     # so <Q> = -sqrt(2) sqrt(2 mu - 1) u_y and <P> = sqrt(2) sqrt(2 mu - 1) u_x

@@ -5,6 +5,7 @@ import pytest
 
 from spingauss.errors import DomainError
 from spingauss.irreps import HalfInteger, LocalParam, rotation_unitary
+from spingauss import qubit_model
 from spingauss.qubit_model import (
     ModelParams,
     binomial_factor,
@@ -226,6 +227,41 @@ def test_rotated_block_factor_matches_dense_block_state():
             assert b.factor.shape[0] < j.dim / 2
         np.testing.assert_allclose(b.matrix, block_state(params, j, u), atol=1e-14)
         assert b.discarded == pytest.approx(1.0 - np.trace(b.matrix).real, abs=1e-15)
+
+
+def test_ensemble_rotates_only_occurring_blocks(monkeypatch):
+    # at mu = 1 only 2j = n carries weight: one rotation per (n, u), and the
+    # weightless blocks keep a zero matrix of their dimension
+    calls = []
+    original = qubit_model.rotation_columns
+
+    def counting(j, u, cols):
+        calls.append(j)
+        return original(j, u, cols=cols)
+
+    monkeypatch.setattr(qubit_model, "rotation_columns", counting)
+    for n in (5, 16, 64):
+        calls.clear()
+        ens = ensemble(ModelParams(n, 1.0), LocalParam(0.6, -0.3))
+        assert calls == [HalfInteger(n)]
+        for b in ens.blocks[:-1]:
+            assert b.weight == 0.0
+            np.testing.assert_array_equal(b.matrix, np.zeros((b.j.dim, b.j.dim)))
+    calls.clear()
+    ensemble(ModelParams(16, 0.75), LocalParam(0.6, -0.3))
+    assert len(calls) == len(valid_spins(16))
+
+
+def test_mirrored_ensemble_is_minus_u():
+    # U_j(-w) = S U_j(w) S: the mirror shares the gauge and equals ensemble(-u)
+    params = ModelParams(12, 0.8)
+    u = LocalParam(0.9, 0.5)
+    plus = ensemble(params, u)
+    minus = plus.mirrored()
+    assert minus.u == -u and minus.psi == plus.psi
+    for bm, bd in zip(minus.blocks, ensemble(params, -u).blocks):
+        np.testing.assert_allclose(bm.matrix, bd.matrix, atol=1e-14)
+        np.testing.assert_allclose(bm.matrix, block_state(params, bm.j, -u), atol=1e-14)
 
 
 def test_ensemble_weights_and_traces_normalized():
