@@ -274,9 +274,9 @@ def heterodyne_pullback_density(
     """
     pts, scalar = _as_points(u_hat)
     z = math.sqrt(2.0 * mu - 1.0) * (-pts[:, 1] + 1j * pts[:, 0])
-    rows = _coherent_rows(z, j.dim)
+    rows = _coherent_rows(z, j.dim).view(complex)
     rho = np.asarray(rho_j, dtype=complex)
-    vals = np.einsum("gi,ij,gj->g", rows.conj(), rho, rows).real
+    vals = np.einsum("ig,ij,jg->g", rows.conj(), rho, rows).real
     dens = (2.0 * mu - 1.0) / math.pi * vals
     return float(dens[0]) if scalar else dens
 
@@ -345,7 +345,8 @@ class _TvGrid:
     between the qubit states |1/2, u_hat/sqrt(n)> and |1/2, u/sqrt(n)>; every
     block's covariant density is a power of it (``_block_density_pair``).
     ``coh`` holds the coherent rows in the blocks' gauge u.angle, in the real
-    layout [Re; Im] (``oscillator._coherent_rows``).
+    layout (rows, 2 points) with Re and Im interleaved
+    (``oscillator._coherent_rows``).
     """
 
     params: ModelParams
@@ -411,12 +412,11 @@ def _block_density_pair(tv: _TvGrid, block: _Block) -> tuple[np.ndarray, np.ndar
     d = block.j.dim
     lam = block_spectrum(tv.params.p, d, cols.shape[1])
     dens_m = (d / (4.0 * math.pi)) * lam[0] * np.exp(block.j.twoj * tv.log_q) * tv.jac
-    rows_h = min(cols.shape[0], tv.coh.shape[1])
-    b_h = tv.coh[:, :rows_h] @ cols[:rows_h, :]
+    rows_h = min(cols.shape[0], tv.coh.shape[0])
+    b_h = cols[:rows_h].T @ tv.coh[:rows_h]
     b_h *= b_h
-    points = len(tv.jac)
-    b_h[:points] += b_h[points:]
-    dens_h = (2.0 * tv.params.mu - 1.0) / math.pi * (b_h[:points] @ lam)
+    sq = lam @ b_h
+    dens_h = (2.0 * tv.params.mu - 1.0) / math.pi * (sq[0::2] + sq[1::2])
     return dens_m, dens_h
 
 

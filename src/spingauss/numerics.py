@@ -113,6 +113,32 @@ def _chebyshev_degree(a: float) -> int:
     return int(np.nonzero(np.abs(jv(k, a)) > CHEBYSHEV_TOL)[0][-1]) + 1
 
 
+def propagator_degree(
+    off: Callable[[np.ndarray], np.ndarray],
+    t: float,
+    cols: int,
+    size: int | None = None,
+) -> tuple[int, float]:
+    """Chebyshev degree K and scale s of ``tridiagonal_propagator``.
+
+    Its columns reach the leading min(size, cols + K) rows.
+    """
+    cap = math.inf if size is None else size
+    cols = min(cols, cap)
+    degree = 0
+    while True:
+        rows = min(cap, cols + degree + 1)
+        b = off(np.arange(1, rows + (rows < cap)))
+        radius = np.zeros(rows)
+        radius[1:] += b[: rows - 1]
+        radius[: len(b)] += b[:rows]
+        scale = float(radius.max())
+        need = _chebyshev_degree(t * scale)
+        if need <= degree:
+            return degree, scale
+        degree = need
+
+
 def tridiagonal_propagator(
     off: Callable[[np.ndarray], np.ndarray],
     t: float,
@@ -141,23 +167,12 @@ def tridiagonal_propagator(
     by at most K rows, so the series only touches the leading cols + K rows,
     and s is the Gershgorin bound of the leading cols + K + 1 rows (coupling
     to the next row included), found together with K by fixed-point
-    iteration.  Only those cols + K rows are returned; every row past them is
-    zero to the series accuracy.
+    iteration (``propagator_degree``).  Only those cols + K rows are
+    returned; every row past them is zero to the series accuracy.
     """
     cap = math.inf if size is None else size
     cols = min(cols, cap)
-    degree = 0
-    while True:
-        rows = min(cap, cols + degree + 1)
-        b = off(np.arange(1, rows + (rows < cap)))
-        radius = np.zeros(rows)
-        radius[1:] += b[: rows - 1]
-        radius[: len(b)] += b[:rows]
-        scale = float(radius.max())
-        need = _chebyshev_degree(t * scale)
-        if need <= degree:
-            break
-        degree = need
+    degree, scale = propagator_degree(off, t, cols, size)
     rows = min(cap, cols + degree)
     coef = jv(np.arange(degree + 1), t * scale)
     coef[1:] *= 2.0

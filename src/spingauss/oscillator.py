@@ -7,8 +7,10 @@ exceeds the caller's tolerance.
 
 Truncation policy (see ``default_truncation``): N is the maximum of the block
 dimension 2 j_max + 1 over the concentration set, the smallest N with
-p^N < 1e-8, and ceil((sqrt(2 mu - 1) |u|_max + 6)^2), so both thermal tails
-and displacement leakage stay below the test tolerances used downstream.
+p^N < 1e-8, ceil((sqrt(2 mu - 1) |u|_max + 6)^2), and the rows r + K the
+limit state's core reaches at |u|_max, so both thermal tails and
+displacement leakage stay below the test tolerances used downstream and the
+core is never cropped.
 """
 
 from __future__ import annotations
@@ -17,12 +19,24 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import AccuracyError, DomainError, TruncationError
 from .irreps import LocalParam
-from .numerics import gauge_phases, mirror_rows, tridiagonal_propagator, unitary_exp
+from .numerics import (
+    gauge_phases,
+    mirror_rows,
+    propagator_degree,
+    tridiagonal_propagator,
+    unitary_exp,
+)
 from .qubit_model import ModelParams, concentration_set, effective_rank
+
+# Rows of the coherent-row recurrence between restarts from the closed form;
+# at least 16, where the Stirling series of ``_coherent_rows`` is exact.
+COHERENT_ANCHOR = 16
+# Points per coherent-row kernel call in ``heterodyne_pdf``, which bounds the
+# memory of its rows whatever the number of points.
+PDF_CHUNK = 16384
 
 
 @dataclass(frozen=True)
@@ -119,8 +133,12 @@ def default_truncation(params: ModelParams, u_max: float) -> FockTruncation:
     dim_blocks = max(j.dim for j in concentration_set(params))
     p = params.p
     dim_thermal = 1 if p == 0.0 else math.ceil(math.log(1e-8) / math.log(p))
-    dim_disp = math.ceil((math.sqrt(2.0 * params.mu - 1.0) * u_max + 6.0) ** 2)
-    dim = max(dim_blocks, dim_thermal, dim_disp)
+    z_max = math.sqrt(2.0 * params.mu - 1.0) * u_max
+    dim_disp = math.ceil((z_max + 6.0) ** 2)
+    # the rows of the limit state's core (``displaced_thermal``) at |u|_max
+    r = effective_rank(p)
+    dim_core = r + propagator_degree(np.sqrt, z_max, r)[0]
+    dim = max(dim_blocks, dim_thermal, dim_disp, dim_core)
     return FockTruncation(dim, tail_bound=p ** dim)
 
 
@@ -143,48 +161,44 @@ def thermal_state(p: float, trunc: FockTruncation) -> FockOperator:
 
 
 def coherent_coefficients(z: complex, dim: int) -> np.ndarray:
-    """Number-basis coefficients e^{-|z|^2/2} z^k / sqrt(k!), in log space."""
-    out = np.zeros(dim, dtype=complex)
-    az = abs(z)
-    if az == 0.0:
-        out[0] = 1.0
-        return out
-    k = np.arange(dim)
-    amp = np.exp(-az * az / 2.0 + k * math.log(az) - 0.5 * gammaln(k + 1))
-    return amp * np.exp(1j * np.angle(z) * k)
+    """Number-basis coefficients e^{-|z|^2/2} z^k / sqrt(k!): ``_coherent_rows`` at one point."""
+    return _coherent_rows(z, dim).view(complex)[:, 0]
 
 
-def _coherent_rows(z: np.ndarray, dim: int, gauge: float | None = None) -> np.ndarray:
-    """Vectorized coherent coefficients for an array of amplitudes: (points, dim).
+def _coherent_rows(z, dim: int, gauge: float = 0.0) -> np.ndarray:
+    """Coherent coefficients of the amplitudes zeta = e^{-i gauge} z, one row per level.
 
-    With ``gauge`` = psi the rows are those of the rotated amplitudes
-    e^{-i psi} z, which contract with real cores in the gauge psi, in the
-    real layout [Re; Im] of shape (2 points, dim).
+    A real (dim, 2 G) array for G amplitudes, Re and Im interleaved: its
+    ``.view(complex)`` is c_k = e^{-|zeta|^2/2} zeta^k / sqrt(k!) as (dim, G),
+    and a real core in the gauge ``gauge`` contracts with it as
+    ``core.T @ rows``.  Rows follow the running product
+    c_k = c_{k-1} zeta / sqrt(k); every ``COHERENT_ANCHOR`` rows they restart
+    from the closed form, which bounds the rounding the product gathers and
+    keeps the rows near k ~ |zeta|^2 right where c_0 underflows
+    (|zeta| > 38).  The closed form is taken without cancellation: with
+    x = |zeta|^2 and d = (x - k)/k, log |c_k| = -k (d - log1p(d))/2
+    - log(2 pi k)/4 - S/2, S the Stirling remainder of lgamma(k + 1)
+    (Loader's saddle-point form of the Poisson pmf |c_k|^2).
     """
-    z = np.asarray(z, dtype=complex)
-    az = np.abs(z)
-    k = np.arange(dim)
-    pos = az > 0
-    amp = np.exp(
-        -az[pos, None] ** 2 / 2.0
-        + k[None, :] * np.log(az[pos, None])
-        - 0.5 * gammaln(k + 1)[None, :]
-    )
-    if gauge is None:
-        out = np.zeros((len(z), dim), dtype=complex)
-        out[pos] = amp * np.exp(1j * np.angle(z[pos])[:, None] * k[None, :])
-        out[~pos, 0] = 1.0
-        return out
-    out = np.zeros((2, len(z), dim))
-    arg = (np.angle(z[pos]) - gauge)[:, None] * k[None, :]
-    part = np.cos(arg)
-    part *= amp
-    out[0, pos] = part
-    np.sin(arg, out=part)
-    part *= amp
-    out[1, pos] = part
-    out[0, ~pos, 0] = 1.0
-    return out.reshape(2 * len(z), dim)
+    zeta = np.asarray(z, dtype=complex).reshape(-1) * complex(math.cos(gauge), -math.sin(gauge))
+    x = zeta.real ** 2 + zeta.imag ** 2
+    theta = np.angle(zeta)
+    out = np.empty((dim, len(zeta)), dtype=complex)
+    out[0] = np.exp(-0.5 * x)
+    for k in range(1, dim):
+        if k % COHERENT_ANCHOR:
+            np.multiply(out[k - 1], zeta, out=out[k])
+            out[k] *= 1.0 / math.sqrt(k)
+            continue
+        d = (x - k) / k
+        s = 1.0 / (k * k)  # five series terms of S are exact to rounding for k >= 16
+        stirling = (1 / 12 - s * (1 / 360 - s * (1 / 1260 - s * (1 / 1680 - s / 1188)))) / k
+        with np.errstate(divide="ignore"):  # log1p(-1) = -inf at zeta = 0
+            log_amp = -0.5 * k * (d - np.log1p(d))
+        amp = np.exp(log_amp - 0.25 * math.log(math.tau * k) - 0.5 * stirling)
+        out[k].real = amp * np.cos(k * theta)
+        out[k].imag = amp * np.sin(k * theta)
+    return out.view(float)
 
 
 def coherent_leakage(z: complex, dim: int) -> float:
@@ -377,8 +391,8 @@ def glauber_mixture(
         )
     z, w = quad.complex_nodes()
     dens = np.exp(-np.abs(z) ** 2 / (2.0 * s2)) / (2.0 * math.pi * s2)
-    rows = _coherent_rows(z, trunc.dim)
-    m = (rows * (w * dens)[:, None]).T @ rows.conj()
+    rows = _coherent_rows(z, trunc.dim).view(complex)
+    m = (rows * (w * dens)) @ rows.conj().T
     return FockOperator(FockTruncation(trunc.dim, tail_bound=tail), m)
 
 
@@ -406,11 +420,15 @@ def heterodyne_pdf(points, u: LocalParam, mu: float, trunc: FockTruncation) -> n
     The quadratic form is evaluated through the displaced thermal state's
     stored real core, whose spectrum is cut at ``RANK_CUT``: the coherent
     rows, in the core's gauge and in real layout, run only over the core's
-    rows, so the contraction is one real product.
+    rows, so the contraction is one real product.  Points go through the
+    kernel ``PDF_CHUNK`` at a time.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     phi = displaced_thermal(u, mu, trunc)
     z = math.sqrt(2.0 * mu - 1.0) * (-pts[:, 1] + 1j * pts[:, 0])
-    amps = _coherent_rows(z, phi.core.shape[0], gauge=phi.psi) @ phi.core
-    vals = np.einsum("gk,gk->g", amps, amps)
-    return (2.0 * mu - 1.0) / math.pi * (vals[: len(pts)] + vals[len(pts) :])
+    vals = np.empty(2 * len(z))
+    for start in range(0, len(z), PDF_CHUNK):
+        rows = _coherent_rows(z[start : start + PDF_CHUNK], phi.core.shape[0], phi.psi)
+        amps = phi.core.T @ rows
+        vals[2 * start : 2 * start + amps.shape[1]] = np.einsum("kg,kg->g", amps, amps)
+    return (2.0 * mu - 1.0) / math.pi * (vals[0::2] + vals[1::2])

@@ -439,3 +439,17 @@ def test_sweep_point_error_bound_covers_cropped_limit_state(mu):
         shift = abs(getattr(coarse, stat) - getattr(fine, stat))
         assert shift <= coarse.error_bound
     assert abs(coarse.forward - fine.forward) > 1e-11
+
+
+@pytest.mark.parametrize("ux, uy", [((0.176704, -0.783814), -0.251648), ((0.91345, -0.160437), -0.310645)])
+def test_default_truncation_holds_the_limit_core(ux, uy):
+    # the benchmark's `blocks` grids (seeds 1 and 2) at n = 16, mu = 0.75: the
+    # limit core reaches 57 to 74 rows, past every other floor (44, 45), and
+    # a cropped core lifts the bounds to 2 sqrt(crop) ~ 1e-10
+    grid = tuple(LocalParam(x, uy) for x in ux)
+    settings = SweepSettings(mu=0.75, n_values=(16,), u_grid=grid)
+    trunc = _sweep_truncation(settings, ModelParams(16, 0.75, settings.epsilon))
+    for u in grid:
+        assert displaced_thermal(u, 0.75, trunc).crop == 0.0
+    rec = convergence_sweep(settings)[0]
+    assert rec.error_bound <= 1e-14

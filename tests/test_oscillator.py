@@ -2,15 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gammainc
+from scipy.special import gammainc, gammaln, xlogy
 
+from spingauss import oscillator
 from spingauss.errors import AccuracyError, DomainError, TruncationError
 from spingauss.irreps import LocalParam
 from spingauss.numerics import trace_norm
 from spingauss.oscillator import (
+    PDF_CHUNK,
     Displacement,
     FockTruncation,
     PolarGrid,
+    _coherent_rows,
     coherent_coefficients,
     coherent_state,
     default_truncation,
@@ -80,6 +83,55 @@ def test_coherent_state_leakage_error_names_required_dim():
         coherent_state(3.0, FockTruncation(8))
     need = required_coherent_dim(3.0, 1e-8)
     coherent_state(3.0, FockTruncation(need))  # no raise at the stated dim
+
+
+def mp_coherent_rows(z, gauge, dim):
+    """Oracle: c_k(e^{-i gauge} z) and sum |c_k|^2 in 40-digit arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        zeta = mpmath.mpc(z.real, z.imag) * mpmath.exp(-1j * mpmath.mpf(gauge))
+        c = mpmath.exp(-abs(zeta) ** 2 / 2)
+        rows, norm = [complex(c)], abs(c) ** 2
+        for k in range(1, dim):
+            c = c * zeta / mpmath.sqrt(k)
+            rows.append(complex(c))
+            norm += abs(c) ** 2
+        return np.array(rows), float(norm)
+
+
+def closed_form_rows(z, dim, gauge):
+    """Second oracle: e^{-|z|^2/2 + k log|z| - lgamma(k+1)/2 + ik(arg z - gauge)}."""
+    az, k = np.abs(z)[:, None], np.arange(dim)
+    amp = np.exp(-az ** 2 / 2 + xlogy(k, az) - 0.5 * gammaln(k + 1))
+    return (amp * np.exp(1j * (np.angle(z) - gauge)[:, None] * k)).T
+
+
+@pytest.mark.parametrize("gauge", [0.0, 1.1, -2.7])
+def test_coherent_rows_match_40_digit_oracle(gauge):
+    # past c_0's underflow at |z| > 38 the rows near k ~ |z|^2 come from the
+    # re-anchoring alone
+    for i, r in enumerate((0.0, 1e-3, 0.5, 3.0, 7.0, 20.0, 37.0, 45.0)):
+        z = r * complex(math.cos(0.7 + 1.9 * i), math.sin(0.7 + 1.9 * i))
+        dim = math.ceil(r * r + 10 * r + 40) + 1
+        rows = _coherent_rows(np.array([z]), dim, gauge)
+        assert rows.shape == (dim, 2)
+        got = rows.view(complex)[:, 0]
+        want, norm = mp_coherent_rows(z, gauge, dim)
+        assert np.abs(got - want).max() <= 1e-13
+        assert abs(float(np.sum(rows ** 2)) - norm) <= 1e-13
+        if r == 0.0:
+            assert got[0] == 1.0 and not got[1:].any()
+
+
+def test_coherent_rows_match_closed_form():
+    rng = np.random.default_rng(11)
+    for r_max, dim, tol in ((8.0, 140, 3e-14), (45.0, 2520, 5e-13)):
+        z = rng.uniform(0, r_max, 300) * np.exp(1j * rng.uniform(-math.pi, math.pi, 300))
+        for gauge in (0.0, 1.1, -2.7):
+            got = _coherent_rows(z, dim, gauge).view(complex)
+            np.testing.assert_allclose(got, closed_form_rows(z, dim, gauge), rtol=0, atol=tol)
+    one = _coherent_rows(np.array([0.4 - 1.2j]), 30).view(complex)[:, 0]
+    np.testing.assert_array_equal(coherent_coefficients(0.4 - 1.2j, 30), one)
 
 
 def test_displacement_operator_identity_and_inverse():
@@ -264,6 +316,31 @@ def test_heterodyne_pdf_matches_dense_quadratic_form(mu):
         c = coherent_coefficients(math.sqrt(2 * mu - 1) * complex(-y, x), trunc.dim)
         want.append((2 * mu - 1) / math.pi * np.vdot(c, rho @ c).real)
     np.testing.assert_allclose(heterodyne_pdf(pts, u, mu, trunc), want, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("mu", [0.75, 1.0])
+def test_heterodyne_pdf_streams_points_in_chunks(mu, monkeypatch):
+    u = LocalParam(1.3, -0.7)
+    trunc = FockTruncation(128)
+    rng = np.random.default_rng(3)
+    pts = rng.standard_normal((2 * PDF_CHUNK + 1, 2)) * 1.5 + [u.ux, u.uy]
+    sizes = []
+    kernel = oscillator._coherent_rows
+
+    def counted(z, dim, gauge=0.0):
+        sizes.append(len(z))
+        return kernel(z, dim, gauge)
+
+    monkeypatch.setattr(oscillator, "_coherent_rows", counted)
+    got = heterodyne_pdf(pts, u, mu, trunc)
+    assert sizes == [PDF_CHUNK, PDF_CHUNK, 1]
+    # every chunk boundary, plus a sample of the rest, one point at a time
+    picks = np.r_[0, 1, PDF_CHUNK - 1, PDF_CHUNK, 2 * PDF_CHUNK - 1, 2 * PDF_CHUNK,
+                  rng.integers(0, len(pts), 24)]
+    single = [heterodyne_pdf(pts[i : i + 1], u, mu, trunc)[0] for i in picks]
+    np.testing.assert_allclose(got[picks], single, rtol=0, atol=1e-15)
+    monkeypatch.setattr(oscillator, "PDF_CHUNK", len(pts))
+    np.testing.assert_allclose(got, heterodyne_pdf(pts, u, mu, trunc), rtol=0, atol=1e-15)
 
 
 def test_heterodyne_pdf_integrates_to_one():
