@@ -287,9 +287,8 @@ def _sweep_truncation(settings: SweepSettings, params: ModelParams) -> FockTrunc
 
 
 def _sweep_point(args) -> PointStats:
-    settings, n, u = args
+    settings, n, u, trunc = args
     params = ModelParams(n, settings.mu, settings.epsilon)
-    trunc = _sweep_truncation(settings, params)
     ens = ensemble(params, u)
     phi = displaced_thermal(u, settings.mu, trunc)
     js = concentration_set(params)
@@ -324,7 +323,11 @@ def _sweep_point(args) -> PointStats:
 
 def convergence_sweep(settings: SweepSettings) -> list[ConvergenceRecord]:
     """Run the forward/reverse distance experiment over the (n, u) grid."""
-    tasks = [(settings, n, u) for n in settings.n_values for u in settings.u_grid]
+    truncs = {
+        n: _sweep_truncation(settings, ModelParams(n, settings.mu, settings.epsilon))
+        for n in settings.n_values
+    }
+    tasks = [(settings, n, u, truncs[n]) for n in settings.n_values for u in settings.u_grid]
     workers = settings.workers or 1
     if workers > 1:
         with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
@@ -335,7 +338,7 @@ def convergence_sweep(settings: SweepSettings) -> list[ConvergenceRecord]:
     for n in settings.n_values:
         pts = tuple(s for s in stats if s.n == n)
         params = ModelParams(n, settings.mu, settings.epsilon)
-        trunc = _sweep_truncation(settings, params)
+        trunc = truncs[n]
         excluded = 0.0
         if settings.restrict_to_concentration:
             jset = set(concentration_set(params))

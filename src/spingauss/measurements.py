@@ -14,7 +14,11 @@ Three experiment families live here.
   computed outcome density.
 
 * Covariant versus pulled-back heterodyne outcome densities on each spin
-  block, and their total-variation distance.
+  block, and their total-variation distance.  The covariant density is a
+  closed form at each point.  The heterodyne side is re-centred on the
+  polar grid's centre by one displacement per grid, so each block's density
+  is a cosine series in the grid angle whose coefficients are sums along
+  the diagonals of one small matrix (``_TvGrid``).
 
 Outcome densities live on the plane of local parameters.  The covariant
 measurement's outcomes are sphere directions; they are pulled to the plane
@@ -32,8 +36,15 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError, ValidationError
 from .irreps import HalfInteger, LocalParam, rotation_columns, _spin_coherent_rows
-from .numerics import factor_difference_eigvals
-from .oscillator import FockOperator, FockTruncation, PolarGrid, _coherent_rows, heterodyne_pdf
+from .numerics import factor_difference_eigvals, gauge_phases, propagator_degree
+from .oscillator import (
+    FockOperator,
+    FockTruncation,
+    PolarGrid,
+    _coherent_rows,
+    displacement_core,
+    heterodyne_pdf,
+)
 from .qubit_model import (
     NEGLIGIBLE_WEIGHT,
     EnsembleState,
@@ -45,6 +56,10 @@ from .qubit_model import (
     ensemble,
     ensemble_difference,
 )
+
+# Blocks per ``_block_density_pair`` call: a chunk's diagonal sums run as one
+# batched product, while its (blocks, points) densities stay a few MiB.
+TV_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -319,8 +334,9 @@ def default_tv_grid(mu: float, u: LocalParam, n_min: int) -> PolarGrid:
     return PolarGrid(center=(u.ux, u.uy), radius=min(radius, limit), n_radial=64, n_angular=96)
 
 
-def _row_support(peak: float, dim: int) -> int:
-    return min(dim, math.ceil(peak + 10.0 * math.sqrt(peak + 4.0) + 25.0))
+def _row_support(peak: float) -> int:
+    """Rows that hold every coherent vector with |z|^2 <= peak to rounding."""
+    return math.ceil(peak + 10.0 * math.sqrt(peak + 4.0) + 25.0)
 
 
 def _concentration_weights(params: ModelParams) -> tuple[tuple[HalfInteger, float], ...]:
@@ -337,37 +353,38 @@ class _Block(NamedTuple):
     cols: np.ndarray
 
 
-@dataclass(frozen=True)
-class _TvGrid:
-    """Everything one (n, u) grid shares across its blocks.
+class _Covariant(NamedTuple):
+    """The covariant closed form's data at a set of points.
 
     ``log_q`` is log(1 - (1 - p) s^2) per point, with s^2 the infidelity
-    between the qubit states |1/2, u_hat/sqrt(n)> and |1/2, u/sqrt(n)>; every
-    block's covariant density is a power of it (``_block_density_pair``).
-    ``coh`` holds the coherent rows in the blocks' gauge u.angle, in the real
-    layout (rows, 2 points) with Re and Im interleaved
-    (``oscillator._coherent_rows``).
+    between the qubit states |1/2, u_hat/sqrt(n)> and |1/2, u/sqrt(n)>;
+    every block's covariant density is a power of it (``density``).
     """
 
-    params: ModelParams
+    p: float
     jac: np.ndarray
     log_q: np.ndarray
-    coh: np.ndarray
-    blocks: tuple[_Block, ...]
+
+    def density(self, twoj: int) -> np.ndarray:
+        """Covariant density of the rotated spin-j block, 2j = ``twoj``.
+
+        With U = U_j(u/sqrt(n)) the vector U^dag |j, w> is the spin coherent
+        vector of a qubit state at infidelity s^2 from |up>, and the
+        unrotated block has weights proportional to p^k, so the binomial
+        theorem gives
+        <j, w| U rho_j U^dag |j, w> = (1 - p)/(1 - p^(2j+1)) (1 - (1 - p) s^2)^(2j)
+        (Arecchi, Courtens, Gilmore & Thomas, PRA 6, 2211, 1972).
+        """
+        d = twoj + 1
+        lam0 = block_spectrum(self.p, d, 1)[0]
+        return (d / (4.0 * math.pi)) * lam0 * np.exp(twoj * self.log_q) * self.jac
 
 
-def _tv_grid(
-    params: ModelParams,
-    u: LocalParam,
-    pts: np.ndarray,
-    block_weights: tuple[tuple[HalfInteger, float], ...],
-) -> _TvGrid:
-    n, mu = params.n, params.mu
+def _covariant(params: ModelParams, u: LocalParam, pts: np.ndarray) -> _Covariant:
+    n = params.n
     radii = np.hypot(pts[:, 0], pts[:, 1])
     if radii.max() >= injectivity_radius(n):
         raise DomainError("grid leaves the injectivity disk; shrink its radius")
-    zmag = math.sqrt(2.0 * mu - 1.0) * radii.max()
-    z = math.sqrt(2.0 * mu - 1.0) * (-pts[:, 1] + 1j * pts[:, 0])
     sq = math.sqrt(n)
     a, b = u.norm / sq, radii / sq
     # <down| U_1/2(u/sqrt(n))^dag U_1/2(u_hat/sqrt(n)) |up>: a difference that
@@ -379,45 +396,147 @@ def _tv_grid(
     # -inf only at p = 0, where every included block has 2j = n > 0
     with np.errstate(divide="ignore"):
         log_q = np.log1p(-(1.0 - params.p) * s2)
-    w = u.scaled(1.0 / sq)
+    return _Covariant(params.p, plane_jacobian(n, radii), log_q)
+
+
+@dataclass(frozen=True)
+class _TvGrid:
+    """Everything one (n, u) grid shares across its blocks.
+
+    The covariant side is pointwise (``covariant``).  The heterodyne side is
+    re-centred on the grid centre c.  With s = sqrt(2 mu - 1) and
+    z_c = s alpha(c), a node c + rho (cos t, sin t) has amplitude
+    z = z_c + s rho e^{i(t + pi/2)}, and D(z_c)^dag |z> = e^{i theta}
+    |s rho e^{i(t + pi/2)}>.  A block with real core F in the gauge
+    psi = u.angle and spectrum Lambda then has the pulled-back density
+
+        (2 mu - 1)/pi sum_{d >= 0} c_d cos(d (t + pi/2 - psi)) h(rho, d),
+
+    c_0 = 1 and c_d = 2 past it, h(rho, d) = sum_m R_{m+d} R_m A_{m+d,m}
+    with R_m the real coherent row at s rho, and A = G Lambda G^T with
+    G = ``back`` F, ``back`` the leading rows of D(-z_c) in the gauge psi:
+    only as many as the radial rows reach at rho = radius, so the tables
+    do not grow with |z_c|.  The radial products R_{m+d} R_m are ``diag``
+    as [d, m, rho] (zero past the last row) and c_d cos(d (t + pi/2 - psi))
+    is ``cos`` as [d, t].  A complex ``back`` (a centre at another angle
+    than u, away from the origin) makes A Hermitian, and its imaginary
+    parts add c_d Im h(rho, d) sin(...), from ``sin``.  ``back`` is one
+    quadrature of number wavefunctions (``displacement_core``), whose cost
+    grows with the rows the blocks reach, about |z_c|^2, and not with a
+    series degree of order |z_c|^2.  ``points`` and ``weights`` are the
+    grid's nodes.
+    """
+
+    params: ModelParams
+    points: np.ndarray
+    weights: np.ndarray
+    covariant: _Covariant
+    back: np.ndarray
+    diag: np.ndarray
+    cos: np.ndarray
+    sin: np.ndarray
+    blocks: tuple[_Block, ...]
+
+
+def _tv_grid(
+    params: ModelParams,
+    u: LocalParam,
+    grid: PolarGrid,
+    block_weights: tuple[tuple[HalfInteger, float], ...],
+) -> _TvGrid:
+    """The tables ``grid`` shares across its blocks (``_TvGrid``).
+
+    One call builds the nodes and the covariant data at them (which rejects
+    a grid past the injectivity disk before any other work), every included
+    block's rotation columns, the leading rows of D(-z_c) (one
+    ``displacement_core`` quadrature, only as many rows as the radial rows
+    reach), and the radial and angular tables.
+    """
+    pts, w = grid.nodes()
+    covariant = _covariant(params, u, pts)
+    radii, _, angles = grid.axes()
+    s = math.sqrt(2.0 * params.mu - 1.0)
+    scaled = u.scaled(1.0 / math.sqrt(params.n))
     blocks = tuple(
-        _Block(j, bw, rotation_columns(j, w, cols=effective_rank(params.p, j.dim)))
+        _Block(j, bw, rotation_columns(j, scaled, cols=effective_rank(params.p, j.dim)))
         for j, bw in block_weights
         if bw > NEGLIGIBLE_WEIGHT
     )
+    rows = max(b.cols.shape[0] for b in blocks)
+    # D(z_c) is the real core M = D(|z_c|) in the centre's gauge psi_c
+    # (``displaced_thermal``), so D(-z_c) = D(z_c)^dag is M^T there; at
+    # z_c = 0, M is the identity in any gauge, so psi_c = psi.  h only sees
+    # the leading rows of G where the radial rows at s rho, rho < radius,
+    # are not negligible, and G is zero past rows + K, K the band of M to
+    # the series accuracy (``propagator_degree``; rows + K cannot cut when
+    # rows alone does not).  In the blocks' gauge psi, D(-z_c) is
+    # e^{i(r - c)(psi_c - psi)} M^T, complex unless psi_c = psi
+    center = LocalParam(*grid.center)
+    t = s * center.norm
+    size = _row_support((s * grid.radius) ** 2)
+    if rows < size:
+        size = min(size, rows + propagator_degree(np.sqrt, t, rows)[0])
+    back = np.ascontiguousarray(displacement_core(t, rows, size).T)
+    shift = center.angle - u.angle if center.norm else 0.0
+    if shift:
+        back = gauge_phases(shift, size)[:, None] * back * gauge_phases(-shift, rows)
+    radial = _coherent_rows(s * radii, size)[:, 0::2]
+    diag = np.zeros((size, size, len(radii)))
+    for d in range(size):
+        diag[d, : size - d] = radial[d:] * radial[: size - d]
+    phase = np.outer(np.arange(size), angles + 0.5 * math.pi - u.angle)
+    fold = np.full((size, 1), 2.0)
+    fold[0] = 1.0
     return _TvGrid(
         params=params,
-        jac=plane_jacobian(n, radii),
-        log_q=log_q,
-        coh=_coherent_rows(z, _row_support(zmag * zmag, n + 1), gauge=u.angle),
+        points=pts,
+        weights=w,
+        covariant=covariant,
+        back=back,
+        diag=diag,
+        cos=fold * np.cos(phase),
+        sin=fold * np.sin(phase),
         blocks=blocks,
     )
 
 
-def _block_density_pair(tv: _TvGrid, block: _Block) -> tuple[np.ndarray, np.ndarray]:
-    """Covariant and pulled-back densities of the rotated block.
+def _block_density_pair(
+    tv: _TvGrid, blocks: tuple[_Block, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Covariant and pulled-back densities of a chunk of rotated blocks.
 
-    Covariant side in closed form: with U = U_j(u/sqrt(n)) the vector
-    U^dag |j, w> is the spin coherent vector of a qubit state at infidelity
-    s^2 from |up>, and the unrotated block has weights proportional to p^k,
-    so the binomial theorem gives
-    <j, w| U rho_j U^dag |j, w> = (1 - p)/(1 - p^(2j+1)) (1 - (1 - p) s^2)^(2j)
-    (Arecchi, Courtens, Gilmore & Thomas, PRA 6, 2211, 1972).  Heterodyne
-    side: the rotated block is rebuilt from the real core of its leading
-    rotation columns, and the gauged coherent rows are contracted with it
-    over the rows the core reaches, one real product; the rank cut sits at
-    the 1e-15 level, far below the quadrature resolution.
+    Both are (blocks, points).  The covariant side is the closed form
+    ``_Covariant.density`` at every point.  The heterodyne side follows
+    ``_TvGrid``: each block's A = G Lambda G^T comes from the real core of
+    its leading rotation columns (the rank cut sits at the 1e-15 level, far
+    below the quadrature resolution), the chunk's diagonal sums h(rho, d)
+    are one batched product with the radial table, and the angular sum is
+    one product with the cosine table.
     """
-    cols = block.cols
-    d = block.j.dim
-    lam = block_spectrum(tv.params.p, d, cols.shape[1])
-    dens_m = (d / (4.0 * math.pi)) * lam[0] * np.exp(block.j.twoj * tv.log_q) * tv.jac
-    rows_h = min(cols.shape[0], tv.coh.shape[0])
-    b_h = cols[:rows_h].T @ tv.coh[:rows_h]
-    b_h *= b_h
-    sq = lam @ b_h
-    dens_h = (2.0 * tv.params.mu - 1.0) / math.pi * (sq[0::2] + sq[1::2])
-    return dens_m, dens_h
+    dens_m = np.stack([tv.covariant.density(b.j.twoj) for b in blocks])
+    size = tv.back.shape[0]
+    a = np.empty((len(blocks), size, size), dtype=tv.back.dtype)
+    for k, b in enumerate(blocks):
+        g = tv.back[:, : b.cols.shape[0]] @ b.cols
+        lam = block_spectrum(tv.params.p, b.j.dim, b.cols.shape[1])
+        a[k] = (g * lam) @ g.conj().T
+    # A_{m+d, m} as [d, block, m]; the rows it clips to meet zeros of diag
+    m = np.arange(size)
+    a_diag = a[:, np.minimum(m[:, None] + m, size - 1), m].transpose(1, 0, 2)
+    h = np.matmul(a_diag, tv.diag).reshape(size, -1)
+    dens_h = h.real.T @ tv.cos
+    if np.iscomplexobj(h):
+        dens_h += h.imag.T @ tv.sin
+    dens_h *= (2.0 * tv.params.mu - 1.0) / math.pi
+    return dens_m, dens_h.reshape(len(blocks), -1)
+
+
+def _block_densities(tv: _TvGrid):
+    """(block, covariant, heterodyne) for every included block, in order,
+    ``TV_CHUNK`` blocks per ``_block_density_pair`` call."""
+    for start in range(0, len(tv.blocks), TV_CHUNK):
+        chunk = tv.blocks[start : start + TV_CHUNK]
+        yield from zip(chunk, *_block_density_pair(tv, chunk))
 
 
 def outcome_density_field(
@@ -426,21 +545,19 @@ def outcome_density_field(
     """Mixture outcome densities over the concentration set on one grid."""
     if grid is None:
         grid = default_tv_grid(params.mu, u, params.n)
-    pts, w = grid.nodes()
     block_weights = _concentration_weights(params)
-    tv = _tv_grid(params, u, pts, block_weights)
-    total_m = np.zeros(len(pts))
-    total_h = np.zeros(len(pts))
-    for block in tv.blocks:
-        dens_m, dens_h = _block_density_pair(tv, block)
+    tv = _tv_grid(params, u, grid, block_weights)
+    total_m = np.zeros(len(tv.points))
+    total_h = np.zeros(len(tv.points))
+    for block, dens_m, dens_h in _block_densities(tv):
         total_m += block.weight * dens_m
         total_h += block.weight * dens_h
     return OutcomeDensityField(
         n=params.n,
         mu=params.mu,
         u=u,
-        points=pts,
-        weights=w,
+        points=tv.points,
+        weights=tv.weights,
         covariant=total_m,
         heterodyne=total_h,
         block_weights=tuple(bw for _, bw in block_weights),
@@ -470,8 +587,9 @@ def measurement_tv_sweep(
     Sums p_n(j) * integral |covariant - heterodyne| over the grid for spins in
     the concentration set, then adds twice the excluded weight as the worst
     case contribution of the remaining blocks.  Block weights are evaluated
-    once per n; the grid, its coherent rows and its qubit infidelities once
-    per (n, u).
+    once per n; the grid, its qubit infidelities, its re-centring
+    displacement and its radial and angular tables once per (n, u)
+    (``_TvGrid``).
     """
     out = []
     for n in n_values:
@@ -479,15 +597,14 @@ def measurement_tv_sweep(
         block_weights = _concentration_weights(params)
         for u in u_list:
             grid = (grids or {}).get((n, u)) or default_tv_grid(mu, u, n)
-            pts, w = grid.nodes()
-            tv = _tv_grid(params, u, pts, block_weights)
+            tv = _tv_grid(params, u, grid, block_weights)
+            w = tv.weights
             grid_term = 0.0
             mass_m = 0.0
             mass_h = 0.0
             included = 0.0
-            for block in tv.blocks:
+            for block, dens_m, dens_h in _block_densities(tv):
                 bw = block.weight
-                dens_m, dens_h = _block_density_pair(tv, block)
                 grid_term += bw * float(np.sum(w * np.abs(dens_m - dens_h)))
                 mass_m += bw * float(np.sum(w * dens_m))
                 mass_h += bw * float(np.sum(w * dens_h))

@@ -201,6 +201,53 @@ def _coherent_rows(z, dim: int, gauge: float = 0.0) -> np.ndarray:
     return out.view(float)
 
 
+def _fock_wavefunctions(x: np.ndarray, count: int) -> np.ndarray:
+    """Number-state wavefunctions phi_k(x), k < ``count``, as (count, len(x)).
+
+    The forward recurrence phi_{k+1} = sqrt(2/(k+1)) x phi_k
+    - sqrt(k/(k+1)) phi_{k-1} is stable: where phi_k does not oscillate it
+    is the growing solution.  It runs on phi_k over a per-point scale,
+    pi^(-1/4) e^{-x^2/2} at first and raised whenever phi_k has grown by
+    1e150, so the rows that carry weight are right where e^{-x^2/2}
+    underflows (|x| > 38).
+    """
+    out = np.empty((count, len(x)))
+    log_scale = -0.5 * x * x - 0.25 * math.log(math.pi)
+    scale = np.exp(log_scale)
+    prev, cur = np.zeros(len(x)), np.ones(len(x))
+    for k in range(count):
+        out[k] = cur * scale
+        prev, cur = cur, math.sqrt(2.0 / (k + 1)) * x * cur - math.sqrt(k / (k + 1)) * prev
+        big = np.abs(cur) > 1e150
+        if big.any():
+            norm = np.abs(cur[big])
+            prev[big] /= norm
+            cur[big] /= norm
+            log_scale[big] += np.log(norm)
+            scale = np.exp(log_scale)
+    return out
+
+
+def displacement_core(t: float, rows: int, cols: int) -> np.ndarray:
+    """D(t)[:rows, :cols] at real t >= 0, the real core of D(z) at |z| = t.
+
+    It equals the leading rows of ``tridiagonal_propagator(np.sqrt, t,
+    cols)`` (the gauge arg z is left to the caller), at a cost that grows
+    like the rows, about t^2, where the series' degree alone is of order
+    t^2.  D(t) shifts wavefunctions by sqrt(2) t, so
+    D(t)[k, m] = int phi_k(y + sqrt(2) t) phi_m(y) dy, and the trapezoid
+    rule takes it to rounding: on |y| <= sqrt(2 cols + 1) + 10 phi_m lives,
+    and a step 2 pi / (sqrt(2 rows + 1) + sqrt(2 cols + 1) + 20) clears the
+    band of the product (phi_k is its own Fourier transform, so its
+    frequencies end where its turning point is).
+    """
+    reach = math.sqrt(2 * cols + 1) + 10.0
+    step = math.tau / (math.sqrt(2 * rows + 1) + math.sqrt(2 * cols + 1) + 20.0)
+    y = step * np.arange(-math.ceil(reach / step), math.ceil(reach / step) + 1)
+    shifted = _fock_wavefunctions(y + math.sqrt(2.0) * t, rows)
+    return shifted @ (step * _fock_wavefunctions(y, cols)).T
+
+
 def coherent_leakage(z: complex, dim: int) -> float:
     """Probability mass of |z> above the cutoff (Poisson tail at |z|^2)."""
     c = coherent_coefficients(z, dim)
@@ -347,12 +394,20 @@ class PolarGrid:
         if self.radius <= 0 or self.n_radial < 2 or self.n_angular < 4:
             raise DomainError("polar grid needs radius > 0, n_radial >= 2, n_angular >= 4")
 
-    def nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Quadrature points of shape (G, 2) and weights of shape (G,)."""
+    def axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Radial nodes, their weights (the r of d^2u included) and angular nodes.
+
+        ``nodes`` runs over their product, radius major.
+        """
         x, wx = np.polynomial.legendre.leggauss(self.n_radial)
         r = 0.5 * self.radius * (x + 1.0)
         wr = 0.5 * self.radius * wx * r
         t = (np.arange(self.n_angular) + 0.5) * 2.0 * math.pi / self.n_angular
+        return r, wr, t
+
+    def nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Quadrature points of shape (G, 2) and weights of shape (G,)."""
+        r, wr, t = self.axes()
         rr, tt = np.meshgrid(r, t, indexing="ij")
         pts = np.stack(
             [self.center[0] + rr * np.cos(tt), self.center[1] + rr * np.sin(tt)], axis=-1

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spingauss import qubit_model
+from spingauss import channels, qubit_model
 from spingauss.channels import (
     EmbeddingMap,
     SweepSettings,
@@ -310,6 +310,23 @@ def test_sweep_restricted_reports_excluded_weight():
     assert rec.excluded_weight == pytest.approx(want, abs=1e-12)
 
 
+def test_sweep_truncation_once_per_n(monkeypatch):
+    # the truncation depends on n and the settings only, so a 3 x 2 sweep
+    # sizes it three times, not once per point and again per record
+    calls = []
+    sized = channels.default_truncation
+
+    def counted(params, u_max):
+        calls.append(params.n)
+        return sized(params, u_max)
+
+    monkeypatch.setattr(channels, "default_truncation", counted)
+    grid = (LocalParam(0, 0), LocalParam(0.5, -0.5))
+    recs = convergence_sweep(SweepSettings(mu=0.75, n_values=(4, 8, 16), u_grid=grid))
+    assert calls == [4, 8, 16]
+    assert [len(r.points) for r in recs] == [2, 2, 2]
+
+
 def test_sweep_parallel_workers_match_serial():
     settings = SweepSettings(
         mu=0.9, n_values=(4, 8), u_grid=(LocalParam(0, 0), LocalParam(0.5, 0.5))
@@ -384,12 +401,18 @@ def dense_sweep_point(settings, n, u):
     return trace_norm(fwd - phi), block_max, reverse
 
 
+def sweep_point(settings, n, u):
+    """One point task, with the truncation ``convergence_sweep`` passes for its n."""
+    trunc = _sweep_truncation(settings, ModelParams(n, settings.mu, settings.epsilon))
+    return _sweep_point((settings, n, u, trunc))
+
+
 @pytest.mark.parametrize("mu", [0.75, 1.0])
 def test_sweep_point_matches_dense_recomputation(mu):
     n = 64
     for u in (LocalParam(0.0, 0.0), LocalParam(0.7, -0.4), LocalParam(-1.0, 1.0)):
         settings = SweepSettings(mu=mu, n_values=(n,), u_grid=(u,))
-        pt = _sweep_point((settings, n, u))
+        pt = sweep_point(settings, n, u)
         want = dense_sweep_point(settings, n, u)
         got = (pt.forward, pt.block_max, pt.reverse)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -401,7 +424,7 @@ def test_sweep_point_block_max_skips_weightless_blocks():
     # the concentration set (0.224 from 2j = 202 here) must not count
     n, u = 256, LocalParam(1.0, 0.0)
     settings = SweepSettings(mu=1.0, n_values=(n,), u_grid=(u,))
-    pt = _sweep_point((settings, n, u))
+    pt = sweep_point(settings, n, u)
     want = dense_sweep_point(settings, n, u)
     np.testing.assert_allclose((pt.forward, pt.block_max, pt.reverse), want, rtol=0, atol=1e-12)
     assert pt.block_max < 0.01
@@ -412,9 +435,9 @@ def test_sweep_point_error_bound_covers_rank_cut(monkeypatch):
     # every block and from the limit state; the bound must cover the shift
     n, u = 36, LocalParam(0.8, -0.5)
     settings = SweepSettings(mu=0.75, n_values=(n,), u_grid=(u,))
-    resolved = _sweep_point((settings, n, u))
+    resolved = sweep_point(settings, n, u)
     monkeypatch.setattr(qubit_model, "RANK_CUT", 1e-7)
-    coarse = _sweep_point((settings, n, u))
+    coarse = sweep_point(settings, n, u)
     assert coarse.error_bound > 1e-8
     for stat in ("forward", "block_max", "reverse"):
         shift = abs(getattr(coarse, stat) - getattr(resolved, stat))
@@ -432,7 +455,7 @@ def test_sweep_point_error_bound_covers_cropped_limit_state(mu):
     # eps itself; the bound must cover the shift against --trunc 80
     n, u = 16, LocalParam(1.0, 1.0)
     coarse, fine = (
-        _sweep_point((SweepSettings(mu=mu, n_values=(n,), u_grid=(u,), trunc_dim=t), n, u))
+        sweep_point(SweepSettings(mu=mu, n_values=(n,), u_grid=(u,), trunc_dim=t), n, u)
         for t in (19, 80)
     )
     for stat in ("forward", "block_max", "reverse"):

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,13 +25,15 @@ from spingauss.measurements import (
     position_measurement_risk,
 )
 from spingauss.measurements import (
+    _block_densities,
     _block_density_pair,
     _concentration_weights,
+    _covariant,
     _tv_grid,
     default_tv_grid,
 )
 from spingauss.numerics import trace_norm
-from spingauss.oscillator import FockTruncation, PolarGrid, heterodyne_pdf
+from spingauss.oscillator import FockTruncation, PolarGrid, _coherent_rows, heterodyne_pdf
 from spingauss import measurements, qubit_model
 from spingauss.qubit_model import (
     ModelParams,
@@ -344,8 +348,8 @@ def test_block_density_pair_matches_public_densities():
     j = HalfInteger(18)
     grid = PolarGrid(center=(u.ux, u.uy), radius=6.0, n_radial=24, n_angular=16)
     pts, _ = grid.nodes()
-    tv = _tv_grid(params, u, pts, _concentration_weights(params))
-    dens_m, dens_h = _block_density_pair(tv, next(b for b in tv.blocks if b.j == j))
+    tv = _tv_grid(params, u, grid, _concentration_weights(params))
+    (dens_m,), (dens_h,) = _block_density_pair(tv, (next(b for b in tv.blocks if b.j == j),))
     rho = block_state(params, j, u)
     want_m = covariant_block_density(j, params.n, rho, pts)
     want_h = heterodyne_pullback_density(j, rho, params.mu, pts)
@@ -404,9 +408,18 @@ def test_measurement_tv_sweep_matches_dense_blocks():
         assert est.heterodyne_mass == pytest.approx(mass_h, abs=1e-12)
 
 
-def block_densities(params, u, pts):
-    tv = _tv_grid(params, u, pts, _concentration_weights(params))
-    return [(block, *_block_density_pair(tv, block)) for block in tv.blocks]
+def block_densities(params, u, grid):
+    return list(_block_densities(_tv_grid(params, u, grid, _concentration_weights(params))))
+
+
+def covariant_densities(params, u, pts):
+    """The covariant closed form of every included block at bare points."""
+    cov = _covariant(params, u, pts)
+    return [
+        (j, cov.density(j.twoj))
+        for j, bw in _concentration_weights(params)
+        if bw > qubit_model.NEGLIGIBLE_WEIGHT
+    ]
 
 
 def test_closed_form_covariant_density_matches_dense_blocks():
@@ -414,8 +427,9 @@ def test_closed_form_covariant_density_matches_dense_blocks():
         for mu in (0.75, 0.9, 1.0):
             params = ModelParams(n, mu)
             for u in (LocalParam(0, 0), LocalParam(1, -0.5), LocalParam(-2.1, 1.3)):
-                pts, _ = default_tv_grid(mu, u, n).nodes()
-                for block, dens_m, _ in block_densities(params, u, pts):
+                grid = default_tv_grid(mu, u, n)
+                pts, _ = grid.nodes()
+                for block, dens_m, _ in block_densities(params, u, grid):
                     rho = block_state(params, block.j, u)
                     want = covariant_block_density(block.j, n, rho, pts)
                     np.testing.assert_allclose(dens_m, want, rtol=0, atol=1e-13)
@@ -427,8 +441,7 @@ def test_closed_form_covariant_density_finite_at_edge(n):
     # included block, down to the lightest spin
     params = ModelParams(n, 0.75)
     grid = PolarGrid(radius=0.98 * injectivity_radius(n), n_radial=24, n_angular=16)
-    pts, _ = grid.nodes()
-    pairs = block_densities(params, LocalParam(0.8, -0.5), pts)
+    pairs = block_densities(params, LocalParam(0.8, -0.5), grid)
     assert pairs
     for _, dens_m, dens_h in pairs:
         assert np.all(np.isfinite(dens_m)) and np.all(dens_m >= 0.0)
@@ -441,7 +454,84 @@ def test_closed_form_covariant_density_pure_antipode():
     # is not NaN
     n, u = 16, LocalParam(3.0, 0.0)
     pts = np.array([[3.0 - 0.5 * math.pi * math.sqrt(n), 0.0], [0.5, 0.2]])
-    (block, dens_m, _), = block_densities(ModelParams(n, 1.0), u, pts)
+    (j, dens_m), = covariant_densities(ModelParams(n, 1.0), u, pts)
     assert 0.0 <= dens_m[0] < 1e-200
-    want = covariant_block_density(block.j, n, block_state(ModelParams(n, 1.0), block.j, u), pts[1])
+    want = covariant_block_density(j, n, block_state(ModelParams(n, 1.0), j, u), pts[1])
     assert dens_m[1] == pytest.approx(want, abs=1e-13)
+
+
+@pytest.mark.parametrize(
+    "u, center, arithmetic",
+    [
+        ((0.7, -0.5), None, float),
+        ((0.0, 0.0), None, float),  # z_c = 0, and u.angle is 0 by convention
+        ((0.8, -0.5), (0.0, 0.0), float),
+        ((0.7, -0.5), (-0.35, 0.25), complex),  # on the line through 0 and u, past 0
+        ((0.7, -0.5), (-0.3, 0.9), complex),  # off that line
+    ],
+    ids=["default", "origin-u", "origin-centre", "far-side-centre", "off-line-centre"],
+)
+def test_recentred_heterodyne_matches_dense_pullback(u, center, arithmetic):
+    # 16 angular nodes, fewer than the rows of A, so cos(d (t + pi/2 - psi))
+    # wraps around the angular grid
+    n, mu = 64, 0.75
+    params, u = ModelParams(n, mu), LocalParam(*u)
+    grid = replace(default_tv_grid(mu, u, n), n_angular=16)
+    if center is not None:
+        grid = replace(grid, center=center)
+    tv = _tv_grid(params, u, grid, _concentration_weights(params))
+    assert tv.back.dtype == arithmetic
+    assert tv.back.shape[0] > grid.n_angular
+    for block, _, dens_h in _block_densities(tv):
+        rho = block_state(params, block.j, u)
+        want = heterodyne_pullback_density(block.j, rho, mu, tv.points)
+        np.testing.assert_allclose(dens_h, want, rtol=0, atol=1e-13)
+
+
+def test_recentred_heterodyne_nonnegative_at_scale():
+    # the cosine sum is not a sum of squares, so only rounding may go negative
+    n, mu, u = 1024, 0.75, LocalParam(0.7, -0.5)
+    params = ModelParams(n, mu)
+    tv = _tv_grid(params, u, default_tv_grid(mu, u, n), _concentration_weights(params))
+    assert min(float(dens_h.min()) for _, _, dens_h in _block_densities(tv)) >= -1e-14
+
+
+def pointwise_heterodyne(params, u, block, pts):
+    """A block's pulled-back density by coherent rows at every node, contracted
+    with its whole core: the form that held before the grids were re-centred."""
+    z = math.sqrt(2.0 * params.mu - 1.0) * (-pts[:, 1] + 1j * pts[:, 0])
+    b = block.cols.T @ _coherent_rows(z, block.cols.shape[0], gauge=u.angle)
+    lam = qubit_model.block_spectrum(params.p, block.j.dim, block.cols.shape[1])
+    sq = lam @ (b * b)
+    return (2.0 * params.mu - 1.0) / math.pi * (sq[0::2] + sq[1::2])
+
+
+@pytest.mark.parametrize("n, mu, u", [(1024, 1.0, (20.0, -15.0)), (256, 0.75, (-9.0, 8.0))])
+def test_recentred_heterodyne_far_from_origin(n, mu, u):
+    # |z_c| = 25 and 8.5: the blocks reach about |z_c|^2 rows, while the
+    # tables stay as wide as the radial rows at the grid radius
+    params, u = ModelParams(n, mu), LocalParam(*u)
+    grid = default_tv_grid(mu, u, n)
+    tracemalloc.start()
+    try:
+        tv = _tv_grid(params, u, grid, _concentration_weights(params))
+        densities = list(_block_densities(tv))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(b.cols.shape[0] for b in tv.blocks) > tv.back.shape[0]
+    assert peak < 64 * 2**20
+    for block, _, dens_h in densities[:: max(1, len(densities) // 4)]:
+        want = pointwise_heterodyne(params, u, block, tv.points)
+        np.testing.assert_allclose(dens_h, want, rtol=0, atol=1e-13)
+
+
+def test_tv_grid_rejects_a_grid_past_the_disk_before_rotating(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("rotated a block for a grid that is rejected")
+
+    monkeypatch.setattr(measurements, "rotation_columns", fail)
+    n, u = 1024, LocalParam(45.0, 0.0)
+    params = ModelParams(n, 0.75)
+    with pytest.raises(DomainError):
+        _tv_grid(params, u, PolarGrid(center=(45.0, 0.0), radius=8.0), _concentration_weights(params))

@@ -7,7 +7,7 @@ from scipy.special import gammainc, gammaln, xlogy
 from spingauss import oscillator
 from spingauss.errors import AccuracyError, DomainError, TruncationError
 from spingauss.irreps import LocalParam
-from spingauss.numerics import trace_norm
+from spingauss.numerics import trace_norm, tridiagonal_propagator
 from spingauss.oscillator import (
     PDF_CHUNK,
     Displacement,
@@ -19,6 +19,7 @@ from spingauss.oscillator import (
     default_truncation,
     displaced_thermal,
     displacement_amplitude,
+    displacement_core,
     displacement_operator,
     glauber_mixture,
     heterodyne_density,
@@ -360,3 +361,19 @@ def test_default_truncation_policy_floors():
     assert trunc.dim >= 2 * (25 + math.ceil(100 ** 0.6)) + 1 - 2
     assert (1 / 3) ** trunc.dim < 1e-8
     assert trunc.dim >= math.ceil((math.sqrt(0.5) * math.sqrt(2) + 6) ** 2)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.3, 2.5, 9.0])
+def test_displacement_core_matches_propagator(t):
+    want = tridiagonal_propagator(np.sqrt, t, 40)
+    got = displacement_core(t, want.shape[0], 40)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+def test_displacement_core_far_out():
+    # at t = 40 e^{-x^2/2} underflows long before the rows near t^2 = 1600:
+    # the first column is the coherent vector and the columns stay orthonormal
+    t, rows, cols = 40.0, 2900, 60
+    core = displacement_core(t, rows, cols)
+    np.testing.assert_allclose(core[:, 0], _coherent_rows(np.array([t]), rows)[:, 0], rtol=0, atol=1e-13)
+    np.testing.assert_allclose(core.T @ core, np.eye(cols), rtol=0, atol=1e-12)
