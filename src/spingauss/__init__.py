@@ -5,6 +5,10 @@ the displaced thermal limit family of a quantum oscillator, trace-preserving
 channels carrying one family onto the other, and the measurement-theoretic
 benchmarks (discrimination risk, heterodyne estimation risk, covariant versus
 heterodyne outcome statistics) that certify the convergence numerically.
+
+Every state is carried in factor form.  The dense constructions the tests
+compare against live in ``spingauss.reference``, which the package does not
+import or re-export.
 """
 
 __version__ = "0.1.0"
@@ -17,29 +21,20 @@ from .errors import (
     TruncationError,
     ValidationError,
 )
-from .irreps import HalfInteger, LocalParam, ladder_ops, rotation_unitary, spin_coherent_coords
-from .numerics import EigenSystem, fidelity, hermitian_eig, trace_norm, unitary_exp
+from .irreps import HalfInteger, LocalParam, spin_coherent_coords
+from .numerics import trace_norm
 from .oscillator import (
-    Displacement,
     FockOperator,
     FockTruncation,
     PolarGrid,
-    coherent_state,
     default_truncation,
     displaced_thermal,
-    displacement_operator,
-    glauber_mixture,
-    heterodyne_density,
     heterodyne_pdf,
-    number_basis_state,
-    thermal_state,
 )
 from .qubit_model import (
     BlockState,
     EnsembleState,
     ModelParams,
-    block_state,
-    block_state_zero,
     block_weight,
     binomial_factor,
     binomial_factor_closed_form,
@@ -53,33 +48,26 @@ from .qubit_model import (
 )
 from .channels import (
     ConvergenceRecord,
-    EmbeddingMap,
     SweepSettings,
     coherent_vector_distance,
     composition_defect,
     convergence_sweep,
-    embed_block,
     ensemble_distance,
     forward_channel,
     inverse_channel,
-    inverse_channel_block,
 )
 from .measurements import (
     BinaryTestResult,
     McSpec,
-    OutcomeDensityField,
     TvEstimate,
-    covariant_block_density,
     discrimination_limit,
     finite_n_discrimination,
     helstrom_risk,
     heterodyne_estimation_risk,
     heterodyne_outcome_std,
-    heterodyne_pullback_density,
     heterodyne_risk_reference,
     heterodyne_samples,
     measurement_tv_distance,
     measurement_tv_sweep,
-    outcome_density_field,
     position_measurement_risk,
 )

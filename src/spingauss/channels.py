@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import TruncationError, ValidationError
+from .errors import TruncationError
 from .irreps import HalfInteger, LocalParam, spin_coherent_coords
-from .numerics import factor_difference_eigvals, gauge_phases, psd_factor, trace_norm
+from .numerics import factor_difference_eigvals, trace_norm
 from .oscillator import (
     FockOperator,
     FockTruncation,
@@ -48,60 +48,11 @@ from .qubit_model import (
 )
 
 
-@dataclass(frozen=True)
-class EmbeddingMap:
-    """Isometric embedding of the spin-j block into a truncated Fock space."""
-
-    j: HalfInteger
-    trunc: FockTruncation
-
-    def __post_init__(self):
-        if self.trunc.dim < self.j.dim:
-            raise TruncationError(
-                f"truncation dim {self.trunc.dim} below block dim {self.j.dim}"
-            )
-
-
-def embed_block(rho_j: np.ndarray, emb: EmbeddingMap) -> FockOperator:
-    """V_j rho V_j^dag: the block becomes the top-left corner, zeros elsewhere."""
-    d = emb.j.dim
-    rho_j = np.asarray(rho_j, dtype=complex)
-    if rho_j.shape != (d, d):
-        raise ValidationError(f"block shape {rho_j.shape} does not match spin {emb.j}")
-    out = np.zeros((emb.trunc.dim, emb.trunc.dim), dtype=complex)
-    out[:d, :d] = rho_j
-    return FockOperator(FockTruncation(emb.trunc.dim), out)
-
-
-def project_block(phi: np.ndarray, emb: EmbeddingMap) -> np.ndarray:
-    """V_j^dag phi V_j, without the leftover-mass completion."""
-    d = emb.j.dim
-    return np.asarray(phi, dtype=complex)[:d, :d].copy()
-
-
-def inverse_channel_block(phi: np.ndarray | FockOperator, emb: EmbeddingMap) -> np.ndarray:
-    """Left inverse of embed_block, extended to all oscillator states.
-
-    The block-diagonal part inside the image comes back unchanged; the trace
-    sitting outside the image is routed to |j, j> (index 0), which keeps the
-    map trace preserving.
-    """
-    m = phi.matrix if isinstance(phi, FockOperator) else np.asarray(phi, dtype=complex)
-    d = min(emb.j.dim, m.shape[0])
-    out = np.zeros((emb.j.dim, emb.j.dim), dtype=complex)
-    out[:d, :d] = m[:d, :d]
-    leftover = float(np.trace(m[d:, d:]).real)
-    out[0, 0] += leftover
-    return out
-
-
-def _forward_corner(
+def _forward_blocks(
     ens: EnsembleState, trunc: FockTruncation, js: tuple[HalfInteger, ...] | None
-) -> np.ndarray:
-    """Weighted sum of the included blocks' core core^dag on the rows they reach.
-
-    This is the forward channel's output in the ensemble's gauge ``ens.psi``.
-    """
+) -> list[BlockState]:
+    """The blocks the forward channel mixes: those in ``js`` (None: all) that
+    occur in the state, each checked to fit into the truncation."""
     include = None if js is None else set(js)
     blocks = []
     for b in ens.blocks:
@@ -114,6 +65,17 @@ def _forward_corner(
                 f"truncation dim {trunc.dim} below block dim {b.j.dim} (spin {b.j})"
             )
         blocks.append(b)
+    return blocks
+
+
+def _forward_corner(
+    ens: EnsembleState, trunc: FockTruncation, js: tuple[HalfInteger, ...] | None
+) -> np.ndarray:
+    """Weighted sum of the included blocks' core core^dag on the rows they reach.
+
+    This is the forward channel's output in the ensemble's gauge ``ens.psi``.
+    """
+    blocks = _forward_blocks(ens, trunc, js)
     rows = max((b.core.shape[0] for b in blocks), default=0)
     out = np.zeros((rows, rows), dtype=np.result_type(float, *(b.core for b in blocks)))
     for b in blocks:
@@ -129,32 +91,30 @@ def forward_channel(
 ) -> FockOperator:
     """Weighted sum of embedded blocks; restricting ``js`` drops the rest.
 
-    The trace of the result equals the total weight of the included blocks,
-    so an excluded-weight report is one subtraction away.
+    The block embedding is the identity on indices, so the result is in
+    factor form: the cores sqrt(w_j) core_j side by side, in the ensemble's
+    gauge ``ens.psi``.  Its trace equals the total weight of the included
+    blocks, so an excluded-weight report is one subtraction away.
     """
-    corner = _forward_corner(ens, trunc, js)
-    rows = corner.shape[0]
-    phases = gauge_phases(ens.psi, rows)
-    out = np.zeros((trunc.dim, trunc.dim), dtype=complex)
-    out[:rows, :rows] = phases[:, None] * corner * phases.conj()[None, :]
-    return FockOperator(FockTruncation(trunc.dim), out)
+    blocks = _forward_blocks(ens, trunc, js)
+    rows = max((b.core.shape[0] for b in blocks), default=0)
+    core = np.hstack(
+        [np.zeros((rows, 0))]
+        + [np.pad(math.sqrt(b.weight) * b.core, ((0, rows - b.core.shape[0]), (0, 0))) for b in blocks]
+    )
+    return FockOperator(FockTruncation(trunc.dim), core=core, psi=ens.psi)
 
 
-def inverse_channel(phi: np.ndarray | FockOperator, params: ModelParams) -> EnsembleState:
+def inverse_channel(phi: FockOperator, params: ModelParams) -> EnsembleState:
     """Map an oscillator state to a block-diagonal ensemble with the model weights.
 
-    Works on a factor G of phi: the core it carries (the blocks keep its
-    gauge), or else one from its eigendecomposition (phi must then be
-    positive semidefinite).  Block j gets the corner G[:2j+1] plus the column
-    sqrt(leftover) e_0, where the leftover is the trace of phi outside the
-    block image; that is ``inverse_channel_block`` in factor form (e_0 is
-    unchanged by any gauge).
+    Works on the factor G of phi, its core (the blocks keep its gauge).
+    Block j gets the corner G[:2j+1] plus the column sqrt(leftover) e_0,
+    where the leftover is the trace of phi outside the block image: the
+    block projection with the leftover mass routed to |j, j> (e_0 is
+    unchanged by any gauge), which keeps the map trace preserving.
     """
-    if isinstance(phi, FockOperator) and phi.core is not None:
-        g, psi = phi.core, phi.psi
-    else:
-        m = phi.matrix if isinstance(phi, FockOperator) else np.asarray(phi, dtype=complex)
-        g, psi = psd_factor(m), 0.0
+    g, psi = phi.core, phi.psi
     row_mass = np.sum((g * g.conj()).real, axis=1)
     blocks = []
     for j in valid_spins(params.n):
@@ -308,7 +268,6 @@ def _sweep_point(args) -> PointStats:
         # blocks that carry no weight do not occur in the state
         if b.j not in jset or b.weight <= NEGLIGIBLE_WEIGHT:
             continue
-        EmbeddingMap(b.j, trunc)  # raises if the block does not fit
         eigs = factor_difference_eigvals(b.core, phi.core, b.psi, phi.psi)
         block_max = max(block_max, float(np.abs(eigs).sum()))
     s_out = inverse_channel(phi, params)

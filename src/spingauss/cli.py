@@ -1,9 +1,11 @@
 """Command-line front end for the convergence and measurement experiments.
 
-Configuration precedence is command line over config file over defaults; the
-effective configuration is echoed into every report so a report plus the
-package version fully determines its own numbers (exactly for quadrature
-paths, through the recorded seed for Monte Carlo ones).
+Every configuration key is listed once in ``KEYS``, with its parser and the
+subcommands that read it; a subcommand accepts only the flags of its own
+keys.  Configuration precedence is command line over config file over
+defaults; the keys a subcommand read are echoed into its report, so a
+report plus the package version fully determines its own numbers (exactly
+for quadrature paths, through the recorded seed for Monte Carlo ones).
 
 Exit codes: 0 success, 2 configuration error, 3 numerical accuracy or
 truncation failure, 4 I/O error.
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .channels import SweepSettings, convergence_sweep
@@ -36,65 +39,53 @@ from .measurements import (
     measurement_tv_sweep,
     position_measurement_risk,
 )
-from .oscillator import FockTruncation, displaced_thermal
+from .oscillator import FockTruncation, displaced_thermal, displacement_amplitude, limit_core_rows
 from .qubit_model import ModelParams
 from .reports import ReportRow, RiskReport, read_report, render_svg, write_report
 
-DEFAULTS = {
-    "mu": "0.75",
-    "n": "16,64,256",
-    "epsilon": "0.1",
-    "grid": "-1:1:3",
-    "trunc": "0",
-    "seed": "20260809",
-    "samples": "0",
-    "out": "",
-    "format": "csv",
-    "workers": "1",
-}
 
-CONFIG_KEYS = set(DEFAULTS)
+class Key(NamedTuple):
+    """A configuration key: its default, the parser that checks and converts
+    its value, the subcommands that read it and its flag help."""
+
+    default: str
+    parse: Callable[[str], object]
+    commands: frozenset[str]
+    help: str
 
 
-def parse_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if key not in CONFIG_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = val
-    return values
+def _check(name: str, val, ok: Callable[[object], bool], rule: str):
+    if not ok(val):
+        raise ConfigError(f"{name} must {rule}, got {val}")
+    return val
 
 
-def parse_float_list(text: str, name: str) -> list[float]:
-    try:
-        vals = [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise ConfigError(f"invalid {name} list {text!r}") from exc
-    if not vals:
-        raise ConfigError(f"empty {name} list")
-    return vals
+def _scalar(name: str, conv: Callable[[str], object], ok: Callable[[object], bool], rule: str):
+    """Parser of one value, converted by ``conv`` and checked by ``ok``."""
+
+    def parse(text: str):
+        try:
+            val = conv(text)
+        except ValueError as exc:
+            raise ConfigError(f"invalid {name} {text!r}") from exc
+        return _check(name, val, ok, rule)
+
+    return parse
 
 
-def parse_int_list(text: str, name: str) -> list[int]:
-    try:
-        vals = [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise ConfigError(f"invalid {name} list {text!r}") from exc
-    if not vals:
-        raise ConfigError(f"empty {name} list")
-    return vals
+def _list(name: str, conv: Callable[[str], object], ok: Callable[[object], bool], rule: str):
+    """Parser of a comma list, each value converted by ``conv`` and checked by ``ok``."""
+
+    def parse(text: str) -> list:
+        try:
+            vals = [conv(tok) for tok in text.split(",") if tok.strip() != ""]
+        except ValueError as exc:
+            raise ConfigError(f"invalid {name} list {text!r}") from exc
+        if not vals:
+            raise ConfigError(f"empty {name} list")
+        return [_check(name, val, ok, rule) for val in vals]
+
+    return parse
 
 
 def _parse_axis(spec: str) -> list[float]:
@@ -126,6 +117,70 @@ def parse_grid(spec: str) -> tuple[LocalParam, ...]:
     return tuple(LocalParam(x, y) for x in xs for y in ys)
 
 
+_GRID = frozenset(("convergence", "discriminate", "measure-compare"))
+_ALL = _GRID | {"risk"}
+
+# Every configuration key, with the subcommands that read it.  A subcommand
+# takes a flag only for the keys it reads; a config file may hold any key.
+KEYS = {
+    "mu": Key(
+        "0.75", _list("mu", float, lambda v: 0.5 < v <= 1.0, "lie in (1/2, 1]"), _ALL,
+        "comma list of mu values in (1/2, 1]",
+    ),
+    "n": Key(
+        "16,64,256", _list("n", int, lambda v: v >= 1, "be positive"), _GRID,
+        "comma list of ensemble sizes",
+    ),
+    "epsilon": Key(
+        "0.1", _scalar("epsilon", float, lambda v: 0.0 < v < 0.5, "lie in (0, 1/2)"), _GRID,
+        "concentration exponent in (0, 1/2)",
+    ),
+    "grid": Key("-1:1:3", parse_grid, _GRID, "u grid 'min:max:steps[,min:max:steps]'"),
+    "trunc": Key(
+        "0", _scalar("trunc", int, lambda v: v >= 0, "be 0 (automatic) or a positive cutoff"),
+        frozenset(("convergence", "discriminate")), "Fock cutoff override (0 = automatic)",
+    ),
+    "workers": Key(
+        "1", _scalar("workers", int, lambda v: v >= 1, "be at least 1"),
+        frozenset(("convergence",)), "parallel workers for sweeps",
+    ),
+    "samples": Key(
+        "0", _scalar("samples", int, lambda v: v == 0 or v >= 2, "be 0 (quadrature) or at least 2"),
+        frozenset(("risk",)), "Monte Carlo samples (0 = quadrature)",
+    ),
+    "seed": Key(
+        "20260809", _scalar("seed", int, lambda v: v >= 0, "be nonnegative"),
+        frozenset(("risk",)), "Monte Carlo seed",
+    ),
+    "format": Key(
+        "csv", _scalar("format", str, lambda v: v in ("csv", "json"), "be csv or json"), _ALL,
+        "report format, csv or json",
+    ),
+    "out": Key("", str, _ALL, "output path ('' = stdout)"),
+}
+
+
+def parse_config_file(path: str) -> dict[str, str]:
+    values: dict[str, str] = {}
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
+        key, _, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        if key not in KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        values[key] = val
+    return values
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spingauss",
@@ -147,84 +202,48 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--statistic", default=None, help="statistic to plot")
             p.add_argument("--out", default=None, help="output SVG path")
             continue
-        p.add_argument("--mu", default=None, help="comma list of mu values in (1/2, 1]")
-        p.add_argument("--n", default=None, help="comma list of ensemble sizes")
-        p.add_argument("--epsilon", default=None, help="concentration exponent in (0, 1/2)")
-        p.add_argument("--grid", default=None, help="u grid 'min:max:steps[,min:max:steps]'")
-        p.add_argument("--trunc", default=None, help="Fock cutoff override (0 = automatic)")
-        p.add_argument("--seed", default=None, help="Monte Carlo seed")
-        p.add_argument("--samples", default=None, help="Monte Carlo samples (0 = quadrature)")
-        p.add_argument("--out", default=None, help="output path ('' = stdout)")
-        p.add_argument("--format", default=None, choices=("csv", "json"), dest="fmt")
-        p.add_argument("--config", default=None, help="flat key = value config file")
-        p.add_argument("--workers", default=None, help="parallel workers for sweeps")
+        for key, spec in KEYS.items():
+            if name in spec.commands:
+                p.add_argument(f"--{key}", default=None, help=spec.help)
+        p.add_argument(
+            "--config", default=None,
+            help="flat key = value config file; it may hold the keys of every subcommand",
+        )
     return parser
 
 
-def effective_config(args: argparse.Namespace) -> tuple[dict[str, str], str]:
-    """Apply CLI > file > defaults; return the config echoed into the report
-    and the output path.
+def effective_config(args: argparse.Namespace) -> tuple[dict[str, str], dict[str, object]]:
+    """Apply CLI > file > defaults to the keys ``args.command`` reads.
 
-    The output path is dropped from the echo: it never influences a number,
-    and keeping it would break byte-identical reruns written to new files.
+    Returns the configuration echoed into the report and the parsed values
+    (``KEYS``).  Keys of other subcommands in the config file are neither
+    parsed nor echoed.  The output path is dropped from the echo: it never
+    influences a number, and keeping it would break byte-identical reruns
+    written to new files.
     """
-    cfg = dict(DEFAULTS)
-    if getattr(args, "config", None):
-        cfg.update(parse_config_file(args.config))
-    overrides = {
-        "mu": args.mu,
-        "n": args.n,
-        "epsilon": args.epsilon,
-        "grid": args.grid,
-        "trunc": args.trunc,
-        "seed": args.seed,
-        "samples": args.samples,
-        "out": args.out,
-        "format": getattr(args, "fmt", None),
-        "workers": args.workers,
-    }
-    for key, val in overrides.items():
+    keys = [key for key, spec in KEYS.items() if args.command in spec.commands]
+    cfg = {key: KEYS[key].default for key in keys}
+    if args.config:
+        cfg.update((k, v) for k, v in parse_config_file(args.config).items() if k in cfg)
+    for key in keys:
+        val = getattr(args, key)
         if val is not None:
-            cfg[key] = str(val)
-    out = cfg.pop("out")
-    return cfg, out
+            cfg[key] = val
+    values = {key: KEYS[key].parse(cfg[key]) for key in keys}
+    del cfg["out"]
+    return cfg, values
 
 
-def _mus(cfg: dict[str, str]) -> list[float]:
-    mus = parse_float_list(cfg["mu"], "mu")
-    for mu in mus:
-        if not 0.5 < mu <= 1.0:
-            raise ConfigError(f"mu must lie in (1/2, 1], got {mu}")
-    return mus
-
-
-def _ns(cfg: dict[str, str]) -> list[int]:
-    ns = parse_int_list(cfg["n"], "n")
-    for n in ns:
-        if n < 1:
-            raise ConfigError(f"n must be positive, got {n}")
-    return ns
-
-
-def _epsilon(cfg: dict[str, str]) -> float:
-    eps = float(cfg["epsilon"])
-    if not 0.0 < eps < 0.5:
-        raise ConfigError(f"epsilon must lie in (0, 1/2), got {eps}")
-    return eps
-
-
-def run_convergence(cfg: dict[str, str]) -> RiskReport:
-    grid = parse_grid(cfg["grid"])
-    eps = _epsilon(cfg)
+def run_convergence(cfg: dict[str, object]) -> list[ReportRow]:
     rows: list[ReportRow] = []
-    for mu in _mus(cfg):
+    for mu in cfg["mu"]:
         settings = SweepSettings(
             mu=mu,
-            n_values=tuple(_ns(cfg)),
-            u_grid=grid,
-            epsilon=eps,
-            trunc_dim=int(cfg["trunc"]) or None,
-            workers=int(cfg["workers"]),
+            n_values=tuple(cfg["n"]),
+            u_grid=cfg["grid"],
+            epsilon=cfg["epsilon"],
+            trunc_dim=cfg["trunc"] or None,
+            workers=cfg["workers"],
         )
         for rec in convergence_sweep(settings):
             for pt in rec.points:
@@ -235,39 +254,36 @@ def run_convergence(cfg: dict[str, str]) -> RiskReport:
             rows.append(ReportRow(rec.n, mu, rec.block_argmax.ux, rec.block_argmax.uy, "block_sup", rec.block_sup, rec.error_bound))
             rows.append(ReportRow(rec.n, mu, rec.reverse_argmax.ux, rec.reverse_argmax.uy, "reverse_sup", rec.reverse_sup, rec.error_bound))
             rows.append(ReportRow(rec.n, mu, 0.0, 0.0, "excluded_weight", rec.excluded_weight, 0.0))
-    return RiskReport("convergence", __version__, int(cfg["seed"]), cfg, tuple(rows))
+    return rows
 
 
-def run_discriminate(cfg: dict[str, str]) -> RiskReport:
-    grid = parse_grid(cfg["grid"])
-    eps = _epsilon(cfg)
+def run_discriminate(cfg: dict[str, object]) -> list[ReportRow]:
     rows: list[ReportRow] = []
-    for mu in _mus(cfg):
-        for u in grid:
+    for mu in cfg["mu"]:
+        for u in cfg["grid"]:
             if mu == 1.0:
                 limit = discrimination_limit(u)
                 limit_err = 0.0
             else:
-                trunc = int(cfg["trunc"]) or 128
-                ft = FockTruncation(trunc)
+                # automatic: every row the limit core reaches, so none is cropped
+                z = abs(displacement_amplitude(u, mu))
+                ft = FockTruncation(cfg["trunc"] or limit_core_rows((1.0 - mu) / mu, z))
                 plus = displaced_thermal(u, mu, ft)
                 minus = plus.mirrored()  # D(-z) = S D(z) S, in the same gauge
                 limit = helstrom_risk(plus, minus).risk
                 limit_err = plus.distance_bound + minus.distance_bound
             rows.append(ReportRow(0, mu, u.ux, u.uy, "limit_risk", limit, limit_err))
             rows.append(ReportRow(0, mu, u.ux, u.uy, "position_risk_baseline", position_measurement_risk(u), 0.0))
-            for n in _ns(cfg):
-                res = finite_n_discrimination(ModelParams(n, mu, eps), u)
+            for n in cfg["n"]:
+                res = finite_n_discrimination(ModelParams(n, mu, cfg["epsilon"]), u)
                 rows.append(ReportRow(n, mu, u.ux, u.uy, "helstrom_risk", res.risk, res.error_bound))
-    return RiskReport("discriminate", __version__, int(cfg["seed"]), cfg, tuple(rows))
+    return rows
 
 
-def run_measure_compare(cfg: dict[str, str]) -> RiskReport:
-    grid = parse_grid(cfg["grid"])
-    eps = _epsilon(cfg)
+def run_measure_compare(cfg: dict[str, object]) -> list[ReportRow]:
     rows: list[ReportRow] = []
-    for mu in _mus(cfg):
-        ests = measurement_tv_sweep(mu, tuple(_ns(cfg)), grid, epsilon=eps)
+    for mu in cfg["mu"]:
+        ests = measurement_tv_sweep(mu, tuple(cfg["n"]), cfg["grid"], epsilon=cfg["epsilon"])
         for est in ests:
             u = est.u
             rows.append(ReportRow(est.n, mu, u.ux, u.uy, "tv_bound", est.tv_bound, est.out_of_grid_bound))
@@ -276,21 +292,19 @@ def run_measure_compare(cfg: dict[str, str]) -> RiskReport:
             rows.append(ReportRow(est.n, mu, u.ux, u.uy, "heterodyne_mass", est.heterodyne_mass, est.concentration_deficit))
             rows.append(ReportRow(est.n, mu, u.ux, u.uy, "out_of_grid_mass", est.out_of_grid_bound, 0.0))
             rows.append(ReportRow(est.n, mu, u.ux, u.uy, "concentration_deficit", est.concentration_deficit, 0.0))
-    return RiskReport("measure-compare", __version__, int(cfg["seed"]), cfg, tuple(rows))
+    return rows
 
 
-def run_risk(cfg: dict[str, str]) -> RiskReport:
+def run_risk(cfg: dict[str, object]) -> list[ReportRow]:
     rows: list[ReportRow] = []
-    samples = int(cfg["samples"])
-    seed = int(cfg["seed"])
-    for mu in _mus(cfg):
-        if samples > 0:
-            est = heterodyne_estimation_risk(mu, mc=McSpec(seed=seed, samples=samples))
+    for mu in cfg["mu"]:
+        if cfg["samples"] > 0:
+            est = heterodyne_estimation_risk(mu, mc=McSpec(seed=cfg["seed"], samples=cfg["samples"]))
         else:
             est = heterodyne_estimation_risk(mu)
         rows.append(ReportRow(0, mu, 0.0, 0.0, "heterodyne_risk", est.value, est.error_bound))
         rows.append(ReportRow(0, mu, 0.0, 0.0, "heterodyne_risk_reference_derived", heterodyne_risk_reference(mu), 0.0))
-    return RiskReport("risk", __version__, seed, cfg, tuple(rows))
+    return rows
 
 
 def run_plot(args: argparse.Namespace) -> int:
@@ -349,14 +363,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "plot":
             return run_plot(args)
-        cfg, out = effective_config(args)
-        report = RUNNERS[args.command](cfg)
-        if out:
-            write_report(report, out, cfg["format"])
+        cfg, values = effective_config(args)
+        rows = RUNNERS[args.command](values)
+        report = RiskReport(args.command, __version__, values.get("seed"), cfg, tuple(rows))
+        if values["out"]:
+            write_report(report, values["out"], values["format"])
         else:
             from .reports import render_csv, render_json
 
-            text = render_csv(report) if cfg["format"] == "csv" else render_json(report)
+            text = render_csv(report) if values["format"] == "csv" else render_json(report)
             sys.stdout.write(text)
         return 0
     except (ConfigError, DomainError) as exc:

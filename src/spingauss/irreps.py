@@ -5,15 +5,17 @@ by the weight vectors ordered by *descending* magnetic number, so array index
 ``i`` holds |j, m = j - i>.  With that ordering the embedding of a block into
 the oscillator's number basis (|j, m> -> |j - m>) is the identity on indices.
 
-Rotation convention: ``rotation_unitary(j, u)`` is the restriction to the
-spin-j block of the product rotation exp(i(u_x s_x + u_y s_y))^(tensor n)
-acting on the underlying qubits, where s_x, s_y are Pauli matrices.  The
-collective generators are therefore twice the spin matrices returned by
-``ladder_ops``; at j = 1/2 this reproduces the one-qubit closed form
+Rotation convention: the rotation U_j(u) is the restriction to the spin-j
+block of the product rotation exp(i(u_x s_x + u_y s_y))^(tensor n) acting
+on the underlying qubits, where s_x, s_y are Pauli matrices.  The
+collective generators are therefore twice the spin matrices; at j = 1/2
+this reproduces the one-qubit closed form
 
     [[cos|u|, -e^{-i phi} sin|u|], [e^{i phi} sin|u|, cos|u|]]
 
-with phi = Arg(-u_y + i u_x).
+with phi = Arg(-u_y + i u_x).  ``rotation_columns`` returns the leading
+columns of U_j(u) as a real core; the dense U_j(u) is
+``spingauss.reference.rotation_unitary``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numerics import tridiagonal_propagator, unitary_exp
+from .numerics import tridiagonal_propagator
 
 
 @dataclass(frozen=True, order=True)
@@ -100,54 +102,15 @@ class LocalParam:
         return LocalParam(self.ux + other.ux, self.uy + other.uy)
 
 
-def ladder_ops(j: HalfInteger) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Spin matrices (J+, J-, Jz) of dimension 2j + 1 in the descending-m basis.
-
-    J+|j,m> = sqrt(j - m) sqrt(j + m + 1) |j,m+1>, J- is its adjoint and
-    Jz|j,m> = m |j,m>.
-    """
-    tj = j.twoj
-    d = tj + 1
-    i = np.arange(1, d)
-    # raising entry <m+1|J+|m> lands on the superdiagonal in descending-m order
-    amp = np.sqrt(i * (tj + 1.0 - i))
-    jp = np.zeros((d, d), dtype=complex)
-    jp[np.arange(d - 1), np.arange(1, d)] = amp
-    jm = jp.conj().T
-    jz = np.diag((tj - 2.0 * np.arange(d)) / 2.0).astype(complex)
-    return jp, jm, jz
-
-
-def rotation_generator(j: HalfInteger, u: LocalParam) -> np.ndarray:
-    """Hermitian generator of the collective x-y rotation on the spin-j block.
-
-    Equals u_x X_j + u_y Y_j with X_j = J+ + J-, Y_j = (J+ - J-)/i, the
-    restrictions of the collective Pauli sums (twice the spin matrices).
-    """
-    jp, jm, _ = ladder_ops(j)
-    jx = (jp + jm) / 2.0
-    jy = (jp - jm) / 2.0j
-    return 2.0 * (u.ux * jx + u.uy * jy)
-
-
-def rotation_unitary(j: HalfInteger, u: LocalParam) -> np.ndarray:
-    """U_j(u): unitary exp of the collective rotation generator.
-
-    Dense route through an eigendecomposition of the (2j+1)-dimensional
-    generator, kept as the reference for ``rotation_columns``.
-    """
-    return unitary_exp(rotation_generator(j, u))
-
-
 def rotation_columns(j: HalfInteger, u: LocalParam, cols: int) -> np.ndarray:
-    """Real core of the leading ``cols`` columns of rotation_unitary(j, u).
+    """Real core of the leading ``cols`` columns of U_j(u).
 
     The generator is gauge-equivalent, via the diagonal phase
     e^{ik atan2(u_y, u_x)}, to |u| times the fixed tridiagonal x generator X_j
     with couplings sqrt(i (2j + 1 - i)), so the columns come from the
     Chebyshev propagator without any eigendecomposition:
 
-        rotation_unitary(j, u)[r, c] = e^{i(r-c) psi} M[r, c]
+        U_j(u)[r, c] = e^{i(r-c) psi} M[r, c]
 
     with psi = u.angle and M the real matrix returned here, which depends on
     |u| only.  U_j(-u) is then S U_j(u) S with S = diag((-1)^k).  Only the

@@ -29,13 +29,13 @@ through the polar angle theta = 2|u|/sqrt(n), which is injective for
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import AccuracyError, DomainError, ValidationError
-from .irreps import HalfInteger, LocalParam, rotation_columns, _spin_coherent_rows
+from .irreps import HalfInteger, LocalParam, rotation_columns
 from .numerics import factor_difference_eigvals, gauge_phases, propagator_degree
 from .oscillator import (
     FockOperator,
@@ -71,20 +71,19 @@ class BinaryTestResult:
     n: int | None = None
     u: LocalParam | None = None
     mu: float | None = None
-    error_bound: float = 0.0  # skipped blocks and rank cuts; 0 for dense pairs
+    error_bound: float = 0.0  # skipped blocks and rank cuts; 0 for Fock operator pairs
 
 
 def helstrom_risk(rho_plus, rho_minus) -> BinaryTestResult:
     """Minimal error probability for equal priors, 1/2 (1 - ||r+ - r-||_1 / 2).
 
-    Accepts a pair of density matrices, a pair of factor-form FockOperators
-    (diagonalized on the span of their cores), or a pair of EnsembleState
-    objects with identical block structure; ensembles are handled blockwise
-    on their factors (``ensemble_difference``), multiplicity spaces cancel.
+    Accepts a pair of factor-form FockOperators (diagonalized on the span of
+    their cores), or a pair of EnsembleState objects with identical block
+    structure; ensembles are handled blockwise on their factors
+    (``ensemble_difference``), multiplicity spaces cancel.
     """
-    if isinstance(rho_plus, EnsembleState) or isinstance(rho_minus, EnsembleState):
-        if not (isinstance(rho_plus, EnsembleState) and isinstance(rho_minus, EnsembleState)):
-            raise ValidationError("mixing an ensemble with a bare matrix")
+    pair = (rho_plus, rho_minus)
+    if all(isinstance(op, EnsembleState) for op in pair):
         diff = ensemble_difference(rho_plus, rho_minus)
         # a skipped block's true trace norm lies in [0, 2 w], and each rank
         # cut moves the trace norm by at most its discarded trace
@@ -96,15 +95,9 @@ def helstrom_risk(rho_plus, rho_minus) -> BinaryTestResult:
             mu=rho_plus.params.mu,
             error_bound=0.5 * diff.skipped + 0.25 * diff.discarded,
         )
-    pair = (rho_plus, rho_minus)
-    if any(isinstance(op, FockOperator) for op in pair):
-        if not all(isinstance(op, FockOperator) and op.core is not None for op in pair):
-            raise ValidationError("Fock operators are compared in factor form only")
-        eigs = factor_difference_eigvals(rho_plus.core, rho_minus.core, rho_plus.psi, rho_minus.psi)
-    else:
-        eigs = np.linalg.eigvalsh(
-            np.asarray(rho_plus, dtype=complex) - np.asarray(rho_minus, dtype=complex)
-        )
+    if not all(isinstance(op, FockOperator) for op in pair):
+        raise ValidationError("helstrom_risk compares two ensembles or two Fock operators")
+    eigs = factor_difference_eigvals(rho_plus.core, rho_minus.core, rho_plus.psi, rho_minus.psi)
     tnorm = float(np.abs(eigs).sum())
     return BinaryTestResult(
         risk=0.5 * (1.0 - 0.5 * tnorm), optimal_projector_rank=int(np.sum(eigs > 0))
@@ -245,69 +238,6 @@ def injectivity_radius(n: int) -> float:
 def plane_jacobian(n: int, radii: np.ndarray) -> np.ndarray:
     """Pushforward factor (2/(sqrt(n) r)) sin(2 r / sqrt(n)), with its r -> 0 limit."""
     return (4.0 / n) * np.sinc(2.0 * np.asarray(radii, dtype=float) / (math.sqrt(n) * math.pi))
-
-
-def _as_points(u_hat) -> tuple[np.ndarray, bool]:
-    if isinstance(u_hat, LocalParam):
-        return np.array([[u_hat.ux, u_hat.uy]]), True
-    pts = np.asarray(u_hat, dtype=float)
-    if pts.ndim == 1:
-        return pts.reshape(1, 2), True
-    return pts.reshape(-1, 2), False
-
-
-def covariant_block_density(j: HalfInteger, n: int, rho_j: np.ndarray, u_hat):
-    """Outcome density of the covariant block measurement on the plane.
-
-    (2j+1)/(4 pi) <j, u/sqrt(n)| rho_j |j, u/sqrt(n)> times the plane Jacobian.
-    Integrating over the disk |u| < pi sqrt(n)/2 against d^2 u resolves the
-    identity, so a unit-trace block yields total mass one.
-    """
-    pts, scalar = _as_points(u_hat)
-    radii = np.hypot(pts[:, 0], pts[:, 1])
-    if np.any(radii >= injectivity_radius(n)):
-        raise DomainError(
-            f"|u_hat| must stay below pi sqrt(n)/2 = {injectivity_radius(n):.3f}"
-        )
-    sq = math.sqrt(n)
-    rows = _spin_coherent_rows(j.twoj, pts[:, 0] / sq, pts[:, 1] / sq, j.dim)
-    rho = np.asarray(rho_j, dtype=complex)
-    vals = np.einsum("gi,ij,gj->g", rows.conj(), rho, rows).real
-    dens = (j.dim / (4.0 * math.pi)) * vals * plane_jacobian(n, radii)
-    return float(dens[0]) if scalar else dens
-
-
-def heterodyne_pullback_density(
-    j: HalfInteger, rho_j: np.ndarray, mu: float, u_hat, trunc: FockTruncation | None = None
-):
-    """Heterodyne outcome density pulled back through the block embedding.
-
-    Only the coherent components inside the block's image contribute:
-    (2 mu - 1)/pi |<z_uhat| V_j rho V_j^dag |z_uhat>| truncated to 2j+1 rows.
-    Wrap-around copies of the density sit at distance 2 pi sqrt(n) and are
-    dropped; their Gaussian bound is far below every tolerance used here.
-    """
-    pts, scalar = _as_points(u_hat)
-    z = math.sqrt(2.0 * mu - 1.0) * (-pts[:, 1] + 1j * pts[:, 0])
-    rows = _coherent_rows(z, j.dim).view(complex)
-    rho = np.asarray(rho_j, dtype=complex)
-    vals = np.einsum("ig,ij,jg->g", rows.conj(), rho, rows).real
-    dens = (2.0 * mu - 1.0) / math.pi * vals
-    return float(dens[0]) if scalar else dens
-
-
-@dataclass(frozen=True)
-class OutcomeDensityField:
-    """Both outcome densities over one grid, with block weights, for one (n, u)."""
-
-    n: int
-    mu: float
-    u: LocalParam
-    points: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
-    covariant: np.ndarray = field(repr=False)
-    heterodyne: np.ndarray = field(repr=False)
-    block_weights: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -537,31 +467,6 @@ def _block_densities(tv: _TvGrid):
     for start in range(0, len(tv.blocks), TV_CHUNK):
         chunk = tv.blocks[start : start + TV_CHUNK]
         yield from zip(chunk, *_block_density_pair(tv, chunk))
-
-
-def outcome_density_field(
-    params: ModelParams, u: LocalParam, grid: PolarGrid | None = None
-) -> OutcomeDensityField:
-    """Mixture outcome densities over the concentration set on one grid."""
-    if grid is None:
-        grid = default_tv_grid(params.mu, u, params.n)
-    block_weights = _concentration_weights(params)
-    tv = _tv_grid(params, u, grid, block_weights)
-    total_m = np.zeros(len(tv.points))
-    total_h = np.zeros(len(tv.points))
-    for block, dens_m, dens_h in _block_densities(tv):
-        total_m += block.weight * dens_m
-        total_h += block.weight * dens_h
-    return OutcomeDensityField(
-        n=params.n,
-        mu=params.mu,
-        u=u,
-        points=tv.points,
-        weights=tv.weights,
-        covariant=total_m,
-        heterodyne=total_h,
-        block_weights=tuple(bw for _, bw in block_weights),
-    )
 
 
 def measurement_tv_distance(

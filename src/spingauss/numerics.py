@@ -1,28 +1,25 @@
 """Linear algebra primitives shared by all other modules.
 
-Everything operates on plain numpy arrays.  Matrices that are supposed to be
-Hermitian are validated rather than trusted: every density matrix in the
-pipeline is the end product of a long chain of rotations, embeddings and
-quadratures, and silent asymmetry is the most common way those chains go
-wrong.
-
-Two structured routines carry the rotated states.  ``tridiagonal_propagator``
-applies the exponential of a phase-gauged tridiagonal generator to the first
-few unit vectors (spin rotations and oscillator displacements are both of
-this form).  The generator is bipartite, so the result is a real matrix under
-a diagonal phase gauge e^{ik psi}, and it is returned as that real core.
+Everything operates on plain numpy arrays.  The rotated states never exist
+as dense matrices: two structured routines carry them.
+``tridiagonal_propagator`` applies the exponential of a phase-gauged
+tridiagonal generator to the first few unit vectors (spin rotations and
+oscillator displacements are both of this form).  The generator is
+bipartite, so the result is a real matrix under a diagonal phase gauge
+e^{ik psi}, and it is returned as that real core.
 ``factor_difference_eigvals`` diagonalizes F F^dag - G G^dag on the span of
 the two low-rank factors instead of on the full space, in real arithmetic
-when both share a gauge.
+when both share a gauge.  ``trace_norm`` takes the one dense trace norm
+left, the forward distance over the leading rows the factors reach.
 
-All tolerances are absolute on matrices pre-normalized to unit trace, so the
-distances reported downstream carry no hidden scaling.
+The dense eigendecomposition, unitary exponential and PSD factor that these
+routines replaced live in ``spingauss.reference``, as test oracles.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -32,19 +29,9 @@ from .errors import ValidationError
 
 # Relative asymmetry (against the largest entry) accepted as rounding noise.
 HERMITICITY_RTOL = 1e-12
-# Negative eigenvalues of nominally PSD matrices down to this are clamped to
-# zero; anything below is treated as a genuinely invalid state.
-PSD_REJECT = -1e-8
 # Chebyshev terms with |J_k(t s)| at or below this are dropped: far below the
 # rounding of the O(1) entries the propagator returns.
 CHEBYSHEV_TOL = 1e-18
-
-
-class EigenSystem(NamedTuple):
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -54,38 +41,6 @@ def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"{name} must be square, got shape {a.shape}")
     return a
-
-
-def validate_hermitian(h, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
-    """Return ``h`` as an array (``as_square_matrix``), or raise naming the worst entry."""
-    h = as_square_matrix(h, "hermitian matrix")
-    asym = np.abs(h - h.conj().T)
-    scale = max(np.abs(h).max(), 1.0)
-    worst = np.unravel_index(np.argmax(asym), asym.shape)
-    if asym[worst] > rtol * scale:
-        row, col = int(worst[0]), int(worst[1])
-        raise ValidationError(
-            f"matrix is not Hermitian: |H - H^dag| = {asym[worst]:.3e} at entry "
-            f"({row}, {col}) exceeds {rtol:.1e} * max|H| = {rtol * scale:.3e}"
-        )
-    return h
-
-
-def hermitian_eig(h) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues sorted ascending."""
-    h = validate_hermitian(h)
-    w, v = np.linalg.eigh(h)
-    return EigenSystem(w, v)
-
-
-def unitary_exp(h) -> np.ndarray:
-    """exp(i*h) for Hermitian h, via eigendecomposition.
-
-    The eigendecomposition route keeps the result unitary up to eigensolver
-    accuracy, which a truncated series would not.
-    """
-    w, v = hermitian_eig(h)
-    return (v * np.exp(1j * w)) @ v.conj().T
 
 
 def _is_hermitian(a: np.ndarray, rtol: float = HERMITICITY_RTOL) -> bool:
@@ -239,42 +194,3 @@ def factor_difference_eigvals(
     a = qh @ fp
     b = qh @ gp
     return np.linalg.eigvalsh(a @ a.conj().T - b @ b.conj().T)
-
-
-def _psd_eig(rho) -> EigenSystem:
-    """Eigensystem of a PSD matrix with small negative eigenvalues clamped."""
-    w, v = hermitian_eig(rho)
-    if w[0] < PSD_REJECT:
-        raise ValidationError(
-            f"matrix is not positive semidefinite: eigenvalue {w[0]:.3e} below {PSD_REJECT:.1e}"
-        )
-    return EigenSystem(np.clip(w, 0.0, None), v)
-
-
-def psd_factor(rho) -> np.ndarray:
-    """F with F F^dag = rho, one column per positive eigenvalue."""
-    w, v = _psd_eig(rho)
-    keep = w > 0.0
-    return v[:, keep] * np.sqrt(w[keep])
-
-
-def _psd_root(rho) -> np.ndarray:
-    """Matrix square root of a PSD matrix with eigenvalue clamping."""
-    w, v = _psd_eig(rho)
-    return (v * np.sqrt(w)) @ v.conj().T
-
-
-def fidelity(rho, sigma) -> float:
-    """Uhlmann fidelity of two density matrices, as a value in [0, 1].
-
-    Computed as the trace norm of sqrt(rho) @ sqrt(sigma), which is symmetric
-    in the arguments by construction.
-    """
-    r = _psd_root(rho)
-    s = _psd_root(sigma)
-    for m, label in ((rho, "rho"), (sigma, "sigma")):
-        tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > 1e-6:
-            raise ValidationError(f"{label} must have unit trace, got {tr!r}")
-    f = float(scipy.linalg.svdvals(r @ s).sum())
-    return min(max(f, 0.0), 1.0)

@@ -1,6 +1,9 @@
-"""Truncated Fock-space states and operators.
+"""Truncated Fock-space states in factor form.
 
-States of the quantum oscillator are represented on the first N number levels.
+States of the quantum oscillator are represented on the first N number levels,
+as a core of leading rows in a phase gauge (``FockOperator``); the dense
+thermal, coherent and displacement constructions they are checked against
+live in ``spingauss.reference``.
 Truncation is never hidden: every factory reports the trace or norm it lost to
 the cutoff through ``FockTruncation.tail_bound``, and raises once that loss
 exceeds the caller's tolerance.
@@ -20,15 +23,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, TruncationError
+from .errors import DomainError, TruncationError
 from .irreps import LocalParam
-from .numerics import (
-    gauge_phases,
-    mirror_rows,
-    propagator_degree,
-    tridiagonal_propagator,
-    unitary_exp,
-)
+from .numerics import gauge_phases, mirror_rows, propagator_degree, tridiagonal_propagator
 from .qubit_model import ModelParams, concentration_set, effective_rank
 
 # Rows of the coherent-row recurrence between restarts from the closed form;
@@ -54,53 +51,28 @@ class FockTruncation:
 
 
 @dataclass(frozen=True)
-class Displacement:
-    """Phase-space displacement amplitude."""
-
-    z: complex
-
-    def __post_init__(self):
-        if not (math.isfinite(self.z.real) and math.isfinite(self.z.imag)):
-            raise DomainError(f"displacement must be finite, got {self.z!r}")
-
-
-@dataclass(frozen=True)
 class FockOperator:
-    """Operator on the truncated oscillator space.
+    """A state of the truncated oscillator, in factor form.
 
-    Either ``dense``, the full matrix, or, for a state built in factor form,
-    a ``core`` in the phase gauge ``psi``: matrix = F F^dag with
-    F = diag(e^{ik psi}) core holding only the leading (nonzero) rows.  For a
-    factor-form state ``crop`` is the trace of the factor rows that the
+    ``core`` holds the leading (nonzero) rows of a factor in the phase gauge
+    ``psi``: matrix = F F^dag with F = diag(e^{ik psi}) core.  The rotated
+    states are real cores; ``crop`` is the trace of the factor rows that the
     truncation cut off.
     """
 
     trunc: FockTruncation
-    dense: np.ndarray | None = field(default=None, repr=False)
-    core: np.ndarray | None = field(default=None, repr=False)
+    core: np.ndarray = field(repr=False)
     psi: float = 0.0
     crop: float = 0.0
 
-    def __post_init__(self):
-        if (self.dense is None) == (self.core is None):
-            raise DomainError("a Fock operator needs exactly one of a dense matrix and a core")
-        if self.dense is not None and self.dense.shape != (self.trunc.dim, self.trunc.dim):
-            raise DomainError(
-                f"matrix shape {self.dense.shape} does not match truncation dim {self.trunc.dim}"
-            )
-
     @property
-    def factor(self) -> np.ndarray | None:
-        """The complex factor F of a factor-form state, rebuilt on every access."""
-        if self.core is None:
-            return None
+    def factor(self) -> np.ndarray:
+        """The complex factor F, rebuilt on every access."""
         return gauge_phases(self.psi, self.core.shape[0])[:, None] * self.core
 
     @property
     def matrix(self) -> np.ndarray:
-        """The dense matrix; a factor-form state rebuilds it on every access."""
-        if self.dense is not None:
-            return self.dense
+        """The dense F F^dag over the truncation, rebuilt on every access."""
         f = self.factor
         rows = f.shape[0]
         out = np.zeros((self.trunc.dim, self.trunc.dim), dtype=complex)
@@ -118,8 +90,8 @@ class FockOperator:
         return self.trunc.tail_bound + 2.0 * math.sqrt(self.crop)
 
     def mirrored(self) -> "FockOperator":
-        """S rho S with S = diag((-1)^k), for a factor-form state: the row sign
-        flip of its core.  For a displaced state it is D(-z) = S D(z) S."""
+        """S rho S with S = diag((-1)^k): the row sign flip of the core.  For
+        a displaced state it is D(-z) = S D(z) S."""
         return replace(self, core=mirror_rows(self.core))
 
 
@@ -135,29 +107,15 @@ def default_truncation(params: ModelParams, u_max: float) -> FockTruncation:
     dim_thermal = 1 if p == 0.0 else math.ceil(math.log(1e-8) / math.log(p))
     z_max = math.sqrt(2.0 * params.mu - 1.0) * u_max
     dim_disp = math.ceil((z_max + 6.0) ** 2)
-    # the rows of the limit state's core (``displaced_thermal``) at |u|_max
-    r = effective_rank(p)
-    dim_core = r + propagator_degree(np.sqrt, z_max, r)[0]
-    dim = max(dim_blocks, dim_thermal, dim_disp, dim_core)
+    dim = max(dim_blocks, dim_thermal, dim_disp, limit_core_rows(p, z_max))
     return FockTruncation(dim, tail_bound=p ** dim)
 
 
-def number_basis_state(k: int, trunc: FockTruncation) -> FockOperator:
-    """Rank-one projector |k><k|."""
-    if not 0 <= k < trunc.dim:
-        raise DomainError(f"level {k} outside truncation 0..{trunc.dim - 1}")
-    m = np.zeros((trunc.dim, trunc.dim), dtype=complex)
-    m[k, k] = 1.0
-    return FockOperator(FockTruncation(trunc.dim), m)
-
-
-def thermal_state(p: float, trunc: FockTruncation) -> FockOperator:
-    """Thermal state diag((1-p) p^k); the trace deficit is exactly p^N."""
-    if not 0.0 <= p < 1.0:
-        raise DomainError(f"thermal parameter must lie in [0, 1), got {p!r}")
-    k = np.arange(trunc.dim)
-    m = np.diag((1.0 - p) * p ** k).astype(complex)
-    return FockOperator(FockTruncation(trunc.dim, tail_bound=p ** trunc.dim), m)
+def limit_core_rows(p: float, t: float) -> int:
+    """Rows r + K that the core of ``displaced_thermal`` reaches at |z| = t:
+    a truncation with at least this many crops nothing."""
+    r = effective_rank(p)
+    return r + propagator_degree(np.sqrt, t, r)[0]
 
 
 def coherent_coefficients(z: complex, dim: int) -> np.ndarray:
@@ -248,96 +206,6 @@ def displacement_core(t: float, rows: int, cols: int) -> np.ndarray:
     return shifted @ (step * _fock_wavefunctions(y, cols)).T
 
 
-def coherent_leakage(z: complex, dim: int) -> float:
-    """Probability mass of |z> above the cutoff (Poisson tail at |z|^2)."""
-    c = coherent_coefficients(z, dim)
-    return max(0.0, 1.0 - float(np.vdot(c, c).real))
-
-
-def required_coherent_dim(z: complex, leakage_tol: float) -> int:
-    """Smallest cutoff keeping the coherent leakage below tolerance."""
-    dim = max(4, math.ceil(abs(z) ** 2) + 1)
-    while coherent_leakage(z, dim) > leakage_tol:
-        dim = math.ceil(dim * 1.5) + 4
-    while dim > 1 and coherent_leakage(z, dim - 1) <= leakage_tol:
-        dim -= 1
-    return dim
-
-
-def coherent_state(z: complex, trunc: FockTruncation, leakage_tol: float = 1e-8) -> FockOperator:
-    """Rank-one coherent projector; leakage is reported, not renormalized away."""
-    c = coherent_coefficients(z, trunc.dim)
-    leakage = max(0.0, 1.0 - float(np.vdot(c, c).real))
-    if leakage > leakage_tol:
-        raise TruncationError(
-            f"coherent state leakage {leakage:.3e} above {leakage_tol:.1e}; "
-            f"need dim >= {required_coherent_dim(z, leakage_tol)}"
-        )
-    return FockOperator(FockTruncation(trunc.dim, tail_bound=leakage), np.outer(c, c.conj()))
-
-
-def _annihilation(dim: int) -> np.ndarray:
-    a = np.zeros((dim, dim), dtype=complex)
-    ks = np.arange(1, dim)
-    a[ks - 1, ks] = np.sqrt(ks)
-    return a
-
-
-def quadrature_operators(trunc: FockTruncation) -> tuple[np.ndarray, np.ndarray]:
-    """Position and momentum Q = (a + a^dag)/sqrt(2), P = (a - a^dag)/(i sqrt(2))."""
-    a = _annihilation(trunc.dim)
-    q = (a + a.conj().T) / math.sqrt(2.0)
-    p = (a - a.conj().T) / (1j * math.sqrt(2.0))
-    return q, p
-
-
-def default_pad(z: complex) -> int:
-    return max(16, math.ceil(8.0 * abs(z)))
-
-
-def displacement_operator(
-    d: Displacement,
-    trunc: FockTruncation,
-    pad: int | None = None,
-    unitarity_tol: float = 1e-3,
-    column_tol: float = 1e-8,
-) -> FockOperator:
-    """Displacement D(z) = exp(z a^dag - conj(z) a), built padded then cropped.
-
-    Dense reference for the propagator columns in ``displaced_thermal``.
-
-    Two adequacy checks feed the reported deficit.  The unitarity deficit is
-    the worst entry of D^dag D - 1 over the lower half of the cropped block:
-    it measures the mass a column loses to the cropped rows, so it is the
-    linear-scale truncation indicator (products of cropped displacements see
-    roughly its square).  The column deficit compares D(z)|0> against the
-    closed-form coherent coefficients, which catches an inadequate pad even
-    though the exponential of the truncated generator is unitary on its own
-    space.
-    """
-    if pad is None:
-        pad = default_pad(d.z)
-    dim_pad = trunc.dim + pad
-    a = _annihilation(dim_pad)
-    gen = d.z * a.conj().T - np.conj(d.z) * a
-    full = unitary_exp(-1j * gen)
-    m = full[: trunc.dim, : trunc.dim]
-    keep = max(1, trunc.dim // 2)
-    defect = m.conj().T @ m - np.eye(trunc.dim)
-    unit_deficit = float(np.abs(defect[:keep, :keep]).max())
-    col_deficit = float(np.abs(m[:, 0] - coherent_coefficients(d.z, trunc.dim)).max())
-    if unit_deficit > unitarity_tol or col_deficit > column_tol:
-        raise TruncationError(
-            f"displacement truncation deficits (unitarity {unit_deficit:.3e}, "
-            f"ground column {col_deficit:.3e}) above tolerances "
-            f"({unitarity_tol:.1e}, {column_tol:.1e}); increase pad (pad={pad}) "
-            f"or the truncation (dim={trunc.dim})"
-        )
-    return FockOperator(
-        FockTruncation(trunc.dim, tail_bound=max(unit_deficit, col_deficit)), m
-    )
-
-
 def displaced_thermal(
     u: LocalParam,
     mu: float,
@@ -414,60 +282,6 @@ class PolarGrid:
         ).reshape(-1, 2)
         w = np.repeat(wr, self.n_angular) * (2.0 * math.pi / self.n_angular)
         return pts, w
-
-    def complex_nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        pts, w = self.nodes()
-        return pts[:, 0] + 1j * pts[:, 1], w
-
-
-def glauber_mixture(
-    mu: float,
-    trunc: FockTruncation,
-    quad: PolarGrid | None = None,
-    tail_tol: float = 1e-4,
-) -> FockOperator:
-    """Thermal state assembled as a Gaussian mixture of coherent projectors.
-
-    The mixture has density e^{-|z|^2 / 2 s^2} / (2 pi s^2) over displacements
-    with s^2 = p / (2 (1 - p)); the quadrature result should reproduce
-    thermal_state(p) up to the reported Gaussian tail outside the grid radius.
-    """
-    if not 0.5 < mu < 1.0:
-        raise DomainError(f"mixture form needs mu in (1/2, 1), got {mu!r}")
-    p = (1.0 - mu) / mu
-    s2 = p / (2.0 * (1.0 - p))
-    if quad is None:
-        quad = PolarGrid(radius=6.0 * math.sqrt(s2))
-    tail = math.exp(-quad.radius ** 2 / (2.0 * s2))
-    if tail > tail_tol:
-        raise AccuracyError(
-            f"quadrature radius {quad.radius:.3f} too small: Gaussian tail "
-            f"{tail:.3e} above {tail_tol:.1e}"
-        )
-    z, w = quad.complex_nodes()
-    dens = np.exp(-np.abs(z) ** 2 / (2.0 * s2)) / (2.0 * math.pi * s2)
-    rows = _coherent_rows(z, trunc.dim).view(complex)
-    m = (rows * (w * dens)) @ rows.conj().T
-    return FockOperator(FockTruncation(trunc.dim, tail_bound=tail), m)
-
-
-def heterodyne_density(u_hat: LocalParam, mu: float, trunc: FockTruncation) -> FockOperator:
-    """POVM density (2 mu - 1)/pi |z><z| at z = sqrt(2 mu - 1) alpha_uhat.
-
-    The 1/pi makes the plane integral of the density the identity (coherent
-    state overcompleteness); the leakage of |z> above the cutoff is recorded
-    in the tail bound rather than raised, because densities are routinely
-    evaluated far in the tails where the overlap with any low-lying state is
-    negligible anyway.
-    """
-    if not 0.5 < mu <= 1.0:
-        raise DomainError(f"mu must lie in (1/2, 1], got {mu!r}")
-    z = displacement_amplitude(u_hat, mu)
-    c = coherent_coefficients(z, trunc.dim)
-    leakage = max(0.0, 1.0 - float(np.vdot(c, c).real))
-    scale = (2.0 * mu - 1.0) / math.pi
-    return FockOperator(FockTruncation(trunc.dim, tail_bound=leakage), scale * np.outer(c, c.conj()))
-
 
 def heterodyne_pdf(points, u: LocalParam, mu: float, trunc: FockTruncation) -> np.ndarray:
     """Outcome density Tr(phi^u h(u_hat)) evaluated at an (G, 2) array of points.

@@ -28,7 +28,7 @@ from scipy.special import gammaln
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .irreps import HalfInteger, LocalParam, rotation_columns, rotation_unitary
+from .irreps import HalfInteger, LocalParam, rotation_columns
 from .numerics import factor_difference_eigvals, gauge_phases, mirror_rows
 
 # Eigenvalues of a geometric spectrum below this fraction are dropped from the
@@ -117,12 +117,6 @@ class EnsembleState:
     @property
     def psi(self) -> float:
         return self.blocks[0].psi
-
-    def weights(self) -> np.ndarray:
-        return np.array([b.weight for b in self.blocks])
-
-    def spins(self) -> tuple[HalfInteger, ...]:
-        return tuple(b.j for b in self.blocks)
 
     def mirrored(self) -> "EnsembleState":
         """The ensemble at -u, as the row sign flip of every block's core."""
@@ -267,25 +261,6 @@ def discarded_weight(p: float, dim: int) -> float:
     if r == dim:
         return 0.0
     return (p ** r - p ** dim) / (1.0 - p ** dim)
-
-
-def block_state_zero(params: ModelParams, j: HalfInteger) -> np.ndarray:
-    """Unrotated spin-j block: diagonal entries proportional to p^k, descending m."""
-    _check_spin(params.n, j)
-    return np.diag(block_spectrum(params.p, j.dim)).astype(complex)
-
-
-def block_state(params: ModelParams, j: HalfInteger, u: LocalParam) -> np.ndarray:
-    """Rotated spin-j block U_j(u/sqrt(n)) rho0_j U_j(u/sqrt(n))^dag.
-
-    Dense reference for ``rotated_block``: one eigendecomposition and two
-    (2j+1)^3 products.
-    """
-    rho0 = block_state_zero(params, j)
-    if u.norm == 0.0:
-        return rho0
-    um = rotation_unitary(j, u.scaled(1.0 / math.sqrt(params.n)))
-    return um @ rho0 @ um.conj().T
 
 
 def rotated_block(params: ModelParams, j: HalfInteger, u: LocalParam) -> BlockState:

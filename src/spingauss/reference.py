@@ -1,0 +1,409 @@
+"""Dense reference implementations, kept as oracles for the tests.
+
+Every statistic the package reports is computed on low-rank real cores in one
+phase gauge (``qubit_model``, ``oscillator``, ``channels``,
+``measurements``).  This module holds the dense routes those cores replaced:
+eigendecomposition-based unitaries, full rotation and displacement
+matrices, dense block states, the block embedding and its inverse, and the
+outcome densities as quadratic forms of a dense block.  The tests compare
+the factor path against them.  No other module of the package imports this
+one, so the command line never loads it.
+
+States built here are factor-form ``FockOperator`` objects, so their
+``matrix`` is rebuilt on access like every other state's: a thermal state
+is a diagonal core, a coherent state or a heterodyne POVM element one
+column, and a Glauber mixture one column per quadrature node.  Operators
+(displacements, quadratures, embedded blocks) are plain arrays.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
+
+from .errors import AccuracyError, DomainError, TruncationError, ValidationError
+from .irreps import HalfInteger, LocalParam, _spin_coherent_rows
+from .measurements import BinaryTestResult, injectivity_radius, plane_jacobian
+from .numerics import HERMITICITY_RTOL, as_square_matrix
+from .oscillator import (
+    FockOperator,
+    FockTruncation,
+    PolarGrid,
+    _coherent_rows,
+    coherent_coefficients,
+    displacement_amplitude,
+)
+from .qubit_model import ModelParams, _check_spin, block_spectrum
+
+# Negative eigenvalues of nominally PSD matrices down to this are clamped to
+# zero; anything below is treated as a genuinely invalid state.
+PSD_REJECT = -1e-8
+
+
+class EigenSystem(NamedTuple):
+    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
+
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+
+
+def validate_hermitian(h, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
+    """Return ``h`` as an array (``as_square_matrix``), or raise naming the worst entry."""
+    h = as_square_matrix(h, "hermitian matrix")
+    asym = np.abs(h - h.conj().T)
+    scale = max(np.abs(h).max(), 1.0)
+    worst = np.unravel_index(np.argmax(asym), asym.shape)
+    if asym[worst] > rtol * scale:
+        row, col = int(worst[0]), int(worst[1])
+        raise ValidationError(
+            f"matrix is not Hermitian: |H - H^dag| = {asym[worst]:.3e} at entry "
+            f"({row}, {col}) exceeds {rtol:.1e} * max|H| = {rtol * scale:.3e}"
+        )
+    return h
+
+
+def hermitian_eig(h) -> EigenSystem:
+    """Eigendecomposition of a Hermitian matrix, eigenvalues sorted ascending."""
+    h = validate_hermitian(h)
+    w, v = np.linalg.eigh(h)
+    return EigenSystem(w, v)
+
+
+def unitary_exp(h) -> np.ndarray:
+    """exp(i*h) for Hermitian h, via eigendecomposition.
+
+    The eigendecomposition route keeps the result unitary up to eigensolver
+    accuracy, which a truncated series would not.
+    """
+    w, v = hermitian_eig(h)
+    return (v * np.exp(1j * w)) @ v.conj().T
+
+
+def _psd_eig(rho) -> EigenSystem:
+    """Eigensystem of a PSD matrix with small negative eigenvalues clamped."""
+    w, v = hermitian_eig(rho)
+    if w[0] < PSD_REJECT:
+        raise ValidationError(
+            f"matrix is not positive semidefinite: eigenvalue {w[0]:.3e} below {PSD_REJECT:.1e}"
+        )
+    return EigenSystem(np.clip(w, 0.0, None), v)
+
+
+def psd_factor(rho) -> np.ndarray:
+    """F with F F^dag = rho, one column per positive eigenvalue."""
+    w, v = _psd_eig(rho)
+    keep = w > 0.0
+    return v[:, keep] * np.sqrt(w[keep])
+
+
+def ladder_ops(j: HalfInteger) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Spin matrices (J+, J-, Jz) of dimension 2j + 1 in the descending-m basis.
+
+    J+|j,m> = sqrt(j - m) sqrt(j + m + 1) |j,m+1>, J- is its adjoint and
+    Jz|j,m> = m |j,m>.
+    """
+    tj = j.twoj
+    d = tj + 1
+    i = np.arange(1, d)
+    # raising entry <m+1|J+|m> lands on the superdiagonal in descending-m order
+    amp = np.sqrt(i * (tj + 1.0 - i))
+    jp = np.zeros((d, d), dtype=complex)
+    jp[np.arange(d - 1), np.arange(1, d)] = amp
+    jm = jp.conj().T
+    jz = np.diag((tj - 2.0 * np.arange(d)) / 2.0).astype(complex)
+    return jp, jm, jz
+
+
+def rotation_generator(j: HalfInteger, u: LocalParam) -> np.ndarray:
+    """Hermitian generator of the collective x-y rotation on the spin-j block.
+
+    Equals u_x X_j + u_y Y_j with X_j = J+ + J-, Y_j = (J+ - J-)/i, the
+    restrictions of the collective Pauli sums (twice the spin matrices).
+    """
+    jp, jm, _ = ladder_ops(j)
+    jx = (jp + jm) / 2.0
+    jy = (jp - jm) / 2.0j
+    return 2.0 * (u.ux * jx + u.uy * jy)
+
+
+def rotation_unitary(j: HalfInteger, u: LocalParam) -> np.ndarray:
+    """U_j(u): unitary exp of the collective rotation generator.
+
+    Dense route through an eigendecomposition of the (2j+1)-dimensional
+    generator, the reference for ``irreps.rotation_columns``.
+    """
+    return unitary_exp(rotation_generator(j, u))
+
+
+def block_state_zero(params: ModelParams, j: HalfInteger) -> np.ndarray:
+    """Unrotated spin-j block: diagonal entries proportional to p^k, descending m."""
+    _check_spin(params.n, j)
+    return np.diag(block_spectrum(params.p, j.dim)).astype(complex)
+
+
+def block_state(params: ModelParams, j: HalfInteger, u: LocalParam) -> np.ndarray:
+    """Rotated spin-j block U_j(u/sqrt(n)) rho0_j U_j(u/sqrt(n))^dag.
+
+    Dense reference for ``qubit_model.rotated_block``: one eigendecomposition
+    and two (2j+1)^3 products.
+    """
+    rho0 = block_state_zero(params, j)
+    if u.norm == 0.0:
+        return rho0
+    um = rotation_unitary(j, u.scaled(1.0 / math.sqrt(params.n)))
+    return um @ rho0 @ um.conj().T
+
+
+def number_basis_state(k: int, trunc: FockTruncation) -> FockOperator:
+    """Rank-one projector |k><k|."""
+    if not 0 <= k < trunc.dim:
+        raise DomainError(f"level {k} outside truncation 0..{trunc.dim - 1}")
+    core = np.zeros((trunc.dim, 1))
+    core[k, 0] = 1.0
+    return FockOperator(FockTruncation(trunc.dim), core=core)
+
+
+def thermal_state(p: float, trunc: FockTruncation) -> FockOperator:
+    """Thermal state diag((1-p) p^k); the trace deficit is exactly p^N."""
+    if not 0.0 <= p < 1.0:
+        raise DomainError(f"thermal parameter must lie in [0, 1), got {p!r}")
+    core = np.diag(np.sqrt((1.0 - p) * p ** np.arange(trunc.dim)))
+    return FockOperator(FockTruncation(trunc.dim, tail_bound=p ** trunc.dim), core=core)
+
+
+def coherent_leakage(z: complex, dim: int) -> float:
+    """Probability mass of |z> above the cutoff (Poisson tail at |z|^2)."""
+    c = coherent_coefficients(z, dim)
+    return max(0.0, 1.0 - float(np.vdot(c, c).real))
+
+
+def required_coherent_dim(z: complex, leakage_tol: float) -> int:
+    """Smallest cutoff keeping the coherent leakage below tolerance."""
+    dim = max(4, math.ceil(abs(z) ** 2) + 1)
+    while coherent_leakage(z, dim) > leakage_tol:
+        dim = math.ceil(dim * 1.5) + 4
+    while dim > 1 and coherent_leakage(z, dim - 1) <= leakage_tol:
+        dim -= 1
+    return dim
+
+
+def coherent_state(z: complex, trunc: FockTruncation, leakage_tol: float = 1e-8) -> FockOperator:
+    """Rank-one coherent projector; leakage is reported, not renormalized away."""
+    c = coherent_coefficients(z, trunc.dim)
+    leakage = max(0.0, 1.0 - float(np.vdot(c, c).real))
+    if leakage > leakage_tol:
+        raise TruncationError(
+            f"coherent state leakage {leakage:.3e} above {leakage_tol:.1e}; "
+            f"need dim >= {required_coherent_dim(z, leakage_tol)}"
+        )
+    return FockOperator(FockTruncation(trunc.dim, tail_bound=leakage), core=c[:, None])
+
+
+def _annihilation(dim: int) -> np.ndarray:
+    a = np.zeros((dim, dim), dtype=complex)
+    ks = np.arange(1, dim)
+    a[ks - 1, ks] = np.sqrt(ks)
+    return a
+
+
+def quadrature_operators(trunc: FockTruncation) -> tuple[np.ndarray, np.ndarray]:
+    """Position and momentum Q = (a + a^dag)/sqrt(2), P = (a - a^dag)/(i sqrt(2))."""
+    a = _annihilation(trunc.dim)
+    q = (a + a.conj().T) / math.sqrt(2.0)
+    p = (a - a.conj().T) / (1j * math.sqrt(2.0))
+    return q, p
+
+
+def displacement_operator(
+    z: complex,
+    trunc: FockTruncation,
+    pad: int | None = None,
+    unitarity_tol: float = 1e-3,
+    column_tol: float = 1e-8,
+) -> np.ndarray:
+    """Displacement D(z) = exp(z a^dag - conj(z) a), built padded then cropped.
+
+    Dense reference for the propagator columns in ``displaced_thermal``; the
+    default pad is max(16, 8 |z|) levels.
+
+    Two adequacy checks guard the result.  The unitarity deficit is the
+    worst entry of D^dag D - 1 over the lower half of the cropped block: it
+    measures the mass a column loses to the cropped rows, so it is the
+    linear-scale truncation indicator (products of cropped displacements see
+    roughly its square).  The column deficit compares D(z)|0> against the
+    closed-form coherent coefficients, which catches an inadequate pad even
+    though the exponential of the truncated generator is unitary on its own
+    space.
+    """
+    if pad is None:
+        pad = max(16, math.ceil(8.0 * abs(z)))
+    a = _annihilation(trunc.dim + pad)
+    gen = z * a.conj().T - np.conj(z) * a
+    m = unitary_exp(-1j * gen)[: trunc.dim, : trunc.dim]
+    keep = max(1, trunc.dim // 2)
+    defect = m.conj().T @ m - np.eye(trunc.dim)
+    unit_deficit = float(np.abs(defect[:keep, :keep]).max())
+    col_deficit = float(np.abs(m[:, 0] - coherent_coefficients(z, trunc.dim)).max())
+    if unit_deficit > unitarity_tol or col_deficit > column_tol:
+        raise TruncationError(
+            f"displacement truncation deficits (unitarity {unit_deficit:.3e}, "
+            f"ground column {col_deficit:.3e}) above tolerances "
+            f"({unitarity_tol:.1e}, {column_tol:.1e}); increase pad (pad={pad}) "
+            f"or the truncation (dim={trunc.dim})"
+        )
+    return m
+
+
+def glauber_mixture(
+    mu: float,
+    trunc: FockTruncation,
+    quad: PolarGrid | None = None,
+    tail_tol: float = 1e-4,
+) -> FockOperator:
+    """Thermal state assembled as a Gaussian mixture of coherent projectors.
+
+    The mixture has density e^{-|z|^2 / 2 s^2} / (2 pi s^2) over displacements
+    with s^2 = p / (2 (1 - p)); the quadrature result should reproduce
+    thermal_state(p) up to the reported Gaussian tail outside the grid radius.
+    Its factor holds one column sqrt(w dens) c(z) per quadrature node.
+    """
+    if not 0.5 < mu < 1.0:
+        raise DomainError(f"mixture form needs mu in (1/2, 1), got {mu!r}")
+    p = (1.0 - mu) / mu
+    s2 = p / (2.0 * (1.0 - p))
+    if quad is None:
+        quad = PolarGrid(radius=6.0 * math.sqrt(s2))
+    tail = math.exp(-quad.radius ** 2 / (2.0 * s2))
+    if tail > tail_tol:
+        raise AccuracyError(
+            f"quadrature radius {quad.radius:.3f} too small: Gaussian tail "
+            f"{tail:.3e} above {tail_tol:.1e}"
+        )
+    pts, w = quad.nodes()
+    z = pts[:, 0] + 1j * pts[:, 1]
+    dens = np.exp(-np.abs(z) ** 2 / (2.0 * s2)) / (2.0 * math.pi * s2)
+    core = _coherent_rows(z, trunc.dim).view(complex) * np.sqrt(w * dens)
+    return FockOperator(FockTruncation(trunc.dim, tail_bound=tail), core=core)
+
+
+def heterodyne_density(u_hat: LocalParam, mu: float, trunc: FockTruncation) -> FockOperator:
+    """POVM density (2 mu - 1)/pi |z><z| at z = sqrt(2 mu - 1) alpha_uhat.
+
+    The 1/pi makes the plane integral of the density the identity (coherent
+    state overcompleteness); the leakage of |z> above the cutoff is recorded
+    in the tail bound rather than raised, because densities are routinely
+    evaluated far in the tails where the overlap with any low-lying state is
+    negligible anyway.
+    """
+    if not 0.5 < mu <= 1.0:
+        raise DomainError(f"mu must lie in (1/2, 1], got {mu!r}")
+    c = coherent_coefficients(displacement_amplitude(u_hat, mu), trunc.dim)
+    leakage = max(0.0, 1.0 - float(np.vdot(c, c).real))
+    scale = (2.0 * mu - 1.0) / math.pi
+    return FockOperator(
+        FockTruncation(trunc.dim, tail_bound=leakage), core=math.sqrt(scale) * c[:, None]
+    )
+
+
+@dataclass(frozen=True)
+class EmbeddingMap:
+    """Isometric embedding of the spin-j block into a truncated Fock space."""
+
+    j: HalfInteger
+    trunc: FockTruncation
+
+    def __post_init__(self):
+        if self.trunc.dim < self.j.dim:
+            raise TruncationError(
+                f"truncation dim {self.trunc.dim} below block dim {self.j.dim}"
+            )
+
+
+def embed_block(rho_j: np.ndarray, emb: EmbeddingMap) -> np.ndarray:
+    """V_j rho V_j^dag: the block becomes the top-left corner, zeros elsewhere."""
+    d = emb.j.dim
+    rho_j = np.asarray(rho_j, dtype=complex)
+    if rho_j.shape != (d, d):
+        raise ValidationError(f"block shape {rho_j.shape} does not match spin {emb.j}")
+    out = np.zeros((emb.trunc.dim, emb.trunc.dim), dtype=complex)
+    out[:d, :d] = rho_j
+    return out
+
+
+def inverse_channel_block(phi: np.ndarray, emb: EmbeddingMap) -> np.ndarray:
+    """Left inverse of embed_block, extended to all oscillator states.
+
+    The block-diagonal part inside the image comes back unchanged; the trace
+    sitting outside the image is routed to |j, j> (index 0), which keeps the
+    map trace preserving.  ``channels.inverse_channel`` is this map on a
+    factor of phi.
+    """
+    m = np.asarray(phi, dtype=complex)
+    d = min(emb.j.dim, m.shape[0])
+    out = np.zeros((emb.j.dim, emb.j.dim), dtype=complex)
+    out[:d, :d] = m[:d, :d]
+    leftover = float(np.trace(m[d:, d:]).real)
+    out[0, 0] += leftover
+    return out
+
+
+def helstrom_risk(rho_plus, rho_minus) -> BinaryTestResult:
+    """Minimal error probability 1/2 (1 - ||r+ - r-||_1 / 2) of two dense
+    density matrices, from one eigendecomposition of their difference."""
+    eigs = np.linalg.eigvalsh(
+        np.asarray(rho_plus, dtype=complex) - np.asarray(rho_minus, dtype=complex)
+    )
+    tnorm = float(np.abs(eigs).sum())
+    return BinaryTestResult(
+        risk=0.5 * (1.0 - 0.5 * tnorm), optimal_projector_rank=int(np.sum(eigs > 0))
+    )
+
+
+def _as_points(u_hat) -> tuple[np.ndarray, bool]:
+    if isinstance(u_hat, LocalParam):
+        return np.array([[u_hat.ux, u_hat.uy]]), True
+    pts = np.asarray(u_hat, dtype=float)
+    if pts.ndim == 1:
+        return pts.reshape(1, 2), True
+    return pts.reshape(-1, 2), False
+
+
+def covariant_block_density(j: HalfInteger, n: int, rho_j: np.ndarray, u_hat):
+    """Outcome density of the covariant block measurement on the plane.
+
+    (2j+1)/(4 pi) <j, u/sqrt(n)| rho_j |j, u/sqrt(n)> times the plane Jacobian.
+    Integrating over the disk |u| < pi sqrt(n)/2 against d^2 u resolves the
+    identity, so a unit-trace block yields total mass one.
+    """
+    pts, scalar = _as_points(u_hat)
+    radii = np.hypot(pts[:, 0], pts[:, 1])
+    if np.any(radii >= injectivity_radius(n)):
+        raise DomainError(
+            f"|u_hat| must stay below pi sqrt(n)/2 = {injectivity_radius(n):.3f}"
+        )
+    sq = math.sqrt(n)
+    rows = _spin_coherent_rows(j.twoj, pts[:, 0] / sq, pts[:, 1] / sq, j.dim)
+    rho = np.asarray(rho_j, dtype=complex)
+    vals = np.einsum("gi,ij,gj->g", rows.conj(), rho, rows).real
+    dens = (j.dim / (4.0 * math.pi)) * vals * plane_jacobian(n, radii)
+    return float(dens[0]) if scalar else dens
+
+
+def heterodyne_pullback_density(j: HalfInteger, rho_j: np.ndarray, mu: float, u_hat):
+    """Heterodyne outcome density pulled back through the block embedding.
+
+    Only the coherent components inside the block's image contribute:
+    (2 mu - 1)/pi |<z_uhat| V_j rho V_j^dag |z_uhat>| truncated to 2j+1 rows.
+    Wrap-around copies of the density sit at distance 2 pi sqrt(n) and are
+    dropped; their Gaussian bound is far below every tolerance used here.
+    """
+    pts, scalar = _as_points(u_hat)
+    z = math.sqrt(2.0 * mu - 1.0) * (-pts[:, 1] + 1j * pts[:, 0])
+    rows = _coherent_rows(z, j.dim).view(complex)
+    rho = np.asarray(rho_j, dtype=complex)
+    vals = np.einsum("ig,ij,jg->g", rows.conj(), rho, rows).real
+    dens = (2.0 * mu - 1.0) / math.pi * vals
+    return float(dens[0]) if scalar else dens

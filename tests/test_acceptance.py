@@ -13,13 +13,10 @@ import numpy as np
 import pytest
 
 from spingauss.channels import (
-    EmbeddingMap,
     SweepSettings,
     coherent_vector_distance,
     composition_defect,
     convergence_sweep,
-    embed_block,
-    inverse_channel_block,
 )
 from spingauss.cli import main as cli_main
 from spingauss.irreps import HalfInteger, LocalParam
@@ -33,13 +30,15 @@ from spingauss.measurements import (
     position_measurement_risk,
 )
 from spingauss.numerics import trace_norm
-from spingauss.oscillator import FockTruncation, PolarGrid, glauber_mixture, thermal_state
-from spingauss.qubit_model import (
-    ModelParams,
+from spingauss.oscillator import FockTruncation, PolarGrid
+from spingauss.qubit_model import ModelParams, block_weight, multiplicity, valid_spins
+from spingauss.reference import (
+    EmbeddingMap,
     block_state_zero,
-    block_weight,
-    multiplicity,
-    valid_spins,
+    embed_block,
+    glauber_mixture,
+    inverse_channel_block,
+    thermal_state,
 )
 
 GRID9 = tuple(LocalParam(float(x), float(y)) for x in (-1, 0, 1) for y in (-1, 0, 1))

@@ -189,3 +189,74 @@ def test_report_roundtrip_read(tmp_path):
     rep = read_report(str(out))
     assert rep.experiment == "risk"
     assert any(r.statistic == "heterodyne_risk" for r in rep.rows)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["convergence", "--epsilon", "abc"],
+        ["convergence", "--trunc", "abc"],
+        ["convergence", "--trunc", "-1"],
+        ["convergence", "--workers", "abc"],
+        ["convergence", "--workers", "-2"],
+        ["convergence", "--workers", "0"],
+        ["risk", "--samples", "abc"],
+        ["risk", "--seed", "abc"],
+        ["risk", "--samples", "100", "--seed", "-1"],
+        ["risk", "--samples", "-5"],
+        ["risk", "--samples", "1"],
+    ],
+)
+def test_malformed_or_out_of_range_scalar_is_config_error(argv, capsys):
+    # each value is rejected before any experiment runs, never a traceback,
+    # a silent fallback (serial run, quadrature) or a nan bound
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err.startswith("error: config:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["measure-compare", "--trunc", "9"],
+        ["risk", "--n", "4"],
+        ["discriminate", "--workers", "2"],
+        ["convergence", "--samples", "5"],
+    ],
+)
+def test_subcommand_rejects_a_flag_it_does_not_read(argv):
+    assert run_cli(argv) == 2
+
+
+@pytest.mark.parametrize(
+    "command, keys",
+    [
+        ("convergence", {"mu", "n", "epsilon", "grid", "trunc", "workers", "format"}),
+        ("discriminate", {"mu", "n", "epsilon", "grid", "trunc", "format"}),
+        ("measure-compare", {"mu", "n", "epsilon", "grid", "format"}),
+        ("risk", {"mu", "samples", "seed", "format"}),
+    ],
+)
+def test_shared_config_file_echoes_only_the_keys_read(tmp_path, command, keys):
+    # one file may hold the keys of every subcommand; each report echoes
+    # only its own, and records a seed only where one is read
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text(
+        "mu = 1.0\nn = 16\nepsilon = 0.1\ngrid = 0.5,0\ntrunc = 0\nworkers = 1\n"
+        "samples = 0\nseed = 5\nformat = json\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "r.json"
+    assert run_cli([command, "--config", str(cfg), "--out", str(out)]) == 0
+    with open(out, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    assert set(payload["config"]) == keys
+    assert payload["seed"] == (5 if command == "risk" else None)
+
+
+def test_discriminate_automatic_truncation_holds_the_limit_core(tmp_path):
+    # at |u| = 10 the mu = 0.9 limit core reaches past any fixed cutoff of
+    # 128 rows; the automatic truncation takes every row it reaches
+    out = tmp_path / "disc.csv"
+    assert run_cli(["discriminate", "--mu", "0.9", "--n", "16", "--grid", "10,0", "--out", str(out)]) == 0
+    (limit,) = [r for r in read_csv_rows(out) if r["statistic"] == "limit_risk"]
+    assert float(limit["error_bound"]) < 1e-12

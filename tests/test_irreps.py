@@ -4,15 +4,8 @@ import numpy as np
 import pytest
 
 from spingauss.errors import DomainError
-from spingauss.irreps import (
-    HalfInteger,
-    LocalParam,
-    ladder_ops,
-    rotation_columns,
-    rotation_generator,
-    rotation_unitary,
-    spin_coherent_coords,
-)
+from spingauss.irreps import HalfInteger, LocalParam, rotation_columns, spin_coherent_coords
+from spingauss.reference import ladder_ops, rotation_generator, rotation_unitary
 
 
 def gauged(core, psi):

@@ -1,0 +1,52 @@
+"""The factor path stays free of the dense oracles.
+
+``spingauss.reference`` holds the dense constructions the tests compare
+against.  No other module of the package may import it, so the command line,
+and with it every benchmarked path, never loads it.
+"""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import spingauss
+
+PACKAGE = Path(spingauss.__file__).parent
+
+
+def imported_modules(tree: ast.AST) -> set[str]:
+    """Every module an ``import`` statement of ``tree`` names, with relative
+    imports resolved against the package."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "spingauss" + (f".{node.module}" if node.module else "") if node.level else node.module
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_no_package_module_imports_reference():
+    offenders = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "reference.py"
+        and any(
+            name == "spingauss.reference" or name.startswith("spingauss.reference.")
+            for name in imported_modules(ast.parse(path.read_text(encoding="utf-8")))
+        )
+    ]
+    assert offenders == []
+
+
+def test_cli_import_leaves_reference_unloaded():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, spingauss.cli; print('spingauss.reference' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert result.stdout.strip() == "False"

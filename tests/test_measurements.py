@@ -6,22 +6,19 @@ import numpy as np
 import pytest
 
 from spingauss.errors import DomainError, ValidationError
-from spingauss.irreps import HalfInteger, LocalParam, rotation_unitary
+from spingauss.irreps import HalfInteger, LocalParam
 from spingauss.measurements import (
     McSpec,
-    covariant_block_density,
     discrimination_limit,
     finite_n_discrimination,
     helstrom_risk,
     heterodyne_estimation_risk,
     heterodyne_outcome_std,
-    heterodyne_pullback_density,
     heterodyne_risk_reference,
     heterodyne_samples,
     injectivity_radius,
     measurement_tv_distance,
     measurement_tv_sweep,
-    outcome_density_field,
     position_measurement_risk,
 )
 from spingauss.measurements import (
@@ -34,15 +31,20 @@ from spingauss.measurements import (
 )
 from spingauss.numerics import trace_norm
 from spingauss.oscillator import FockTruncation, PolarGrid, _coherent_rows, heterodyne_pdf
-from spingauss import measurements, qubit_model
+from spingauss import measurements, qubit_model, reference
 from spingauss.qubit_model import (
     ModelParams,
-    block_state,
-    block_state_zero,
     block_weight,
     concentration_set,
     ensemble,
     valid_spins,
+)
+from spingauss.reference import (
+    block_state,
+    block_state_zero,
+    covariant_block_density,
+    heterodyne_pullback_density,
+    rotation_unitary,
 )
 
 
@@ -55,10 +57,10 @@ def random_density(rng, dim):
 def test_helstrom_trivial_cases():
     rng = np.random.default_rng(3)
     rho = random_density(rng, 3)
-    assert helstrom_risk(rho, rho).risk == pytest.approx(0.5, abs=1e-12)
+    assert reference.helstrom_risk(rho, rho).risk == pytest.approx(0.5, abs=1e-12)
     a = np.diag([1.0, 0.0]).astype(complex)
     b = np.diag([0.0, 1.0]).astype(complex)
-    assert helstrom_risk(a, b).risk == pytest.approx(0.0, abs=1e-12)
+    assert reference.helstrom_risk(a, b).risk == pytest.approx(0.0, abs=1e-12)
 
 
 def test_helstrom_pure_overlap_closed_form():
@@ -68,7 +70,7 @@ def test_helstrom_pure_overlap_closed_form():
         b = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         a /= np.linalg.norm(a)
         b /= np.linalg.norm(b)
-        got = helstrom_risk(np.outer(a, a.conj()), np.outer(b, b.conj())).risk
+        got = reference.helstrom_risk(np.outer(a, a.conj()), np.outer(b, b.conj())).risk
         c = abs(np.vdot(a, b))
         assert got == pytest.approx(0.5 * (1 - math.sqrt(1 - c * c)), abs=1e-12)
 
@@ -78,12 +80,12 @@ def test_helstrom_symmetry_and_unitary_invariance():
     for _ in range(10):
         a = random_density(rng, 4)
         b = random_density(rng, 4)
-        r1 = helstrom_risk(a, b).risk
-        r2 = helstrom_risk(b, a).risk
+        r1 = reference.helstrom_risk(a, b).risk
+        r2 = reference.helstrom_risk(b, a).risk
         assert abs(r1 - r2) < 1e-10
         h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         q, _ = np.linalg.qr(h)
-        r3 = helstrom_risk(q @ a @ q.conj().T, q @ b @ q.conj().T).risk
+        r3 = reference.helstrom_risk(q @ a @ q.conj().T, q @ b @ q.conj().T).risk
         assert abs(r1 - r3) < 1e-10
 
 
@@ -154,13 +156,14 @@ def test_discrimination_limit_values():
 
 def test_discrimination_limit_matches_truncated_fock_oracle():
     # pure-case oracle on the oscillator: risk between coherent states at +-u
-    from spingauss.oscillator import coherent_state, displacement_amplitude
+    from spingauss.oscillator import displacement_amplitude
+    from spingauss.reference import coherent_state
 
     for mag in (0.3, 0.5, 1.0):
         u = LocalParam(mag, 0.0)
         plus = coherent_state(displacement_amplitude(u, 1.0), FockTruncation(64))
         minus = coherent_state(displacement_amplitude(-u, 1.0), FockTruncation(64))
-        got = helstrom_risk(plus.matrix, minus.matrix).risk
+        got = reference.helstrom_risk(plus.matrix, minus.matrix).risk
         assert got == pytest.approx(discrimination_limit(u), abs=1e-6)
 
 
@@ -173,7 +176,7 @@ def test_helstrom_factor_form_limit_states_match_dense():
     for mu, u in ((0.75, LocalParam(0.6, -0.3)), (0.9, LocalParam(-1.2, 0.4))):
         plus = displaced_thermal(u, mu, trunc)
         got = helstrom_risk(plus, plus.mirrored()).risk
-        want = helstrom_risk(plus.matrix, displaced_thermal(-u, mu, trunc).matrix).risk
+        want = reference.helstrom_risk(plus.matrix, displaced_thermal(-u, mu, trunc).matrix).risk
         assert got == pytest.approx(want, abs=1e-13)
 
 
@@ -357,19 +360,6 @@ def test_block_density_pair_matches_public_densities():
     np.testing.assert_allclose(dens_h, want_h, atol=1e-12)
 
 
-def test_outcome_density_field_masses():
-    params = ModelParams(36, 0.75)
-    u = LocalParam(0.5, 0.5)
-    field = outcome_density_field(params, u)
-    included = sum(field.block_weights)
-    assert np.all(field.covariant >= -1e-12)
-    assert np.all(field.heterodyne >= -1e-12)
-    mass_m = np.sum(field.weights * field.covariant)
-    mass_h = np.sum(field.weights * field.heterodyne)
-    assert mass_m == pytest.approx(included, abs=2e-3)
-    assert mass_h == pytest.approx(included, abs=2e-3)
-
-
 def test_measurement_tv_smoke_and_decrease():
     est16 = measurement_tv_distance(ModelParams(16, 0.75), LocalParam(0.5, 0.5))
     est64 = measurement_tv_distance(ModelParams(64, 0.75), LocalParam(0.5, 0.5))
@@ -429,10 +419,11 @@ def test_closed_form_covariant_density_matches_dense_blocks():
             for u in (LocalParam(0, 0), LocalParam(1, -0.5), LocalParam(-2.1, 1.3)):
                 grid = default_tv_grid(mu, u, n)
                 pts, _ = grid.nodes()
-                for block, dens_m, _ in block_densities(params, u, grid):
+                for block, dens_m, dens_h in block_densities(params, u, grid):
                     rho = block_state(params, block.j, u)
                     want = covariant_block_density(block.j, n, rho, pts)
                     np.testing.assert_allclose(dens_m, want, rtol=0, atol=1e-13)
+                    assert dens_m.min() >= 0.0 and dens_h.min() >= -1e-12
 
 
 @pytest.mark.parametrize("n", [16, 4096], ids=["n16-edge-grid", "n4096-edge-grid"])

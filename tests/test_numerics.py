@@ -4,19 +4,22 @@ import numpy as np
 import pytest
 
 from spingauss.errors import ValidationError
-from spingauss.irreps import HalfInteger, LocalParam, rotation_unitary
+from spingauss.irreps import HalfInteger, LocalParam
 from spingauss.numerics import (
     factor_difference_eigvals,
-    fidelity,
     gauge_phases,
-    hermitian_eig,
     mirror_rows,
-    psd_factor,
     trace_norm,
     tridiagonal_propagator,
+)
+from spingauss.oscillator import FockTruncation
+from spingauss.reference import (
+    displacement_operator,
+    hermitian_eig,
+    psd_factor,
+    rotation_unitary,
     unitary_exp,
 )
-from spingauss.oscillator import Displacement, FockTruncation, displacement_operator
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -163,7 +166,7 @@ def test_propagator_matches_displacement_operator_columns():
     rng = np.random.default_rng(53)
     for mag in (0.0, 0.4, 1.0, 2.2, 3.0):
         z = mag * np.exp(2j * math.pi * rng.uniform())
-        dense = displacement_operator(Displacement(z), FockTruncation(160), pad=64).matrix
+        dense = displacement_operator(z, FockTruncation(160), pad=64)
         got = gauged(tridiagonal_propagator(np.sqrt, abs(z), 12), np.angle(z))
         rows = got.shape[0]
         assert rows < 160
@@ -236,43 +239,3 @@ def test_psd_factor_reconstructs_state():
     np.testing.assert_allclose(f @ f.conj().T, rho, atol=1e-14)
     with pytest.raises(ValidationError):
         psd_factor(np.diag([1.1, -0.1]).astype(complex))
-
-
-def test_fidelity_self_is_one():
-    rng = np.random.default_rng(19)
-    rho = random_density(rng, 3)
-    assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_fidelity_pure_states_overlap():
-    rng = np.random.default_rng(23)
-    a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    b = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    a /= np.linalg.norm(a)
-    b /= np.linalg.norm(b)
-    f = fidelity(np.outer(a, a.conj()), np.outer(b, b.conj()))
-    assert f == pytest.approx(abs(np.vdot(a, b)), abs=1e-10)
-
-
-def test_fidelity_commuting_bhattacharyya_oracle():
-    p = np.array([0.5, 0.3, 0.2])
-    q = np.array([0.1, 0.2, 0.7])
-    f = fidelity(np.diag(p).astype(complex), np.diag(q).astype(complex))
-    assert f == pytest.approx(np.sum(np.sqrt(p * q)), abs=1e-12)
-
-
-def test_fidelity_rejects_negative_eigenvalues():
-    bad = np.diag([1.1, -0.1]).astype(complex)
-    with pytest.raises(ValidationError):
-        fidelity(bad, np.diag([0.5, 0.5]).astype(complex))
-
-
-def test_fuchs_van_de_graaf_on_random_qubit_pairs():
-    rng = np.random.default_rng(29)
-    for _ in range(40):
-        rho = random_density(rng, 2)
-        sig = random_density(rng, 2)
-        f = fidelity(rho, sig)
-        half_tn = 0.5 * trace_norm(rho - sig)
-        assert 1 - f <= half_tn + 1e-8
-        assert half_tn <= math.sqrt(1 - f * f) + 1e-8

@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from spingauss.errors import DomainError
-from spingauss.irreps import HalfInteger, LocalParam, rotation_unitary
+from spingauss.irreps import HalfInteger, LocalParam
 from spingauss import qubit_model
 from spingauss.qubit_model import (
     ModelParams,
     binomial_factor,
     binomial_factor_closed_form,
-    block_state,
-    block_state_zero,
     block_weight,
     concentration_set,
     concentration_weight,
@@ -22,6 +20,7 @@ from spingauss.qubit_model import (
     spin_center,
     valid_spins,
 )
+from spingauss.reference import block_state, block_state_zero, rotation_unitary
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
