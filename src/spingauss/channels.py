@@ -48,16 +48,11 @@ from .qubit_model import (
 )
 
 
-def _forward_blocks(
-    ens: EnsembleState, trunc: FockTruncation, js: tuple[HalfInteger, ...] | None
-) -> list[BlockState]:
-    """The blocks the forward channel mixes: those in ``js`` (None: all) that
-    occur in the state, each checked to fit into the truncation."""
-    include = None if js is None else set(js)
+def _forward_blocks(ens: EnsembleState, trunc: FockTruncation) -> list[BlockState]:
+    """The blocks the forward channel mixes: those that occur in the state,
+    each checked to fit into the truncation."""
     blocks = []
     for b in ens.blocks:
-        if include is not None and b.j not in include:
-            continue
         if b.weight == 0.0:
             continue
         if b.j.dim > trunc.dim:
@@ -68,14 +63,12 @@ def _forward_blocks(
     return blocks
 
 
-def _forward_corner(
-    ens: EnsembleState, trunc: FockTruncation, js: tuple[HalfInteger, ...] | None
-) -> np.ndarray:
-    """Weighted sum of the included blocks' core core^dag on the rows they reach.
+def _forward_corner(ens: EnsembleState, trunc: FockTruncation) -> np.ndarray:
+    """Weighted sum of the blocks' core core^dag on the rows they reach.
 
     This is the forward channel's output in the ensemble's gauge ``ens.psi``.
     """
-    blocks = _forward_blocks(ens, trunc, js)
+    blocks = _forward_blocks(ens, trunc)
     rows = max((b.core.shape[0] for b in blocks), default=0)
     out = np.zeros((rows, rows), dtype=np.result_type(float, *(b.core for b in blocks)))
     for b in blocks:
@@ -84,19 +77,14 @@ def _forward_corner(
     return out
 
 
-def forward_channel(
-    ens: EnsembleState,
-    trunc: FockTruncation,
-    js: tuple[HalfInteger, ...] | None = None,
-) -> FockOperator:
-    """Weighted sum of embedded blocks; restricting ``js`` drops the rest.
+def forward_channel(ens: EnsembleState, trunc: FockTruncation) -> FockOperator:
+    """Weighted sum of every embedded block.
 
     The block embedding is the identity on indices, so the result is in
     factor form: the cores sqrt(w_j) core_j side by side, in the ensemble's
-    gauge ``ens.psi``.  Its trace equals the total weight of the included
-    blocks, so an excluded-weight report is one subtraction away.
+    gauge ``ens.psi``.
     """
-    blocks = _forward_blocks(ens, trunc, js)
+    blocks = _forward_blocks(ens, trunc)
     rows = max((b.core.shape[0] for b in blocks), default=0)
     core = np.hstack(
         [np.zeros((rows, 0))]
@@ -213,7 +201,6 @@ class ConvergenceRecord:
     block_argmax: LocalParam
     reverse_sup: float
     reverse_argmax: LocalParam
-    excluded_weight: float
     trunc_dim: int
     tail_bound: float
     error_bound: float  # largest point error bound, which also bounds each sup
@@ -228,7 +215,6 @@ class SweepSettings:
     n_values: tuple[int, ...]
     u_grid: tuple[LocalParam, ...]
     epsilon: float = 0.1
-    restrict_to_concentration: bool = False
     trunc_dim: int | None = None
     workers: int = 1
 
@@ -238,11 +224,9 @@ def _sweep_truncation(settings: SweepSettings, params: ModelParams) -> FockTrunc
         return FockTruncation(settings.trunc_dim, params.p ** settings.trunc_dim)
     u_max = max(pt.norm for pt in settings.u_grid)
     trunc = default_truncation(params, u_max)
-    if not settings.restrict_to_concentration:
-        # every block up to j = n/2 enters the channel sum
-        dim_needed = params.n + 1
-        if trunc.dim < dim_needed:
-            trunc = FockTruncation(dim_needed, trunc.tail_bound)
+    # every block up to j = n/2 enters the channel sum
+    if trunc.dim < params.n + 1:
+        trunc = FockTruncation(params.n + 1, trunc.tail_bound)
     return trunc
 
 
@@ -251,10 +235,8 @@ def _sweep_point(args) -> PointStats:
     params = ModelParams(n, settings.mu, settings.epsilon)
     ens = ensemble(params, u)
     phi = displaced_thermal(u, settings.mu, trunc)
-    js = concentration_set(params)
-    included = js if settings.restrict_to_concentration else None
     # blocks and phi share the gauge u.angle, so the real corners compare
-    corner = _forward_corner(ens, trunc, included)
+    corner = _forward_corner(ens, trunc)
     # everything past the rows the factors reach is zero on both sides
     rows = max(corner.shape[0], phi.core.shape[0])
     diff = np.zeros((rows, rows))
@@ -262,7 +244,7 @@ def _sweep_point(args) -> PointStats:
     r = phi.core.shape[0]
     diff[:r, :r] -= phi.core @ phi.core.T
     forward = trace_norm(diff)
-    jset = set(js)
+    jset = set(concentration_set(params))
     block_max = 0.0
     for b in ens.blocks:
         # blocks that carry no weight do not occur in the state
@@ -296,14 +278,7 @@ def convergence_sweep(settings: SweepSettings) -> list[ConvergenceRecord]:
     records = []
     for n in settings.n_values:
         pts = tuple(s for s in stats if s.n == n)
-        params = ModelParams(n, settings.mu, settings.epsilon)
         trunc = truncs[n]
-        excluded = 0.0
-        if settings.restrict_to_concentration:
-            jset = set(concentration_set(params))
-            excluded = sum(
-                block_weight(params, j) for j in valid_spins(n) if j not in jset
-            )
         fwd = max(pts, key=lambda s: s.forward)
         blk = max(pts, key=lambda s: s.block_max)
         rev = max(pts, key=lambda s: s.reverse)
@@ -319,7 +294,6 @@ def convergence_sweep(settings: SweepSettings) -> list[ConvergenceRecord]:
                 block_argmax=blk.u,
                 reverse_sup=rev.reverse,
                 reverse_argmax=rev.u,
-                excluded_weight=excluded,
                 trunc_dim=trunc.dim,
                 tail_bound=trunc.tail_bound,
                 error_bound=max(s.error_bound for s in pts),

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numerics import tridiagonal_propagator
+from .numerics import gauge_phases, tridiagonal_propagator
 
 
 @dataclass(frozen=True, order=True)
@@ -125,54 +125,17 @@ def rotation_columns(j: HalfInteger, u: LocalParam, cols: int) -> np.ndarray:
 def spin_coherent_coords(j: HalfInteger, w: LocalParam) -> np.ndarray:
     """Coordinates of the spin coherent vector |j, w> = U_j(w)|j, j>.
 
-    In the descending-m convention entry k is
+    This is column 0 of U_j(w): the real core ``rotation_columns(j, w, 1)``
+    in the gauge psi = w.angle, padded with zeros to 2j + 1 entries.  In the
+    descending-m convention entry k is
     sqrt(C(2j, k)) zeta^k (1 - |zeta|^2)^{(2j-k)/2} with
-    zeta = e^{i phi} sin|w|, phi = Arg(-w_y + i w_x).  Binomial coefficients
-    are evaluated in log space so the formula stays finite up to 2j ~ 4000.
+    zeta = e^{i psi} sin|w| (the closed form
+    ``spingauss.reference._spin_coherent_rows``).
     """
     r = w.norm
     if r >= math.pi / 2:
         raise DomainError(f"|w| = {r:.6f} outside the principal branch |w| < pi/2")
-    d = j.dim
-    if r == 0.0:
-        out = np.zeros(d, dtype=complex)
-        out[0] = 1.0
-        return out
-    return _spin_coherent_rows(j.twoj, np.array([w.ux]), np.array([w.uy]), d)[0]
-
-
-def _spin_coherent_rows(twoj: int, wx: np.ndarray, wy: np.ndarray, num_rows: int) -> np.ndarray:
-    """Vectorized spin coherent amplitudes: shape (points, num_rows).
-
-    Rows beyond num_rows are dropped; callers choose num_rows so the dropped
-    amplitudes are below their tolerance.
-    """
-    r = np.hypot(wx, wy)
-    if np.any(r >= math.pi / 2):
-        raise DomainError("spin coherent coordinates need |w| < pi/2")
-    phi = np.arctan2(wx, -wy)
-    k = np.arange(num_rows)
-    # log sqrt(C(2j, k)) as a running sum of log((2j - i)/(i + 1)): the
-    # difference of gammaln values near 2j would lose 1e-12 at 2j ~ 2000
-    with np.errstate(divide="ignore"):  # rows past 2j have C(2j, k) = 0
-        steps = np.log(np.maximum(twoj - k[:-1], 0) / (k[:-1] + 1.0))
-    logbin = 0.5 * np.concatenate(([0.0], np.cumsum(steps)))
-    out = np.zeros((len(r), num_rows), dtype=complex)
-    pos = r > 0
-    if np.any(pos):
-        with np.errstate(divide="ignore"):  # sin/cos logs are finite for 0 < r < pi/2
-            ls = np.log(np.sin(r[pos]))[:, None]
-            lc = np.log(np.cos(r[pos]))[:, None]
-        amp = np.exp(logbin[None, :] + k[None, :] * ls + (twoj - k)[None, :] * lc)
-        # phases e^{i k phi} as a running product of the unit step e^{i phi};
-        # a real exponential plus complex multiplies beats a complex exp per
-        # entry, and the |q| = 1 drift stays orders below the amplitudes' own
-        # rounding for any realistic row count
-        phases = np.empty((int(pos.sum()), num_rows), dtype=complex)
-        phases[:, 0] = 1.0
-        if num_rows > 1:
-            phases[:, 1:] = np.exp(1j * phi[pos])[:, None]
-            np.cumprod(phases[:, 1:], axis=1, out=phases[:, 1:])
-        out[pos] = amp * phases
-    out[~pos, 0] = 1.0
+    col = rotation_columns(j, w, 1)[:, 0]
+    out = np.zeros(j.dim, dtype=complex)
+    out[: len(col)] = gauge_phases(w.angle, len(col)) * col
     return out

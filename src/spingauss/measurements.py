@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError, ValidationError
 from .irreps import HalfInteger, LocalParam, rotation_columns
-from .numerics import factor_difference_eigvals, gauge_phases, propagator_degree
+from .numerics import factor_difference_eigvals, propagator_degree
 from .oscillator import (
     FockOperator,
     FockTruncation,
@@ -60,6 +60,8 @@ from .qubit_model import (
 # Blocks per ``_block_density_pair`` call: a chunk's diagonal sums run as one
 # batched product, while its (blocks, points) densities stay a few MiB.
 TV_CHUNK = 16
+# Std of the Monte Carlo Gaussian proposal, in units of the outcome std.
+MC_PROPOSAL_SCALE = 1.6
 
 
 @dataclass(frozen=True)
@@ -139,11 +141,10 @@ def heterodyne_outcome_std(mu: float) -> float:
 
 @dataclass(frozen=True)
 class McSpec:
-    """Seeded Monte Carlo settings; the proposal scale multiplies the outcome std."""
+    """Seeded Monte Carlo settings."""
 
     seed: int
     samples: int = 200_000
-    proposal_scale: float = 1.6
 
 
 @dataclass(frozen=True)
@@ -165,23 +166,20 @@ def _risk_truncation(mu: float, u: LocalParam, radius: float) -> FockTruncation:
 def heterodyne_estimation_risk(
     mu: float,
     u: LocalParam = LocalParam(0.0, 0.0),
-    quad: PolarGrid | None = None,
     mc: McSpec | None = None,
-    trunc: FockTruncation | None = None,
 ) -> RiskEstimate:
     """Mean squared error E||u_hat - u||^2 of the heterodyne measurement.
 
-    Deterministic quadrature of the computed outcome density by default; with
-    ``mc`` given, importance sampling against a Gaussian proposal instead.
-    The outcome density itself always comes from the truncated operators, so
-    neither path assumes the Gaussian closed form.
+    Deterministic quadrature of the computed outcome density by default, on
+    a polar grid of radius 8 sigma around u; with ``mc`` given, importance
+    sampling against a Gaussian proposal instead.  The outcome density
+    itself always comes from the truncated operators, so neither path
+    assumes the Gaussian closed form.
     """
-    sig = heterodyne_outcome_std(mu)
-    if quad is None:
-        quad = PolarGrid(center=(u.ux, u.uy), radius=8.0 * sig, n_radial=160, n_angular=128)
     if mc is None:
-        if trunc is None:
-            trunc = _risk_truncation(mu, u, quad.radius)
+        sig = heterodyne_outcome_std(mu)
+        quad = PolarGrid(center=(u.ux, u.uy), radius=8.0 * sig, n_radial=160, n_angular=128)
+        trunc = _risk_truncation(mu, u, quad.radius)
         pts, w = quad.nodes()
         dens = heterodyne_pdf(pts, u, mu, trunc)
         sq = (pts[:, 0] - u.ux) ** 2 + (pts[:, 1] - u.uy) ** 2
@@ -200,7 +198,7 @@ def heterodyne_estimation_risk(
                 f"quadrature risk error bound {bound:.3e} above 2% of value {value:.3e}"
             )
         return RiskEstimate(value=value, error_bound=bound, method="quadrature", mass=mass)
-    pts, weights = heterodyne_samples(mu, u, mc, trunc)
+    pts, weights = heterodyne_samples(mu, u, mc)
     sq = (pts[:, 0] - u.ux) ** 2 + (pts[:, 1] - u.uy) ** 2
     vals = sq * weights
     value = float(vals.mean())
@@ -214,18 +212,18 @@ def heterodyne_estimation_risk(
     )
 
 
-def heterodyne_samples(
-    mu: float, u: LocalParam, mc: McSpec, trunc: FockTruncation | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Importance-sampled outcome points and weights for the heterodyne density."""
+def heterodyne_samples(mu: float, u: LocalParam, mc: McSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Importance-sampled outcome points and weights for the heterodyne density.
+
+    The truncation is sized from the farthest sample.
+    """
     rng = np.random.default_rng(mc.seed)
     sig = heterodyne_outcome_std(mu)
-    sp = mc.proposal_scale * sig
+    sp = MC_PROPOSAL_SCALE * sig
     pts = rng.standard_normal((mc.samples, 2)) * sp + np.array([u.ux, u.uy])
     sq = (pts[:, 0] - u.ux) ** 2 + (pts[:, 1] - u.uy) ** 2
     proposal = np.exp(-sq / (2.0 * sp * sp)) / (2.0 * math.pi * sp * sp)
-    if trunc is None:
-        trunc = _risk_truncation(mu, u, math.sqrt(sq.max()))
+    trunc = _risk_truncation(mu, u, math.sqrt(sq.max()))
     dens = heterodyne_pdf(pts, u, mu, trunc)
     return pts, dens / proposal
 
@@ -255,12 +253,18 @@ class TvEstimate:
     out_of_grid_bound: float
 
 
-def default_tv_grid(mu: float, u: LocalParam, n_min: int) -> PolarGrid:
+def default_tv_grid(mu: float, u: LocalParam, n: int) -> PolarGrid:
+    """The TV quadrature grid at (n, u): centred at u, and inside 0.98 of
+    the injectivity disk."""
+    limit = 0.98 * injectivity_radius(n) - u.norm
+    if limit <= 0.0:
+        raise DomainError(
+            f"|u| = {u.norm:.6g} is not inside 0.98 of the injectivity radius "
+            f"pi sqrt(n)/2 = {injectivity_radius(n):.6g} at n = {n}"
+        )
     # Gauss-Legendre radial nodes keep the quadrature error near rounding for
     # these Gaussian-tailed densities already at modest node counts
-    sig = heterodyne_outcome_std(mu)
-    radius = 6.0 * sig + 3.0
-    limit = 0.98 * injectivity_radius(n_min) - u.norm
+    radius = 6.0 * heterodyne_outcome_std(mu) + 3.0
     return PolarGrid(center=(u.ux, u.uy), radius=min(radius, limit), n_radial=64, n_angular=96)
 
 
@@ -334,8 +338,8 @@ class _TvGrid:
     """Everything one (n, u) grid shares across its blocks.
 
     The covariant side is pointwise (``covariant``).  The heterodyne side is
-    re-centred on the grid centre c.  With s = sqrt(2 mu - 1) and
-    z_c = s alpha(c), a node c + rho (cos t, sin t) has amplitude
+    re-centred on the grid centre, u.  With s = sqrt(2 mu - 1) and
+    z_c = s alpha(u), a node u + rho (cos t, sin t) has amplitude
     z = z_c + s rho e^{i(t + pi/2)}, and D(z_c)^dag |z> = e^{i theta}
     |s rho e^{i(t + pi/2)}>.  A block with real core F in the gauge
     psi = u.angle and spectrum Lambda then has the pulled-back density
@@ -344,13 +348,11 @@ class _TvGrid:
 
     c_0 = 1 and c_d = 2 past it, h(rho, d) = sum_m R_{m+d} R_m A_{m+d,m}
     with R_m the real coherent row at s rho, and A = G Lambda G^T with
-    G = ``back`` F, ``back`` the leading rows of D(-z_c) in the gauge psi:
-    only as many as the radial rows reach at rho = radius, so the tables
-    do not grow with |z_c|.  The radial products R_{m+d} R_m are ``diag``
-    as [d, m, rho] (zero past the last row) and c_d cos(d (t + pi/2 - psi))
-    is ``cos`` as [d, t].  A complex ``back`` (a centre at another angle
-    than u, away from the origin) makes A Hermitian, and its imaginary
-    parts add c_d Im h(rho, d) sin(...), from ``sin``.  ``back`` is one
+    G = ``back`` F, ``back`` the leading rows of D(-z_c), real in the gauge
+    psi: only as many as the radial rows reach at rho = radius, so the
+    tables do not grow with |z_c|.  The radial products R_{m+d} R_m are
+    ``diag`` as [d, m, rho] (zero past the last row) and
+    c_d cos(d (t + pi/2 - psi)) is ``cos`` as [d, t].  ``back`` is one
     quadrature of number wavefunctions (``displacement_core``), whose cost
     grows with the rows the blocks reach, about |z_c|^2, and not with a
     series degree of order |z_c|^2.  ``points`` and ``weights`` are the
@@ -364,7 +366,6 @@ class _TvGrid:
     back: np.ndarray
     diag: np.ndarray
     cos: np.ndarray
-    sin: np.ndarray
     blocks: tuple[_Block, ...]
 
 
@@ -376,12 +377,14 @@ def _tv_grid(
 ) -> _TvGrid:
     """The tables ``grid`` shares across its blocks (``_TvGrid``).
 
-    One call builds the nodes and the covariant data at them (which rejects
-    a grid past the injectivity disk before any other work), every included
-    block's rotation columns, the leading rows of D(-z_c) (one
-    ``displacement_core`` quadrature, only as many rows as the radial rows
-    reach), and the radial and angular tables.
+    ``grid`` must be centred at u.  One call builds the nodes and the
+    covariant data at them (which rejects a grid past the injectivity disk
+    before any other work), every included block's rotation columns, the
+    leading rows of D(-z_c) (one ``displacement_core`` quadrature, only as
+    many rows as the radial rows reach), and the radial and angular tables.
     """
+    if grid.center != (u.ux, u.uy):
+        raise ValidationError(f"TV grid centred at {grid.center}, not at u = ({u.ux}, {u.uy})")
     pts, w = grid.nodes()
     covariant = _covariant(params, u, pts)
     radii, _, angles = grid.axes()
@@ -393,23 +396,17 @@ def _tv_grid(
         if bw > NEGLIGIBLE_WEIGHT
     )
     rows = max(b.cols.shape[0] for b in blocks)
-    # D(z_c) is the real core M = D(|z_c|) in the centre's gauge psi_c
-    # (``displaced_thermal``), so D(-z_c) = D(z_c)^dag is M^T there; at
-    # z_c = 0, M is the identity in any gauge, so psi_c = psi.  h only sees
-    # the leading rows of G where the radial rows at s rho, rho < radius,
-    # are not negligible, and G is zero past rows + K, K the band of M to
-    # the series accuracy (``propagator_degree``; rows + K cannot cut when
-    # rows alone does not).  In the blocks' gauge psi, D(-z_c) is
-    # e^{i(r - c)(psi_c - psi)} M^T, complex unless psi_c = psi
-    center = LocalParam(*grid.center)
-    t = s * center.norm
+    # D(z_c) is the real core M = D(|z_c|) in the blocks' gauge psi = u.angle
+    # (``displaced_thermal``), so D(-z_c) = D(z_c)^dag is M^T there.  h only
+    # sees the leading rows of G where the radial rows at s rho,
+    # rho < radius, are not negligible, and G is zero past rows + K, K the
+    # band of M to the series accuracy (``propagator_degree``; rows + K
+    # cannot cut when rows alone does not)
+    t = s * u.norm
     size = _row_support((s * grid.radius) ** 2)
     if rows < size:
         size = min(size, rows + propagator_degree(np.sqrt, t, rows)[0])
     back = np.ascontiguousarray(displacement_core(t, rows, size).T)
-    shift = center.angle - u.angle if center.norm else 0.0
-    if shift:
-        back = gauge_phases(shift, size)[:, None] * back * gauge_phases(-shift, rows)
     radial = _coherent_rows(s * radii, size)[:, 0::2]
     diag = np.zeros((size, size, len(radii)))
     for d in range(size):
@@ -425,7 +422,6 @@ def _tv_grid(
         back=back,
         diag=diag,
         cos=fold * np.cos(phase),
-        sin=fold * np.sin(phase),
         blocks=blocks,
     )
 
@@ -445,18 +441,16 @@ def _block_density_pair(
     """
     dens_m = np.stack([tv.covariant.density(b.j.twoj) for b in blocks])
     size = tv.back.shape[0]
-    a = np.empty((len(blocks), size, size), dtype=tv.back.dtype)
+    a = np.empty((len(blocks), size, size))
     for k, b in enumerate(blocks):
         g = tv.back[:, : b.cols.shape[0]] @ b.cols
         lam = block_spectrum(tv.params.p, b.j.dim, b.cols.shape[1])
-        a[k] = (g * lam) @ g.conj().T
+        a[k] = (g * lam) @ g.T
     # A_{m+d, m} as [d, block, m]; the rows it clips to meet zeros of diag
     m = np.arange(size)
     a_diag = a[:, np.minimum(m[:, None] + m, size - 1), m].transpose(1, 0, 2)
     h = np.matmul(a_diag, tv.diag).reshape(size, -1)
-    dens_h = h.real.T @ tv.cos
-    if np.iscomplexobj(h):
-        dens_h += h.imag.T @ tv.sin
+    dens_h = h.T @ tv.cos
     dens_h *= (2.0 * tv.params.mu - 1.0) / math.pi
     return dens_m, dens_h.reshape(len(blocks), -1)
 
@@ -469,15 +463,12 @@ def _block_densities(tv: _TvGrid):
         yield from zip(chunk, *_block_density_pair(tv, chunk))
 
 
-def measurement_tv_distance(
-    params: ModelParams, u: LocalParam, grid: PolarGrid | None = None
-) -> TvEstimate:
+def measurement_tv_distance(params: ModelParams, u: LocalParam) -> TvEstimate:
     """Weighted total variation between the two outcome densities at one (n, u).
 
     The sweep kernel run over a single point; see ``measurement_tv_sweep``.
     """
-    grids = None if grid is None else {(params.n, u): grid}
-    return measurement_tv_sweep(params.mu, (params.n,), (u,), params.epsilon, grids)[0]
+    return measurement_tv_sweep(params.mu, (params.n,), (u,), params.epsilon)[0]
 
 
 def measurement_tv_sweep(
@@ -485,24 +476,22 @@ def measurement_tv_sweep(
     n_values: tuple[int, ...],
     u_list: tuple[LocalParam, ...],
     epsilon: float = 0.1,
-    grids: dict | None = None,
 ) -> list[TvEstimate]:
     """TV comparison of the two measurements over an (n, u) grid.
 
-    Sums p_n(j) * integral |covariant - heterodyne| over the grid for spins in
-    the concentration set, then adds twice the excluded weight as the worst
-    case contribution of the remaining blocks.  Block weights are evaluated
-    once per n; the grid, its qubit infidelities, its re-centring
-    displacement and its radial and angular tables once per (n, u)
-    (``_TvGrid``).
+    Sums p_n(j) * integral |covariant - heterodyne| for spins in the
+    concentration set, over the quadrature grid ``default_tv_grid`` centred
+    at u, then adds twice the excluded weight as the worst case
+    contribution of the remaining blocks.  Block weights are evaluated once
+    per n; the grid, its qubit infidelities, its re-centring displacement
+    and its radial and angular tables once per (n, u) (``_TvGrid``).
     """
     out = []
     for n in n_values:
         params = ModelParams(n, mu, epsilon)
         block_weights = _concentration_weights(params)
         for u in u_list:
-            grid = (grids or {}).get((n, u)) or default_tv_grid(mu, u, n)
-            tv = _tv_grid(params, u, grid, block_weights)
+            tv = _tv_grid(params, u, default_tv_grid(mu, u, n), block_weights)
             w = tv.weights
             grid_term = 0.0
             mass_m = 0.0

@@ -22,7 +22,6 @@ import math
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 from scipy.special import jv
 
 from .errors import ValidationError
@@ -49,11 +48,14 @@ def _is_hermitian(a: np.ndarray, rtol: float = HERMITICITY_RTOL) -> bool:
 
 
 def trace_norm(a) -> float:
-    """Trace norm: sum of |eigenvalues| for Hermitian input, else singular values."""
+    """Trace norm of a Hermitian matrix: the sum of |eigenvalues|.
+
+    Non-Hermitian input (beyond ``HERMITICITY_RTOL``) raises ``ValidationError``.
+    """
     a = as_square_matrix(a)
-    if _is_hermitian(a):
-        return float(np.abs(np.linalg.eigvalsh(a)).sum())
-    return float(scipy.linalg.svdvals(a).sum())
+    if not _is_hermitian(a):
+        raise ValidationError("trace_norm takes a Hermitian matrix")
+    return float(np.abs(np.linalg.eigvalsh(a)).sum())
 
 
 def _chebyshev_degree(a: float) -> int:

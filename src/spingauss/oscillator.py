@@ -6,7 +6,7 @@ thermal, coherent and displacement constructions they are checked against
 live in ``spingauss.reference``.
 Truncation is never hidden: every factory reports the trace or norm it lost to
 the cutoff through ``FockTruncation.tail_bound``, and raises once that loss
-exceeds the caller's tolerance.
+exceeds its tolerance.
 
 Truncation policy (see ``default_truncation``): N is the maximum of the block
 dimension 2 j_max + 1 over the concentration set, the smallest N with
@@ -34,6 +34,8 @@ COHERENT_ANCHOR = 16
 # Points per coherent-row kernel call in ``heterodyne_pdf``, which bounds the
 # memory of its rows whatever the number of points.
 PDF_CHUNK = 16384
+# Largest trace deficit ``displaced_thermal`` accepts from its truncation.
+DISPLACED_TRACE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -206,12 +208,7 @@ def displacement_core(t: float, rows: int, cols: int) -> np.ndarray:
     return shifted @ (step * _fock_wavefunctions(y, cols)).T
 
 
-def displaced_thermal(
-    u: LocalParam,
-    mu: float,
-    trunc: FockTruncation,
-    trace_tol: float = 1e-6,
-) -> FockOperator:
+def displaced_thermal(u: LocalParam, mu: float, trunc: FockTruncation) -> FockOperator:
     """Displaced thermal state D(z) phi0 D(z)^dag with z = sqrt(2 mu - 1) alpha_u.
 
     The thermal spectrum (1 - p) p^k is cut at the effective rank, and the
@@ -223,7 +220,8 @@ def displaced_thermal(
     rows cropped to the truncation) and psi, so it is positive semidefinite
     by construction and ``matrix`` is rebuilt on access.  The trace lost to
     the rank cut and the crop is the reported tail bound; the mass of the
-    cropped rows alone is ``crop``.
+    cropped rows alone is ``crop``.  A deficit above ``DISPLACED_TRACE_TOL``
+    raises ``TruncationError``.
     """
     if not 0.5 < mu <= 1.0:
         raise DomainError(f"mu must lie in (1/2, 1], got {mu!r}")
@@ -235,9 +233,9 @@ def displaced_thermal(
     core = full[: trunc.dim]
     crop = float(np.sum(full[trunc.dim :] ** 2))
     tail = max(0.0, 1.0 - float(np.sum(core ** 2)))
-    if tail > trace_tol:
+    if tail > DISPLACED_TRACE_TOL:
         raise TruncationError(
-            f"displaced thermal trace deficit {tail:.3e} above {trace_tol:.1e} "
+            f"displaced thermal trace deficit {tail:.3e} above {DISPLACED_TRACE_TOL:.1e} "
             f"(dim={trunc.dim}, |z|={abs(z):.3f})"
         )
     return FockOperator(

@@ -4,8 +4,9 @@ Every statistic the package reports is computed on low-rank real cores in one
 phase gauge (``qubit_model``, ``oscillator``, ``channels``,
 ``measurements``).  This module holds the dense routes those cores replaced:
 eigendecomposition-based unitaries, full rotation and displacement
-matrices, dense block states, the block embedding and its inverse, and the
-outcome densities as quadratic forms of a dense block.  The tests compare
+matrices, dense block states, the block embedding and its inverse, the
+closed-form spin coherent amplitudes, and the outcome densities as quadratic
+forms of a dense block.  The tests compare
 the factor path against them.  No other module of the package imports this
 one, so the command line never loads it.
 
@@ -25,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import AccuracyError, DomainError, TruncationError, ValidationError
-from .irreps import HalfInteger, LocalParam, _spin_coherent_rows
+from .irreps import HalfInteger, LocalParam
 from .measurements import BinaryTestResult, injectivity_radius, plane_jacobian
 from .numerics import HERMITICITY_RTOL, as_square_matrix
 from .oscillator import (
@@ -369,6 +370,47 @@ def _as_points(u_hat) -> tuple[np.ndarray, bool]:
     if pts.ndim == 1:
         return pts.reshape(1, 2), True
     return pts.reshape(-1, 2), False
+
+
+def _spin_coherent_rows(twoj: int, wx: np.ndarray, wy: np.ndarray, num_rows: int) -> np.ndarray:
+    """Spin coherent amplitudes |j, w> in closed form: shape (points, num_rows).
+
+    Entry k is sqrt(C(2j, k)) zeta^k (1 - |zeta|^2)^{(2j-k)/2} with
+    zeta = e^{i phi} sin|w|, phi = Arg(-w_y + i w_x), the oracle for
+    ``irreps.spin_coherent_coords``.  Binomial coefficients are evaluated in
+    log space, so the formula stays finite up to 2j ~ 4000.  Rows beyond
+    num_rows are dropped; callers choose num_rows so the dropped amplitudes
+    are below their tolerance.
+    """
+    r = np.hypot(wx, wy)
+    if np.any(r >= math.pi / 2):
+        raise DomainError("spin coherent coordinates need |w| < pi/2")
+    phi = np.arctan2(wx, -wy)
+    k = np.arange(num_rows)
+    # log sqrt(C(2j, k)) as a running sum of log((2j - i)/(i + 1)): the
+    # difference of gammaln values near 2j would lose 1e-12 at 2j ~ 2000
+    with np.errstate(divide="ignore"):  # rows past 2j have C(2j, k) = 0
+        steps = np.log(np.maximum(twoj - k[:-1], 0) / (k[:-1] + 1.0))
+    logbin = 0.5 * np.concatenate(([0.0], np.cumsum(steps)))
+    out = np.zeros((len(r), num_rows), dtype=complex)
+    pos = r > 0
+    if np.any(pos):
+        with np.errstate(divide="ignore"):  # sin/cos logs are finite for 0 < r < pi/2
+            ls = np.log(np.sin(r[pos]))[:, None]
+            lc = np.log(np.cos(r[pos]))[:, None]
+        amp = np.exp(logbin[None, :] + k[None, :] * ls + (twoj - k)[None, :] * lc)
+        # phases e^{i k phi} as a running product of the unit step e^{i phi};
+        # a real exponential plus complex multiplies beats a complex exp per
+        # entry, and the |q| = 1 drift stays orders below the amplitudes' own
+        # rounding for any realistic row count
+        phases = np.empty((int(pos.sum()), num_rows), dtype=complex)
+        phases[:, 0] = 1.0
+        if num_rows > 1:
+            phases[:, 1:] = np.exp(1j * phi[pos])[:, None]
+            np.cumprod(phases[:, 1:], axis=1, out=phases[:, 1:])
+        out[pos] = amp * phases
+    out[~pos, 0] = 1.0
+    return out
 
 
 def covariant_block_density(j: HalfInteger, n: int, rho_j: np.ndarray, u_hat):

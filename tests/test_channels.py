@@ -92,10 +92,6 @@ def test_forward_channel_trace_is_included_weight():
     ens = ensemble(params, LocalParam(0.4, -0.1))
     full = forward_channel(ens, FockTruncation(13))
     assert np.trace(full.matrix).real == pytest.approx(1.0, abs=1e-12)
-    js = concentration_set(params)
-    part = forward_channel(ens, FockTruncation(13), js=js)
-    want = sum(b.weight for b in ens.blocks if b.j in set(js))
-    assert np.trace(part.matrix).real == pytest.approx(want, abs=1e-12)
 
 
 def test_inverse_block_round_trip_machine_precision():
@@ -256,7 +252,6 @@ def test_sweep_smoke_and_structure():
     for r in recs:
         assert 0 <= r.forward_sup <= 2 + 1e-9
         assert 0 <= r.reverse_sup <= 2 + 1e-9
-        assert r.excluded_weight == 0.0
         assert len(r.points) == 2
     assert recs[1].forward_sup < recs[0].forward_sup
 
@@ -278,24 +273,6 @@ def test_sweep_forward_block_reverse_triangle_consistency():
         rev = trace_norm(ba.matrix - bb.matrix)
         t = max(0.0, np.trace(phi.matrix).real - np.trace(phi.matrix[: ba.j.dim, : ba.j.dim]).real)
         assert fwd <= rev + 2 * math.sqrt(t) + 2 * t + 1e-10
-
-
-def test_sweep_restricted_reports_excluded_weight():
-    # n large enough that the concentration interval actually cuts spins away
-    settings = SweepSettings(
-        mu=0.75,
-        n_values=(100,),
-        u_grid=(LocalParam(0, 0),),
-        restrict_to_concentration=True,
-    )
-    rec = convergence_sweep(settings)[0]
-    assert rec.excluded_weight > 0
-    params = ModelParams(100, 0.75)
-    want = 1.0 - sum(
-        b.weight for b in ensemble(params, LocalParam(0, 0)).blocks
-        if b.j in set(concentration_set(params))
-    )
-    assert rec.excluded_weight == pytest.approx(want, abs=1e-12)
 
 
 def test_sweep_truncation_once_per_n(monkeypatch):

@@ -260,3 +260,10 @@ def test_discriminate_automatic_truncation_holds_the_limit_core(tmp_path):
     assert run_cli(["discriminate", "--mu", "0.9", "--n", "16", "--grid", "10,0", "--out", str(out)]) == 0
     (limit,) = [r for r in read_csv_rows(out) if r["statistic"] == "limit_risk"]
     assert float(limit["error_bound"]) < 1e-12
+
+
+def test_measure_compare_past_the_injectivity_disk_names_it(capsys):
+    # at n = 2, |u| = 3 lies past 0.98 pi sqrt(2)/2, so no TV grid fits
+    assert run_cli(["measure-compare", "--n", "2", "--grid", "3,0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and "injectivity radius" in err

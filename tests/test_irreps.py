@@ -5,7 +5,7 @@ import pytest
 
 from spingauss.errors import DomainError
 from spingauss.irreps import HalfInteger, LocalParam, rotation_columns, spin_coherent_coords
-from spingauss.reference import ladder_ops, rotation_generator, rotation_unitary
+from spingauss.reference import _spin_coherent_rows, ladder_ops, rotation_generator, rotation_unitary
 
 
 def gauged(core, psi):
@@ -192,3 +192,13 @@ def test_spin_coherent_overflow_safe_at_twoj_4000():
     v = spin_coherent_coords(HalfInteger(4000), LocalParam(0.4, 0.3))
     assert np.all(np.isfinite(v.view(float)))
     assert abs(np.vdot(v, v).real - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("twoj", [1, 17, 100, 4000])
+def test_spin_coherent_matches_closed_form(twoj):
+    # the rotation column against the binomial closed form, which shares no
+    # code with the propagator
+    w = LocalParam(0.4, 0.3)
+    got = spin_coherent_coords(HalfInteger(twoj), w)
+    want = _spin_coherent_rows(twoj, np.array([w.ux]), np.array([w.uy]), twoj + 1)[0]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)

@@ -428,11 +428,12 @@ def test_closed_form_covariant_density_matches_dense_blocks():
 
 @pytest.mark.parametrize("n", [16, 4096], ids=["n16-edge-grid", "n4096-edge-grid"])
 def test_closed_form_covariant_density_finite_at_edge(n):
-    # at 0.98 of the injectivity radius the densities stay finite for every
-    # included block, down to the lightest spin
-    params = ModelParams(n, 0.75)
-    grid = PolarGrid(radius=0.98 * injectivity_radius(n), n_radial=24, n_angular=16)
-    pairs = block_densities(params, LocalParam(0.8, -0.5), grid)
+    # out to 0.98 of the injectivity radius the densities stay finite for
+    # every included block, down to the lightest spin
+    params, u = ModelParams(n, 0.75), LocalParam(0.8, -0.5)
+    radius = 0.98 * injectivity_radius(n) - u.norm
+    grid = PolarGrid(center=(u.ux, u.uy), radius=radius, n_radial=24, n_angular=16)
+    pairs = block_densities(params, u, grid)
     assert pairs
     for _, dens_m, dens_h in pairs:
         assert np.all(np.isfinite(dens_m)) and np.all(dens_m >= 0.0)
@@ -452,26 +453,18 @@ def test_closed_form_covariant_density_pure_antipode():
 
 
 @pytest.mark.parametrize(
-    "u, center, arithmetic",
-    [
-        ((0.7, -0.5), None, float),
-        ((0.0, 0.0), None, float),  # z_c = 0, and u.angle is 0 by convention
-        ((0.8, -0.5), (0.0, 0.0), float),
-        ((0.7, -0.5), (-0.35, 0.25), complex),  # on the line through 0 and u, past 0
-        ((0.7, -0.5), (-0.3, 0.9), complex),  # off that line
-    ],
-    ids=["default", "origin-u", "origin-centre", "far-side-centre", "off-line-centre"],
+    "u",
+    [(0.7, -0.5), (0.0, 0.0)],  # at u = 0, z_c = 0 and u.angle is 0 by convention
+    ids=["default", "origin-u"],
 )
-def test_recentred_heterodyne_matches_dense_pullback(u, center, arithmetic):
+def test_recentred_heterodyne_matches_dense_pullback(u):
     # 16 angular nodes, fewer than the rows of A, so cos(d (t + pi/2 - psi))
     # wraps around the angular grid
     n, mu = 64, 0.75
     params, u = ModelParams(n, mu), LocalParam(*u)
     grid = replace(default_tv_grid(mu, u, n), n_angular=16)
-    if center is not None:
-        grid = replace(grid, center=center)
     tv = _tv_grid(params, u, grid, _concentration_weights(params))
-    assert tv.back.dtype == arithmetic
+    assert tv.back.dtype == float
     assert tv.back.shape[0] > grid.n_angular
     for block, _, dens_h in _block_densities(tv):
         rho = block_state(params, block.j, u)
@@ -515,6 +508,14 @@ def test_recentred_heterodyne_far_from_origin(n, mu, u):
     for block, _, dens_h in densities[:: max(1, len(densities) // 4)]:
         want = pointwise_heterodyne(params, u, block, tv.points)
         np.testing.assert_allclose(dens_h, want, rtol=0, atol=1e-13)
+
+
+def test_tv_grid_rejects_a_grid_off_u():
+    n, mu, u = 64, 0.75, LocalParam(0.7, -0.5)
+    params = ModelParams(n, mu)
+    grid = replace(default_tv_grid(mu, u, n), center=(-0.3, 0.9))
+    with pytest.raises(ValidationError):
+        _tv_grid(params, u, grid, _concentration_weights(params))
 
 
 def test_tv_grid_rejects_a_grid_past_the_disk_before_rotating(monkeypatch):

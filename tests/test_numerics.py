@@ -130,6 +130,12 @@ def test_trace_norm_non_square_rejected():
         trace_norm(np.zeros((2, 3)))
 
 
+def test_trace_norm_non_hermitian_rejected():
+    # a nilpotent Jordan block: singular values 1 and 0, eigenvalues 0 and 0
+    with pytest.raises(ValidationError):
+        trace_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
 def test_trace_norm_triangle_inequality():
     rng = np.random.default_rng(17)
     for _ in range(25):
