@@ -27,7 +27,6 @@ from .oscillator import (
     FockOperator,
     FockTruncation,
     PolarGrid,
-    default_truncation,
     displaced_thermal,
     heterodyne_pdf,
 )

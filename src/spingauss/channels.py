@@ -25,14 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import TruncationError
 from .irreps import HalfInteger, LocalParam, spin_coherent_coords
 from .numerics import factor_difference_eigvals, trace_norm
 from .oscillator import (
     FockOperator,
-    FockTruncation,
     coherent_coefficients,
-    default_truncation,
+    coherent_row_support,
     displaced_thermal,
 )
 from .qubit_model import (
@@ -48,49 +46,35 @@ from .qubit_model import (
 )
 
 
-def _forward_blocks(ens: EnsembleState, trunc: FockTruncation) -> list[BlockState]:
-    """The blocks the forward channel mixes: those that occur in the state,
-    each checked to fit into the truncation."""
-    blocks = []
-    for b in ens.blocks:
-        if b.weight == 0.0:
-            continue
-        if b.j.dim > trunc.dim:
-            raise TruncationError(
-                f"truncation dim {trunc.dim} below block dim {b.j.dim} (spin {b.j})"
-            )
-        blocks.append(b)
-    return blocks
-
-
-def _forward_corner(ens: EnsembleState, trunc: FockTruncation) -> np.ndarray:
+def _forward_corner(ens: EnsembleState) -> np.ndarray:
     """Weighted sum of the blocks' core core^dag on the rows they reach.
 
     This is the forward channel's output in the ensemble's gauge ``ens.psi``.
+    A block that does not occur in the state has an empty core and adds
+    nothing.
     """
-    blocks = _forward_blocks(ens, trunc)
-    rows = max((b.core.shape[0] for b in blocks), default=0)
-    out = np.zeros((rows, rows), dtype=np.result_type(float, *(b.core for b in blocks)))
-    for b in blocks:
+    rows = max(b.core.shape[0] for b in ens.blocks)
+    out = np.zeros((rows, rows), dtype=np.result_type(float, *(b.core for b in ens.blocks)))
+    for b in ens.blocks:
         r = b.core.shape[0]
         out[:r, :r] += b.weight * (b.core @ b.core.conj().T)
     return out
 
 
-def forward_channel(ens: EnsembleState, trunc: FockTruncation) -> FockOperator:
+def forward_channel(ens: EnsembleState) -> FockOperator:
     """Weighted sum of every embedded block.
 
     The block embedding is the identity on indices, so the result is in
     factor form: the cores sqrt(w_j) core_j side by side, in the ensemble's
-    gauge ``ens.psi``.
+    gauge ``ens.psi``, on the rows the largest core reaches.  Its deficit is
+    the weighted trace the blocks' rank cuts dropped.
     """
-    blocks = _forward_blocks(ens, trunc)
-    rows = max((b.core.shape[0] for b in blocks), default=0)
+    rows = max(b.core.shape[0] for b in ens.blocks)
     core = np.hstack(
-        [np.zeros((rows, 0))]
-        + [np.pad(math.sqrt(b.weight) * b.core, ((0, rows - b.core.shape[0]), (0, 0))) for b in blocks]
+        [np.pad(math.sqrt(b.weight) * b.core, ((0, rows - b.core.shape[0]), (0, 0))) for b in ens.blocks]
     )
-    return FockOperator(FockTruncation(trunc.dim), core=core, psi=ens.psi)
+    deficit = sum(b.weight * b.discarded for b in ens.blocks)
+    return FockOperator(core, deficit=deficit, psi=ens.psi)
 
 
 def inverse_channel(phi: FockOperator, params: ModelParams) -> EnsembleState:
@@ -126,21 +110,18 @@ def ensemble_distance(a: EnsembleState, b: EnsembleState) -> float:
     return ensemble_difference(a, b).trace_norm
 
 
-def coherent_vector_distance(
-    j: HalfInteger, u: LocalParam, n: int, trunc: FockTruncation
-) -> float:
+def coherent_vector_distance(j: HalfInteger, u: LocalParam, n: int) -> float:
     """Distance between the embedded spin coherent vector and its coherent target.
 
     The target amplitude scales with the block actually used: sqrt(2j/n) plays
     the role of sqrt(2 mu - 1) so the comparison stays meaningful across the
-    whole concentration set.
+    whole concentration set.  The vectors are compared over the block's
+    2j + 1 rows, or over the rows that hold the target to rounding
+    (``coherent_row_support``) if there are more.
     """
-    w = u.scaled(1.0 / math.sqrt(n))
-    if w.norm >= math.pi / 2:
-        raise TruncationError(f"|u|/sqrt(n) = {w.norm:.4f} outside the coordinate branch")
-    spin_vec = spin_coherent_coords(j, w)
+    spin_vec = spin_coherent_coords(j, u.scaled(1.0 / math.sqrt(n)))
     z = math.sqrt(j.twoj / n) * u.alpha
-    dim = max(trunc.dim, j.dim)
+    dim = max(j.dim, coherent_row_support(abs(z) ** 2))
     target = coherent_coefficients(z, dim)
     padded = np.zeros(dim, dtype=complex)
     padded[: j.dim] = spin_vec
@@ -184,7 +165,7 @@ class PointStats:
     forward: float
     block_max: float
     reverse: float
-    error_bound: float  # truncation tail + limit-state distance bound + block rank cut
+    error_bound: float  # limit-state rank cut + largest block rank cut
 
 
 @dataclass(frozen=True)
@@ -201,8 +182,6 @@ class ConvergenceRecord:
     block_argmax: LocalParam
     reverse_sup: float
     reverse_argmax: LocalParam
-    trunc_dim: int
-    tail_bound: float
     error_bound: float  # largest point error bound, which also bounds each sup
     points: tuple[PointStats, ...] = field(repr=False)
 
@@ -215,28 +194,16 @@ class SweepSettings:
     n_values: tuple[int, ...]
     u_grid: tuple[LocalParam, ...]
     epsilon: float = 0.1
-    trunc_dim: int | None = None
     workers: int = 1
 
 
-def _sweep_truncation(settings: SweepSettings, params: ModelParams) -> FockTruncation:
-    if settings.trunc_dim:
-        return FockTruncation(settings.trunc_dim, params.p ** settings.trunc_dim)
-    u_max = max(pt.norm for pt in settings.u_grid)
-    trunc = default_truncation(params, u_max)
-    # every block up to j = n/2 enters the channel sum
-    if trunc.dim < params.n + 1:
-        trunc = FockTruncation(params.n + 1, trunc.tail_bound)
-    return trunc
-
-
 def _sweep_point(args) -> PointStats:
-    settings, n, u, trunc = args
+    settings, n, u = args
     params = ModelParams(n, settings.mu, settings.epsilon)
     ens = ensemble(params, u)
-    phi = displaced_thermal(u, settings.mu, trunc)
+    phi = displaced_thermal(u, settings.mu)
     # blocks and phi share the gauge u.angle, so the real corners compare
-    corner = _forward_corner(ens, trunc)
+    corner = _forward_corner(ens)
     # everything past the rows the factors reach is zero on both sides
     rows = max(corner.shape[0], phi.core.shape[0])
     diff = np.zeros((rows, rows))
@@ -254,9 +221,9 @@ def _sweep_point(args) -> PointStats:
         block_max = max(block_max, float(np.abs(eigs).sum()))
     s_out = inverse_channel(phi, params)
     reverse = ensemble_distance(ens, s_out)
-    # the inverse channel is trace-norm contractive, so the distance bound of
-    # phi's truncation and the largest block rank cut bound all three
-    bound = trunc.tail_bound + phi.distance_bound + max(b.discarded for b in ens.blocks)
+    # the inverse channel is trace-norm contractive, so the rank cuts of phi
+    # and of the largest block bound all three
+    bound = phi.deficit + max(b.discarded for b in ens.blocks)
     return PointStats(
         n=n, u=u, forward=forward, block_max=block_max, reverse=reverse, error_bound=bound
     )
@@ -264,11 +231,7 @@ def _sweep_point(args) -> PointStats:
 
 def convergence_sweep(settings: SweepSettings) -> list[ConvergenceRecord]:
     """Run the forward/reverse distance experiment over the (n, u) grid."""
-    truncs = {
-        n: _sweep_truncation(settings, ModelParams(n, settings.mu, settings.epsilon))
-        for n in settings.n_values
-    }
-    tasks = [(settings, n, u, truncs[n]) for n in settings.n_values for u in settings.u_grid]
+    tasks = [(settings, n, u) for n in settings.n_values for u in settings.u_grid]
     workers = settings.workers or 1
     if workers > 1:
         with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
@@ -278,7 +241,6 @@ def convergence_sweep(settings: SweepSettings) -> list[ConvergenceRecord]:
     records = []
     for n in settings.n_values:
         pts = tuple(s for s in stats if s.n == n)
-        trunc = truncs[n]
         fwd = max(pts, key=lambda s: s.forward)
         blk = max(pts, key=lambda s: s.block_max)
         rev = max(pts, key=lambda s: s.reverse)
@@ -294,8 +256,6 @@ def convergence_sweep(settings: SweepSettings) -> list[ConvergenceRecord]:
                 block_argmax=blk.u,
                 reverse_sup=rev.reverse,
                 reverse_argmax=rev.u,
-                trunc_dim=trunc.dim,
-                tail_bound=trunc.tail_bound,
                 error_bound=max(s.error_bound for s in pts),
                 points=pts,
             )

@@ -7,8 +7,8 @@ defaults; the keys a subcommand read are echoed into its report, so a
 report plus the package version fully determines its own numbers (exactly
 for quadrature paths, through the recorded seed for Monte Carlo ones).
 
-Exit codes: 0 success, 2 configuration error, 3 numerical accuracy or
-truncation failure, 4 I/O error.
+Exit codes: 0 success, 2 configuration error, 3 numerical accuracy
+failure, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .errors import (
     ConfigError,
     DomainError,
     SpinGaussError,
-    TruncationError,
     ValidationError,
 )
 from .irreps import LocalParam
@@ -39,7 +38,7 @@ from .measurements import (
     measurement_tv_sweep,
     position_measurement_risk,
 )
-from .oscillator import FockTruncation, displaced_thermal, displacement_amplitude, limit_core_rows
+from .oscillator import displaced_thermal
 from .qubit_model import ModelParams
 from .reports import ReportRow, RiskReport, read_report, render_svg, write_report
 
@@ -136,10 +135,6 @@ KEYS = {
         "concentration exponent in (0, 1/2)",
     ),
     "grid": Key("-1:1:3", parse_grid, _GRID, "u grid 'min:max:steps[,min:max:steps]'"),
-    "trunc": Key(
-        "0", _scalar("trunc", int, lambda v: v >= 0, "be 0 (automatic) or a positive cutoff"),
-        frozenset(("convergence", "discriminate")), "Fock cutoff override (0 = automatic)",
-    ),
     "workers": Key(
         "1", _scalar("workers", int, lambda v: v >= 1, "be at least 1"),
         frozenset(("convergence",)), "parallel workers for sweeps",
@@ -242,7 +237,6 @@ def run_convergence(cfg: dict[str, object]) -> list[ReportRow]:
             n_values=tuple(cfg["n"]),
             u_grid=cfg["grid"],
             epsilon=cfg["epsilon"],
-            trunc_dim=cfg["trunc"] or None,
             workers=cfg["workers"],
         )
         for rec in convergence_sweep(settings):
@@ -266,13 +260,10 @@ def run_discriminate(cfg: dict[str, object]) -> list[ReportRow]:
                 limit = discrimination_limit(u)
                 limit_err = 0.0
             else:
-                # automatic: every row the limit core reaches, so none is cropped
-                z = abs(displacement_amplitude(u, mu))
-                ft = FockTruncation(cfg["trunc"] or limit_core_rows((1.0 - mu) / mu, z))
-                plus = displaced_thermal(u, mu, ft)
+                plus = displaced_thermal(u, mu)
                 minus = plus.mirrored()  # D(-z) = S D(z) S, in the same gauge
                 limit = helstrom_risk(plus, minus).risk
-                limit_err = plus.distance_bound + minus.distance_bound
+                limit_err = plus.deficit + minus.deficit
             rows.append(ReportRow(0, mu, u.ux, u.uy, "limit_risk", limit, limit_err))
             rows.append(ReportRow(0, mu, u.ux, u.uy, "position_risk_baseline", position_measurement_risk(u), 0.0))
             for n in cfg["n"]:
@@ -378,7 +369,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, DomainError) as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2
-    except (TruncationError, AccuracyError, ValidationError) as exc:
+    except (AccuracyError, ValidationError) as exc:
         print(f"error: accuracy: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

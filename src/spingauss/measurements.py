@@ -39,9 +39,9 @@ from .irreps import HalfInteger, LocalParam, rotation_columns
 from .numerics import factor_difference_eigvals, propagator_degree
 from .oscillator import (
     FockOperator,
-    FockTruncation,
     PolarGrid,
     _coherent_rows,
+    coherent_row_support,
     displacement_core,
     heterodyne_pdf,
 )
@@ -156,13 +156,6 @@ class RiskEstimate:
     seed: int | None = None
 
 
-def _risk_truncation(mu: float, u: LocalParam, radius: float) -> FockTruncation:
-    reach = (math.sqrt(2.0 * mu - 1.0) * (u.norm + radius) + 6.0) ** 2
-    p = (1.0 - mu) / mu
-    dim_thermal = 1 if p == 0 else math.ceil(math.log(1e-10) / math.log(p))
-    return FockTruncation(max(32, math.ceil(reach), dim_thermal))
-
-
 def heterodyne_estimation_risk(
     mu: float,
     u: LocalParam = LocalParam(0.0, 0.0),
@@ -173,22 +166,21 @@ def heterodyne_estimation_risk(
     Deterministic quadrature of the computed outcome density by default, on
     a polar grid of radius 8 sigma around u; with ``mc`` given, importance
     sampling against a Gaussian proposal instead.  The outcome density
-    itself always comes from the truncated operators, so neither path
+    itself always comes from the displaced thermal core, so neither path
     assumes the Gaussian closed form.
     """
     if mc is None:
         sig = heterodyne_outcome_std(mu)
         quad = PolarGrid(center=(u.ux, u.uy), radius=8.0 * sig, n_radial=160, n_angular=128)
-        trunc = _risk_truncation(mu, u, quad.radius)
         pts, w = quad.nodes()
-        dens = heterodyne_pdf(pts, u, mu, trunc)
+        dens = heterodyne_pdf(pts, u, mu)
         sq = (pts[:, 0] - u.ux) ** 2 + (pts[:, 1] - u.uy) ** 2
         value = float(np.sum(w * sq * dens))
         mass = float(np.sum(w * dens))
         # resolution estimate: repeat at half the radial order
         coarse = PolarGrid(quad.center, quad.radius, max(2, quad.n_radial // 2), quad.n_angular)
         cpts, cw = coarse.nodes()
-        cdens = heterodyne_pdf(cpts, u, mu, trunc)
+        cdens = heterodyne_pdf(cpts, u, mu)
         csq = (cpts[:, 0] - u.ux) ** 2 + (cpts[:, 1] - u.uy) ** 2
         resolution = abs(float(np.sum(cw * csq * cdens)) - value)
         tail = math.exp(-quad.radius ** 2 / (2.0 * sig * sig))
@@ -213,18 +205,14 @@ def heterodyne_estimation_risk(
 
 
 def heterodyne_samples(mu: float, u: LocalParam, mc: McSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Importance-sampled outcome points and weights for the heterodyne density.
-
-    The truncation is sized from the farthest sample.
-    """
+    """Importance-sampled outcome points and weights for the heterodyne density."""
     rng = np.random.default_rng(mc.seed)
     sig = heterodyne_outcome_std(mu)
     sp = MC_PROPOSAL_SCALE * sig
     pts = rng.standard_normal((mc.samples, 2)) * sp + np.array([u.ux, u.uy])
     sq = (pts[:, 0] - u.ux) ** 2 + (pts[:, 1] - u.uy) ** 2
     proposal = np.exp(-sq / (2.0 * sp * sp)) / (2.0 * math.pi * sp * sp)
-    trunc = _risk_truncation(mu, u, math.sqrt(sq.max()))
-    dens = heterodyne_pdf(pts, u, mu, trunc)
+    dens = heterodyne_pdf(pts, u, mu)
     return pts, dens / proposal
 
 
@@ -266,11 +254,6 @@ def default_tv_grid(mu: float, u: LocalParam, n: int) -> PolarGrid:
     # these Gaussian-tailed densities already at modest node counts
     radius = 6.0 * heterodyne_outcome_std(mu) + 3.0
     return PolarGrid(center=(u.ux, u.uy), radius=min(radius, limit), n_radial=64, n_angular=96)
-
-
-def _row_support(peak: float) -> int:
-    """Rows that hold every coherent vector with |z|^2 <= peak to rounding."""
-    return math.ceil(peak + 10.0 * math.sqrt(peak + 4.0) + 25.0)
 
 
 def _concentration_weights(params: ModelParams) -> tuple[tuple[HalfInteger, float], ...]:
@@ -403,7 +386,7 @@ def _tv_grid(
     # band of M to the series accuracy (``propagator_degree``; rows + K
     # cannot cut when rows alone does not)
     t = s * u.norm
-    size = _row_support((s * grid.radius) ** 2)
+    size = coherent_row_support((s * grid.radius) ** 2)
     if rows < size:
         size = min(size, rows + propagator_degree(np.sqrt, t, rows)[0])
     back = np.ascontiguousarray(displacement_core(t, rows, size).T)

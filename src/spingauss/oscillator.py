@@ -1,19 +1,16 @@
-"""Truncated Fock-space states in factor form.
+"""Fock-space states in factor form.
 
-States of the quantum oscillator are represented on the first N number levels,
-as a core of leading rows in a phase gauge (``FockOperator``); the dense
-thermal, coherent and displacement constructions they are checked against
-live in ``spingauss.reference``.
-Truncation is never hidden: every factory reports the trace or norm it lost to
-the cutoff through ``FockTruncation.tail_bound``, and raises once that loss
-exceeds its tolerance.
+States of the quantum oscillator are represented as a core of leading rows
+in a phase gauge (``FockOperator``); the dense thermal, coherent and
+displacement constructions they are checked against live in
+``spingauss.reference``.
 
-Truncation policy (see ``default_truncation``): N is the maximum of the block
-dimension 2 j_max + 1 over the concentration set, the smallest N with
-p^N < 1e-8, ceil((sqrt(2 mu - 1) |u|_max + 6)^2), and the rows r + K the
-limit state's core reaches at |u|_max, so both thermal tails and
-displacement leakage stay below the test tolerances used downstream and the
-core is never cropped.
+No Fock cutoff is chosen.  A core holds every row its Chebyshev series
+reaches, which is where the number-basis columns of D(z) vanish to the
+series accuracy, so the only approximation a state carries is the rank cut
+of its spectrum.  Its trace is the state's ``deficit``: p^r for the
+displaced thermal state, the closed form of the thermal weights past the
+effective rank r, as ``qubit_model.discarded_weight`` gives for a block.
 """
 
 from __future__ import annotations
@@ -23,10 +20,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DomainError, TruncationError
+from .errors import DomainError
 from .irreps import LocalParam
-from .numerics import gauge_phases, mirror_rows, propagator_degree, tridiagonal_propagator
-from .qubit_model import ModelParams, concentration_set, effective_rank
+from .numerics import gauge_phases, mirror_rows, tridiagonal_propagator
+from .qubit_model import effective_rank
 
 # Rows of the coherent-row recurrence between restarts from the closed form;
 # at least 16, where the Stirling series of ``_coherent_rows`` is exact.
@@ -34,8 +31,6 @@ COHERENT_ANCHOR = 16
 # Points per coherent-row kernel call in ``heterodyne_pdf``, which bounds the
 # memory of its rows whatever the number of points.
 PDF_CHUNK = 16384
-# Largest trace deficit ``displaced_thermal`` accepts from its truncation.
-DISPLACED_TRACE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -54,18 +49,23 @@ class FockTruncation:
 
 @dataclass(frozen=True)
 class FockOperator:
-    """A state of the truncated oscillator, in factor form.
+    """A state of the oscillator, in factor form.
 
     ``core`` holds the leading (nonzero) rows of a factor in the phase gauge
     ``psi``: matrix = F F^dag with F = diag(e^{ik psi}) core.  The rotated
-    states are real cores; ``crop`` is the trace of the factor rows that the
-    truncation cut off.
+    states are real cores.  ``deficit`` is the trace the rank cut dropped,
+    so it bounds how far the factor form moves a trace distance to the
+    state.
     """
 
-    trunc: FockTruncation
     core: np.ndarray = field(repr=False)
+    deficit: float
     psi: float = 0.0
-    crop: float = 0.0
+
+    @property
+    def trunc(self) -> FockTruncation:
+        """The levels the core spans, with its trace deficit."""
+        return FockTruncation(self.core.shape[0], tail_bound=self.deficit)
 
     @property
     def factor(self) -> np.ndarray:
@@ -74,22 +74,9 @@ class FockOperator:
 
     @property
     def matrix(self) -> np.ndarray:
-        """The dense F F^dag over the truncation, rebuilt on every access."""
+        """The dense F F^dag over the core's rows, rebuilt on every access."""
         f = self.factor
-        rows = f.shape[0]
-        out = np.zeros((self.trunc.dim, self.trunc.dim), dtype=complex)
-        out[:rows, :rows] = f @ f.conj().T
-        return out
-
-    @property
-    def distance_bound(self) -> float:
-        """How far the truncation can move a trace distance to this state.
-
-        The rank cut enters linearly; cropping the factor rows of mass
-        eps = ``crop`` moves it by at most eps + 2 sqrt(eps) (gentle
-        measurement).  ``tail_bound`` holds the rank cut plus eps.
-        """
-        return self.trunc.tail_bound + 2.0 * math.sqrt(self.crop)
+        return f @ f.conj().T
 
     def mirrored(self) -> "FockOperator":
         """S rho S with S = diag((-1)^k): the row sign flip of the core.  For
@@ -102,22 +89,9 @@ def displacement_amplitude(u: LocalParam, mu: float) -> complex:
     return math.sqrt(2.0 * mu - 1.0) * u.alpha
 
 
-def default_truncation(params: ModelParams, u_max: float) -> FockTruncation:
-    """Shared cutoff adequate for every block state and limit state in a sweep."""
-    dim_blocks = max(j.dim for j in concentration_set(params))
-    p = params.p
-    dim_thermal = 1 if p == 0.0 else math.ceil(math.log(1e-8) / math.log(p))
-    z_max = math.sqrt(2.0 * params.mu - 1.0) * u_max
-    dim_disp = math.ceil((z_max + 6.0) ** 2)
-    dim = max(dim_blocks, dim_thermal, dim_disp, limit_core_rows(p, z_max))
-    return FockTruncation(dim, tail_bound=p ** dim)
-
-
-def limit_core_rows(p: float, t: float) -> int:
-    """Rows r + K that the core of ``displaced_thermal`` reaches at |z| = t:
-    a truncation with at least this many crops nothing."""
-    r = effective_rank(p)
-    return r + propagator_degree(np.sqrt, t, r)[0]
+def coherent_row_support(peak: float) -> int:
+    """Rows that hold every coherent vector with |z|^2 <= peak to rounding."""
+    return math.ceil(peak + 10.0 * math.sqrt(peak + 4.0) + 25.0)
 
 
 def coherent_coefficients(z: complex, dim: int) -> np.ndarray:
@@ -208,39 +182,27 @@ def displacement_core(t: float, rows: int, cols: int) -> np.ndarray:
     return shifted @ (step * _fock_wavefunctions(y, cols)).T
 
 
-def displaced_thermal(u: LocalParam, mu: float, trunc: FockTruncation) -> FockOperator:
+def displaced_thermal(u: LocalParam, mu: float) -> FockOperator:
     """Displaced thermal state D(z) phi0 D(z)^dag with z = sqrt(2 mu - 1) alpha_u.
 
-    The thermal spectrum (1 - p) p^k is cut at the effective rank, and the
+    The thermal spectrum (1 - p) p^k is cut at the effective rank r, and the
     kept columns D(z)|k> come from the Chebyshev propagator: z a^dag - z* a is
     the gauge of i |z| (a + a^dag) by the phase e^{ik (arg z - pi/2)}, and the
     number-basis couplings are sqrt(k), so D(z)[r, c] = e^{i(r-c) psi} M[r, c]
     with M real and psi = arg z = u.angle, the gauge of the spin blocks at
-    the same u.  The result is kept in factor form only: the real core (its
-    rows cropped to the truncation) and psi, so it is positive semidefinite
-    by construction and ``matrix`` is rebuilt on access.  The trace lost to
-    the rank cut and the crop is the reported tail bound; the mass of the
-    cropped rows alone is ``crop``.  A deficit above ``DISPLACED_TRACE_TOL``
-    raises ``TruncationError``.
+    the same u.  The result is kept in factor form only: the real core, with
+    every row the propagator returns, and psi, so it is positive
+    semidefinite by construction and ``matrix`` is rebuilt on access.  The
+    deficit is the closed form p^r of the thermal weights past the rank cut
+    (exactly 0 for the pure state, p = 0).
     """
     if not 0.5 < mu <= 1.0:
         raise DomainError(f"mu must lie in (1/2, 1], got {mu!r}")
     p = (1.0 - mu) / mu
-    z = displacement_amplitude(u, mu)
     r = effective_rank(p)
-    full = tridiagonal_propagator(np.sqrt, abs(z), r)
-    full *= np.sqrt((1.0 - p) * p ** np.arange(r))[None, :]
-    core = full[: trunc.dim]
-    crop = float(np.sum(full[trunc.dim :] ** 2))
-    tail = max(0.0, 1.0 - float(np.sum(core ** 2)))
-    if tail > DISPLACED_TRACE_TOL:
-        raise TruncationError(
-            f"displaced thermal trace deficit {tail:.3e} above {DISPLACED_TRACE_TOL:.1e} "
-            f"(dim={trunc.dim}, |z|={abs(z):.3f})"
-        )
-    return FockOperator(
-        FockTruncation(trunc.dim, tail_bound=tail), core=core, psi=u.angle, crop=crop
-    )
+    core = tridiagonal_propagator(np.sqrt, abs(displacement_amplitude(u, mu)), r)
+    core *= np.sqrt((1.0 - p) * p ** np.arange(r))[None, :]
+    return FockOperator(core, deficit=p ** r, psi=u.angle)
 
 
 @dataclass(frozen=True)
@@ -281,7 +243,7 @@ class PolarGrid:
         w = np.repeat(wr, self.n_angular) * (2.0 * math.pi / self.n_angular)
         return pts, w
 
-def heterodyne_pdf(points, u: LocalParam, mu: float, trunc: FockTruncation) -> np.ndarray:
+def heterodyne_pdf(points, u: LocalParam, mu: float) -> np.ndarray:
     """Outcome density Tr(phi^u h(u_hat)) evaluated at an (G, 2) array of points.
 
     The quadratic form is evaluated through the displaced thermal state's
@@ -291,7 +253,7 @@ def heterodyne_pdf(points, u: LocalParam, mu: float, trunc: FockTruncation) -> n
     kernel ``PDF_CHUNK`` at a time.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    phi = displaced_thermal(u, mu, trunc)
+    phi = displaced_thermal(u, mu)
     z = math.sqrt(2.0 * mu - 1.0) * (-pts[:, 1] + 1j * pts[:, 0])
     vals = np.empty(2 * len(z))
     for start in range(0, len(z), PDF_CHUNK):

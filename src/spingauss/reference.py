@@ -14,13 +14,15 @@ States built here are factor-form ``FockOperator`` objects, so their
 ``matrix`` is rebuilt on access like every other state's: a thermal state
 is a diagonal core, a coherent state or a heterodyne POVM element one
 column, and a Glauber mixture one column per quadrature node.  Operators
-(displacements, quadratures, embedded blocks) are plain arrays.
+(displacements, quadratures, embedded blocks) are plain arrays.  A state of
+the factor path spans the rows its core reaches; ``fock_matrix`` pads or
+crops it to the levels of a given truncation for a dense comparison.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -158,13 +160,20 @@ def block_state(params: ModelParams, j: HalfInteger, u: LocalParam) -> np.ndarra
     return um @ rho0 @ um.conj().T
 
 
+def fock_matrix(op: FockOperator, trunc: FockTruncation) -> np.ndarray:
+    """The dense matrix of ``op`` on the levels of ``trunc``: its core padded
+    with zero rows, or cropped, to ``trunc.dim`` rows."""
+    core = op.core[: trunc.dim]
+    return replace(op, core=np.pad(core, ((0, trunc.dim - core.shape[0]), (0, 0)))).matrix
+
+
 def number_basis_state(k: int, trunc: FockTruncation) -> FockOperator:
     """Rank-one projector |k><k|."""
     if not 0 <= k < trunc.dim:
         raise DomainError(f"level {k} outside truncation 0..{trunc.dim - 1}")
     core = np.zeros((trunc.dim, 1))
     core[k, 0] = 1.0
-    return FockOperator(FockTruncation(trunc.dim), core=core)
+    return FockOperator(core, deficit=0.0)
 
 
 def thermal_state(p: float, trunc: FockTruncation) -> FockOperator:
@@ -172,7 +181,7 @@ def thermal_state(p: float, trunc: FockTruncation) -> FockOperator:
     if not 0.0 <= p < 1.0:
         raise DomainError(f"thermal parameter must lie in [0, 1), got {p!r}")
     core = np.diag(np.sqrt((1.0 - p) * p ** np.arange(trunc.dim)))
-    return FockOperator(FockTruncation(trunc.dim, tail_bound=p ** trunc.dim), core=core)
+    return FockOperator(core, deficit=p ** trunc.dim)
 
 
 def coherent_leakage(z: complex, dim: int) -> float:
@@ -200,7 +209,7 @@ def coherent_state(z: complex, trunc: FockTruncation, leakage_tol: float = 1e-8)
             f"coherent state leakage {leakage:.3e} above {leakage_tol:.1e}; "
             f"need dim >= {required_coherent_dim(z, leakage_tol)}"
         )
-    return FockOperator(FockTruncation(trunc.dim, tail_bound=leakage), core=c[:, None])
+    return FockOperator(c[:, None], deficit=leakage)
 
 
 def _annihilation(dim: int) -> np.ndarray:
@@ -287,7 +296,7 @@ def glauber_mixture(
     z = pts[:, 0] + 1j * pts[:, 1]
     dens = np.exp(-np.abs(z) ** 2 / (2.0 * s2)) / (2.0 * math.pi * s2)
     core = _coherent_rows(z, trunc.dim).view(complex) * np.sqrt(w * dens)
-    return FockOperator(FockTruncation(trunc.dim, tail_bound=tail), core=core)
+    return FockOperator(core, deficit=tail)
 
 
 def heterodyne_density(u_hat: LocalParam, mu: float, trunc: FockTruncation) -> FockOperator:
@@ -304,9 +313,7 @@ def heterodyne_density(u_hat: LocalParam, mu: float, trunc: FockTruncation) -> F
     c = coherent_coefficients(displacement_amplitude(u_hat, mu), trunc.dim)
     leakage = max(0.0, 1.0 - float(np.vdot(c, c).real))
     scale = (2.0 * mu - 1.0) / math.pi
-    return FockOperator(
-        FockTruncation(trunc.dim, tail_bound=leakage), core=math.sqrt(scale) * c[:, None]
-    )
+    return FockOperator(math.sqrt(scale) * c[:, None], deficit=leakage)
 
 
 @dataclass(frozen=True)

@@ -146,7 +146,7 @@ def test_05_coherent_vector_lemma():
         twoj = 2 * round(n * (mu - 0.5))
         if (twoj - n) % 2:
             twoj += 1
-        vals.append(coherent_vector_distance(HalfInteger(twoj), u, n, FockTruncation(twoj + 1)))
+        vals.append(coherent_vector_distance(HalfInteger(twoj), u, n))
     ok = vals[0] > vals[1] > vals[2] and vals[2] < vals[0] / 2
     report(
         "5 coherent-vector distance decreasing with n=1024 below half of n=64",

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from spingauss import channels, qubit_model
+from spingauss import qubit_model
 from spingauss.channels import (
     SweepSettings,
     _sweep_point,
-    _sweep_truncation,
     coherent_vector_distance,
     composition_defect,
     convergence_sweep,
@@ -15,7 +14,7 @@ from spingauss.channels import (
     forward_channel,
     inverse_channel,
 )
-from spingauss.errors import TruncationError
+from spingauss.errors import DomainError, TruncationError
 from spingauss.irreps import HalfInteger, LocalParam
 from spingauss.numerics import trace_norm
 from spingauss.oscillator import FockTruncation, displaced_thermal, displacement_amplitude
@@ -33,6 +32,7 @@ from spingauss.reference import (
     block_state_zero,
     displacement_operator,
     embed_block,
+    fock_matrix,
     inverse_channel_block,
     rotation_unitary,
     thermal_state,
@@ -81,17 +81,17 @@ def test_embedded_zero_block_vs_thermal_diagonal_oracle():
 
 def test_forward_channel_single_qubit():
     params = ModelParams(1, 0.7)
-    out = forward_channel(ensemble(params, LocalParam(0, 0)), FockTruncation(5))
+    out = forward_channel(ensemble(params, LocalParam(0, 0)))
     want = np.zeros((5, 5), dtype=complex)
     want[0, 0], want[1, 1] = 0.7, 0.3
-    np.testing.assert_allclose(out.matrix, want, atol=1e-15)
+    np.testing.assert_allclose(fock_matrix(out, FockTruncation(5)), want, atol=1e-15)
 
 
 def test_forward_channel_trace_is_included_weight():
     params = ModelParams(12, 0.8)
     ens = ensemble(params, LocalParam(0.4, -0.1))
-    full = forward_channel(ens, FockTruncation(13))
-    assert np.trace(full.matrix).real == pytest.approx(1.0, abs=1e-12)
+    full = forward_channel(ens)
+    assert np.trace(fock_matrix(full, FockTruncation(13))).real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_inverse_block_round_trip_machine_precision():
@@ -138,9 +138,9 @@ def test_channels_preserve_trace():
     u = LocalParam(0.6, 0.2)
     ens = ensemble(params, u)
     trunc = FockTruncation(24)
-    fwd = forward_channel(ens, trunc)
-    assert np.trace(fwd.matrix).real == pytest.approx(1.0, abs=1e-10)
-    phi = displaced_thermal(u, 0.75, trunc)
+    fwd = forward_channel(ens)
+    assert np.trace(fock_matrix(fwd, trunc)).real == pytest.approx(1.0, abs=1e-10)
+    phi = displaced_thermal(u, 0.75)
     back = inverse_channel(phi, params)
     total = sum(b.weight * np.trace(b.matrix).real for b in back.blocks)
     assert total == pytest.approx(np.trace(phi.matrix).real, abs=1e-10)
@@ -154,19 +154,26 @@ def test_round_trip_through_both_channels():
     u0 = LocalParam(0, 0)
     ens = ensemble(params, u0)
     trunc = FockTruncation(16)
-    fwd = forward_channel(ens, trunc)
+    fwd = forward_channel(ens)
     back = inverse_channel(fwd, params)
     round_trip = ensemble_distance(ens, back)
     phi = thermal_state(params.p, trunc)
-    leg_forward = trace_norm(fwd.matrix - phi.matrix)
+    leg_forward = trace_norm(fock_matrix(fwd, trunc) - phi.matrix)
     leg_reverse = ensemble_distance(ens, inverse_channel(phi, params))
     assert round_trip <= leg_forward + leg_reverse + 1e-12
     assert round_trip < 0.1
 
 
 def test_coherent_vector_distance_zero_u():
-    d = coherent_vector_distance(HalfInteger(10), LocalParam(0, 0), 20, FockTruncation(16))
+    d = coherent_vector_distance(HalfInteger(10), LocalParam(0, 0), 20)
     assert d == 0.0
+
+
+def test_coherent_vector_distance_outside_the_coordinate_branch():
+    # |u|/sqrt(n) = 2 >= pi/2: a domain error of the spin coherent
+    # coordinates, not a truncation failure
+    with pytest.raises(DomainError):
+        coherent_vector_distance(HalfInteger(4), LocalParam(4.0, 0.0), 4)
 
 
 def test_coherent_vector_distance_decreases():
@@ -177,7 +184,7 @@ def test_coherent_vector_distance_decreases():
         if (twoj - n) % 2:
             twoj += 1
         vals.append(
-            coherent_vector_distance(HalfInteger(twoj), u, n, FockTruncation(twoj + 1))
+            coherent_vector_distance(HalfInteger(twoj), u, n)
         )
     assert vals[0] > vals[1] > vals[2]
     assert vals[2] < vals[0] / 2
@@ -261,35 +268,18 @@ def test_sweep_forward_block_reverse_triangle_consistency():
     # with t the mass of phi outside the block image (gentle projection bound)
     params = ModelParams(16, 0.75)
     u = LocalParam(1.0, -1.0)
-    trunc = FockTruncation(24)
     ens = ensemble(params, u)
-    phi = displaced_thermal(u, params.mu, trunc)
+    phi = displaced_thermal(u, params.mu)
     back = inverse_channel(phi, params)
+    dense = phi.matrix
     for ba, bb in zip(ens.blocks, back.blocks):
         if ba.j not in set(concentration_set(params)):
             continue
-        emb = embed_block(ba.matrix, EmbeddingMap(ba.j, trunc))
-        fwd = trace_norm(emb - phi.matrix)
+        emb = embed_block(ba.matrix, EmbeddingMap(ba.j, phi.trunc))
+        fwd = trace_norm(emb - dense)
         rev = trace_norm(ba.matrix - bb.matrix)
-        t = max(0.0, np.trace(phi.matrix).real - np.trace(phi.matrix[: ba.j.dim, : ba.j.dim]).real)
+        t = max(0.0, np.trace(dense).real - np.trace(dense[: ba.j.dim, : ba.j.dim]).real)
         assert fwd <= rev + 2 * math.sqrt(t) + 2 * t + 1e-10
-
-
-def test_sweep_truncation_once_per_n(monkeypatch):
-    # the truncation depends on n and the settings only, so a 3 x 2 sweep
-    # sizes it three times, not once per point and again per record
-    calls = []
-    sized = channels.default_truncation
-
-    def counted(params, u_max):
-        calls.append(params.n)
-        return sized(params, u_max)
-
-    monkeypatch.setattr(channels, "default_truncation", counted)
-    grid = (LocalParam(0, 0), LocalParam(0.5, -0.5))
-    recs = convergence_sweep(SweepSettings(mu=0.75, n_values=(4, 8, 16), u_grid=grid))
-    assert calls == [4, 8, 16]
-    assert [len(r.points) for r in recs] == [2, 2, 2]
 
 
 def test_sweep_parallel_workers_match_serial():
@@ -336,9 +326,10 @@ def test_ensemble_distance_zero_and_symmetry():
 
 
 def dense_sweep_point(settings, n, u):
-    """Oracle: the three distances from dense blocks and a padded dense phi."""
+    """Oracle: the three distances from dense blocks and a padded dense phi,
+    on every level a block or the limit core reaches."""
     params = ModelParams(n, settings.mu, settings.epsilon)
-    dim = _sweep_truncation(settings, params).dim
+    dim = max(n + 1, displaced_thermal(u, settings.mu).core.shape[0])
     pad = 48
     p = params.p
     d_op = displacement_operator(
@@ -367,9 +358,8 @@ def dense_sweep_point(settings, n, u):
 
 
 def sweep_point(settings, n, u):
-    """One point task, with the truncation ``convergence_sweep`` passes for its n."""
-    trunc = _sweep_truncation(settings, ModelParams(n, settings.mu, settings.epsilon))
-    return _sweep_point((settings, n, u, trunc))
+    """One point task, as ``convergence_sweep`` passes it."""
+    return _sweep_point((settings, n, u))
 
 
 @pytest.mark.parametrize("mu", [0.75, 1.0])
@@ -412,32 +402,34 @@ def test_sweep_point_error_bound_covers_rank_cut(monkeypatch):
     ) > 1e-9
 
 
-@pytest.mark.parametrize("mu", [0.75, 1.0])
-def test_sweep_point_error_bound_covers_cropped_limit_state(mu):
-    # under-resolve on purpose: at --trunc 19 the limit state's factor rows
-    # reach past the truncation, and cropping them moves a distance by up to
-    # eps + 2 sqrt(eps) (gentle measurement), far more than the cropped trace
-    # eps itself; the bound must cover the shift against --trunc 80
-    n, u = 16, LocalParam(1.0, 1.0)
-    coarse, fine = (
-        sweep_point(SweepSettings(mu=mu, n_values=(n,), u_grid=(u,), trunc_dim=t), n, u)
-        for t in (19, 80)
-    )
-    for stat in ("forward", "block_max", "reverse"):
-        shift = abs(getattr(coarse, stat) - getattr(fine, stat))
-        assert shift <= coarse.error_bound
-    assert abs(coarse.forward - fine.forward) > 1e-11
-
-
 @pytest.mark.parametrize("ux, uy", [((0.176704, -0.783814), -0.251648), ((0.91345, -0.160437), -0.310645)])
 def test_default_truncation_holds_the_limit_core(ux, uy):
     # the benchmark's `blocks` grids (seeds 1 and 2) at n = 16, mu = 0.75: the
-    # limit core reaches 57 to 74 rows, past every other floor (44, 45), and
-    # a cropped core lifts the bounds to 2 sqrt(crop) ~ 1e-10
+    # limit core keeps the 57 to 74 rows it reaches, so its trace misses only
+    # the rank cut, and the bounds stay at rounding level
     grid = tuple(LocalParam(x, uy) for x in ux)
     settings = SweepSettings(mu=0.75, n_values=(16,), u_grid=grid)
-    trunc = _sweep_truncation(settings, ModelParams(16, 0.75, settings.epsilon))
     for u in grid:
-        assert displaced_thermal(u, 0.75, trunc).crop == 0.0
+        phi = displaced_thermal(u, 0.75)
+        assert 57 <= phi.core.shape[0] <= 74
+        assert float(np.sum(phi.core ** 2)) == pytest.approx(1.0 - phi.deficit, abs=1e-14)
     rec = convergence_sweep(settings)[0]
     assert rec.error_bound <= 1e-14
+
+
+def test_limit_state_deficit_is_its_rank_cut():
+    # the rank cut drops p^r of the limit state's trace, (1/3)^33 at
+    # mu = 0.75, and nothing from the pure state; 1 - sum(core^2) would read
+    # only rounding (the benchmark's seed 1 and 2 points)
+    u = LocalParam(0.176704, -0.251648)
+    rec = convergence_sweep(SweepSettings(mu=0.75, n_values=(16,), u_grid=(u,)))[0]
+    assert min(pt.error_bound for pt in rec.points) >= (1 / 3) ** 33
+    assert displaced_thermal(u, 0.75).deficit == (1 / 3) ** 33
+    pure = displaced_thermal(LocalParam(-0.160437, -0.310645), 1.0)
+    assert pure.deficit == 0.0
+    rec = convergence_sweep(SweepSettings(mu=1.0, n_values=(16,), u_grid=(u,)))[0]
+    assert rec.error_bound == 0.0
+    # far out the core keeps every row it reaches: 1075 at |u| = 20
+    far = displaced_thermal(LocalParam(20.0, 0.0), 0.75)
+    assert far.core.shape[0] > 1000
+    assert float(np.sum(far.core ** 2)) == pytest.approx(1.0 - far.deficit, abs=1e-12)

@@ -138,6 +138,16 @@ def test_removed_grid_keys_rejected(tmp_path, capsys, key):
     assert err.startswith("error: config:") and key in err
 
 
+@pytest.mark.parametrize("command", ["convergence", "discriminate"])
+def test_removed_trunc_key_rejected(tmp_path, capsys, command):
+    # every core keeps the rows it reaches, so there is no Fock cutoff to set
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("trunc = 0\n", encoding="utf-8")
+    assert run_cli([command, "--config", str(cfg), "--n", "4", "--grid", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and "unknown config key 'trunc'" in err
+
+
 def test_bad_mu_exit_code(capsys):
     assert run_cli(["risk", "--mu", "0.4"]) == 2
     assert capsys.readouterr().err.startswith("error: config:")
@@ -195,8 +205,8 @@ def test_report_roundtrip_read(tmp_path):
     "argv",
     [
         ["convergence", "--epsilon", "abc"],
-        ["convergence", "--trunc", "abc"],
-        ["convergence", "--trunc", "-1"],
+        ["convergence", "--epsilon", "0.5"],
+        ["discriminate", "--n", "0"],
         ["convergence", "--workers", "abc"],
         ["convergence", "--workers", "-2"],
         ["convergence", "--workers", "0"],
@@ -221,6 +231,8 @@ def test_malformed_or_out_of_range_scalar_is_config_error(argv, capsys):
         ["risk", "--n", "4"],
         ["discriminate", "--workers", "2"],
         ["convergence", "--samples", "5"],
+        ["convergence", "--trunc", "9"],
+        ["discriminate", "--trunc", "9"],
     ],
 )
 def test_subcommand_rejects_a_flag_it_does_not_read(argv):
@@ -230,8 +242,8 @@ def test_subcommand_rejects_a_flag_it_does_not_read(argv):
 @pytest.mark.parametrize(
     "command, keys",
     [
-        ("convergence", {"mu", "n", "epsilon", "grid", "trunc", "workers", "format"}),
-        ("discriminate", {"mu", "n", "epsilon", "grid", "trunc", "format"}),
+        ("convergence", {"mu", "n", "epsilon", "grid", "workers", "format"}),
+        ("discriminate", {"mu", "n", "epsilon", "grid", "format"}),
         ("measure-compare", {"mu", "n", "epsilon", "grid", "format"}),
         ("risk", {"mu", "samples", "seed", "format"}),
     ],
@@ -241,7 +253,7 @@ def test_shared_config_file_echoes_only_the_keys_read(tmp_path, command, keys):
     # only its own, and records a seed only where one is read
     cfg = tmp_path / "all.cfg"
     cfg.write_text(
-        "mu = 1.0\nn = 16\nepsilon = 0.1\ngrid = 0.5,0\ntrunc = 0\nworkers = 1\n"
+        "mu = 1.0\nn = 16\nepsilon = 0.1\ngrid = 0.5,0\nworkers = 1\n"
         "samples = 0\nseed = 5\nformat = json\n",
         encoding="utf-8",
     )
@@ -254,12 +266,12 @@ def test_shared_config_file_echoes_only_the_keys_read(tmp_path, command, keys):
 
 
 def test_discriminate_automatic_truncation_holds_the_limit_core(tmp_path):
-    # at |u| = 10 the mu = 0.9 limit core reaches past any fixed cutoff of
-    # 128 rows; the automatic truncation takes every row it reaches
+    # at |u| = 10 the mu = 0.9 limit core reaches past 128 rows and keeps
+    # them all, so the bound is the two rank cuts 2 p^r alone
     out = tmp_path / "disc.csv"
     assert run_cli(["discriminate", "--mu", "0.9", "--n", "16", "--grid", "10,0", "--out", str(out)]) == 0
     (limit,) = [r for r in read_csv_rows(out) if r["statistic"] == "limit_risk"]
-    assert float(limit["error_bound"]) < 1e-12
+    assert 0.0 < float(limit["error_bound"]) < 1e-12
 
 
 def test_measure_compare_past_the_injectivity_disk_names_it(capsys):

@@ -3,7 +3,9 @@
 ``spingauss.reference`` holds the dense constructions the tests compare
 against.  No other module of the package may import it, so the command line,
 and with it every benchmarked path, never loads it.  Nor does the command
-line load ``scipy.linalg``: every trace norm it takes is Hermitian.
+line load ``scipy.linalg``: every trace norm it takes is Hermitian.  And
+no function outside it takes a Fock cutoff: each state's core holds every
+row it reaches.
 """
 
 import ast
@@ -42,6 +44,32 @@ def test_no_package_module_imports_reference():
         )
     ]
     assert offenders == []
+
+
+def truncation_parameters(tree: ast.AST) -> list[str]:
+    """``function(parameter)`` for every parameter of ``tree`` that is named
+    ``trunc`` or annotated with ``FockTruncation``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+            found.extend(
+                f"{getattr(node, 'name', 'lambda')}({p.arg})"
+                for p in params
+                if p.arg == "trunc" or (p.annotation and "FockTruncation" in ast.unparse(p.annotation))
+            )
+    return found
+
+
+def test_no_function_outside_reference_takes_a_truncation():
+    offenders = {
+        path.name: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "reference.py"
+        and (names := truncation_parameters(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert offenders == {}
 
 
 def test_cli_import_leaves_reference_unloaded():

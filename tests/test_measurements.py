@@ -30,7 +30,7 @@ from spingauss.measurements import (
     default_tv_grid,
 )
 from spingauss.numerics import trace_norm
-from spingauss.oscillator import FockTruncation, PolarGrid, _coherent_rows, heterodyne_pdf
+from spingauss.oscillator import FockTruncation, PolarGrid, _coherent_rows
 from spingauss import measurements, qubit_model, reference
 from spingauss.qubit_model import (
     ModelParams,
@@ -174,9 +174,11 @@ def test_helstrom_factor_form_limit_states_match_dense():
 
     trunc = FockTruncation(128)
     for mu, u in ((0.75, LocalParam(0.6, -0.3)), (0.9, LocalParam(-1.2, 0.4))):
-        plus = displaced_thermal(u, mu, trunc)
+        plus = displaced_thermal(u, mu)
         got = helstrom_risk(plus, plus.mirrored()).risk
-        want = reference.helstrom_risk(plus.matrix, displaced_thermal(-u, mu, trunc).matrix).risk
+        want = reference.helstrom_risk(
+            reference.fock_matrix(plus, trunc), reference.fock_matrix(displaced_thermal(-u, mu), trunc)
+        ).risk
         assert got == pytest.approx(want, abs=1e-13)
 
 
@@ -229,25 +231,6 @@ def test_heterodyne_risk_monte_carlo_reproducible_and_consistent():
     c = heterodyne_estimation_risk(mu, mc=McSpec(seed=321, samples=40_000))
     assert abs(a.value - c.value) <= a.error_bound + c.error_bound
     assert abs(a.value - heterodyne_risk_reference(mu)) <= a.error_bound + 0.02
-
-
-def test_heterodyne_risk_monte_carlo_uses_sample_truncation(monkeypatch):
-    # away from u = 0 the Monte Carlo value is the mean over the points and
-    # weights heterodyne_samples returns, with the truncation it sizes from
-    # the farthest sample, not from the quadrature radius
-    mu, u = 0.75, LocalParam(1.3, -0.7)
-    mc = McSpec(seed=5, samples=20_000)
-    dims = []
-
-    def recording_pdf(pts, u, mu, trunc):
-        dims.append(trunc.dim)
-        return heterodyne_pdf(pts, u, mu, trunc)
-
-    monkeypatch.setattr(measurements, "heterodyne_pdf", recording_pdf)
-    pts, weights = heterodyne_samples(mu, u, mc)
-    want = float((((pts[:, 0] - u.ux) ** 2 + (pts[:, 1] - u.uy) ** 2) * weights).mean())
-    assert heterodyne_estimation_risk(mu, u, mc=mc).value == want
-    assert dims[0] == dims[1]
 
 
 def test_heterodyne_pdf_moments_match_derived_variance():

@@ -14,16 +14,15 @@ from spingauss.oscillator import (
     PolarGrid,
     _coherent_rows,
     coherent_coefficients,
-    default_truncation,
     displaced_thermal,
     displacement_amplitude,
     displacement_core,
     heterodyne_pdf,
 )
-from spingauss.qubit_model import ModelParams
 from spingauss.reference import (
     coherent_state,
     displacement_operator,
+    fock_matrix,
     glauber_mixture,
     heterodyne_density,
     number_basis_state,
@@ -167,12 +166,12 @@ def test_displacement_truncation_error_when_pad_too_small():
 
 def test_displaced_thermal_reduces_to_thermal_and_coherent():
     mu = 0.75
-    th = displaced_thermal(LocalParam(0.0, 0.0), mu, T32)
-    np.testing.assert_allclose(th.matrix, thermal_state(1 / 3, T32).matrix, atol=1e-14)
+    th = fock_matrix(displaced_thermal(LocalParam(0.0, 0.0), mu), T32)
+    np.testing.assert_allclose(th, thermal_state(1 / 3, T32).matrix, atol=1e-14)
     u = LocalParam(0.6, -0.2)
-    pure = displaced_thermal(u, 1.0, T64)
+    pure = fock_matrix(displaced_thermal(u, 1.0), T64)
     want = coherent_state(displacement_amplitude(u, 1.0), T64).matrix
-    assert trace_norm(pure.matrix - want) < 1e-8
+    assert trace_norm(pure - want) < 1e-8
 
 
 def test_displaced_thermal_real_core_matches_displacement_operator():
@@ -184,35 +183,24 @@ def test_displaced_thermal_real_core_matches_displacement_operator():
         for mag in (0.0, 0.4, 1.0, 2.2, 3.0 / math.sqrt(2 * mu - 1)):
             t = rng.uniform(0, 2 * math.pi)
             u = LocalParam(mag * math.cos(t), mag * math.sin(t))
-            op = displaced_thermal(u, mu, FockTruncation(160))
+            op = displaced_thermal(u, mu)
             assert op.psi == u.angle and op.core.dtype == np.float64 and not hasattr(op, "dense")
-            rows, rank = op.core.shape
+            core = op.core[:160]
+            rows, rank = core.shape
             d_op = displacement_operator(
                 displacement_amplitude(u, mu), FockTruncation(160), pad=64
             )
             want = d_op[:rows, :rank] * np.sqrt((1 - p) * p ** np.arange(rank))
-            r, c = np.indices(op.core.shape)
-            np.testing.assert_allclose(np.exp(1j * op.psi * (r - c)) * op.core, want, atol=1e-12)
-
-
-def test_displaced_thermal_crop_is_the_mass_past_the_truncation():
-    # exactly 0 when the truncation holds every row the factor reaches
-    u, mu = LocalParam(1.0, 1.0), 0.75
-    full = displaced_thermal(u, mu, FockTruncation(400))
-    cut = displaced_thermal(u, mu, FockTruncation(19))
-    assert full.core.shape[0] < 400 and full.crop == 0.0
-    assert cut.crop == pytest.approx(float(np.sum(full.core[19:] ** 2)), rel=1e-12)
-    assert cut.crop > 0.0
-    assert cut.trunc.tail_bound == pytest.approx(full.trunc.tail_bound + cut.crop, rel=1e-12)
-    assert cut.distance_bound == cut.trunc.tail_bound + 2 * math.sqrt(cut.crop)
+            r, c = np.indices(core.shape)
+            np.testing.assert_allclose(np.exp(1j * op.psi * (r - c)) * core, want, atol=1e-12)
 
 
 def test_displaced_thermal_mirror_is_minus_u():
     # D(-z) = S D(z) S: the mirrored state is the state at -u
     u, mu = LocalParam(0.7, -0.4), 0.8
-    plus = displaced_thermal(u, mu, T64)
+    plus = displaced_thermal(u, mu)
     np.testing.assert_allclose(
-        plus.mirrored().matrix, displaced_thermal(-u, mu, T64).matrix, atol=1e-14
+        fock_matrix(plus.mirrored(), T64), fock_matrix(displaced_thermal(-u, mu), T64), atol=1e-14
     )
     assert plus.mirrored().psi == plus.psi
 
@@ -226,7 +214,7 @@ def test_displaced_thermal_quadrature_means():
     root = math.sqrt(2 * mu - 1)
     q, p = quadrature_operators(FockTruncation(128))
     for u in (LocalParam(1.0, 0.0), LocalParam(-0.3, 0.8)):
-        rho = displaced_thermal(u, mu, FockTruncation(128)).matrix
+        rho = fock_matrix(displaced_thermal(u, mu), FockTruncation(128))
         mean_q = np.trace(rho @ q).real
         mean_p = np.trace(rho @ p).real
         assert mean_q == pytest.approx(-math.sqrt(2) * root * u.uy, abs=1e-6)
@@ -238,8 +226,8 @@ def test_displaced_thermal_parity_relation():
     mu = 0.8
     u = LocalParam(0.7, 0.4)
     parity = np.diag([(-1.0) ** k for k in range(64)])
-    plus = displaced_thermal(u, mu, T64).matrix
-    minus = displaced_thermal(-u, mu, T64).matrix
+    plus = fock_matrix(displaced_thermal(u, mu), T64)
+    minus = fock_matrix(displaced_thermal(-u, mu), T64)
     assert np.abs(parity @ plus @ parity - minus).max() < 1e-8
 
 
@@ -248,7 +236,7 @@ def test_state_factories_are_psd_with_reported_trace():
     for _ in range(5):
         mu = rng.uniform(0.55, 1.0)
         u = LocalParam(*rng.uniform(-1, 1, 2))
-        op = displaced_thermal(u, mu, T64)
+        op = displaced_thermal(u, mu)
         eigs = np.linalg.eigvalsh(op.matrix)
         assert eigs.min() > -1e-10
         assert 1 - op.trunc.tail_bound - 1e-12 <= np.trace(op.matrix).real <= 1 + 1e-10
@@ -297,10 +285,9 @@ def test_heterodyne_completeness_quadrature_oracle():
 def test_heterodyne_pdf_gaussian_oracle():
     # derived closed form: (2mu-1)^2/(pi mu) exp(-(2mu-1)^2 ||d||^2 / mu)
     mu = 0.75
-    trunc = FockTruncation(128)
     u = LocalParam(0.4, -0.6)
     pts = np.array([[0.4, -0.6], [1.0, 0.0], [-0.5, 1.2], [2.0, 2.0]])
-    got = heterodyne_pdf(pts, u, mu, trunc)
+    got = heterodyne_pdf(pts, u, mu)
     d2 = np.sum((pts - [u.ux, u.uy]) ** 2, axis=1)
     want = (2 * mu - 1) ** 2 / (math.pi * mu) * np.exp(-((2 * mu - 1) ** 2) * d2 / mu)
     np.testing.assert_allclose(got, want, atol=1e-6)
@@ -312,18 +299,17 @@ def test_heterodyne_pdf_matches_dense_quadratic_form(mu):
     trunc = FockTruncation(140)
     u = LocalParam(2.5, -1.5)
     pts = np.array([[2.5, -1.5], [0.0, 0.0], [3.5, -0.5], [1.0, -3.0], [5.0, 1.0]])
-    rho = displaced_thermal(u, mu, trunc).matrix
+    rho = fock_matrix(displaced_thermal(u, mu), trunc)
     want = []
     for x, y in pts:
         c = coherent_coefficients(math.sqrt(2 * mu - 1) * complex(-y, x), trunc.dim)
         want.append((2 * mu - 1) / math.pi * np.vdot(c, rho @ c).real)
-    np.testing.assert_allclose(heterodyne_pdf(pts, u, mu, trunc), want, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(heterodyne_pdf(pts, u, mu), want, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("mu", [0.75, 1.0])
 def test_heterodyne_pdf_streams_points_in_chunks(mu, monkeypatch):
     u = LocalParam(1.3, -0.7)
-    trunc = FockTruncation(128)
     rng = np.random.default_rng(3)
     pts = rng.standard_normal((2 * PDF_CHUNK + 1, 2)) * 1.5 + [u.ux, u.uy]
     sizes = []
@@ -334,15 +320,15 @@ def test_heterodyne_pdf_streams_points_in_chunks(mu, monkeypatch):
         return kernel(z, dim, gauge)
 
     monkeypatch.setattr(oscillator, "_coherent_rows", counted)
-    got = heterodyne_pdf(pts, u, mu, trunc)
+    got = heterodyne_pdf(pts, u, mu)
     assert sizes == [PDF_CHUNK, PDF_CHUNK, 1]
     # every chunk boundary, plus a sample of the rest, one point at a time
     picks = np.r_[0, 1, PDF_CHUNK - 1, PDF_CHUNK, 2 * PDF_CHUNK - 1, 2 * PDF_CHUNK,
                   rng.integers(0, len(pts), 24)]
-    single = [heterodyne_pdf(pts[i : i + 1], u, mu, trunc)[0] for i in picks]
+    single = [heterodyne_pdf(pts[i : i + 1], u, mu)[0] for i in picks]
     np.testing.assert_allclose(got[picks], single, rtol=0, atol=1e-15)
     monkeypatch.setattr(oscillator, "PDF_CHUNK", len(pts))
-    np.testing.assert_allclose(got, heterodyne_pdf(pts, u, mu, trunc), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(got, heterodyne_pdf(pts, u, mu), rtol=0, atol=1e-15)
 
 
 def test_heterodyne_pdf_integrates_to_one():
@@ -351,17 +337,8 @@ def test_heterodyne_pdf_integrates_to_one():
     sig = math.sqrt(mu / 2) / (2 * mu - 1)
     grid = PolarGrid(center=(u.ux, u.uy), radius=8 * sig, n_radial=160, n_angular=128)
     pts, w = grid.nodes()
-    dens = heterodyne_pdf(pts, u, mu, FockTruncation(96))
+    dens = heterodyne_pdf(pts, u, mu)
     assert abs(np.sum(w * dens) - 1.0) < 1e-4
-
-
-def test_default_truncation_policy_floors():
-    params = ModelParams(100, 0.75, 0.1)
-    trunc = default_truncation(params, u_max=math.sqrt(2))
-    # covers every concentration-set block and the thermal tail
-    assert trunc.dim >= 2 * (25 + math.ceil(100 ** 0.6)) + 1 - 2
-    assert (1 / 3) ** trunc.dim < 1e-8
-    assert trunc.dim >= math.ceil((math.sqrt(0.5) * math.sqrt(2) + 6) ** 2)
 
 
 @pytest.mark.parametrize("t", [0.0, 0.3, 2.5, 9.0])
