@@ -34,7 +34,6 @@ from .oscillator import (
     displaced_thermal,
 )
 from .qubit_model import (
-    NEGLIGIBLE_WEIGHT,
     BlockState,
     EnsembleState,
     ModelParams,
@@ -50,8 +49,7 @@ def _forward_corner(ens: EnsembleState) -> np.ndarray:
     """Weighted sum of the blocks' core core^dag on the rows they reach.
 
     This is the forward channel's output in the ensemble's gauge ``ens.psi``.
-    A block that does not occur in the state has an empty core and adds
-    nothing.
+    A block that was not rotated has an empty core and adds nothing.
     """
     rows = max(b.core.shape[0] for b in ens.blocks)
     out = np.zeros((rows, rows), dtype=np.result_type(float, *(b.core for b in ens.blocks)))
@@ -67,13 +65,14 @@ def forward_channel(ens: EnsembleState) -> FockOperator:
     The block embedding is the identity on indices, so the result is in
     factor form: the cores sqrt(w_j) core_j side by side, in the ensemble's
     gauge ``ens.psi``, on the rows the largest core reaches.  Its deficit is
-    the weighted trace the blocks' rank cuts dropped.
+    the weighted trace the blocks' rank cuts dropped plus the weight of the
+    blocks that were not rotated, since ||sum_j w_j rho_j||_1 <= sum_j w_j.
     """
     rows = max(b.core.shape[0] for b in ens.blocks)
     core = np.hstack(
         [np.pad(math.sqrt(b.weight) * b.core, ((0, rows - b.core.shape[0]), (0, 0))) for b in ens.blocks]
     )
-    deficit = sum(b.weight * b.discarded for b in ens.blocks)
+    deficit = sum(b.weight * b.discarded for b in ens.blocks) + ens.skipped
     return FockOperator(core, deficit=deficit, psi=ens.psi)
 
 
@@ -165,7 +164,7 @@ class PointStats:
     forward: float
     block_max: float
     reverse: float
-    error_bound: float  # limit-state rank cut + largest block rank cut
+    error_bound: float  # limit-state rank cut + largest block rank cut + skipped weight
 
 
 @dataclass(frozen=True)
@@ -214,16 +213,17 @@ def _sweep_point(args) -> PointStats:
     jset = set(concentration_set(params))
     block_max = 0.0
     for b in ens.blocks:
-        # blocks that carry no weight do not occur in the state
-        if b.j not in jset or b.weight <= NEGLIGIBLE_WEIGHT:
+        # blocks of negligible weight were not rotated and do not count
+        if b.j not in jset or not b.rotated:
             continue
         eigs = factor_difference_eigvals(b.core, phi.core, b.psi, phi.psi)
         block_max = max(block_max, float(np.abs(eigs).sum()))
     s_out = inverse_channel(phi, params)
     reverse = ensemble_distance(ens, s_out)
     # the inverse channel is trace-norm contractive, so the rank cuts of phi
-    # and of the largest block bound all three
-    bound = phi.deficit + max(b.discarded for b in ens.blocks)
+    # and of the largest block, and the weight of the blocks left unrotated,
+    # bound all three
+    bound = phi.deficit + max(b.discarded for b in ens.blocks) + ens.skipped
     return PointStats(
         n=n, u=u, forward=forward, block_max=block_max, reverse=reverse, error_bound=bound
     )

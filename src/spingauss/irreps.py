@@ -14,7 +14,11 @@ this reproduces the one-qubit closed form
     [[cos|u|, -e^{-i phi} sin|u|], [e^{i phi} sin|u|, cos|u|]]
 
 with phi = Arg(-u_y + i u_x).  ``rotation_columns`` returns the leading
-columns of U_j(u) as a real core; the dense U_j(u) is
+columns of U_j(u) as a real core, by one Chebyshev propagator.
+``rotation_walk`` returns those cores for a whole range of spins at one
+rotation: it starts with one ``rotation_columns`` call at the lowest spin and
+climbs in half-steps of j by Clebsch-Gordan coupling to one more qubit, so the
+blocks of one (n, u) share a single propagator.  The dense U_j(u) is
 ``spingauss.reference.rotation_unitary``.
 """
 
@@ -27,6 +31,10 @@ import numpy as np
 
 from .errors import DomainError
 from .numerics import gauge_phases, tridiagonal_propagator
+
+# Trailing rows of a walked core whose entries all lie below this are dropped
+# (each dropped entry is at most 1e-34 of trace); the walk reports the mass.
+WALK_TRIM = 1e-17
 
 
 @dataclass(frozen=True, order=True)
@@ -120,6 +128,73 @@ def rotation_columns(j: HalfInteger, u: LocalParam, cols: int) -> np.ndarray:
     return tridiagonal_propagator(
         lambda i: np.sqrt(i * (j.twoj + 1.0 - i)), u.norm, cols, size=j.dim
     )
+
+
+def _trim(core: np.ndarray) -> tuple[np.ndarray, float]:
+    """``core`` without its trailing rows below ``WALK_TRIM``, and their mass."""
+    keep = core.shape[0]
+    while keep > 1 and np.abs(core[keep - 1]).max() < WALK_TRIM:
+        keep -= 1
+    return core[:keep], float(np.sum(core[keep:] ** 2))
+
+
+def _half_step(prev: np.ndarray, twoj: int, c: float, s: float, cols: int) -> np.ndarray:
+    """The core of spin j = twoj/2 from the core ``prev`` of spin j - 1/2.
+
+    Coupling one more qubit, |j, j-k> = a_k |j-1/2, j-1/2-k>|up> +
+    b_k |j-1/2, j+1/2-k>|down> with a_k = sqrt((2j-k)/2j), b_k = sqrt(k/2j),
+    and the qubit's core [[c, -s], [s, c]] give
+
+        M[l, k] = a_l (c a_k M'[l, k] - s b_k M'[l, k-1])
+                  + b_l (s a_k M'[l-1, k] + c b_k M'[l-1, k-1]).
+
+    ``prev`` holds the leading rows of M' (missing rows are zero), so the
+    result reaches one row further; it keeps min(cols, 2j + 1) columns, and
+    a column of M' past its last is zero through a_{2j} = 0.
+    """
+    rows, have = prev.shape
+    width = min(cols, twoj + 1)
+    k = np.arange(max(rows + 1, width))
+    a = np.sqrt((twoj - k) / twoj)
+    b = np.sqrt(k / twoj)
+    if have < width:
+        prev = np.pad(prev, ((0, 0), (0, 1)))
+    up = prev * a[:width]
+    down = np.zeros((rows, width))
+    down[:, 1:] = prev[:, : width - 1] * b[1:width]
+    out = np.zeros((rows + 1, width))
+    out[:rows] = a[:rows, None] * (c * up - s * down)
+    out[1:] += b[1 : rows + 1, None] * (s * up + c * down)
+    return out
+
+
+def rotation_walk(lo: int, hi: int, w: LocalParam, cols: int) -> tuple[list[np.ndarray], float]:
+    """Real cores of U_j(w)[:, :min(cols, 2j + 1)] for 2j = lo, lo + 2, ..., hi.
+
+    Each core is the one ``rotation_columns`` returns, in the same gauge
+    psi = w.angle, on the rows it reaches.  One propagator call gives the
+    core at 2j = lo, so lo = hi is exactly that call; each half-step up in j
+    is ``_half_step`` (Risbo's recursion, J. Geodesy 70, 383, 1996), and
+    only the spins of lo's parity are kept.  After every step the trailing
+    rows below ``WALK_TRIM`` are trimmed.  The second value is the mass the
+    trimming dropped, summed over all steps: it bounds the trace any
+    returned column lost to it.
+    """
+    if not 0 <= lo <= hi or (hi - lo) % 2:
+        raise DomainError(f"spin range 2j = {lo}..{hi} is not a same-parity range")
+    c, s = math.cos(w.norm), math.sin(w.norm)
+    core = rotation_columns(HalfInteger(lo), w, cols)
+    cores = [core]
+    trimmed = 0.0
+    for twoj in range(lo + 1, hi + 1):
+        core, mass = _trim(_half_step(core, twoj, c, s, cols))
+        # every column of U_j is a unit vector: rescaling to it keeps the
+        # rounding of c^2 + s^2 = 1, the same every step, from compounding
+        core /= np.sqrt(np.einsum("ij,ij->j", core, core))
+        trimmed += mass
+        if (twoj - lo) % 2 == 0:
+            cores.append(core)
+    return cores, trimmed
 
 
 def spin_coherent_coords(j: HalfInteger, w: LocalParam) -> np.ndarray:

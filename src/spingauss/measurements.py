@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import AccuracyError, DomainError, ValidationError
-from .irreps import HalfInteger, LocalParam, rotation_columns
+from .irreps import HalfInteger, LocalParam, rotation_walk
 from .numerics import factor_difference_eigvals, propagator_degree
 from .oscillator import (
     FockOperator,
@@ -263,7 +263,7 @@ def _concentration_weights(params: ModelParams) -> tuple[tuple[HalfInteger, floa
 
 class _Block(NamedTuple):
     """An included block: spin, weight and the real core of its rotation
-    columns (only the rows the propagator reaches)."""
+    columns (only the rows the walk keeps, ``irreps.rotation_walk``)."""
 
     j: HalfInteger
     weight: float
@@ -362,9 +362,12 @@ def _tv_grid(
 
     ``grid`` must be centred at u.  One call builds the nodes and the
     covariant data at them (which rejects a grid past the injectivity disk
-    before any other work), every included block's rotation columns, the
-    leading rows of D(-z_c) (one ``displacement_core`` quadrature, only as
-    many rows as the radial rows reach), and the radial and angular tables.
+    before any other work), the rotation columns of every included block
+    (weight above NEGLIGIBLE_WEIGHT, a contiguous range of 2j) from one
+    ``rotation_walk``, the leading rows of D(-z_c) (one
+    ``displacement_core`` quadrature, only as many rows as the radial rows
+    reach), and the radial and angular tables.  The walk's trimmed mass,
+    like the rank cut, sits far below the quadrature resolution.
     """
     if grid.center != (u.ux, u.uy):
         raise ValidationError(f"TV grid centred at {grid.center}, not at u = ({u.ux}, {u.uy})")
@@ -373,11 +376,10 @@ def _tv_grid(
     radii, _, angles = grid.axes()
     s = math.sqrt(2.0 * params.mu - 1.0)
     scaled = u.scaled(1.0 / math.sqrt(params.n))
-    blocks = tuple(
-        _Block(j, bw, rotation_columns(j, scaled, cols=effective_rank(params.p, j.dim)))
-        for j, bw in block_weights
-        if bw > NEGLIGIBLE_WEIGHT
-    )
+    included = [(j, bw) for j, bw in block_weights if bw > NEGLIGIBLE_WEIGHT]
+    lo = included[0][0].twoj
+    cores, _ = rotation_walk(lo, included[-1][0].twoj, scaled, effective_rank(params.p))
+    blocks = tuple(_Block(j, bw, cores[(j.twoj - lo) // 2]) for j, bw in included)
     rows = max(b.cols.shape[0] for b in blocks)
     # D(z_c) is the real core M = D(|z_c|) in the blocks' gauge psi = u.angle
     # (``displaced_thermal``), so D(-z_c) = D(z_c)^dag is M^T there.  h only

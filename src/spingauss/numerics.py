@@ -31,6 +31,9 @@ HERMITICITY_RTOL = 1e-12
 # Chebyshev terms with |J_k(t s)| at or below this are dropped: far below the
 # rounding of the O(1) entries the propagator returns.
 CHEBYSHEV_TOL = 1e-18
+# The propagator sums its Chebyshev terms in chunks of at most this many
+# bytes, so its memory does not grow with the series degree.
+PROPAGATOR_CHUNK_BYTES = 16 * 2**20
 
 
 def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -125,7 +128,9 @@ def tridiagonal_propagator(
     and s is the Gershgorin bound of the leading cols + K + 1 rows (coupling
     to the next row included), found together with K by fixed-point
     iteration (``propagator_degree``).  Only those cols + K rows are
-    returned; every row past them is zero to the series accuracy.
+    returned; every row past them is zero to the series accuracy.  The
+    terms are summed ``PROPAGATOR_CHUNK_BYTES`` at a time; a series that
+    fits one chunk is summed by a single product.
     """
     cap = math.inf if size is None else size
     cols = min(cols, cap)
@@ -133,20 +138,32 @@ def tridiagonal_propagator(
     rows = min(cap, cols + degree)
     coef = jv(np.arange(degree + 1), t * scale)
     coef[1:] *= 2.0
-    basis = np.zeros((degree + 1, rows, cols))
+    slots = min(degree + 1, max(3, PROPAGATOR_CHUNK_BYTES // (8 * rows * cols)))
+    basis = np.zeros((slots, rows, cols))
     basis[0, :cols] = np.eye(cols)
+    total = None
+    first = 0  # the term basis[0] holds
     if degree:
         b = (off(np.arange(1, rows)) / scale)[:, None]
         basis[1, 1:] = b * basis[0, :-1]
         basis[1, :-1] -= b * basis[0, 1:]
         b2 = 2.0 * b
         for m in range(2, degree + 1):
+            if m - first == slots:
+                # sum all but the two terms the recurrence still needs; a
+                # reused slot is zero past the rows its old term reached
+                part = np.tensordot(coef[first : m - 2], basis[: slots - 2], axes=1)
+                total = part if total is None else total + part
+                basis[:2] = basis[slots - 2 :]
+                first = m - 2
+            i = m - first
             h = min(rows, cols + m)  # Q_m e_c reaches row c + m at most
-            cur, nxt = basis[m - 1], basis[m]
-            nxt[:h] = basis[m - 2, :h]
+            cur, nxt = basis[i - 1], basis[i]
+            nxt[:h] = basis[i - 2, :h]
             nxt[1:h] += b2[: h - 1] * cur[: h - 1]
             nxt[: h - 1] -= b2[: h - 1] * cur[1:h]
-    return np.tensordot(coef, basis, axes=1)
+    part = np.tensordot(coef[first:], basis[: degree + 1 - first], axes=1)
+    return part if total is None else total + part
 
 
 def gauge_phases(psi: float, count: int) -> np.ndarray:

@@ -11,7 +11,10 @@ spectrum proportional to p^k, so the eigenvalues below RANK_CUT are dropped
 and rho_j ~ F F^dag with F the rotated leading columns scaled by the square
 roots of the kept eigenvalues.  The dropped trace is recorded per block.
 F is kept as a real core under the diagonal phase e^{ik psi} with psi =
-u.angle, shared by every block of an ensemble (``irreps.rotation_columns``).
+u.angle, shared by every block of an ensemble.  Only the blocks of weight
+above NEGLIGIBLE_WEIGHT are rotated, one contiguous range of 2j, and all of
+them come from one ``irreps.rotation_walk``; the others keep an empty core
+and are bounded by their weight.
 
 All weights are computed in log space and exponentiated only at the end;
 multiplicities and mu-powers overflow or underflow for n beyond a few hundred
@@ -28,14 +31,15 @@ from scipy.special import gammaln
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .irreps import HalfInteger, LocalParam, rotation_columns
+from .irreps import HalfInteger, LocalParam, rotation_walk
 from .numerics import factor_difference_eigvals, gauge_phases, mirror_rows
 
 # Eigenvalues of a geometric spectrum below this fraction are dropped from the
 # low-rank factors; for p = 1/3 that keeps 33 of them.
 RANK_CUT = 1e-15
-# Blocks whose weight is below this cannot move any reported distance above
-# the 1e-10 test tolerances; they are skipped and bounded by the worst case.
+# Blocks whose weight is at most this cannot move any reported distance above
+# the 1e-10 test tolerances; they are not rotated, and every distance bounds
+# them by their weight.
 NEGLIGIBLE_WEIGHT = 1e-14
 
 
@@ -67,10 +71,11 @@ class BlockState:
     """One spin-j summand: its weight and a factor of its density matrix.
 
     The factor is F = diag(e^{ik psi}) core with rho_j = F F^dag up to the
-    trace ``discarded`` that the rank cut dropped; ``core`` holds only the
-    leading rows, which are the nonzero ones, of the (2j+1)-dimensional
-    block.  A block that does not occur in the state (weight exactly 0) is
-    not rotated: its core has no columns.
+    trace ``discarded`` that the rank cut and the walk's row trimming
+    dropped; ``core`` holds only the leading rows, which are the nonzero
+    ones, of the (2j+1)-dimensional block.  A block of weight at most
+    NEGLIGIBLE_WEIGHT (every block but 2j = n at mu = 1) is not rotated:
+    its core has no columns, and ``rotated`` is False.
     """
 
     j: HalfInteger
@@ -78,6 +83,11 @@ class BlockState:
     core: np.ndarray
     psi: float = 0.0
     discarded: float = 0.0
+
+    @property
+    def rotated(self) -> bool:
+        """False for a block that ``ensemble`` skipped: its core is empty."""
+        return self.core.size > 0
 
     @property
     def factor(self) -> np.ndarray:
@@ -117,6 +127,11 @@ class EnsembleState:
     @property
     def psi(self) -> float:
         return self.blocks[0].psi
+
+    @property
+    def skipped(self) -> float:
+        """Weight of the blocks that were not rotated, which the state omits."""
+        return sum(b.weight for b in self.blocks if not b.rotated)
 
     def mirrored(self) -> "EnsembleState":
         """The ensemble at -u, as the row sign flip of every block's core."""
@@ -263,31 +278,34 @@ def discarded_weight(p: float, dim: int) -> float:
     return (p ** r - p ** dim) / (1.0 - p ** dim)
 
 
-def rotated_block(params: ModelParams, j: HalfInteger, u: LocalParam) -> BlockState:
-    """The rotated spin-j block in factor form, with its weight."""
-    weight = block_weight(params, j)
-    p, d = params.p, j.dim
-    r = effective_rank(p, d)
-    cols = rotation_columns(j, u.scaled(1.0 / math.sqrt(params.n)), cols=r)
-    core = cols * np.sqrt(block_spectrum(p, d, r))[None, :]
-    return BlockState(j, weight, core, u.angle, discarded_weight(p, d))
-
-
 def ensemble(params: ModelParams, u: LocalParam) -> EnsembleState:
     """The full block-diagonal ensemble state for local parameter u.
 
-    Blocks of weight exactly 0 (at mu = 1, every block but 2j = n) do not
-    occur in the state and are not rotated: their core is empty, so their
-    matrix is zero.
+    Only the blocks of weight above NEGLIGIBLE_WEIGHT are rotated: a
+    contiguous range of 2j, taken from one ``rotation_walk`` whose cores are
+    scaled in place by the square roots of the kept eigenvalues.  Every
+    other block keeps an empty core, so its matrix is zero, and its weight
+    counts in ``EnsembleState.skipped``.  Each rotated block's ``discarded``
+    is its rank cut plus the mass the walk trimmed.
     """
-    empty = np.zeros((0, 0))
-    blocks = tuple(
-        rotated_block(params, j, u)
-        if block_weight(params, j) > 0.0
-        else BlockState(j, 0.0, empty, u.angle)
-        for j in valid_spins(params.n)
+    spins = valid_spins(params.n)
+    weights = [block_weight(params, j) for j in spins]
+    occurring = [i for i, w in enumerate(weights) if w > NEGLIGIBLE_WEIGHT]
+    first, last = occurring[0], occurring[-1]
+    p = params.p
+    cores, trimmed = rotation_walk(
+        spins[first].twoj, spins[last].twoj, u.scaled(1.0 / math.sqrt(params.n)), effective_rank(p)
     )
-    return EnsembleState(params, u, blocks)
+    empty = np.zeros((0, 0))
+    blocks = []
+    for i, (j, w) in enumerate(zip(spins, weights)):
+        if first <= i <= last:
+            core = cores[i - first]
+            core *= np.sqrt(block_spectrum(p, j.dim, core.shape[1]))
+            blocks.append(BlockState(j, w, core, u.angle, discarded_weight(p, j.dim) + trimmed))
+        else:
+            blocks.append(BlockState(j, w, empty, u.angle))
+    return EnsembleState(params, u, tuple(blocks))
 
 
 @dataclass(frozen=True)
@@ -305,9 +323,9 @@ def ensemble_difference(a: EnsembleState, b: EnsembleState) -> EnsembleDifferenc
 
     Both states must carry the same (n, mu), hence the same weights, and the
     multiplicity spaces cancel.  Each block is diagonalized on the span of its
-    two factors; blocks of negligible weight are skipped and counted at the
-    worst case 2 * weight.  ``discarded`` bounds how far the rank cuts can
-    move the trace norm.
+    two factors; blocks of negligible weight (which ``ensemble`` leaves
+    unrotated) are skipped and counted at the worst case 2 * weight.
+    ``discarded`` bounds how far the rank cuts can move the trace norm.
     """
     if a.params.n != b.params.n or a.params.mu != b.params.mu:
         raise ValidationError("ensembles must share block structure (same n, mu)")

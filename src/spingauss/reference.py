@@ -136,7 +136,8 @@ def rotation_unitary(j: HalfInteger, u: LocalParam) -> np.ndarray:
     """U_j(u): unitary exp of the collective rotation generator.
 
     Dense route through an eigendecomposition of the (2j+1)-dimensional
-    generator, the reference for ``irreps.rotation_columns``.
+    generator, the reference for ``irreps.rotation_columns`` and
+    ``irreps.rotation_walk``.
     """
     return unitary_exp(rotation_generator(j, u))
 
@@ -150,8 +151,8 @@ def block_state_zero(params: ModelParams, j: HalfInteger) -> np.ndarray:
 def block_state(params: ModelParams, j: HalfInteger, u: LocalParam) -> np.ndarray:
     """Rotated spin-j block U_j(u/sqrt(n)) rho0_j U_j(u/sqrt(n))^dag.
 
-    Dense reference for ``qubit_model.rotated_block``: one eigendecomposition
-    and two (2j+1)^3 products.
+    Dense reference for the blocks of ``qubit_model.ensemble``: one
+    eigendecomposition and two (2j+1)^3 products.
     """
     rho0 = block_state_zero(params, j)
     if u.norm == 0.0:

@@ -402,6 +402,23 @@ def test_sweep_point_error_bound_covers_rank_cut(monkeypatch):
     ) > 1e-9
 
 
+def test_sweep_point_error_bound_covers_skipped_blocks(monkeypatch):
+    # leave visible weight unrotated on purpose: the forward distance moves
+    # by at most the skipped weight, which the bound carries
+    n, u = 256, LocalParam(1.0, -1.0)
+    settings = SweepSettings(mu=0.75, n_values=(n,), u_grid=(u,))
+    monkeypatch.setattr(qubit_model, "NEGLIGIBLE_WEIGHT", 0.0)
+    every = sweep_point(settings, n, u)
+    monkeypatch.setattr(qubit_model, "NEGLIGIBLE_WEIGHT", 1e-6)
+    coarse = sweep_point(settings, n, u)
+    ens = ensemble(ModelParams(n, 0.75), u)
+    assert ens.skipped > 1e-6
+    assert coarse.error_bound >= ens.skipped
+    assert forward_channel(ens).deficit >= ens.skipped
+    shift = abs(coarse.forward - every.forward)
+    assert every.error_bound < shift <= coarse.error_bound
+
+
 @pytest.mark.parametrize("ux, uy", [((0.176704, -0.783814), -0.251648), ((0.91345, -0.160437), -0.310645)])
 def test_default_truncation_holds_the_limit_core(ux, uy):
     # the benchmark's `blocks` grids (seeds 1 and 2) at n = 16, mu = 0.75: the

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from spingauss.errors import DomainError
-from spingauss.irreps import HalfInteger, LocalParam, rotation_columns, spin_coherent_coords
+from spingauss.irreps import HalfInteger, LocalParam, rotation_columns, rotation_walk, spin_coherent_coords
+from spingauss.qubit_model import NEGLIGIBLE_WEIGHT, ModelParams, block_weight, effective_rank, valid_spins
 from spingauss.reference import _spin_coherent_rows, ladder_ops, rotation_generator, rotation_unitary
 
 
@@ -135,6 +136,58 @@ def test_rotation_columns_real_core_in_gauge_u_angle():
             assert core.dtype == np.float64
             full = rotation_unitary(j, u)
             np.testing.assert_allclose(gauged(core, u.angle), full[: core.shape[0]], atol=1e-12)
+
+
+def padded(core, rows):
+    """``core`` with zero rows appended up to ``rows``."""
+    return np.pad(core, ((0, rows - core.shape[0]), (0, 0)))
+
+
+def test_rotation_walk_matches_dense_rotation():
+    # every 2j <= 12 from starts 2j = 0 .. 5, with as many columns as the
+    # blocks have, fewer, and more (the walk caps them at 2j + 1)
+    rng = np.random.default_rng(59)
+    for lo in range(6):
+        hi = 12 - (12 - lo) % 2
+        for cols in (1, 4, 20):
+            u = LocalParam(*rng.uniform(-1.5, 1.5, size=2))
+            cores, trimmed = rotation_walk(lo, hi, u, cols)
+            assert len(cores) == (hi - lo) // 2 + 1
+            assert trimmed < 1e-30
+            for twoj, core in zip(range(lo, hi + 1, 2), cores):
+                j = HalfInteger(twoj)
+                assert core.dtype == np.float64
+                assert core.shape[0] <= j.dim and core.shape[1] == min(cols, j.dim)
+                full = rotation_unitary(j, u)[:, : core.shape[1]]
+                np.testing.assert_allclose(gauged(padded(core, j.dim), u.angle), full, rtol=0, atol=1e-13)
+
+
+def test_rotation_walk_of_one_block_is_the_propagator():
+    u = LocalParam(0.7, -0.2)
+    cores, trimmed = rotation_walk(9, 9, u, 4)
+    np.testing.assert_array_equal(cores[0], rotation_columns(HalfInteger(9), u, cols=4))
+    assert trimmed == 0.0
+    with pytest.raises(DomainError):
+        rotation_walk(4, 7, u, 4)
+
+
+@pytest.mark.parametrize("n", [1024, 16384])
+@pytest.mark.parametrize("radius", [0.3, 1.41, 25.0])
+def test_rotation_walk_matches_propagator_over_included_blocks(n, radius):
+    # the walk over the blocks an ensemble rotates at mu = 0.75 (weight above
+    # NEGLIGIBLE_WEIGHT), against each sampled block's own propagator; the
+    # walk's rounding gathers with the steps, so the last block is sampled
+    params = ModelParams(n, 0.75)
+    included = [j for j in valid_spins(n) if block_weight(params, j) > NEGLIGIBLE_WEIGHT]
+    w = LocalParam(radius * math.cos(1.0), radius * math.sin(1.0)).scaled(1.0 / math.sqrt(n))
+    cols = effective_rank(params.p)
+    cores, trimmed = rotation_walk(included[0].twoj, included[-1].twoj, w, cols)
+    assert len(cores) == len(included)
+    assert trimmed < 1e-30
+    for k in (0, len(included) // 3, 2 * len(included) // 3, len(included) - 1):
+        want = rotation_columns(included[k], w, cols)
+        rows = max(want.shape[0], cores[k].shape[0])
+        np.testing.assert_allclose(padded(cores[k], rows), padded(want, rows), rtol=0, atol=1e-13)
 
 
 def test_rotation_mirror_identity():

@@ -5,7 +5,9 @@ against.  No other module of the package may import it, so the command line,
 and with it every benchmarked path, never loads it.  Nor does the command
 line load ``scipy.linalg``: every trace norm it takes is Hermitian.  And
 no function outside it takes a Fock cutoff: each state's core holds every
-row it reaches.
+row it reaches.  Only ``irreps`` runs the rotation propagator
+``rotation_columns``: every other module takes its blocks from one
+``rotation_walk`` per (n, u), so no per-block propagator loop can return.
 """
 
 import ast
@@ -70,6 +72,29 @@ def test_no_function_outside_reference_takes_a_truncation():
         and (names := truncation_parameters(ast.parse(path.read_text(encoding="utf-8"))))
     }
     assert offenders == {}
+
+
+def referenced_names(tree: ast.AST) -> set[str]:
+    """Every name ``tree`` uses, reads as an attribute or imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+    return names
+
+
+def test_only_irreps_references_the_rotation_propagator():
+    offenders = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "irreps.py"
+        and "rotation_columns" in referenced_names(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert offenders == []
 
 
 def test_cli_import_leaves_reference_unloaded():

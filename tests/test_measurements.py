@@ -505,7 +505,7 @@ def test_tv_grid_rejects_a_grid_past_the_disk_before_rotating(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("rotated a block for a grid that is rejected")
 
-    monkeypatch.setattr(measurements, "rotation_columns", fail)
+    monkeypatch.setattr(measurements, "rotation_walk", fail)
     n, u = 1024, LocalParam(45.0, 0.0)
     params = ModelParams(n, 0.75)
     with pytest.raises(DomainError):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spingauss import numerics
 from spingauss.errors import ValidationError
 from spingauss.irreps import HalfInteger, LocalParam
 from spingauss.numerics import (
@@ -178,6 +179,19 @@ def test_propagator_matches_displacement_operator_columns():
         assert rows < 160
         np.testing.assert_allclose(got, dense[:rows, :12], atol=1e-12)
         assert np.abs(dense[rows:, :12]).max() < 1e-12
+
+
+def test_propagator_chunks_sum_to_the_one_product(monkeypatch):
+    # a one-byte chunk keeps three terms, so the sum is flushed and the two
+    # recurrence terms carried over on every step past the third
+    def off(i):
+        return np.sqrt(i * (401.0 - i))
+
+    whole = tridiagonal_propagator(off, 0.6, 5, size=401)
+    assert whole.shape[0] > 100
+    monkeypatch.setattr(numerics, "PROPAGATOR_CHUNK_BYTES", 1)
+    chunked = tridiagonal_propagator(off, 0.6, 5, size=401)
+    np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-14)
 
 
 def test_factor_trace_norm_matches_dense_trace_norm():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spingauss.errors import DomainError
+from spingauss import irreps
 from spingauss.irreps import HalfInteger, LocalParam
 from spingauss import qubit_model
 from spingauss.qubit_model import (
@@ -16,7 +17,6 @@ from spingauss.qubit_model import (
     ensemble,
     log_multiplicity,
     multiplicity,
-    rotated_block,
     spin_center,
     valid_spins,
 )
@@ -213,14 +213,17 @@ def test_ensemble_single_copy_is_rotated_qubit():
     np.testing.assert_allclose(ens.blocks[0].matrix, want, atol=1e-13)
 
 
-def test_rotated_block_factor_matches_dense_block_state():
+def test_rotated_block_factor_matches_dense_block_state(monkeypatch):
     # oracle: the dense conjugation; the factor drops exactly the trace it
-    # reports as discarded
+    # reports as discarded.  With no block negligible, the walk starts at
+    # 2j = 0 and reaches every block.
+    monkeypatch.setattr(qubit_model, "NEGLIGIBLE_WEIGHT", 0.0)
     params = ModelParams(300, 0.75)
     u = LocalParam(0.8, -0.6)
+    blocks = {b.j.twoj: b for b in ensemble(params, u).blocks}
     for twoj in (0, 10, 40, 150, 300):
         j = HalfInteger(twoj)
-        b = rotated_block(params, j, u)
+        b = blocks[twoj]
         assert b.weight == block_weight(params, j)
         if twoj >= 150:
             assert b.factor.shape[0] < j.dim / 2
@@ -229,26 +232,41 @@ def test_rotated_block_factor_matches_dense_block_state():
 
 
 def test_ensemble_rotates_only_occurring_blocks(monkeypatch):
-    # at mu = 1 only 2j = n carries weight: one rotation per (n, u), and the
-    # weightless blocks keep a zero matrix of their dimension
-    calls = []
-    original = qubit_model.rotation_columns
+    # one propagator start per (n, u), at the lowest block above
+    # NEGLIGIBLE_WEIGHT; every other block keeps a zero matrix of its
+    # dimension.  At mu = 1 only 2j = n carries weight.
+    starts = []
+    original = irreps.rotation_columns
 
     def counting(j, u, cols):
-        calls.append(j)
+        starts.append(j)
         return original(j, u, cols=cols)
 
-    monkeypatch.setattr(qubit_model, "rotation_columns", counting)
+    monkeypatch.setattr(irreps, "rotation_columns", counting)
     for n in (5, 16, 64):
-        calls.clear()
+        starts.clear()
         ens = ensemble(ModelParams(n, 1.0), LocalParam(0.6, -0.3))
-        assert calls == [HalfInteger(n)]
+        assert starts == [HalfInteger(n)]
         for b in ens.blocks[:-1]:
-            assert b.weight == 0.0
+            assert b.weight == 0.0 and not b.rotated
             np.testing.assert_array_equal(b.matrix, np.zeros((b.j.dim, b.j.dim)))
-    calls.clear()
-    ensemble(ModelParams(16, 0.75), LocalParam(0.6, -0.3))
-    assert len(calls) == len(valid_spins(16))
+        assert ens.skipped == 0.0
+    starts.clear()
+    ens = ensemble(ModelParams(16, 0.75), LocalParam(0.6, -0.3))
+    assert starts == [HalfInteger(0)]
+    assert all(b.rotated for b in ens.blocks)
+    # at n = 256 the lowest blocks weigh less than NEGLIGIBLE_WEIGHT
+    starts.clear()
+    params = ModelParams(256, 0.75)
+    ens = ensemble(params, LocalParam(0.6, -0.3))
+    negligible = [b for b in ens.blocks if b.weight <= qubit_model.NEGLIGIBLE_WEIGHT]
+    assert negligible and starts == [min(b.j for b in ens.blocks if b.rotated)]
+    for b in ens.blocks:
+        assert b.rotated == (b.weight > qubit_model.NEGLIGIBLE_WEIGHT)
+    for b in negligible:
+        np.testing.assert_array_equal(b.matrix, np.zeros((b.j.dim, b.j.dim)))
+    assert ens.skipped == pytest.approx(sum(b.weight for b in negligible), rel=1e-15)
+    assert 0.0 < ens.skipped <= len(negligible) * qubit_model.NEGLIGIBLE_WEIGHT
 
 
 def test_mirrored_ensemble_is_minus_u():
