@@ -34,10 +34,11 @@ from .oscillator import (
     displaced_thermal,
 )
 from .qubit_model import (
+    NEGLIGIBLE_WEIGHT,
     BlockState,
     EnsembleState,
     ModelParams,
-    block_weight,
+    block_weights,
     concentration_set,
     ensemble,
     ensemble_difference,
@@ -83,19 +84,26 @@ def inverse_channel(phi: FockOperator, params: ModelParams) -> EnsembleState:
     Block j gets the corner G[:2j+1] plus the column sqrt(leftover) e_0,
     where the leftover is the trace of phi outside the block image: the
     block projection with the leftover mass routed to |j, j> (e_0 is
-    unchanged by any gauge), which keeps the map trace preserving.
+    unchanged by any gauge), which keeps the map trace preserving.  The
+    weights are the table ``ensemble`` uses (``block_weights``), and a block
+    of weight at most NEGLIGIBLE_WEIGHT keeps an empty core, as there: every
+    distance bounds it by its weight.
     """
     g, psi = phi.core, phi.psi
     row_mass = np.sum((g * g.conj()).real, axis=1)
+    empty = np.zeros((0, 0))
     blocks = []
-    for j in valid_spins(params.n):
+    for j, w in zip(valid_spins(params.n), block_weights(params)):
+        if w <= NEGLIGIBLE_WEIGHT:
+            blocks.append(BlockState(j, w, empty, psi))
+            continue
         core = g[: j.dim]
         leftover = float(row_mass[j.dim :].sum())
         if leftover > 0.0:
             column = np.zeros((core.shape[0], 1), dtype=g.dtype)
             column[0, 0] = math.sqrt(leftover)
             core = np.hstack([core, column])
-        blocks.append(BlockState(j, block_weight(params, j), core, psi))
+        blocks.append(BlockState(j, w, core, psi))
     return EnsembleState(params, LocalParam(0.0, 0.0), tuple(blocks))
 
 

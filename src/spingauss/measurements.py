@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.random import default_rng
 
 from .errors import AccuracyError, DomainError, ValidationError
 from .irreps import HalfInteger, LocalParam, rotation_walk
@@ -206,7 +207,7 @@ def heterodyne_estimation_risk(
 
 def heterodyne_samples(mu: float, u: LocalParam, mc: McSpec) -> tuple[np.ndarray, np.ndarray]:
     """Importance-sampled outcome points and weights for the heterodyne density."""
-    rng = np.random.default_rng(mc.seed)
+    rng = default_rng(mc.seed)
     sig = heterodyne_outcome_std(mu)
     sp = MC_PROPOSAL_SCALE * sig
     pts = rng.standard_normal((mc.samples, 2)) * sp + np.array([u.ux, u.uy])

@@ -12,6 +12,12 @@ the two low-rank factors instead of on the full space, in real arithmetic
 when both share a gauge.  ``trace_norm`` takes the one dense trace norm
 left, the forward distance over the leading rows the factors reach.
 
+The propagator's Chebyshev coefficients are Bessel values J_k, which
+``bessel_j`` takes by Miller's backward recurrence.  ``stirling_remainder``
+is the correction to Stirling's log-factorial that the saddle-point forms of
+the binomial block weights (``qubit_model``) and of the coherent rows
+(``oscillator``) share.
+
 The dense eigendecomposition, unitary exponential and PSD factor that these
 routines replaced live in ``spingauss.reference``, as test oracles.
 """
@@ -22,7 +28,6 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy.special import jv
 
 from .errors import ValidationError
 
@@ -61,6 +66,56 @@ def trace_norm(a) -> float:
     return float(np.abs(np.linalg.eigvalsh(a)).sum())
 
 
+def bessel_j(count: int, x: float) -> np.ndarray:
+    """J_0(x), ..., J_{count-1}(x) at x >= 0, by Miller's backward recurrence.
+
+    J_{k-1} = (2k/x) J_k - J_{k+1} runs down from J_{top+1} = 0, J_top = 1,
+    top the even order at or past m + 20 + sqrt(40 m), m = max(count, x).
+    That far out J_k is the minimal solution of the recurrence, so going
+    down it forgets the start; the running values are rescaled whenever
+    they pass 1e250, and the result is normalized by
+    J_0 + 2 sum_k J_2k = 1 (Gautschi, SIAM Rev. 9, 24, 1967).  Each step's
+    factor 2k/x is rounded once: a rounded 2/x shared by every step would
+    act as a rounded x, an error that grows with the order.  At x = 0 the
+    result is e_0.  ``count`` is at least 1.
+    """
+    if x == 0.0:
+        out = np.zeros(count)
+        out[0] = 1.0
+        return out
+    m = max(count, x)
+    top = 2 * math.ceil(0.5 * (m + 20.0 + math.sqrt(40.0 * m)))
+    kept = [0.0] * count  # J_k for k < count, in the running scale
+    nxt, cur = 0.0, 1.0  # J_{k+1}, J_k
+    norm = 2.0  # J_0 + 2 sum_k J_2k, in the running scale; top is even
+    for k in range(top, 0, -1):
+        if k < count:
+            kept[k] = cur
+        nxt, cur = cur, (2.0 * k / x) * cur - nxt
+        if k % 2:  # cur is J_{k-1}, of even order
+            norm += cur if k == 1 else 2.0 * cur
+        if abs(cur) > 1e250:
+            nxt *= 1e-250
+            cur *= 1e-250
+            norm *= 1e-250
+            for i in range(k, count):
+                kept[i] *= 1e-250
+    kept[0] = cur
+    return np.array(kept) / norm
+
+
+def stirling_remainder(k: int) -> float:
+    """log k! - (k + 1/2) log k + k - log(2 pi)/2, for an integer k >= 1.
+
+    From k = 16 on, five terms of the Stirling series are exact to
+    rounding; below it, the remainder is taken from ``math.lgamma``.
+    """
+    if k < 16:
+        return math.lgamma(k + 1.0) - (k + 0.5) * math.log(k) + k - 0.5 * math.log(math.tau)
+    s = 1.0 / (k * k)
+    return (1 / 12 - s * (1 / 360 - s * (1 / 1260 - s * (1 / 1680 - s / 1188)))) / k
+
+
 def _chebyshev_degree(a: float) -> int:
     """Smallest K with |J_k(a)| <= CHEBYSHEV_TOL for every k >= K.
 
@@ -69,8 +124,8 @@ def _chebyshev_degree(a: float) -> int:
     """
     if a == 0.0:
         return 0
-    k = np.arange(math.ceil(a + 20.0 * a ** (1.0 / 3.0) + 40.0))
-    return int(np.nonzero(np.abs(jv(k, a)) > CHEBYSHEV_TOL)[0][-1]) + 1
+    coef = bessel_j(math.ceil(a + 20.0 * a ** (1.0 / 3.0) + 40.0), a)
+    return int(np.nonzero(np.abs(coef) > CHEBYSHEV_TOL)[0][-1]) + 1
 
 
 def propagator_degree(
@@ -136,7 +191,7 @@ def tridiagonal_propagator(
     cols = min(cols, cap)
     degree, scale = propagator_degree(off, t, cols, size)
     rows = min(cap, cols + degree)
-    coef = jv(np.arange(degree + 1), t * scale)
+    coef = bessel_j(degree + 1, t * scale)
     coef[1:] *= 2.0
     slots = min(degree + 1, max(3, PROPAGATOR_CHUNK_BYTES // (8 * rows * cols)))
     basis = np.zeros((slots, rows, cols))

@@ -19,14 +19,15 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError
 from .irreps import LocalParam
-from .numerics import gauge_phases, mirror_rows, tridiagonal_propagator
+from .numerics import gauge_phases, mirror_rows, stirling_remainder, tridiagonal_propagator
 from .qubit_model import effective_rank
 
 # Rows of the coherent-row recurrence between restarts from the closed form;
-# at least 16, where the Stirling series of ``_coherent_rows`` is exact.
+# at least 16, where ``stirling_remainder`` is its series, exact to rounding.
 COHERENT_ANCHOR = 16
 # Points per coherent-row kernel call in ``heterodyne_pdf``, which bounds the
 # memory of its rows whatever the number of points.
@@ -112,7 +113,8 @@ def _coherent_rows(z, dim: int, gauge: float = 0.0) -> np.ndarray:
     (|zeta| > 38).  The closed form is taken without cancellation: with
     x = |zeta|^2 and d = (x - k)/k, log |c_k| = -k (d - log1p(d))/2
     - log(2 pi k)/4 - S/2, S the Stirling remainder of lgamma(k + 1)
-    (Loader's saddle-point form of the Poisson pmf |c_k|^2).
+    (``stirling_remainder``; Loader's saddle-point form of the Poisson pmf
+    |c_k|^2).
     """
     zeta = np.asarray(z, dtype=complex).reshape(-1) * complex(math.cos(gauge), -math.sin(gauge))
     x = zeta.real ** 2 + zeta.imag ** 2
@@ -125,11 +127,9 @@ def _coherent_rows(z, dim: int, gauge: float = 0.0) -> np.ndarray:
             out[k] *= 1.0 / math.sqrt(k)
             continue
         d = (x - k) / k
-        s = 1.0 / (k * k)  # five series terms of S are exact to rounding for k >= 16
-        stirling = (1 / 12 - s * (1 / 360 - s * (1 / 1260 - s * (1 / 1680 - s / 1188)))) / k
         with np.errstate(divide="ignore"):  # log1p(-1) = -inf at zeta = 0
             log_amp = -0.5 * k * (d - np.log1p(d))
-        amp = np.exp(log_amp - 0.25 * math.log(math.tau * k) - 0.5 * stirling)
+        amp = np.exp(log_amp - 0.25 * math.log(math.tau * k) - 0.5 * stirling_remainder(k))
         out[k].real = amp * np.cos(k * theta)
         out[k].imag = amp * np.sin(k * theta)
     return out.view(float)
@@ -227,7 +227,7 @@ class PolarGrid:
 
         ``nodes`` runs over their product, radius major.
         """
-        x, wx = np.polynomial.legendre.leggauss(self.n_radial)
+        x, wx = leggauss(self.n_radial)
         r = 0.5 * self.radius * (x + 1.0)
         wr = 0.5 * self.radius * wx * r
         t = (np.arange(self.n_angular) + 0.5) * 2.0 * math.pi / self.n_angular

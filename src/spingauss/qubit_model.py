@@ -18,21 +18,25 @@ and are bounded by their weight.
 
 All weights are computed in log space and exponentiated only at the end;
 multiplicities and mu-powers overflow or underflow for n beyond a few hundred
-otherwise.
+otherwise.  A weight is a binomial pmf times a slowly varying factor, and
+the pmf is taken in Loader's saddle-point form (``_log_binomial_pmf``):
+Stirling remainders and deviance terms, each small or accurate relative to
+itself, so no large logs cancel.  The weights of one ``ModelParams`` are
+computed once (``block_weights``) and shared by ``ensemble`` and the inverse
+channel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-
-from scipy.special import gammaln
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, ValidationError
 from .irreps import HalfInteger, LocalParam, rotation_walk
-from .numerics import factor_difference_eigvals, gauge_phases, mirror_rows
+from .numerics import factor_difference_eigvals, gauge_phases, mirror_rows, stirling_remainder
 
 # Eigenvalues of a geometric spectrum below this fraction are dropped from the
 # low-rank factors; for p = 1/3 that keeps 33 of them.
@@ -167,38 +171,78 @@ def multiplicity(n: int, j: HalfInteger) -> int:
     return math.comb(n, k) - second
 
 
+def _deviance(x: float, m: float) -> float:
+    """x log(x/m) + m - x at x > 0, Loader's bd0, without cancellation.
+
+    It is x (d - log1p(d)) with d = (m - x)/x; below |d| = 0.1, where that
+    difference cancels, it is summed as the series sum_{i>=2} (-d)^i / i.
+    """
+    d = (m - x) / x
+    if abs(d) >= 0.1:
+        return x * (d - math.log1p(d))
+    total, power, i = 0.0, d * d, 2
+    while True:
+        term = power / i
+        total += term
+        if abs(term) <= 1e-17 * total:
+            return x * total
+        power *= -d
+        i += 1
+
+
+def _log_binomial_pmf(n: int, k: int, q: float) -> float:
+    """log C(n, k) q^k (1 - q)^(n - k), 0 <= k < n, 0 < q < 1, in Loader's form.
+
+    stirlerr(n) - stirlerr(k) - stirlerr(n - k) - bd0(k, n q)
+    - bd0(n - k, n (1 - q)) + log(n / (2 pi k (n - k)))/2 (C. Loader, "Fast
+    and accurate computation of binomial probabilities", 2000), with
+    ``stirling_remainder`` as stirlerr and ``_deviance`` as bd0.
+    """
+    if k == 0:
+        return n * math.log1p(-q)
+    return (
+        stirling_remainder(n)
+        - stirling_remainder(k)
+        - stirling_remainder(n - k)
+        - _deviance(k, n * q)
+        - _deviance(n - k, n * (1.0 - q))
+        + 0.5 * math.log(n / (math.tau * k * (n - k)))
+    )
+
+
 def log_multiplicity(n: int, j: HalfInteger) -> float:
     """log of the multiplicity, via the cancellation-free product form.
 
     The binomial difference equals C(n, n/2-j) * (2j+1)/(n/2+j+1), so no
-    log-space subtraction is needed.
+    log-space subtraction is needed; log C(n, k) is the pmf at q = 1/2 plus
+    n log 2.
     """
     _check_spin(n, j)
     k = (n - j.twoj) // 2
-    logbin = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+    logbin = _log_binomial_pmf(n, k, 0.5) + n * math.log(2.0)
     return logbin + math.log(j.twoj + 1) - math.log(n / 2.0 + j.value + 1)
 
 
 def log_block_weight(params: ModelParams, j: HalfInteger) -> float:
-    """log of the block weight; -inf where the weight vanishes (mu = 1, j < n/2)."""
+    """log of the block weight; -inf where the weight vanishes (mu = 1, j < n/2).
+
+    With k = n/2 - j the weight is the binomial pmf B_{n,1-mu}(k) times
+    (2j+1)/(n/2+j+1) mu/(2mu-1) (1 - p^(2j+1)).
+    """
     _check_spin(params.n, j)
     n, mu = params.n, params.mu
     if mu == 1.0:
         # pure product state lives entirely in the symmetric block
         return 0.0 if j.twoj == n else -math.inf
-    p = params.p
-    half_minus = (n - j.twoj) / 2.0
-    half_plus = (n + j.twoj) / 2.0
-    logw = (
-        log_multiplicity(n, j)
+    k = (n - j.twoj) // 2
+    return (
+        _log_binomial_pmf(n, k, 1.0 - mu)
+        + math.log(j.twoj + 1)
+        - math.log(n / 2.0 + j.value + 1)
+        + math.log(mu)
         - math.log(2.0 * mu - 1.0)
-        + half_minus * math.log(1.0 - mu)
-        + (half_plus + 1.0) * math.log(mu)
+        + math.log1p(-(params.p ** (j.twoj + 1)))
     )
-    t = (j.twoj + 1) * math.log(p)
-    if t > -700.0:
-        logw += math.log1p(-math.exp(t))
-    return logw
 
 
 def block_weight(params: ModelParams, j: HalfInteger) -> float:
@@ -209,6 +253,16 @@ def block_weight(params: ModelParams, j: HalfInteger) -> float:
     return min(math.exp(logw), 1.0)
 
 
+@lru_cache(maxsize=4)
+def block_weights(params: ModelParams) -> tuple[float, ...]:
+    """``block_weight`` of every spin of ``valid_spins(params.n)``, in order.
+
+    Cached per ``params``, so the ensemble and the inverse channel of one
+    sweep point share one table.
+    """
+    return tuple(block_weight(params, j) for j in valid_spins(params.n))
+
+
 def binomial_factor(params: ModelParams, j: HalfInteger) -> float:
     """Ratio of the block weight to the binomial mass B_{n,mu}(n/2+j).
 
@@ -217,11 +271,10 @@ def binomial_factor(params: ModelParams, j: HalfInteger) -> float:
     """
     if params.mu == 1.0:
         raise DomainError("binomial factor needs mu < 1")
-    n, mu = params.n, params.mu
-    half_plus = (n + j.twoj) / 2.0
-    logbin = gammaln(n + 1) - gammaln(half_plus + 1) - gammaln(n - half_plus + 1)
-    log_b = logbin + half_plus * math.log(mu) + (n - half_plus) * math.log(1.0 - mu)
-    return math.exp(log_block_weight(params, j) - log_b)
+    logw = log_block_weight(params, j)
+    # B_{n,mu}(n/2 + j) = B_{n,1-mu}(n/2 - j)
+    log_b = _log_binomial_pmf(params.n, (params.n - j.twoj) // 2, 1.0 - params.mu)
+    return math.exp(logw - log_b)
 
 
 def binomial_factor_closed_form(params: ModelParams, j: HalfInteger) -> float:
@@ -289,7 +342,7 @@ def ensemble(params: ModelParams, u: LocalParam) -> EnsembleState:
     is its rank cut plus the mass the walk trimmed.
     """
     spins = valid_spins(params.n)
-    weights = [block_weight(params, j) for j in spins]
+    weights = block_weights(params)
     occurring = [i for i, w in enumerate(weights) if w > NEGLIGIBLE_WEIGHT]
     first, last = occurring[0], occurring[-1]
     p = params.p

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from spingauss.numerics import trace_norm
 from spingauss.oscillator import FockTruncation, displaced_thermal, displacement_amplitude
 from spingauss.qubit_model import (
     NEGLIGIBLE_WEIGHT,
+    EnsembleState,
     ModelParams,
     block_weight,
     concentration_set,
@@ -131,6 +133,26 @@ def test_inverse_channel_single_qubit_thermal():
     assert got[1, 1].real == pytest.approx((1 - p) * p, abs=1e-15)
     assert got[0, 0].real == pytest.approx(1 - p + p ** 2 - p ** dim, abs=1e-15)
     assert np.trace(got).real == pytest.approx(np.trace(phi.matrix).real, abs=1e-14)
+
+
+def test_inverse_channel_leaves_negligible_blocks_empty():
+    # it takes the weight table ``ensemble`` takes and, like it, leaves the
+    # blocks at or below NEGLIGIBLE_WEIGHT empty; the reverse distance never
+    # reads them, so giving them their projected cores changes no bit
+    params = ModelParams(128, 0.75)
+    u = LocalParam(0.6, -0.4)
+    ens = ensemble(params, u)
+    phi = displaced_thermal(u, params.mu)
+    back = inverse_channel(phi, params)
+    assert [b.weight for b in back.blocks] == [b.weight for b in ens.blocks]
+    assert [b.rotated for b in back.blocks] == [b.weight > NEGLIGIBLE_WEIGHT for b in back.blocks]
+    assert not all(b.rotated for b in back.blocks)
+    full = EnsembleState(
+        params,
+        back.u,
+        tuple(b if b.rotated else replace(b, core=phi.core[: b.j.dim]) for b in back.blocks),
+    )
+    assert ensemble_distance(ens, back) == ensemble_distance(ens, full)
 
 
 def test_channels_preserve_trace():

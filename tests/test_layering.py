@@ -2,10 +2,12 @@
 
 ``spingauss.reference`` holds the dense constructions the tests compare
 against.  No other module of the package may import it, so the command line,
-and with it every benchmarked path, never loads it.  Nor does the command
-line load ``scipy.linalg``: every trace norm it takes is Hermitian.  And
-no function outside it takes a Fock cutoff: each state's core holds every
-row it reaches.  Only ``irreps`` runs the rotation propagator
+and with it every benchmarked path, never loads it.  No module of the
+package imports ``scipy`` at all (the Bessel coefficients and the binomial
+weights are the package's own), and a command-line run loads no module of
+numpy that its import did not: what the run path needs is imported with the
+package.  And no function outside it takes a Fock cutoff: each state's core
+holds every row it reaches.  Only ``irreps`` runs the rotation propagator
 ``rotation_columns``: every other module takes its blocks from one
 ``rotation_walk`` per (n, u), so no per-block propagator loop can return.
 """
@@ -97,13 +99,52 @@ def test_only_irreps_references_the_rotation_propagator():
     assert offenders == []
 
 
+def package_env() -> dict[str, str]:
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
+
+
+def test_no_package_module_imports_scipy():
+    offenders = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if any(
+            name == "scipy" or name.startswith("scipy.")
+            for name in imported_modules(ast.parse(path.read_text(encoding="utf-8")))
+        )
+    ]
+    assert offenders == []
+
+
 def test_cli_import_leaves_reference_unloaded():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
     probe = (
         "import sys, spingauss.cli; "
-        "print(sorted(m for m in ('spingauss.reference', 'scipy.linalg') if m in sys.modules))"
+        "print(sorted(m for m in sys.modules if m == 'spingauss.reference' or m.split('.')[0] == 'scipy'))"
     )
     result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60, check=True
+        [sys.executable, "-c", probe], env=package_env(), capture_output=True, text=True, timeout=60, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+CLI_RUNS = (
+    ["convergence", "--mu", "0.75", "--n", "4,8", "--grid", "0.3,0.2"],
+    ["measure-compare", "--mu", "0.75", "--n", "16", "--grid", "0.3,0.2"],
+    ["risk", "--mu", "0.75", "--samples", "2000", "--seed", "1"],
+)
+
+
+def test_cli_runs_load_no_further_numpy_or_scipy_module():
+    # one small run of each kind after the import: a numpy submodule that
+    # first loads here would be timed in the run, not in the import
+    probe = (
+        "import contextlib, io, sys\n"
+        "from spingauss import cli\n"
+        "before = set(sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli.main(argv) for argv in {list(CLI_RUNS)!r}]\n"
+        "print(codes, sorted(m for m in set(sys.modules) - before if m.split('.')[0] in ('numpy', 'scipy')))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=package_env(), capture_output=True, text=True, timeout=120, check=True
+    )
+    assert result.stdout.strip() == "[0, 0, 0] []"

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import jv
 
 from spingauss import numerics
 from spingauss.errors import ValidationError
 from spingauss.irreps import HalfInteger, LocalParam
 from spingauss.numerics import (
+    bessel_j,
     factor_difference_eigvals,
     gauge_phases,
     mirror_rows,
@@ -143,6 +145,45 @@ def test_trace_norm_triangle_inequality():
         a = random_hermitian(rng, 5)
         b = random_hermitian(rng, 5)
         assert trace_norm(a + b) <= trace_norm(a) + trace_norm(b) + 1e-10
+
+
+BESSEL_X = (0.0, 1e-6, 1e-3, 0.5, 8.0, 128.0, 1250.0, 3000.0)
+
+
+def bessel_orders(x):
+    """Orders up to 20 transition widths past x, as ``_chebyshev_degree`` evaluates."""
+    return math.ceil(x + 20.0 * x ** (1.0 / 3.0) + 40.0) + 1
+
+
+def test_bessel_j_matches_mpmath():
+    # oracle: 40-digit mpmath at orders across the oscillating range, the
+    # turning point k = x and the decaying tail
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for x in BESSEL_X:
+            count = bessel_orders(x)
+            got = bessel_j(count, x)
+            for k in {0, 1, round(x / 3), round(2 * x / 3), round(x), round(x + 10 * x ** (1 / 3)), count - 1}:
+                assert abs(got[k] - float(mpmath.besselj(k, x))) <= 1e-15, (x, k)
+
+
+def test_bessel_j_matches_scipy_in_the_decaying_tail():
+    # past k = x, where the Chebyshev degree is decided, |J_k| decays and its
+    # relative error is meaningful (below it, zeros of J_k are not)
+    for x in BESSEL_X[1:]:
+        k = np.arange(bessel_orders(x))
+        got, want = bessel_j(len(k), x), jv(k, x)
+        tail = (k >= x) & (np.abs(want) > 1e-18)
+        np.testing.assert_allclose(got[tail], want[tail], rtol=1e-12, atol=0.0)
+
+
+def test_chebyshev_degree_matches_scipy_degree():
+    def scipy_degree(a):
+        k = np.arange(math.ceil(a + 20.0 * a ** (1.0 / 3.0) + 40.0))
+        return int(np.nonzero(np.abs(jv(k, a)) > numerics.CHEBYSHEV_TOL)[0][-1]) + 1
+
+    for a in np.geomspace(1e-6, 3000.0, 200):
+        assert numerics._chebyshev_degree(a) == scipy_degree(a), a
 
 
 def test_propagator_matches_dense_rotation_unitary():

@@ -15,6 +15,7 @@ from spingauss.qubit_model import (
     concentration_set,
     concentration_weight,
     ensemble,
+    log_block_weight,
     log_multiplicity,
     multiplicity,
     spin_center,
@@ -120,6 +121,31 @@ def test_weights_sum_to_one_log_space():
         for n in (3, 10, 100, 1000):
             total = sum(block_weight(ModelParams(n, mu), j) for j in valid_spins(n))
             assert abs(total - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("n", [1024, 16384, 65536])
+def test_log_block_weight_matches_mpmath_at_paper_scale(n):
+    # oracle: the closed form (C(n,k) - C(n,k-1)) (1-mu)^k mu^(n-k+1)
+    # (1 - p^(2j+1)) / (2 mu - 1), k = n/2 - j, in 50-digit arithmetic, on
+    # every block with log w > -40 (a window of 20 sqrt(n) around the centre
+    # holds them all) at evenly spaced spins
+    mpmath = pytest.importorskip("mpmath")
+    mu = 0.75
+    params = ModelParams(n, mu)
+    centre, half = n * (2 * mu - 1), 20 * math.sqrt(n)
+    window = [j for j in valid_spins(n) if abs(j.twoj - centre) <= half]
+    logs = [log_block_weight(params, j) for j in window]
+    assert window[0].twoj == n % 2 or logs[0] < -40.0
+    assert window[-1].twoj == n or logs[-1] < -40.0
+    heavy = [(j, lw) for j, lw in zip(window, logs) if lw > -40.0]
+    m = mpmath.mpf(mu)
+    p = (1 - m) / m
+    with mpmath.workdps(50):
+        for j, lw in heavy[:: max(1, len(heavy) // 40)] + heavy[-1:]:
+            k = (n - j.twoj) // 2
+            mult = mpmath.binomial(n, k) - mpmath.binomial(n, k - 1)
+            w = mult * (1 - m) ** k * m ** (n - k + 1) * (1 - p ** (j.twoj + 1)) / (2 * m - 1)
+            assert abs(lw - float(mpmath.log(w))) < 1e-13, j
 
 
 def test_binomial_factor_identity_self_consistency():
