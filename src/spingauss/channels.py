@@ -55,8 +55,9 @@ def _forward_corner(ens: EnsembleState) -> np.ndarray:
     rows = max(b.core.shape[0] for b in ens.blocks)
     out = np.zeros((rows, rows), dtype=np.result_type(float, *(b.core for b in ens.blocks)))
     for b in ens.blocks:
-        r = b.core.shape[0]
-        out[:r, :r] += b.weight * (b.core @ b.core.conj().T)
+        if b.rotated:
+            r = b.core.shape[0]
+            out[:r, :r] += b.weight * (b.core @ b.core.conj().T)
     return out
 
 
@@ -218,16 +219,20 @@ def _sweep_point(args) -> PointStats:
     r = phi.core.shape[0]
     diff[:r, :r] -= phi.core @ phi.core.T
     forward = trace_norm(diff)
+    back = ensemble_difference(ens, inverse_channel(phi, params))
+    reverse = back.trace_norm
+    # a block of at least r rows gets phi's core itself back from the inverse
+    # channel, with no leftover column, so its reverse term is its distance
+    # to phi; only the blocks of fewer rows are diagonalized again
     jset = set(concentration_set(params))
     block_max = 0.0
-    for b in ens.blocks:
+    for b, norm in zip(ens.blocks, back.block_norms):
         # blocks of negligible weight were not rotated and do not count
         if b.j not in jset or not b.rotated:
             continue
-        eigs = factor_difference_eigvals(b.core, phi.core, b.psi, phi.psi)
-        block_max = max(block_max, float(np.abs(eigs).sum()))
-    s_out = inverse_channel(phi, params)
-    reverse = ensemble_distance(ens, s_out)
+        if b.j.dim < r:
+            norm = float(np.abs(factor_difference_eigvals(b.core, phi.core, b.psi, phi.psi)).sum())
+        block_max = max(block_max, norm)
     # the inverse channel is trace-norm contractive, so the rank cuts of phi
     # and of the largest block, and the weight of the blocks left unrotated,
     # bound all three

@@ -51,7 +51,7 @@ from .qubit_model import (
     EnsembleState,
     ModelParams,
     block_spectrum,
-    block_weight,
+    block_weights,
     concentration_set,
     effective_rank,
     ensemble,
@@ -259,7 +259,8 @@ def default_tv_grid(mu: float, u: LocalParam, n: int) -> PolarGrid:
 
 def _concentration_weights(params: ModelParams) -> tuple[tuple[HalfInteger, float], ...]:
     """(j, p_n(j)) over the concentration set, ascending j."""
-    return tuple((j, block_weight(params, j)) for j in concentration_set(params))
+    weights = block_weights(params)
+    return tuple((j, weights[j.twoj // 2]) for j in concentration_set(params))
 
 
 class _Block(NamedTuple):

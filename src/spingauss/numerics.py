@@ -9,14 +9,16 @@ bipartite, so the result is a real matrix under a diagonal phase gauge
 e^{ik psi}, and it is returned as that real core.
 ``factor_difference_eigvals`` diagonalizes F F^dag - G G^dag on the span of
 the two low-rank factors instead of on the full space, in real arithmetic
-when both share a gauge.  ``trace_norm`` takes the one dense trace norm
-left, the forward distance over the leading rows the factors reach.
+when both share a gauge: on the rows the cores reach where [F G] has at
+least as many columns, else on the R of a QR of [F G].  ``trace_norm``
+takes the one dense trace norm left, the forward distance over the leading
+rows the factors reach.
 
 The propagator's Chebyshev coefficients are Bessel values J_k, which
 ``bessel_j`` takes by Miller's backward recurrence.  ``stirling_remainder``
 is the correction to Stirling's log-factorial that the saddle-point forms of
-the binomial block weights (``qubit_model``) and of the coherent rows
-(``oscillator``) share.
+the binomial block weights (``qubit_model``, over a whole array of spins at
+once) and of the coherent rows (``oscillator``) share.
 
 The dense eigendecomposition, unitary exponential and PSD factor that these
 routines replaced live in ``spingauss.reference``, as test oracles.
@@ -104,16 +106,26 @@ def bessel_j(count: int, x: float) -> np.ndarray:
     return np.array(kept) / norm
 
 
-def stirling_remainder(k: int) -> float:
-    """log k! - (k + 1/2) log k + k - log(2 pi)/2, for an integer k >= 1.
+# the remainder below k = 16, where the series is not yet exact, from lgamma
+# (entry 0 is unused)
+_STIRLING_SMALL = np.array(
+    [0.0]
+    + [math.lgamma(k + 1.0) - (k + 0.5) * math.log(k) + k - 0.5 * math.log(math.tau) for k in range(1, 16)]
+)
 
+
+def stirling_remainder(k):
+    """log k! - (k + 1/2) log k + k - log(2 pi)/2, for integers k >= 1.
+
+    ``k`` is an integer or an integer array, and the result has its shape.
     From k = 16 on, five terms of the Stirling series are exact to
     rounding; below it, the remainder is taken from ``math.lgamma``.
     """
-    if k < 16:
-        return math.lgamma(k + 1.0) - (k + 0.5) * math.log(k) + k - 0.5 * math.log(math.tau)
-    s = 1.0 / (k * k)
-    return (1 / 12 - s * (1 / 360 - s * (1 / 1260 - s * (1 / 1680 - s / 1188)))) / k
+    k = np.asarray(k)
+    kf = np.maximum(k, 16).astype(float)
+    s = 1.0 / (kf * kf)
+    series = (1 / 12 - s * (1 / 360 - s * (1 / 1260 - s * (1 / 1680 - s / 1188)))) / kf
+    return np.where(k < 16, _STIRLING_SMALL[np.minimum(k, 15)], series)
 
 
 def _chebyshev_degree(a: float) -> int:
@@ -246,11 +258,16 @@ def factor_difference_eigvals(
     real arithmetic for real cores), and angles pi apart differ by the row
     sign flip ``mirror_rows``; only other pairs are brought to complex
     factors.  The cores hold the leading rows of their operators (missing
-    rows are zero), so they may differ in row count.  After a QR of the
-    stacked cores the difference is diagonalized as
-    (Q^dag f)(Q^dag f)^dag - (Q^dag g)(Q^dag g)^dag, at most
-    (rank F + rank G)-dimensional.  Equal factors give exactly zero, because
-    both products are then computed from identical operands.
+    rows are zero), so they may differ in row count.
+
+    The difference is diagonalized on the smaller of two spaces, at most
+    min(rows, rank F + rank G)-dimensional.  Where the stacked cores [f g]
+    have at least as many columns as rows, a QR would not shrink anything,
+    and f f^dag - g g^dag is diagonalized on those rows as it is.  Otherwise
+    [f g] = Q R, and with a = R[:, :rank F], b = R[:, rank F:] the
+    difference is Q (a a^dag - b b^dag) Q^dag, so only R is formed.  Equal
+    factors give exactly zero: on the rows both products are computed from
+    identical operands, and a tall equal pair is caught before its QR.
     """
     if psi_g == psi_f + math.pi or psi_f == psi_g + math.pi:
         g = mirror_rows(g)
@@ -258,13 +275,17 @@ def factor_difference_eigvals(
         f = gauge_phases(psi_f, f.shape[0])[:, None] * f
         g = gauge_phases(psi_g, g.shape[0])[:, None] * g
     rows = max(f.shape[0], g.shape[0])
+    cols = f.shape[1] + g.shape[1]
     dtype = np.result_type(f, g, float)
     fp = np.zeros((rows, f.shape[1]), dtype=dtype)
     gp = np.zeros((rows, g.shape[1]), dtype=dtype)
     fp[: f.shape[0]] = f
     gp[: g.shape[0]] = g
-    q, _ = np.linalg.qr(np.hstack([fp, gp]))
-    qh = q.conj().T
-    a = qh @ fp
-    b = qh @ gp
+    if cols >= rows:
+        return np.linalg.eigvalsh(fp @ fp.conj().T - gp @ gp.conj().T)
+    if np.array_equal(fp, gp):
+        return np.zeros(cols)
+    r = np.linalg.qr(np.hstack([fp, gp]), mode="r")
+    a = r[:, : f.shape[1]]
+    b = r[:, f.shape[1] :]
     return np.linalg.eigvalsh(a @ a.conj().T - b @ b.conj().T)

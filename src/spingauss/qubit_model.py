@@ -22,8 +22,9 @@ otherwise.  A weight is a binomial pmf times a slowly varying factor, and
 the pmf is taken in Loader's saddle-point form (``_log_binomial_pmf``):
 Stirling remainders and deviance terms, each small or accurate relative to
 itself, so no large logs cancel.  The weights of one ``ModelParams`` are
-computed once (``block_weights``) and shared by ``ensemble`` and the inverse
-channel.
+computed once, in one numpy pass over every 2j (``block_weights``), and
+shared by ``ensemble``, the inverse channel and the concentration weights;
+the single-spin functions evaluate the same array form on one spin.
 """
 
 from __future__ import annotations
@@ -45,6 +46,9 @@ RANK_CUT = 1e-15
 # the 1e-10 test tolerances; they are not rotated, and every distance bounds
 # them by their weight.
 NEGLIGIBLE_WEIGHT = 1e-14
+# Terms of the deviance series below |d| = 0.1: the first one left out is
+# 0.1^17 * 2/19 ~ 1e-18 of the sum.
+DEVIANCE_TERMS = 17
 
 
 @dataclass(frozen=True)
@@ -142,8 +146,13 @@ class EnsembleState:
         return EnsembleState(self.params, -self.u, tuple(b.mirrored() for b in self.blocks))
 
 
+@lru_cache(maxsize=4)
 def valid_spins(n: int) -> tuple[HalfInteger, ...]:
-    """All total spins compatible with n qubits, ascending (2j runs n mod 2 .. n)."""
+    """All total spins compatible with n qubits, ascending (2j runs n mod 2 .. n).
+
+    Cached per n: the ensemble, the inverse channel and the concentration
+    set of one point walk the same spins.
+    """
     return tuple(HalfInteger(tj) for tj in range(n % 2, n + 1, 2))
 
 
@@ -171,43 +180,46 @@ def multiplicity(n: int, j: HalfInteger) -> int:
     return math.comb(n, k) - second
 
 
-def _deviance(x: float, m: float) -> float:
+def _deviance(x, m) -> np.ndarray:
     """x log(x/m) + m - x at x > 0, Loader's bd0, without cancellation.
 
     It is x (d - log1p(d)) with d = (m - x)/x; below |d| = 0.1, where that
-    difference cancels, it is summed as the series sum_{i>=2} (-d)^i / i.
+    difference cancels, it is summed as the series sum_{i>=2} (-d)^i / i,
+    whose DEVIANCE_TERMS terms leave out less than 1e-17 of the sum there.
+    ``x`` and ``m`` are scalars or arrays of one shape.
     """
     d = (m - x) / x
-    if abs(d) >= 0.1:
-        return x * (d - math.log1p(d))
-    total, power, i = 0.0, d * d, 2
-    while True:
-        term = power / i
-        total += term
-        if abs(term) <= 1e-17 * total:
-            return x * total
-        power *= -d
-        i += 1
+    small = np.abs(d) < 0.1
+    ds = np.where(small, d, 0.0)
+    total = np.zeros_like(ds)
+    power = ds * ds
+    for i in range(2, 2 + DEVIANCE_TERMS):
+        total += power / i
+        power *= -ds
+    return x * np.where(small, total, d - np.log1p(d))
 
 
-def _log_binomial_pmf(n: int, k: int, q: float) -> float:
+def _log_binomial_pmf(n: int, k, q: float) -> np.ndarray:
     """log C(n, k) q^k (1 - q)^(n - k), 0 <= k < n, 0 < q < 1, in Loader's form.
 
     stirlerr(n) - stirlerr(k) - stirlerr(n - k) - bd0(k, n q)
     - bd0(n - k, n (1 - q)) + log(n / (2 pi k (n - k)))/2 (C. Loader, "Fast
     and accurate computation of binomial probabilities", 2000), with
-    ``stirling_remainder`` as stirlerr and ``_deviance`` as bd0.
+    ``stirling_remainder`` as stirlerr and ``_deviance`` as bd0; at k = 0 it
+    is n log(1 - q).  ``k`` is an integer or an integer array.
     """
-    if k == 0:
-        return n * math.log1p(-q)
-    return (
+    k = np.asarray(k)
+    kk = np.maximum(k, 1)  # k = 0 takes the closed form below
+    rest = n - k
+    saddle = (
         stirling_remainder(n)
-        - stirling_remainder(k)
-        - stirling_remainder(n - k)
-        - _deviance(k, n * q)
-        - _deviance(n - k, n * (1.0 - q))
-        + 0.5 * math.log(n / (math.tau * k * (n - k)))
+        - stirling_remainder(kk)
+        - stirling_remainder(rest)
+        - _deviance(kk, n * q)
+        - _deviance(rest, n * (1.0 - q))
+        + 0.5 * np.log(n / (math.tau * kk * rest))
     )
+    return np.where(k == 0, n * math.log1p(-q), saddle)
 
 
 def log_multiplicity(n: int, j: HalfInteger) -> float:
@@ -219,8 +231,24 @@ def log_multiplicity(n: int, j: HalfInteger) -> float:
     """
     _check_spin(n, j)
     k = (n - j.twoj) // 2
-    logbin = _log_binomial_pmf(n, k, 0.5) + n * math.log(2.0)
+    logbin = float(_log_binomial_pmf(n, k, 0.5)) + n * math.log(2.0)
     return logbin + math.log(j.twoj + 1) - math.log(n / 2.0 + j.value + 1)
+
+
+def _log_block_weights(params: ModelParams, twoj: np.ndarray) -> np.ndarray:
+    """``log_block_weight`` over an array of valid 2j."""
+    n, mu = params.n, params.mu
+    if mu == 1.0:
+        # pure product state lives entirely in the symmetric block
+        return np.where(twoj == n, 0.0, -np.inf)
+    return (
+        _log_binomial_pmf(n, (n - twoj) // 2, 1.0 - mu)
+        + np.log(twoj + 1.0)
+        - np.log(n / 2.0 + twoj / 2.0 + 1)
+        + math.log(mu)
+        - math.log(2.0 * mu - 1.0)
+        + np.log1p(-(params.p ** (twoj + 1.0)))
+    )
 
 
 def log_block_weight(params: ModelParams, j: HalfInteger) -> float:
@@ -230,37 +258,26 @@ def log_block_weight(params: ModelParams, j: HalfInteger) -> float:
     (2j+1)/(n/2+j+1) mu/(2mu-1) (1 - p^(2j+1)).
     """
     _check_spin(params.n, j)
-    n, mu = params.n, params.mu
-    if mu == 1.0:
-        # pure product state lives entirely in the symmetric block
-        return 0.0 if j.twoj == n else -math.inf
-    k = (n - j.twoj) // 2
-    return (
-        _log_binomial_pmf(n, k, 1.0 - mu)
-        + math.log(j.twoj + 1)
-        - math.log(n / 2.0 + j.value + 1)
-        + math.log(mu)
-        - math.log(2.0 * mu - 1.0)
-        + math.log1p(-(params.p ** (j.twoj + 1)))
-    )
+    return float(_log_block_weights(params, np.array(j.twoj)))
 
 
 def block_weight(params: ModelParams, j: HalfInteger) -> float:
-    """Probability weight of the spin-j block, in [0, 1]."""
-    logw = log_block_weight(params, j)
-    if logw == -math.inf:
-        return 0.0
-    return min(math.exp(logw), 1.0)
+    """Probability weight of the spin-j block, in [0, 1]: its entry of ``block_weights``."""
+    _check_spin(params.n, j)
+    return block_weights(params)[j.twoj // 2]
 
 
 @lru_cache(maxsize=4)
 def block_weights(params: ModelParams) -> tuple[float, ...]:
-    """``block_weight`` of every spin of ``valid_spins(params.n)``, in order.
+    """exp(``log_block_weight``), capped at 1, of every spin of
+    ``valid_spins(params.n)``, in order: the spin 2j sits at index 2j // 2.
 
-    Cached per ``params``, so the ensemble and the inverse channel of one
-    sweep point share one table.
+    One numpy pass over every 2j, cached per ``params``, so the ensemble,
+    the inverse channel and the concentration weights of one (n, mu) share
+    one table.
     """
-    return tuple(block_weight(params, j) for j in valid_spins(params.n))
+    twoj = np.arange(params.n % 2, params.n + 1, 2)
+    return tuple(np.minimum(np.exp(_log_block_weights(params, twoj)), 1.0).tolist())
 
 
 def binomial_factor(params: ModelParams, j: HalfInteger) -> float:
@@ -273,7 +290,7 @@ def binomial_factor(params: ModelParams, j: HalfInteger) -> float:
         raise DomainError("binomial factor needs mu < 1")
     logw = log_block_weight(params, j)
     # B_{n,mu}(n/2 + j) = B_{n,1-mu}(n/2 - j)
-    log_b = _log_binomial_pmf(params.n, (params.n - j.twoj) // 2, 1.0 - params.mu)
+    log_b = float(_log_binomial_pmf(params.n, (params.n - j.twoj) // 2, 1.0 - params.mu))
     return math.exp(logw - log_b)
 
 
@@ -303,7 +320,8 @@ def concentration_set(params: ModelParams) -> tuple[HalfInteger, ...]:
 
 def concentration_weight(params: ModelParams) -> float:
     """Total block weight carried by the concentration set."""
-    return float(sum(block_weight(params, j) for j in concentration_set(params)))
+    weights = block_weights(params)
+    return float(sum(weights[j.twoj // 2] for j in concentration_set(params)))
 
 
 def effective_rank(p: float, dim: int | None = None) -> int:
@@ -350,14 +368,15 @@ def ensemble(params: ModelParams, u: LocalParam) -> EnsembleState:
         spins[first].twoj, spins[last].twoj, u.scaled(1.0 / math.sqrt(params.n)), effective_rank(p)
     )
     empty = np.zeros((0, 0))
+    psi = u.angle
     blocks = []
     for i, (j, w) in enumerate(zip(spins, weights)):
         if first <= i <= last:
             core = cores[i - first]
             core *= np.sqrt(block_spectrum(p, j.dim, core.shape[1]))
-            blocks.append(BlockState(j, w, core, u.angle, discarded_weight(p, j.dim) + trimmed))
+            blocks.append(BlockState(j, w, core, psi, discarded_weight(p, j.dim) + trimmed))
         else:
-            blocks.append(BlockState(j, w, empty, u.angle))
+            blocks.append(BlockState(j, w, empty, psi))
     return EnsembleState(params, u, tuple(blocks))
 
 
@@ -369,6 +388,7 @@ class EnsembleDifference:
     positive_rank: int   # positive eigenvalues over the diagonalized blocks
     skipped: float       # weight of the blocks at or below NEGLIGIBLE_WEIGHT
     discarded: float     # sum of weight * (discarded_a + discarded_b)
+    block_norms: tuple[float | None, ...]  # unweighted, per block; None where skipped
 
 
 def ensemble_difference(a: EnsembleState, b: EnsembleState) -> EnsembleDifference:
@@ -378,7 +398,8 @@ def ensemble_difference(a: EnsembleState, b: EnsembleState) -> EnsembleDifferenc
     multiplicity spaces cancel.  Each block is diagonalized on the span of its
     two factors; blocks of negligible weight (which ``ensemble`` leaves
     unrotated) are skipped and counted at the worst case 2 * weight.
-    ``discarded`` bounds how far the rank cuts can move the trace norm.
+    ``discarded`` bounds how far the rank cuts can move the trace norm, and
+    ``block_norms`` keeps each diagonalized block's own trace norm.
     """
     if a.params.n != b.params.n or a.params.mu != b.params.mu:
         raise ValidationError("ensembles must share block structure (same n, mu)")
@@ -386,12 +407,15 @@ def ensemble_difference(a: EnsembleState, b: EnsembleState) -> EnsembleDifferenc
     rank = 0
     skipped = 0.0
     discarded = 0.0
+    norms = []
     for ba, bb in zip(a.blocks, b.blocks):
         if ba.weight <= NEGLIGIBLE_WEIGHT:
             skipped += ba.weight
+            norms.append(None)
             continue
         eigs = factor_difference_eigvals(ba.core, bb.core, ba.psi, bb.psi)
-        total += ba.weight * float(np.abs(eigs).sum())
+        norms.append(float(np.abs(eigs).sum()))
+        total += ba.weight * norms[-1]
         rank += int(np.sum(eigs > 0))
         discarded += ba.weight * (ba.discarded + bb.discarded)
-    return EnsembleDifference(total + 2.0 * skipped, rank, skipped, discarded)
+    return EnsembleDifference(total + 2.0 * skipped, rank, skipped, discarded, tuple(norms))

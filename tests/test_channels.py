@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spingauss import qubit_model
+from spingauss import channels, qubit_model
 from spingauss.channels import (
     SweepSettings,
     _sweep_point,
@@ -17,7 +17,7 @@ from spingauss.channels import (
 )
 from spingauss.errors import DomainError, TruncationError
 from spingauss.irreps import HalfInteger, LocalParam
-from spingauss.numerics import trace_norm
+from spingauss.numerics import factor_difference_eigvals, trace_norm
 from spingauss.oscillator import FockTruncation, displaced_thermal, displacement_amplitude
 from spingauss.qubit_model import (
     NEGLIGIBLE_WEIGHT,
@@ -439,6 +439,39 @@ def test_sweep_point_error_bound_covers_skipped_blocks(monkeypatch):
     assert forward_channel(ens).deficit >= ens.skipped
     shift = abs(coarse.forward - every.forward)
     assert every.error_bound < shift <= coarse.error_bound
+
+
+@pytest.mark.parametrize("n", [256, 4096])
+def test_sweep_point_diagonalizes_each_pair_once(n, monkeypatch):
+    # every weighted block is diagonalized once, against its inverse-channel
+    # image; a block of at least the limit core's rows gets that core itself
+    # back, so only the concentration blocks of fewer rows are diagonalized
+    # again against phi, and block_max is the same per-block trace norm
+    u = LocalParam(1.0, -1.0)
+    settings = SweepSettings(mu=0.75, n_values=(n,), u_grid=(u,))
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return factor_difference_eigvals(*args)
+
+    monkeypatch.setattr(channels, "factor_difference_eigvals", counted)
+    monkeypatch.setattr(qubit_model, "factor_difference_eigvals", counted)
+    pt = sweep_point(settings, n, u)
+    params = ModelParams(n, 0.75)
+    ens = ensemble(params, u)
+    phi = displaced_thermal(u, 0.75)
+    rows = phi.core.shape[0]
+    jset = set(concentration_set(params))
+    measured = [b for b in ens.blocks if b.j in jset and b.rotated]
+    short = [b for b in measured if b.j.dim < rows]
+    assert len(calls) == sum(b.rotated for b in ens.blocks) + len(short)
+    assert (len(short) > 0) == (n == 256)
+    block_max = 0.0
+    for b in measured:
+        eigs = factor_difference_eigvals(b.core, phi.core, b.psi, phi.psi)
+        block_max = max(block_max, float(np.abs(eigs).sum()))
+    assert pt.block_max == block_max
 
 
 @pytest.mark.parametrize("ux, uy", [((0.176704, -0.783814), -0.251648), ((0.91345, -0.160437), -0.310645)])

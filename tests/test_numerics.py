@@ -287,6 +287,50 @@ def test_factor_trace_norm_real_gauge_matches_complex_path():
     assert np.abs(factor_difference_eigvals(f, f.copy(), 0.4, 0.4)).sum() == 0.0
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_factor_difference_both_branches_match_dense_spectrum(dtype, monkeypatch):
+    # wide pairs ([f g] has at least as many columns as rows) are diagonalized
+    # on their rows, tall ones on the R of a QR; both against the padded
+    # dense difference, whose extra eigenvalues are zeros
+    rng = np.random.default_rng(73)
+
+    def core(rows, cols):
+        # unit Frobenius norm: F F^dag is a density matrix
+        a = rng.standard_normal((rows, cols))
+        a = a + 1j * rng.standard_normal((rows, cols)) if dtype is complex else a
+        return a / np.linalg.norm(a)
+
+    qr_calls = []
+    qr = np.linalg.qr
+
+    def counted_qr(*args, **kwargs):
+        qr_calls.append(1)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    h = core(40, 6)
+    pairs = [
+        (core(50, 33), core(50, 33), False),  # wide, equal rows
+        (core(20, 4), core(9, 30), False),  # wide, unequal rows
+        (core(34, 33), core(12, 1), False),  # wide, columns = rows
+        (core(40, 7), core(35, 7), True),  # tall, unequal rows
+        (core(12, 2), core(30, 5), True),  # tall, the shorter core first
+        (h, h @ core(6, 3), True),  # tall and rank deficient: G = F c
+    ]
+    for f, g, tall in pairs:
+        rows = max(f.shape[0], g.shape[0])
+        dense = np.zeros((rows, rows), dtype=dtype)
+        dense[: f.shape[0], : f.shape[0]] += f @ f.conj().T
+        dense[: g.shape[0], : g.shape[0]] -= g @ g.conj().T
+        want = np.linalg.eigvalsh(dense)
+        before = len(qr_calls)
+        got = factor_difference_eigvals(f, g)
+        assert len(qr_calls) - before == int(tall)
+        assert len(got) == min(rows, f.shape[1] + g.shape[1])
+        padded = np.sort(np.concatenate([got, np.zeros(rows - len(got))]))
+        np.testing.assert_allclose(padded, want, rtol=0, atol=1e-12)
+
+
 def test_mirror_rows_flips_odd_rows():
     core = np.arange(12.0).reshape(4, 3)
     want = core * np.array([1.0, -1.0, 1.0, -1.0])[:, None]

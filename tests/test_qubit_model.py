@@ -148,6 +148,31 @@ def test_log_block_weight_matches_mpmath_at_paper_scale(n):
             assert abs(lw - float(mpmath.log(w))) < 1e-13, j
 
 
+def test_deviance_matches_mpmath_across_the_series_switch():
+    # bd0(x, m) = x log(x/m) + m - x, summed as a fixed-length series below
+    # |d| = 0.1 (d = (m - x)/x) and in closed form above it; both sides of
+    # the switch hold a few ulps (at most 1.4e-15 measured, at d = 0.1)
+    mpmath = pytest.importorskip("mpmath")
+    x = np.array([1000.0, 37.0, 1.0])
+    for d in (0.0, 1e-9, -1e-4, 0.05, -0.0999999, 0.0999999, 0.1, -0.1, 0.1000001, 0.5, -0.9):
+        m = x * (1.0 + d)
+        got = qubit_model._deviance(x, m)
+        with mpmath.workdps(50):
+            for xi, mi, gi in zip(x, m, got):
+                xm, mm = mpmath.mpf(xi), mpmath.mpf(mi)
+                want = float(xm * mpmath.log(xm / mm) + mm - xm)
+                assert abs(gi - want) <= 2e-15 * abs(want), (xi, d)
+
+
+def test_block_weights_table_matches_each_spin():
+    # the one-pass table against the same form evaluated one spin at a time
+    for n in (1, 2, 255, 1024):
+        for mu in (0.6, 0.75, 1.0):
+            params = ModelParams(n, mu)
+            want = [min(float(np.exp(log_block_weight(params, j))), 1.0) for j in valid_spins(n)]
+            assert list(qubit_model.block_weights(params)) == want
+
+
 def test_binomial_factor_identity_self_consistency():
     params = ModelParams(20, 0.75)
     for j in valid_spins(20):
