@@ -11,9 +11,10 @@ The convergence experiments evaluate trace-norm distances on a finite grid of
 local parameters; a true supremum is never computed and the grid is recorded
 in every sweep record.  Blocks and the limit state enter in factor form, so
 every distance is diagonalized on the few leading rows the factors reach, or
-on the span of two factors.  At one u they share the gauge angle psi =
-u.angle, under which all of them are real, so every sweep distance is taken
-in real arithmetic.
+on the span of two factors.  The blocks and the limit state at one u are
+stored in u's frame (``qubit_model``), where all of them are real, and both
+channels are the identity on indices, so they carry the frame along and
+every sweep distance is taken in real arithmetic.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .qubit_model import (
 def _forward_corner(ens: EnsembleState) -> np.ndarray:
     """Weighted sum of the blocks' core core^dag on the rows they reach.
 
-    This is the forward channel's output in the ensemble's gauge ``ens.psi``.
+    This is the forward channel's output, in the ensemble's frame.
     A block that was not rotated has an empty core and adds nothing.
     """
     rows = max(b.core.shape[0] for b in ens.blocks)
@@ -66,7 +67,7 @@ def forward_channel(ens: EnsembleState) -> FockOperator:
 
     The block embedding is the identity on indices, so the result is in
     factor form: the cores sqrt(w_j) core_j side by side, in the ensemble's
-    gauge ``ens.psi``, on the rows the largest core reaches.  Its deficit is
+    frame, on the rows the largest core reaches.  Its deficit is
     the weighted trace the blocks' rank cuts dropped plus the weight of the
     blocks that were not rotated, since ||sum_j w_j rho_j||_1 <= sum_j w_j.
     """
@@ -75,28 +76,28 @@ def forward_channel(ens: EnsembleState) -> FockOperator:
         [np.pad(math.sqrt(b.weight) * b.core, ((0, rows - b.core.shape[0]), (0, 0))) for b in ens.blocks]
     )
     deficit = sum(b.weight * b.discarded for b in ens.blocks) + ens.skipped
-    return FockOperator(core, deficit=deficit, psi=ens.psi)
+    return FockOperator(core, deficit=deficit)
 
 
 def inverse_channel(phi: FockOperator, params: ModelParams) -> EnsembleState:
     """Map an oscillator state to a block-diagonal ensemble with the model weights.
 
-    Works on the factor G of phi, its core (the blocks keep its gauge).
+    Works on the factor G of phi, its core (the blocks keep its frame).
     Block j gets the corner G[:2j+1] plus the column sqrt(leftover) e_0,
     where the leftover is the trace of phi outside the block image: the
     block projection with the leftover mass routed to |j, j> (e_0 is
-    unchanged by any gauge), which keeps the map trace preserving.  The
+    unchanged by any frame), which keeps the map trace preserving.  The
     weights are the table ``ensemble`` uses (``block_weights``), and a block
     of weight at most NEGLIGIBLE_WEIGHT keeps an empty core, as there: every
     distance bounds it by its weight.
     """
-    g, psi = phi.core, phi.psi
+    g = phi.core
     row_mass = np.sum((g * g.conj()).real, axis=1)
     empty = np.zeros((0, 0))
     blocks = []
     for j, w in zip(valid_spins(params.n), block_weights(params)):
         if w <= NEGLIGIBLE_WEIGHT:
-            blocks.append(BlockState(j, w, empty, psi))
+            blocks.append(BlockState(j, w, empty))
             continue
         core = g[: j.dim]
         leftover = float(row_mass[j.dim :].sum())
@@ -104,7 +105,7 @@ def inverse_channel(phi: FockOperator, params: ModelParams) -> EnsembleState:
             column = np.zeros((core.shape[0], 1), dtype=g.dtype)
             column[0, 0] = math.sqrt(leftover)
             core = np.hstack([core, column])
-        blocks.append(BlockState(j, w, core, psi))
+        blocks.append(BlockState(j, w, core))
     return EnsembleState(params, LocalParam(0.0, 0.0), tuple(blocks))
 
 
@@ -210,7 +211,7 @@ def _sweep_point(args) -> PointStats:
     params = ModelParams(n, settings.mu, settings.epsilon)
     ens = ensemble(params, u)
     phi = displaced_thermal(u, settings.mu)
-    # blocks and phi share the gauge u.angle, so the real corners compare
+    # blocks and phi are in u's frame, so the real corners compare
     corner = _forward_corner(ens)
     # everything past the rows the factors reach is zero on both sides
     rows = max(corner.shape[0], phi.core.shape[0])
@@ -231,7 +232,7 @@ def _sweep_point(args) -> PointStats:
         if b.j not in jset or not b.rotated:
             continue
         if b.j.dim < r:
-            norm = float(np.abs(factor_difference_eigvals(b.core, phi.core, b.psi, phi.psi)).sum())
+            norm = float(np.abs(factor_difference_eigvals(b.core, phi.core)).sum())
         block_max = max(block_max, norm)
     # the inverse channel is trace-norm contractive, so the rank cuts of phi
     # and of the largest block, and the weight of the blocks left unrotated,

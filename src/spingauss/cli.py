@@ -247,8 +247,6 @@ def run_convergence(cfg: dict[str, object]) -> list[ReportRow]:
             rows.append(ReportRow(rec.n, mu, rec.forward_argmax.ux, rec.forward_argmax.uy, "forward_sup", rec.forward_sup, rec.error_bound))
             rows.append(ReportRow(rec.n, mu, rec.block_argmax.ux, rec.block_argmax.uy, "block_sup", rec.block_sup, rec.error_bound))
             rows.append(ReportRow(rec.n, mu, rec.reverse_argmax.ux, rec.reverse_argmax.uy, "reverse_sup", rec.reverse_sup, rec.error_bound))
-            # the forward channel mixes every block, so none is excluded
-            rows.append(ReportRow(rec.n, mu, 0.0, 0.0, "excluded_weight", 0.0, 0.0))
     return rows
 
 
@@ -261,7 +259,7 @@ def run_discriminate(cfg: dict[str, object]) -> list[ReportRow]:
                 limit_err = 0.0
             else:
                 plus = displaced_thermal(u, mu)
-                minus = plus.mirrored()  # D(-z) = S D(z) S, in the same gauge
+                minus = plus.mirrored()  # D(-z) = S D(z) S, in the same frame
                 limit = helstrom_risk(plus, minus).risk
                 limit_err = plus.deficit + minus.deficit
             rows.append(ReportRow(0, mu, u.ux, u.uy, "limit_risk", limit, limit_err))

@@ -93,9 +93,10 @@ class LocalParam:
         """Arg(-u_y + i u_x); by convention 0 at u = 0 (only ever used through
         zeta = e^{i angle} sin|u|, which vanishes there).
 
-        It is also the gauge angle psi of every rotated state at u: rotated
-        blocks and the displaced thermal state are real cores under the
-        diagonal phase e^{ik psi}."""
+        It is also the angle of u's frame, which every state built at u is
+        stored in (``qubit_model``): rotated blocks and the displaced thermal
+        state are real cores there, and the diagonal phase e^{ik angle}
+        takes them back to the plane's fixed frame."""
         if self.norm == 0.0:
             return 0.0
         return math.atan2(self.ux, -self.uy)
@@ -120,10 +121,10 @@ def rotation_columns(j: HalfInteger, u: LocalParam, cols: int) -> np.ndarray:
 
         U_j(u)[r, c] = e^{i(r-c) psi} M[r, c]
 
-    with psi = u.angle and M the real matrix returned here, which depends on
-    |u| only.  U_j(-u) is then S U_j(u) S with S = diag((-1)^k).  Only the
-    rows the columns reach are returned (at most 2j + 1); rows past them are
-    zero to the propagator's accuracy.
+    with psi = u.angle and M the real matrix returned here, U_j(u) in u's
+    frame, which depends on |u| only.  U_j(-u) is then S U_j(u) S with
+    S = diag((-1)^k).  Only the rows the columns reach are returned (at
+    most 2j + 1); rows past them are zero to the propagator's accuracy.
     """
     return tridiagonal_propagator(
         lambda i: np.sqrt(i * (j.twoj + 1.0 - i)), u.norm, cols, size=j.dim
@@ -171,8 +172,8 @@ def _half_step(prev: np.ndarray, twoj: int, c: float, s: float, cols: int) -> np
 def rotation_walk(lo: int, hi: int, w: LocalParam, cols: int) -> tuple[list[np.ndarray], float]:
     """Real cores of U_j(w)[:, :min(cols, 2j + 1)] for 2j = lo, lo + 2, ..., hi.
 
-    Each core is the one ``rotation_columns`` returns, in the same gauge
-    psi = w.angle, on the rows it reaches.  One propagator call gives the
+    Each core is the one ``rotation_columns`` returns, in the same frame,
+    w's, on the rows it reaches.  One propagator call gives the
     core at 2j = lo, so lo = hi is exactly that call; each half-step up in j
     is ``_half_step`` (Risbo's recursion, J. Geodesy 70, 383, 1996), and
     only the spins of lo's parity are kept.  After every step the trailing
@@ -201,10 +202,10 @@ def spin_coherent_coords(j: HalfInteger, w: LocalParam) -> np.ndarray:
     """Coordinates of the spin coherent vector |j, w> = U_j(w)|j, j>.
 
     This is column 0 of U_j(w): the real core ``rotation_columns(j, w, 1)``
-    in the gauge psi = w.angle, padded with zeros to 2j + 1 entries.  In the
-    descending-m convention entry k is
+    in w's frame, with the frame phase e^{ik w.angle} put back, padded with
+    zeros to 2j + 1 entries.  In the descending-m convention entry k is
     sqrt(C(2j, k)) zeta^k (1 - |zeta|^2)^{(2j-k)/2} with
-    zeta = e^{i psi} sin|w| (the closed form
+    zeta = e^{i w.angle} sin|w| (the closed form
     ``spingauss.reference._spin_coherent_rows``).
     """
     r = w.norm

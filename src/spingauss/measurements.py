@@ -100,7 +100,7 @@ def helstrom_risk(rho_plus, rho_minus) -> BinaryTestResult:
         )
     if not all(isinstance(op, FockOperator) for op in pair):
         raise ValidationError("helstrom_risk compares two ensembles or two Fock operators")
-    eigs = factor_difference_eigvals(rho_plus.core, rho_minus.core, rho_plus.psi, rho_minus.psi)
+    eigs = factor_difference_eigvals(rho_plus.core, rho_minus.core)
     tnorm = float(np.abs(eigs).sum())
     return BinaryTestResult(
         risk=0.5 * (1.0 - 0.5 * tnorm), optimal_projector_rank=int(np.sum(eigs > 0))
@@ -116,7 +116,7 @@ def finite_n_discrimination(params: ModelParams, u: LocalParam) -> BinaryTestRes
     """Optimal risk for separating the ensembles at +u and -u.
 
     The ensemble at -u is the exact mirror of the one at +u
-    (U_j(-w) = S U_j(w) S), so it shares its gauge and costs no rotation.
+    (U_j(-w) = S U_j(w) S), in the same frame, and costs no rotation.
     """
     plus = ensemble(params, u)
     return helstrom_risk(plus, plus.mirrored())
@@ -326,15 +326,16 @@ class _TvGrid:
     re-centred on the grid centre, u.  With s = sqrt(2 mu - 1) and
     z_c = s alpha(u), a node u + rho (cos t, sin t) has amplitude
     z = z_c + s rho e^{i(t + pi/2)}, and D(z_c)^dag |z> = e^{i theta}
-    |s rho e^{i(t + pi/2)}>.  A block with real core F in the gauge
-    psi = u.angle and spectrum Lambda then has the pulled-back density
+    |s rho e^{i(t + pi/2)}>.  A block with real core F in u's frame
+    (``qubit_model``), psi = u.angle, and spectrum Lambda then has the
+    pulled-back density
 
         (2 mu - 1)/pi sum_{d >= 0} c_d cos(d (t + pi/2 - psi)) h(rho, d),
 
     c_0 = 1 and c_d = 2 past it, h(rho, d) = sum_m R_{m+d} R_m A_{m+d,m}
     with R_m the real coherent row at s rho, and A = G Lambda G^T with
-    G = ``back`` F, ``back`` the leading rows of D(-z_c), real in the gauge
-    psi: only as many as the radial rows reach at rho = radius, so the
+    G = ``back`` F, ``back`` the leading rows of D(-z_c), real in that
+    frame: only as many as the radial rows reach at rho = radius, so the
     tables do not grow with |z_c|.  The radial products R_{m+d} R_m are
     ``diag`` as [d, m, rho] (zero past the last row) and
     c_d cos(d (t + pi/2 - psi)) is ``cos`` as [d, t].  ``back`` is one
@@ -383,7 +384,7 @@ def _tv_grid(
     cores, _ = rotation_walk(lo, included[-1][0].twoj, scaled, effective_rank(params.p))
     blocks = tuple(_Block(j, bw, cores[(j.twoj - lo) // 2]) for j, bw in included)
     rows = max(b.cols.shape[0] for b in blocks)
-    # D(z_c) is the real core M = D(|z_c|) in the blocks' gauge psi = u.angle
+    # D(z_c) is the real core M = D(|z_c|) in the blocks' frame, u's
     # (``displaced_thermal``), so D(-z_c) = D(z_c)^dag is M^T there.  h only
     # sees the leading rows of G where the radial rows at s rho,
     # rho < radius, are not negligible, and G is zero past rows + K, K the

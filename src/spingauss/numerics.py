@@ -5,14 +5,15 @@ as dense matrices: two structured routines carry them.
 ``tridiagonal_propagator`` applies the exponential of a phase-gauged
 tridiagonal generator to the first few unit vectors (spin rotations and
 oscillator displacements are both of this form).  The generator is
-bipartite, so the result is a real matrix under a diagonal phase gauge
-e^{ik psi}, and it is returned as that real core.
-``factor_difference_eigvals`` diagonalizes F F^dag - G G^dag on the span of
-the two low-rank factors instead of on the full space, in real arithmetic
-when both share a gauge: on the rows the cores reach where [F G] has at
-least as many columns, else on the R of a QR of [F G].  ``trace_norm``
-takes the one dense trace norm left, the forward distance over the leading
-rows the factors reach.
+bipartite, so the result is a real matrix up to a diagonal phase
+e^{ik angle}, and it is returned as that real core: the propagator in the
+frame of its angle (``qubit_model`` states the frame every state is stored
+in).  ``factor_difference_eigvals`` diagonalizes F F^dag - G G^dag, two
+cores in one frame, on the span of the two low-rank factors instead of on
+the full space, in real arithmetic for real cores: on the rows the cores
+reach where [F G] has at least as many columns, else on the R of a QR of
+[F G].  ``trace_norm`` takes the one dense trace norm left, the forward
+distance over the leading rows the factors reach.
 
 The propagator's Chebyshev coefficients are Bessel values J_k, which
 ``bessel_j`` takes by Miller's backward recurrence.  ``stirling_remainder``
@@ -183,8 +184,9 @@ def tridiagonal_propagator(
         exp(i t T)[r, c] = i^(r-c) exp(t A)[r, c].
 
     A further phase gauge diag(e^{ik phi}) exp(i t T) diag(e^{-ik phi}) is
-    therefore e^{i(r-c) psi} exp(t A)[r, c] with psi = phi + pi/2: every
-    phase-gauged propagator is this real matrix under one diagonal phase.
+    therefore e^{i(r-c) angle} exp(t A)[r, c] with angle = phi + pi/2:
+    every phase-gauged propagator is this real matrix in the frame of its
+    angle.
 
     The action on the first ``cols`` unit vectors is the Chebyshev series
     (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 1984) of exp(i t T) carried
@@ -233,32 +235,28 @@ def tridiagonal_propagator(
     return part if total is None else total + part
 
 
-def gauge_phases(psi: float, count: int) -> np.ndarray:
-    """The diagonal e^{ik psi}, k = 0 .. count - 1, of a phase gauge."""
-    return np.exp(1j * psi * np.arange(count))
+def gauge_phases(angle: float, count: int) -> np.ndarray:
+    """The diagonal e^{ik angle}, k = 0 .. count - 1, of a frame."""
+    return np.exp(1j * angle * np.arange(count))
 
 
 def mirror_rows(core: np.ndarray) -> np.ndarray:
-    """S core with S = diag((-1)^k): the gauge angle moved by pi."""
+    """S core with S = diag((-1)^k): the frame angle moved by pi."""
     out = core.copy()
     out[1::2] = -out[1::2]
     return out
 
 
-def factor_difference_eigvals(
-    f: np.ndarray, g: np.ndarray, psi_f: float = 0.0, psi_g: float = 0.0
-) -> np.ndarray:
+def factor_difference_eigvals(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Spectrum of F F^dag - G G^dag on the span of [F G], ascending.
 
-    ``f`` and ``g`` are cores in the phase gauges ``psi_f`` and ``psi_g``:
-    F = diag(e^{ik psi_f}) f, and likewise G.  These are its nonzero
-    eigenvalues plus zeros, so the sum of their absolute values is the trace
-    norm of the difference.  A common gauge is a unitary that leaves the
-    spectrum alone, so equal angles diagonalize the cores as they are (in
-    real arithmetic for real cores), and angles pi apart differ by the row
-    sign flip ``mirror_rows``; only other pairs are brought to complex
-    factors.  The cores hold the leading rows of their operators (missing
-    rows are zero), so they may differ in row count.
+    ``f`` and ``g`` are the cores F and G of two states in one frame (the
+    frame of a common u, where rotated cores are real).  These are the
+    difference's nonzero eigenvalues plus zeros, so the sum of their
+    absolute values is its trace norm; a frame is a diagonal unitary, so the
+    spectrum is the same in every frame.  The cores hold the leading rows of
+    their operators (missing rows are zero), so they may differ in row
+    count.
 
     The difference is diagonalized on the smaller of two spaces, at most
     min(rows, rank F + rank G)-dimensional.  Where the stacked cores [f g]
@@ -269,11 +267,6 @@ def factor_difference_eigvals(
     factors give exactly zero: on the rows both products are computed from
     identical operands, and a tall equal pair is caught before its QR.
     """
-    if psi_g == psi_f + math.pi or psi_f == psi_g + math.pi:
-        g = mirror_rows(g)
-    elif psi_g != psi_f:
-        f = gauge_phases(psi_f, f.shape[0])[:, None] * f
-        g = gauge_phases(psi_g, g.shape[0])[:, None] * g
     rows = max(f.shape[0], g.shape[0])
     cols = f.shape[1] + g.shape[1]
     dtype = np.result_type(f, g, float)

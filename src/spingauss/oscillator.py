@@ -1,9 +1,11 @@
 """Fock-space states in factor form.
 
 States of the quantum oscillator are represented as a core of leading rows
-in a phase gauge (``FockOperator``); the dense thermal, coherent and
-displacement constructions they are checked against live in
-``spingauss.reference``.
+(``FockOperator``); the dense thermal, coherent and displacement
+constructions they are checked against live in ``spingauss.reference``.
+A state built at u is stored in u's frame, as the spin blocks are
+(``qubit_model``): the displaced thermal state's core is the real factor of
+exp(-i psi N) phi exp(i psi N), psi = u.angle, so it depends on |u| alone.
 
 No Fock cutoff is chosen.  A core holds every row its Chebyshev series
 reaches, which is where the number-basis columns of D(z) vanish to the
@@ -23,7 +25,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError
 from .irreps import LocalParam
-from .numerics import gauge_phases, mirror_rows, stirling_remainder, tridiagonal_propagator
+from .numerics import mirror_rows, stirling_remainder, tridiagonal_propagator
 from .qubit_model import effective_rank
 
 # Rows of the coherent-row recurrence between restarts from the closed form;
@@ -52,16 +54,14 @@ class FockTruncation:
 class FockOperator:
     """A state of the oscillator, in factor form.
 
-    ``core`` holds the leading (nonzero) rows of a factor in the phase gauge
-    ``psi``: matrix = F F^dag with F = diag(e^{ik psi}) core.  The rotated
-    states are real cores.  ``deficit`` is the trace the rank cut dropped,
-    so it bounds how far the factor form moves a trace distance to the
-    state.
+    ``core`` holds the leading (nonzero) rows of a factor F of the state in
+    its frame: matrix = F F^dag.  The displaced states are real cores.
+    ``deficit`` is the trace the rank cut dropped, so it bounds how far the
+    factor form moves a trace distance to the state.
     """
 
     core: np.ndarray = field(repr=False)
     deficit: float
-    psi: float = 0.0
 
     @property
     def trunc(self) -> FockTruncation:
@@ -69,19 +69,14 @@ class FockOperator:
         return FockTruncation(self.core.shape[0], tail_bound=self.deficit)
 
     @property
-    def factor(self) -> np.ndarray:
-        """The complex factor F, rebuilt on every access."""
-        return gauge_phases(self.psi, self.core.shape[0])[:, None] * self.core
-
-    @property
     def matrix(self) -> np.ndarray:
-        """The dense F F^dag over the core's rows, rebuilt on every access."""
-        f = self.factor
-        return f @ f.conj().T
+        """The dense F F^dag over the core's rows, in the frame, rebuilt on every access."""
+        return self.core @ self.core.conj().T
 
     def mirrored(self) -> "FockOperator":
         """S rho S with S = diag((-1)^k): the row sign flip of the core.  For
-        a displaced state it is D(-z) = S D(z) S."""
+        a displaced state it is D(-z) = S D(z) S, the state at -u in the
+        same frame."""
         return replace(self, core=mirror_rows(self.core))
 
 
@@ -100,13 +95,13 @@ def coherent_coefficients(z: complex, dim: int) -> np.ndarray:
     return _coherent_rows(z, dim).view(complex)[:, 0]
 
 
-def _coherent_rows(z, dim: int, gauge: float = 0.0) -> np.ndarray:
-    """Coherent coefficients of the amplitudes zeta = e^{-i gauge} z, one row per level.
+def _coherent_rows(zeta, dim: int) -> np.ndarray:
+    """Coherent coefficients of the amplitudes ``zeta``, one row per level.
 
     A real (dim, 2 G) array for G amplitudes, Re and Im interleaved: its
     ``.view(complex)`` is c_k = e^{-|zeta|^2/2} zeta^k / sqrt(k!) as (dim, G),
-    and a real core in the gauge ``gauge`` contracts with it as
-    ``core.T @ rows``.  Rows follow the running product
+    and a real core contracts with it as ``core.T @ rows`` (with zeta in the
+    core's frame).  Rows follow the running product
     c_k = c_{k-1} zeta / sqrt(k); every ``COHERENT_ANCHOR`` rows they restart
     from the closed form, which bounds the rounding the product gathers and
     keeps the rows near k ~ |zeta|^2 right where c_0 underflows
@@ -116,7 +111,7 @@ def _coherent_rows(z, dim: int, gauge: float = 0.0) -> np.ndarray:
     (``stirling_remainder``; Loader's saddle-point form of the Poisson pmf
     |c_k|^2).
     """
-    zeta = np.asarray(z, dtype=complex).reshape(-1) * complex(math.cos(gauge), -math.sin(gauge))
+    zeta = np.asarray(zeta, dtype=complex).reshape(-1)
     x = zeta.real ** 2 + zeta.imag ** 2
     theta = np.angle(zeta)
     out = np.empty((dim, len(zeta)), dtype=complex)
@@ -166,7 +161,7 @@ def displacement_core(t: float, rows: int, cols: int) -> np.ndarray:
     """D(t)[:rows, :cols] at real t >= 0, the real core of D(z) at |z| = t.
 
     It equals the leading rows of ``tridiagonal_propagator(np.sqrt, t,
-    cols)`` (the gauge arg z is left to the caller), at a cost that grows
+    cols)`` (D(z) in the frame of arg z), at a cost that grows
     like the rows, about t^2, where the series' degree alone is of order
     t^2.  D(t) shifts wavefunctions by sqrt(2) t, so
     D(t)[k, m] = int phi_k(y + sqrt(2) t) phi_m(y) dy, and the trapezoid
@@ -189,10 +184,11 @@ def displaced_thermal(u: LocalParam, mu: float) -> FockOperator:
     kept columns D(z)|k> come from the Chebyshev propagator: z a^dag - z* a is
     the gauge of i |z| (a + a^dag) by the phase e^{ik (arg z - pi/2)}, and the
     number-basis couplings are sqrt(k), so D(z)[r, c] = e^{i(r-c) psi} M[r, c]
-    with M real and psi = arg z = u.angle, the gauge of the spin blocks at
-    the same u.  The result is kept in factor form only: the real core, with
-    every row the propagator returns, and psi, so it is positive
-    semidefinite by construction and ``matrix`` is rebuilt on access.  The
+    with M real and psi = arg z = u.angle: in u's frame, the frame of the
+    spin blocks at the same u, D(z) is M.  The result is kept in factor form
+    only: the real core, with every row the propagator returns, so it is
+    positive semidefinite by construction and ``matrix`` is rebuilt on
+    access.  The
     deficit is the closed form p^r of the thermal weights past the rank cut
     (exactly 0 for the pure state, p = 0).
     """
@@ -202,7 +198,7 @@ def displaced_thermal(u: LocalParam, mu: float) -> FockOperator:
     r = effective_rank(p)
     core = tridiagonal_propagator(np.sqrt, abs(displacement_amplitude(u, mu)), r)
     core *= np.sqrt((1.0 - p) * p ** np.arange(r))[None, :]
-    return FockOperator(core, deficit=p ** r, psi=u.angle)
+    return FockOperator(core, deficit=p ** r)
 
 
 @dataclass(frozen=True)
@@ -247,17 +243,19 @@ def heterodyne_pdf(points, u: LocalParam, mu: float) -> np.ndarray:
     """Outcome density Tr(phi^u h(u_hat)) evaluated at an (G, 2) array of points.
 
     The quadratic form is evaluated through the displaced thermal state's
-    stored real core, whose spectrum is cut at ``RANK_CUT``: the coherent
-    rows, in the core's gauge and in real layout, run only over the core's
-    rows, so the contraction is one real product.  Points go through the
-    kernel ``PDF_CHUNK`` at a time.
+    stored real core, whose spectrum is cut at ``RANK_CUT``: the amplitudes
+    are turned into the core's frame, u's (a coherent vector |z> there is
+    |e^{-i psi} z>), and their coherent rows, in real layout, run only over
+    the core's rows, so the contraction is one real product.  Points go
+    through the kernel ``PDF_CHUNK`` at a time.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     phi = displaced_thermal(u, mu)
     z = math.sqrt(2.0 * mu - 1.0) * (-pts[:, 1] + 1j * pts[:, 0])
+    z *= complex(math.cos(u.angle), -math.sin(u.angle))
     vals = np.empty(2 * len(z))
     for start in range(0, len(z), PDF_CHUNK):
-        rows = _coherent_rows(z[start : start + PDF_CHUNK], phi.core.shape[0], phi.psi)
+        rows = _coherent_rows(z[start : start + PDF_CHUNK], phi.core.shape[0])
         amps = phi.core.T @ rows
         vals[2 * start : 2 * start + amps.shape[1]] = np.einsum("kg,kg->g", amps, amps)
     return (2.0 * mu - 1.0) / math.pi * (vals[0::2] + vals[1::2])

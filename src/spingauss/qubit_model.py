@@ -10,11 +10,22 @@ Rotated blocks are stored as low-rank factors: the unrotated block has
 spectrum proportional to p^k, so the eigenvalues below RANK_CUT are dropped
 and rho_j ~ F F^dag with F the rotated leading columns scaled by the square
 roots of the kept eigenvalues.  The dropped trace is recorded per block.
-F is kept as a real core under the diagonal phase e^{ik psi} with psi =
-u.angle, shared by every block of an ensemble.  Only the blocks of weight
-above NEGLIGIBLE_WEIGHT are rotated, one contiguous range of 2j, and all of
-them come from one ``irreps.rotation_walk``; the others keep an empty core
-and are bounded by their weight.
+Only the blocks of weight above NEGLIGIBLE_WEIGHT are rotated, one
+contiguous range of 2j, and all of them come from one
+``irreps.rotation_walk``; the others keep an empty core and are bounded by
+their weight.
+
+The frame.  rho^0 is diagonal, so turning u in the plane by an angle a
+conjugates each block by exp(-i a J_z) (the oscillator state by
+exp(i a N)), and every distance between states at one u depends on |u|
+alone.  A state built at u is therefore stored in u's frame: with
+psi = u.angle, its core F is the real factor of exp(i psi J_z) rho
+exp(-i psi J_z) (on the oscillator, of exp(-i psi N) phi exp(i psi N)),
+and the state itself is D F F^dag D^dag with D = diag(e^{ik psi}).  No state carries its angle.  The
+package compares only states built at one u, or a state and its
+``mirrored()``, which is the state at -u in the same frame (U_j(-w) =
+S U_j(w) S with S = diag((-1)^k)); ``spingauss.reference.lab_frame`` puts
+the phase back for the dense oracles.
 
 All weights are computed in log space and exponentiated only at the end;
 multiplicities and mu-powers overflow or underflow for n beyond a few hundred
@@ -37,7 +48,7 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .irreps import HalfInteger, LocalParam, rotation_walk
-from .numerics import factor_difference_eigvals, gauge_phases, mirror_rows, stirling_remainder
+from .numerics import factor_difference_eigvals, mirror_rows, stirling_remainder
 
 # Eigenvalues of a geometric spectrum below this fraction are dropped from the
 # low-rank factors; for p = 1/3 that keeps 33 of them.
@@ -78,10 +89,10 @@ class ModelParams:
 class BlockState:
     """One spin-j summand: its weight and a factor of its density matrix.
 
-    The factor is F = diag(e^{ik psi}) core with rho_j = F F^dag up to the
-    trace ``discarded`` that the rank cut and the walk's row trimming
-    dropped; ``core`` holds only the leading rows, which are the nonzero
-    ones, of the (2j+1)-dimensional block.  A block of weight at most
+    ``core`` is F with rho_j = F F^dag in the frame of the state's u, up to
+    the trace ``discarded`` that the rank cut and the walk's row trimming
+    dropped; it holds only the leading rows, which are the nonzero ones, of
+    the (2j+1)-dimensional block.  A block of weight at most
     NEGLIGIBLE_WEIGHT (every block but 2j = n at mu = 1) is not rotated:
     its core has no columns, and ``rotated`` is False.
     """
@@ -89,7 +100,6 @@ class BlockState:
     j: HalfInteger
     weight: float
     core: np.ndarray
-    psi: float = 0.0
     discarded: float = 0.0
 
     @property
@@ -98,43 +108,26 @@ class BlockState:
         return self.core.size > 0
 
     @property
-    def factor(self) -> np.ndarray:
-        """The complex factor F, rebuilt on every access."""
-        return gauge_phases(self.psi, self.core.shape[0])[:, None] * self.core
-
-    @property
     def matrix(self) -> np.ndarray:
-        """The dense (2j+1)-dimensional F F^dag, rebuilt on every access."""
-        d = self.j.dim
+        """The dense (2j+1)-dimensional F F^dag in the frame, rebuilt on every access."""
         rows = self.core.shape[0]
-        out = np.zeros((d, d), dtype=complex)
-        f = self.factor
-        out[:rows, :rows] = f @ f.conj().T
+        out = np.zeros((self.j.dim, self.j.dim), dtype=np.result_type(self.core, float))
+        out[:rows, :rows] = self.core @ self.core.conj().T
         return out
 
     def mirrored(self) -> "BlockState":
-        """The block at -u: U_j(-w) = S U_j(w) S with S = diag((-1)^k)."""
+        """The block at -u, in the same frame: U_j(-w) = S U_j(w) S with S = diag((-1)^k)."""
         return replace(self, core=mirror_rows(self.core))
 
 
 @dataclass(frozen=True)
 class EnsembleState:
-    """Full block-diagonal ensemble state: parameters plus all spin blocks.
-
-    Every block carries the same gauge angle ``psi``.
-    """
+    """Full block-diagonal ensemble state: parameters plus all spin blocks,
+    every one in the frame of the u the ensemble was built at."""
 
     params: ModelParams
     u: LocalParam
     blocks: tuple[BlockState, ...]
-
-    def __post_init__(self):
-        if any(b.psi != self.blocks[0].psi for b in self.blocks):
-            raise ValidationError("the blocks of an ensemble must share one gauge angle")
-
-    @property
-    def psi(self) -> float:
-        return self.blocks[0].psi
 
     @property
     def skipped(self) -> float:
@@ -142,7 +135,7 @@ class EnsembleState:
         return sum(b.weight for b in self.blocks if not b.rotated)
 
     def mirrored(self) -> "EnsembleState":
-        """The ensemble at -u, as the row sign flip of every block's core."""
+        """The ensemble at -u in the same frame: the row sign flip of every block's core."""
         return EnsembleState(self.params, -self.u, tuple(b.mirrored() for b in self.blocks))
 
 
@@ -350,7 +343,7 @@ def discarded_weight(p: float, dim: int) -> float:
 
 
 def ensemble(params: ModelParams, u: LocalParam) -> EnsembleState:
-    """The full block-diagonal ensemble state for local parameter u.
+    """The full block-diagonal ensemble state for local parameter u, in u's frame.
 
     Only the blocks of weight above NEGLIGIBLE_WEIGHT are rotated: a
     contiguous range of 2j, taken from one ``rotation_walk`` whose cores are
@@ -368,15 +361,14 @@ def ensemble(params: ModelParams, u: LocalParam) -> EnsembleState:
         spins[first].twoj, spins[last].twoj, u.scaled(1.0 / math.sqrt(params.n)), effective_rank(p)
     )
     empty = np.zeros((0, 0))
-    psi = u.angle
     blocks = []
     for i, (j, w) in enumerate(zip(spins, weights)):
         if first <= i <= last:
             core = cores[i - first]
             core *= np.sqrt(block_spectrum(p, j.dim, core.shape[1]))
-            blocks.append(BlockState(j, w, core, psi, discarded_weight(p, j.dim) + trimmed))
+            blocks.append(BlockState(j, w, core, discarded_weight(p, j.dim) + trimmed))
         else:
-            blocks.append(BlockState(j, w, empty, psi))
+            blocks.append(BlockState(j, w, empty))
     return EnsembleState(params, u, tuple(blocks))
 
 
@@ -395,7 +387,8 @@ def ensemble_difference(a: EnsembleState, b: EnsembleState) -> EnsembleDifferenc
     """Weighted sum of block trace norms of a - b.
 
     Both states must carry the same (n, mu), hence the same weights, and the
-    multiplicity spaces cancel.  Each block is diagonalized on the span of its
+    multiplicity spaces cancel; they must be in one frame (see the module
+    docstring).  Each block is diagonalized on the span of its
     two factors; blocks of negligible weight (which ``ensemble`` leaves
     unrotated) are skipped and counted at the worst case 2 * weight.
     ``discarded`` bounds how far the rank cuts can move the trace norm, and
@@ -413,7 +406,7 @@ def ensemble_difference(a: EnsembleState, b: EnsembleState) -> EnsembleDifferenc
             skipped += ba.weight
             norms.append(None)
             continue
-        eigs = factor_difference_eigvals(ba.core, bb.core, ba.psi, bb.psi)
+        eigs = factor_difference_eigvals(ba.core, bb.core)
         norms.append(float(np.abs(eigs).sum()))
         total += ba.weight * norms[-1]
         rank += int(np.sum(eigs > 0))

@@ -1,14 +1,15 @@
 """Dense reference implementations, kept as oracles for the tests.
 
-Every statistic the package reports is computed on low-rank real cores in one
-phase gauge (``qubit_model``, ``oscillator``, ``channels``,
-``measurements``).  This module holds the dense routes those cores replaced:
-eigendecomposition-based unitaries, full rotation and displacement
-matrices, dense block states, the block embedding and its inverse, the
-closed-form spin coherent amplitudes, and the outcome densities as quadratic
-forms of a dense block.  The tests compare
-the factor path against them.  No other module of the package imports this
-one, so the command line never loads it.
+Every statistic the package reports is computed on low-rank real cores,
+each state stored in the frame of the u it was built at (``qubit_model``,
+``oscillator``, ``channels``, ``measurements``).  This module holds the dense
+routes those cores replaced: eigendecomposition-based unitaries, full
+rotation and displacement matrices, dense block states, the block embedding
+and its inverse, the closed-form spin coherent amplitudes, and the outcome
+densities as quadratic forms of a dense block.  All of them are in the
+plane's fixed frame, and ``lab_frame`` takes a core or matrix of the factor
+path there.  The tests compare the factor path against them.  No other
+module of the package imports this one, so the command line never loads it.
 
 States built here are factor-form ``FockOperator`` objects, so their
 ``matrix`` is rebuilt on access like every other state's: a thermal state
@@ -44,6 +45,20 @@ from .qubit_model import ModelParams, _check_spin, block_spectrum
 # Negative eigenvalues of nominally PSD matrices down to this are clamped to
 # zero; anything below is treated as a genuinely invalid state.
 PSD_REJECT = -1e-8
+
+
+def lab_frame(a, angle: float) -> np.ndarray:
+    """A core or matrix stored in the frame of ``angle``, in the fixed frame.
+
+    Entry [r, c] gets the phase e^{i(r - c) angle}: D a D^dag with
+    D = diag(e^{ik angle}), sized to each side.  For a matrix in the frame
+    that is the state exp(-i angle J_z) a exp(i angle J_z) (on the
+    oscillator exp(i angle N) a exp(-i angle N)); for rotation columns it is
+    the columns of the unitary; for a factor F it is D F up to a phase per
+    column, so F F^dag becomes the fixed-frame state either way.
+    """
+    r, c = np.indices(np.shape(a))
+    return np.exp(1j * angle * (r - c)) * a
 
 
 class EigenSystem(NamedTuple):

@@ -36,6 +36,7 @@ from spingauss.reference import (
     embed_block,
     fock_matrix,
     inverse_channel_block,
+    lab_frame,
     rotation_unitary,
     thermal_state,
 )
@@ -340,11 +341,25 @@ def test_sweep_weak_uniformity_over_nonzero_grid():
 
 
 def test_ensemble_distance_zero_and_symmetry():
+    # states built at two different u sit in two frames, so their distance is
+    # the dense oracle's, on blocks put back in the fixed frame; a state and
+    # its mirror share one frame, and the factor path compares them
     params = ModelParams(6, 0.8)
-    a = ensemble(params, LocalParam(0.3, 0.1))
-    b = ensemble(params, LocalParam(-0.2, 0.5))
+    ua, ub = LocalParam(0.3, 0.1), LocalParam(-0.2, 0.5)
+    a, b = ensemble(params, ua), ensemble(params, ub)
     assert ensemble_distance(a, a) == 0.0
-    assert ensemble_distance(a, b) == pytest.approx(ensemble_distance(b, a), abs=1e-14)
+
+    def dense(x, ux, y, uy):
+        return sum(
+            bx.weight * trace_norm(lab_frame(bx.matrix, ux.angle) - lab_frame(by.matrix, uy.angle))
+            for bx, by in zip(x.blocks, y.blocks)
+        )
+
+    ab = dense(a, ua, b, ub)
+    assert ab > 0.1 and ab == pytest.approx(dense(b, ub, a, ua), abs=1e-14)
+    mirror = ensemble_distance(a, a.mirrored())
+    assert mirror == pytest.approx(dense(a, ua, ensemble(params, -ua), -ua), abs=1e-13)
+    assert ensemble_distance(a.mirrored(), a) == pytest.approx(mirror, abs=1e-14)
 
 
 def dense_sweep_point(settings, n, u):
@@ -469,7 +484,7 @@ def test_sweep_point_diagonalizes_each_pair_once(n, monkeypatch):
     assert (len(short) > 0) == (n == 256)
     block_max = 0.0
     for b in measured:
-        eigs = factor_difference_eigvals(b.core, phi.core, b.psi, phi.psi)
+        eigs = factor_difference_eigvals(b.core, phi.core)
         block_max = max(block_max, float(np.abs(eigs).sum()))
     assert pt.block_max == block_max
 

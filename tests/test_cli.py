@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from spingauss.cli import main, parse_grid
+from spingauss.cli import main, parse_grid, run_convergence, run_discriminate
 from spingauss.errors import ConfigError
+from spingauss.irreps import LocalParam
 from spingauss.reports import read_report
 
 
@@ -41,6 +42,10 @@ def test_convergence_minimal_report(tmp_path):
     sups = [r for r in rows if r["statistic"] == "forward_sup"]
     assert len(sups) == 1
     assert float(sups[0]["value"]) < 0.1
+    assert {r["statistic"] for r in rows} == {
+        "forward_distance", "block_distance_max", "reverse_distance",
+        "forward_sup", "block_sup", "reverse_sup",
+    }
 
 
 def test_grid_flag_accepts_leading_minus(tmp_path):
@@ -279,3 +284,40 @@ def test_measure_compare_past_the_injectivity_disk_names_it(capsys):
     assert run_cli(["measure-compare", "--n", "2", "--grid", "3,0"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: config:") and "injectivity radius" in err
+
+
+# |u| = 1.3 at four angles; each hypot(u_x, u_y) is the double 1.3
+COVARIANT_GRID = ((1.3, 0.0), (-0.5, 1.2), (-0.78, -1.04), (1.2, -0.5))
+
+
+def rows_at_each_angle(runner, **cfg):
+    """``runner``'s report rows at each point of COVARIANT_GRID, alone on its
+    grid, as {(n, statistic): (value, error_bound)}."""
+    out = []
+    for ux, uy in COVARIANT_GRID:
+        cfg.update(mu=(0.75,), n=(64, 256), epsilon=0.1, grid=(LocalParam(ux, uy),))
+        out.append({(r.n, r.statistic): (r.value, r.error_bound) for r in runner(cfg)})
+    return out
+
+
+def test_rotation_covariance_of_report_rows():
+    # every state is stored in the frame of its u, so a row depends on |u|
+    # alone.  The finite-n rows are bit-identical: their cores see |u| only
+    # through u.scaled(1/sqrt(n)), one double here.  The limit state sees
+    # |z| = abs(sqrt(2 mu - 1) alpha_u), which can round an ulp apart at
+    # two angles, and the convergence rows see it too.  TV rows are left
+    # out: the TV grid's angular nodes do not turn with u, so its values
+    # move by the grid's quadrature error (8.4e-7 at n = 64).
+    first, *others = rows_at_each_angle(run_discriminate)
+    for rows in others:
+        assert rows.keys() == first.keys()
+        for key, (value, bound) in rows.items():
+            if key[1] == "limit_risk":
+                assert abs(value - first[key][0]) <= 1e-15 and bound == first[key][1]
+            else:
+                assert (value, bound) == first[key], key
+    first, *others = rows_at_each_angle(run_convergence, workers=1)
+    for rows in others:
+        assert rows.keys() == first.keys()
+        for key, (value, bound) in rows.items():
+            assert abs(value - first[key][0]) <= 1e-15 and bound == first[key][1], key

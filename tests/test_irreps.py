@@ -6,13 +6,7 @@ import pytest
 from spingauss.errors import DomainError
 from spingauss.irreps import HalfInteger, LocalParam, rotation_columns, rotation_walk, spin_coherent_coords
 from spingauss.qubit_model import NEGLIGIBLE_WEIGHT, ModelParams, block_weight, effective_rank, valid_spins
-from spingauss.reference import _spin_coherent_rows, ladder_ops, rotation_generator, rotation_unitary
-
-
-def gauged(core, psi):
-    """The complex columns e^{i(r-c) psi} core[r, c] of a real core."""
-    r, c = np.indices(core.shape)
-    return np.exp(1j * psi * (r - c)) * core
+from spingauss.reference import _spin_coherent_rows, lab_frame, ladder_ops, rotation_generator, rotation_unitary
 
 
 def test_half_integer_basics():
@@ -106,9 +100,9 @@ def test_rotation_columns_agree_with_full_unitary():
         j = HalfInteger(twoj)
         u = LocalParam(*rng.uniform(-1.5, 1.5, size=2))
         full = rotation_unitary(j, u)
-        cols = gauged(rotation_columns(j, u, cols=j.dim), u.angle)
+        cols = lab_frame(rotation_columns(j, u, cols=j.dim), u.angle)
         np.testing.assert_allclose(cols, full, atol=1e-11)
-        part = gauged(rotation_columns(j, u, cols=3)[:5], u.angle)
+        part = lab_frame(rotation_columns(j, u, cols=3)[:5], u.angle)
         np.testing.assert_allclose(part, full[: min(5, j.dim), : min(3, j.dim)], atol=1e-11)
 
 
@@ -116,7 +110,7 @@ def test_rotation_columns_support():
     # the columns reach only a few rows past ``cols``; past them the dense
     # unitary is at rounding level
     j, u = HalfInteger(200), LocalParam(0.05, -0.04)
-    support = gauged(rotation_columns(j, u, cols=4), u.angle)
+    support = lab_frame(rotation_columns(j, u, cols=4), u.angle)
     rows = support.shape[0]
     assert rows < j.dim
     full = rotation_unitary(j, u)[:, :4]
@@ -125,8 +119,8 @@ def test_rotation_columns_support():
 
 
 def test_rotation_columns_real_core_in_gauge_u_angle():
-    # the real core and the one gauge angle psi = u.angle rebuild the dense
-    # unitary, over 2j <= 100 and |u| up to 2.1
+    # the real core in u's frame, with the frame phase put back, rebuilds
+    # the dense unitary, over 2j <= 100 and |u| up to 2.1
     rng = np.random.default_rng(41)
     for twoj in (0, 1, 2, 9, 40, 100):
         j = HalfInteger(twoj)
@@ -135,7 +129,7 @@ def test_rotation_columns_real_core_in_gauge_u_angle():
             core = rotation_columns(j, u, cols=j.dim)
             assert core.dtype == np.float64
             full = rotation_unitary(j, u)
-            np.testing.assert_allclose(gauged(core, u.angle), full[: core.shape[0]], atol=1e-12)
+            np.testing.assert_allclose(lab_frame(core, u.angle), full[: core.shape[0]], atol=1e-12)
 
 
 def padded(core, rows):
@@ -159,7 +153,7 @@ def test_rotation_walk_matches_dense_rotation():
                 assert core.dtype == np.float64
                 assert core.shape[0] <= j.dim and core.shape[1] == min(cols, j.dim)
                 full = rotation_unitary(j, u)[:, : core.shape[1]]
-                np.testing.assert_allclose(gauged(padded(core, j.dim), u.angle), full, rtol=0, atol=1e-13)
+                np.testing.assert_allclose(lab_frame(padded(core, j.dim), u.angle), full, rtol=0, atol=1e-13)
 
 
 def test_rotation_walk_of_one_block_is_the_propagator():

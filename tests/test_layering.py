@@ -7,7 +7,10 @@ package imports ``scipy`` at all (the Bessel coefficients and the binomial
 weights are the package's own), and a command-line run loads no module of
 numpy that its import did not: what the run path needs is imported with the
 package.  And no function outside it takes a Fock cutoff: each state's core
-holds every row it reaches.  Only ``irreps`` runs the rotation propagator
+holds every row it reaches.  No state outside it carries a gauge angle:
+each is stored in the frame of the u it was built at, so no field,
+parameter, keyword or attribute read is named ``psi``.  Only ``irreps``
+runs the rotation propagator
 ``rotation_columns``: every other module takes its blocks from one
 ``rotation_walk`` per (n, u), so no per-block propagator loop can return.
 """
@@ -72,6 +75,45 @@ def test_no_function_outside_reference_takes_a_truncation():
         for path in sorted(PACKAGE.glob("*.py"))
         if path.name != "reference.py"
         and (names := truncation_parameters(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert offenders == {}
+
+
+GAUGE_NAMES = {"psi", "psi_f", "psi_g"}
+
+
+def gauge_angle_uses(tree: ast.AST) -> list[str]:
+    """Every class field, function parameter, call keyword and attribute
+    read of ``tree`` named in ``GAUGE_NAMES``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            found.extend(
+                f"{node.name}.{item.target.id}"
+                for item in node.body
+                if isinstance(item, ast.AnnAssign)
+                and isinstance(item.target, ast.Name)
+                and item.target.id in GAUGE_NAMES
+            )
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+            found.extend(
+                f"{getattr(node, 'name', 'lambda')}({p.arg})" for p in params if p.arg in GAUGE_NAMES
+            )
+        elif isinstance(node, ast.keyword) and node.arg in GAUGE_NAMES:
+            found.append(f"{node.arg}=")
+        elif isinstance(node, ast.Attribute) and node.attr in GAUGE_NAMES:
+            found.append(f".{node.attr}")
+    return found
+
+
+def test_no_state_outside_reference_carries_a_gauge_angle():
+    offenders = {
+        path.name: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "reference.py"
+        and (names := gauge_angle_uses(ast.parse(path.read_text(encoding="utf-8"))))
     }
     assert offenders == {}
 

@@ -168,8 +168,9 @@ def test_discrimination_limit_matches_truncated_fock_oracle():
 
 
 def test_helstrom_factor_form_limit_states_match_dense():
-    # the mu < 1 limit risk compares the +-u cores in one gauge; the dense
-    # pair of independently built states is the oracle
+    # the mu < 1 limit risk compares the +-u cores in u's frame; the dense
+    # pair of independently built states, each put back in the fixed frame,
+    # is the oracle
     from spingauss.oscillator import displaced_thermal
 
     trunc = FockTruncation(128)
@@ -177,7 +178,8 @@ def test_helstrom_factor_form_limit_states_match_dense():
         plus = displaced_thermal(u, mu)
         got = helstrom_risk(plus, plus.mirrored()).risk
         want = reference.helstrom_risk(
-            reference.fock_matrix(plus, trunc), reference.fock_matrix(displaced_thermal(-u, mu), trunc)
+            reference.lab_frame(reference.fock_matrix(plus, trunc), u.angle),
+            reference.lab_frame(reference.fock_matrix(displaced_thermal(-u, mu), trunc), (-u).angle),
         ).risk
         assert got == pytest.approx(want, abs=1e-13)
 
@@ -465,9 +467,11 @@ def test_recentred_heterodyne_nonnegative_at_scale():
 
 def pointwise_heterodyne(params, u, block, pts):
     """A block's pulled-back density by coherent rows at every node, contracted
-    with its whole core: the form that held before the grids were re-centred."""
+    with its whole core: the form that held before the grids were re-centred.
+    The amplitudes are turned into the core's frame, u's."""
     z = math.sqrt(2.0 * params.mu - 1.0) * (-pts[:, 1] + 1j * pts[:, 0])
-    b = block.cols.T @ _coherent_rows(z, block.cols.shape[0], gauge=u.angle)
+    z *= complex(math.cos(u.angle), -math.sin(u.angle))
+    b = block.cols.T @ _coherent_rows(z, block.cols.shape[0])
     lam = qubit_model.block_spectrum(params.p, block.j.dim, block.cols.shape[1])
     sq = lam @ (b * b)
     return (2.0 * params.mu - 1.0) / math.pi * (sq[0::2] + sq[1::2])

@@ -10,7 +10,6 @@ from spingauss.irreps import HalfInteger, LocalParam
 from spingauss.numerics import (
     bessel_j,
     factor_difference_eigvals,
-    gauge_phases,
     mirror_rows,
     trace_norm,
     tridiagonal_propagator,
@@ -19,6 +18,7 @@ from spingauss.oscillator import FockTruncation
 from spingauss.reference import (
     displacement_operator,
     hermitian_eig,
+    lab_frame,
     psd_factor,
     rotation_unitary,
     unitary_exp,
@@ -37,12 +37,6 @@ def random_density(rng, dim):
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
-
-
-def gauged(core, psi):
-    """The complex columns e^{i(r-c) psi} core[r, c] of a real core."""
-    r, c = np.indices(core.shape)
-    return np.exp(1j * psi * (r - c)) * core
 
 
 def test_eig_diagonal_input():
@@ -196,7 +190,7 @@ def test_propagator_matches_dense_rotation_unitary():
             u = LocalParam(*rng.uniform(-1.5, 1.5, size=2))  # |u| up to 2.1
             full = rotation_unitary(j, u)
             for cols in (1, 5, j.dim):
-                got = gauged(
+                got = lab_frame(
                     tridiagonal_propagator(
                         lambda i: np.sqrt(i * (twoj + 1.0 - i)), u.norm, cols, size=j.dim
                     ),
@@ -210,12 +204,12 @@ def test_propagator_matches_dense_rotation_unitary():
 
 def test_propagator_matches_displacement_operator_columns():
     # z a^dag - z* a is the gauge of i |z| (a + a^dag) by e^{ik (arg z - pi/2)},
-    # so D(z) is the real propagator in the gauge psi = arg z
+    # so D(z) is the real propagator in the frame of arg z
     rng = np.random.default_rng(53)
     for mag in (0.0, 0.4, 1.0, 2.2, 3.0):
         z = mag * np.exp(2j * math.pi * rng.uniform())
         dense = displacement_operator(z, FockTruncation(160), pad=64)
-        got = gauged(tridiagonal_propagator(np.sqrt, abs(z), 12), np.angle(z))
+        got = lab_frame(tridiagonal_propagator(np.sqrt, abs(z), 12), np.angle(z))
         rows = got.shape[0]
         assert rows < 160
         np.testing.assert_allclose(got, dense[:rows, :12], atol=1e-12)
@@ -260,9 +254,10 @@ def test_factor_trace_norm_identical_factors_exactly_zero():
     assert np.abs(factor_difference_eigvals(f, f.copy())).sum() == 0.0
 
 
-def test_factor_trace_norm_real_gauge_matches_complex_path():
-    # cores in a shared gauge psi (or psi + pi) run in real arithmetic; the
-    # complex path on the gauged factors must give the same spectrum
+def test_factor_difference_is_frame_invariant():
+    # a frame is a diagonal unitary, so two real cores put in one common
+    # frame, or both mirrored (the frame moved by pi), give the real cores'
+    # spectrum; the real pair is diagonalized in real arithmetic
     rng = np.random.default_rng(71)
     for rows_f, rank_f, rows_g, rank_g in ((6, 2, 6, 3), (9, 4, 5, 1), (3, 3, 12, 5), (40, 7, 35, 7)):
         # unit-trace states: F F^dag and G G^dag as density matrices
@@ -270,21 +265,15 @@ def test_factor_trace_norm_real_gauge_matches_complex_path():
         g = rng.standard_normal((rows_g, rank_g))
         f /= np.linalg.norm(f)
         g /= np.linalg.norm(g)
-        psi = rng.uniform(-math.pi, math.pi)
-        ff = gauge_phases(psi, rows_f)[:, None] * f
-        for psi_g, sign in ((psi, 1.0), (psi + math.pi, -1.0)):
-            gg = gauge_phases(psi, rows_g)[:, None] * (g if sign > 0 else mirror_rows(g))
-            want = factor_difference_eigvals(ff, gg)
-            got = factor_difference_eigvals(f, g, psi, psi_g)
-            assert got.dtype == np.float64
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
-        # different directions fall back to the complex factors
-        other = factor_difference_eigvals(f, g, psi, psi + 0.3)
-        want = factor_difference_eigvals(ff, gauge_phases(psi + 0.3, rows_g)[:, None] * g)
-        np.testing.assert_allclose(other, want, rtol=0, atol=1e-14)
-    f = rng.standard_normal((40, 7))
-    assert np.abs(factor_difference_eigvals(f, f, 0.4, 0.4)).sum() == 0.0
-    assert np.abs(factor_difference_eigvals(f, f.copy(), 0.4, 0.4)).sum() == 0.0
+        want = factor_difference_eigvals(f, g)
+        assert want.dtype == np.float64
+        angle = rng.uniform(-math.pi, math.pi)
+        framed = factor_difference_eigvals(lab_frame(f, angle), lab_frame(g, angle))
+        np.testing.assert_allclose(framed, want, rtol=0, atol=1e-14)
+        mirrored = factor_difference_eigvals(mirror_rows(f), mirror_rows(g))
+        np.testing.assert_allclose(mirrored, want, rtol=0, atol=1e-14)
+    f = lab_frame(rng.standard_normal((40, 7)), 0.4)
+    assert np.abs(factor_difference_eigvals(f, f.copy())).sum() == 0.0
 
 
 @pytest.mark.parametrize("dtype", [float, complex])

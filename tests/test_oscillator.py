@@ -24,6 +24,7 @@ from spingauss.reference import (
     displacement_operator,
     fock_matrix,
     glauber_mixture,
+    lab_frame,
     heterodyne_density,
     number_basis_state,
     quadrature_operators,
@@ -86,11 +87,11 @@ def test_coherent_state_leakage_error_names_required_dim():
     coherent_state(3.0, FockTruncation(need))  # no raise at the stated dim
 
 
-def mp_coherent_rows(z, gauge, dim):
-    """Oracle: c_k(e^{-i gauge} z) and sum |c_k|^2 in 40-digit arithmetic."""
+def mp_coherent_rows(z, turn, dim):
+    """Oracle: c_k(e^{-i turn} z) and sum |c_k|^2 in 40-digit arithmetic."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
-        zeta = mpmath.mpc(z.real, z.imag) * mpmath.exp(-1j * mpmath.mpf(gauge))
+        zeta = mpmath.mpc(z.real, z.imag) * mpmath.exp(-1j * mpmath.mpf(turn))
         c = mpmath.exp(-abs(zeta) ** 2 / 2)
         rows, norm = [complex(c)], abs(c) ** 2
         for k in range(1, dim):
@@ -100,24 +101,29 @@ def mp_coherent_rows(z, gauge, dim):
         return np.array(rows), float(norm)
 
 
-def closed_form_rows(z, dim, gauge):
-    """Second oracle: e^{-|z|^2/2 + k log|z| - lgamma(k+1)/2 + ik(arg z - gauge)}."""
+def closed_form_rows(z, dim, turn):
+    """Second oracle: e^{-|z|^2/2 + k log|z| - lgamma(k+1)/2 + ik(arg z - turn)}."""
     az, k = np.abs(z)[:, None], np.arange(dim)
     amp = np.exp(-az ** 2 / 2 + xlogy(k, az) - 0.5 * gammaln(k + 1))
-    return (amp * np.exp(1j * (np.angle(z) - gauge)[:, None] * k)).T
+    return (amp * np.exp(1j * (np.angle(z) - turn)[:, None] * k)).T
 
 
-@pytest.mark.parametrize("gauge", [0.0, 1.1, -2.7])
-def test_coherent_rows_match_40_digit_oracle(gauge):
+def turned(z, turn):
+    """The amplitudes z in the frame of ``turn``, as ``heterodyne_pdf`` turns them."""
+    return np.asarray(z, dtype=complex) * complex(math.cos(turn), -math.sin(turn))
+
+
+@pytest.mark.parametrize("turn", [0.0, 1.1, -2.7])
+def test_coherent_rows_match_40_digit_oracle(turn):
     # past c_0's underflow at |z| > 38 the rows near k ~ |z|^2 come from the
     # re-anchoring alone
     for i, r in enumerate((0.0, 1e-3, 0.5, 3.0, 7.0, 20.0, 37.0, 45.0)):
         z = r * complex(math.cos(0.7 + 1.9 * i), math.sin(0.7 + 1.9 * i))
         dim = math.ceil(r * r + 10 * r + 40) + 1
-        rows = _coherent_rows(np.array([z]), dim, gauge)
+        rows = _coherent_rows(turned([z], turn), dim)
         assert rows.shape == (dim, 2)
         got = rows.view(complex)[:, 0]
-        want, norm = mp_coherent_rows(z, gauge, dim)
+        want, norm = mp_coherent_rows(z, turn, dim)
         assert np.abs(got - want).max() <= 1e-13
         assert abs(float(np.sum(rows ** 2)) - norm) <= 1e-13
         if r == 0.0:
@@ -128,9 +134,9 @@ def test_coherent_rows_match_closed_form():
     rng = np.random.default_rng(11)
     for r_max, dim, tol in ((8.0, 140, 3e-14), (45.0, 2520, 5e-13)):
         z = rng.uniform(0, r_max, 300) * np.exp(1j * rng.uniform(-math.pi, math.pi, 300))
-        for gauge in (0.0, 1.1, -2.7):
-            got = _coherent_rows(z, dim, gauge).view(complex)
-            np.testing.assert_allclose(got, closed_form_rows(z, dim, gauge), rtol=0, atol=tol)
+        for turn in (0.0, 1.1, -2.7):
+            got = _coherent_rows(turned(z, turn), dim).view(complex)
+            np.testing.assert_allclose(got, closed_form_rows(z, dim, turn), rtol=0, atol=tol)
     one = _coherent_rows(np.array([0.4 - 1.2j]), 30).view(complex)[:, 0]
     np.testing.assert_array_equal(coherent_coefficients(0.4 - 1.2j, 30), one)
 
@@ -169,14 +175,15 @@ def test_displaced_thermal_reduces_to_thermal_and_coherent():
     th = fock_matrix(displaced_thermal(LocalParam(0.0, 0.0), mu), T32)
     np.testing.assert_allclose(th, thermal_state(1 / 3, T32).matrix, atol=1e-14)
     u = LocalParam(0.6, -0.2)
-    pure = fock_matrix(displaced_thermal(u, 1.0), T64)
+    pure = lab_frame(fock_matrix(displaced_thermal(u, 1.0), T64), u.angle)
     want = coherent_state(displacement_amplitude(u, 1.0), T64).matrix
     assert trace_norm(pure - want) < 1e-8
 
 
 def test_displaced_thermal_real_core_matches_displacement_operator():
-    # the core in the gauge psi = u.angle rebuilds D(z)|k> sqrt((1-p) p^k)
-    # from the dense displacement operator, over |z| up to 3
+    # the core in u's frame, with the frame phase put back, rebuilds
+    # D(z)|k> sqrt((1-p) p^k) from the dense displacement operator, over |z|
+    # up to 3
     rng = np.random.default_rng(73)
     for mu in (0.75, 1.0):
         p = (1 - mu) / mu
@@ -184,25 +191,28 @@ def test_displaced_thermal_real_core_matches_displacement_operator():
             t = rng.uniform(0, 2 * math.pi)
             u = LocalParam(mag * math.cos(t), mag * math.sin(t))
             op = displaced_thermal(u, mu)
-            assert op.psi == u.angle and op.core.dtype == np.float64 and not hasattr(op, "dense")
+            assert op.core.dtype == np.float64 and not hasattr(op, "dense")
             core = op.core[:160]
             rows, rank = core.shape
             d_op = displacement_operator(
                 displacement_amplitude(u, mu), FockTruncation(160), pad=64
             )
             want = d_op[:rows, :rank] * np.sqrt((1 - p) * p ** np.arange(rank))
-            r, c = np.indices(core.shape)
-            np.testing.assert_allclose(np.exp(1j * op.psi * (r - c)) * core, want, atol=1e-12)
+            np.testing.assert_allclose(lab_frame(core, u.angle), want, atol=1e-12)
 
 
 def test_displaced_thermal_mirror_is_minus_u():
-    # D(-z) = S D(z) S: the mirrored state is the state at -u
+    # D(-z) = S D(z) S: the mirrored state is the state at -u, in u's frame;
+    # built at -u, in its own frame, the state has the very core of u's
     u, mu = LocalParam(0.7, -0.4), 0.8
     plus = displaced_thermal(u, mu)
+    minus = displaced_thermal(-u, mu)
     np.testing.assert_allclose(
-        fock_matrix(plus.mirrored(), T64), fock_matrix(displaced_thermal(-u, mu), T64), atol=1e-14
+        lab_frame(fock_matrix(plus.mirrored(), T64), u.angle),
+        lab_frame(fock_matrix(minus, T64), (-u).angle),
+        atol=1e-14,
     )
-    assert plus.mirrored().psi == plus.psi
+    np.testing.assert_array_equal(minus.core, plus.core)
 
 
 def test_displaced_thermal_quadrature_means():
@@ -214,7 +224,7 @@ def test_displaced_thermal_quadrature_means():
     root = math.sqrt(2 * mu - 1)
     q, p = quadrature_operators(FockTruncation(128))
     for u in (LocalParam(1.0, 0.0), LocalParam(-0.3, 0.8)):
-        rho = fock_matrix(displaced_thermal(u, mu), FockTruncation(128))
+        rho = lab_frame(fock_matrix(displaced_thermal(u, mu), FockTruncation(128)), u.angle)
         mean_q = np.trace(rho @ q).real
         mean_p = np.trace(rho @ p).real
         assert mean_q == pytest.approx(-math.sqrt(2) * root * u.uy, abs=1e-6)
@@ -226,8 +236,8 @@ def test_displaced_thermal_parity_relation():
     mu = 0.8
     u = LocalParam(0.7, 0.4)
     parity = np.diag([(-1.0) ** k for k in range(64)])
-    plus = fock_matrix(displaced_thermal(u, mu), T64)
-    minus = fock_matrix(displaced_thermal(-u, mu), T64)
+    plus = lab_frame(fock_matrix(displaced_thermal(u, mu), T64), u.angle)
+    minus = lab_frame(fock_matrix(displaced_thermal(-u, mu), T64), (-u).angle)
     assert np.abs(parity @ plus @ parity - minus).max() < 1e-8
 
 
@@ -299,7 +309,7 @@ def test_heterodyne_pdf_matches_dense_quadratic_form(mu):
     trunc = FockTruncation(140)
     u = LocalParam(2.5, -1.5)
     pts = np.array([[2.5, -1.5], [0.0, 0.0], [3.5, -0.5], [1.0, -3.0], [5.0, 1.0]])
-    rho = fock_matrix(displaced_thermal(u, mu), trunc)
+    rho = lab_frame(fock_matrix(displaced_thermal(u, mu), trunc), u.angle)
     want = []
     for x, y in pts:
         c = coherent_coefficients(math.sqrt(2 * mu - 1) * complex(-y, x), trunc.dim)
@@ -315,9 +325,9 @@ def test_heterodyne_pdf_streams_points_in_chunks(mu, monkeypatch):
     sizes = []
     kernel = oscillator._coherent_rows
 
-    def counted(z, dim, gauge=0.0):
-        sizes.append(len(z))
-        return kernel(z, dim, gauge)
+    def counted(zeta, dim):
+        sizes.append(len(zeta))
+        return kernel(zeta, dim)
 
     monkeypatch.setattr(oscillator, "_coherent_rows", counted)
     got = heterodyne_pdf(pts, u, mu)

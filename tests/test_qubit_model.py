@@ -21,7 +21,7 @@ from spingauss.qubit_model import (
     spin_center,
     valid_spins,
 )
-from spingauss.reference import block_state, block_state_zero, rotation_unitary
+from spingauss.reference import block_state, block_state_zero, lab_frame, ladder_ops, rotation_unitary
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -261,7 +261,7 @@ def test_ensemble_single_copy_is_rotated_qubit():
     assert len(ens.blocks) == 1
     um = rotation_unitary(HalfInteger(1), u)
     want = um @ np.diag([mu, 1 - mu]).astype(complex) @ um.conj().T
-    np.testing.assert_allclose(ens.blocks[0].matrix, want, atol=1e-13)
+    np.testing.assert_allclose(lab_frame(ens.blocks[0].matrix, u.angle), want, atol=1e-13)
 
 
 def test_rotated_block_factor_matches_dense_block_state(monkeypatch):
@@ -277,8 +277,8 @@ def test_rotated_block_factor_matches_dense_block_state(monkeypatch):
         b = blocks[twoj]
         assert b.weight == block_weight(params, j)
         if twoj >= 150:
-            assert b.factor.shape[0] < j.dim / 2
-        np.testing.assert_allclose(b.matrix, block_state(params, j, u), atol=1e-14)
+            assert b.core.shape[0] < j.dim / 2
+        np.testing.assert_allclose(lab_frame(b.matrix, u.angle), block_state(params, j, u), atol=1e-14)
         assert b.discarded == pytest.approx(1.0 - np.trace(b.matrix).real, abs=1e-15)
 
 
@@ -320,16 +320,32 @@ def test_ensemble_rotates_only_occurring_blocks(monkeypatch):
     assert 0.0 < ens.skipped <= len(negligible) * qubit_model.NEGLIGIBLE_WEIGHT
 
 
+def test_block_matrix_is_the_state_in_the_frame_of_u():
+    # the stored block is exp(i psi J_z) rho_j exp(-i psi J_z), psi = u.angle,
+    # and ``lab_frame`` undoes exactly that turn
+    params = ModelParams(9, 0.75)
+    u = LocalParam(-0.7, 0.4)
+    for b in ensemble(params, u).blocks:
+        turn = np.diag(np.exp(1j * u.angle * np.diag(ladder_ops(b.j)[2]).real))
+        rho = block_state(params, b.j, u)
+        assert b.core.dtype == np.float64
+        np.testing.assert_allclose(b.matrix, turn @ rho @ turn.conj().T, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(lab_frame(b.matrix, u.angle), rho, rtol=0, atol=1e-14)
+
+
 def test_mirrored_ensemble_is_minus_u():
-    # U_j(-w) = S U_j(w) S: the mirror shares the gauge and equals ensemble(-u)
+    # U_j(-w) = S U_j(w) S: the mirror is the ensemble at -u in u's frame;
+    # built at -u, in its own frame, every block has the very core of u's
     params = ModelParams(12, 0.8)
     u = LocalParam(0.9, 0.5)
     plus = ensemble(params, u)
     minus = plus.mirrored()
-    assert minus.u == -u and minus.psi == plus.psi
-    for bm, bd in zip(minus.blocks, ensemble(params, -u).blocks):
-        np.testing.assert_allclose(bm.matrix, bd.matrix, atol=1e-14)
-        np.testing.assert_allclose(bm.matrix, block_state(params, bm.j, -u), atol=1e-14)
+    assert minus.u == -u
+    for bp, bm, bd in zip(plus.blocks, minus.blocks, ensemble(params, -u).blocks):
+        np.testing.assert_array_equal(bd.core, bp.core)
+        lab = lab_frame(bm.matrix, u.angle)
+        np.testing.assert_allclose(lab, lab_frame(bd.matrix, (-u).angle), atol=1e-14)
+        np.testing.assert_allclose(lab, block_state(params, bm.j, -u), atol=1e-14)
 
 
 def test_ensemble_weights_and_traces_normalized():
