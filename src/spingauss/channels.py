@@ -35,7 +35,6 @@ from .oscillator import (
     displaced_thermal,
 )
 from .qubit_model import (
-    NEGLIGIBLE_WEIGHT,
     BlockState,
     EnsembleState,
     ModelParams,
@@ -43,7 +42,7 @@ from .qubit_model import (
     concentration_set,
     ensemble,
     ensemble_difference,
-    valid_spins,
+    occurring_range,
 )
 
 
@@ -51,14 +50,12 @@ def _forward_corner(ens: EnsembleState) -> np.ndarray:
     """Weighted sum of the blocks' core core^dag on the rows they reach.
 
     This is the forward channel's output, in the ensemble's frame.
-    A block that was not rotated has an empty core and adds nothing.
     """
     rows = max(b.core.shape[0] for b in ens.blocks)
     out = np.zeros((rows, rows), dtype=np.result_type(float, *(b.core for b in ens.blocks)))
     for b in ens.blocks:
-        if b.rotated:
-            r = b.core.shape[0]
-            out[:r, :r] += b.weight * (b.core @ b.core.conj().T)
+        r = b.core.shape[0]
+        out[:r, :r] += b.weight * (b.core @ b.core.conj().T)
     return out
 
 
@@ -68,8 +65,8 @@ def forward_channel(ens: EnsembleState) -> FockOperator:
     The block embedding is the identity on indices, so the result is in
     factor form: the cores sqrt(w_j) core_j side by side, in the ensemble's
     frame, on the rows the largest core reaches.  Its deficit is
-    the weighted trace the blocks' rank cuts dropped plus the weight of the
-    blocks that were not rotated, since ||sum_j w_j rho_j||_1 <= sum_j w_j.
+    the weighted trace the blocks' rank cuts dropped plus the ensemble's
+    skipped weight, since ||sum_j w_j rho_j||_1 <= sum_j w_j.
     """
     rows = max(b.core.shape[0] for b in ens.blocks)
     core = np.hstack(
@@ -86,35 +83,32 @@ def inverse_channel(phi: FockOperator, params: ModelParams) -> EnsembleState:
     Block j gets the corner G[:2j+1] plus the column sqrt(leftover) e_0,
     where the leftover is the trace of phi outside the block image: the
     block projection with the leftover mass routed to |j, j> (e_0 is
-    unchanged by any frame), which keeps the map trace preserving.  The
-    weights are the table ``ensemble`` uses (``block_weights``), and a block
-    of weight at most NEGLIGIBLE_WEIGHT keeps an empty core, as there: every
-    distance bounds it by its weight.
+    unchanged by any frame), which keeps the map trace preserving.  It
+    builds the blocks ``ensemble`` builds (``occurring_range``), with the
+    same weights and the same skipped weight.
     """
     g = phi.core
     row_mass = np.sum((g * g.conj()).real, axis=1)
-    empty = np.zeros((0, 0))
+    weights = block_weights(params)
+    lo, hi, skipped = occurring_range(params)
     blocks = []
-    for j, w in zip(valid_spins(params.n), block_weights(params)):
-        if w <= NEGLIGIBLE_WEIGHT:
-            blocks.append(BlockState(j, w, empty))
-            continue
+    for twoj in range(lo, hi + 1, 2):
+        j = HalfInteger(twoj)
         core = g[: j.dim]
         leftover = float(row_mass[j.dim :].sum())
         if leftover > 0.0:
             column = np.zeros((core.shape[0], 1), dtype=g.dtype)
             column[0, 0] = math.sqrt(leftover)
             core = np.hstack([core, column])
-        blocks.append(BlockState(j, w, core))
-    return EnsembleState(params, LocalParam(0.0, 0.0), tuple(blocks))
+        blocks.append(BlockState(j, weights[twoj // 2], core))
+    return EnsembleState(params, LocalParam(0.0, 0.0), tuple(blocks), skipped)
 
 
 def ensemble_distance(a: EnsembleState, b: EnsembleState) -> float:
     """Trace-norm distance between two ensembles sharing block structure.
 
-    The weighted sum of block trace norms (``ensemble_difference``); blocks
-    of negligible weight count at the worst case 2 * weight instead of being
-    diagonalized.
+    The weighted sum of block trace norms (``ensemble_difference``); the
+    skipped weight counts at the worst case 2 * skipped.
     """
     return ensemble_difference(a, b).trace_norm
 
@@ -228,15 +222,13 @@ def _sweep_point(args) -> PointStats:
     jset = set(concentration_set(params))
     block_max = 0.0
     for b, norm in zip(ens.blocks, back.block_norms):
-        # blocks of negligible weight were not rotated and do not count
-        if b.j not in jset or not b.rotated:
+        if b.j not in jset:
             continue
         if b.j.dim < r:
             norm = float(np.abs(factor_difference_eigvals(b.core, phi.core)).sum())
         block_max = max(block_max, norm)
     # the inverse channel is trace-norm contractive, so the rank cuts of phi
-    # and of the largest block, and the weight of the blocks left unrotated,
-    # bound all three
+    # and of the largest block, and the skipped weight, bound all three
     bound = phi.deficit + max(b.discarded for b in ens.blocks) + ens.skipped
     return PointStats(
         n=n, u=u, forward=forward, block_max=block_max, reverse=reverse, error_bound=bound

@@ -111,8 +111,8 @@ class LocalParam:
         return LocalParam(self.ux + other.ux, self.uy + other.uy)
 
 
-def rotation_columns(j: HalfInteger, u: LocalParam, cols: int) -> np.ndarray:
-    """Real core of the leading ``cols`` columns of U_j(u).
+def rotation_columns(j: HalfInteger, radius: float, cols: int) -> np.ndarray:
+    """Real core of the leading ``cols`` columns of U_j(u) at |u| = ``radius``.
 
     The generator is gauge-equivalent, via the diagonal phase
     e^{ik atan2(u_y, u_x)}, to |u| times the fixed tridiagonal x generator X_j
@@ -122,12 +122,13 @@ def rotation_columns(j: HalfInteger, u: LocalParam, cols: int) -> np.ndarray:
         U_j(u)[r, c] = e^{i(r-c) psi} M[r, c]
 
     with psi = u.angle and M the real matrix returned here, U_j(u) in u's
-    frame, which depends on |u| only.  U_j(-u) is then S U_j(u) S with
-    S = diag((-1)^k).  Only the rows the columns reach are returned (at
-    most 2j + 1); rows past them are zero to the propagator's accuracy.
+    frame, which depends on |u| only: every u of one radius gets the very
+    same core.  U_j(-u) is then S U_j(u) S with S = diag((-1)^k).  Only the
+    rows the columns reach are returned (at most 2j + 1); rows past them
+    are zero to the propagator's accuracy.
     """
     return tridiagonal_propagator(
-        lambda i: np.sqrt(i * (j.twoj + 1.0 - i)), u.norm, cols, size=j.dim
+        lambda i: np.sqrt(i * (j.twoj + 1.0 - i)), radius, cols, size=j.dim
     )
 
 
@@ -169,8 +170,9 @@ def _half_step(prev: np.ndarray, twoj: int, c: float, s: float, cols: int) -> np
     return out
 
 
-def rotation_walk(lo: int, hi: int, w: LocalParam, cols: int) -> tuple[list[np.ndarray], float]:
-    """Real cores of U_j(w)[:, :min(cols, 2j + 1)] for 2j = lo, lo + 2, ..., hi.
+def rotation_walk(lo: int, hi: int, radius: float, cols: int) -> tuple[list[np.ndarray], float]:
+    """Real cores of U_j(w)[:, :min(cols, 2j + 1)] for 2j = lo, lo + 2, ..., hi,
+    at |w| = ``radius``.
 
     Each core is the one ``rotation_columns`` returns, in the same frame,
     w's, on the rows it reaches.  One propagator call gives the
@@ -183,8 +185,8 @@ def rotation_walk(lo: int, hi: int, w: LocalParam, cols: int) -> tuple[list[np.n
     """
     if not 0 <= lo <= hi or (hi - lo) % 2:
         raise DomainError(f"spin range 2j = {lo}..{hi} is not a same-parity range")
-    c, s = math.cos(w.norm), math.sin(w.norm)
-    core = rotation_columns(HalfInteger(lo), w, cols)
+    c, s = math.cos(radius), math.sin(radius)
+    core = rotation_columns(HalfInteger(lo), radius, cols)
     cores = [core]
     trimmed = 0.0
     for twoj in range(lo + 1, hi + 1):
@@ -201,7 +203,7 @@ def rotation_walk(lo: int, hi: int, w: LocalParam, cols: int) -> tuple[list[np.n
 def spin_coherent_coords(j: HalfInteger, w: LocalParam) -> np.ndarray:
     """Coordinates of the spin coherent vector |j, w> = U_j(w)|j, j>.
 
-    This is column 0 of U_j(w): the real core ``rotation_columns(j, w, 1)``
+    This is column 0 of U_j(w): the real core ``rotation_columns(j, |w|, 1)``
     in w's frame, with the frame phase e^{ik w.angle} put back, padded with
     zeros to 2j + 1 entries.  In the descending-m convention entry k is
     sqrt(C(2j, k)) zeta^k (1 - |zeta|^2)^{(2j-k)/2} with
@@ -211,7 +213,7 @@ def spin_coherent_coords(j: HalfInteger, w: LocalParam) -> np.ndarray:
     r = w.norm
     if r >= math.pi / 2:
         raise DomainError(f"|w| = {r:.6f} outside the principal branch |w| < pi/2")
-    col = rotation_columns(j, w, 1)[:, 0]
+    col = rotation_columns(j, r, 1)[:, 0]
     out = np.zeros(j.dim, dtype=complex)
     out[: len(col)] = gauge_phases(w.angle, len(col)) * col
     return out

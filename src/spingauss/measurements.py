@@ -36,7 +36,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from .errors import AccuracyError, DomainError, ValidationError
-from .irreps import HalfInteger, LocalParam, rotation_walk
+from .irreps import LocalParam
 from .numerics import factor_difference_eigvals, propagator_degree
 from .oscillator import (
     FockOperator,
@@ -47,15 +47,15 @@ from .oscillator import (
     heterodyne_pdf,
 )
 from .qubit_model import (
-    NEGLIGIBLE_WEIGHT,
+    BlockState,
     EnsembleState,
     ModelParams,
     block_spectrum,
-    block_weights,
     concentration_set,
-    effective_rank,
     ensemble,
     ensemble_difference,
+    occurring_range,
+    rotated_blocks,
 )
 
 # Blocks per ``_block_density_pair`` call: a chunk's diagonal sums run as one
@@ -96,7 +96,7 @@ def helstrom_risk(rho_plus, rho_minus) -> BinaryTestResult:
             n=rho_plus.params.n,
             u=rho_plus.u,
             mu=rho_plus.params.mu,
-            error_bound=0.5 * diff.skipped + 0.25 * diff.discarded,
+            error_bound=0.5 * rho_plus.skipped + 0.25 * diff.discarded,
         )
     if not all(isinstance(op, FockOperator) for op in pair):
         raise ValidationError("helstrom_risk compares two ensembles or two Fock operators")
@@ -257,21 +257,6 @@ def default_tv_grid(mu: float, u: LocalParam, n: int) -> PolarGrid:
     return PolarGrid(center=(u.ux, u.uy), radius=min(radius, limit), n_radial=64, n_angular=96)
 
 
-def _concentration_weights(params: ModelParams) -> tuple[tuple[HalfInteger, float], ...]:
-    """(j, p_n(j)) over the concentration set, ascending j."""
-    weights = block_weights(params)
-    return tuple((j, weights[j.twoj // 2]) for j in concentration_set(params))
-
-
-class _Block(NamedTuple):
-    """An included block: spin, weight and the real core of its rotation
-    columns (only the rows the walk keeps, ``irreps.rotation_walk``)."""
-
-    j: HalfInteger
-    weight: float
-    cols: np.ndarray
-
-
 class _Covariant(NamedTuple):
     """The covariant closed form's data at a set of points.
 
@@ -327,13 +312,13 @@ class _TvGrid:
     z_c = s alpha(u), a node u + rho (cos t, sin t) has amplitude
     z = z_c + s rho e^{i(t + pi/2)}, and D(z_c)^dag |z> = e^{i theta}
     |s rho e^{i(t + pi/2)}>.  A block with real core F in u's frame
-    (``qubit_model``), psi = u.angle, and spectrum Lambda then has the
+    (``qubit_model``, rho_j ~ F F^T) and psi = u.angle then has the
     pulled-back density
 
         (2 mu - 1)/pi sum_{d >= 0} c_d cos(d (t + pi/2 - psi)) h(rho, d),
 
     c_0 = 1 and c_d = 2 past it, h(rho, d) = sum_m R_{m+d} R_m A_{m+d,m}
-    with R_m the real coherent row at s rho, and A = G Lambda G^T with
+    with R_m the real coherent row at s rho, and A = G G^T with
     G = ``back`` F, ``back`` the leading rows of D(-z_c), real in that
     frame: only as many as the radial rows reach at rho = radius, so the
     tables do not grow with |z_c|.  The radial products R_{m+d} R_m are
@@ -352,25 +337,21 @@ class _TvGrid:
     back: np.ndarray
     diag: np.ndarray
     cos: np.ndarray
-    blocks: tuple[_Block, ...]
+    blocks: tuple[BlockState, ...]
 
 
-def _tv_grid(
-    params: ModelParams,
-    u: LocalParam,
-    grid: PolarGrid,
-    block_weights: tuple[tuple[HalfInteger, float], ...],
-) -> _TvGrid:
+def _tv_grid(params: ModelParams, u: LocalParam, grid: PolarGrid) -> _TvGrid:
     """The tables ``grid`` shares across its blocks (``_TvGrid``).
 
     ``grid`` must be centred at u.  One call builds the nodes and the
     covariant data at them (which rejects a grid past the injectivity disk
-    before any other work), the rotation columns of every included block
-    (weight above NEGLIGIBLE_WEIGHT, a contiguous range of 2j) from one
-    ``rotation_walk``, the leading rows of D(-z_c) (one
-    ``displacement_core`` quadrature, only as many rows as the radial rows
-    reach), and the radial and angular tables.  The walk's trimmed mass,
-    like the rank cut, sits far below the quadrature resolution.
+    before any other work), the included blocks, the leading rows of
+    D(-z_c) (one ``displacement_core`` quadrature, only as many rows as the
+    radial rows reach), and the radial and angular tables.  The included
+    blocks are the concentration set's blocks that occur
+    (``qubit_model.occurring_range``), a contiguous range of 2j, from one
+    ``rotated_blocks`` walk over that range alone.  Their rank cuts and the
+    walk's trimmed mass sit far below the quadrature resolution.
     """
     if grid.center != (u.ux, u.uy):
         raise ValidationError(f"TV grid centred at {grid.center}, not at u = ({u.ux}, {u.uy})")
@@ -378,12 +359,10 @@ def _tv_grid(
     covariant = _covariant(params, u, pts)
     radii, _, angles = grid.axes()
     s = math.sqrt(2.0 * params.mu - 1.0)
-    scaled = u.scaled(1.0 / math.sqrt(params.n))
-    included = [(j, bw) for j, bw in block_weights if bw > NEGLIGIBLE_WEIGHT]
-    lo = included[0][0].twoj
-    cores, _ = rotation_walk(lo, included[-1][0].twoj, scaled, effective_rank(params.p))
-    blocks = tuple(_Block(j, bw, cores[(j.twoj - lo) // 2]) for j, bw in included)
-    rows = max(b.cols.shape[0] for b in blocks)
+    lo, hi, _ = occurring_range(params)
+    spins = concentration_set(params)
+    blocks = rotated_blocks(params, u, max(lo, spins[0].twoj), min(hi, spins[-1].twoj))
+    rows = max(b.core.shape[0] for b in blocks)
     # D(z_c) is the real core M = D(|z_c|) in the blocks' frame, u's
     # (``displaced_thermal``), so D(-z_c) = D(z_c)^dag is M^T there.  h only
     # sees the leading rows of G where the radial rows at s rho,
@@ -415,25 +394,22 @@ def _tv_grid(
 
 
 def _block_density_pair(
-    tv: _TvGrid, blocks: tuple[_Block, ...]
+    tv: _TvGrid, blocks: tuple[BlockState, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Covariant and pulled-back densities of a chunk of rotated blocks.
 
     Both are (blocks, points).  The covariant side is the closed form
     ``_Covariant.density`` at every point.  The heterodyne side follows
-    ``_TvGrid``: each block's A = G Lambda G^T comes from the real core of
-    its leading rotation columns (the rank cut sits at the 1e-15 level, far
-    below the quadrature resolution), the chunk's diagonal sums h(rho, d)
-    are one batched product with the radial table, and the angular sum is
-    one product with the cosine table.
+    ``_TvGrid``: each block's A = G G^T comes from its real core, the
+    chunk's diagonal sums h(rho, d) are one batched product with the radial
+    table, and the angular sum is one product with the cosine table.
     """
     dens_m = np.stack([tv.covariant.density(b.j.twoj) for b in blocks])
     size = tv.back.shape[0]
     a = np.empty((len(blocks), size, size))
     for k, b in enumerate(blocks):
-        g = tv.back[:, : b.cols.shape[0]] @ b.cols
-        lam = block_spectrum(tv.params.p, b.j.dim, b.cols.shape[1])
-        a[k] = (g * lam) @ g.T
+        g = tv.back[:, : b.core.shape[0]] @ b.core
+        a[k] = g @ g.T
     # A_{m+d, m} as [d, block, m]; the rows it clips to meet zeros of diag
     m = np.arange(size)
     a_diag = a[:, np.minimum(m[:, None] + m, size - 1), m].transpose(1, 0, 2)
@@ -470,16 +446,15 @@ def measurement_tv_sweep(
     Sums p_n(j) * integral |covariant - heterodyne| for spins in the
     concentration set, over the quadrature grid ``default_tv_grid`` centred
     at u, then adds twice the excluded weight as the worst case
-    contribution of the remaining blocks.  Block weights are evaluated once
-    per n; the grid, its qubit infidelities, its re-centring displacement
-    and its radial and angular tables once per (n, u) (``_TvGrid``).
+    contribution of the remaining blocks.  The grid, its qubit
+    infidelities, its blocks, its re-centring displacement and its radial
+    and angular tables are built once per (n, u) (``_TvGrid``).
     """
     out = []
     for n in n_values:
         params = ModelParams(n, mu, epsilon)
-        block_weights = _concentration_weights(params)
         for u in u_list:
-            tv = _tv_grid(params, u, default_tv_grid(mu, u, n), block_weights)
+            tv = _tv_grid(params, u, default_tv_grid(mu, u, n))
             w = tv.weights
             grid_term = 0.0
             mass_m = 0.0

@@ -80,11 +80,6 @@ class FockOperator:
         return replace(self, core=mirror_rows(self.core))
 
 
-def displacement_amplitude(u: LocalParam, mu: float) -> complex:
-    """Displacement sqrt(2 mu - 1) * (-u_y + i u_x) carried by the limit state."""
-    return math.sqrt(2.0 * mu - 1.0) * u.alpha
-
-
 def coherent_row_support(peak: float) -> int:
     """Rows that hold every coherent vector with |z|^2 <= peak to rounding."""
     return math.ceil(peak + 10.0 * math.sqrt(peak + 4.0) + 25.0)
@@ -185,7 +180,9 @@ def displaced_thermal(u: LocalParam, mu: float) -> FockOperator:
     the gauge of i |z| (a + a^dag) by the phase e^{ik (arg z - pi/2)}, and the
     number-basis couplings are sqrt(k), so D(z)[r, c] = e^{i(r-c) psi} M[r, c]
     with M real and psi = arg z = u.angle: in u's frame, the frame of the
-    spin blocks at the same u, D(z) is M.  The result is kept in factor form
+    spin blocks at the same u, D(z) is M, which the propagator takes from
+    |z| = sqrt(2 mu - 1) |u| alone, so every u of one radius gets the very
+    same core.  The result is kept in factor form
     only: the real core, with every row the propagator returns, so it is
     positive semidefinite by construction and ``matrix`` is rebuilt on
     access.  The
@@ -196,7 +193,7 @@ def displaced_thermal(u: LocalParam, mu: float) -> FockOperator:
         raise DomainError(f"mu must lie in (1/2, 1], got {mu!r}")
     p = (1.0 - mu) / mu
     r = effective_rank(p)
-    core = tridiagonal_propagator(np.sqrt, abs(displacement_amplitude(u, mu)), r)
+    core = tridiagonal_propagator(np.sqrt, math.sqrt(2.0 * mu - 1.0) * u.norm, r)
     core *= np.sqrt((1.0 - p) * p ** np.arange(r))[None, :]
     return FockOperator(core, deficit=p ** r)
 

@@ -6,14 +6,16 @@ spin j.  This module provides the block weights, multiplicities, block density
 matrices and the concentration set of spins that carries asymptotically all of
 the weight.
 
-Rotated blocks are stored as low-rank factors: the unrotated block has
-spectrum proportional to p^k, so the eigenvalues below RANK_CUT are dropped
-and rho_j ~ F F^dag with F the rotated leading columns scaled by the square
-roots of the kept eigenvalues.  The dropped trace is recorded per block.
-Only the blocks of weight above NEGLIGIBLE_WEIGHT are rotated, one
-contiguous range of 2j, and all of them come from one
-``irreps.rotation_walk``; the others keep an empty core and are bounded by
-their weight.
+The blocks of weight above NEGLIGIBLE_WEIGHT are one contiguous range of
+2j (``occurring_range``); a state holds those blocks only, and the summed
+weight of the rest as its ``skipped``, which every distance counts at the
+worst case.  This module alone makes that selection and rotates blocks
+(``rotated_blocks``): one ``irreps.rotation_walk`` per range and u, at
+|u|/sqrt(n), gives every core.  A rotated block is stored as a low-rank
+factor: the unrotated block has spectrum proportional to p^k, so the
+eigenvalues below RANK_CUT are dropped and rho_j ~ F F^dag with F the
+rotated leading columns scaled by the square roots of the kept
+eigenvalues.  The dropped trace is recorded per block.
 
 The frame.  rho^0 is diagonal, so turning u in the plane by an angle a
 conjugates each block by exp(-i a J_z) (the oscillator state by
@@ -54,7 +56,7 @@ from .numerics import factor_difference_eigvals, mirror_rows, stirling_remainder
 # low-rank factors; for p = 1/3 that keeps 33 of them.
 RANK_CUT = 1e-15
 # Blocks whose weight is at most this cannot move any reported distance above
-# the 1e-10 test tolerances; they are not rotated, and every distance bounds
+# the 1e-10 test tolerances; no state holds them, and every distance bounds
 # them by their weight.
 NEGLIGIBLE_WEIGHT = 1e-14
 # Terms of the deviance series below |d| = 0.1: the first one left out is
@@ -92,20 +94,13 @@ class BlockState:
     ``core`` is F with rho_j = F F^dag in the frame of the state's u, up to
     the trace ``discarded`` that the rank cut and the walk's row trimming
     dropped; it holds only the leading rows, which are the nonzero ones, of
-    the (2j+1)-dimensional block.  A block of weight at most
-    NEGLIGIBLE_WEIGHT (every block but 2j = n at mu = 1) is not rotated:
-    its core has no columns, and ``rotated`` is False.
+    the (2j+1)-dimensional block.
     """
 
     j: HalfInteger
     weight: float
     core: np.ndarray
     discarded: float = 0.0
-
-    @property
-    def rotated(self) -> bool:
-        """False for a block that ``ensemble`` skipped: its core is empty."""
-        return self.core.size > 0
 
     @property
     def matrix(self) -> np.ndarray:
@@ -122,21 +117,19 @@ class BlockState:
 
 @dataclass(frozen=True)
 class EnsembleState:
-    """Full block-diagonal ensemble state: parameters plus all spin blocks,
-    every one in the frame of the u the ensemble was built at."""
+    """Block-diagonal ensemble state: parameters, the occurring blocks
+    (``occurring_range``) in ascending 2j, every one in the frame of the u
+    the ensemble was built at, and ``skipped``, the weight of every other
+    block, which the state omits."""
 
     params: ModelParams
     u: LocalParam
     blocks: tuple[BlockState, ...]
-
-    @property
-    def skipped(self) -> float:
-        """Weight of the blocks that were not rotated, which the state omits."""
-        return sum(b.weight for b in self.blocks if not b.rotated)
+    skipped: float
 
     def mirrored(self) -> "EnsembleState":
         """The ensemble at -u in the same frame: the row sign flip of every block's core."""
-        return EnsembleState(self.params, -self.u, tuple(b.mirrored() for b in self.blocks))
+        return replace(self, u=-self.u, blocks=tuple(b.mirrored() for b in self.blocks))
 
 
 @lru_cache(maxsize=4)
@@ -342,34 +335,45 @@ def discarded_weight(p: float, dim: int) -> float:
     return (p ** r - p ** dim) / (1.0 - p ** dim)
 
 
-def ensemble(params: ModelParams, u: LocalParam) -> EnsembleState:
-    """The full block-diagonal ensemble state for local parameter u, in u's frame.
+def occurring_range(params: ModelParams) -> tuple[int, int, float]:
+    """(lo, hi, skipped): the 2j range of the blocks of weight above
+    NEGLIGIBLE_WEIGHT, and the summed weight of every spin outside it.
 
-    Only the blocks of weight above NEGLIGIBLE_WEIGHT are rotated: a
-    contiguous range of 2j, taken from one ``rotation_walk`` whose cores are
-    scaled in place by the square roots of the kept eigenvalues.  Every
-    other block keeps an empty core, so its matrix is zero, and its weight
-    counts in ``EnsembleState.skipped``.  Each rotated block's ``discarded``
-    is its rank cut plus the mass the walk trimmed.
+    The weights are unimodal in 2j, so the blocks that occur are one
+    contiguous range; every state of one (n, mu) holds exactly those, and
+    every distance bounds the rest by ``skipped``.
     """
-    spins = valid_spins(params.n)
     weights = block_weights(params)
     occurring = [i for i, w in enumerate(weights) if w > NEGLIGIBLE_WEIGHT]
     first, last = occurring[0], occurring[-1]
+    spins = valid_spins(params.n)
+    skipped = sum(weights[:first] + weights[last + 1 :])
+    return spins[first].twoj, spins[last].twoj, skipped
+
+
+def rotated_blocks(params: ModelParams, u: LocalParam, lo: int, hi: int) -> tuple[BlockState, ...]:
+    """The blocks 2j = lo, lo + 2, ..., hi of the ensemble at u, in u's frame.
+
+    One ``rotation_walk`` gives every core; each is scaled in place by the
+    square roots of the kept eigenvalues, so rho_j ~ core core^T, and its
+    ``discarded`` is its rank cut plus the mass the walk trimmed.
+    """
     p = params.p
-    cores, trimmed = rotation_walk(
-        spins[first].twoj, spins[last].twoj, u.scaled(1.0 / math.sqrt(params.n)), effective_rank(p)
-    )
-    empty = np.zeros((0, 0))
+    weights = block_weights(params)
+    cores, trimmed = rotation_walk(lo, hi, u.norm / math.sqrt(params.n), effective_rank(p))
     blocks = []
-    for i, (j, w) in enumerate(zip(spins, weights)):
-        if first <= i <= last:
-            core = cores[i - first]
-            core *= np.sqrt(block_spectrum(p, j.dim, core.shape[1]))
-            blocks.append(BlockState(j, w, core, discarded_weight(p, j.dim) + trimmed))
-        else:
-            blocks.append(BlockState(j, w, empty))
-    return EnsembleState(params, u, tuple(blocks))
+    for twoj, core in zip(range(lo, hi + 1, 2), cores):
+        j = HalfInteger(twoj)
+        core *= np.sqrt(block_spectrum(p, j.dim, core.shape[1]))
+        blocks.append(BlockState(j, weights[twoj // 2], core, discarded_weight(p, j.dim) + trimmed))
+    return tuple(blocks)
+
+
+def ensemble(params: ModelParams, u: LocalParam) -> EnsembleState:
+    """The ensemble state for local parameter u, in u's frame: the blocks of
+    ``occurring_range``, from one ``rotated_blocks`` walk."""
+    lo, hi, skipped = occurring_range(params)
+    return EnsembleState(params, u, rotated_blocks(params, u, lo, hi), skipped)
 
 
 @dataclass(frozen=True)
@@ -377,38 +381,31 @@ class EnsembleDifference:
     """Blockwise spectrum summary of the difference of two ensembles."""
 
     trace_norm: float    # includes the worst case 2 * skipped
-    positive_rank: int   # positive eigenvalues over the diagonalized blocks
-    skipped: float       # weight of the blocks at or below NEGLIGIBLE_WEIGHT
+    positive_rank: int   # positive eigenvalues over the blocks
     discarded: float     # sum of weight * (discarded_a + discarded_b)
-    block_norms: tuple[float | None, ...]  # unweighted, per block; None where skipped
+    block_norms: tuple[float, ...]  # unweighted, one per block
 
 
 def ensemble_difference(a: EnsembleState, b: EnsembleState) -> EnsembleDifference:
     """Weighted sum of block trace norms of a - b.
 
-    Both states must carry the same (n, mu), hence the same weights, and the
-    multiplicity spaces cancel; they must be in one frame (see the module
-    docstring).  Each block is diagonalized on the span of its
-    two factors; blocks of negligible weight (which ``ensemble`` leaves
-    unrotated) are skipped and counted at the worst case 2 * weight.
-    ``discarded`` bounds how far the rank cuts can move the trace norm, and
-    ``block_norms`` keeps each diagonalized block's own trace norm.
+    Both states must carry the same (n, mu), hence the same blocks and
+    weights, and the multiplicity spaces cancel; they must be in one frame
+    (see the module docstring).  Each block is diagonalized on the span of
+    its two factors; the skipped weight counts at the worst case
+    2 * skipped.  ``discarded`` bounds how far the rank cuts can move the
+    trace norm, and ``block_norms`` keeps each block's own trace norm.
     """
     if a.params.n != b.params.n or a.params.mu != b.params.mu:
         raise ValidationError("ensembles must share block structure (same n, mu)")
     total = 0.0
     rank = 0
-    skipped = 0.0
     discarded = 0.0
     norms = []
-    for ba, bb in zip(a.blocks, b.blocks):
-        if ba.weight <= NEGLIGIBLE_WEIGHT:
-            skipped += ba.weight
-            norms.append(None)
-            continue
+    for ba, bb in zip(a.blocks, b.blocks, strict=True):
         eigs = factor_difference_eigvals(ba.core, bb.core)
         norms.append(float(np.abs(eigs).sum()))
         total += ba.weight * norms[-1]
         rank += int(np.sum(eigs > 0))
         discarded += ba.weight * (ba.discarded + bb.discarded)
-    return EnsembleDifference(total + 2.0 * skipped, rank, skipped, discarded, tuple(norms))
+    return EnsembleDifference(total + 2.0 * a.skipped, rank, discarded, tuple(norms))

@@ -38,7 +38,6 @@ from .oscillator import (
     PolarGrid,
     _coherent_rows,
     coherent_coefficients,
-    displacement_amplitude,
 )
 from .qubit_model import ModelParams, _check_spin, block_spectrum
 
@@ -198,6 +197,11 @@ def thermal_state(p: float, trunc: FockTruncation) -> FockOperator:
         raise DomainError(f"thermal parameter must lie in [0, 1), got {p!r}")
     core = np.diag(np.sqrt((1.0 - p) * p ** np.arange(trunc.dim)))
     return FockOperator(core, deficit=p ** trunc.dim)
+
+
+def displacement_amplitude(u: LocalParam, mu: float) -> complex:
+    """Displacement sqrt(2 mu - 1) * (-u_y + i u_x) carried by the limit state."""
+    return math.sqrt(2.0 * mu - 1.0) * u.alpha
 
 
 def coherent_leakage(z: complex, dim: int) -> float:

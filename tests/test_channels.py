@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,22 +15,25 @@ from spingauss.channels import (
     inverse_channel,
 )
 from spingauss.errors import DomainError, TruncationError
+from spingauss.measurements import finite_n_discrimination
 from spingauss.irreps import HalfInteger, LocalParam
 from spingauss.numerics import factor_difference_eigvals, trace_norm
-from spingauss.oscillator import FockTruncation, displaced_thermal, displacement_amplitude
+from spingauss.oscillator import FockTruncation, displaced_thermal
 from spingauss.qubit_model import (
     NEGLIGIBLE_WEIGHT,
-    EnsembleState,
     ModelParams,
     block_weight,
+    block_weights,
     concentration_set,
     ensemble,
+    occurring_range,
     valid_spins,
 )
 from spingauss.reference import (
     EmbeddingMap,
     block_state,
     block_state_zero,
+    displacement_amplitude,
     displacement_operator,
     embed_block,
     fock_matrix,
@@ -136,24 +138,44 @@ def test_inverse_channel_single_qubit_thermal():
     assert np.trace(got).real == pytest.approx(np.trace(phi.matrix).real, abs=1e-14)
 
 
-def test_inverse_channel_leaves_negligible_blocks_empty():
-    # it takes the weight table ``ensemble`` takes and, like it, leaves the
-    # blocks at or below NEGLIGIBLE_WEIGHT empty; the reverse distance never
-    # reads them, so giving them their projected cores changes no bit
-    params = ModelParams(128, 0.75)
+@pytest.mark.parametrize("n", [128, 65536])
+def test_inverse_channel_builds_the_occurring_blocks(n, monkeypatch):
+    # it builds the blocks ``ensemble`` builds (``occurring_range``), with
+    # their weights and the same skipped weight; block j is phi's core cut to
+    # 2j + 1 rows, plus sqrt(leftover) e_0.  At n = 65536 that is 1617 of the
+    # 32769 spins, 2j in [31144, 34376]
+    params = ModelParams(n, 0.75)
     u = LocalParam(0.6, -0.4)
     ens = ensemble(params, u)
     phi = displaced_thermal(u, params.mu)
     back = inverse_channel(phi, params)
-    assert [b.weight for b in back.blocks] == [b.weight for b in ens.blocks]
-    assert [b.rotated for b in back.blocks] == [b.weight > NEGLIGIBLE_WEIGHT for b in back.blocks]
-    assert not all(b.rotated for b in back.blocks)
-    full = EnsembleState(
-        params,
-        back.u,
-        tuple(b if b.rotated else replace(b, core=phi.core[: b.j.dim]) for b in back.blocks),
-    )
-    assert ensemble_distance(ens, back) == ensemble_distance(ens, full)
+    lo, hi, skipped = occurring_range(params)
+    assert [(b.j, b.weight) for b in back.blocks] == [(b.j, b.weight) for b in ens.blocks]
+    assert [b.j.twoj for b in back.blocks] == list(range(lo, hi + 1, 2))
+    assert back.skipped == ens.skipped == skipped > 0.0
+    weights = block_weights(params)
+    others = [w for j, w in zip(valid_spins(n), weights) if not lo <= j.twoj <= hi]
+    assert max(others) <= NEGLIGIBLE_WEIGHT < min(b.weight for b in back.blocks)
+    assert skipped == pytest.approx(math.fsum(others), rel=1e-14)
+    rows, cols = phi.core.shape
+    row_mass = np.sum(phi.core ** 2, axis=1)
+    for b in back.blocks:
+        np.testing.assert_array_equal(b.core[:, :cols], phi.core[: b.j.dim])
+        leftover = float(row_mass[b.j.dim :].sum())
+        assert b.core.shape[1] == cols + (leftover > 0.0)
+        if leftover > 0.0:
+            assert b.core[0, cols] == math.sqrt(leftover) and not b.core[1:, cols].any()
+    if n == 65536:
+        assert (lo, hi, len(back.blocks), len(others)) == (31144, 34376, 1617, 31152)
+        return
+    # built over every spin instead, the reverse distance moves by at most
+    # the 2 * skipped the occurring blocks charge for the rest
+    reverse = ensemble_distance(ens, back)
+    monkeypatch.setattr(qubit_model, "NEGLIGIBLE_WEIGHT", 0.0)
+    every = ensemble_distance(ensemble(params, u), inverse_channel(phi, params))
+    assert len(inverse_channel(phi, params).blocks) == len(valid_spins(n))
+    assert reverse - 2.0 * skipped - 1e-15 <= every <= reverse + 1e-15
+    assert every < reverse
 
 
 def test_channels_preserve_trace():
@@ -422,6 +444,35 @@ def test_sweep_point_block_max_skips_weightless_blocks():
     assert pt.block_max < 0.01
 
 
+@pytest.mark.parametrize("n", [1024, 16384, 65536])
+def test_pure_rows_match_closed_forms_at_paper_scale(n):
+    # at mu = 1 each ensemble is the one block 2j = n, the product state of
+    # n qubits, and the limit state is the coherent vector at |z| = |u|.  The
+    # +-u product states overlap by cos(2|u|/sqrt(n))^n, and the block and
+    # the coherent vector by the sum of positive terms
+    # ov = sum_k sqrt(C(n, k)) sin^k t cos^(n-k) t e^{-|u|^2/2} |u|^k / sqrt(k!),
+    # t = |u|/sqrt(n), in their common real frame; both are pure, so the
+    # distance is 2 sqrt(1 - ov^2).  Both closed forms in 50 digits
+    mpmath = pytest.importorskip("mpmath")
+    u = LocalParam(1.0, -1.0)
+    settings = SweepSettings(mu=1.0, n_values=(n,), u_grid=(u,))
+    pt = sweep_point(settings, n, u)
+    risk = finite_n_discrimination(ModelParams(n, 1.0), u).risk
+    with mpmath.workdps(50):
+        r = mpmath.sqrt(2)
+        helstrom = (1 - mpmath.sqrt(1 - mpmath.cos(2 * r / mpmath.sqrt(n)) ** (2 * n))) / 2
+        t = r / mpmath.sqrt(n)
+        ov = mpmath.fsum(
+            mpmath.sqrt(mpmath.binomial(n, k)) * mpmath.sin(t) ** k * mpmath.cos(t) ** (n - k)
+            * mpmath.exp(-r ** 2 / 2) * r ** k / mpmath.sqrt(mpmath.factorial(k))
+            for k in range(80)
+        )
+        distance = 2 * mpmath.sqrt(1 - ov ** 2)
+    assert abs(risk - float(helstrom)) <= 1e-13
+    assert abs(pt.forward - float(distance)) <= 1e-13
+    assert abs(pt.block_max - float(distance)) <= 1e-13
+
+
 def test_sweep_point_error_bound_covers_rank_cut(monkeypatch):
     # under-resolve on purpose: a coarse rank cut drops visible trace from
     # every block and from the limit state; the bound must cover the shift
@@ -458,7 +509,7 @@ def test_sweep_point_error_bound_covers_skipped_blocks(monkeypatch):
 
 @pytest.mark.parametrize("n", [256, 4096])
 def test_sweep_point_diagonalizes_each_pair_once(n, monkeypatch):
-    # every weighted block is diagonalized once, against its inverse-channel
+    # every block held is diagonalized once, against its inverse-channel
     # image; a block of at least the limit core's rows gets that core itself
     # back, so only the concentration blocks of fewer rows are diagonalized
     # again against phi, and block_max is the same per-block trace norm
@@ -478,9 +529,9 @@ def test_sweep_point_diagonalizes_each_pair_once(n, monkeypatch):
     phi = displaced_thermal(u, 0.75)
     rows = phi.core.shape[0]
     jset = set(concentration_set(params))
-    measured = [b for b in ens.blocks if b.j in jset and b.rotated]
+    measured = [b for b in ens.blocks if b.j in jset]
     short = [b for b in measured if b.j.dim < rows]
-    assert len(calls) == sum(b.rotated for b in ens.blocks) + len(short)
+    assert len(calls) == len(ens.blocks) + len(short)
     assert (len(short) > 0) == (n == 256)
     block_max = 0.0
     for b in measured:

@@ -301,23 +301,13 @@ def rows_at_each_angle(runner, **cfg):
 
 
 def test_rotation_covariance_of_report_rows():
-    # every state is stored in the frame of its u, so a row depends on |u|
-    # alone.  The finite-n rows are bit-identical: their cores see |u| only
-    # through u.scaled(1/sqrt(n)), one double here.  The limit state sees
-    # |z| = abs(sqrt(2 mu - 1) alpha_u), which can round an ulp apart at
-    # two angles, and the convergence rows see it too.  TV rows are left
-    # out: the TV grid's angular nodes do not turn with u, so its values
-    # move by the grid's quadrature error (8.4e-7 at n = 64).
-    first, *others = rows_at_each_angle(run_discriminate)
-    for rows in others:
-        assert rows.keys() == first.keys()
-        for key, (value, bound) in rows.items():
-            if key[1] == "limit_risk":
-                assert abs(value - first[key][0]) <= 1e-15 and bound == first[key][1]
-            else:
-                assert (value, bound) == first[key], key
-    first, *others = rows_at_each_angle(run_convergence, workers=1)
-    for rows in others:
-        assert rows.keys() == first.keys()
-        for key, (value, bound) in rows.items():
-            assert abs(value - first[key][0]) <= 1e-15 and bound == first[key][1], key
+    # every state is stored in the frame of its u, and every kernel takes
+    # |u| as one double (u.norm, scaled by 1/sqrt(n) or sqrt(2 mu - 1)), so
+    # every finite-n, limit and convergence row is bit-identical across the
+    # angles of one |u|.  TV rows are left out: the TV grid's angular nodes
+    # do not turn with u, so its values move by the grid's quadrature error
+    # (8.4e-7 at n = 64).
+    for runner, cfg in ((run_discriminate, {}), (run_convergence, {"workers": 1})):
+        first, *others = rows_at_each_angle(runner, **cfg)
+        for rows in others:
+            assert rows == first

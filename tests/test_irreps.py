@@ -100,9 +100,9 @@ def test_rotation_columns_agree_with_full_unitary():
         j = HalfInteger(twoj)
         u = LocalParam(*rng.uniform(-1.5, 1.5, size=2))
         full = rotation_unitary(j, u)
-        cols = lab_frame(rotation_columns(j, u, cols=j.dim), u.angle)
+        cols = lab_frame(rotation_columns(j, u.norm, cols=j.dim), u.angle)
         np.testing.assert_allclose(cols, full, atol=1e-11)
-        part = lab_frame(rotation_columns(j, u, cols=3)[:5], u.angle)
+        part = lab_frame(rotation_columns(j, u.norm, cols=3)[:5], u.angle)
         np.testing.assert_allclose(part, full[: min(5, j.dim), : min(3, j.dim)], atol=1e-11)
 
 
@@ -110,7 +110,7 @@ def test_rotation_columns_support():
     # the columns reach only a few rows past ``cols``; past them the dense
     # unitary is at rounding level
     j, u = HalfInteger(200), LocalParam(0.05, -0.04)
-    support = lab_frame(rotation_columns(j, u, cols=4), u.angle)
+    support = lab_frame(rotation_columns(j, u.norm, cols=4), u.angle)
     rows = support.shape[0]
     assert rows < j.dim
     full = rotation_unitary(j, u)[:, :4]
@@ -126,7 +126,7 @@ def test_rotation_columns_real_core_in_gauge_u_angle():
         j = HalfInteger(twoj)
         for _ in range(3):
             u = LocalParam(*rng.uniform(-1.5, 1.5, size=2))
-            core = rotation_columns(j, u, cols=j.dim)
+            core = rotation_columns(j, u.norm, cols=j.dim)
             assert core.dtype == np.float64
             full = rotation_unitary(j, u)
             np.testing.assert_allclose(lab_frame(core, u.angle), full[: core.shape[0]], atol=1e-12)
@@ -145,7 +145,7 @@ def test_rotation_walk_matches_dense_rotation():
         hi = 12 - (12 - lo) % 2
         for cols in (1, 4, 20):
             u = LocalParam(*rng.uniform(-1.5, 1.5, size=2))
-            cores, trimmed = rotation_walk(lo, hi, u, cols)
+            cores, trimmed = rotation_walk(lo, hi, u.norm, cols)
             assert len(cores) == (hi - lo) // 2 + 1
             assert trimmed < 1e-30
             for twoj, core in zip(range(lo, hi + 1, 2), cores):
@@ -158,11 +158,11 @@ def test_rotation_walk_matches_dense_rotation():
 
 def test_rotation_walk_of_one_block_is_the_propagator():
     u = LocalParam(0.7, -0.2)
-    cores, trimmed = rotation_walk(9, 9, u, 4)
-    np.testing.assert_array_equal(cores[0], rotation_columns(HalfInteger(9), u, cols=4))
+    cores, trimmed = rotation_walk(9, 9, u.norm, 4)
+    np.testing.assert_array_equal(cores[0], rotation_columns(HalfInteger(9), u.norm, cols=4))
     assert trimmed == 0.0
     with pytest.raises(DomainError):
-        rotation_walk(4, 7, u, 4)
+        rotation_walk(4, 7, u.norm, 4)
 
 
 @pytest.mark.parametrize("n", [1024, 16384])
@@ -173,7 +173,7 @@ def test_rotation_walk_matches_propagator_over_included_blocks(n, radius):
     # walk's rounding gathers with the steps, so the last block is sampled
     params = ModelParams(n, 0.75)
     included = [j for j in valid_spins(n) if block_weight(params, j) > NEGLIGIBLE_WEIGHT]
-    w = LocalParam(radius * math.cos(1.0), radius * math.sin(1.0)).scaled(1.0 / math.sqrt(n))
+    w = radius / math.sqrt(n)
     cols = effective_rank(params.p)
     cores, trimmed = rotation_walk(included[0].twoj, included[-1].twoj, w, cols)
     assert len(cores) == len(included)

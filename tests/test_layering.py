@@ -13,6 +13,9 @@ parameter, keyword or attribute read is named ``psi``.  Only ``irreps``
 runs the rotation propagator
 ``rotation_columns``: every other module takes its blocks from one
 ``rotation_walk`` per (n, u), so no per-block propagator loop can return.
+Only ``qubit_model`` selects and rotates blocks: no other module reads
+``NEGLIGIBLE_WEIGHT`` or calls ``rotation_walk``, so every state and the TV
+grid hold the one selection ``qubit_model.occurring_range`` makes.
 """
 
 import ast
@@ -137,6 +140,16 @@ def test_only_irreps_references_the_rotation_propagator():
         for path in sorted(PACKAGE.glob("*.py"))
         if path.name != "irreps.py"
         and "rotation_columns" in referenced_names(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert offenders == []
+
+
+def test_only_qubit_model_selects_and_rotates_blocks():
+    offenders = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name not in ("qubit_model.py", "irreps.py", "reference.py")
+        and {"NEGLIGIBLE_WEIGHT", "rotation_walk"} & referenced_names(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert offenders == []
 

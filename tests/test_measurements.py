@@ -24,14 +24,13 @@ from spingauss.measurements import (
 from spingauss.measurements import (
     _block_densities,
     _block_density_pair,
-    _concentration_weights,
     _covariant,
     _tv_grid,
     default_tv_grid,
 )
 from spingauss.numerics import trace_norm
 from spingauss.oscillator import FockTruncation, PolarGrid, _coherent_rows
-from spingauss import measurements, qubit_model, reference
+from spingauss import qubit_model, reference
 from spingauss.qubit_model import (
     ModelParams,
     block_weight,
@@ -156,8 +155,7 @@ def test_discrimination_limit_values():
 
 def test_discrimination_limit_matches_truncated_fock_oracle():
     # pure-case oracle on the oscillator: risk between coherent states at +-u
-    from spingauss.oscillator import displacement_amplitude
-    from spingauss.reference import coherent_state
+    from spingauss.reference import coherent_state, displacement_amplitude
 
     for mag in (0.3, 0.5, 1.0):
         u = LocalParam(mag, 0.0)
@@ -336,7 +334,7 @@ def test_block_density_pair_matches_public_densities():
     j = HalfInteger(18)
     grid = PolarGrid(center=(u.ux, u.uy), radius=6.0, n_radial=24, n_angular=16)
     pts, _ = grid.nodes()
-    tv = _tv_grid(params, u, grid, _concentration_weights(params))
+    tv = _tv_grid(params, u, grid)
     (dens_m,), (dens_h,) = _block_density_pair(tv, (next(b for b in tv.blocks if b.j == j),))
     rho = block_state(params, j, u)
     want_m = covariant_block_density(j, params.n, rho, pts)
@@ -384,17 +382,15 @@ def test_measurement_tv_sweep_matches_dense_blocks():
 
 
 def block_densities(params, u, grid):
-    return list(_block_densities(_tv_grid(params, u, grid, _concentration_weights(params))))
+    return list(_block_densities(_tv_grid(params, u, grid)))
 
 
 def covariant_densities(params, u, pts):
-    """The covariant closed form of every included block at bare points."""
+    """The covariant closed form of every included block at bare points:
+    the concentration set's blocks that occur."""
     cov = _covariant(params, u, pts)
-    return [
-        (j, cov.density(j.twoj))
-        for j, bw in _concentration_weights(params)
-        if bw > qubit_model.NEGLIGIBLE_WEIGHT
-    ]
+    lo, hi, _ = qubit_model.occurring_range(params)
+    return [(j, cov.density(j.twoj)) for j in concentration_set(params) if lo <= j.twoj <= hi]
 
 
 def test_closed_form_covariant_density_matches_dense_blocks():
@@ -448,7 +444,7 @@ def test_recentred_heterodyne_matches_dense_pullback(u):
     n, mu = 64, 0.75
     params, u = ModelParams(n, mu), LocalParam(*u)
     grid = replace(default_tv_grid(mu, u, n), n_angular=16)
-    tv = _tv_grid(params, u, grid, _concentration_weights(params))
+    tv = _tv_grid(params, u, grid)
     assert tv.back.dtype == float
     assert tv.back.shape[0] > grid.n_angular
     for block, _, dens_h in _block_densities(tv):
@@ -461,7 +457,7 @@ def test_recentred_heterodyne_nonnegative_at_scale():
     # the cosine sum is not a sum of squares, so only rounding may go negative
     n, mu, u = 1024, 0.75, LocalParam(0.7, -0.5)
     params = ModelParams(n, mu)
-    tv = _tv_grid(params, u, default_tv_grid(mu, u, n), _concentration_weights(params))
+    tv = _tv_grid(params, u, default_tv_grid(mu, u, n))
     assert min(float(dens_h.min()) for _, _, dens_h in _block_densities(tv)) >= -1e-14
 
 
@@ -471,9 +467,8 @@ def pointwise_heterodyne(params, u, block, pts):
     The amplitudes are turned into the core's frame, u's."""
     z = math.sqrt(2.0 * params.mu - 1.0) * (-pts[:, 1] + 1j * pts[:, 0])
     z *= complex(math.cos(u.angle), -math.sin(u.angle))
-    b = block.cols.T @ _coherent_rows(z, block.cols.shape[0])
-    lam = qubit_model.block_spectrum(params.p, block.j.dim, block.cols.shape[1])
-    sq = lam @ (b * b)
+    b = block.core.T @ _coherent_rows(z, block.core.shape[0])
+    sq = np.einsum("kg,kg->g", b, b)
     return (2.0 * params.mu - 1.0) / math.pi * (sq[0::2] + sq[1::2])
 
 
@@ -485,12 +480,12 @@ def test_recentred_heterodyne_far_from_origin(n, mu, u):
     grid = default_tv_grid(mu, u, n)
     tracemalloc.start()
     try:
-        tv = _tv_grid(params, u, grid, _concentration_weights(params))
+        tv = _tv_grid(params, u, grid)
         densities = list(_block_densities(tv))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert max(b.cols.shape[0] for b in tv.blocks) > tv.back.shape[0]
+    assert max(b.core.shape[0] for b in tv.blocks) > tv.back.shape[0]
     assert peak < 64 * 2**20
     for block, _, dens_h in densities[:: max(1, len(densities) // 4)]:
         want = pointwise_heterodyne(params, u, block, tv.points)
@@ -502,15 +497,15 @@ def test_tv_grid_rejects_a_grid_off_u():
     params = ModelParams(n, mu)
     grid = replace(default_tv_grid(mu, u, n), center=(-0.3, 0.9))
     with pytest.raises(ValidationError):
-        _tv_grid(params, u, grid, _concentration_weights(params))
+        _tv_grid(params, u, grid)
 
 
 def test_tv_grid_rejects_a_grid_past_the_disk_before_rotating(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("rotated a block for a grid that is rejected")
 
-    monkeypatch.setattr(measurements, "rotation_walk", fail)
+    monkeypatch.setattr(qubit_model, "rotation_walk", fail)
     n, u = 1024, LocalParam(45.0, 0.0)
     params = ModelParams(n, 0.75)
     with pytest.raises(DomainError):
-        _tv_grid(params, u, PolarGrid(center=(45.0, 0.0), radius=8.0), _concentration_weights(params))
+        _tv_grid(params, u, PolarGrid(center=(45.0, 0.0), radius=8.0))

@@ -15,12 +15,12 @@ from spingauss.oscillator import (
     _coherent_rows,
     coherent_coefficients,
     displaced_thermal,
-    displacement_amplitude,
     displacement_core,
     heterodyne_pdf,
 )
 from spingauss.reference import (
     coherent_state,
+    displacement_amplitude,
     displacement_operator,
     fock_matrix,
     glauber_mixture,

@@ -12,6 +12,7 @@ from spingauss.qubit_model import (
     binomial_factor,
     binomial_factor_closed_form,
     block_weight,
+    block_weights,
     concentration_set,
     concentration_weight,
     ensemble,
@@ -284,40 +285,44 @@ def test_rotated_block_factor_matches_dense_block_state(monkeypatch):
 
 def test_ensemble_rotates_only_occurring_blocks(monkeypatch):
     # one propagator start per (n, u), at the lowest block above
-    # NEGLIGIBLE_WEIGHT; every other block keeps a zero matrix of its
-    # dimension.  At mu = 1 only 2j = n carries weight.
+    # NEGLIGIBLE_WEIGHT; the ensemble holds exactly the blocks of that
+    # contiguous range, every one with a core, and ``skipped`` is the weight
+    # of every other spin.  At mu = 1 only 2j = n carries weight.
     starts = []
     original = irreps.rotation_columns
 
-    def counting(j, u, cols):
+    def counting(j, radius, cols):
         starts.append(j)
-        return original(j, u, cols=cols)
+        return original(j, radius, cols=cols)
 
     monkeypatch.setattr(irreps, "rotation_columns", counting)
     for n in (5, 16, 64):
         starts.clear()
         ens = ensemble(ModelParams(n, 1.0), LocalParam(0.6, -0.3))
         assert starts == [HalfInteger(n)]
-        for b in ens.blocks[:-1]:
-            assert b.weight == 0.0 and not b.rotated
-            np.testing.assert_array_equal(b.matrix, np.zeros((b.j.dim, b.j.dim)))
-        assert ens.skipped == 0.0
+        assert [b.j for b in ens.blocks] == [HalfInteger(n)]
+        assert ens.blocks[0].weight == 1.0 and ens.skipped == 0.0
     starts.clear()
     ens = ensemble(ModelParams(16, 0.75), LocalParam(0.6, -0.3))
     assert starts == [HalfInteger(0)]
-    assert all(b.rotated for b in ens.blocks)
-    # at n = 256 the lowest blocks weigh less than NEGLIGIBLE_WEIGHT
-    starts.clear()
-    params = ModelParams(256, 0.75)
-    ens = ensemble(params, LocalParam(0.6, -0.3))
-    negligible = [b for b in ens.blocks if b.weight <= qubit_model.NEGLIGIBLE_WEIGHT]
-    assert negligible and starts == [min(b.j for b in ens.blocks if b.rotated)]
-    for b in ens.blocks:
-        assert b.rotated == (b.weight > qubit_model.NEGLIGIBLE_WEIGHT)
-    for b in negligible:
-        np.testing.assert_array_equal(b.matrix, np.zeros((b.j.dim, b.j.dim)))
-    assert ens.skipped == pytest.approx(sum(b.weight for b in negligible), rel=1e-15)
-    assert 0.0 < ens.skipped <= len(negligible) * qubit_model.NEGLIGIBLE_WEIGHT
+    assert [b.j for b in ens.blocks] == list(valid_spins(16)) and ens.skipped == 0.0
+    # at n = 256 the lowest blocks weigh less than NEGLIGIBLE_WEIGHT, and at
+    # n = 65536 all but 1617 of the 32769 spins do
+    for n, lo, hi in ((256, None, None), (65536, 31144, 34376)):
+        starts.clear()
+        params = ModelParams(n, 0.75)
+        ens = ensemble(params, LocalParam(0.6, -0.3))
+        weights = dict(zip(valid_spins(n), block_weights(params)))
+        held = [j for j, w in weights.items() if w > qubit_model.NEGLIGIBLE_WEIGHT]
+        negligible = [w for j, w in weights.items() if w <= qubit_model.NEGLIGIBLE_WEIGHT]
+        assert [b.j for b in ens.blocks] == held
+        assert [b.j.twoj for b in ens.blocks] == list(range(held[0].twoj, held[-1].twoj + 1, 2))
+        assert starts == [held[0]]
+        assert all(b.weight == weights[b.j] and b.core.shape[1] > 0 for b in ens.blocks)
+        assert ens.skipped == pytest.approx(sum(negligible), rel=1e-15)
+        assert 0.0 < ens.skipped <= len(negligible) * qubit_model.NEGLIGIBLE_WEIGHT
+        if lo is not None:
+            assert (held[0].twoj, held[-1].twoj, len(held), len(negligible)) == (lo, hi, 1617, 31152)
 
 
 def test_block_matrix_is_the_state_in_the_frame_of_u():
