@@ -27,11 +27,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .irreps import HalfInteger, LocalParam, spin_coherent_coords
-from .numerics import factor_difference_eigvals, trace_norm
+from .numerics import coherent_row_support, factor_difference_eigvals, trace_norm
 from .oscillator import (
     FockOperator,
     coherent_coefficients,
-    coherent_row_support,
     displaced_thermal,
 )
 from .qubit_model import (

@@ -14,11 +14,12 @@ this reproduces the one-qubit closed form
     [[cos|u|, -e^{-i phi} sin|u|], [e^{i phi} sin|u|, cos|u|]]
 
 with phi = Arg(-u_y + i u_x).  ``rotation_columns`` returns the leading
-columns of U_j(u) as a real core, by one Chebyshev propagator.
-``rotation_walk`` returns those cores for a whole range of spins at one
-rotation: it starts with one ``rotation_columns`` call at the lowest spin and
-climbs in half-steps of j by Clebsch-Gordan coupling to one more qubit, so the
-blocks of one (n, u) share a single propagator.  The dense U_j(u) is
+columns of U_j(u) as a real core: they are Krawtchouk functions, which the
+column kernel ``numerics.three_term_columns`` runs from the spin coherent
+vector.  ``rotation_walk`` returns those cores for a whole range of spins at
+one rotation: it starts with one ``rotation_columns`` call at the lowest spin
+and climbs in half-steps of j by Clebsch-Gordan coupling to one more qubit,
+so the blocks of one (n, u) share a single kernel call.  The dense U_j(u) is
 ``spingauss.reference.rotation_unitary``.
 """
 
@@ -30,11 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numerics import gauge_phases, tridiagonal_propagator
-
-# Trailing rows of a walked core whose entries all lie below this are dropped
-# (each dropped entry is at most 1e-34 of trace); the walk reports the mass.
-WALK_TRIM = 1e-17
+from .numerics import coherent_row_support, gauge_phases, mirror_rows, three_term_columns, trim_rows
 
 
 @dataclass(frozen=True, order=True)
@@ -111,33 +108,66 @@ class LocalParam:
         return LocalParam(self.ux + other.ux, self.uy + other.uy)
 
 
+def _krawtchouk_columns(twoj: int, w: float, cols: int) -> np.ndarray:
+    """The real core of U_j(w)[:, :cols] at 0 <= w <= pi/4 (``rotation_columns``).
+
+    The recurrence runs the columns k <= j; a column k > j is
+    M[x, k] = (-1)^(x+k) M[2j - x, 2j - k] (M commutes with R = U_j(pi/2)),
+    since past k = j the recurrence loses its growth on the last rows.
+    """
+    if w == 0.0:
+        return np.eye(cols)
+    s, c = math.sin(w), math.cos(w)
+    half = min(cols, twoj // 2 + 1)
+    rows = min(twoj + 1, coherent_row_support((math.sqrt(twoj) * s + math.sqrt(half)) ** 2))
+    x = np.arange(rows - 1)
+    k = np.arange(half)
+    low = three_term_columns(
+        np.sqrt((twoj - x) / (x + 1.0)) * (s / c),
+        s * s * (twoj - 2 * k) + k,
+        s * c * np.sqrt(k * (twoj + 1.0 - k)),
+    )
+    if cols == half:
+        return low
+    core = np.pad(low, ((0, twoj + 1 - low.shape[0]), (0, cols - half)))
+    high = np.arange(half, cols)
+    core[:, high] = (-1.0) ** (np.arange(twoj + 1)[:, None] + high) * core[::-1, twoj - high]
+    return core
+
+
 def rotation_columns(j: HalfInteger, radius: float, cols: int) -> np.ndarray:
     """Real core of the leading ``cols`` columns of U_j(u) at |u| = ``radius``.
 
     The generator is gauge-equivalent, via the diagonal phase
     e^{ik atan2(u_y, u_x)}, to |u| times the fixed tridiagonal x generator X_j
-    with couplings sqrt(i (2j + 1 - i)), so the columns come from the
-    Chebyshev propagator without any eigendecomposition:
+    with couplings sqrt(i (2j + 1 - i)), so
 
         U_j(u)[r, c] = e^{i(r-c) psi} M[r, c]
 
-    with psi = u.angle and M the real matrix returned here, U_j(u) in u's
-    frame, which depends on |u| only: every u of one radius gets the very
-    same core.  U_j(-u) is then S U_j(u) S with S = diag((-1)^k).  Only the
-    rows the columns reach are returned (at most 2j + 1); rows past them
-    are zero to the propagator's accuracy.
+    with psi = u.angle and M real, U_j(u) in u's frame, which depends on
+    |u| only: every u of one radius gets the very same core.  U_j(-u) is
+    then S U_j(u) S with S = diag((-1)^k).  The columns of M at w = |u| are
+    Krawtchouk functions: with N = 2j, p = sin^2 w and q = cos^2 w, column 0
+    is sqrt(C(N, x) p^x q^(N-x)), and ``numerics.three_term_columns`` runs
+    b_k = p (N - 2k) + k, c_k = sqrt(p q k (N - k + 1)).  The recurrence is
+    stable for p <= 1/2, so w is first taken to [0, pi/4] by
+    U_j(w + pi) = (-1)^N U_j(w), U_j(-w) = S U_j(w) S and
+    U_j(w) = R U_j(w - pi/2), R[N - k, k] = (-1)^k.  At radius 0 the
+    columns are the identity.  The rows are those the columns reach (at
+    most 2j + 1), up to the trailing ones below ``numerics.WALK_TRIM``.
     """
-    return tridiagonal_propagator(
-        lambda i: np.sqrt(i * (j.twoj + 1.0 - i)), radius, cols, size=j.dim
-    )
-
-
-def _trim(core: np.ndarray) -> tuple[np.ndarray, float]:
-    """``core`` without its trailing rows below ``WALK_TRIM``, and their mass."""
-    keep = core.shape[0]
-    while keep > 1 and np.abs(core[keep - 1]).max() < WALK_TRIM:
-        keep -= 1
-    return core[:keep], float(np.sum(core[keep:] ** 2))
+    twoj, cols = j.twoj, min(cols, j.dim)
+    signs = (-1.0) ** np.arange(cols)
+    turns, w = divmod(radius, math.pi)
+    mirror = w > math.pi / 2
+    w = math.pi - w if mirror else w
+    flip = w > math.pi / 4
+    core = _krawtchouk_columns(twoj, math.pi / 2 - w if flip else w, cols)
+    if flip:  # U_j(w)[x, k] = (-1)^k U_j(pi/2 - w)[N - x, k]
+        core = np.pad(core, ((0, j.dim - core.shape[0]), (0, 0)))[::-1] * signs
+    if mirror:  # U_j(w)[x, k] = (-1)^(N + x + k) U_j(pi - w)[x, k]
+        core = mirror_rows(core) * signs
+    return -core if twoj * (int(turns) + mirror) % 2 else core
 
 
 def _half_step(prev: np.ndarray, twoj: int, c: float, s: float, cols: int) -> np.ndarray:
@@ -174,14 +204,14 @@ def rotation_walk(lo: int, hi: int, radius: float, cols: int) -> tuple[list[np.n
     """Real cores of U_j(w)[:, :min(cols, 2j + 1)] for 2j = lo, lo + 2, ..., hi,
     at |w| = ``radius``.
 
-    Each core is the one ``rotation_columns`` returns, in the same frame,
-    w's, on the rows it reaches.  One propagator call gives the
-    core at 2j = lo, so lo = hi is exactly that call; each half-step up in j
-    is ``_half_step`` (Risbo's recursion, J. Geodesy 70, 383, 1996), and
-    only the spins of lo's parity are kept.  After every step the trailing
-    rows below ``WALK_TRIM`` are trimmed.  The second value is the mass the
-    trimming dropped, summed over all steps: it bounds the trace any
-    returned column lost to it.
+    Each core is, to rounding, the one ``rotation_columns`` returns, in the
+    same frame, w's, on the rows it reaches.  One ``rotation_columns`` call
+    gives the core at 2j = lo, so lo = hi is exactly that call; each
+    half-step up in j is ``_half_step`` (Risbo's recursion, J. Geodesy 70,
+    383, 1996), and only the spins of lo's parity are kept.  After every
+    step the trailing rows below ``numerics.WALK_TRIM`` are trimmed.  The
+    second value is the mass the trimming dropped, summed over all steps:
+    it bounds the trace any returned column lost to it.
     """
     if not 0 <= lo <= hi or (hi - lo) % 2:
         raise DomainError(f"spin range 2j = {lo}..{hi} is not a same-parity range")
@@ -190,7 +220,7 @@ def rotation_walk(lo: int, hi: int, radius: float, cols: int) -> tuple[list[np.n
     cores = [core]
     trimmed = 0.0
     for twoj in range(lo + 1, hi + 1):
-        core, mass = _trim(_half_step(core, twoj, c, s, cols))
+        core, mass = trim_rows(_half_step(core, twoj, c, s, cols))
         # every column of U_j is a unit vector: rescaling to it keeps the
         # rounding of c^2 + s^2 = 1, the same every step, from compounding
         core /= np.sqrt(np.einsum("ij,ij->j", core, core))
@@ -208,7 +238,8 @@ def spin_coherent_coords(j: HalfInteger, w: LocalParam) -> np.ndarray:
     zeros to 2j + 1 entries.  In the descending-m convention entry k is
     sqrt(C(2j, k)) zeta^k (1 - |zeta|^2)^{(2j-k)/2} with
     zeta = e^{i w.angle} sin|w| (the closed form
-    ``spingauss.reference._spin_coherent_rows``).
+    ``spingauss.reference._spin_coherent_rows``); for one column the kernel
+    returns its start column alone, a running product of ratios.
     """
     r = w.norm
     if r >= math.pi / 2:

@@ -37,13 +37,12 @@ from numpy.random import default_rng
 
 from .errors import AccuracyError, DomainError, ValidationError
 from .irreps import LocalParam
-from .numerics import factor_difference_eigvals, propagator_degree
+from .numerics import coherent_row_support, factor_difference_eigvals, mirror_rows
 from .oscillator import (
     FockOperator,
     PolarGrid,
     _coherent_rows,
-    coherent_row_support,
-    displacement_core,
+    displacement_columns,
     heterodyne_pdf,
 )
 from .qubit_model import (
@@ -324,10 +323,10 @@ class _TvGrid:
     tables do not grow with |z_c|.  The radial products R_{m+d} R_m are
     ``diag`` as [d, m, rho] (zero past the last row) and
     c_d cos(d (t + pi/2 - psi)) is ``cos`` as [d, t].  ``back`` is one
-    quadrature of number wavefunctions (``displacement_core``), whose cost
-    grows with the rows the blocks reach, about |z_c|^2, and not with a
-    series degree of order |z_c|^2.  ``points`` and ``weights`` are the
-    grid's nodes.
+    column-kernel call (``oscillator.displacement_columns``) with one
+    column per row the blocks reach: by the symmetry of the real core, the
+    rows that call reaches are the band of D(-z_c) on those columns.
+    ``points`` and ``weights`` are the grid's nodes.
     """
 
     params: ModelParams
@@ -346,8 +345,8 @@ def _tv_grid(params: ModelParams, u: LocalParam, grid: PolarGrid) -> _TvGrid:
     ``grid`` must be centred at u.  One call builds the nodes and the
     covariant data at them (which rejects a grid past the injectivity disk
     before any other work), the included blocks, the leading rows of
-    D(-z_c) (one ``displacement_core`` quadrature, only as many rows as the
-    radial rows reach), and the radial and angular tables.  The included
+    D(-z_c) (one ``displacement_columns`` call, only as many rows as it and
+    the radial rows reach), and the radial and angular tables.  The included
     blocks are the concentration set's blocks that occur
     (``qubit_model.occurring_range``), a contiguous range of 2j, from one
     ``rotated_blocks`` walk over that range alone.  Their rank cuts and the
@@ -364,16 +363,14 @@ def _tv_grid(params: ModelParams, u: LocalParam, grid: PolarGrid) -> _TvGrid:
     blocks = rotated_blocks(params, u, max(lo, spins[0].twoj), min(hi, spins[-1].twoj))
     rows = max(b.core.shape[0] for b in blocks)
     # D(z_c) is the real core M = D(|z_c|) in the blocks' frame, u's
-    # (``displaced_thermal``), so D(-z_c) = D(z_c)^dag is M^T there.  h only
-    # sees the leading rows of G where the radial rows at s rho,
-    # rho < radius, are not negligible, and G is zero past rows + K, K the
-    # band of M to the series accuracy (``propagator_degree``; rows + K
-    # cannot cut when rows alone does not)
-    t = s * u.norm
-    size = coherent_row_support((s * grid.radius) ** 2)
-    if rows < size:
-        size = min(size, rows + propagator_degree(np.sqrt, t, rows)[0])
-    back = np.ascontiguousarray(displacement_core(t, rows, size).T)
+    # (``displaced_thermal``), so D(-z_c) = D(z_c)^dag is M^T = S M S there,
+    # S = diag((-1)^k): its leading columns are the kernel's, with signs.
+    # Their row reach is the band of M past the blocks' rows, and h only
+    # sees the rows where the radial rows at s rho, rho < radius, are not
+    # negligible
+    back = displacement_columns(s * u.norm, rows)
+    size = min(back.shape[0], coherent_row_support((s * grid.radius) ** 2))
+    back = mirror_rows(back[:size]) * (-1.0) ** np.arange(rows)
     radial = _coherent_rows(s * radii, size)[:, 0::2]
     diag = np.zeros((size, size, len(radii)))
     for d in range(size):

@@ -7,12 +7,13 @@ A state built at u is stored in u's frame, as the spin blocks are
 (``qubit_model``): the displaced thermal state's core is the real factor of
 exp(-i psi N) phi exp(i psi N), psi = u.angle, so it depends on |u| alone.
 
-No Fock cutoff is chosen.  A core holds every row its Chebyshev series
-reaches, which is where the number-basis columns of D(z) vanish to the
-series accuracy, so the only approximation a state carries is the rank cut
-of its spectrum.  Its trace is the state's ``deficit``: p^r for the
-displaced thermal state, the closed form of the thermal weights past the
-effective rank r, as ``qubit_model.discarded_weight`` gives for a block.
+No Fock cutoff is chosen.  A core holds every row the column kernel
+(``displacement_columns``) reaches, which is where the number-basis columns
+of D(z) fall below ``numerics.WALK_TRIM``, so the only approximation a
+state carries is the rank cut of its spectrum.  Its trace is the state's
+``deficit``: p^r for the displaced thermal state, the closed form of the
+thermal weights past the effective rank r, as
+``qubit_model.discarded_weight`` gives for a block.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError
 from .irreps import LocalParam
-from .numerics import mirror_rows, stirling_remainder, tridiagonal_propagator
+from .numerics import coherent_row_support, mirror_rows, stirling_remainder, three_term_columns
 from .qubit_model import effective_rank
 
 # Rows of the coherent-row recurrence between restarts from the closed form;
@@ -80,11 +81,6 @@ class FockOperator:
         return replace(self, core=mirror_rows(self.core))
 
 
-def coherent_row_support(peak: float) -> int:
-    """Rows that hold every coherent vector with |z|^2 <= peak to rounding."""
-    return math.ceil(peak + 10.0 * math.sqrt(peak + 4.0) + 25.0)
-
-
 def coherent_coefficients(z: complex, dim: int) -> np.ndarray:
     """Number-basis coefficients e^{-|z|^2/2} z^k / sqrt(k!): ``_coherent_rows`` at one point."""
     return _coherent_rows(z, dim).view(complex)[:, 0]
@@ -125,75 +121,43 @@ def _coherent_rows(zeta, dim: int) -> np.ndarray:
     return out.view(float)
 
 
-def _fock_wavefunctions(x: np.ndarray, count: int) -> np.ndarray:
-    """Number-state wavefunctions phi_k(x), k < ``count``, as (count, len(x)).
+def displacement_columns(t: float, cols: int) -> np.ndarray:
+    """Real core of D(z)[:, :cols] at |z| = t, D(z) in the frame of arg z.
 
-    The forward recurrence phi_{k+1} = sqrt(2/(k+1)) x phi_k
-    - sqrt(k/(k+1)) phi_{k-1} is stable: where phi_k does not oscillate it
-    is the growing solution.  It runs on phi_k over a per-point scale,
-    pi^(-1/4) e^{-x^2/2} at first and raised whenever phi_k has grown by
-    1e150, so the rows that carry weight are right where e^{-x^2/2}
-    underflows (|x| > 38).
+    z a^dag - z* a is the gauge of i |z| (a + a^dag) by the phase
+    e^{ik (arg z - pi/2)}, and the number-basis couplings are sqrt(k), so
+    D(z)[r, c] = e^{i(r-c) arg z} M[r, c] with M = exp(t (a^dag - a)) real,
+    and D(-z) = S D(z) S with S = diag((-1)^k).  The columns of M are
+    Charlier functions: with a = t^2, column 0 is the coherent vector at t
+    and ``numerics.three_term_columns`` runs b_k = k + a, c_k = sqrt(a k).
+    At t = 0 the columns are the identity.  The rows are those the columns
+    reach, up to the trailing ones below ``numerics.WALK_TRIM``.
     """
-    out = np.empty((count, len(x)))
-    log_scale = -0.5 * x * x - 0.25 * math.log(math.pi)
-    scale = np.exp(log_scale)
-    prev, cur = np.zeros(len(x)), np.ones(len(x))
-    for k in range(count):
-        out[k] = cur * scale
-        prev, cur = cur, math.sqrt(2.0 / (k + 1)) * x * cur - math.sqrt(k / (k + 1)) * prev
-        big = np.abs(cur) > 1e150
-        if big.any():
-            norm = np.abs(cur[big])
-            prev[big] /= norm
-            cur[big] /= norm
-            log_scale[big] += np.log(norm)
-            scale = np.exp(log_scale)
-    return out
-
-
-def displacement_core(t: float, rows: int, cols: int) -> np.ndarray:
-    """D(t)[:rows, :cols] at real t >= 0, the real core of D(z) at |z| = t.
-
-    It equals the leading rows of ``tridiagonal_propagator(np.sqrt, t,
-    cols)`` (D(z) in the frame of arg z), at a cost that grows
-    like the rows, about t^2, where the series' degree alone is of order
-    t^2.  D(t) shifts wavefunctions by sqrt(2) t, so
-    D(t)[k, m] = int phi_k(y + sqrt(2) t) phi_m(y) dy, and the trapezoid
-    rule takes it to rounding: on |y| <= sqrt(2 cols + 1) + 10 phi_m lives,
-    and a step 2 pi / (sqrt(2 rows + 1) + sqrt(2 cols + 1) + 20) clears the
-    band of the product (phi_k is its own Fourier transform, so its
-    frequencies end where its turning point is).
-    """
-    reach = math.sqrt(2 * cols + 1) + 10.0
-    step = math.tau / (math.sqrt(2 * rows + 1) + math.sqrt(2 * cols + 1) + 20.0)
-    y = step * np.arange(-math.ceil(reach / step), math.ceil(reach / step) + 1)
-    shifted = _fock_wavefunctions(y + math.sqrt(2.0) * t, rows)
-    return shifted @ (step * _fock_wavefunctions(y, cols)).T
+    if t == 0.0:
+        return np.eye(cols)
+    rows = coherent_row_support((t + math.sqrt(cols)) ** 2)
+    k = np.arange(cols)
+    return three_term_columns(t / np.sqrt(np.arange(1.0, rows)), k + t * t, t * np.sqrt(k))
 
 
 def displaced_thermal(u: LocalParam, mu: float) -> FockOperator:
     """Displaced thermal state D(z) phi0 D(z)^dag with z = sqrt(2 mu - 1) alpha_u.
 
     The thermal spectrum (1 - p) p^k is cut at the effective rank r, and the
-    kept columns D(z)|k> come from the Chebyshev propagator: z a^dag - z* a is
-    the gauge of i |z| (a + a^dag) by the phase e^{ik (arg z - pi/2)}, and the
-    number-basis couplings are sqrt(k), so D(z)[r, c] = e^{i(r-c) psi} M[r, c]
-    with M real and psi = arg z = u.angle: in u's frame, the frame of the
-    spin blocks at the same u, D(z) is M, which the propagator takes from
-    |z| = sqrt(2 mu - 1) |u| alone, so every u of one radius gets the very
-    same core.  The result is kept in factor form
-    only: the real core, with every row the propagator returns, so it is
+    kept columns D(z)|k> are ``displacement_columns`` at
+    |z| = sqrt(2 mu - 1) |u|: with psi = arg z = u.angle, D(z) in u's frame,
+    the frame of the spin blocks at the same u, is that real core, so every
+    u of one radius gets the very same core.  The result is kept in factor
+    form only: the real core, with every row the kernel returns, so it is
     positive semidefinite by construction and ``matrix`` is rebuilt on
-    access.  The
-    deficit is the closed form p^r of the thermal weights past the rank cut
-    (exactly 0 for the pure state, p = 0).
+    access.  The deficit is the closed form p^r of the thermal weights past
+    the rank cut (exactly 0 for the pure state, p = 0).
     """
     if not 0.5 < mu <= 1.0:
         raise DomainError(f"mu must lie in (1/2, 1], got {mu!r}")
     p = (1.0 - mu) / mu
     r = effective_rank(p)
-    core = tridiagonal_propagator(np.sqrt, math.sqrt(2.0 * mu - 1.0) * u.norm, r)
+    core = displacement_columns(math.sqrt(2.0 * mu - 1.0) * u.norm, r)
     core *= np.sqrt((1.0 - p) * p ** np.arange(r))[None, :]
     return FockOperator(core, deficit=p ** r)
 

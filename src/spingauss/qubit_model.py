@@ -185,14 +185,15 @@ def _deviance(x, m) -> np.ndarray:
     return x * np.where(small, total, d - np.log1p(d))
 
 
-def _log_binomial_pmf(n: int, k, q: float) -> np.ndarray:
+def _log_binomial_pmf(n: int, k, q) -> np.ndarray:
     """log C(n, k) q^k (1 - q)^(n - k), 0 <= k < n, 0 < q < 1, in Loader's form.
 
     stirlerr(n) - stirlerr(k) - stirlerr(n - k) - bd0(k, n q)
     - bd0(n - k, n (1 - q)) + log(n / (2 pi k (n - k)))/2 (C. Loader, "Fast
     and accurate computation of binomial probabilities", 2000), with
     ``stirling_remainder`` as stirlerr and ``_deviance`` as bd0; at k = 0 it
-    is n log(1 - q).  ``k`` is an integer or an integer array.
+    is n log(1 - q).  ``k`` is an integer or an integer array, and ``q`` a
+    float or an array that broadcasts against it.
     """
     k = np.asarray(k)
     kk = np.maximum(k, 1)  # k = 0 takes the closed form below
@@ -205,7 +206,7 @@ def _log_binomial_pmf(n: int, k, q: float) -> np.ndarray:
         - _deviance(rest, n * (1.0 - q))
         + 0.5 * np.log(n / (math.tau * kk * rest))
     )
-    return np.where(k == 0, n * math.log1p(-q), saddle)
+    return np.where(k == 0, n * np.log1p(-q), saddle)
 
 
 def log_multiplicity(n: int, j: HalfInteger) -> float:

@@ -8,8 +8,12 @@ rotation and displacement matrices, dense block states, the block embedding
 and its inverse, the closed-form spin coherent amplitudes, and the outcome
 densities as quadratic forms of a dense block.  All of them are in the
 plane's fixed frame, and ``lab_frame`` takes a core or matrix of the factor
-path there.  The tests compare the factor path against them.  No other
-module of the package imports this one, so the command line never loads it.
+path there.  The tests compare the factor path against them.  The Chebyshev
+propagator (``tridiagonal_propagator``, with its Bessel coefficients) that
+``numerics.three_term_columns`` replaced is here too, as the oracle for the
+real rotation and displacement cores at sizes the dense routes cannot
+reach.  No other module of the package imports this one, so the command
+line never loads it.
 
 States built here are factor-form ``FockOperator`` objects, so their
 ``matrix`` is rebuilt on access like every other state's: a thermal state
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,11 +43,17 @@ from .oscillator import (
     _coherent_rows,
     coherent_coefficients,
 )
-from .qubit_model import ModelParams, _check_spin, block_spectrum
+from .qubit_model import ModelParams, _check_spin, _log_binomial_pmf, block_spectrum
 
 # Negative eigenvalues of nominally PSD matrices down to this are clamped to
 # zero; anything below is treated as a genuinely invalid state.
 PSD_REJECT = -1e-8
+# Chebyshev terms with |J_k(t s)| at or below this are dropped: far below the
+# rounding of the O(1) entries the propagator returns.
+CHEBYSHEV_TOL = 1e-18
+# The propagator sums its Chebyshev terms in chunks of at most this many
+# bytes, so its memory does not grow with the series degree.
+PROPAGATOR_CHUNK_BYTES = 16 * 2**20
 
 
 def lab_frame(a, angle: float) -> np.ndarray:
@@ -58,6 +68,150 @@ def lab_frame(a, angle: float) -> np.ndarray:
     """
     r, c = np.indices(np.shape(a))
     return np.exp(1j * angle * (r - c)) * a
+
+
+def bessel_j(count: int, x: float) -> np.ndarray:
+    """J_0(x), ..., J_{count-1}(x) at x >= 0, by Miller's backward recurrence.
+
+    J_{k-1} = (2k/x) J_k - J_{k+1} runs down from J_{top+1} = 0, J_top = 1,
+    top the even order at or past m + 20 + sqrt(40 m), m = max(count, x).
+    That far out J_k is the minimal solution of the recurrence, so going
+    down it forgets the start; the running values are rescaled whenever
+    they pass 1e250, and the result is normalized by
+    J_0 + 2 sum_k J_2k = 1 (Gautschi, SIAM Rev. 9, 24, 1967).  Each step's
+    factor 2k/x is rounded once: a rounded 2/x shared by every step would
+    act as a rounded x, an error that grows with the order.  At x = 0 the
+    result is e_0.  ``count`` is at least 1.
+    """
+    if x == 0.0:
+        out = np.zeros(count)
+        out[0] = 1.0
+        return out
+    m = max(count, x)
+    top = 2 * math.ceil(0.5 * (m + 20.0 + math.sqrt(40.0 * m)))
+    kept = [0.0] * count  # J_k for k < count, in the running scale
+    nxt, cur = 0.0, 1.0  # J_{k+1}, J_k
+    norm = 2.0  # J_0 + 2 sum_k J_2k, in the running scale; top is even
+    for k in range(top, 0, -1):
+        if k < count:
+            kept[k] = cur
+        nxt, cur = cur, (2.0 * k / x) * cur - nxt
+        if k % 2:  # cur is J_{k-1}, of even order
+            norm += cur if k == 1 else 2.0 * cur
+        if abs(cur) > 1e250:
+            nxt *= 1e-250
+            cur *= 1e-250
+            norm *= 1e-250
+            for i in range(k, count):
+                kept[i] *= 1e-250
+    kept[0] = cur
+    return np.array(kept) / norm
+
+
+def _chebyshev_degree(a: float) -> int:
+    """Smallest K with |J_k(a)| <= CHEBYSHEV_TOL for every k >= K.
+
+    Past k ~ a the Bessel coefficients decay super-exponentially; the
+    evaluated range reaches 20 transition widths a^(1/3) beyond a.
+    """
+    if a == 0.0:
+        return 0
+    coef = bessel_j(math.ceil(a + 20.0 * a ** (1.0 / 3.0) + 40.0), a)
+    return int(np.nonzero(np.abs(coef) > CHEBYSHEV_TOL)[0][-1]) + 1
+
+
+def propagator_degree(
+    off: Callable[[np.ndarray], np.ndarray],
+    t: float,
+    cols: int,
+    size: int | None = None,
+) -> tuple[int, float]:
+    """Chebyshev degree K and scale s of ``tridiagonal_propagator``.
+
+    Its columns reach the leading min(size, cols + K) rows.
+    """
+    cap = math.inf if size is None else size
+    cols = min(cols, cap)
+    degree = 0
+    while True:
+        rows = min(cap, cols + degree + 1)
+        b = off(np.arange(1, rows + (rows < cap)))
+        radius = np.zeros(rows)
+        radius[1:] += b[: rows - 1]
+        radius[: len(b)] += b[:rows]
+        scale = float(radius.max())
+        need = _chebyshev_degree(t * scale)
+        if need <= degree:
+            return degree, scale
+        degree = need
+
+
+def tridiagonal_propagator(
+    off: Callable[[np.ndarray], np.ndarray],
+    t: float,
+    cols: int,
+    size: int | None = None,
+) -> np.ndarray:
+    """Leading columns of the real propagator exp(t A), the gauge of exp(i t T).
+
+    T is the real symmetric tridiagonal matrix of order ``size`` (None:
+    unbounded) with zero diagonal and T[i-1, i] = T[i, i-1] = off(i), where
+    ``off`` maps an index array i = 1, 2, ... to the couplings.  T is
+    bipartite, so with G = diag(i^k) the gauge A = G^-1 (i T) G is real and
+    antisymmetric, A[i, i-1] = -A[i-1, i] = off(i), and
+
+        exp(i t T)[r, c] = i^(r-c) exp(t A)[r, c].
+
+    A further phase gauge diag(e^{ik phi}) exp(i t T) diag(e^{-ik phi}) is
+    therefore e^{i(r-c) angle} exp(t A)[r, c] with angle = phi + pi/2:
+    every phase-gauged propagator is this real matrix in the frame of its
+    angle.
+
+    The action on the first ``cols`` unit vectors is the Chebyshev series
+    (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 1984) of exp(i t T) carried
+    through the gauge: with Q_k = i^k G^-1 T_k(T / s) G, which obeys the real
+    recurrence Q_{k+1} = (2 A / s) Q_k + Q_{k-1}, exp(t A) = sum_k eps_k
+    J_k(t s) Q_k.  A degree-K polynomial of a tridiagonal matrix moves e_c
+    by at most K rows, so the series only touches the leading cols + K rows,
+    and s is the Gershgorin bound of the leading cols + K + 1 rows (coupling
+    to the next row included), found together with K by fixed-point
+    iteration (``propagator_degree``).  Only those cols + K rows are
+    returned; every row past them is zero to the series accuracy.  The
+    terms are summed ``PROPAGATOR_CHUNK_BYTES`` at a time; a series that
+    fits one chunk is summed by a single product.
+    """
+    cap = math.inf if size is None else size
+    cols = min(cols, cap)
+    degree, scale = propagator_degree(off, t, cols, size)
+    rows = min(cap, cols + degree)
+    coef = bessel_j(degree + 1, t * scale)
+    coef[1:] *= 2.0
+    slots = min(degree + 1, max(3, PROPAGATOR_CHUNK_BYTES // (8 * rows * cols)))
+    basis = np.zeros((slots, rows, cols))
+    basis[0, :cols] = np.eye(cols)
+    total = None
+    first = 0  # the term basis[0] holds
+    if degree:
+        b = (off(np.arange(1, rows)) / scale)[:, None]
+        basis[1, 1:] = b * basis[0, :-1]
+        basis[1, :-1] -= b * basis[0, 1:]
+        b2 = 2.0 * b
+        for m in range(2, degree + 1):
+            if m - first == slots:
+                # sum all but the two terms the recurrence still needs; a
+                # reused slot is zero past the rows its old term reached
+                part = np.tensordot(coef[first : m - 2], basis[: slots - 2], axes=1)
+                total = part if total is None else total + part
+                basis[:2] = basis[slots - 2 :]
+                first = m - 2
+            i = m - first
+            h = min(rows, cols + m)  # Q_m e_c reaches row c + m at most
+            cur, nxt = basis[i - 1], basis[i]
+            nxt[:h] = basis[i - 2, :h]
+            nxt[1:h] += b2[: h - 1] * cur[: h - 1]
+            nxt[: h - 1] -= b2[: h - 1] * cur[1:h]
+    part = np.tensordot(coef[first:], basis[: degree + 1 - first], axes=1)
+    return part if total is None else total + part
 
 
 class EigenSystem(NamedTuple):
@@ -404,28 +558,28 @@ def _spin_coherent_rows(twoj: int, wx: np.ndarray, wy: np.ndarray, num_rows: int
 
     Entry k is sqrt(C(2j, k)) zeta^k (1 - |zeta|^2)^{(2j-k)/2} with
     zeta = e^{i phi} sin|w|, phi = Arg(-w_y + i w_x), the oracle for
-    ``irreps.spin_coherent_coords``.  Binomial coefficients are evaluated in
-    log space, so the formula stays finite up to 2j ~ 4000.  Rows beyond
-    num_rows are dropped; callers choose num_rows so the dropped amplitudes
-    are below their tolerance.
+    ``irreps.spin_coherent_coords``.  The squared modulus is the binomial
+    pmf at q = sin^2|w|, taken in Loader's saddle-point form
+    (``qubit_model._log_binomial_pmf``, which shares no code with the column
+    kernel): a sum of logs of sin and cos powers would cancel terms of size
+    2j and lose 1e-12 of the bulk at 2j ~ 65536.  Rows beyond num_rows are
+    dropped; callers choose num_rows so the dropped amplitudes are below
+    their tolerance.
     """
     r = np.hypot(wx, wy)
     if np.any(r >= math.pi / 2):
         raise DomainError("spin coherent coordinates need |w| < pi/2")
     phi = np.arctan2(wx, -wy)
     k = np.arange(num_rows)
-    # log sqrt(C(2j, k)) as a running sum of log((2j - i)/(i + 1)): the
-    # difference of gammaln values near 2j would lose 1e-12 at 2j ~ 2000
-    with np.errstate(divide="ignore"):  # rows past 2j have C(2j, k) = 0
-        steps = np.log(np.maximum(twoj - k[:-1], 0) / (k[:-1] + 1.0))
-    logbin = 0.5 * np.concatenate(([0.0], np.cumsum(steps)))
     out = np.zeros((len(r), num_rows), dtype=complex)
     pos = r > 0
     if np.any(pos):
-        with np.errstate(divide="ignore"):  # sin/cos logs are finite for 0 < r < pi/2
-            ls = np.log(np.sin(r[pos]))[:, None]
-            lc = np.log(np.cos(r[pos]))[:, None]
-        amp = np.exp(logbin[None, :] + k[None, :] * ls + (twoj - k)[None, :] * lc)
+        q = np.sin(r[pos])[:, None] ** 2
+        # the saddle-point form holds below k = 2j; k = 2j is q^(2j)
+        inside = np.minimum(k, max(twoj - 1, 0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_pmf = np.where(k == twoj, twoj * np.log(q), _log_binomial_pmf(twoj, inside, q))
+        amp = np.where(k <= twoj, np.exp(0.5 * log_pmf), 0.0)
         # phases e^{i k phi} as a running product of the unit step e^{i phi};
         # a real exponential plus complex multiplies beats a complex exp per
         # entry, and the |q| = 1 drift stays orders below the amplitudes' own

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
-from spingauss import channels, qubit_model
+from spingauss import channels, oscillator, qubit_model
 from spingauss.channels import (
     SweepSettings,
     _sweep_point,
@@ -25,6 +26,7 @@ from spingauss.qubit_model import (
     block_weight,
     block_weights,
     concentration_set,
+    effective_rank,
     ensemble,
     occurring_range,
     valid_spins,
@@ -473,6 +475,43 @@ def test_pure_rows_match_closed_forms_at_paper_scale(n):
     assert abs(pt.block_max - float(distance)) <= 1e-13
 
 
+@pytest.mark.parametrize("n", [16, 65536])
+def test_diagonal_rows_at_the_origin(n):
+    # at u = 0 every state is diagonal, with no rotation: block 2j keeps
+    # (1 - p) p^k / (1 - p^(2j+1)), k < min(r, 2j + 1), the limit state
+    # (1 - p) p^k, k < r, and the inverse channel's block is the limit's
+    # first 2j + 1 weights with the rest added at k = 0.  So forward,
+    # block_max and reverse are sums of absolute differences of geometric
+    # weights over the blocks above NEGLIGIBLE_WEIGHT, reverse with twice the
+    # weight of the others, here with block weights
+    # (C(n, k) - C(n, k - 1)) (1 - mu)^k mu^(n-k+1) (1 - p^(2j+1)) / (2 mu - 1),
+    # k = n/2 - j, from scipy's binomial pmf
+    mu = 0.75
+    params = ModelParams(n, mu)
+    p, r = params.p, effective_rank(params.p)
+    phi = (1 - p) * p ** np.arange(r)
+    twoj = np.arange(n % 2, n + 1, 2)
+    k = (n - twoj) // 2
+    weights = binom.pmf(k, n, 1 - mu) * (1 - k / (n - k + 1)) * mu * (1 - p ** (twoj + 1)) / (2 * mu - 1)
+    occurs = weights > NEGLIGIBLE_WEIGHT
+    kept = np.arange(r) < twoj[:, None] + 1
+    blocks = np.where(kept, phi / (1 - p ** (twoj[:, None] + 1.0)), 0.0)
+    forward = np.abs(weights[occurs] @ blocks[occurs] - phi).sum()
+    spins = {j.twoj for j in concentration_set(params)}
+    measured = [i for i in np.nonzero(occurs)[0] if twoj[i] in spins]
+    block_max = max(np.abs(blocks[i] - phi).sum() for i in measured)
+    reverse = 2 * weights[~occurs].sum()
+    for i in np.nonzero(occurs)[0]:
+        back = np.where(kept[i], phi, 0.0)
+        back[0] += phi[~kept[i]].sum()
+        reverse += weights[i] * np.abs(blocks[i] - back).sum()
+    u = LocalParam(0.0, 0.0)
+    pt = sweep_point(SweepSettings(mu=mu, n_values=(n,), u_grid=(u,)), n, u)
+    assert abs(pt.forward - forward) <= 1e-13
+    assert abs(pt.block_max - block_max) <= 1e-13
+    assert abs(pt.reverse - reverse) <= 1e-13
+
+
 def test_sweep_point_error_bound_covers_rank_cut(monkeypatch):
     # under-resolve on purpose: a coarse rank cut drops visible trace from
     # every block and from the limit state; the bound must cover the shift
@@ -540,22 +579,34 @@ def test_sweep_point_diagonalizes_each_pair_once(n, monkeypatch):
     assert pt.block_max == block_max
 
 
+def longer_run(monkeypatch, u, mu):
+    """The limit state at (u, mu) from a kernel run over twice the rows
+    ``displaced_thermal`` gives it."""
+    support = oscillator.coherent_row_support
+    with monkeypatch.context() as m:
+        m.setattr(oscillator, "coherent_row_support", lambda peak: 2 * support(peak))
+        return displaced_thermal(u, mu)
+
+
 @pytest.mark.parametrize("ux, uy", [((0.176704, -0.783814), -0.251648), ((0.91345, -0.160437), -0.310645)])
-def test_default_truncation_holds_the_limit_core(ux, uy):
+def test_default_truncation_holds_the_limit_core(ux, uy, monkeypatch):
     # the benchmark's `blocks` grids (seeds 1 and 2) at n = 16, mu = 0.75: the
-    # limit core keeps the 57 to 74 rows it reaches, so its trace misses only
-    # the rank cut, and the bounds stay at rounding level
+    # limit core keeps every row it reaches (a kernel run over twice the rows
+    # puts every row past it below the trim), so its trace misses only the
+    # rank cut, and the bounds stay at rounding level
     grid = tuple(LocalParam(x, uy) for x in ux)
     settings = SweepSettings(mu=0.75, n_values=(16,), u_grid=grid)
     for u in grid:
         phi = displaced_thermal(u, 0.75)
-        assert 57 <= phi.core.shape[0] <= 74
+        longer = longer_run(monkeypatch, u, 0.75)
+        assert longer.core.shape == phi.core.shape
+        np.testing.assert_allclose(longer.core, phi.core, rtol=0, atol=1e-15)
         assert float(np.sum(phi.core ** 2)) == pytest.approx(1.0 - phi.deficit, abs=1e-14)
     rec = convergence_sweep(settings)[0]
     assert rec.error_bound <= 1e-14
 
 
-def test_limit_state_deficit_is_its_rank_cut():
+def test_limit_state_deficit_is_its_rank_cut(monkeypatch):
     # the rank cut drops p^r of the limit state's trace, (1/3)^33 at
     # mu = 0.75, and nothing from the pure state; 1 - sum(core^2) would read
     # only rounding (the benchmark's seed 1 and 2 points)
@@ -567,7 +618,12 @@ def test_limit_state_deficit_is_its_rank_cut():
     assert pure.deficit == 0.0
     rec = convergence_sweep(SweepSettings(mu=1.0, n_values=(16,), u_grid=(u,)))[0]
     assert rec.error_bound == 0.0
-    # far out the core keeps every row it reaches: 1075 at |u| = 20
+    # far out the core keeps every row it reaches: a kernel run over twice
+    # the rows puts every row past it below the trim
     far = displaced_thermal(LocalParam(20.0, 0.0), 0.75)
-    assert far.core.shape[0] > 1000
+    assert longer_run(monkeypatch, LocalParam(20.0, 0.0), 0.75).core.shape == far.core.shape
     assert float(np.sum(far.core ** 2)) == pytest.approx(1.0 - far.deficit, abs=1e-12)
+    # the columns are unit vectors, so the trace misses p^r by rounding alone
+    for mu, ux in ((0.9, 10.0), (0.75, 20.0), (0.9, 30.0)):
+        phi = displaced_thermal(LocalParam(ux, 0.0), mu)
+        assert float(np.sum(phi.core ** 2)) == pytest.approx(1.0 - phi.deficit, abs=1e-15)

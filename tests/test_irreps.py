@@ -6,7 +6,14 @@ import pytest
 from spingauss.errors import DomainError
 from spingauss.irreps import HalfInteger, LocalParam, rotation_columns, rotation_walk, spin_coherent_coords
 from spingauss.qubit_model import NEGLIGIBLE_WEIGHT, ModelParams, block_weight, effective_rank, valid_spins
-from spingauss.reference import _spin_coherent_rows, lab_frame, ladder_ops, rotation_generator, rotation_unitary
+from spingauss.reference import (
+    _spin_coherent_rows,
+    lab_frame,
+    ladder_ops,
+    rotation_generator,
+    rotation_unitary,
+    tridiagonal_propagator,
+)
 
 
 def test_half_integer_basics():
@@ -137,6 +144,52 @@ def padded(core, rows):
     return np.pad(core, ((0, rows - core.shape[0]), (0, 0)))
 
 
+def unit_columns(core):
+    """Largest distance of a column norm of ``core`` from 1."""
+    return float(np.abs(np.sqrt(np.einsum("ij,ij->j", core, core)) - 1.0).max())
+
+
+@pytest.mark.parametrize("twoj", [1, 2, 64, 1024, 16384, 65536])
+def test_rotation_columns_match_the_propagator(twoj):
+    # the Krawtchouk recurrence against the Chebyshev propagator oracle, at
+    # w = |u| / sqrt(2 * 2j) with the rank of mu = 0.75; at 2j = 1 and 2 the
+    # large |u| take w past pi/4, pi/2 and pi, through every reduction
+    j = HalfInteger(twoj)
+    cols = min(33, j.dim)
+    for radius in (0.01, 0.05, 0.3, 1.41, 5.0, 25.0):
+        w = radius / math.sqrt(2 * twoj)
+        got = rotation_columns(j, w, cols)
+        want = tridiagonal_propagator(lambda i: np.sqrt(i * (twoj + 1.0 - i)), w, cols, size=j.dim)
+        rows = max(got.shape[0], want.shape[0])
+        np.testing.assert_allclose(padded(got, rows), padded(want, rows), rtol=0, atol=1e-13)
+        assert unit_columns(got) <= 1e-14
+
+
+def test_rotation_columns_match_dense_past_pi_over_four():
+    # above sin^2 w = 1/2 the recurrence runs at pi/2 - w and the rows are
+    # reversed; past pi/2 and pi the mirror and the sign come in too
+    for twoj in (1, 2, 5, 64):
+        j = HalfInteger(twoj)
+        for w in (1.2, 2.0, 3.0, 4.0):
+            u = LocalParam(w, 0.0)
+            core = rotation_columns(j, w, j.dim)
+            assert core.shape == (j.dim, j.dim)
+            np.testing.assert_allclose(lab_frame(core, u.angle), rotation_unitary(j, u), rtol=0, atol=1e-12)
+            assert unit_columns(core) <= 1e-14
+
+
+def test_rotation_columns_where_the_start_column_underflows():
+    # at w = 1e-4 the spin coherent vector falls below the smallest double
+    # by row 95, yet the diagonal of every column is O(1): each row carries
+    # its own binary exponent through the recurrence
+    j, w = HalfInteger(1024), 1e-4
+    got = rotation_columns(j, w, 200)
+    want = tridiagonal_propagator(lambda i: np.sqrt(i * (1025.0 - i)), w, 200, size=j.dim)
+    rows = max(got.shape[0], want.shape[0])
+    np.testing.assert_allclose(padded(got, rows), padded(want, rows), rtol=0, atol=1e-13)
+    assert np.diag(got).min() > 0.99
+
+
 def test_rotation_walk_matches_dense_rotation():
     # every 2j <= 12 from starts 2j = 0 .. 5, with as many columns as the
     # blocks have, fewer, and more (the walk caps them at 2j + 1)
@@ -169,7 +222,7 @@ def test_rotation_walk_of_one_block_is_the_propagator():
 @pytest.mark.parametrize("radius", [0.3, 1.41, 25.0])
 def test_rotation_walk_matches_propagator_over_included_blocks(n, radius):
     # the walk over the blocks an ensemble rotates at mu = 0.75 (weight above
-    # NEGLIGIBLE_WEIGHT), against each sampled block's own propagator; the
+    # NEGLIGIBLE_WEIGHT), against each sampled block's own kernel call; the
     # walk's rounding gathers with the steps, so the last block is sampled
     params = ModelParams(n, 0.75)
     included = [j for j in valid_spins(n) if block_weight(params, j) > NEGLIGIBLE_WEIGHT]
@@ -241,10 +294,10 @@ def test_spin_coherent_overflow_safe_at_twoj_4000():
     assert abs(np.vdot(v, v).real - 1.0) < 1e-10
 
 
-@pytest.mark.parametrize("twoj", [1, 17, 100, 4000])
+@pytest.mark.parametrize("twoj", [1, 17, 100, 4000, 65536])
 def test_spin_coherent_matches_closed_form(twoj):
     # the rotation column against the binomial closed form, which shares no
-    # code with the propagator
+    # code with the column kernel
     w = LocalParam(0.4, 0.3)
     got = spin_coherent_coords(HalfInteger(twoj), w)
     want = _spin_coherent_rows(twoj, np.array([w.ux]), np.array([w.uy]), twoj + 1)[0]

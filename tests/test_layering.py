@@ -3,19 +3,21 @@
 ``spingauss.reference`` holds the dense constructions the tests compare
 against.  No other module of the package may import it, so the command line,
 and with it every benchmarked path, never loads it.  No module of the
-package imports ``scipy`` at all (the Bessel coefficients and the binomial
-weights are the package's own), and a command-line run loads no module of
-numpy that its import did not: what the run path needs is imported with the
+package imports ``scipy`` at all (the column kernel and the binomial weights
+are the package's own), and a command-line run loads no module of numpy
+that its import did not: what the run path needs is imported with the
 package.  And no function outside it takes a Fock cutoff: each state's core
 holds every row it reaches.  No state outside it carries a gauge angle:
 each is stored in the frame of the u it was built at, so no field,
-parameter, keyword or attribute read is named ``psi``.  Only ``irreps``
-runs the rotation propagator
-``rotation_columns``: every other module takes its blocks from one
-``rotation_walk`` per (n, u), so no per-block propagator loop can return.
-Only ``qubit_model`` selects and rotates blocks: no other module reads
-``NEGLIGIBLE_WEIGHT`` or calls ``rotation_walk``, so every state and the TV
-grid hold the one selection ``qubit_model.occurring_range`` makes.
+parameter, keyword or attribute read is named ``psi``.  Every rotation and
+displacement column comes from the one column kernel,
+``numerics.three_term_columns``: the Chebyshev propagator and its Bessel
+coefficients are named only in ``reference``, as oracles.  Only ``irreps``
+runs the rotation kernel ``rotation_columns``: every other module takes its
+blocks from one ``rotation_walk`` per (n, u), so no per-block kernel loop
+can return.  Only ``qubit_model`` selects and rotates blocks: no other module
+reads ``NEGLIGIBLE_WEIGHT`` or calls ``rotation_walk``, so every state and
+the TV grid hold the one selection ``qubit_model.occurring_range`` makes.
 """
 
 import ast
@@ -142,6 +144,23 @@ def test_only_irreps_references_the_rotation_propagator():
         and "rotation_columns" in referenced_names(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert offenders == []
+
+
+ORACLE_ONLY = {"tridiagonal_propagator", "bessel_j", "propagator_degree", "displacement_core"}
+
+
+def test_only_reference_names_the_chebyshev_propagator():
+    def names(tree):
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        return referenced_names(tree) | defined
+
+    offenders = {
+        path.name: sorted(found)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "reference.py"
+        and (found := ORACLE_ONLY & names(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert offenders == {}
 
 
 def test_only_qubit_model_selects_and_rotates_blocks():

@@ -4,23 +4,19 @@ import numpy as np
 import pytest
 from scipy.special import jv
 
-from spingauss import numerics
+from spingauss import reference
 from spingauss.errors import ValidationError
 from spingauss.irreps import HalfInteger, LocalParam
-from spingauss.numerics import (
-    bessel_j,
-    factor_difference_eigvals,
-    mirror_rows,
-    trace_norm,
-    tridiagonal_propagator,
-)
+from spingauss.numerics import factor_difference_eigvals, mirror_rows, trace_norm
 from spingauss.oscillator import FockTruncation
 from spingauss.reference import (
+    bessel_j,
     displacement_operator,
     hermitian_eig,
     lab_frame,
     psd_factor,
     rotation_unitary,
+    tridiagonal_propagator,
     unitary_exp,
 )
 
@@ -174,10 +170,10 @@ def test_bessel_j_matches_scipy_in_the_decaying_tail():
 def test_chebyshev_degree_matches_scipy_degree():
     def scipy_degree(a):
         k = np.arange(math.ceil(a + 20.0 * a ** (1.0 / 3.0) + 40.0))
-        return int(np.nonzero(np.abs(jv(k, a)) > numerics.CHEBYSHEV_TOL)[0][-1]) + 1
+        return int(np.nonzero(np.abs(jv(k, a)) > reference.CHEBYSHEV_TOL)[0][-1]) + 1
 
     for a in np.geomspace(1e-6, 3000.0, 200):
-        assert numerics._chebyshev_degree(a) == scipy_degree(a), a
+        assert reference._chebyshev_degree(a) == scipy_degree(a), a
 
 
 def test_propagator_matches_dense_rotation_unitary():
@@ -224,7 +220,7 @@ def test_propagator_chunks_sum_to_the_one_product(monkeypatch):
 
     whole = tridiagonal_propagator(off, 0.6, 5, size=401)
     assert whole.shape[0] > 100
-    monkeypatch.setattr(numerics, "PROPAGATOR_CHUNK_BYTES", 1)
+    monkeypatch.setattr(reference, "PROPAGATOR_CHUNK_BYTES", 1)
     chunked = tridiagonal_propagator(off, 0.6, 5, size=401)
     np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-14)
 

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy.special import gammainc, gammaln, xlogy
 from spingauss import oscillator
 from spingauss.errors import AccuracyError, DomainError, TruncationError
 from spingauss.irreps import LocalParam
-from spingauss.numerics import trace_norm, tridiagonal_propagator
+from spingauss.numerics import trace_norm
 from spingauss.oscillator import (
     PDF_CHUNK,
     FockTruncation,
@@ -15,7 +16,7 @@ from spingauss.oscillator import (
     _coherent_rows,
     coherent_coefficients,
     displaced_thermal,
-    displacement_core,
+    displacement_columns,
     heterodyne_pdf,
 )
 from spingauss.reference import (
@@ -30,6 +31,7 @@ from spingauss.reference import (
     quadrature_operators,
     required_coherent_dim,
     thermal_state,
+    tridiagonal_propagator,
 )
 
 T32 = FockTruncation(32)
@@ -351,17 +353,50 @@ def test_heterodyne_pdf_integrates_to_one():
     assert abs(np.sum(w * dens) - 1.0) < 1e-4
 
 
-@pytest.mark.parametrize("t", [0.0, 0.3, 2.5, 9.0])
+@pytest.mark.parametrize("t", [0.0, 0.001, 0.01, 0.3, 0.7, 2.5, 3.5, 9.0, 17.7, 30.0])
 def test_displacement_core_matches_propagator(t):
-    want = tridiagonal_propagator(np.sqrt, t, 40)
-    got = displacement_core(t, want.shape[0], 40)
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+    # the Charlier recurrence against the Chebyshev propagator oracle; the
+    # rows it drops are below the trim there too.  Far out the oracle's cost
+    # grows like t^4, so it takes the 17 columns of mu = 0.9 there
+    cols = 40 if t < 10 else 17
+    want = tridiagonal_propagator(np.sqrt, t, cols)
+    got = displacement_columns(t, cols)
+    assert got.shape[0] <= want.shape[0]
+    np.testing.assert_allclose(got, want[: got.shape[0]], rtol=0, atol=1e-13)
+    assert np.abs(want[got.shape[0] :]).max(initial=0.0) < 1e-17
+    assert np.abs(np.sqrt(np.einsum("ij,ij->j", got, got)) - 1.0).max() <= 1e-14
+
+
+def test_displacement_columns_where_the_start_column_underflows():
+    # at t = 0.01 the coherent vector falls below the smallest double by
+    # row 110, yet the diagonal of every column is O(1): each row carries its
+    # own binary exponent through the recurrence
+    t, cols = 0.01, 300
+    got = displacement_columns(t, cols)
+    want = tridiagonal_propagator(np.sqrt, t, cols)
+    assert got.shape[0] <= want.shape[0]
+    np.testing.assert_allclose(got, want[: got.shape[0]], rtol=0, atol=1e-13)
+    assert np.diag(got).min() > 0.9
 
 
 def test_displacement_core_far_out():
-    # at t = 40 e^{-x^2/2} underflows long before the rows near t^2 = 1600:
+    # at t = 40 e^{-t^2/2} underflows long before the rows near t^2 = 1600:
     # the first column is the coherent vector and the columns stay orthonormal
-    t, rows, cols = 40.0, 2900, 60
-    core = displacement_core(t, rows, cols)
+    t, cols = 40.0, 60
+    core = displacement_columns(t, cols)
+    rows = core.shape[0]
     np.testing.assert_allclose(core[:, 0], _coherent_rows(np.array([t]), rows)[:, 0], rtol=0, atol=1e-13)
     np.testing.assert_allclose(core.T @ core, np.eye(cols), rtol=0, atol=1e-12)
+
+
+def test_displaced_thermal_far_out_takes_milliseconds():
+    # the kernel's cost grows with the rows it reaches, about |z|^2, not
+    # with a series degree of order |z|^2: at mu = 0.9, |u| = 30 (1212 rows)
+    # it takes about 2 ms, where the Chebyshev series took 1.5 s
+    u = LocalParam(30.0, 0.0)
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        displaced_thermal(u, 0.9)
+        times.append(time.perf_counter() - start)
+    assert min(times) <= 0.05
