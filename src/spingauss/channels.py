@@ -167,7 +167,7 @@ class PointStats:
     forward: float
     block_max: float
     reverse: float
-    error_bound: float  # limit-state rank cut + largest block rank cut + skipped weight
+    error_bound: float  # limit-state rank cut + largest block rank cut + 2 * skipped weight
 
 
 @dataclass(frozen=True)
@@ -226,9 +226,9 @@ def _sweep_point(args) -> PointStats:
         if b.j.dim < r:
             norm = float(np.abs(factor_difference_eigvals(b.core, phi.core)).sum())
         block_max = max(block_max, norm)
-    # the inverse channel is trace-norm contractive, so the rank cuts of phi
-    # and of the largest block, and the skipped weight, bound all three
-    bound = phi.deficit + max(b.discarded for b in ens.blocks) + ens.skipped
+    # the inverse channel is trace-norm contractive, so the rank cuts of phi and
+    # of the largest block, and the skipped weight at its worst case, bound all three
+    bound = phi.deficit + max(b.discarded for b in ens.blocks) + 2.0 * ens.skipped
     return PointStats(
         n=n, u=u, forward=forward, block_max=block_max, reverse=reverse, error_bound=bound
     )

@@ -9,16 +9,14 @@ Three experiment families live here.
   forms.
 
 * Heterodyne estimation risk: the mean squared error of the coherent-state
-  POVM on the displaced thermal family, by deterministic quadrature or by
-  seeded importance-sampling Monte Carlo, always against the numerically
-  computed outcome density.
+  POVM on the displaced thermal family, by quadrature through the polar
+  kernel (``oscillator.PolarHeterodyne``) or by seeded importance-sampling
+  Monte Carlo through the pointwise ``heterodyne_pdf``.
 
 * Covariant versus pulled-back heterodyne outcome densities on each spin
   block, and their total-variation distance.  The covariant density is a
-  closed form at each point.  The heterodyne side is re-centred on the
-  polar grid's centre by one displacement per grid, so each block's density
-  is a cosine series in the grid angle whose coefficients are sums along
-  the diagonals of one small matrix (``_TvGrid``).
+  closed form at each point.  The heterodyne side is the same polar kernel
+  on a grid centred at u, one cosine series in the grid angle per block.
 
 Outcome densities live on the plane of local parameters.  The covariant
 measurement's outcomes are sphere directions; they are pulled to the plane
@@ -29,7 +27,7 @@ through the polar angle theta = 2|u|/sqrt(n), which is injective for
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -37,13 +35,14 @@ from numpy.random import default_rng
 
 from .errors import AccuracyError, DomainError, ValidationError
 from .irreps import LocalParam
-from .numerics import coherent_row_support, factor_difference_eigvals, mirror_rows
+from .numerics import factor_difference_eigvals
 from .oscillator import (
     FockOperator,
     PolarGrid,
-    _coherent_rows,
-    displacement_columns,
+    PolarHeterodyne,
+    displaced_thermal,
     heterodyne_pdf,
+    polar_heterodyne,
 )
 from .qubit_model import (
     BlockState,
@@ -164,25 +163,24 @@ def heterodyne_estimation_risk(
     """Mean squared error E||u_hat - u||^2 of the heterodyne measurement.
 
     Deterministic quadrature of the computed outcome density by default, on
-    a polar grid of radius 8 sigma around u; with ``mc`` given, importance
-    sampling against a Gaussian proposal instead.  The outcome density
-    itself always comes from the displaced thermal core, so neither path
-    assumes the Gaussian closed form.
+    a polar grid of radius 8 sigma around u (``oscillator.polar_heterodyne``);
+    with ``mc`` given, importance sampling against a Gaussian proposal
+    instead.  The outcome density itself always comes from the displaced
+    thermal core, so neither path assumes the Gaussian closed form.
     """
     if mc is None:
         sig = heterodyne_outcome_std(mu)
         quad = PolarGrid(center=(u.ux, u.uy), radius=8.0 * sig, n_radial=160, n_angular=128)
-        pts, w = quad.nodes()
-        dens = heterodyne_pdf(pts, u, mu)
-        sq = (pts[:, 0] - u.ux) ** 2 + (pts[:, 1] - u.uy) ** 2
-        value = float(np.sum(w * sq * dens))
-        mass = float(np.sum(w * dens))
+        core = displaced_thermal(u, mu).core
+        moments = []
         # resolution estimate: repeat at half the radial order
-        coarse = PolarGrid(quad.center, quad.radius, max(2, quad.n_radial // 2), quad.n_angular)
-        cpts, cw = coarse.nodes()
-        cdens = heterodyne_pdf(cpts, u, mu)
-        csq = (cpts[:, 0] - u.ux) ** 2 + (cpts[:, 1] - u.uy) ** 2
-        resolution = abs(float(np.sum(cw * csq * cdens)) - value)
+        for grid in (quad, replace(quad, n_radial=max(2, quad.n_radial // 2))):
+            pts, w = grid.nodes()
+            (dens,) = polar_heterodyne(grid, mu, core.shape[0]).densities((core,))
+            sq = (pts[:, 0] - u.ux) ** 2 + (pts[:, 1] - u.uy) ** 2
+            moments.append((float(np.sum(w * sq * dens)), float(np.sum(w * dens))))
+        (value, mass), (coarse, _) = moments
+        resolution = abs(coarse - value)
         tail = math.exp(-quad.radius ** 2 / (2.0 * sig * sig))
         bound = resolution + tail * (quad.radius ** 2 + 4 * sig * sig) + (1.0 - mass) * quad.radius ** 2
         if bound > 0.02 * max(value, 1e-12):
@@ -307,35 +305,15 @@ class _TvGrid:
     """Everything one (n, u) grid shares across its blocks.
 
     The covariant side is pointwise (``covariant``).  The heterodyne side is
-    re-centred on the grid centre, u.  With s = sqrt(2 mu - 1) and
-    z_c = s alpha(u), a node u + rho (cos t, sin t) has amplitude
-    z = z_c + s rho e^{i(t + pi/2)}, and D(z_c)^dag |z> = e^{i theta}
-    |s rho e^{i(t + pi/2)}>.  A block with real core F in u's frame
-    (``qubit_model``, rho_j ~ F F^T) and psi = u.angle then has the
-    pulled-back density
-
-        (2 mu - 1)/pi sum_{d >= 0} c_d cos(d (t + pi/2 - psi)) h(rho, d),
-
-    c_0 = 1 and c_d = 2 past it, h(rho, d) = sum_m R_{m+d} R_m A_{m+d,m}
-    with R_m the real coherent row at s rho, and A = G G^T with
-    G = ``back`` F, ``back`` the leading rows of D(-z_c), real in that
-    frame: only as many as the radial rows reach at rho = radius, so the
-    tables do not grow with |z_c|.  The radial products R_{m+d} R_m are
-    ``diag`` as [d, m, rho] (zero past the last row) and
-    c_d cos(d (t + pi/2 - psi)) is ``cos`` as [d, t].  ``back`` is one
-    column-kernel call (``oscillator.displacement_columns``) with one
-    column per row the blocks reach: by the symmetry of the real core, the
-    rows that call reaches are the band of D(-z_c) on those columns.
+    the polar kernel ``oscillator.PolarHeterodyne`` on the grid, centred at
+    u, for cores of as many rows as the blocks reach (``heterodyne``).
     ``points`` and ``weights`` are the grid's nodes.
     """
 
-    params: ModelParams
     points: np.ndarray
     weights: np.ndarray
     covariant: _Covariant
-    back: np.ndarray
-    diag: np.ndarray
-    cos: np.ndarray
+    heterodyne: PolarHeterodyne
     blocks: tuple[BlockState, ...]
 
 
@@ -344,48 +322,26 @@ def _tv_grid(params: ModelParams, u: LocalParam, grid: PolarGrid) -> _TvGrid:
 
     ``grid`` must be centred at u.  One call builds the nodes and the
     covariant data at them (which rejects a grid past the injectivity disk
-    before any other work), the included blocks, the leading rows of
-    D(-z_c) (one ``displacement_columns`` call, only as many rows as it and
-    the radial rows reach), and the radial and angular tables.  The included
-    blocks are the concentration set's blocks that occur
-    (``qubit_model.occurring_range``), a contiguous range of 2j, from one
-    ``rotated_blocks`` walk over that range alone.  Their rank cuts and the
-    walk's trimmed mass sit far below the quadrature resolution.
+    before any other work), the included blocks and the heterodyne kernel's
+    tables (``oscillator.polar_heterodyne``).  The included blocks are the
+    concentration set's blocks that occur (``qubit_model.occurring_range``),
+    a contiguous range of 2j, from one ``rotated_blocks`` walk over that
+    range alone.  Their rank cuts and the walk's trimmed mass sit far below
+    the quadrature resolution.
     """
     if grid.center != (u.ux, u.uy):
         raise ValidationError(f"TV grid centred at {grid.center}, not at u = ({u.ux}, {u.uy})")
     pts, w = grid.nodes()
     covariant = _covariant(params, u, pts)
-    radii, _, angles = grid.axes()
-    s = math.sqrt(2.0 * params.mu - 1.0)
     lo, hi, _ = occurring_range(params)
     spins = concentration_set(params)
     blocks = rotated_blocks(params, u, max(lo, spins[0].twoj), min(hi, spins[-1].twoj))
     rows = max(b.core.shape[0] for b in blocks)
-    # D(z_c) is the real core M = D(|z_c|) in the blocks' frame, u's
-    # (``displaced_thermal``), so D(-z_c) = D(z_c)^dag is M^T = S M S there,
-    # S = diag((-1)^k): its leading columns are the kernel's, with signs.
-    # Their row reach is the band of M past the blocks' rows, and h only
-    # sees the rows where the radial rows at s rho, rho < radius, are not
-    # negligible
-    back = displacement_columns(s * u.norm, rows)
-    size = min(back.shape[0], coherent_row_support((s * grid.radius) ** 2))
-    back = mirror_rows(back[:size]) * (-1.0) ** np.arange(rows)
-    radial = _coherent_rows(s * radii, size)[:, 0::2]
-    diag = np.zeros((size, size, len(radii)))
-    for d in range(size):
-        diag[d, : size - d] = radial[d:] * radial[: size - d]
-    phase = np.outer(np.arange(size), angles + 0.5 * math.pi - u.angle)
-    fold = np.full((size, 1), 2.0)
-    fold[0] = 1.0
     return _TvGrid(
-        params=params,
         points=pts,
         weights=w,
         covariant=covariant,
-        back=back,
-        diag=diag,
-        cos=fold * np.cos(phase),
+        heterodyne=polar_heterodyne(grid, params.mu, rows),
         blocks=blocks,
     )
 
@@ -395,25 +351,11 @@ def _block_density_pair(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Covariant and pulled-back densities of a chunk of rotated blocks.
 
-    Both are (blocks, points).  The covariant side is the closed form
-    ``_Covariant.density`` at every point.  The heterodyne side follows
-    ``_TvGrid``: each block's A = G G^T comes from its real core, the
-    chunk's diagonal sums h(rho, d) are one batched product with the radial
-    table, and the angular sum is one product with the cosine table.
+    Both are (blocks, points): the closed form ``_Covariant.density`` at
+    every point, and the grid's heterodyne kernel on the blocks' cores.
     """
     dens_m = np.stack([tv.covariant.density(b.j.twoj) for b in blocks])
-    size = tv.back.shape[0]
-    a = np.empty((len(blocks), size, size))
-    for k, b in enumerate(blocks):
-        g = tv.back[:, : b.core.shape[0]] @ b.core
-        a[k] = g @ g.T
-    # A_{m+d, m} as [d, block, m]; the rows it clips to meet zeros of diag
-    m = np.arange(size)
-    a_diag = a[:, np.minimum(m[:, None] + m, size - 1), m].transpose(1, 0, 2)
-    h = np.matmul(a_diag, tv.diag).reshape(size, -1)
-    dens_h = h.T @ tv.cos
-    dens_h *= (2.0 * tv.params.mu - 1.0) / math.pi
-    return dens_m, dens_h.reshape(len(blocks), -1)
+    return dens_m, tv.heterodyne.densities([b.core for b in blocks])
 
 
 def _block_densities(tv: _TvGrid):

@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial import legendre
 
 from .errors import DomainError
 from .irreps import LocalParam
@@ -162,6 +163,14 @@ def displaced_thermal(u: LocalParam, mu: float) -> FockOperator:
     return FockOperator(core, deficit=p ** r)
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], once per order, read-only."""
+    x, w = legendre.leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 @dataclass(frozen=True)
 class PolarGrid:
     """Deterministic polar quadrature over a disk in the plane.
@@ -184,7 +193,7 @@ class PolarGrid:
 
         ``nodes`` runs over their product, radius major.
         """
-        x, wx = leggauss(self.n_radial)
+        x, wx = _gauss_legendre(self.n_radial)
         r = 0.5 * self.radius * (x + 1.0)
         wr = 0.5 * self.radius * wx * r
         t = (np.arange(self.n_angular) + 0.5) * 2.0 * math.pi / self.n_angular
@@ -199,6 +208,67 @@ class PolarGrid:
         ).reshape(-1, 2)
         w = np.repeat(wr, self.n_angular) * (2.0 * math.pi / self.n_angular)
         return pts, w
+
+
+@dataclass(frozen=True)
+class PolarHeterodyne:
+    """Heterodyne outcome densities of real cores on a polar grid centred at u.
+
+    With s = sqrt(2 mu - 1) and z_c = s alpha(u), a node u + rho (cos t, sin t)
+    has D(z_c)^dag |z> = e^{i theta} |s rho e^{i(t + pi/2)}>, so a state with
+    real core F in u's frame (rho ~ F F^T) and psi = u.angle has the density
+
+        (2 mu - 1)/pi sum_{d >= 0} c_d cos(d (t + pi/2 - psi)) h(rho, d),
+
+    c_0 = 1 and c_d = 2 past it, h(rho, d) = sum_m R_{m+d} R_m A_{m+d,m}
+    with R_m the real coherent row at s rho, and A = G G^T with
+    G = ``back`` F, ``back`` the leading rows of D(-z_c), real in that
+    frame: only as many as the radial rows reach at rho = radius, so the
+    tables do not grow with |z_c|.  The radial products R_{m+d} R_m are
+    ``diag`` as [d, m, rho] (zero past the last row) and
+    c_d cos(d (t + pi/2 - psi)) is ``cos`` as [d, t].
+    """
+
+    mu: float
+    back: np.ndarray
+    diag: np.ndarray
+    cos: np.ndarray
+
+    def densities(self, cores) -> np.ndarray:
+        """(cores, nodes) densities in ``PolarGrid.nodes`` order: h(rho, d) of
+        all cores as one batched product, the angular sum as one GEMM."""
+        size = self.back.shape[0]
+        a = np.empty((len(cores), size, size))
+        for k, core in enumerate(cores):
+            g = self.back[:, : core.shape[0]] @ core
+            a[k] = g @ g.T
+        # A_{m+d, m} as [d, core, m]; the rows it clips to meet zeros of diag
+        m = np.arange(size)
+        a_diag = a[:, np.minimum(m[:, None] + m, size - 1), m].transpose(1, 0, 2)
+        h = np.matmul(a_diag, self.diag).reshape(size, -1)
+        dens = h.T @ self.cos
+        dens *= (2.0 * self.mu - 1.0) / math.pi
+        return dens.reshape(len(cores), -1)
+
+
+def polar_heterodyne(grid: PolarGrid, mu: float, rows: int) -> PolarHeterodyne:
+    """The ``PolarHeterodyne`` tables of ``grid``, centred at u, for cores of
+    at most ``rows`` rows.  D(z_c) is the real core M = D(|z_c|) in u's frame,
+    so D(-z_c) is M^T = S M S, S = diag((-1)^k): ``back`` is one signed
+    ``displacement_columns`` call, a column per core row, on the band it reaches."""
+    u = LocalParam(*grid.center)
+    radii, _, angles = grid.axes()
+    s = math.sqrt(2.0 * mu - 1.0)
+    back = displacement_columns(s * u.norm, rows)
+    size = min(back.shape[0], coherent_row_support((s * grid.radius) ** 2))
+    back = mirror_rows(back[:size]) * (-1.0) ** np.arange(rows)
+    radial = _coherent_rows(s * radii, size)[:, 0::2]
+    diag = np.zeros((size, size, len(radii)))
+    for d in range(size):
+        diag[d, : size - d] = radial[d:] * radial[: size - d]
+    cos = np.cos(np.outer(np.arange(size), angles + 0.5 * math.pi - u.angle))
+    cos[1:] *= 2.0
+    return PolarHeterodyne(mu, back, diag, cos)
 
 def heterodyne_pdf(points, u: LocalParam, mu: float) -> np.ndarray:
     """Outcome density Tr(phi^u h(u_hat)) evaluated at an (G, 2) array of points.

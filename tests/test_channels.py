@@ -512,6 +512,18 @@ def test_diagonal_rows_at_the_origin(n):
     assert abs(pt.reverse - reverse) <= 1e-13
 
 
+@pytest.mark.parametrize("n", [1024, 65536])
+def test_origin_rows_lie_within_their_error_bound(n):
+    # at u = 0 and these n every occurring block matches the limit state to
+    # rounding, so each distance is the skipped weight and rounding: reverse
+    # reads the worst case 2 * skipped that ensemble_difference counts
+    u = LocalParam(0.0, 0.0)
+    pt = sweep_point(SweepSettings(mu=0.75, n_values=(n,), u_grid=(u,)), n, u)
+    assert pt.reverse > pt.error_bound / 2
+    for stat in ("forward", "block_max", "reverse"):
+        assert getattr(pt, stat) <= pt.error_bound
+
+
 def test_sweep_point_error_bound_covers_rank_cut(monkeypatch):
     # under-resolve on purpose: a coarse rank cut drops visible trace from
     # every block and from the limit state; the bound must cover the shift

@@ -18,6 +18,10 @@ blocks from one ``rotation_walk`` per (n, u), so no per-block kernel loop
 can return.  Only ``qubit_model`` selects and rotates blocks: no other module
 reads ``NEGLIGIBLE_WEIGHT`` or calls ``rotation_walk``, so every state and
 the TV grid hold the one selection ``qubit_model.occurring_range`` makes.
+Every Gauss-Legendre rule comes from the one cached function
+``oscillator._gauss_legendre``, and on a polar grid the heterodyne density
+comes from the polar kernel: ``measurements`` evaluates ``heterodyne_pdf``
+only at the Monte Carlo points, which lie on no grid.
 """
 
 import ast
@@ -171,6 +175,27 @@ def test_only_qubit_model_selects_and_rotates_blocks():
         and {"NEGLIGIBLE_WEIGHT", "rotation_walk"} & referenced_names(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert offenders == []
+
+
+def test_only_the_cached_rule_names_leggauss():
+    owners = {
+        (path.name, getattr(stmt, "name", None))
+        for path in sorted(PACKAGE.glob("*.py"))
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+        if "leggauss" in referenced_names(stmt)
+    }
+    assert owners == {("oscillator.py", "_gauss_legendre")}
+
+
+def test_only_the_monte_carlo_path_evaluates_the_pointwise_density():
+    tree = ast.parse((PACKAGE / "measurements.py").read_text(encoding="utf-8"))
+    callers = {
+        getattr(stmt, "name", None)
+        for stmt in tree.body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Call) and "heterodyne_pdf" in referenced_names(node.func)
+    }
+    assert callers == {"heterodyne_samples"}
 
 
 def package_env() -> dict[str, str]:

@@ -29,8 +29,15 @@ from spingauss.measurements import (
     default_tv_grid,
 )
 from spingauss.numerics import trace_norm
-from spingauss.oscillator import FockTruncation, PolarGrid, _coherent_rows
-from spingauss import qubit_model, reference
+from spingauss.oscillator import (
+    FockTruncation,
+    PolarGrid,
+    _coherent_rows,
+    displaced_thermal,
+    heterodyne_pdf,
+    polar_heterodyne,
+)
+from spingauss import oscillator, qubit_model, reference
 from spingauss.qubit_model import (
     ModelParams,
     block_weight,
@@ -221,6 +228,60 @@ def test_heterodyne_risk_covariance_in_u():
     r0 = heterodyne_estimation_risk(0.75, u=LocalParam(0, 0))
     r1 = heterodyne_estimation_risk(0.75, u=LocalParam(1, 1))
     assert abs(r0.value - r1.value) <= r0.error_bound + r1.error_bound + 1e-6
+
+
+def risk_grids(mu, u):
+    """The fine and coarse grids of the quadrature risk: radius 8 sigma around u."""
+    radius = 8.0 * heterodyne_outcome_std(mu)
+    return [PolarGrid(center=(u.ux, u.uy), radius=radius, n_radial=k, n_angular=128) for k in (160, 80)]
+
+
+@pytest.mark.parametrize("mu", [0.75, 0.9, 1.0])
+@pytest.mark.parametrize("u", [(0.0, 0.0), (0.3, -0.7), (2.0, 1.0)], ids=["origin", "near", "far"])
+def test_quadrature_risk_kernel_matches_pointwise_density(u, mu):
+    # the polar kernel against the pointwise density at every node of both
+    # risk grids, and the risk it gives against the same sums over the
+    # pointwise density
+    u = LocalParam(*u)
+    core = displaced_thermal(u, mu).core
+    moments = []
+    for grid in risk_grids(mu, u):
+        pts, w = grid.nodes()
+        (dens,) = polar_heterodyne(grid, mu, core.shape[0]).densities((core,))
+        want = heterodyne_pdf(pts, u, mu)
+        np.testing.assert_allclose(dens, want, rtol=0, atol=1e-15)
+        sq = (pts[:, 0] - u.ux) ** 2 + (pts[:, 1] - u.uy) ** 2
+        moments.append((float(np.sum(w * sq * want)), float(np.sum(w * want))))
+    (value, mass), (coarse, _) = moments
+    est = heterodyne_estimation_risk(mu, u)
+    radius, sig = risk_grids(mu, u)[0].radius, heterodyne_outcome_std(mu)
+    tail = math.exp(-radius ** 2 / (2.0 * sig * sig)) * (radius ** 2 + 4 * sig * sig)
+    resolution = est.error_bound - tail - (1.0 - est.mass) * radius ** 2
+    assert abs(est.value - value) <= 1e-14
+    assert abs(est.mass - mass) <= 1e-14
+    assert abs(resolution - abs(coarse - value)) <= 1e-14
+
+
+def test_each_gauss_legendre_rule_is_computed_once(monkeypatch):
+    leggauss = np.polynomial.legendre.leggauss
+    orders = []
+
+    def counted(order):
+        orders.append(order)
+        return leggauss(order)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    oscillator._gauss_legendre.cache_clear()
+    n, mu, u = 64, 0.75, LocalParam(0.7, -0.5)
+    _tv_grid(ModelParams(n, mu), u, default_tv_grid(mu, u, n))
+    for mu in (0.75, 0.9, 1.0):
+        heterodyne_estimation_risk(mu)
+    assert sorted(orders) == [64, 80, 160]
+    for order in orders:
+        got, want = oscillator._gauss_legendre(order), leggauss(order)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b) and not a.flags.writeable
+    assert len(orders) == 3
 
 
 def test_heterodyne_risk_monte_carlo_reproducible_and_consistent():
@@ -445,8 +506,8 @@ def test_recentred_heterodyne_matches_dense_pullback(u):
     params, u = ModelParams(n, mu), LocalParam(*u)
     grid = replace(default_tv_grid(mu, u, n), n_angular=16)
     tv = _tv_grid(params, u, grid)
-    assert tv.back.dtype == float
-    assert tv.back.shape[0] > grid.n_angular
+    assert tv.heterodyne.back.dtype == float
+    assert tv.heterodyne.back.shape[0] > grid.n_angular
     for block, _, dens_h in _block_densities(tv):
         rho = block_state(params, block.j, u)
         want = heterodyne_pullback_density(block.j, rho, mu, tv.points)
@@ -485,7 +546,7 @@ def test_recentred_heterodyne_far_from_origin(n, mu, u):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert max(b.core.shape[0] for b in tv.blocks) > tv.back.shape[0]
+    assert max(b.core.shape[0] for b in tv.blocks) > tv.heterodyne.back.shape[0]
     assert peak < 64 * 2**20
     for block, _, dens_h in densities[:: max(1, len(densities) // 4)]:
         want = pointwise_heterodyne(params, u, block, tv.points)
