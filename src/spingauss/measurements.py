@@ -392,31 +392,34 @@ def measurement_tv_sweep(
     out = []
     for n in n_values:
         params = ModelParams(n, mu, epsilon)
-        for u in u_list:
-            tv = _tv_grid(params, u, default_tv_grid(mu, u, n))
-            w = tv.weights
-            grid_term = 0.0
-            mass_m = 0.0
-            mass_h = 0.0
-            included = 0.0
-            for block, dens_m, dens_h in _block_densities(tv):
-                bw = block.weight
-                grid_term += bw * float(np.sum(w * np.abs(dens_m - dens_h)))
-                mass_m += bw * float(np.sum(w * dens_m))
-                mass_h += bw * float(np.sum(w * dens_h))
-                included += bw
-            deficit = max(0.0, 1.0 - included)
-            out.append(
-                TvEstimate(
-                    n=n,
-                    mu=mu,
-                    u=u,
-                    tv_bound=grid_term + 2.0 * deficit,
-                    grid_term=grid_term,
-                    concentration_deficit=deficit,
-                    covariant_mass=mass_m / included if included else 0.0,
-                    heterodyne_mass=mass_h / included if included else 0.0,
-                    out_of_grid_bound=max(0.0, included - mass_m) + max(0.0, included - mass_h),
-                )
-            )
+        out.extend(_tv_estimate(params, u) for u in u_list)
     return out
+
+
+def _tv_estimate(params: ModelParams, u: LocalParam) -> TvEstimate:
+    """One (n, u) of ``measurement_tv_sweep``.  Its ``_TvGrid`` dies on
+    return, so a sweep never holds two grids' tables at once."""
+    tv = _tv_grid(params, u, default_tv_grid(params.mu, u, params.n))
+    w = tv.weights
+    grid_term = 0.0
+    mass_m = 0.0
+    mass_h = 0.0
+    included = 0.0
+    for block, dens_m, dens_h in _block_densities(tv):
+        bw = block.weight
+        grid_term += bw * float(np.sum(w * np.abs(dens_m - dens_h)))
+        mass_m += bw * float(np.sum(w * dens_m))
+        mass_h += bw * float(np.sum(w * dens_h))
+        included += bw
+    deficit = max(0.0, 1.0 - included)
+    return TvEstimate(
+        n=params.n,
+        mu=params.mu,
+        u=u,
+        tv_bound=grid_term + 2.0 * deficit,
+        grid_term=grid_term,
+        concentration_deficit=deficit,
+        covariant_mass=mass_m / included if included else 0.0,
+        heterodyne_mass=mass_h / included if included else 0.0,
+        out_of_grid_bound=max(0.0, included - mass_m) + max(0.0, included - mass_h),
+    )

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -440,6 +441,23 @@ def test_measurement_tv_sweep_matches_dense_blocks():
         assert est.grid_term == pytest.approx(grid_term, abs=1e-12)
         assert est.covariant_mass == pytest.approx(mass_m, abs=1e-12)
         assert est.heterodyne_mass == pytest.approx(mass_h, abs=1e-12)
+
+
+def test_measurement_tv_sweep_frees_each_grid_before_the_next(monkeypatch):
+    import spingauss.measurements as measurements
+
+    built = []
+
+    def tv_grid(*args):
+        # every grid built so far is gone before the next one is built
+        assert all(ref() is None for ref in built)
+        tv = _tv_grid(*args)
+        built.append(weakref.ref(tv))
+        return tv
+
+    monkeypatch.setattr(measurements, "_tv_grid", tv_grid)
+    measurement_tv_sweep(0.75, (16, 36), (LocalParam(0, 0), LocalParam(1, 0)))
+    assert len(built) == 4
 
 
 def block_densities(params, u, grid):
