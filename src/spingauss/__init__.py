@@ -61,11 +61,11 @@ from .measurements import (
     TvEstimate,
     discrimination_limit,
     finite_n_discrimination,
-    helstrom_risk,
     heterodyne_estimation_risk,
     heterodyne_outcome_std,
     heterodyne_risk_reference,
     heterodyne_samples,
+    limit_discrimination,
     measurement_tv_distance,
     measurement_tv_sweep,
     position_measurement_risk,

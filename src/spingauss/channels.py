@@ -100,7 +100,7 @@ def inverse_channel(phi: FockOperator, params: ModelParams) -> EnsembleState:
             column[0, 0] = math.sqrt(leftover)
             core = np.hstack([core, column])
         blocks.append(BlockState(j, weights[twoj // 2], core))
-    return EnsembleState(params, LocalParam(0.0, 0.0), tuple(blocks), skipped)
+    return EnsembleState(params, tuple(blocks), skipped)
 
 
 def ensemble_distance(a: EnsembleState, b: EnsembleState) -> float:

@@ -30,15 +30,13 @@ from .errors import (
 from .irreps import LocalParam
 from .measurements import (
     McSpec,
-    discrimination_limit,
     finite_n_discrimination,
-    helstrom_risk,
     heterodyne_estimation_risk,
     heterodyne_risk_reference,
+    limit_discrimination,
     measurement_tv_sweep,
     position_measurement_risk,
 )
-from .oscillator import displaced_thermal
 from .qubit_model import ModelParams
 from .reports import ReportRow, RiskReport, read_report, render_svg, write_report
 
@@ -254,15 +252,8 @@ def run_discriminate(cfg: dict[str, object]) -> list[ReportRow]:
     rows: list[ReportRow] = []
     for mu in cfg["mu"]:
         for u in cfg["grid"]:
-            if mu == 1.0:
-                limit = discrimination_limit(u)
-                limit_err = 0.0
-            else:
-                plus = displaced_thermal(u, mu)
-                minus = plus.mirrored()  # D(-z) = S D(z) S, in the same frame
-                limit = helstrom_risk(plus, minus).risk
-                limit_err = plus.deficit + minus.deficit
-            rows.append(ReportRow(0, mu, u.ux, u.uy, "limit_risk", limit, limit_err))
+            limit = limit_discrimination(u, mu)
+            rows.append(ReportRow(0, mu, u.ux, u.uy, "limit_risk", limit.risk, limit.error_bound))
             rows.append(ReportRow(0, mu, u.ux, u.uy, "position_risk_baseline", position_measurement_risk(u), 0.0))
             for n in cfg["n"]:
                 res = finite_n_discrimination(ModelParams(n, mu, cfg["epsilon"]), u)

@@ -2,11 +2,13 @@
 
 Three experiment families live here.
 
-* Binary discrimination between the ensembles at +u and -u: the optimal test
+* Binary discrimination between the states at +u and -u: the optimal test
   projects onto the positive part of the difference, so the minimal error
-  probability follows from the trace norm, blockwise for ensembles.  The
-  matching oscillator limit and the single-quadrature baseline are closed
-  forms.
+  probability follows from the trace norm.  The state at -u is the mirror
+  of the state at +u in its frame (``qubit_model``), so every trace norm is
+  ``numerics.mirror_trace_norm`` of one core: blockwise for the ensembles,
+  once for the oscillator limit.  The pure limit and the single-quadrature
+  baseline are closed forms.
 
 * Heterodyne estimation risk: the mean squared error of the coherent-state
   POVM on the displaced thermal family, by quadrature through the polar
@@ -35,9 +37,8 @@ from numpy.random import default_rng
 
 from .errors import AccuracyError, DomainError, ValidationError
 from .irreps import LocalParam
-from .numerics import factor_difference_eigvals
+from .numerics import mirror_trace_norm
 from .oscillator import (
-    FockOperator,
     PolarGrid,
     PolarHeterodyne,
     displaced_thermal,
@@ -46,12 +47,10 @@ from .oscillator import (
 )
 from .qubit_model import (
     BlockState,
-    EnsembleState,
     ModelParams,
     block_spectrum,
     concentration_set,
     ensemble,
-    ensemble_difference,
     occurring_range,
     rotated_blocks,
 )
@@ -68,41 +67,7 @@ class BinaryTestResult:
     """Outcome of an optimal binary discrimination."""
 
     risk: float
-    optimal_projector_rank: int
-    n: int | None = None
-    u: LocalParam | None = None
-    mu: float | None = None
-    error_bound: float = 0.0  # skipped blocks and rank cuts; 0 for Fock operator pairs
-
-
-def helstrom_risk(rho_plus, rho_minus) -> BinaryTestResult:
-    """Minimal error probability for equal priors, 1/2 (1 - ||r+ - r-||_1 / 2).
-
-    Accepts a pair of factor-form FockOperators (diagonalized on the span of
-    their cores), or a pair of EnsembleState objects with identical block
-    structure; ensembles are handled blockwise on their factors
-    (``ensemble_difference``), multiplicity spaces cancel.
-    """
-    pair = (rho_plus, rho_minus)
-    if all(isinstance(op, EnsembleState) for op in pair):
-        diff = ensemble_difference(rho_plus, rho_minus)
-        # a skipped block's true trace norm lies in [0, 2 w], and each rank
-        # cut moves the trace norm by at most its discarded trace
-        return BinaryTestResult(
-            risk=0.5 * (1.0 - 0.5 * diff.trace_norm),
-            optimal_projector_rank=diff.positive_rank,
-            n=rho_plus.params.n,
-            u=rho_plus.u,
-            mu=rho_plus.params.mu,
-            error_bound=0.5 * rho_plus.skipped + 0.25 * diff.discarded,
-        )
-    if not all(isinstance(op, FockOperator) for op in pair):
-        raise ValidationError("helstrom_risk compares two ensembles or two Fock operators")
-    eigs = factor_difference_eigvals(rho_plus.core, rho_minus.core)
-    tnorm = float(np.abs(eigs).sum())
-    return BinaryTestResult(
-        risk=0.5 * (1.0 - 0.5 * tnorm), optimal_projector_rank=int(np.sum(eigs > 0))
-    )
+    error_bound: float  # skipped blocks and rank cuts
 
 
 def discrimination_limit(u: LocalParam) -> float:
@@ -113,11 +78,36 @@ def discrimination_limit(u: LocalParam) -> float:
 def finite_n_discrimination(params: ModelParams, u: LocalParam) -> BinaryTestResult:
     """Optimal risk for separating the ensembles at +u and -u.
 
-    The ensemble at -u is the exact mirror of the one at +u
-    (U_j(-w) = S U_j(w) S), in the same frame, and costs no rotation.
+    The ensemble at -u is the mirror of the one at +u, in the same frame
+    (U_j(-w) = S U_j(w) S), so each block's trace norm is
+    ``mirror_trace_norm`` of its core, and the multiplicity spaces cancel.
+    A skipped block's true trace norm lies in [0, 2 w], and each rank cut,
+    on either side, moves the trace norm by at most its discarded trace.
     """
-    plus = ensemble(params, u)
-    return helstrom_risk(plus, plus.mirrored())
+    ens = ensemble(params, u)
+    total = 0.0
+    discarded = 0.0
+    for b in ens.blocks:
+        total += b.weight * mirror_trace_norm(b.core)
+        discarded += b.weight * 2.0 * b.discarded
+    return BinaryTestResult(
+        risk=0.5 * (1.0 - 0.5 * (total + 2.0 * ens.skipped)),
+        error_bound=0.5 * ens.skipped + 0.25 * discarded,
+    )
+
+
+def limit_discrimination(u: LocalParam, mu: float) -> BinaryTestResult:
+    """Optimal risk for separating the displaced thermal states at +u and -u.
+
+    D(-z) = S D(z) S, so the state at -u is the mirror of the one at +u, in
+    the same frame, and the trace norm is ``mirror_trace_norm`` of its core;
+    the bound is the two rank cuts p^r.  At mu = 1 it is the closed form
+    ``discrimination_limit``.
+    """
+    phi = displaced_thermal(u, mu)
+    return BinaryTestResult(
+        risk=0.5 * (1.0 - 0.5 * mirror_trace_norm(phi.core)), error_bound=2.0 * phi.deficit
+    )
 
 
 def position_measurement_risk(u: LocalParam) -> float:

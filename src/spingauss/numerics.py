@@ -16,8 +16,10 @@ real core.  ``factor_difference_eigvals`` diagonalizes F F^dag - G G^dag,
 two cores in one frame, on the span of the two low-rank factors instead of
 on the full space, in real arithmetic for real cores: on the rows the cores
 reach where [F G] has at least as many columns, else on the R of a QR of
-[F G].  ``trace_norm`` takes the one dense trace norm left, the forward
-distance over the leading rows the factors reach.
+[F G].  ``mirror_trace_norm`` is the special case G = S F, S = diag((-1)^k),
+a state against its own mirror, which needs no stack and no QR.
+``trace_norm`` takes the one dense trace norm left, the forward distance
+over the leading rows the factors reach.
 
 ``stirling_remainder`` is the correction to Stirling's log-factorial that
 the saddle-point forms of the binomial block weights (``qubit_model``, over
@@ -183,6 +185,18 @@ def mirror_rows(core: np.ndarray) -> np.ndarray:
     out = core.copy()
     out[1::2] = -out[1::2]
     return out
+
+
+def mirror_trace_norm(core: np.ndarray) -> float:
+    """||F F^T - S F F^T S||_1 of a real core F, S = diag((-1)^k).
+
+    With A = F F^T, A - S A S keeps the entries of A with k + l odd, twice
+    over, so in even/odd row order it is [[0, B], [B^T, 0]] with
+    B = 2 F_e F_o^T (F_e and F_o the even and odd rows of F), and its
+    eigenvalues are +-sigma(B).  The trace norm is 4 times the sum of the
+    singular values of F_e F_o^T; a core of one row has no odd rows, and 0.
+    """
+    return 4.0 * float(np.linalg.svd(core[0::2] @ core[1::2].T, compute_uv=False).sum())
 
 
 def factor_difference_eigvals(f: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ thermal weights past the effective rank r, as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -74,12 +74,6 @@ class FockOperator:
     def matrix(self) -> np.ndarray:
         """The dense F F^dag over the core's rows, in the frame, rebuilt on every access."""
         return self.core @ self.core.conj().T
-
-    def mirrored(self) -> "FockOperator":
-        """S rho S with S = diag((-1)^k): the row sign flip of the core.  For
-        a displaced state it is D(-z) = S D(z) S, the state at -u in the
-        same frame."""
-        return replace(self, core=mirror_rows(self.core))
 
 
 def coherent_coefficients(z: complex, dim: int) -> np.ndarray:
@@ -238,13 +232,14 @@ class PolarHeterodyne:
         """(cores, nodes) densities in ``PolarGrid.nodes`` order: h(rho, d) of
         all cores as one batched product, the angular sum as one GEMM."""
         size = self.back.shape[0]
-        a = np.empty((len(cores), size, size))
+        # A_{m+d, m} as [d, core, m], gathered from each core's A as it is
+        # formed, by flat index; the rows it clips to meet zeros of diag
+        m = np.arange(size)
+        flat = np.minimum(m[:, None] + m, size - 1) * size + m
+        a_diag = np.empty((size, len(cores), size))
         for k, core in enumerate(cores):
             g = self.back[:, : core.shape[0]] @ core
-            a[k] = g @ g.T
-        # A_{m+d, m} as [d, core, m]; the rows it clips to meet zeros of diag
-        m = np.arange(size)
-        a_diag = a[:, np.minimum(m[:, None] + m, size - 1), m].transpose(1, 0, 2)
+            a_diag[:, k] = np.take(g @ g.T, flat)
         h = np.matmul(a_diag, self.diag).reshape(size, -1)
         dens = h.T @ self.cos
         dens *= (2.0 * self.mu - 1.0) / math.pi

@@ -23,11 +23,12 @@ exp(i a N)), and every distance between states at one u depends on |u|
 alone.  A state built at u is therefore stored in u's frame: with
 psi = u.angle, its core F is the real factor of exp(i psi J_z) rho
 exp(-i psi J_z) (on the oscillator, of exp(-i psi N) phi exp(i psi N)),
-and the state itself is D F F^dag D^dag with D = diag(e^{ik psi}).  No state carries its angle.  The
-package compares only states built at one u, or a state and its
-``mirrored()``, which is the state at -u in the same frame (U_j(-w) =
-S U_j(w) S with S = diag((-1)^k)); ``spingauss.reference.lab_frame`` puts
-the phase back for the dense oracles.
+and the state itself is D F F^dag D^dag with D = diag(e^{ik psi}).  No
+state carries its angle.  The package compares only states built at one
+u, or a state and its mirror S F, S = diag((-1)^k), which is the state at
+-u in the same frame (U_j(-w) = S U_j(w) S; ``numerics.mirror_trace_norm``
+compares the two from F alone); ``spingauss.reference.lab_frame`` puts the
+phase back for the dense oracles.
 
 All weights are computed in log space and exponentiated only at the end;
 multiplicities and mu-powers overflow or underflow for n beyond a few hundred
@@ -43,14 +44,14 @@ the single-spin functions evaluate the same array form on one spin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, ValidationError
 from .irreps import HalfInteger, LocalParam, rotation_walk
-from .numerics import factor_difference_eigvals, mirror_rows, stirling_remainder
+from .numerics import factor_difference_eigvals, stirling_remainder
 
 # Eigenvalues of a geometric spectrum below this fraction are dropped from the
 # low-rank factors; for p = 1/3 that keeps 33 of them.
@@ -110,10 +111,6 @@ class BlockState:
         out[:rows, :rows] = self.core @ self.core.conj().T
         return out
 
-    def mirrored(self) -> "BlockState":
-        """The block at -u, in the same frame: U_j(-w) = S U_j(w) S with S = diag((-1)^k)."""
-        return replace(self, core=mirror_rows(self.core))
-
 
 @dataclass(frozen=True)
 class EnsembleState:
@@ -123,13 +120,8 @@ class EnsembleState:
     block, which the state omits."""
 
     params: ModelParams
-    u: LocalParam
     blocks: tuple[BlockState, ...]
     skipped: float
-
-    def mirrored(self) -> "EnsembleState":
-        """The ensemble at -u in the same frame: the row sign flip of every block's core."""
-        return replace(self, u=-self.u, blocks=tuple(b.mirrored() for b in self.blocks))
 
 
 @lru_cache(maxsize=4)
@@ -374,7 +366,7 @@ def ensemble(params: ModelParams, u: LocalParam) -> EnsembleState:
     """The ensemble state for local parameter u, in u's frame: the blocks of
     ``occurring_range``, from one ``rotated_blocks`` walk."""
     lo, hi, skipped = occurring_range(params)
-    return EnsembleState(params, u, rotated_blocks(params, u, lo, hi), skipped)
+    return EnsembleState(params, rotated_blocks(params, u, lo, hi), skipped)
 
 
 @dataclass(frozen=True)
@@ -382,8 +374,6 @@ class EnsembleDifference:
     """Blockwise spectrum summary of the difference of two ensembles."""
 
     trace_norm: float    # includes the worst case 2 * skipped
-    positive_rank: int   # positive eigenvalues over the blocks
-    discarded: float     # sum of weight * (discarded_a + discarded_b)
     block_norms: tuple[float, ...]  # unweighted, one per block
 
 
@@ -394,19 +384,13 @@ def ensemble_difference(a: EnsembleState, b: EnsembleState) -> EnsembleDifferenc
     weights, and the multiplicity spaces cancel; they must be in one frame
     (see the module docstring).  Each block is diagonalized on the span of
     its two factors; the skipped weight counts at the worst case
-    2 * skipped.  ``discarded`` bounds how far the rank cuts can move the
-    trace norm, and ``block_norms`` keeps each block's own trace norm.
+    2 * skipped, and ``block_norms`` keeps each block's own trace norm.
     """
     if a.params.n != b.params.n or a.params.mu != b.params.mu:
         raise ValidationError("ensembles must share block structure (same n, mu)")
     total = 0.0
-    rank = 0
-    discarded = 0.0
     norms = []
     for ba, bb in zip(a.blocks, b.blocks, strict=True):
-        eigs = factor_difference_eigvals(ba.core, bb.core)
-        norms.append(float(np.abs(eigs).sum()))
+        norms.append(float(np.abs(factor_difference_eigvals(ba.core, bb.core)).sum()))
         total += ba.weight * norms[-1]
-        rank += int(np.sum(eigs > 0))
-        discarded += ba.weight * (ba.discarded + bb.discarded)
-    return EnsembleDifference(total + 2.0 * a.skipped, rank, discarded, tuple(norms))
+    return EnsembleDifference(total + 2.0 * a.skipped, tuple(norms))

@@ -539,9 +539,7 @@ def helstrom_risk(rho_plus, rho_minus) -> BinaryTestResult:
         np.asarray(rho_plus, dtype=complex) - np.asarray(rho_minus, dtype=complex)
     )
     tnorm = float(np.abs(eigs).sum())
-    return BinaryTestResult(
-        risk=0.5 * (1.0 - 0.5 * tnorm), optimal_projector_rank=int(np.sum(eigs > 0))
-    )
+    return BinaryTestResult(risk=0.5 * (1.0 - 0.5 * tnorm), error_bound=0.0)
 
 
 def _as_points(u_hat) -> tuple[np.ndarray, bool]:

@@ -7,6 +7,7 @@ import pytest
 from spingauss.cli import main, parse_grid, run_convergence, run_discriminate
 from spingauss.errors import ConfigError
 from spingauss.irreps import LocalParam
+from spingauss.measurements import discrimination_limit
 from spingauss.reports import read_report
 
 
@@ -277,6 +278,19 @@ def test_discriminate_automatic_truncation_holds_the_limit_core(tmp_path):
     assert run_cli(["discriminate", "--mu", "0.9", "--n", "16", "--grid", "10,0", "--out", str(out)]) == 0
     (limit,) = [r for r in read_csv_rows(out) if r["statistic"] == "limit_risk"]
     assert 0.0 < float(limit["error_bound"]) < 1e-12
+
+
+@pytest.mark.parametrize("norm", [0.0, 0.2, 0.5, 1.0, 3.6])
+def test_discriminate_pure_limit_matches_closed_form(tmp_path, norm):
+    # the mu = 1 limit row comes from the mirror kernel on the coherent core,
+    # as every other mu's does; the closed form is its oracle
+    out = tmp_path / "disc.csv"
+    assert run_cli(["discriminate", "--mu", "1", "--n", "16", "--grid", f"{norm},0", "--out", str(out)]) == 0
+    (limit,) = [r for r in read_csv_rows(out) if r["statistic"] == "limit_risk"]
+    value = float(limit["value"])
+    assert abs(value - discrimination_limit(LocalParam(norm, 0.0))) <= 1e-15
+    if norm == 0.0:
+        assert value == 0.5
 
 
 def test_measure_compare_past_the_injectivity_disk_names_it(capsys):

@@ -21,7 +21,11 @@ the TV grid hold the one selection ``qubit_model.occurring_range`` makes.
 Every Gauss-Legendre rule comes from the one cached function
 ``oscillator._gauss_legendre``, and on a polar grid the heterodyne density
 comes from the polar kernel: ``measurements`` evaluates ``heterodyne_pdf``
-only at the Monte Carlo points, which lie on no grid.
+only at the Monte Carlo points, which lie on no grid.  Discrimination is a
+state against its own mirror: no module outside ``reference`` defines or
+calls a ``mirrored`` state, and ``measurements`` takes every discrimination
+trace norm from ``numerics.mirror_trace_norm``, never from the generic
+``factor_difference_eigvals``.
 """
 
 import ast
@@ -198,6 +202,32 @@ def test_only_the_monte_carlo_path_evaluates_the_pointwise_density():
     assert callers == {"heterodyne_samples"}
 
 
+def defined_or_called(tree: ast.AST) -> set[str]:
+    """Every function or class ``tree`` defines, and every name it calls."""
+    names = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            names.add(func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", ""))
+    return names
+
+
+def test_no_mirrored_state_outside_reference():
+    offenders = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "reference.py"
+        and "mirrored" in defined_or_called(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert offenders == []
+
+
+def test_discrimination_takes_no_generic_pair_kernel():
+    tree = ast.parse((PACKAGE / "measurements.py").read_text(encoding="utf-8"))
+    assert "factor_difference_eigvals" not in defined_or_called(tree)
+    assert "mirror_trace_norm" in defined_or_called(tree)
+
+
 def package_env() -> dict[str, str]:
     return dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
 
@@ -228,6 +258,7 @@ def test_cli_import_leaves_reference_unloaded():
 CLI_RUNS = (
     ["convergence", "--mu", "0.75", "--n", "4,8", "--grid", "0.3,0.2"],
     ["measure-compare", "--mu", "0.75", "--n", "16", "--grid", "0.3,0.2"],
+    ["discriminate", "--mu", "0.75", "--n", "16", "--grid", "0.3,0.2"],
     ["risk", "--mu", "0.75", "--samples", "2000", "--seed", "1"],
 )
 
@@ -246,4 +277,4 @@ def test_cli_runs_load_no_further_numpy_or_scipy_module():
     result = subprocess.run(
         [sys.executable, "-c", probe], env=package_env(), capture_output=True, text=True, timeout=120, check=True
     )
-    assert result.stdout.strip() == "[0, 0, 0] []"
+    assert result.stdout.strip() == "[0, 0, 0, 0] []"

@@ -12,12 +12,12 @@ from spingauss.measurements import (
     McSpec,
     discrimination_limit,
     finite_n_discrimination,
-    helstrom_risk,
     heterodyne_estimation_risk,
     heterodyne_outcome_std,
     heterodyne_risk_reference,
     heterodyne_samples,
     injectivity_radius,
+    limit_discrimination,
     measurement_tv_distance,
     measurement_tv_sweep,
     position_measurement_risk,
@@ -29,7 +29,7 @@ from spingauss.measurements import (
     _tv_grid,
     default_tv_grid,
 )
-from spingauss.numerics import trace_norm
+from spingauss.numerics import mirror_trace_norm, trace_norm
 from spingauss.oscillator import (
     FockTruncation,
     PolarGrid,
@@ -44,6 +44,7 @@ from spingauss.qubit_model import (
     block_weight,
     concentration_set,
     ensemble,
+    ensemble_difference,
     valid_spins,
 )
 from spingauss.reference import (
@@ -133,6 +134,18 @@ def test_finite_n_discrimination_matches_dense_blocks(mu):
         assert 0.0 <= res.error_bound < 1e-13
 
 
+@pytest.mark.parametrize("mu", [0.75, 1.0])
+def test_mirror_trace_norm_matches_dense_blocks(mu):
+    # each block against its own mirror is the block at u against the block
+    # at -u; the oracle builds both densely, in the fixed frame
+    for n in (1, 2, 9, 16):
+        params = ModelParams(n, mu)
+        for u in (LocalParam(0.0, 0.0), LocalParam(0.7, -0.4), LocalParam(-1.5, 2.0)):
+            for b in ensemble(params, u).blocks:
+                want = trace_norm(block_state(params, b.j, u) - block_state(params, b.j, -u))
+                assert mirror_trace_norm(b.core) == pytest.approx(want, abs=1e-13)
+
+
 def test_discrimination_error_bound_covers_skipped_blocks_and_rank_cut(monkeypatch):
     # under-resolve on purpose: skip blocks up to 1e-2 weight and cut block
     # ranks at 1e-4, then compare with the fully resolved dense oracle
@@ -150,7 +163,7 @@ def test_helstrom_mismatched_ensembles_rejected():
     a = ensemble(ModelParams(2, 0.75), LocalParam(0.1, 0))
     b = ensemble(ModelParams(4, 0.75), LocalParam(0.1, 0))
     with pytest.raises(ValidationError):
-        helstrom_risk(a, b)
+        ensemble_difference(a, b)
 
 
 def test_discrimination_limit_values():
@@ -174,15 +187,15 @@ def test_discrimination_limit_matches_truncated_fock_oracle():
 
 
 def test_helstrom_factor_form_limit_states_match_dense():
-    # the mu < 1 limit risk compares the +-u cores in u's frame; the dense
-    # pair of independently built states, each put back in the fixed frame,
-    # is the oracle
+    # the mu < 1 limit risk compares the core with its mirror, the state at
+    # -u in u's frame; the dense pair of independently built states, each
+    # put back in the fixed frame, is the oracle
     from spingauss.oscillator import displaced_thermal
 
     trunc = FockTruncation(128)
     for mu, u in ((0.75, LocalParam(0.6, -0.3)), (0.9, LocalParam(-1.2, 0.4))):
         plus = displaced_thermal(u, mu)
-        got = helstrom_risk(plus, plus.mirrored()).risk
+        got = limit_discrimination(u, mu).risk
         want = reference.helstrom_risk(
             reference.lab_frame(reference.fock_matrix(plus, trunc), u.angle),
             reference.lab_frame(reference.fock_matrix(displaced_thermal(-u, mu), trunc), (-u).angle),

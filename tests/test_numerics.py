@@ -7,7 +7,7 @@ from scipy.special import jv
 from spingauss import reference
 from spingauss.errors import ValidationError
 from spingauss.irreps import HalfInteger, LocalParam
-from spingauss.numerics import factor_difference_eigvals, mirror_rows, trace_norm
+from spingauss.numerics import factor_difference_eigvals, mirror_rows, mirror_trace_norm, trace_norm
 from spingauss.oscillator import FockTruncation
 from spingauss.reference import (
     bessel_j,
@@ -320,6 +320,30 @@ def test_mirror_rows_flips_odd_rows():
     core = np.arange(12.0).reshape(4, 3)
     want = core * np.array([1.0, -1.0, 1.0, -1.0])[:, None]
     np.testing.assert_array_equal(mirror_rows(core), want)
+
+
+@pytest.mark.parametrize("n", [64, 4096])
+def test_mirror_trace_norm_matches_generic_kernel(n):
+    # a core against its mirror S F is a pair for the generic kernel too
+    from spingauss.qubit_model import ModelParams, ensemble
+
+    for u in (LocalParam(0.0, 0.0), LocalParam(1.0, -1.0), LocalParam(0.3, 0.2)):
+        for b in ensemble(ModelParams(n, 0.75), u).blocks:
+            want = np.abs(factor_difference_eigvals(b.core, mirror_rows(b.core))).sum()
+            assert abs(mirror_trace_norm(b.core) - want) <= 1e-13
+
+
+@pytest.mark.parametrize("u", [LocalParam(3.0, 2.0), LocalParam(1.0, -1.0)])
+def test_mirror_trace_norm_matches_mpmath_on_limit_cores(u):
+    # the same float core, its F_e F_o^T formed and decomposed at 40 digits
+    mpmath = pytest.importorskip("mpmath")
+    from spingauss.oscillator import displaced_thermal
+
+    f = displaced_thermal(u, 0.75).core
+    with mpmath.workdps(40):
+        b = mpmath.matrix(f[0::2].tolist()) * mpmath.matrix(f[1::2].tolist()).T
+        want = 4 * mpmath.fsum(mpmath.svd_r(b, compute_uv=False))
+        assert abs(mirror_trace_norm(f) - want) <= 1e-15
 
 
 def test_psd_factor_reconstructs_state():
