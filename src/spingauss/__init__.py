@@ -59,7 +59,6 @@ from .measurements import (
     BinaryTestResult,
     McSpec,
     TvEstimate,
-    discrimination_limit,
     finite_n_discrimination,
     heterodyne_estimation_risk,
     heterodyne_outcome_std,

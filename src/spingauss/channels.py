@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -239,6 +238,9 @@ def convergence_sweep(settings: SweepSettings) -> list[ConvergenceRecord]:
     tasks = [(settings, n, u) for n in settings.n_values for u in settings.u_grid]
     workers = settings.workers or 1
     if workers > 1:
+        # imported here, so a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
             stats = list(pool.map(_sweep_point, tasks, chunksize=1))
     else:

@@ -13,7 +13,8 @@ Three experiment families live here.
 * Heterodyne estimation risk: the mean squared error of the coherent-state
   POVM on the displaced thermal family, by quadrature through the polar
   kernel (``oscillator.PolarHeterodyne``) or by seeded importance-sampling
-  Monte Carlo through the pointwise ``heterodyne_pdf``.
+  Monte Carlo through the pointwise kernel ``heterodyne_pdf_kernel``, one
+  chunk of samples at a time.
 
 * Covariant versus pulled-back heterodyne outcome densities on each spin
   block, and their total-variation distance.  The covariant density is a
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 from numpy.random import default_rng
@@ -38,11 +39,12 @@ from numpy.random import default_rng
 from .errors import AccuracyError, DomainError, ValidationError
 from .irreps import LocalParam
 from .numerics import mirror_trace_norm
+from . import oscillator
 from .oscillator import (
     PolarGrid,
     PolarHeterodyne,
     displaced_thermal,
-    heterodyne_pdf,
+    heterodyne_pdf_kernel,
     polar_heterodyne,
 )
 from .qubit_model import (
@@ -68,11 +70,6 @@ class BinaryTestResult:
 
     risk: float
     error_bound: float  # skipped blocks and rank cuts
-
-
-def discrimination_limit(u: LocalParam) -> float:
-    """Limit risk for the pure case: (1 - sqrt(1 - e^{-4|u|^2})) / 2."""
-    return 0.5 * (1.0 - math.sqrt(-math.expm1(-4.0 * u.norm ** 2)))
 
 
 def finite_n_discrimination(params: ModelParams, u: LocalParam) -> BinaryTestResult:
@@ -102,7 +99,7 @@ def limit_discrimination(u: LocalParam, mu: float) -> BinaryTestResult:
     D(-z) = S D(z) S, so the state at -u is the mirror of the one at +u, in
     the same frame, and the trace norm is ``mirror_trace_norm`` of its core;
     the bound is the two rank cuts p^r.  At mu = 1 it is the closed form
-    ``discrimination_limit``.
+    ``reference.discrimination_limit``.
     """
     phi = displaced_thermal(u, mu)
     return BinaryTestResult(
@@ -178,30 +175,49 @@ def heterodyne_estimation_risk(
                 f"quadrature risk error bound {bound:.3e} above 2% of value {value:.3e}"
             )
         return RiskEstimate(value=value, error_bound=bound, method="quadrature", mass=mass)
-    pts, weights = heterodyne_samples(mu, u, mc)
-    sq = (pts[:, 0] - u.ux) ** 2 + (pts[:, 1] - u.uy) ** 2
-    vals = sq * weights
+    # sq w and w, 16 B per sample; the mass is taken before the spread, so
+    # the spread's temporary takes the place of w
+    vals = np.empty(mc.samples)
+    weights = np.empty(mc.samples)
+    start = 0
+    for pts, w in heterodyne_samples(mu, u, mc):
+        stop = start + len(w)
+        sq = (pts[:, 0] - u.ux) ** 2 + (pts[:, 1] - u.uy) ** 2
+        np.multiply(sq, w, out=vals[start:stop])
+        weights[start:stop] = w
+        start = stop
     value = float(vals.mean())
+    mass = float(weights.mean())
+    del weights
     stderr = float(vals.std(ddof=1) / math.sqrt(mc.samples))
     return RiskEstimate(
         value=value,
         error_bound=3.0 * stderr,
         method="monte-carlo",
-        mass=float(weights.mean()),
+        mass=mass,
         seed=mc.seed,
     )
 
 
-def heterodyne_samples(mu: float, u: LocalParam, mc: McSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Importance-sampled outcome points and weights for the heterodyne density."""
+def heterodyne_samples(mu: float, u: LocalParam, mc: McSpec) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Importance-sampled outcome points and weights for the heterodyne
+    density, ``oscillator.PDF_CHUNK`` samples per yielded (points, weights) pair.
+
+    The seeded normals are drawn a chunk at a time, which reproduces one
+    draw of all the samples exactly, and the density comes from one
+    ``heterodyne_pdf_kernel``, so its buffers are built once per call.
+    """
     rng = default_rng(mc.seed)
     sig = heterodyne_outcome_std(mu)
     sp = MC_PROPOSAL_SCALE * sig
-    pts = rng.standard_normal((mc.samples, 2)) * sp + np.array([u.ux, u.uy])
-    sq = (pts[:, 0] - u.ux) ** 2 + (pts[:, 1] - u.uy) ** 2
-    proposal = np.exp(-sq / (2.0 * sp * sp)) / (2.0 * math.pi * sp * sp)
-    dens = heterodyne_pdf(pts, u, mu)
-    return pts, dens / proposal
+    center = np.array([u.ux, u.uy])
+    chunk = oscillator.PDF_CHUNK
+    density = heterodyne_pdf_kernel(u, mu, min(chunk, mc.samples))
+    for start in range(0, mc.samples, chunk):
+        pts = rng.standard_normal((min(chunk, mc.samples - start), 2)) * sp + center
+        sq = (pts[:, 0] - u.ux) ** 2 + (pts[:, 1] - u.uy) ** 2
+        proposal = np.exp(-sq / (2.0 * sp * sp)) / (2.0 * math.pi * sp * sp)
+        yield pts, density(pts) / proposal
 
 
 def injectivity_radius(n: int) -> float:

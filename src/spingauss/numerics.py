@@ -15,9 +15,10 @@ the binomial or Poisson weight, and fills the rest by the symmetry of the
 real core.  ``factor_difference_eigvals`` diagonalizes F F^dag - G G^dag,
 two cores in one frame, on the span of the two low-rank factors instead of
 on the full space, in real arithmetic for real cores: on the rows the cores
-reach where [F G] has at least as many columns, else on the R of a QR of
-[F G].  ``mirror_trace_norm`` is the special case G = S F, S = diag((-1)^k),
-a state against its own mirror, which needs no stack and no QR.
+reach while they are at most ``QR_ROW_RATIO`` times the columns of [F G],
+else on the R of a QR of [F G].  ``mirror_trace_norm`` is the special case
+G = S F, S = diag((-1)^k), a state against its own mirror, which needs no
+stack and no QR.
 ``trace_norm`` takes the one dense trace norm left, the forward distance
 over the leading rows the factors reach.
 
@@ -40,6 +41,10 @@ from .errors import ValidationError
 
 # Relative asymmetry (against the largest entry) accepted as rounding noise.
 HERMITICITY_RTOL = 1e-12
+# A QR of two stacked cores [F G] pays for itself once their rows pass this
+# multiple of its columns (single-threaded LAPACK, 30 to 130 columns); up to
+# it, the difference is diagonalized on the rows as it is.
+QR_ROW_RATIO = 1.3
 # Trailing rows of a column core whose entries all lie below this are dropped
 # (each dropped entry is at most 1e-34 of trace).
 WALK_TRIM = 1e-17
@@ -210,14 +215,15 @@ def factor_difference_eigvals(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     their operators (missing rows are zero), so they may differ in row
     count.
 
-    The difference is diagonalized on the smaller of two spaces, at most
-    min(rows, rank F + rank G)-dimensional.  Where the stacked cores [f g]
-    have at least as many columns as rows, a QR would not shrink anything,
-    and f f^dag - g g^dag is diagonalized on those rows as it is.  Otherwise
-    [f g] = Q R, and with a = R[:, :rank F], b = R[:, rank F:] the
-    difference is Q (a a^dag - b b^dag) Q^dag, so only R is formed.  Equal
-    factors give exactly zero: on the rows both products are computed from
-    identical operands, and a tall equal pair is caught before its QR.
+    The difference is diagonalized on the cheaper of two spaces.  While the
+    rows are at most ``QR_ROW_RATIO`` times the columns of the stacked cores
+    [f g], a QR would cost more than it saves, and f f^dag - g g^dag is
+    diagonalized on those rows as it is.  Past it, [f g] = Q R, and with
+    a = R[:, :rank F], b = R[:, rank F:] the difference is
+    Q (a a^dag - b b^dag) Q^dag, so only R is formed, rank F + rank G
+    square.  Equal factors give exactly zero: on the rows both products are
+    computed from identical operands, and a tall equal pair is caught before
+    its QR.
     """
     rows = max(f.shape[0], g.shape[0])
     cols = f.shape[1] + g.shape[1]
@@ -226,7 +232,7 @@ def factor_difference_eigvals(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     gp = np.zeros((rows, g.shape[1]), dtype=dtype)
     fp[: f.shape[0]] = f
     gp[: g.shape[0]] = g
-    if cols >= rows:
+    if rows <= QR_ROW_RATIO * cols:
         return np.linalg.eigvalsh(fp @ fp.conj().T - gp @ gp.conj().T)
     if np.array_equal(fp, gp):
         return np.zeros(cols)

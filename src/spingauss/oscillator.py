@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -33,9 +34,10 @@ from .qubit_model import effective_rank
 # Rows of the coherent-row recurrence between restarts from the closed form;
 # at least 16, where ``stirling_remainder`` is its series, exact to rounding.
 COHERENT_ANCHOR = 16
-# Points per coherent-row kernel call in ``heterodyne_pdf``, which bounds the
-# memory of its rows whatever the number of points.
-PDF_CHUNK = 16384
+# Points per call of the pointwise density kernel (``heterodyne_pdf_kernel``):
+# its two buffers, the coherent rows and the amplitudes, are about 2 MiB each
+# for the cores of the risk, whatever the number of points.
+PDF_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -81,7 +83,7 @@ def coherent_coefficients(z: complex, dim: int) -> np.ndarray:
     return _coherent_rows(z, dim).view(complex)[:, 0]
 
 
-def _coherent_rows(zeta, dim: int) -> np.ndarray:
+def _coherent_rows(zeta, dim: int, out: np.ndarray | None = None) -> np.ndarray:
     """Coherent coefficients of the amplitudes ``zeta``, one row per level.
 
     A real (dim, 2 G) array for G amplitudes, Re and Im interleaved: its
@@ -95,12 +97,14 @@ def _coherent_rows(zeta, dim: int) -> np.ndarray:
     x = |zeta|^2 and d = (x - k)/k, log |c_k| = -k (d - log1p(d))/2
     - log(2 pi k)/4 - S/2, S the Stirling remainder of lgamma(k + 1)
     (``stirling_remainder``; Loader's saddle-point form of the Poisson pmf
-    |c_k|^2).
+    |c_k|^2).  Given ``out``, a complex (dim, G) array whose rows are
+    contiguous, the rows are written into it and the result is its real view.
     """
     zeta = np.asarray(zeta, dtype=complex).reshape(-1)
     x = zeta.real ** 2 + zeta.imag ** 2
     theta = np.angle(zeta)
-    out = np.empty((dim, len(zeta)), dtype=complex)
+    if out is None:
+        out = np.empty((dim, len(zeta)), dtype=complex)
     out[0] = np.exp(-0.5 * x)
     for k in range(1, dim):
         if k % COHERENT_ANCHOR:
@@ -265,23 +269,48 @@ def polar_heterodyne(grid: PolarGrid, mu: float, rows: int) -> PolarHeterodyne:
     cos[1:] *= 2.0
     return PolarHeterodyne(mu, back, diag, cos)
 
-def heterodyne_pdf(points, u: LocalParam, mu: float) -> np.ndarray:
-    """Outcome density Tr(phi^u h(u_hat)) evaluated at an (G, 2) array of points.
+
+def heterodyne_pdf_kernel(u: LocalParam, mu: float, size: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The outcome density Tr(phi^u h(u_hat)) as a function of one chunk of
+    at most ``size`` points, (g, 2) -> (g,).
 
     The quadratic form is evaluated through the displaced thermal state's
     stored real core, whose spectrum is cut at ``RANK_CUT``: the amplitudes
     are turned into the core's frame, u's (a coherent vector |z> there is
     |e^{-i psi} z>), and their coherent rows, in real layout, run only over
-    the core's rows, so the contraction is one real product.  Points go
-    through the kernel ``PDF_CHUNK`` at a time.
+    the core's rows, so the contraction is one real product.  The state is
+    built once, and so are the two buffers every call writes into: the
+    coherent rows, complex (rows, size), and the amplitudes core.T @ rows,
+    real (cols, 2 size).  A chunk's result does not depend on how the
+    points were cut into chunks.
+    """
+    core_t = displaced_thermal(u, mu).core.T
+    rows = np.empty((core_t.shape[1], size), dtype=complex)
+    amps = np.empty((core_t.shape[0], 2 * size))
+    scale = math.sqrt(2.0 * mu - 1.0)
+    turn = complex(math.cos(u.angle), -math.sin(u.angle))
+
+    def density(pts: np.ndarray) -> np.ndarray:
+        g = len(pts)
+        z = scale * (-pts[:, 1] + 1j * pts[:, 0])
+        z *= turn
+        real_rows = _coherent_rows(z, rows.shape[0], out=rows[:, :g])
+        a = np.matmul(core_t, real_rows, out=amps[:, : 2 * g])
+        vals = np.einsum("kg,kg->g", a, a)
+        return (2.0 * mu - 1.0) / math.pi * (vals[0::2] + vals[1::2])
+
+    return density
+
+
+def heterodyne_pdf(points, u: LocalParam, mu: float) -> np.ndarray:
+    """Outcome density Tr(phi^u h(u_hat)) evaluated at an (G, 2) array of points.
+
+    The kernel ``heterodyne_pdf_kernel`` run over one call's points,
+    ``PDF_CHUNK`` at a time, so its buffers do not grow with G.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    phi = displaced_thermal(u, mu)
-    z = math.sqrt(2.0 * mu - 1.0) * (-pts[:, 1] + 1j * pts[:, 0])
-    z *= complex(math.cos(u.angle), -math.sin(u.angle))
-    vals = np.empty(2 * len(z))
-    for start in range(0, len(z), PDF_CHUNK):
-        rows = _coherent_rows(z[start : start + PDF_CHUNK], phi.core.shape[0])
-        amps = phi.core.T @ rows
-        vals[2 * start : 2 * start + amps.shape[1]] = np.einsum("kg,kg->g", amps, amps)
-    return (2.0 * mu - 1.0) / math.pi * (vals[0::2] + vals[1::2])
+    density = heterodyne_pdf_kernel(u, mu, min(PDF_CHUNK, len(pts)))
+    out = np.empty(len(pts))
+    for start in range(0, len(pts), PDF_CHUNK):
+        out[start : start + PDF_CHUNK] = density(pts[start : start + PDF_CHUNK])
+    return out

@@ -542,6 +542,12 @@ def helstrom_risk(rho_plus, rho_minus) -> BinaryTestResult:
     return BinaryTestResult(risk=0.5 * (1.0 - 0.5 * tnorm), error_bound=0.0)
 
 
+def discrimination_limit(u: LocalParam) -> float:
+    """Limit risk for the pure case: (1 - sqrt(1 - e^{-4|u|^2})) / 2, the
+    closed form of ``measurements.limit_discrimination`` at mu = 1."""
+    return 0.5 * (1.0 - math.sqrt(-math.expm1(-4.0 * u.norm ** 2)))
+
+
 def _as_points(u_hat) -> tuple[np.ndarray, bool]:
     if isinstance(u_hat, LocalParam):
         return np.array([[u_hat.ux, u_hat.uy]]), True

@@ -22,7 +22,6 @@ from spingauss.cli import main as cli_main
 from spingauss.irreps import HalfInteger, LocalParam
 from spingauss.measurements import (
     McSpec,
-    discrimination_limit,
     finite_n_discrimination,
     heterodyne_estimation_risk,
     heterodyne_risk_reference,
@@ -35,6 +34,7 @@ from spingauss.qubit_model import ModelParams, block_weight, multiplicity, valid
 from spingauss.reference import (
     EmbeddingMap,
     block_state_zero,
+    discrimination_limit,
     embed_block,
     glauber_mixture,
     inverse_channel_block,

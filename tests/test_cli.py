@@ -7,7 +7,7 @@ import pytest
 from spingauss.cli import main, parse_grid, run_convergence, run_discriminate
 from spingauss.errors import ConfigError
 from spingauss.irreps import LocalParam
-from spingauss.measurements import discrimination_limit
+from spingauss.reference import discrimination_limit
 from spingauss.reports import read_report
 
 

@@ -6,7 +6,8 @@ and with it every benchmarked path, never loads it.  No module of the
 package imports ``scipy`` at all (the column kernel and the binomial weights
 are the package's own), and a command-line run loads no module of numpy
 that its import did not: what the run path needs is imported with the
-package.  And no function outside it takes a Fock cutoff: each state's core
+package.  The import loads no process pool either: only a sweep with more
+than one worker imports ``concurrent.futures``.  And no function outside it takes a Fock cutoff: each state's core
 holds every row it reaches.  No state outside it carries a gauge angle:
 each is stored in the frame of the u it was built at, so no field,
 parameter, keyword or attribute read is named ``psi``.  Every rotation and
@@ -20,8 +21,9 @@ reads ``NEGLIGIBLE_WEIGHT`` or calls ``rotation_walk``, so every state and
 the TV grid hold the one selection ``qubit_model.occurring_range`` makes.
 Every Gauss-Legendre rule comes from the one cached function
 ``oscillator._gauss_legendre``, and on a polar grid the heterodyne density
-comes from the polar kernel: ``measurements`` evaluates ``heterodyne_pdf``
-only at the Monte Carlo points, which lie on no grid.  Discrimination is a
+comes from the polar kernel: ``measurements`` evaluates the pointwise
+density (``heterodyne_pdf_kernel``, or ``heterodyne_pdf`` over it) only at the
+Monte Carlo points, which lie on no grid.  Discrimination is a
 state against its own mirror: no module outside ``reference`` defines or
 calls a ``mirrored`` state, and ``measurements`` takes every discrimination
 trace norm from ``numerics.mirror_trace_norm``, never from the generic
@@ -197,7 +199,8 @@ def test_only_the_monte_carlo_path_evaluates_the_pointwise_density():
         getattr(stmt, "name", None)
         for stmt in tree.body
         for node in ast.walk(stmt)
-        if isinstance(node, ast.Call) and "heterodyne_pdf" in referenced_names(node.func)
+        if isinstance(node, ast.Call)
+        and {"heterodyne_pdf", "heterodyne_pdf_kernel"} & referenced_names(node.func)
     }
     assert callers == {"heterodyne_samples"}
 
@@ -248,6 +251,18 @@ def test_cli_import_leaves_reference_unloaded():
     probe = (
         "import sys, spingauss.cli; "
         "print(sorted(m for m in sys.modules if m == 'spingauss.reference' or m.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=package_env(), capture_output=True, text=True, timeout=60, check=True
+    )
+    assert result.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only a sweep with workers > 1 imports it
+    probe = (
+        "import sys, spingauss.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe], env=package_env(), capture_output=True, text=True, timeout=60, check=True

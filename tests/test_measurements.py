@@ -10,7 +10,6 @@ from spingauss.errors import DomainError, ValidationError
 from spingauss.irreps import HalfInteger, LocalParam
 from spingauss.measurements import (
     McSpec,
-    discrimination_limit,
     finite_n_discrimination,
     heterodyne_estimation_risk,
     heterodyne_outcome_std,
@@ -51,6 +50,7 @@ from spingauss.reference import (
     block_state,
     block_state_zero,
     covariant_block_density,
+    discrimination_limit,
     heterodyne_pullback_density,
     rotation_unitary,
 )
@@ -312,7 +312,9 @@ def test_heterodyne_pdf_moments_match_derived_variance():
     # importance-sampled moments of the computed outcome density, 3 sigma bands
     mu = 0.75
     u = LocalParam(0.3, -0.2)
-    pts, w = heterodyne_samples(mu, u, McSpec(seed=42, samples=200_000))
+    chunks = list(heterodyne_samples(mu, u, McSpec(seed=42, samples=200_000)))
+    pts = np.concatenate([p for p, _ in chunks])
+    w = np.concatenate([w for _, w in chunks])
     m = len(w)
     mean = (w[:, None] * pts).sum(axis=0) / m
     err_mean = 3 * np.sqrt(((w[:, None] * pts).std(axis=0, ddof=1) ** 2) / m)
@@ -323,6 +325,34 @@ def test_heterodyne_pdf_moments_match_derived_variance():
         var = sq.mean()
         assert abs(var - var_ref) < 3 * sq.std(ddof=1) / math.sqrt(m)
     assert abs(w.mean() - 1.0) < 3 * w.std(ddof=1) / math.sqrt(m)
+
+
+@pytest.mark.parametrize("u", [(0.0, 0.0), (0.4, -0.3)], ids=["origin", "off"])
+def test_monte_carlo_risk_does_not_depend_on_the_chunk(u, monkeypatch):
+    # chunked normal draws reproduce one draw of every sample, and each
+    # sample's weight is computed alone, so the estimate is the same to the bit
+    u, mc = LocalParam(*u), McSpec(seed=9, samples=10_001)
+    chunks = []
+    for chunk in (7, oscillator.PDF_CHUNK, mc.samples, 4 * mc.samples):
+        monkeypatch.setattr(oscillator, "PDF_CHUNK", chunk)
+        sizes = [len(w) for _, w in heterodyne_samples(0.75, u, mc)]
+        assert sum(sizes) == mc.samples and max(sizes) == min(chunk, mc.samples)
+        chunks.append(heterodyne_estimation_risk(0.75, u, mc=mc))
+    assert all(est == chunks[0] for est in chunks)
+
+
+def test_monte_carlo_risk_memory_grows_by_two_doubles_per_sample():
+    # sq w and w are kept per sample; everything else is a fixed set of
+    # chunk buffers
+    peaks = []
+    for samples in (100_000, 400_000):
+        tracemalloc.start()
+        try:
+            heterodyne_estimation_risk(0.75, mc=McSpec(1, samples))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 18 * 300_000
 
 
 def test_covariant_density_resolution_of_identity():

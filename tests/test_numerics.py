@@ -248,6 +248,9 @@ def test_factor_trace_norm_identical_factors_exactly_zero():
     f = rng.standard_normal((40, 7)) + 1j * rng.standard_normal((40, 7))
     assert np.abs(factor_difference_eigvals(f, f)).sum() == 0.0
     assert np.abs(factor_difference_eigvals(f, f.copy())).sum() == 0.0
+    # rows within QR_ROW_RATIO of the columns: diagonalized on the rows
+    f = rng.standard_normal((40, 16))
+    assert np.abs(factor_difference_eigvals(f, f.copy())).sum() == 0.0
 
 
 def test_factor_difference_is_frame_invariant():
@@ -274,9 +277,9 @@ def test_factor_difference_is_frame_invariant():
 
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_factor_difference_both_branches_match_dense_spectrum(dtype, monkeypatch):
-    # wide pairs ([f g] has at least as many columns as rows) are diagonalized
-    # on their rows, tall ones on the R of a QR; both against the padded
-    # dense difference, whose extra eigenvalues are zeros
+    # pairs with at most QR_ROW_RATIO times as many rows as [f g] has columns
+    # are diagonalized on their rows, taller ones on the R of a QR; both
+    # against the padded dense difference, whose extra eigenvalues are zeros
     rng = np.random.default_rng(73)
 
     def core(rows, cols):
@@ -298,6 +301,7 @@ def test_factor_difference_both_branches_match_dense_spectrum(dtype, monkeypatch
         (core(50, 33), core(50, 33), False),  # wide, equal rows
         (core(20, 4), core(9, 30), False),  # wide, unequal rows
         (core(34, 33), core(12, 1), False),  # wide, columns = rows
+        (core(40, 17), core(31, 17), False),  # rows within the ratio of the columns
         (core(40, 7), core(35, 7), True),  # tall, unequal rows
         (core(12, 2), core(30, 5), True),  # tall, the shorter core first
         (h, h @ core(6, 3), True),  # tall and rank deficient: G = F c
@@ -311,9 +315,38 @@ def test_factor_difference_both_branches_match_dense_spectrum(dtype, monkeypatch
         before = len(qr_calls)
         got = factor_difference_eigvals(f, g)
         assert len(qr_calls) - before == int(tall)
-        assert len(got) == min(rows, f.shape[1] + g.shape[1])
+        assert len(got) == (f.shape[1] + g.shape[1] if tall else rows)
         padded = np.sort(np.concatenate([got, np.zeros(rows - len(got))]))
         np.testing.assert_allclose(padded, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [256, 4096])
+def test_factor_difference_branches_agree_on_ensemble_pairs(n, monkeypatch):
+    # the pairs the sweep diagonalizes: each block against the inverse
+    # channel's block, and against the limit core; every pair once on its
+    # rows and once on the R of its QR
+    from spingauss import numerics
+    from spingauss.channels import inverse_channel
+    from spingauss.oscillator import displaced_thermal
+    from spingauss.qubit_model import ModelParams, ensemble
+
+    def spectrum(f, g, ratio):
+        monkeypatch.setattr(numerics, "QR_ROW_RATIO", ratio)
+        return factor_difference_eigvals(f, g)
+
+    for mu in (0.75, 1.0):
+        params = ModelParams(n, mu)
+        for u in (LocalParam(0.0, 0.0), LocalParam(1.0, -1.0), LocalParam(0.3, 0.2)):
+            ens = ensemble(params, u)
+            phi = displaced_thermal(u, mu)
+            back = inverse_channel(phi, params)
+            for b, bb in zip(ens.blocks, back.blocks, strict=True):
+                for f, g in ((b.core, bb.core), (b.core, phi.core)):
+                    # both padded with zeros to one length
+                    on_rows, on_r = spectrum(f, g, math.inf), spectrum(f, g, 0.0)
+                    size = max(len(on_rows), len(on_r))
+                    on_rows, on_r = (np.sort(np.pad(e, (0, size - len(e)))) for e in (on_rows, on_r))
+                    assert np.abs(on_rows - on_r).max() <= 1e-13
 
 
 def test_mirror_rows_flips_odd_rows():

@@ -328,9 +328,9 @@ def test_heterodyne_pdf_streams_points_in_chunks(mu, monkeypatch):
     sizes = []
     kernel = oscillator._coherent_rows
 
-    def counted(zeta, dim):
+    def counted(zeta, dim, out=None):
         sizes.append(len(zeta))
-        return kernel(zeta, dim)
+        return kernel(zeta, dim, out)
 
     monkeypatch.setattr(oscillator, "_coherent_rows", counted)
     got = heterodyne_pdf(pts, u, mu)
