@@ -190,7 +190,9 @@ def _half_step(prev: np.ndarray, twoj: int, c: float, s: float, cols: int) -> np
     a = np.sqrt((twoj - k) / twoj)
     b = np.sqrt(k / twoj)
     if have < width:
-        prev = np.pad(prev, ((0, 0), (0, 1)))
+        wide = np.zeros((rows, have + 1))
+        wide[:, :have] = prev
+        prev = wide
     up = prev * a[:width]
     down = np.zeros((rows, width))
     down[:, 1:] = prev[:, : width - 1] * b[1:width]

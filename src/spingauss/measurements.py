@@ -265,15 +265,16 @@ class _Covariant(NamedTuple):
 
     ``log_q`` is log(1 - (1 - p) s^2) per point, with s^2 the infidelity
     between the qubit states |1/2, u_hat/sqrt(n)> and |1/2, u/sqrt(n)>;
-    every block's covariant density is a power of it (``density``).
+    every block's covariant density is a power of it (``densities``).
     """
 
     p: float
     jac: np.ndarray
     log_q: np.ndarray
 
-    def density(self, twoj: int) -> np.ndarray:
-        """Covariant density of the rotated spin-j block, 2j = ``twoj``.
+    def densities(self, twojs) -> np.ndarray:
+        """Covariant densities of the rotated spin-j blocks, 2j in ``twojs``,
+        as (blocks, points), from one ``exp`` over them all.
 
         With U = U_j(u/sqrt(n)) the vector U^dag |j, w> is the spin coherent
         vector of a qubit state at infidelity s^2 from |up>, and the
@@ -282,9 +283,11 @@ class _Covariant(NamedTuple):
         <j, w| U rho_j U^dag |j, w> = (1 - p)/(1 - p^(2j+1)) (1 - (1 - p) s^2)^(2j)
         (Arecchi, Courtens, Gilmore & Thomas, PRA 6, 2211, 1972).
         """
-        d = twoj + 1
-        lam0 = block_spectrum(self.p, d, 1)[0]
-        return (d / (4.0 * math.pi)) * lam0 * np.exp(twoj * self.log_q) * self.jac
+        scale = [(twoj + 1) / (4.0 * math.pi) * block_spectrum(self.p, twoj + 1, 1)[0] for twoj in twojs]
+        dens = np.exp(np.asarray(twojs, dtype=float)[:, None] * self.log_q)
+        dens *= np.array(scale)[:, None]
+        dens *= self.jac
+        return dens
 
 
 def _covariant(params: ModelParams, u: LocalParam, pts: np.ndarray) -> _Covariant:
@@ -357,19 +360,11 @@ def _block_density_pair(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Covariant and pulled-back densities of a chunk of rotated blocks.
 
-    Both are (blocks, points): the closed form ``_Covariant.density`` at
+    Both are (blocks, points): the closed form ``_Covariant.densities`` at
     every point, and the grid's heterodyne kernel on the blocks' cores.
     """
-    dens_m = np.stack([tv.covariant.density(b.j.twoj) for b in blocks])
+    dens_m = tv.covariant.densities([b.j.twoj for b in blocks])
     return dens_m, tv.heterodyne.densities([b.core for b in blocks])
-
-
-def _block_densities(tv: _TvGrid):
-    """(block, covariant, heterodyne) for every included block, in order,
-    ``TV_CHUNK`` blocks per ``_block_density_pair`` call."""
-    for start in range(0, len(tv.blocks), TV_CHUNK):
-        chunk = tv.blocks[start : start + TV_CHUNK]
-        yield from zip(chunk, *_block_density_pair(tv, chunk))
 
 
 def measurement_tv_distance(params: ModelParams, u: LocalParam) -> TvEstimate:
@@ -404,19 +399,32 @@ def measurement_tv_sweep(
 
 def _tv_estimate(params: ModelParams, u: LocalParam) -> TvEstimate:
     """One (n, u) of ``measurement_tv_sweep``.  Its ``_TvGrid`` dies on
-    return, so a sweep never holds two grids' tables at once."""
+    return, so a sweep never holds two grids' tables at once.
+
+    The blocks go ``TV_CHUNK`` at a time through ``_block_density_pair``,
+    and each chunk's (blocks, nodes) densities are reduced to per-block
+    integrals by one ``np.sum(..., axis=1)`` per statistic (each row summed
+    as ``np.sum`` sums it alone); the block weights are then accumulated
+    one block at a time, in order.
+    """
     tv = _tv_grid(params, u, default_tv_grid(params.mu, u, params.n))
     w = tv.weights
     grid_term = 0.0
     mass_m = 0.0
     mass_h = 0.0
     included = 0.0
-    for block, dens_m, dens_h in _block_densities(tv):
-        bw = block.weight
-        grid_term += bw * float(np.sum(w * np.abs(dens_m - dens_h)))
-        mass_m += bw * float(np.sum(w * dens_m))
-        mass_h += bw * float(np.sum(w * dens_h))
-        included += bw
+    for start in range(0, len(tv.blocks), TV_CHUNK):
+        chunk = tv.blocks[start : start + TV_CHUNK]
+        dens_m, dens_h = _block_density_pair(tv, chunk)
+        diff = np.sum(w * np.abs(dens_m - dens_h), axis=1)
+        cov = np.sum(w * dens_m, axis=1)
+        het = np.sum(w * dens_h, axis=1)
+        for k, block in enumerate(chunk):
+            bw = block.weight
+            grid_term += bw * float(diff[k])
+            mass_m += bw * float(cov[k])
+            mass_h += bw * float(het[k])
+            included += bw
     deficit = max(0.0, 1.0 - included)
     return TvEstimate(
         n=params.n,

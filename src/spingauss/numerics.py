@@ -104,9 +104,8 @@ def coherent_row_support(peak: float) -> int:
 
 def trim_rows(core: np.ndarray) -> tuple[np.ndarray, float]:
     """``core`` without its trailing rows below ``WALK_TRIM``, and their mass."""
-    keep = core.shape[0]
-    while keep > 1 and np.abs(core[keep - 1]).max() < WALK_TRIM:
-        keep -= 1
+    held = (np.abs(core) >= WALK_TRIM).any(axis=1).nonzero()[0]
+    keep = int(held[-1]) + 1 if len(held) else 1
     return core[:keep], float(np.sum(core[keep:] ** 2))
 
 

@@ -28,7 +28,7 @@ from numpy.polynomial import legendre
 
 from .errors import DomainError
 from .irreps import LocalParam
-from .numerics import coherent_row_support, mirror_rows, stirling_remainder, three_term_columns
+from .numerics import coherent_row_support, mirror_rows, stirling_remainder, three_term_columns, trim_rows
 from .qubit_model import effective_rank
 
 # Rows of the coherent-row recurrence between restarts from the closed form;
@@ -234,20 +234,29 @@ class PolarHeterodyne:
 
     def densities(self, cores) -> np.ndarray:
         """(cores, nodes) densities in ``PolarGrid.nodes`` order: h(rho, d) of
-        all cores as one batched product, the angular sum as one GEMM."""
-        size = self.back.shape[0]
+        all cores as one batched product, the angular sum as one GEMM.
+
+        Each G loses its trailing rows below ``numerics.WALK_TRIM``
+        (``trim_rows``), and the cores are contracted together on the K
+        rows the longest kept G reaches: the gather, the batched product
+        and the GEMM run on ``diag[:K, :K]`` and ``cos[:K]``.
+        """
+        gs = [trim_rows(self.back[:, : core.shape[0]] @ core)[0] for core in cores]
+        rows = max(g.shape[0] for g in gs)
         # A_{m+d, m} as [d, core, m], gathered from each core's A as it is
-        # formed, by flat index; the rows it clips to meet zeros of diag
-        m = np.arange(size)
-        flat = np.minimum(m[:, None] + m, size - 1) * size + m
-        a_diag = np.empty((size, len(cores), size))
-        for k, core in enumerate(cores):
-            g = self.back[:, : core.shape[0]] @ core
-            a_diag[:, k] = np.take(g @ g.T, flat)
-        h = np.matmul(a_diag, self.diag).reshape(size, -1)
-        dens = h.T @ self.cos
+        # formed, by flat index; past the last kept row it clips to the zero
+        # row G is padded with, so A_{m+d, m} = 0 for m + d >= K
+        m = np.arange(rows)
+        flat = np.minimum(m[:, None] + m, rows) * (rows + 1) + m
+        a_diag = np.empty((rows, len(gs), rows))
+        for k, g in enumerate(gs):
+            padded = np.zeros((rows + 1, g.shape[1]))
+            padded[: g.shape[0]] = g
+            a_diag[:, k] = np.take(padded @ padded.T, flat)
+        h = np.matmul(a_diag, self.diag[:rows, :rows]).reshape(rows, -1)
+        dens = h.T @ self.cos[:rows]
         dens *= (2.0 * self.mu - 1.0) / math.pi
-        return dens.reshape(len(cores), -1)
+        return dens.reshape(len(gs), -1)
 
 
 def polar_heterodyne(grid: PolarGrid, mu: float, rows: int) -> PolarHeterodyne:

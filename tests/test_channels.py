@@ -475,6 +475,35 @@ def test_pure_rows_match_closed_forms_at_paper_scale(n):
     assert abs(risk - float(helstrom)) <= 1e-13
     assert abs(pt.forward - float(distance)) <= 1e-13
     assert abs(pt.block_max - float(distance)) <= 1e-13
+    # the coherent core reaches fewer than n + 1 rows, so the inverse
+    # channel's block is the coherent vector itself, with no leftover column
+    assert abs(pt.reverse - float(distance)) <= 1e-13
+
+
+def test_pure_reverse_with_leftover_matches_gram_closed_form():
+    # at mu = 1, n = 16, u = (3, 0) the coherent vector c at |z| = 3 reaches
+    # past the 17 rows of the block 2j = 16, so the inverse channel's block is
+    # c cut to 17 rows plus sqrt(L) e_0, L = P(Poisson(9) > 16).  reverse is
+    # the trace norm of psi psi^T - c' c'^T - L e_0 e_0^T, psi the product
+    # state: a rank-3 combination V D V^T of V = [psi, c', e_0], whose nonzero
+    # eigenvalues are those of R^T D R with V^T V = R R^T, in 50 digits
+    mpmath = pytest.importorskip("mpmath")
+    n, u = 16, LocalParam(3.0, 0.0)
+    pt = sweep_point(SweepSettings(mu=1.0, n_values=(n,), u_grid=(u,)), n, u)
+    with mpmath.workdps(50):
+        r, t = mpmath.mpf(3), mpmath.mpf(3) / mpmath.sqrt(n)
+        psi = [mpmath.sqrt(mpmath.binomial(n, k)) * mpmath.sin(t) ** k * mpmath.cos(t) ** (n - k)
+               for k in range(n + 1)]
+        cut = [mpmath.exp(-r ** 2 / 2) * r ** k / mpmath.sqrt(mpmath.factorial(k)) for k in range(n + 1)]
+        leftover = 1 - mpmath.fsum(c ** 2 for c in cut)
+        e0 = [mpmath.mpf(1)] + [mpmath.mpf(0)] * n
+        vecs = (psi, cut, e0)
+        gram = mpmath.matrix([[mpmath.fdot(a, b) for b in vecs] for a in vecs])
+        chol = mpmath.cholesky(gram)
+        core = chol.T * mpmath.diag([1, -1, -leftover]) * chol
+        reverse = mpmath.fsum(abs(x) for x in mpmath.eigsy(core, eigvals_only=True))
+    assert 1e-3 < leftover < 1e-1
+    assert abs(pt.reverse - float(reverse)) <= 1e-13
 
 
 @pytest.mark.parametrize("n", [16, 65536])

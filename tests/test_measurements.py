@@ -9,6 +9,7 @@ import pytest
 from spingauss.errors import DomainError, ValidationError
 from spingauss.irreps import HalfInteger, LocalParam
 from spingauss.measurements import (
+    TV_CHUNK,
     McSpec,
     finite_n_discrimination,
     heterodyne_estimation_risk,
@@ -22,7 +23,6 @@ from spingauss.measurements import (
     position_measurement_risk,
 )
 from spingauss.measurements import (
-    _block_densities,
     _block_density_pair,
     _covariant,
     _tv_grid,
@@ -503,8 +503,16 @@ def test_measurement_tv_sweep_frees_each_grid_before_the_next(monkeypatch):
     assert len(built) == 4
 
 
+def tv_block_densities(tv):
+    """(block, covariant, heterodyne) for every included block, in order,
+    ``TV_CHUNK`` blocks per ``_block_density_pair`` call, as the TV sums take them."""
+    for start in range(0, len(tv.blocks), TV_CHUNK):
+        chunk = tv.blocks[start : start + TV_CHUNK]
+        yield from zip(chunk, *_block_density_pair(tv, chunk))
+
+
 def block_densities(params, u, grid):
-    return list(_block_densities(_tv_grid(params, u, grid)))
+    return list(tv_block_densities(_tv_grid(params, u, grid)))
 
 
 def covariant_densities(params, u, pts):
@@ -512,7 +520,8 @@ def covariant_densities(params, u, pts):
     the concentration set's blocks that occur."""
     cov = _covariant(params, u, pts)
     lo, hi, _ = qubit_model.occurring_range(params)
-    return [(j, cov.density(j.twoj)) for j in concentration_set(params) if lo <= j.twoj <= hi]
+    spins = [j for j in concentration_set(params) if lo <= j.twoj <= hi]
+    return list(zip(spins, cov.densities([j.twoj for j in spins])))
 
 
 def test_closed_form_covariant_density_matches_dense_blocks():
@@ -569,7 +578,7 @@ def test_recentred_heterodyne_matches_dense_pullback(u):
     tv = _tv_grid(params, u, grid)
     assert tv.heterodyne.back.dtype == float
     assert tv.heterodyne.back.shape[0] > grid.n_angular
-    for block, _, dens_h in _block_densities(tv):
+    for block, _, dens_h in tv_block_densities(tv):
         rho = block_state(params, block.j, u)
         want = heterodyne_pullback_density(block.j, rho, mu, tv.points)
         np.testing.assert_allclose(dens_h, want, rtol=0, atol=1e-13)
@@ -580,7 +589,94 @@ def test_recentred_heterodyne_nonnegative_at_scale():
     n, mu, u = 1024, 0.75, LocalParam(0.7, -0.5)
     params = ModelParams(n, mu)
     tv = _tv_grid(params, u, default_tv_grid(mu, u, n))
-    assert min(float(dens_h.min()) for _, _, dens_h in _block_densities(tv)) >= -1e-14
+    assert min(float(dens_h.min()) for _, _, dens_h in tv_block_densities(tv)) >= -1e-14
+
+
+def full_size_densities(het, cores):
+    """The polar kernel contracted on every row of ``back``, G untrimmed:
+    the form that held before each chunk was cut to the rows its G keep.
+    An index past the last row clips to it and meets zeros of ``diag``."""
+    size = het.back.shape[0]
+    m = np.arange(size)
+    flat = np.minimum(m[:, None] + m, size - 1) * size + m
+    a_diag = np.empty((size, len(cores), size))
+    for k, core in enumerate(cores):
+        g = het.back[:, : core.shape[0]] @ core
+        a_diag[:, k] = np.take(g @ g.T, flat)
+    h = np.matmul(a_diag, het.diag).reshape(size, -1)
+    dens = h.T @ het.cos
+    dens *= (2.0 * het.mu - 1.0) / math.pi
+    return dens.reshape(len(cores), -1)
+
+
+@pytest.mark.parametrize(
+    "n, u",
+    [(64, (0.3, 0.0)), (64, (-0.5, 0.66)), (1024, (0.0, -0.3)), (1024, (0.82, 0.0)),
+     (16384, (0.18, 0.24)), (16384, (-0.492, -0.656)), (1024, (15.0, -20.0))],
+)
+def test_trimmed_contraction_matches_full_size_on_tv_grids(n, u):
+    # |u| in {0.3, 0.82} at every n, and |u| = 25 at n = 1024, where G does
+    # not trim; each chunk as the TV sums take it
+    mu, u = 0.75, LocalParam(*u)
+    tv = _tv_grid(ModelParams(n, mu), u, default_tv_grid(mu, u, n))
+    for start in range(0, len(tv.blocks), TV_CHUNK):
+        cores = [b.core for b in tv.blocks[start : start + TV_CHUNK]]
+        got = tv.heterodyne.densities(cores)
+        np.testing.assert_allclose(got, full_size_densities(tv.heterodyne, cores), rtol=0, atol=1e-16)
+
+
+@pytest.mark.parametrize("mu", [0.75, 1.0])
+@pytest.mark.parametrize("u", [(0.0, 0.0), (2.0, 1.0)], ids=["origin", "far"])
+def test_trimmed_contraction_matches_full_size_on_risk_grids(u, mu):
+    u = LocalParam(*u)
+    core = displaced_thermal(u, mu).core
+    for grid in risk_grids(mu, u):
+        het = polar_heterodyne(grid, mu, core.shape[0])
+        got = het.densities((core,))
+        np.testing.assert_allclose(got, full_size_densities(het, (core,)), rtol=0, atol=1e-16)
+
+
+def test_trimmed_contraction_runs_on_the_rows_g_keeps(monkeypatch):
+    # on the bench's n = 1024 point every re-centred core keeps at most 60
+    # of the 102 rows of back, and the batched product runs on those alone
+    n, mu, u = 1024, 0.75, LocalParam(-0.783814, -0.251648)
+    tv = _tv_grid(ModelParams(n, mu), u, default_tv_grid(mu, u, n))
+    assert tv.heterodyne.back.shape[0] == 102
+    shapes = []
+
+    class Spy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def matmul(self, a, b, **kwargs):
+            shapes.append(b.shape)
+            return np.matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(oscillator, "np", Spy())
+    for start in range(0, len(tv.blocks), TV_CHUNK):
+        tv.heterodyne.densities([b.core for b in tv.blocks[start : start + TV_CHUNK]])
+    assert len(shapes) == math.ceil(len(tv.blocks) / TV_CHUNK)
+    for rows, cols, radial in shapes:
+        assert rows == cols <= 60 and radial == 64
+
+
+def test_tv_estimate_does_not_depend_on_the_chunk_size(monkeypatch):
+    import spingauss.measurements as measurements
+
+    n, mu, u = 1024, 0.75, LocalParam(-0.783814, -0.251648)
+    params = ModelParams(n, mu)
+    blocks = len(_tv_grid(params, u, default_tv_grid(mu, u, n)).blocks)
+    estimates = []
+    for chunk in (1, 16, blocks):
+        monkeypatch.setattr(measurements, "TV_CHUNK", chunk)
+        estimates.append(measurement_tv_distance(params, u))
+    single, default, whole = estimates
+    assert default == whole
+    # a chunk of one block runs the batched product on one row per batch,
+    # which rounds differently (as the full-size contraction did):
+    # heterodyne_mass moves by 2.2e-16 and tv_bound by 6.9e-18 here
+    for name in ("tv_bound", "grid_term", "covariant_mass", "heterodyne_mass", "out_of_grid_bound"):
+        assert abs(getattr(single, name) - getattr(default, name)) <= 1e-15
 
 
 def pointwise_heterodyne(params, u, block, pts):
@@ -603,7 +699,7 @@ def test_recentred_heterodyne_far_from_origin(n, mu, u):
     tracemalloc.start()
     try:
         tv = _tv_grid(params, u, grid)
-        densities = list(_block_densities(tv))
+        densities = list(tv_block_densities(tv))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -7,7 +7,14 @@ from scipy.special import jv
 from spingauss import reference
 from spingauss.errors import ValidationError
 from spingauss.irreps import HalfInteger, LocalParam
-from spingauss.numerics import factor_difference_eigvals, mirror_rows, mirror_trace_norm, trace_norm
+from spingauss.numerics import (
+    WALK_TRIM,
+    factor_difference_eigvals,
+    mirror_rows,
+    mirror_trace_norm,
+    trace_norm,
+    trim_rows,
+)
 from spingauss.oscillator import FockTruncation
 from spingauss.reference import (
     bessel_j,
@@ -386,3 +393,26 @@ def test_psd_factor_reconstructs_state():
     np.testing.assert_allclose(f @ f.conj().T, rho, atol=1e-14)
     with pytest.raises(ValidationError):
         psd_factor(np.diag([1.1, -0.1]).astype(complex))
+
+
+def loop_trim_rows(core):
+    """``trim_rows`` one trailing row at a time, as it was first written."""
+    keep = core.shape[0]
+    while keep > 1 and np.abs(core[keep - 1]).max() < WALK_TRIM:
+        keep -= 1
+    return core[:keep], float(np.sum(core[keep:] ** 2))
+
+
+def test_trim_rows_matches_the_row_loop():
+    # rows scaled from 1 down to 1e-25, so tails of every length get cut,
+    # interior rows below the cut stay, and an all-small core keeps one row
+    rng = np.random.default_rng(7)
+    cores = [np.full((5, 3), 1e-20), np.zeros((1, 2))]
+    for _ in range(500):
+        rows, cols = rng.integers(1, 40), rng.integers(1, 8)
+        cores.append(rng.standard_normal((rows, cols)) * 10.0 ** rng.uniform(-25, 0, size=(rows, 1)))
+    for core in cores:
+        (got, got_mass), (want, want_mass) = trim_rows(core), loop_trim_rows(core)
+        assert got.shape == want.shape and got_mass == want_mass
+        assert np.array_equal(got, want)
+
