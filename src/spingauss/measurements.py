@@ -14,7 +14,9 @@ Three experiment families live here.
   POVM on the displaced thermal family, by quadrature through the polar
   kernel (``oscillator.PolarHeterodyne``) or by seeded importance-sampling
   Monte Carlo through the pointwise kernel ``heterodyne_pdf_kernel``, one
-  chunk of samples at a time.
+  chunk of samples at a time.  At u = 0 the state's core is diagonal and
+  that kernel is a real radial sum over the samples' |u_hat|; elsewhere
+  it contracts the core with the samples' complex coherent rows.
 
 * Covariant versus pulled-back heterodyne outcome densities on each spin
   block, and their total-variation distance.  The covariant density is a
@@ -127,10 +129,17 @@ def heterodyne_outcome_std(mu: float) -> float:
 
 @dataclass(frozen=True)
 class McSpec:
-    """Seeded Monte Carlo settings."""
+    """Seeded Monte Carlo settings: an integer seed >= 0 and an integer
+    number of samples >= 2 (the error bound needs a sample spread)."""
 
     seed: int
     samples: int = 200_000
+
+    def __post_init__(self):
+        for name, low in (("seed", 0), ("samples", 2)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+                raise ValidationError(f"Monte Carlo {name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -205,7 +214,9 @@ def heterodyne_samples(mu: float, u: LocalParam, mc: McSpec) -> Iterator[tuple[n
 
     The seeded normals are drawn a chunk at a time, which reproduces one
     draw of all the samples exactly, and the density comes from one
-    ``heterodyne_pdf_kernel``, so its buffers are built once per call.
+    ``heterodyne_pdf_kernel``, so its buffers are built once per call.  At
+    u = 0, as in every command-line risk, that kernel takes the radial path:
+    the samples' coherent rows are real, at sqrt(2 mu - 1) |u_hat|.
     """
     rng = default_rng(mc.seed)
     sig = heterodyne_outcome_std(mu)

@@ -32,11 +32,12 @@ from .numerics import coherent_row_support, mirror_rows, stirling_remainder, thr
 from .qubit_model import effective_rank
 
 # Rows of the coherent-row recurrence between restarts from the closed form;
-# at least 16, where ``stirling_remainder`` is its series, exact to rounding.
+# at least 16, where ``stirling_remainder`` is its series, exact to rounding,
+# and even, so the anchors of a real amplitude carry no sign.
 COHERENT_ANCHOR = 16
 # Points per call of the pointwise density kernel (``heterodyne_pdf_kernel``):
-# its two buffers, the coherent rows and the amplitudes, are about 2 MiB each
-# for the cores of the risk, whatever the number of points.
+# its buffers are at most about 2 MiB each for the cores of the risk, whatever
+# the number of points.
 PDF_CHUNK = 4096
 
 
@@ -80,16 +81,19 @@ class FockOperator:
 
 def coherent_coefficients(z: complex, dim: int) -> np.ndarray:
     """Number-basis coefficients e^{-|z|^2/2} z^k / sqrt(k!): ``_coherent_rows`` at one point."""
-    return _coherent_rows(z, dim).view(complex)[:, 0]
+    return _coherent_rows(complex(z), dim).view(complex)[:, 0]
 
 
 def _coherent_rows(zeta, dim: int, out: np.ndarray | None = None) -> np.ndarray:
     """Coherent coefficients of the amplitudes ``zeta``, one row per level.
 
-    A real (dim, 2 G) array for G amplitudes, Re and Im interleaved: its
-    ``.view(complex)`` is c_k = e^{-|zeta|^2/2} zeta^k / sqrt(k!) as (dim, G),
-    and a real core contracts with it as ``core.T @ rows`` (with zeta in the
-    core's frame).  Rows follow the running product
+    The result follows the amplitudes' dtype.  For G complex amplitudes it is
+    a real (dim, 2 G) array, Re and Im interleaved: its ``.view(complex)`` is
+    c_k = e^{-|zeta|^2/2} zeta^k / sqrt(k!) as (dim, G), and a real core
+    contracts with it as ``core.T @ rows`` (with zeta in the core's frame).
+    For G real amplitudes the same rows run in real arithmetic and the
+    result is the real (dim, G) array of c_k, bit for bit the real half of
+    the complex call.  Rows follow the running product
     c_k = c_{k-1} zeta / sqrt(k); every ``COHERENT_ANCHOR`` rows they restart
     from the closed form, which bounds the rounding the product gathers and
     keeps the rows near k ~ |zeta|^2 right where c_0 underflows
@@ -97,14 +101,20 @@ def _coherent_rows(zeta, dim: int, out: np.ndarray | None = None) -> np.ndarray:
     x = |zeta|^2 and d = (x - k)/k, log |c_k| = -k (d - log1p(d))/2
     - log(2 pi k)/4 - S/2, S the Stirling remainder of lgamma(k + 1)
     (``stirling_remainder``; Loader's saddle-point form of the Poisson pmf
-    |c_k|^2).  Given ``out``, a complex (dim, G) array whose rows are
-    contiguous, the rows are written into it and the result is its real view.
+    |c_k|^2).  Given ``out``, a (dim, G) array of the result's element type
+    (complex for complex amplitudes) whose rows are contiguous, the rows are
+    written into it, and the result is it or its real view.
     """
-    zeta = np.asarray(zeta, dtype=complex).reshape(-1)
-    x = zeta.real ** 2 + zeta.imag ** 2
-    theta = np.angle(zeta)
+    zeta = np.asarray(zeta)
+    real = not np.iscomplexobj(zeta)
+    zeta = zeta.astype(float if real else complex, copy=False).reshape(-1)
+    if real:
+        x = zeta * zeta
+    else:
+        x = zeta.real ** 2 + zeta.imag ** 2
+        theta = np.angle(zeta)
     if out is None:
-        out = np.empty((dim, len(zeta)), dtype=complex)
+        out = np.empty((dim, len(zeta)), dtype=zeta.dtype)
     out[0] = np.exp(-0.5 * x)
     for k in range(1, dim):
         if k % COHERENT_ANCHOR:
@@ -115,9 +125,12 @@ def _coherent_rows(zeta, dim: int, out: np.ndarray | None = None) -> np.ndarray:
         with np.errstate(divide="ignore"):  # log1p(-1) = -inf at zeta = 0
             log_amp = -0.5 * k * (d - np.log1p(d))
         amp = np.exp(log_amp - 0.25 * math.log(math.tau * k) - 0.5 * stirling_remainder(k))
-        out[k].real = amp * np.cos(k * theta)
-        out[k].imag = amp * np.sin(k * theta)
-    return out.view(float)
+        if real:  # k is even here, so zeta^k / |zeta|^k = 1 for either sign
+            out[k] = amp
+        else:
+            out[k].real = amp * np.cos(k * theta)
+            out[k].imag = amp * np.sin(k * theta)
+    return out if real else out.view(float)
 
 
 def displacement_columns(t: float, cols: int) -> np.ndarray:
@@ -270,7 +283,7 @@ def polar_heterodyne(grid: PolarGrid, mu: float, rows: int) -> PolarHeterodyne:
     back = displacement_columns(s * u.norm, rows)
     size = min(back.shape[0], coherent_row_support((s * grid.radius) ** 2))
     back = mirror_rows(back[:size]) * (-1.0) ** np.arange(rows)
-    radial = _coherent_rows(s * radii, size)[:, 0::2]
+    radial = _coherent_rows(s * radii, size)
     diag = np.zeros((size, size, len(radii)))
     for d in range(size):
         diag[d, : size - d] = radial[d:] * radial[: size - d]
@@ -284,19 +297,36 @@ def heterodyne_pdf_kernel(u: LocalParam, mu: float, size: int) -> Callable[[np.n
     at most ``size`` points, (g, 2) -> (g,).
 
     The quadratic form is evaluated through the displaced thermal state's
-    stored real core, whose spectrum is cut at ``RANK_CUT``: the amplitudes
-    are turned into the core's frame, u's (a coherent vector |z> there is
-    |e^{-i psi} z>), and their coherent rows, in real layout, run only over
-    the core's rows, so the contraction is one real product.  The state is
-    built once, and so are the two buffers every call writes into: the
-    coherent rows, complex (rows, size), and the amplitudes core.T @ rows,
-    real (cols, 2 size).  A chunk's result does not depend on how the
-    points were cut into chunks.
+    stored real core, whose spectrum is cut at ``RANK_CUT``, and the path is
+    chosen from that core's structure alone.  A square diagonal core (the
+    state at u = 0, where the displacement is the identity) holds
+    phi = sum_k lambda_k |k><k|, so the density is
+    (2 mu - 1)/pi sum_k lambda_k R_k^2 with R_k the real coherent rows at
+    the real amplitude sqrt(2 mu - 1) |u_hat|: one real (rows, size) buffer
+    and a matrix-vector product.  Any other core takes the amplitudes into
+    its frame, u's (a coherent vector |z> there is |e^{-i psi} z>), and
+    their coherent rows, in real layout, run only over the core's rows, so
+    the contraction is one real product into two buffers: the coherent
+    rows, complex (rows, size), and the amplitudes core.T @ rows, real
+    (cols, 2 size).  The state and the buffers are built once, and a
+    chunk's result does not depend on how the points were cut into chunks.
     """
-    core_t = displaced_thermal(u, mu).core.T
+    core = displaced_thermal(u, mu).core
+    scale = math.sqrt(2.0 * mu - 1.0)
+    norm = (2.0 * mu - 1.0) / math.pi
+    diag = np.diagonal(core)
+    if core.shape[0] == core.shape[1] and np.array_equal(core, np.diag(diag)):
+        lam = diag ** 2
+        radial = np.empty((len(lam), size))
+
+        def radial_density(pts: np.ndarray) -> np.ndarray:
+            rows = _coherent_rows(scale * np.hypot(pts[:, 0], pts[:, 1]), len(lam), out=radial[:, : len(pts)])
+            return norm * (lam @ np.square(rows, out=rows))
+
+        return radial_density
+    core_t = core.T
     rows = np.empty((core_t.shape[1], size), dtype=complex)
     amps = np.empty((core_t.shape[0], 2 * size))
-    scale = math.sqrt(2.0 * mu - 1.0)
     turn = complex(math.cos(u.angle), -math.sin(u.angle))
 
     def density(pts: np.ndarray) -> np.ndarray:
@@ -306,7 +336,7 @@ def heterodyne_pdf_kernel(u: LocalParam, mu: float, size: int) -> Callable[[np.n
         real_rows = _coherent_rows(z, rows.shape[0], out=rows[:, :g])
         a = np.matmul(core_t, real_rows, out=amps[:, : 2 * g])
         vals = np.einsum("kg,kg->g", a, a)
-        return (2.0 * mu - 1.0) / math.pi * (vals[0::2] + vals[1::2])
+        return norm * (vals[0::2] + vals[1::2])
 
     return density
 

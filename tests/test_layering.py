@@ -20,10 +20,13 @@ can return.  Only ``qubit_model`` selects and rotates blocks: no other module
 reads ``NEGLIGIBLE_WEIGHT`` or calls ``rotation_walk``, so every state and
 the TV grid hold the one selection ``qubit_model.occurring_range`` makes.
 Every Gauss-Legendre rule comes from the one cached function
-``oscillator._gauss_legendre``, and on a polar grid the heterodyne density
-comes from the polar kernel: ``measurements`` evaluates the pointwise
-density (``heterodyne_pdf_kernel``, or ``heterodyne_pdf`` over it) only at the
-Monte Carlo points, which lie on no grid.  Discrimination is a
+``oscillator._gauss_legendre``, every coherent row from the one kernel
+``oscillator._coherent_rows`` (no other function of ``oscillator`` reads
+``stirling_remainder``, the anchor of its recurrence), and on a polar grid
+the heterodyne density comes from the polar kernel: ``measurements``
+evaluates the pointwise density (``heterodyne_pdf_kernel``, or
+``heterodyne_pdf`` over it) only at the Monte Carlo points, which lie on no
+grid.  Discrimination is a
 state against its own mirror: no module outside ``reference`` defines or
 calls a ``mirrored`` state, and ``measurements`` takes every discrimination
 trace norm from ``numerics.mirror_trace_norm``, never from the generic
@@ -191,6 +194,19 @@ def test_only_the_cached_rule_names_leggauss():
         if "leggauss" in referenced_names(stmt)
     }
     assert owners == {("oscillator.py", "_gauss_legendre")}
+
+
+def test_one_coherent_row_kernel():
+    # the Stirling remainder anchors the coherent rows; only their one
+    # kernel may read it, so no second row recurrence grows beside it
+    tree = ast.parse((PACKAGE / "oscillator.py").read_text(encoding="utf-8"))
+    owners = {
+        getattr(stmt, "name", None)
+        for stmt in tree.body
+        if not isinstance(stmt, (ast.Import, ast.ImportFrom))
+        and "stirling_remainder" in referenced_names(stmt)
+    }
+    assert owners == {"_coherent_rows"}
 
 
 def test_only_the_monte_carlo_path_evaluates_the_pointwise_density():

@@ -341,6 +341,35 @@ def test_monte_carlo_risk_does_not_depend_on_the_chunk(u, monkeypatch):
     assert all(est == chunks[0] for est in chunks)
 
 
+def test_monte_carlo_risk_at_the_origin_takes_real_coherent_rows(monkeypatch):
+    # at u = 0 the core is diagonal and the density a radial sum: no sample
+    # reaches the coherent-row kernel as a complex amplitude
+    dtypes = []
+    kernel = oscillator._coherent_rows
+
+    def spied(zeta, dim, out=None):
+        dtypes.append(np.asarray(zeta).dtype)
+        return kernel(zeta, dim, out)
+
+    monkeypatch.setattr(oscillator, "_coherent_rows", spied)
+    for mu in (0.75, 0.9, 1.0):
+        heterodyne_estimation_risk(mu, mc=McSpec(seed=5, samples=5_000))
+    assert dtypes and set(dtypes) == {np.dtype(float)}
+
+
+@pytest.mark.parametrize(
+    "seed, samples",
+    [(1, 1), (1, 0), (-1, 10), (1, -5), (1, 2.0), (1.5, 10), ("1", 10), (1, None), (True, 10), (1, np.float64(3))],
+)
+def test_mc_spec_rejects_bad_seed_or_samples(seed, samples):
+    with pytest.raises(ValidationError):
+        McSpec(seed, samples)
+
+
+def test_mc_spec_accepts_integer_seed_and_samples():
+    assert McSpec(0, 2) == McSpec(np.int64(0), np.int64(2))
+
+
 def test_monte_carlo_risk_memory_grows_by_two_doubles_per_sample():
     # sq w and w are kept per sample; everything else is a fixed set of
     # chunk buffers

@@ -13,12 +13,14 @@ from spingauss.numerics import mirror_rows, trace_norm
 from spingauss.oscillator import (
     PDF_CHUNK,
     FockTruncation,
+    FockOperator,
     PolarGrid,
     _coherent_rows,
     coherent_coefficients,
     displaced_thermal,
     displacement_columns,
     heterodyne_pdf,
+    heterodyne_pdf_kernel,
 )
 from spingauss.reference import (
     coherent_state,
@@ -142,6 +144,21 @@ def test_coherent_rows_match_closed_form():
             np.testing.assert_allclose(got, closed_form_rows(z, dim, turn), rtol=0, atol=tol)
     one = _coherent_rows(np.array([0.4 - 1.2j]), 30).view(complex)[:, 0]
     np.testing.assert_array_equal(coherent_coefficients(0.4 - 1.2j, 30), one)
+
+
+def test_coherent_rows_of_real_amplitudes_are_the_real_half():
+    # real amplitudes run in real arithmetic and return (dim, G); past
+    # |t| = 38 c_0 underflows and the anchors carry the rows near t^2
+    t = np.linspace(0.0, 45.0, 451)
+    for dim, amps in ((1, t), (16, t), (17, t), (33, t), (120, t), (2100, t[::10])):
+        rows = _coherent_rows(amps, dim)
+        assert rows.dtype == np.float64 and rows.shape == (dim, len(amps))
+        np.testing.assert_array_equal(rows, _coherent_rows(amps.astype(complex), dim)[:, 0::2])
+    assert rows[1600:, -1].max() > 0.009
+    out = np.empty((33, len(t)))
+    assert _coherent_rows(t, 33, out=out) is out
+    assert coherent_coefficients(0, 3).dtype == complex
+    assert coherent_coefficients(0.5, 3).dtype == complex
 
 
 def test_displacement_operator_identity_and_inverse():
@@ -306,12 +323,24 @@ def test_heterodyne_pdf_gaussian_oracle():
     np.testing.assert_allclose(got, want, atol=1e-6)
 
 
-@pytest.mark.parametrize("mu", [0.75, 0.9, 1.0])
-def test_heterodyne_pdf_matches_dense_quadratic_form(mu):
+DENSE_FORM_POINTS = np.array([[2.5, -1.5], [0.0, 0.0], [3.5, -0.5], [1.0, -3.0], [5.0, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "mu, u",
+    [
+        pytest.param(0.75, (2.5, -1.5), id="0.75"),
+        pytest.param(0.9, (2.5, -1.5), id="0.9"),
+        pytest.param(1.0, (2.5, -1.5), id="1.0"),
+        # the 1x1 diagonal core of the radial path
+        pytest.param(1.0, (0.0, 0.0), id="1.0-origin"),
+    ],
+)
+def test_heterodyne_pdf_matches_dense_quadratic_form(mu, u):
     # oracle: (2mu-1)/pi <z|rho|z> with the dense matrix over all levels
     trunc = FockTruncation(140)
-    u = LocalParam(2.5, -1.5)
-    pts = np.array([[2.5, -1.5], [0.0, 0.0], [3.5, -0.5], [1.0, -3.0], [5.0, 1.0]])
+    u = LocalParam(*u)
+    pts = DENSE_FORM_POINTS
     rho = lab_frame(fock_matrix(displaced_thermal(u, mu), trunc), u.angle)
     want = []
     for x, y in pts:
@@ -320,9 +349,16 @@ def test_heterodyne_pdf_matches_dense_quadratic_form(mu):
     np.testing.assert_allclose(heterodyne_pdf(pts, u, mu), want, rtol=0, atol=1e-14)
 
 
-@pytest.mark.parametrize("mu", [0.75, 1.0])
-def test_heterodyne_pdf_streams_points_in_chunks(mu, monkeypatch):
-    u = LocalParam(1.3, -0.7)
+@pytest.mark.parametrize(
+    "mu, u",
+    [
+        pytest.param(0.75, (1.3, -0.7), id="0.75"),
+        pytest.param(1.0, (1.3, -0.7), id="1.0"),
+        pytest.param(1.0, (0.0, 0.0), id="1.0-origin"),
+    ],
+)
+def test_heterodyne_pdf_streams_points_in_chunks(mu, u, monkeypatch):
+    u = LocalParam(*u)
     rng = np.random.default_rng(3)
     pts = rng.standard_normal((2 * PDF_CHUNK + 1, 2)) * 1.5 + [u.ux, u.uy]
     sizes = []
@@ -342,6 +378,28 @@ def test_heterodyne_pdf_streams_points_in_chunks(mu, monkeypatch):
     np.testing.assert_allclose(got[picks], single, rtol=0, atol=1e-15)
     monkeypatch.setattr(oscillator, "PDF_CHUNK", len(pts))
     np.testing.assert_allclose(got, heterodyne_pdf(pts, u, mu), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("mu", [0.75, 0.9, 1.0])
+def test_radial_density_matches_the_dense_closure_at_origin(mu, monkeypatch):
+    # a zero row under the diagonal core at u = 0 changes no density but
+    # makes the core non-square, which sends it down the dense closure
+    u, pts = LocalParam(0.0, 0.0), DENSE_FORM_POINTS
+    complex_amps = []
+    kernel = oscillator._coherent_rows
+
+    def spied(zeta, dim, out=None):
+        complex_amps.append(np.iscomplexobj(zeta))
+        return kernel(zeta, dim, out)
+
+    monkeypatch.setattr(oscillator, "_coherent_rows", spied)
+    radial = heterodyne_pdf_kernel(u, mu, len(pts))(pts)
+    state = displaced_thermal(u, mu)
+    padded = FockOperator(np.vstack([state.core, np.zeros(state.core.shape[1])]), state.deficit)
+    monkeypatch.setattr(oscillator, "displaced_thermal", lambda *_: padded)
+    dense = heterodyne_pdf_kernel(u, mu, len(pts))(pts)
+    assert complex_amps == [False, True]
+    np.testing.assert_allclose(radial, dense, rtol=0, atol=1e-15)
 
 
 def test_heterodyne_pdf_integrates_to_one():
