@@ -11,17 +11,19 @@ Three experiment families live here.
   baseline are closed forms.
 
 * Heterodyne estimation risk: the mean squared error of the coherent-state
-  POVM on the displaced thermal family, by quadrature through the polar
-  kernel (``oscillator.PolarHeterodyne``) or by seeded importance-sampling
-  Monte Carlo through the pointwise kernel ``heterodyne_pdf_kernel``, one
-  chunk of samples at a time.  At u = 0 the state's core is diagonal and
-  that kernel is a real radial sum over the samples' |u_hat|; elsewhere
-  it contracts the core with the samples' complex coherent rows.
+  POVM on the displaced thermal family.  The measurement is covariant, so
+  the outcome density at u_hat is the thermal state's at u_hat - u, a real
+  radial sum (``oscillator.heterodyne_pdf_kernel``), and the risk does not
+  depend on u.  It is taken by Gauss-Legendre quadrature over the distance
+  |u_hat - u|, or by seeded importance-sampling Monte Carlo over the
+  offsets u_hat - u, one chunk of samples at a time, through that one
+  kernel.
 
 * Covariant versus pulled-back heterodyne outcome densities on each spin
   block, and their total-variation distance.  The covariant density is a
-  closed form at each point.  The heterodyne side is the same polar kernel
-  on a grid centred at u, one cosine series in the grid angle per block.
+  closed form at each point.  A block's heterodyne density is not radial;
+  it comes from the polar kernel (``oscillator.PolarHeterodyne``) on a grid
+  centred at u, one cosine series in the grid angle per block.
 
 Outcome densities live on the plane of local parameters.  The covariant
 measurement's outcomes are sphere directions; they are pulled to the plane
@@ -32,7 +34,7 @@ through the polar angle theta = 2|u|/sqrt(n), which is injective for
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -45,6 +47,7 @@ from . import oscillator
 from .oscillator import (
     PolarGrid,
     PolarHeterodyne,
+    _gauss_legendre,
     displaced_thermal,
     heterodyne_pdf_kernel,
     polar_heterodyne,
@@ -151,34 +154,33 @@ class RiskEstimate:
     seed: int | None = None
 
 
-def heterodyne_estimation_risk(
-    mu: float,
-    u: LocalParam = LocalParam(0.0, 0.0),
-    mc: McSpec | None = None,
-) -> RiskEstimate:
+def heterodyne_estimation_risk(mu: float, mc: McSpec | None = None) -> RiskEstimate:
     """Mean squared error E||u_hat - u||^2 of the heterodyne measurement.
 
-    Deterministic quadrature of the computed outcome density by default, on
-    a polar grid of radius 8 sigma around u (``oscillator.polar_heterodyne``);
-    with ``mc`` given, importance sampling against a Gaussian proposal
-    instead.  The outcome density itself always comes from the displaced
-    thermal core, so neither path assumes the Gaussian closed form.
+    The outcome density is radial about u (``heterodyne_pdf_kernel``), so
+    the risk does not depend on u.  Deterministic quadrature over the
+    distance r in [0, 8 sigma] by default, Gauss-Legendre with weights
+    2 pi r dr; with ``mc`` given, importance sampling against a Gaussian
+    proposal instead.  The density always comes from the thermal weights,
+    so neither path assumes the Gaussian closed form.  Building the kernel
+    first rejects mu outside (1/2, 1] before any other work.
     """
     if mc is None:
+        density = heterodyne_pdf_kernel(mu, 160)
         sig = heterodyne_outcome_std(mu)
-        quad = PolarGrid(center=(u.ux, u.uy), radius=8.0 * sig, n_radial=160, n_angular=128)
-        core = displaced_thermal(u, mu).core
+        radius = 8.0 * sig
         moments = []
         # resolution estimate: repeat at half the radial order
-        for grid in (quad, replace(quad, n_radial=max(2, quad.n_radial // 2))):
-            pts, w = grid.nodes()
-            (dens,) = polar_heterodyne(grid, mu, core.shape[0]).densities((core,))
-            sq = (pts[:, 0] - u.ux) ** 2 + (pts[:, 1] - u.uy) ** 2
-            moments.append((float(np.sum(w * sq * dens)), float(np.sum(w * dens))))
+        for order in (160, 80):
+            x, wx = _gauss_legendre(order)
+            r = 0.5 * radius * (x + 1.0)
+            w = math.pi * radius * wx * r  # 2 pi r dr on [0, radius]
+            dens = density(r)
+            moments.append((float(np.sum(w * r * r * dens)), float(np.sum(w * dens))))
         (value, mass), (coarse, _) = moments
         resolution = abs(coarse - value)
-        tail = math.exp(-quad.radius ** 2 / (2.0 * sig * sig))
-        bound = resolution + tail * (quad.radius ** 2 + 4 * sig * sig) + (1.0 - mass) * quad.radius ** 2
+        tail = math.exp(-radius ** 2 / (2.0 * sig * sig))
+        bound = resolution + tail * (radius ** 2 + 4 * sig * sig) + (1.0 - mass) * radius ** 2
         if bound > 0.02 * max(value, 1e-12):
             raise AccuracyError(
                 f"quadrature risk error bound {bound:.3e} above 2% of value {value:.3e}"
@@ -189,9 +191,9 @@ def heterodyne_estimation_risk(
     vals = np.empty(mc.samples)
     weights = np.empty(mc.samples)
     start = 0
-    for pts, w in heterodyne_samples(mu, u, mc):
+    for off, w in heterodyne_samples(mu, mc):
         stop = start + len(w)
-        sq = (pts[:, 0] - u.ux) ** 2 + (pts[:, 1] - u.uy) ** 2
+        sq = off[:, 0] ** 2 + off[:, 1] ** 2
         np.multiply(sq, w, out=vals[start:stop])
         weights[start:stop] = w
         start = stop
@@ -208,27 +210,26 @@ def heterodyne_estimation_risk(
     )
 
 
-def heterodyne_samples(mu: float, u: LocalParam, mc: McSpec) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Importance-sampled outcome points and weights for the heterodyne
-    density, ``oscillator.PDF_CHUNK`` samples per yielded (points, weights) pair.
+def heterodyne_samples(mu: float, mc: McSpec) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Importance-sampled outcome offsets u_hat - u and their weights for the
+    heterodyne density, ``oscillator.PDF_CHUNK`` samples per yielded
+    (offsets, weights) pair.
 
-    The seeded normals are drawn a chunk at a time, which reproduces one
-    draw of all the samples exactly, and the density comes from one
-    ``heterodyne_pdf_kernel``, so its buffers are built once per call.  At
-    u = 0, as in every command-line risk, that kernel takes the radial path:
-    the samples' coherent rows are real, at sqrt(2 mu - 1) |u_hat|.
+    The density is radial about u (``heterodyne_pdf_kernel``), so the
+    proposal, the weights and the risk depend on the offsets alone, and no
+    u is needed.  The seeded normals are drawn a chunk at a time, which
+    reproduces one draw of all the samples exactly, and the kernel is built
+    once per call, with its one buffer of real coherent rows.
     """
-    rng = default_rng(mc.seed)
-    sig = heterodyne_outcome_std(mu)
-    sp = MC_PROPOSAL_SCALE * sig
-    center = np.array([u.ux, u.uy])
     chunk = oscillator.PDF_CHUNK
-    density = heterodyne_pdf_kernel(u, mu, min(chunk, mc.samples))
+    density = heterodyne_pdf_kernel(mu, min(chunk, mc.samples))
+    rng = default_rng(mc.seed)
+    sp = MC_PROPOSAL_SCALE * heterodyne_outcome_std(mu)
     for start in range(0, mc.samples, chunk):
-        pts = rng.standard_normal((min(chunk, mc.samples - start), 2)) * sp + center
-        sq = (pts[:, 0] - u.ux) ** 2 + (pts[:, 1] - u.uy) ** 2
+        off = rng.standard_normal((min(chunk, mc.samples - start), 2)) * sp
+        sq = off[:, 0] ** 2 + off[:, 1] ** 2
         proposal = np.exp(-sq / (2.0 * sp * sp)) / (2.0 * math.pi * sp * sp)
-        yield pts, density(pts) / proposal
+        yield off, density(np.hypot(off[:, 0], off[:, 1])) / proposal
 
 
 def injectivity_radius(n: int) -> float:

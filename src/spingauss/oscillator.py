@@ -35,9 +35,9 @@ from .qubit_model import effective_rank
 # at least 16, where ``stirling_remainder`` is its series, exact to rounding,
 # and even, so the anchors of a real amplitude carry no sign.
 COHERENT_ANCHOR = 16
-# Points per call of the pointwise density kernel (``heterodyne_pdf_kernel``):
-# its buffers are at most about 2 MiB each for the cores of the risk, whatever
-# the number of points.
+# Points per call of the radial density kernel (``heterodyne_pdf_kernel``):
+# its one buffer of real coherent rows is about 1 MiB for the 33 rows of
+# mu = 0.75, whatever the number of points.
 PDF_CHUNK = 4096
 
 
@@ -274,9 +274,12 @@ class PolarHeterodyne:
 
 def polar_heterodyne(grid: PolarGrid, mu: float, rows: int) -> PolarHeterodyne:
     """The ``PolarHeterodyne`` tables of ``grid``, centred at u, for cores of
-    at most ``rows`` rows.  D(z_c) is the real core M = D(|z_c|) in u's frame,
-    so D(-z_c) is M^T = S M S, S = diag((-1)^k): ``back`` is one signed
-    ``displacement_columns`` call, a column per core row, on the band it reaches."""
+    at most ``rows`` rows: the TV grid's kernel, since a spin block's density
+    is not radial about u, as the displaced thermal state's is
+    (``heterodyne_pdf_kernel``).  D(z_c) is the real core M = D(|z_c|) in
+    u's frame, so D(-z_c) is M^T = S M S, S = diag((-1)^k): ``back`` is one
+    signed ``displacement_columns`` call, a column per core row, on the band
+    it reaches."""
     u = LocalParam(*grid.center)
     radii, _, angles = grid.axes()
     s = math.sqrt(2.0 * mu - 1.0)
@@ -292,51 +295,27 @@ def polar_heterodyne(grid: PolarGrid, mu: float, rows: int) -> PolarHeterodyne:
     return PolarHeterodyne(mu, back, diag, cos)
 
 
-def heterodyne_pdf_kernel(u: LocalParam, mu: float, size: int) -> Callable[[np.ndarray], np.ndarray]:
-    """The outcome density Tr(phi^u h(u_hat)) as a function of one chunk of
-    at most ``size`` points, (g, 2) -> (g,).
+def heterodyne_pdf_kernel(mu: float, size: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The outcome density Tr(phi^u h(u_hat)) as a function of the distances
+    rho = |u_hat - u| of one chunk of at most ``size`` points, (g,) -> (g,).
 
-    The quadratic form is evaluated through the displaced thermal state's
-    stored real core, whose spectrum is cut at ``RANK_CUT``, and the path is
-    chosen from that core's structure alone.  A square diagonal core (the
-    state at u = 0, where the displacement is the identity) holds
-    phi = sum_k lambda_k |k><k|, so the density is
-    (2 mu - 1)/pi sum_k lambda_k R_k^2 with R_k the real coherent rows at
-    the real amplitude sqrt(2 mu - 1) |u_hat|: one real (rows, size) buffer
-    and a matrix-vector product.  Any other core takes the amplitudes into
-    its frame, u's (a coherent vector |z> there is |e^{-i psi} z>), and
-    their coherent rows, in real layout, run only over the core's rows, so
-    the contraction is one real product into two buffers: the coherent
-    rows, complex (rows, size), and the amplitudes core.T @ rows, real
-    (cols, 2 size).  The state and the buffers are built once, and a
-    chunk's result does not depend on how the points were cut into chunks.
+    The heterodyne measurement is covariant, D(z)^dag |w> = e^{i theta} |w - z>,
+    so the displaced thermal state's density at u_hat is the thermal state's
+    at u_hat - u, rank cut included, and that one is radial:
+    (2 mu - 1)/pi sum_k lambda_k R_k^2, with R_k the real coherent rows at
+    sqrt(2 mu - 1) rho and lambda_k the thermal weights cut at ``RANK_CUT``,
+    read off the diagonal core of the state at u = 0.  The rows fill one real
+    (rows, size) buffer, built once with the weights, and a chunk's result
+    does not depend on how the distances were cut into chunks.
     """
-    core = displaced_thermal(u, mu).core
+    lam = np.diagonal(displaced_thermal(LocalParam(0.0, 0.0), mu).core) ** 2
     scale = math.sqrt(2.0 * mu - 1.0)
     norm = (2.0 * mu - 1.0) / math.pi
-    diag = np.diagonal(core)
-    if core.shape[0] == core.shape[1] and np.array_equal(core, np.diag(diag)):
-        lam = diag ** 2
-        radial = np.empty((len(lam), size))
+    radial = np.empty((len(lam), size))
 
-        def radial_density(pts: np.ndarray) -> np.ndarray:
-            rows = _coherent_rows(scale * np.hypot(pts[:, 0], pts[:, 1]), len(lam), out=radial[:, : len(pts)])
-            return norm * (lam @ np.square(rows, out=rows))
-
-        return radial_density
-    core_t = core.T
-    rows = np.empty((core_t.shape[1], size), dtype=complex)
-    amps = np.empty((core_t.shape[0], 2 * size))
-    turn = complex(math.cos(u.angle), -math.sin(u.angle))
-
-    def density(pts: np.ndarray) -> np.ndarray:
-        g = len(pts)
-        z = scale * (-pts[:, 1] + 1j * pts[:, 0])
-        z *= turn
-        real_rows = _coherent_rows(z, rows.shape[0], out=rows[:, :g])
-        a = np.matmul(core_t, real_rows, out=amps[:, : 2 * g])
-        vals = np.einsum("kg,kg->g", a, a)
-        return norm * (vals[0::2] + vals[1::2])
+    def density(rho: np.ndarray) -> np.ndarray:
+        rows = _coherent_rows(scale * rho, len(lam), out=radial[:, : len(rho)])
+        return norm * (lam @ np.square(rows, out=rows))
 
     return density
 
@@ -344,12 +323,13 @@ def heterodyne_pdf_kernel(u: LocalParam, mu: float, size: int) -> Callable[[np.n
 def heterodyne_pdf(points, u: LocalParam, mu: float) -> np.ndarray:
     """Outcome density Tr(phi^u h(u_hat)) evaluated at an (G, 2) array of points.
 
-    The kernel ``heterodyne_pdf_kernel`` run over one call's points,
-    ``PDF_CHUNK`` at a time, so its buffers do not grow with G.
+    The kernel ``heterodyne_pdf_kernel`` run over the points' distances to u,
+    ``PDF_CHUNK`` at a time, so its buffer does not grow with G.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    density = heterodyne_pdf_kernel(u, mu, min(PDF_CHUNK, len(pts)))
-    out = np.empty(len(pts))
-    for start in range(0, len(pts), PDF_CHUNK):
-        out[start : start + PDF_CHUNK] = density(pts[start : start + PDF_CHUNK])
+    rho = np.hypot(pts[:, 0] - u.ux, pts[:, 1] - u.uy)
+    density = heterodyne_pdf_kernel(mu, min(PDF_CHUNK, len(rho)))
+    out = np.empty(len(rho))
+    for start in range(0, len(rho), PDF_CHUNK):
+        out[start : start + PDF_CHUNK] = density(rho[start : start + PDF_CHUNK])
     return out

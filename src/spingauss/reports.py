@@ -94,9 +94,20 @@ def write_report(report: RiskReport, path: str, fmt: str) -> None:
 
 
 def read_report(path: str) -> RiskReport:
-    """Read a report back from either emitted format (used by the plotter)."""
+    """Read a report back from either emitted format (used by the plotter).
+
+    A file that is not a well-formed report, down to a bad number or a
+    missing key, raises ``ConfigError``; only failing to open it is an
+    ``OSError``.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            return _parse_report(fh.read())
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ConfigError(f"malformed report {path}: {exc!r}") from exc
+
+
+def _parse_report(text: str) -> RiskReport:
     if text.lstrip().startswith("{"):
         payload = json.loads(text)
         rows = tuple(

@@ -199,6 +199,38 @@ def test_plot_deterministic_and_errors(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: config:")
 
 
+@pytest.mark.parametrize(
+    "case", ["csv-value", "json-truncated", "json-no-rows", "json-row-not-object", "json-config-not-object"]
+)
+def test_plot_malformed_report_is_a_config_error(case, tmp_path, capsys):
+    # a bad number, a cut-off file, a missing key and a value of the wrong
+    # type each exit 2 with one config line, not a traceback
+    fmt = case.split("-")[0]
+    good, bad = tmp_path / f"good.{fmt}", tmp_path / f"bad.{fmt}"
+    argv = ["convergence", "--n", "8,16", "--mu", "0.75", "--grid", "0", "--format", fmt]
+    assert run_cli(argv + ["--out", str(good)]) == 0
+    text = good.read_text(encoding="utf-8")
+    if case == "csv-value":
+        lines = text.splitlines()
+        fields = lines[-1].split(",")
+        fields[5] = "abc"
+        lines[-1] = ",".join(fields)
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    elif case == "json-truncated":
+        bad.write_text(text[: len(text) // 2], encoding="utf-8")
+    elif case == "json-no-rows":
+        bad.write_text('{"experiment": "convergence", "version": "0"}\n', encoding="utf-8")
+    elif case == "json-row-not-object":
+        bad.write_text('{"rows": [1, 2]}\n', encoding="utf-8")
+    else:
+        bad.write_text('{"config": ["mu"], "rows": []}\n', encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli(["plot", str(bad), "--out", str(tmp_path / "no.svg")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: config: malformed report")
+    assert not (tmp_path / "no.svg").exists()
+
+
 def test_report_roundtrip_read(tmp_path):
     out = tmp_path / "r.json"
     assert run_cli(["risk", "--mu", "0.9", "--format", "json", "--out", str(out)]) == 0

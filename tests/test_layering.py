@@ -22,11 +22,12 @@ the TV grid hold the one selection ``qubit_model.occurring_range`` makes.
 Every Gauss-Legendre rule comes from the one cached function
 ``oscillator._gauss_legendre``, every coherent row from the one kernel
 ``oscillator._coherent_rows`` (no other function of ``oscillator`` reads
-``stirling_remainder``, the anchor of its recurrence), and on a polar grid
-the heterodyne density comes from the polar kernel: ``measurements``
-evaluates the pointwise density (``heterodyne_pdf_kernel``, or
-``heterodyne_pdf`` over it) only at the Monte Carlo points, which lie on no
-grid.  Discrimination is a
+``stirling_remainder``, the anchor of its recurrence).  The heterodyne
+density has one kernel per experiment: in ``measurements`` only the risk
+(``heterodyne_estimation_risk``, ``heterodyne_samples``) calls the radial
+kernel ``heterodyne_pdf_kernel``, at the distances |u_hat - u|, and only
+the TV grid (``_tv_grid``) builds the polar kernel ``polar_heterodyne``,
+whose blocks are not radial.  Discrimination is a
 state against its own mirror: no module outside ``reference`` defines or
 calls a ``mirrored`` state, and ``measurements`` takes every discrimination
 trace norm from ``numerics.mirror_trace_norm``, never from the generic
@@ -209,16 +210,22 @@ def test_one_coherent_row_kernel():
     assert owners == {"_coherent_rows"}
 
 
-def test_only_the_monte_carlo_path_evaluates_the_pointwise_density():
+def test_one_radial_risk_kernel_and_one_polar_tv_kernel():
     tree = ast.parse((PACKAGE / "measurements.py").read_text(encoding="utf-8"))
-    callers = {
-        getattr(stmt, "name", None)
-        for stmt in tree.body
-        for node in ast.walk(stmt)
-        if isinstance(node, ast.Call)
-        and {"heterodyne_pdf", "heterodyne_pdf_kernel"} & referenced_names(node.func)
+
+    def callers(names):
+        return {
+            getattr(stmt, "name", None)
+            for stmt in tree.body
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Call) and names & referenced_names(node.func)
+        }
+
+    assert callers({"heterodyne_pdf", "heterodyne_pdf_kernel"}) == {
+        "heterodyne_estimation_risk",
+        "heterodyne_samples",
     }
-    assert callers == {"heterodyne_samples"}
+    assert callers({"polar_heterodyne", "PolarHeterodyne"}) == {"_tv_grid"}
 
 
 def defined_or_called(tree: ast.AST) -> set[str]:

@@ -238,14 +238,9 @@ def test_heterodyne_risk_quadrature_reference():
     assert heterodyne_risk_reference(1.0) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_heterodyne_risk_covariance_in_u():
-    r0 = heterodyne_estimation_risk(0.75, u=LocalParam(0, 0))
-    r1 = heterodyne_estimation_risk(0.75, u=LocalParam(1, 1))
-    assert abs(r0.value - r1.value) <= r0.error_bound + r1.error_bound + 1e-6
-
-
 def risk_grids(mu, u):
-    """The fine and coarse grids of the quadrature risk: radius 8 sigma around u."""
+    """2-D polar grids around u with the quadrature risk's radius, 8 sigma,
+    and its fine and coarse radial orders."""
     radius = 8.0 * heterodyne_outcome_std(mu)
     return [PolarGrid(center=(u.ux, u.uy), radius=radius, n_radial=k, n_angular=128) for k in (160, 80)]
 
@@ -253,21 +248,20 @@ def risk_grids(mu, u):
 @pytest.mark.parametrize("mu", [0.75, 0.9, 1.0])
 @pytest.mark.parametrize("u", [(0.0, 0.0), (0.3, -0.7), (2.0, 1.0)], ids=["origin", "near", "far"])
 def test_quadrature_risk_kernel_matches_pointwise_density(u, mu):
-    # the polar kernel against the pointwise density at every node of both
-    # risk grids, and the risk it gives against the same sums over the
-    # pointwise density
+    # the polar kernel against the pointwise density at every node of two
+    # 2-D grids around u, and the radial risk against the polar kernel's
+    # sums over those grids, an independent cross-check
     u = LocalParam(*u)
     core = displaced_thermal(u, mu).core
     moments = []
     for grid in risk_grids(mu, u):
         pts, w = grid.nodes()
         (dens,) = polar_heterodyne(grid, mu, core.shape[0]).densities((core,))
-        want = heterodyne_pdf(pts, u, mu)
-        np.testing.assert_allclose(dens, want, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(dens, heterodyne_pdf(pts, u, mu), rtol=0, atol=1e-15)
         sq = (pts[:, 0] - u.ux) ** 2 + (pts[:, 1] - u.uy) ** 2
-        moments.append((float(np.sum(w * sq * want)), float(np.sum(w * want))))
+        moments.append((float(np.sum(w * sq * dens)), float(np.sum(w * dens))))
     (value, mass), (coarse, _) = moments
-    est = heterodyne_estimation_risk(mu, u)
+    est = heterodyne_estimation_risk(mu)
     radius, sig = risk_grids(mu, u)[0].radius, heterodyne_outcome_std(mu)
     tail = math.exp(-radius ** 2 / (2.0 * sig * sig)) * (radius ** 2 + 4 * sig * sig)
     resolution = est.error_bound - tail - (1.0 - est.mass) * radius ** 2
@@ -309,41 +303,41 @@ def test_heterodyne_risk_monte_carlo_reproducible_and_consistent():
 
 
 def test_heterodyne_pdf_moments_match_derived_variance():
-    # importance-sampled moments of the computed outcome density, 3 sigma bands
+    # importance-sampled moments of the offsets u_hat - u under the computed
+    # outcome density, 3 sigma bands
     mu = 0.75
-    u = LocalParam(0.3, -0.2)
-    chunks = list(heterodyne_samples(mu, u, McSpec(seed=42, samples=200_000)))
-    pts = np.concatenate([p for p, _ in chunks])
+    chunks = list(heterodyne_samples(mu, McSpec(seed=42, samples=200_000)))
+    off = np.concatenate([p for p, _ in chunks])
     w = np.concatenate([w for _, w in chunks])
     m = len(w)
-    mean = (w[:, None] * pts).sum(axis=0) / m
-    err_mean = 3 * np.sqrt(((w[:, None] * pts).std(axis=0, ddof=1) ** 2) / m)
-    assert abs(mean[0] - u.ux) < err_mean[0] and abs(mean[1] - u.uy) < err_mean[1]
+    mean = (w[:, None] * off).sum(axis=0) / m
+    err_mean = 3 * np.sqrt(((w[:, None] * off).std(axis=0, ddof=1) ** 2) / m)
+    assert abs(mean[0]) < err_mean[0] and abs(mean[1]) < err_mean[1]
     var_ref = mu / (2 * (2 * mu - 1) ** 2)
-    for axis, center in ((0, u.ux), (1, u.uy)):
-        sq = w * (pts[:, axis] - center) ** 2
+    for axis in (0, 1):
+        sq = w * off[:, axis] ** 2
         var = sq.mean()
         assert abs(var - var_ref) < 3 * sq.std(ddof=1) / math.sqrt(m)
     assert abs(w.mean() - 1.0) < 3 * w.std(ddof=1) / math.sqrt(m)
 
 
-@pytest.mark.parametrize("u", [(0.0, 0.0), (0.4, -0.3)], ids=["origin", "off"])
-def test_monte_carlo_risk_does_not_depend_on_the_chunk(u, monkeypatch):
+def test_monte_carlo_risk_does_not_depend_on_the_chunk(monkeypatch):
     # chunked normal draws reproduce one draw of every sample, and each
     # sample's weight is computed alone, so the estimate is the same to the bit
-    u, mc = LocalParam(*u), McSpec(seed=9, samples=10_001)
+    mc = McSpec(seed=9, samples=10_001)
     chunks = []
     for chunk in (7, oscillator.PDF_CHUNK, mc.samples, 4 * mc.samples):
         monkeypatch.setattr(oscillator, "PDF_CHUNK", chunk)
-        sizes = [len(w) for _, w in heterodyne_samples(0.75, u, mc)]
+        sizes = [len(w) for _, w in heterodyne_samples(0.75, mc)]
         assert sum(sizes) == mc.samples and max(sizes) == min(chunk, mc.samples)
-        chunks.append(heterodyne_estimation_risk(0.75, u, mc=mc))
+        chunks.append(heterodyne_estimation_risk(0.75, mc=mc))
     assert all(est == chunks[0] for est in chunks)
 
 
 def test_monte_carlo_risk_at_the_origin_takes_real_coherent_rows(monkeypatch):
-    # at u = 0 the core is diagonal and the density a radial sum: no sample
-    # reaches the coherent-row kernel as a complex amplitude
+    # the density is the thermal one at |u_hat - u|, a radial sum: neither
+    # risk path, nor the pointwise density at any u, hands the coherent-row
+    # kernel a complex amplitude
     dtypes = []
     kernel = oscillator._coherent_rows
 
@@ -352,9 +346,26 @@ def test_monte_carlo_risk_at_the_origin_takes_real_coherent_rows(monkeypatch):
         return kernel(zeta, dim, out)
 
     monkeypatch.setattr(oscillator, "_coherent_rows", spied)
+    pts = [[0.0, 0.0], [0.9, -0.3], [-6.5, 8.0]]
     for mu in (0.75, 0.9, 1.0):
-        heterodyne_estimation_risk(mu, mc=McSpec(seed=5, samples=5_000))
-    assert dtypes and set(dtypes) == {np.dtype(float)}
+        runs = [
+            lambda: heterodyne_estimation_risk(mu, mc=McSpec(seed=5, samples=5_000)),
+            lambda: heterodyne_estimation_risk(mu),
+            lambda: heterodyne_pdf(pts, LocalParam(0.4, -0.3), mu),
+            lambda: heterodyne_pdf(pts, LocalParam(-6.0, 8.0), mu),
+        ]
+        for run in runs:
+            dtypes.clear()
+            run()
+            assert dtypes and set(dtypes) == {np.dtype(float)}
+
+
+@pytest.mark.parametrize("mu", [0.5, 0.3, 1.5, math.nan])
+@pytest.mark.parametrize("mc", [None, McSpec(seed=1, samples=100)], ids=["quadrature", "monte-carlo"])
+def test_heterodyne_risk_rejects_mu_outside_its_domain(mu, mc):
+    # checked before the outcome std 1/(2 mu - 1) or the grid radius is formed
+    with pytest.raises(DomainError, match=r"mu must lie in \(1/2, 1\]"):
+        heterodyne_estimation_risk(mu, mc=mc)
 
 
 @pytest.mark.parametrize(

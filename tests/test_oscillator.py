@@ -13,14 +13,12 @@ from spingauss.numerics import mirror_rows, trace_norm
 from spingauss.oscillator import (
     PDF_CHUNK,
     FockTruncation,
-    FockOperator,
     PolarGrid,
     _coherent_rows,
     coherent_coefficients,
     displaced_thermal,
     displacement_columns,
     heterodyne_pdf,
-    heterodyne_pdf_kernel,
 )
 from spingauss.reference import (
     coherent_state,
@@ -114,7 +112,7 @@ def closed_form_rows(z, dim, turn):
 
 
 def turned(z, turn):
-    """The amplitudes z in the frame of ``turn``, as ``heterodyne_pdf`` turns them."""
+    """The amplitudes z in the frame of ``turn``: |z> there is |e^{-i turn} z>."""
     return np.asarray(z, dtype=complex) * complex(math.cos(turn), -math.sin(turn))
 
 
@@ -324,6 +322,8 @@ def test_heterodyne_pdf_gaussian_oracle():
 
 
 DENSE_FORM_POINTS = np.array([[2.5, -1.5], [0.0, 0.0], [3.5, -0.5], [1.0, -3.0], [5.0, 1.0]])
+# offsets from u in units of the outcome std, all within 3 sigma
+DENSE_FORM_OFFSETS = np.array([[0.0, 0.0], [1.0, 0.0], [-0.6, 1.8], [2.1, -2.1], [0.0, -3.0]])
 
 
 @pytest.mark.parametrize(
@@ -332,16 +332,25 @@ DENSE_FORM_POINTS = np.array([[2.5, -1.5], [0.0, 0.0], [3.5, -0.5], [1.0, -3.0],
         pytest.param(0.75, (2.5, -1.5), id="0.75"),
         pytest.param(0.9, (2.5, -1.5), id="0.9"),
         pytest.param(1.0, (2.5, -1.5), id="1.0"),
-        # the 1x1 diagonal core of the radial path
+        # the 1x1 core of the pure state
         pytest.param(1.0, (0.0, 0.0), id="1.0-origin"),
+        # the radial kernel sees only |u_hat - u|: covariance against the
+        # displaced core, which at |u| = 10 reaches about 250 rows
+        pytest.param(0.75, (-3.0, 4.0), id="0.75-far"),
+        pytest.param(0.75, (6.0, -8.0), id="0.75-farther"),
+        pytest.param(1.0, (-3.0, 4.0), id="1.0-far"),
+        pytest.param(1.0, (6.0, -8.0), id="1.0-farther"),
     ],
 )
 def test_heterodyne_pdf_matches_dense_quadratic_form(mu, u):
-    # oracle: (2mu-1)/pi <z|rho|z> with the dense matrix over all levels
-    trunc = FockTruncation(140)
+    # oracle: (2mu-1)/pi <z|rho|z> with the dense matrix over every row of
+    # the displaced thermal core, and at least 140
     u = LocalParam(*u)
-    pts = DENSE_FORM_POINTS
-    rho = lab_frame(fock_matrix(displaced_thermal(u, mu), trunc), u.angle)
+    phi = displaced_thermal(u, mu)
+    trunc = FockTruncation(max(140, phi.core.shape[0]))
+    sig = math.sqrt(mu / 2) / (2 * mu - 1)
+    pts = np.vstack([DENSE_FORM_POINTS, [u.ux, u.uy] + sig * DENSE_FORM_OFFSETS])
+    rho = lab_frame(fock_matrix(phi, trunc), u.angle)
     want = []
     for x, y in pts:
         c = coherent_coefficients(math.sqrt(2 * mu - 1) * complex(-y, x), trunc.dim)
@@ -378,28 +387,6 @@ def test_heterodyne_pdf_streams_points_in_chunks(mu, u, monkeypatch):
     np.testing.assert_allclose(got[picks], single, rtol=0, atol=1e-15)
     monkeypatch.setattr(oscillator, "PDF_CHUNK", len(pts))
     np.testing.assert_allclose(got, heterodyne_pdf(pts, u, mu), rtol=0, atol=1e-15)
-
-
-@pytest.mark.parametrize("mu", [0.75, 0.9, 1.0])
-def test_radial_density_matches_the_dense_closure_at_origin(mu, monkeypatch):
-    # a zero row under the diagonal core at u = 0 changes no density but
-    # makes the core non-square, which sends it down the dense closure
-    u, pts = LocalParam(0.0, 0.0), DENSE_FORM_POINTS
-    complex_amps = []
-    kernel = oscillator._coherent_rows
-
-    def spied(zeta, dim, out=None):
-        complex_amps.append(np.iscomplexobj(zeta))
-        return kernel(zeta, dim, out)
-
-    monkeypatch.setattr(oscillator, "_coherent_rows", spied)
-    radial = heterodyne_pdf_kernel(u, mu, len(pts))(pts)
-    state = displaced_thermal(u, mu)
-    padded = FockOperator(np.vstack([state.core, np.zeros(state.core.shape[1])]), state.deficit)
-    monkeypatch.setattr(oscillator, "displaced_thermal", lambda *_: padded)
-    dense = heterodyne_pdf_kernel(u, mu, len(pts))(pts)
-    assert complex_amps == [False, True]
-    np.testing.assert_allclose(radial, dense, rtol=0, atol=1e-15)
 
 
 def test_heterodyne_pdf_integrates_to_one():
