@@ -18,9 +18,11 @@ columns of U_j(u) as a real core: they are Krawtchouk functions, which the
 column kernel ``numerics.three_term_columns`` runs from the spin coherent
 vector.  ``rotation_walk`` returns those cores for a whole range of spins at
 one rotation: it starts with one ``rotation_columns`` call at the lowest spin
-and climbs in half-steps of j by Clebsch-Gordan coupling to one more qubit,
-so the blocks of one (n, u) share a single kernel call.  The dense U_j(u) is
-``spingauss.reference.rotation_unitary``.
+and climbs in whole steps of j, coupling two more qubits at a time
+(``_whole_step``), so the blocks of one (n, u) share a single kernel call
+and every step lands on a spin the range keeps.  The dense U_j(u) is
+``spingauss.reference.rotation_unitary``, and the half-step walk that
+couples one qubit at a time is ``spingauss.reference.half_step_walk``.
 """
 
 from __future__ import annotations
@@ -170,35 +172,42 @@ def rotation_columns(j: HalfInteger, radius: float, cols: int) -> np.ndarray:
     return -core if twoj * (int(turns) + mirror) % 2 else core
 
 
-def _half_step(prev: np.ndarray, twoj: int, c: float, s: float, cols: int) -> np.ndarray:
-    """The core of spin j = twoj/2 from the core ``prev`` of spin j - 1/2.
+def _whole_step(prev: np.ndarray, twoj: int, d1: np.ndarray, cols: int) -> np.ndarray:
+    """The core of spin j + 1 = twoj/2 from the core ``prev`` of spin j.
 
-    Coupling one more qubit, |j, j-k> = a_k |j-1/2, j-1/2-k>|up> +
-    b_k |j-1/2, j+1/2-k>|down> with a_k = sqrt((2j-k)/2j), b_k = sqrt(k/2j),
-    and the qubit's core [[c, -s], [s, c]] give
+    The symmetric states of T = twoj qubits couple the symmetric states of
+    the first T - 2 with those of the last two: with x qubits down,
+    |T, x> = sum_q alpha_{x,q} |T - 2, x - q> |2, q>, where
+    alpha_{x,q}^2 = C(T - 2, x - q) C(2, q) / C(T, x), that is
+    (T - x)(T - 1 - x), 2x(T - x) and x(x - 1) over T(T - 1) for q = 0, 1, 2.
+    The pair turns by ``d1``, the symmetric square of the qubit core
+    [[c, -s], [s, c]], so
 
-        M[l, k] = a_l (c a_k M'[l, k] - s b_k M'[l, k-1])
-                  + b_l (s a_k M'[l-1, k] + c b_k M'[l-1, k-1]).
+        M[l, k] = sum_{q, q'} alpha_{l,q} alpha_{k,q'} d1[q, q'] M'[l - q, k - q'].
 
     ``prev`` holds the leading rows of M' (missing rows are zero), so the
-    result reaches one row further; it keeps min(cols, 2j + 1) columns, and
-    a column of M' past its last is zero through a_{2j} = 0.
+    result reaches two rows further; it keeps min(cols, T + 1) columns, and
+    a column of M' out of its range is zero.  The rows of M' never pass
+    2j + 1 = T - 1, so x never passes T and no alpha^2 is negative.
     """
     rows, have = prev.shape
     width = min(cols, twoj + 1)
-    k = np.arange(max(rows + 1, width))
-    a = np.sqrt((twoj - k) / twoj)
-    b = np.sqrt(k / twoj)
-    if have < width:
-        wide = np.zeros((rows, have + 1))
-        wide[:, :have] = prev
-        prev = wide
-    up = prev * a[:width]
-    down = np.zeros((rows, width))
-    down[:, 1:] = prev[:, : width - 1] * b[1:width]
-    out = np.zeros((rows + 1, width))
-    out[:rows] = a[:rows, None] * (c * up - s * down)
-    out[1:] += b[1 : rows + 1, None] * (s * up + c * down)
+    x = np.arange(max(rows + 2, width))
+    tx = twoj - x
+    alpha = np.sqrt(np.array([tx * (tx - 1), 2 * x * tx, x * (x - 1)]) / (twoj * (twoj - 1.0)))
+    # the columns: plane q' holds alpha_{k,q'} M'[r, k - q'], and one
+    # product with d1 mixes the three
+    shifted = np.zeros((3, rows, width))
+    for q in range(3):
+        h = max(0, min(have, width - q))
+        np.multiply(prev[:, :h], alpha[q, q : q + h], out=shifted[q, :, q : q + h])
+    mixed = (d1 @ shifted.reshape(3, -1)).reshape(3, rows, width)
+    # the rows: plane q, scaled by alpha_{l,q}, lands q rows down
+    out = np.zeros((rows + 2, width))
+    for q in range(3):
+        plane = mixed[q]
+        plane *= alpha[q, q : q + rows, None]
+        out[q : q + rows] += plane
     return out
 
 
@@ -208,27 +217,30 @@ def rotation_walk(lo: int, hi: int, radius: float, cols: int) -> tuple[list[np.n
 
     Each core is, to rounding, the one ``rotation_columns`` returns, in the
     same frame, w's, on the rows it reaches.  One ``rotation_columns`` call
-    gives the core at 2j = lo, so lo = hi is exactly that call; each
-    half-step up in j is ``_half_step`` (Risbo's recursion, J. Geodesy 70,
-    383, 1996), and only the spins of lo's parity are kept.  After every
-    step the trailing rows below ``numerics.WALK_TRIM`` are trimmed.  The
-    second value is the mass the trimming dropped, summed over all steps:
-    it bounds the trace any returned column lost to it.
+    gives the core at 2j = lo, so lo = hi is exactly that call; each whole
+    step up in j is ``_whole_step``, which couples two more qubits at once
+    and lands on the next spin of lo's parity (the two-qubit form of Risbo's
+    recursion, J. Geodesy 70, 383, 1996).  After every step the trailing
+    rows below ``numerics.WALK_TRIM`` are trimmed.  The second value is the
+    mass the trimming dropped, summed over all steps: it bounds the trace
+    any returned column lost to it.
     """
     if not 0 <= lo <= hi or (hi - lo) % 2:
         raise DomainError(f"spin range 2j = {lo}..{hi} is not a same-parity range")
     c, s = math.cos(radius), math.sin(radius)
+    cs = math.sqrt(2.0) * c * s
+    d1 = np.array([[c * c, -cs, s * s], [cs, c * c - s * s, -cs], [s * s, cs, c * c]])
     core = rotation_columns(HalfInteger(lo), radius, cols)
     cores = [core]
     trimmed = 0.0
-    for twoj in range(lo + 1, hi + 1):
-        core, mass = trim_rows(_half_step(core, twoj, c, s, cols))
+    for twoj in range(lo + 2, hi + 1, 2):
+        core, mass = trim_rows(_whole_step(core, twoj, d1, cols))
         # every column of U_j is a unit vector: rescaling to it keeps the
-        # rounding of c^2 + s^2 = 1, the same every step, from compounding
-        core /= np.sqrt(np.einsum("ij,ij->j", core, core))
+        # rounding of c^2 + s^2 = 1, the same every step, from compounding;
+        # out of place, so a kept core holds only the rows it keeps
+        core = core / np.sqrt(np.einsum("ij,ij->j", core, core))
         trimmed += mass
-        if (twoj - lo) % 2 == 0:
-            cores.append(core)
+        cores.append(core)
     return cores, trimmed
 
 

@@ -121,12 +121,18 @@ def position_measurement_risk(u: LocalParam) -> float:
 
 
 def heterodyne_risk_reference(mu: float) -> float:
-    """Derived closed form mu/(2 mu - 1)^2 for the heterodyne mean square error."""
+    """Derived closed form mu/(2 mu - 1)^2 for the heterodyne mean square
+    error; mu outside (1/2, 1] raises ``DomainError``, as the risk does."""
+    if not 0.5 < mu <= 1.0:
+        raise DomainError(f"mu must lie in (1/2, 1], got {mu!r}")
     return mu / (2.0 * mu - 1.0) ** 2
 
 
 def heterodyne_outcome_std(mu: float) -> float:
-    """Per-axis standard deviation sqrt(mu/2)/(2 mu - 1) of the outcome density."""
+    """Per-axis standard deviation sqrt(mu/2)/(2 mu - 1) of the outcome
+    density; mu outside (1/2, 1] raises ``DomainError``, as the risk does."""
+    if not 0.5 < mu <= 1.0:
+        raise DomainError(f"mu must lie in (1/2, 1], got {mu!r}")
     return math.sqrt(mu / 2.0) / (2.0 * mu - 1.0)
 
 
@@ -416,8 +422,9 @@ def _tv_estimate(params: ModelParams, u: LocalParam) -> TvEstimate:
     The blocks go ``TV_CHUNK`` at a time through ``_block_density_pair``,
     and each chunk's (blocks, nodes) densities are reduced to per-block
     integrals by one ``np.sum(..., axis=1)`` per statistic (each row summed
-    as ``np.sum`` sums it alone); the block weights are then accumulated
-    one block at a time, in order.
+    as ``np.sum`` sums it alone); the difference is formed in place, so a
+    chunk holds its two density arrays and one product at most.  The block
+    weights are then accumulated one block at a time, in order.
     """
     tv = _tv_grid(params, u, default_tv_grid(params.mu, u, params.n))
     w = tv.weights
@@ -428,9 +435,14 @@ def _tv_estimate(params: ModelParams, u: LocalParam) -> TvEstimate:
     for start in range(0, len(tv.blocks), TV_CHUNK):
         chunk = tv.blocks[start : start + TV_CHUNK]
         dens_m, dens_h = _block_density_pair(tv, chunk)
-        diff = np.sum(w * np.abs(dens_m - dens_h), axis=1)
         cov = np.sum(w * dens_m, axis=1)
         het = np.sum(w * dens_h, axis=1)
+        # |dens_m - dens_h| w is formed in dens_m, and dens_h dropped first
+        np.subtract(dens_m, dens_h, out=dens_m)
+        del dens_h
+        np.abs(dens_m, out=dens_m)
+        dens_m *= w
+        diff = np.sum(dens_m, axis=1)
         for k, block in enumerate(chunk):
             bw = block.weight
             grid_term += bw * float(diff[k])

@@ -11,11 +11,14 @@ The blocks of weight above NEGLIGIBLE_WEIGHT are one contiguous range of
 weight of the rest as its ``skipped``, which every distance counts at the
 worst case.  This module alone makes that selection and rotates blocks
 (``rotated_blocks``): one ``irreps.rotation_walk`` per range and u, at
-|u|/sqrt(n), gives every core.  A rotated block is stored as a low-rank
-factor: the unrotated block has spectrum proportional to p^k, so the
-eigenvalues below RANK_CUT are dropped and rho_j ~ F F^dag with F the
-rotated leading columns scaled by the square roots of the kept
-eigenvalues.  The dropped trace is recorded per block.
+|u|/sqrt(n), gives every core.  The blocks of one range differ in 2j by
+2, so the walk climbs from one to the next in whole steps of j, coupling
+two more qubits at a time, and builds no core it does not keep.  A
+rotated block is stored as a low-rank factor: the unrotated block has
+spectrum proportional to p^k, so the eigenvalues below RANK_CUT are
+dropped and rho_j ~ F F^dag with F the rotated leading columns scaled by
+the square roots of the kept eigenvalues.  The dropped trace is recorded
+per block.
 
 The frame.  rho^0 is diagonal, so turning u in the plane by an angle a
 conjugates each block by exp(-i a J_z) (the oscillator state by

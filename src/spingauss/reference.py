@@ -12,8 +12,10 @@ path there.  The tests compare the factor path against them.  The Chebyshev
 propagator (``tridiagonal_propagator``, with its Bessel coefficients) that
 ``numerics.three_term_columns`` replaced is here too, as the oracle for the
 real rotation and displacement cores at sizes the dense routes cannot
-reach.  No other module of the package imports this one, so the command
-line never loads it.
+reach, and so is the walk that ``irreps.rotation_walk`` replaced
+(``half_step_walk``), which climbs in half-steps of j, one qubit at a
+time, where the walk takes whole steps of two.  No other module of the
+package imports this one, so the command line never loads it.
 
 States built here are factor-form ``FockOperator`` objects, so their
 ``matrix`` is rebuilt on access like every other state's: a thermal state
@@ -35,7 +37,7 @@ import numpy as np
 from .errors import AccuracyError, DomainError, TruncationError, ValidationError
 from .irreps import HalfInteger, LocalParam
 from .measurements import BinaryTestResult, injectivity_radius, plane_jacobian
-from .numerics import HERMITICITY_RTOL, as_square_matrix
+from .numerics import HERMITICITY_RTOL, as_square_matrix, trim_rows
 from .oscillator import (
     FockOperator,
     FockTruncation,
@@ -304,10 +306,68 @@ def rotation_unitary(j: HalfInteger, u: LocalParam) -> np.ndarray:
     """U_j(u): unitary exp of the collective rotation generator.
 
     Dense route through an eigendecomposition of the (2j+1)-dimensional
-    generator, the reference for ``irreps.rotation_columns`` and
-    ``irreps.rotation_walk``.
+    generator, the reference for ``irreps.rotation_columns`` and the whole
+    steps of ``irreps.rotation_walk``.
     """
     return unitary_exp(rotation_generator(j, u))
+
+
+def _half_step(prev: np.ndarray, twoj: int, c: float, s: float, cols: int) -> np.ndarray:
+    """The core of spin j = twoj/2 from the core ``prev`` of spin j - 1/2.
+
+    Coupling one more qubit, |j, j-k> = a_k |j-1/2, j-1/2-k>|up> +
+    b_k |j-1/2, j+1/2-k>|down> with a_k = sqrt((2j-k)/2j), b_k = sqrt(k/2j),
+    and the qubit's core [[c, -s], [s, c]] give
+
+        M[l, k] = a_l (c a_k M'[l, k] - s b_k M'[l, k-1])
+                  + b_l (s a_k M'[l-1, k] + c b_k M'[l-1, k-1]).
+
+    ``prev`` holds the leading rows of M' (missing rows are zero), so the
+    result reaches one row further; it keeps min(cols, 2j + 1) columns, and
+    a column of M' past its last is zero through a_{2j} = 0.
+    """
+    rows, have = prev.shape
+    width = min(cols, twoj + 1)
+    k = np.arange(max(rows + 1, width))
+    a = np.sqrt((twoj - k) / twoj)
+    b = np.sqrt(k / twoj)
+    if have < width:
+        wide = np.zeros((rows, have + 1))
+        wide[:, :have] = prev
+        prev = wide
+    up = prev * a[:width]
+    down = np.zeros((rows, width))
+    down[:, 1:] = prev[:, : width - 1] * b[1:width]
+    out = np.zeros((rows + 1, width))
+    out[:rows] = a[:rows, None] * (c * up - s * down)
+    out[1:] += b[1 : rows + 1, None] * (s * up + c * down)
+    return out
+
+
+def half_step_walk(
+    start: np.ndarray, lo: int, hi: int, radius: float, cols: int
+) -> tuple[list[np.ndarray], float]:
+    """The cores of U_j(w)[:, :min(cols, 2j + 1)] for 2j = lo, lo + 2, ..., hi
+    at |w| = ``radius``, from ``start``, the core at 2j = lo.
+
+    The walk that the whole steps of ``irreps.rotation_walk`` replaced,
+    kept as its oracle: it climbs in half-steps of j by coupling one qubit
+    at a time (``_half_step``, Risbo's recursion, J. Geodesy 70, 383,
+    1996), keeps only the spins of lo's parity, and trims and rescales
+    after every half-step.  ``start = np.ones((1, 1))`` at lo = 0 needs no kernel at
+    all.  The second value is the mass trimmed over all half-steps.
+    """
+    c, s = math.cos(radius), math.sin(radius)
+    core = start
+    cores = [core]
+    trimmed = 0.0
+    for twoj in range(lo + 1, hi + 1):
+        core, mass = trim_rows(_half_step(core, twoj, c, s, cols))
+        core /= np.sqrt(np.einsum("ij,ij->j", core, core))
+        trimmed += mass
+        if (twoj - lo) % 2 == 0:
+            cores.append(core)
+    return cores, trimmed
 
 
 def block_state_zero(params: ModelParams, j: HalfInteger) -> np.ndarray:

@@ -4,10 +4,19 @@ import numpy as np
 import pytest
 
 from spingauss.errors import DomainError
+import spingauss.irreps as irreps
 from spingauss.irreps import HalfInteger, LocalParam, rotation_columns, rotation_walk, spin_coherent_coords
-from spingauss.qubit_model import NEGLIGIBLE_WEIGHT, ModelParams, block_weight, effective_rank, valid_spins
+from spingauss.qubit_model import (
+    NEGLIGIBLE_WEIGHT,
+    ModelParams,
+    block_weight,
+    effective_rank,
+    occurring_range,
+    valid_spins,
+)
 from spingauss.reference import (
     _spin_coherent_rows,
+    half_step_walk,
     lab_frame,
     ladder_ops,
     rotation_generator,
@@ -235,6 +244,63 @@ def test_rotation_walk_matches_propagator_over_included_blocks(n, radius):
         want = rotation_columns(included[k], w, cols)
         rows = max(want.shape[0], cores[k].shape[0])
         np.testing.assert_allclose(padded(cores[k], rows), padded(want, rows), rtol=0, atol=1e-13)
+
+
+def assert_cores_agree(got, want):
+    rows = max(got.shape[0], want.shape[0])
+    assert got.shape[1] == want.shape[1]
+    np.testing.assert_allclose(padded(got, rows), padded(want, rows), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("lo", [0, 1, 6, 9])
+@pytest.mark.parametrize("w", [1e-6, 0.05, 0.7, 1.2, 1.5])
+def test_rotation_walk_matches_each_block_and_the_half_step_walk(lo, w):
+    # 20 columns > 2 lo + 1, so the width grows during the walk; the
+    # half-step oracle starts from the same core, and at lo = 0 also from
+    # the bare 1 x 1 core of spin 0, with no kernel call at all
+    hi, cols = lo + 40, 20
+    cores, trimmed = rotation_walk(lo, hi, w, cols)
+    start = rotation_columns(HalfInteger(lo), w, cols)
+    oracle, oracle_trimmed = half_step_walk(start, lo, hi, w, cols)
+    assert len(cores) == len(oracle) == (hi - lo) // 2 + 1
+    assert trimmed < 1e-30 and oracle_trimmed < 1e-30
+    for twoj, core, old in zip(range(lo, hi + 1, 2), cores, oracle):
+        assert core.shape[1] == min(cols, twoj + 1)
+        assert_cores_agree(core, rotation_columns(HalfInteger(twoj), w, cols))
+        assert_cores_agree(core, old)
+    if lo == 0:
+        bare, _ = half_step_walk(np.ones((1, 1)), 0, hi, w, cols)
+        for core, old in zip(cores, bare):
+            assert_cores_agree(core, old)
+
+
+def test_rotation_walk_matches_each_block_at_n_65536():
+    # the range an ensemble rotates at n = 65536, mu = 0.75: 1616 whole
+    # steps, checked where the rounding has gathered most
+    params = ModelParams(65536, 0.75)
+    lo, hi, _ = occurring_range(params)
+    w, cols = 1.41 / 256, effective_rank(params.p)
+    cores, trimmed = rotation_walk(lo, hi, w, cols)
+    oracle, _ = half_step_walk(rotation_columns(HalfInteger(lo), w, cols), lo, hi, w, cols)
+    assert len(cores) == len(oracle) == (hi - lo) // 2 + 1
+    assert trimmed < 1e-30
+    for k in (len(cores) // 2, len(cores) - 1):
+        assert_cores_agree(cores[k], rotation_columns(HalfInteger(lo + 2 * k), w, cols))
+        assert_cores_agree(cores[k], oracle[k])
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 0), (7, 7), (0, 12), (5, 17), (296, 712)])
+def test_rotation_walk_takes_one_step_per_kept_spin(monkeypatch, lo, hi):
+    steps = []
+    step = irreps._whole_step
+
+    def spy(prev, twoj, *args):
+        steps.append(twoj)
+        return step(prev, twoj, *args)
+
+    monkeypatch.setattr(irreps, "_whole_step", spy)
+    rotation_walk(lo, hi, 0.02, 33)
+    assert steps == list(range(lo + 2, hi + 1, 2))
 
 
 def test_rotation_mirror_identity():

@@ -13,7 +13,8 @@ each is stored in the frame of the u it was built at, so no field,
 parameter, keyword or attribute read is named ``psi``.  Every rotation and
 displacement column comes from the one column kernel,
 ``numerics.three_term_columns``: the Chebyshev propagator and its Bessel
-coefficients are named only in ``reference``, as oracles.  Only ``irreps``
+coefficients are named only in ``reference``, as oracles, and so is the
+half-step walk that the whole-step ``rotation_walk`` replaced.  Only ``irreps``
 runs the rotation kernel ``rotation_columns``: every other module takes its
 blocks from one ``rotation_walk`` per (n, u), so no per-block kernel loop
 can return.  Only ``qubit_model`` selects and rotates blocks: no other module
@@ -160,7 +161,14 @@ def test_only_irreps_references_the_rotation_propagator():
     assert offenders == []
 
 
-ORACLE_ONLY = {"tridiagonal_propagator", "bessel_j", "propagator_degree", "displacement_core"}
+ORACLE_ONLY = {
+    "tridiagonal_propagator",
+    "bessel_j",
+    "propagator_degree",
+    "displacement_core",
+    "_half_step",
+    "half_step_walk",
+}
 
 
 def test_only_reference_names_the_chebyshev_propagator():

@@ -368,6 +368,15 @@ def test_heterodyne_risk_rejects_mu_outside_its_domain(mu, mc):
         heterodyne_estimation_risk(mu, mc=mc)
 
 
+@pytest.mark.parametrize("mu", [0.5, 0.3, 1.5, math.nan])
+@pytest.mark.parametrize("closed_form", [heterodyne_outcome_std, heterodyne_risk_reference])
+def test_heterodyne_closed_forms_reject_mu_outside_the_risks_domain(mu, closed_form):
+    # without the check 0.3 gives a negative std, 0.5 divides by zero and
+    # nan passes through
+    with pytest.raises(DomainError, match=r"mu must lie in \(1/2, 1\]"):
+        closed_form(mu)
+
+
 @pytest.mark.parametrize(
     "seed, samples",
     [(1, 1), (1, 0), (-1, 10), (1, -5), (1, 2.0), (1.5, 10), ("1", 10), (1, None), (True, 10), (1, np.float64(3))],
@@ -678,10 +687,12 @@ def test_trimmed_contraction_matches_full_size_on_risk_grids(u, mu):
 
 def test_trimmed_contraction_runs_on_the_rows_g_keeps(monkeypatch):
     # on the bench's n = 1024 point every re-centred core keeps at most 60
-    # of the 102 rows of back, and the batched product runs on those alone
+    # of the 103 rows of back, and the batched product runs on those alone
+    # (back has a column per row of the longest block core, so its rows
+    # follow the rows the walk's trimming keeps)
     n, mu, u = 1024, 0.75, LocalParam(-0.783814, -0.251648)
     tv = _tv_grid(ModelParams(n, mu), u, default_tv_grid(mu, u, n))
-    assert tv.heterodyne.back.shape[0] == 102
+    assert tv.heterodyne.back.shape[0] == 103
     shapes = []
 
     class Spy:
