@@ -18,7 +18,6 @@ from .errors import (
     ConfigError,
     DomainError,
     SpinGaussError,
-    TruncationError,
     ValidationError,
 )
 from .irreps import HalfInteger, LocalParam, spin_coherent_coords
@@ -28,15 +27,12 @@ from .oscillator import (
     FockTruncation,
     PolarGrid,
     displaced_thermal,
-    heterodyne_pdf,
 )
 from .qubit_model import (
     BlockState,
     EnsembleState,
     ModelParams,
     block_weight,
-    binomial_factor,
-    binomial_factor_closed_form,
     concentration_set,
     concentration_weight,
     ensemble,
@@ -51,8 +47,6 @@ from .channels import (
     coherent_vector_distance,
     composition_defect,
     convergence_sweep,
-    ensemble_distance,
-    forward_channel,
     inverse_channel,
 )
 from .measurements import (
@@ -65,7 +59,6 @@ from .measurements import (
     heterodyne_risk_reference,
     heterodyne_samples,
     limit_discrimination,
-    measurement_tv_distance,
     measurement_tv_sweep,
     position_measurement_risk,
 )

@@ -2,10 +2,14 @@
 
 The forward channel embeds every spin block into the oscillator's number
 basis (|j, m> -> |j - m>, the identity on array indices in this package's
-conventions) and mixes the embedded blocks with their weights.  The inverse
+conventions) and mixes the embedded blocks with their weights.  The sweep
+takes its output as one summed corner on the rows the blocks reach
+(``_forward_corner``); the same matrix as a factor, the cores side by side,
+is the test oracle ``spingauss.reference.forward_channel``.  The inverse
 channel block-projects an oscillator state back onto each spin block and
 routes whatever mass lies outside the block's image to the highest weight
-vector |j, j>, which keeps it trace preserving and deterministic.
+vector |j, j>, which keeps it trace preserving and deterministic.  The
+distance between two ensembles is ``qubit_model.ensemble_difference``.
 
 The convergence experiments evaluate trace-norm distances on a finite grid of
 local parameters; a true supremum is never computed and the grid is recorded
@@ -25,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ValidationError
 from .irreps import HalfInteger, LocalParam, spin_coherent_coords
 from .numerics import coherent_row_support, factor_difference_eigvals, trace_norm
 from .oscillator import (
@@ -57,23 +62,6 @@ def _forward_corner(ens: EnsembleState) -> np.ndarray:
     return out
 
 
-def forward_channel(ens: EnsembleState) -> FockOperator:
-    """Weighted sum of every embedded block.
-
-    The block embedding is the identity on indices, so the result is in
-    factor form: the cores sqrt(w_j) core_j side by side, in the ensemble's
-    frame, on the rows the largest core reaches.  Its deficit is
-    the weighted trace the blocks' rank cuts dropped plus the ensemble's
-    skipped weight, since ||sum_j w_j rho_j||_1 <= sum_j w_j.
-    """
-    rows = max(b.core.shape[0] for b in ens.blocks)
-    core = np.hstack(
-        [np.pad(math.sqrt(b.weight) * b.core, ((0, rows - b.core.shape[0]), (0, 0))) for b in ens.blocks]
-    )
-    deficit = sum(b.weight * b.discarded for b in ens.blocks) + ens.skipped
-    return FockOperator(core, deficit=deficit)
-
-
 def inverse_channel(phi: FockOperator, params: ModelParams) -> EnsembleState:
     """Map an oscillator state to a block-diagonal ensemble with the model weights.
 
@@ -100,15 +88,6 @@ def inverse_channel(phi: FockOperator, params: ModelParams) -> EnsembleState:
             core = np.hstack([core, column])
         blocks.append(BlockState(j, weights[twoj // 2], core))
     return EnsembleState(params, tuple(blocks), skipped)
-
-
-def ensemble_distance(a: EnsembleState, b: EnsembleState) -> float:
-    """Trace-norm distance between two ensembles sharing block structure.
-
-    The weighted sum of block trace norms (``ensemble_difference``); the
-    skipped weight counts at the worst case 2 * skipped.
-    """
-    return ensemble_difference(a, b).trace_norm
 
 
 def coherent_vector_distance(j: HalfInteger, u: LocalParam, n: int) -> float:
@@ -189,13 +168,22 @@ class ConvergenceRecord:
 
 @dataclass(frozen=True)
 class SweepSettings:
-    """Configuration of a convergence sweep."""
+    """Configuration of a convergence sweep: at least one n and one u, and an
+    integer number of workers >= 1."""
 
     mu: float
     n_values: tuple[int, ...]
     u_grid: tuple[LocalParam, ...]
     epsilon: float = 0.1
     workers: int = 1
+
+    def __post_init__(self):
+        w = self.workers
+        if isinstance(w, bool) or not isinstance(w, (int, np.integer)) or w < 1:
+            raise ValidationError(f"sweep workers must be an integer >= 1, got {w!r}")
+        for name in ("n_values", "u_grid"):
+            if not getattr(self, name):
+                raise ValidationError(f"sweep {name} must not be empty")
 
 
 def _sweep_point(args) -> PointStats:
@@ -236,12 +224,11 @@ def _sweep_point(args) -> PointStats:
 def convergence_sweep(settings: SweepSettings) -> list[ConvergenceRecord]:
     """Run the forward/reverse distance experiment over the (n, u) grid."""
     tasks = [(settings, n, u) for n in settings.n_values for u in settings.u_grid]
-    workers = settings.workers or 1
-    if workers > 1:
+    if settings.workers > 1:
         # imported here, so a serial run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
+        with ProcessPoolExecutor(max_workers=min(settings.workers, os.cpu_count() or 1)) as pool:
             stats = list(pool.map(_sweep_point, tasks, chunksize=1))
     else:
         stats = [_sweep_point(t) for t in tasks]

@@ -71,7 +71,9 @@ def _scalar(name: str, conv: Callable[[str], object], ok: Callable[[object], boo
 
 
 def _list(name: str, conv: Callable[[str], object], ok: Callable[[object], bool], rule: str):
-    """Parser of a comma list, each value converted by ``conv`` and checked by ``ok``."""
+    """Parser of a comma list of distinct values, each converted by ``conv``
+    and checked by ``ok``: a repeated value would repeat every report row it
+    reaches."""
 
     def parse(text: str) -> list:
         try:
@@ -80,7 +82,10 @@ def _list(name: str, conv: Callable[[str], object], ok: Callable[[object], bool]
             raise ConfigError(f"invalid {name} list {text!r}") from exc
         if not vals:
             raise ConfigError(f"empty {name} list")
-        return [_check(name, val, ok, rule) for val in vals]
+        vals = [_check(name, val, ok, rule) for val in vals]
+        if len(set(vals)) < len(vals):
+            raise ConfigError(f"repeated value in {name} list {text!r}")
+        return vals
 
     return parse
 

@@ -13,10 +13,6 @@ class DomainError(SpinGaussError):
     """A parameter lies outside the mathematical domain of the requested quantity."""
 
 
-class TruncationError(SpinGaussError):
-    """The Fock-space cutoff is too small for the requested accuracy."""
-
-
 class AccuracyError(SpinGaussError):
     """A quadrature or Monte Carlo estimate cannot meet the requested accuracy."""
 

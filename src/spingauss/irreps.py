@@ -47,13 +47,6 @@ class HalfInteger:
             raise DomainError(f"twoj must be a nonnegative integer, got {self.twoj!r}")
         object.__setattr__(self, "twoj", int(self.twoj))
 
-    @classmethod
-    def from_value(cls, j: float) -> "HalfInteger":
-        twoj = round(2 * j)
-        if abs(2 * j - twoj) > 1e-9:
-            raise DomainError(f"{j!r} is not a half-integer")
-        return cls(twoj)
-
     @property
     def value(self) -> float:
         return self.twoj / 2.0

@@ -23,7 +23,8 @@ Three experiment families live here.
   block, and their total-variation distance.  The covariant density is a
   closed form at each point.  A block's heterodyne density is not radial;
   it comes from the polar kernel (``oscillator.PolarHeterodyne``) on a grid
-  centred at u, one cosine series in the grid angle per block.
+  centred at u, one cosine series in the grid angle per block.  A single
+  (n, u) is ``measurement_tv_sweep`` over one n and one u.
 
 Outcome densities live on the plane of local parameters.  The covariant
 measurement's outcomes are sphere directions; they are pulled to the plane
@@ -383,14 +384,6 @@ def _block_density_pair(
     """
     dens_m = tv.covariant.densities([b.j.twoj for b in blocks])
     return dens_m, tv.heterodyne.densities([b.core for b in blocks])
-
-
-def measurement_tv_distance(params: ModelParams, u: LocalParam) -> TvEstimate:
-    """Weighted total variation between the two outcome densities at one (n, u).
-
-    The sweep kernel run over a single point; see ``measurement_tv_sweep``.
-    """
-    return measurement_tv_sweep(params.mu, (params.n,), (u,), params.epsilon)[0]
 
 
 def measurement_tv_sweep(

@@ -14,6 +14,11 @@ state carries is the rank cut of its spectrum.  Its trace is the state's
 ``deficit``: p^r for the displaced thermal state, the closed form of the
 thermal weights past the effective rank r, as
 ``qubit_model.discarded_weight`` gives for a block.
+
+The heterodyne outcome density has two kernels: the radial
+``heterodyne_pdf_kernel`` at the distances |u_hat - u|, for the displaced
+thermal state, which the risk runs, and the polar ``polar_heterodyne`` on a
+grid centred at u, for the spin blocks, which are not radial.
 """
 
 from __future__ import annotations
@@ -35,9 +40,10 @@ from .qubit_model import effective_rank
 # at least 16, where ``stirling_remainder`` is its series, exact to rounding,
 # and even, so the anchors of a real amplitude carry no sign.
 COHERENT_ANCHOR = 16
-# Points per call of the radial density kernel (``heterodyne_pdf_kernel``):
-# its one buffer of real coherent rows is about 1 MiB for the 33 rows of
-# mu = 0.75, whatever the number of points.
+# Samples per call of the radial density kernel (``heterodyne_pdf_kernel``)
+# in the Monte Carlo risk (``measurements.heterodyne_samples``): its one
+# buffer of real coherent rows is about 1 MiB for the 33 rows of mu = 0.75,
+# whatever the number of samples.
 PDF_CHUNK = 4096
 
 
@@ -319,17 +325,3 @@ def heterodyne_pdf_kernel(mu: float, size: int) -> Callable[[np.ndarray], np.nda
 
     return density
 
-
-def heterodyne_pdf(points, u: LocalParam, mu: float) -> np.ndarray:
-    """Outcome density Tr(phi^u h(u_hat)) evaluated at an (G, 2) array of points.
-
-    The kernel ``heterodyne_pdf_kernel`` run over the points' distances to u,
-    ``PDF_CHUNK`` at a time, so its buffer does not grow with G.
-    """
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    rho = np.hypot(pts[:, 0] - u.ux, pts[:, 1] - u.uy)
-    density = heterodyne_pdf_kernel(mu, min(PDF_CHUNK, len(rho)))
-    out = np.empty(len(rho))
-    for start in range(0, len(rho), PDF_CHUNK):
-        out[start : start + PDF_CHUNK] = density(rho[start : start + PDF_CHUNK])
-    return out

@@ -262,33 +262,6 @@ def block_weights(params: ModelParams) -> tuple[float, ...]:
     return tuple(np.minimum(np.exp(_log_block_weights(params, twoj)), 1.0).tolist())
 
 
-def binomial_factor(params: ModelParams, j: HalfInteger) -> float:
-    """Ratio of the block weight to the binomial mass B_{n,mu}(n/2+j).
-
-    Recomputed from the two log-space quantities; the closed form below is the
-    independent route the tests compare against.
-    """
-    if params.mu == 1.0:
-        raise DomainError("binomial factor needs mu < 1")
-    logw = log_block_weight(params, j)
-    # B_{n,mu}(n/2 + j) = B_{n,1-mu}(n/2 - j)
-    log_b = float(_log_binomial_pmf(params.n, (params.n - j.twoj) // 2, 1.0 - params.mu))
-    return math.exp(logw - log_b)
-
-
-def binomial_factor_closed_form(params: ModelParams, j: HalfInteger) -> float:
-    """The correction factor in closed form, finite and positive for valid (n, j)."""
-    if params.mu == 1.0:
-        raise DomainError("binomial factor needs mu < 1")
-    n, mu, p = params.n, params.mu, params.p
-    jn = spin_center(params)
-    t = (j.twoj + 1) * math.log(p) if p > 0 else -math.inf
-    tail = -math.expm1(t) if t > -700.0 else 1.0
-    num = n + (2.0 * (j.value - jn) + 1.0) / (2.0 * mu - 1.0)
-    den = n + (j.value - jn + 1.0) / mu
-    return tail * num / den
-
-
 def concentration_set(params: ModelParams) -> tuple[HalfInteger, ...]:
     """Parity-valid spins within n^(1/2+epsilon) of the center n(mu - 1/2)."""
     jn = spin_center(params)

@@ -14,8 +14,11 @@ propagator (``tridiagonal_propagator``, with its Bessel coefficients) that
 real rotation and displacement cores at sizes the dense routes cannot
 reach, and so is the walk that ``irreps.rotation_walk`` replaced
 (``half_step_walk``), which climbs in half-steps of j, one qubit at a
-time, where the walk takes whole steps of two.  No other module of the
-package imports this one, so the command line never loads it.
+time, where the walk takes whole steps of two.  So are the forward channel
+as one factor (``forward_channel``), which the round-trip tests feed to
+``channels.inverse_channel``, and the binomial factor of a block weight
+(``binomial_factor``).  No other module of the package imports this one,
+so the command line never loads it.
 
 States built here are factor-form ``FockOperator`` objects, so their
 ``matrix`` is rebuilt on access like every other state's: a thermal state
@@ -34,7 +37,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, TruncationError, ValidationError
+from .errors import AccuracyError, DomainError, SpinGaussError, ValidationError
 from .irreps import HalfInteger, LocalParam
 from .measurements import BinaryTestResult, injectivity_radius, plane_jacobian
 from .numerics import HERMITICITY_RTOL, as_square_matrix, trim_rows
@@ -45,7 +48,15 @@ from .oscillator import (
     _coherent_rows,
     coherent_coefficients,
 )
-from .qubit_model import ModelParams, _check_spin, _log_binomial_pmf, block_spectrum
+from .qubit_model import (
+    EnsembleState,
+    ModelParams,
+    _check_spin,
+    _log_binomial_pmf,
+    block_spectrum,
+    log_block_weight,
+    spin_center,
+)
 
 # Negative eigenvalues of nominally PSD matrices down to this are clamped to
 # zero; anything below is treated as a genuinely invalid state.
@@ -56,6 +67,10 @@ CHEBYSHEV_TOL = 1e-18
 # The propagator sums its Chebyshev terms in chunks of at most this many
 # bytes, so its memory does not grow with the series degree.
 PROPAGATOR_CHUNK_BYTES = 16 * 2**20
+
+
+class TruncationError(SpinGaussError):
+    """A dense oracle's Fock cutoff is too small for the requested accuracy."""
 
 
 def lab_frame(a, angle: float) -> np.ndarray:
@@ -387,6 +402,51 @@ def block_state(params: ModelParams, j: HalfInteger, u: LocalParam) -> np.ndarra
         return rho0
     um = rotation_unitary(j, u.scaled(1.0 / math.sqrt(params.n)))
     return um @ rho0 @ um.conj().T
+
+
+def binomial_factor(params: ModelParams, j: HalfInteger) -> float:
+    """Ratio of the block weight to the binomial mass B_{n,mu}(n/2+j).
+
+    Recomputed from the two log-space quantities; ``binomial_factor_closed_form``
+    is the independent route the tests compare against.
+    """
+    if params.mu == 1.0:
+        raise DomainError("binomial factor needs mu < 1")
+    logw = log_block_weight(params, j)
+    # B_{n,mu}(n/2 + j) = B_{n,1-mu}(n/2 - j)
+    log_b = float(_log_binomial_pmf(params.n, (params.n - j.twoj) // 2, 1.0 - params.mu))
+    return math.exp(logw - log_b)
+
+
+def binomial_factor_closed_form(params: ModelParams, j: HalfInteger) -> float:
+    """The correction factor in closed form, finite and positive for valid (n, j)."""
+    if params.mu == 1.0:
+        raise DomainError("binomial factor needs mu < 1")
+    n, mu, p = params.n, params.mu, params.p
+    jn = spin_center(params)
+    t = (j.twoj + 1) * math.log(p) if p > 0 else -math.inf
+    tail = -math.expm1(t) if t > -700.0 else 1.0
+    num = n + (2.0 * (j.value - jn) + 1.0) / (2.0 * mu - 1.0)
+    den = n + (j.value - jn + 1.0) / mu
+    return tail * num / den
+
+
+def forward_channel(ens: EnsembleState) -> FockOperator:
+    """Weighted sum of every embedded block, as one factor.
+
+    The block embedding is the identity on indices, so the result is the
+    cores sqrt(w_j) core_j side by side, in the ensemble's frame, on the
+    rows the largest core reaches: the factor form of what
+    ``channels._forward_corner`` sums, which the inverse channel can take
+    back.  Its deficit is the weighted trace the blocks' rank cuts dropped
+    plus the ensemble's skipped weight, since ||sum_j w_j rho_j||_1 <= sum_j w_j.
+    """
+    rows = max(b.core.shape[0] for b in ens.blocks)
+    core = np.hstack(
+        [np.pad(math.sqrt(b.weight) * b.core, ((0, rows - b.core.shape[0]), (0, 0))) for b in ens.blocks]
+    )
+    deficit = sum(b.weight * b.discarded for b in ens.blocks) + ens.skipped
+    return FockOperator(core, deficit=deficit)
 
 
 def fock_matrix(op: FockOperator, trunc: FockTruncation) -> np.ndarray:

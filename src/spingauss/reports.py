@@ -180,7 +180,7 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#1
 
 
 def render_svg(report: RiskReport, statistic: str) -> str:
-    """Log-x line plot of one statistic, one polyline per local parameter.
+    """Log-x line plot of one statistic, one polyline per (mu, u) series.
 
     Pure function of the parsed rows: equal reports give byte-equal files.
     """
@@ -189,9 +189,9 @@ def render_svg(report: RiskReport, statistic: str) -> str:
     rows = [r for r in report.rows if r.statistic == statistic and r.n > 0]
     if len(rows) < 2:
         raise ConfigError(f"need at least 2 rows of statistic {statistic!r} to plot")
-    series: dict[tuple[float, float], list[ReportRow]] = {}
+    series: dict[tuple[float, float, float], list[ReportRow]] = {}
     for r in rows:
-        series.setdefault((r.u_x, r.u_y), []).append(r)
+        series.setdefault((r.mu, r.u_x, r.u_y), []).append(r)
     for key in series:
         series[key] = sorted(series[key], key=lambda r: r.n)
     width, height = 640.0, 420.0
@@ -258,7 +258,7 @@ def render_svg(report: RiskReport, statistic: str) -> str:
         )
         parts.append(
             f'<text x="{width - mr + 26}" y="{ly + 1}" font-family="monospace" font-size="11">'
-            f"u=({key[0]:g},{key[1]:g})</text>"
+            f"mu={key[0]:g} u=({key[1]:g},{key[2]:g})</text>"
         )
     parts.append(
         f'<text x="{(ml + width - mr) / 2:.2f}" y="{height - 12}" font-family="monospace" '

@@ -12,11 +12,9 @@ from spingauss.channels import (
     coherent_vector_distance,
     composition_defect,
     convergence_sweep,
-    ensemble_distance,
-    forward_channel,
     inverse_channel,
 )
-from spingauss.errors import DomainError, TruncationError
+from spingauss.errors import DomainError, ValidationError
 from spingauss.measurements import finite_n_discrimination
 from spingauss.irreps import HalfInteger, LocalParam
 from spingauss.numerics import factor_difference_eigvals, mirror_rows, trace_norm
@@ -29,17 +27,20 @@ from spingauss.qubit_model import (
     concentration_set,
     effective_rank,
     ensemble,
+    ensemble_difference,
     occurring_range,
     valid_spins,
 )
 from spingauss.reference import (
     EmbeddingMap,
+    TruncationError,
     block_state,
     block_state_zero,
     displacement_amplitude,
     displacement_operator,
     embed_block,
     fock_matrix,
+    forward_channel,
     inverse_channel_block,
     lab_frame,
     rotation_unitary,
@@ -173,9 +174,9 @@ def test_inverse_channel_builds_the_occurring_blocks(n, monkeypatch):
         return
     # built over every spin instead, the reverse distance moves by at most
     # the 2 * skipped the occurring blocks charge for the rest
-    reverse = ensemble_distance(ens, back)
+    reverse = ensemble_difference(ens, back).trace_norm
     monkeypatch.setattr(qubit_model, "NEGLIGIBLE_WEIGHT", 0.0)
-    every = ensemble_distance(ensemble(params, u), inverse_channel(phi, params))
+    every = ensemble_difference(ensemble(params, u), inverse_channel(phi, params)).trace_norm
     assert len(inverse_channel(phi, params).blocks) == len(valid_spins(n))
     assert reverse - 2.0 * skipped - 1e-15 <= every <= reverse + 1e-15
     assert every < reverse
@@ -204,10 +205,10 @@ def test_round_trip_through_both_channels():
     trunc = FockTruncation(16)
     fwd = forward_channel(ens)
     back = inverse_channel(fwd, params)
-    round_trip = ensemble_distance(ens, back)
+    round_trip = ensemble_difference(ens, back).trace_norm
     phi = thermal_state(params.p, trunc)
     leg_forward = trace_norm(fock_matrix(fwd, trunc) - phi.matrix)
-    leg_reverse = ensemble_distance(ens, inverse_channel(phi, params))
+    leg_reverse = ensemble_difference(ens, inverse_channel(phi, params)).trace_norm
     assert round_trip <= leg_forward + leg_reverse + 1e-12
     assert round_trip < 0.1
 
@@ -348,6 +349,17 @@ def test_sweep_parallel_workers_match_serial():
         assert a.reverse_sup == b.reverse_sup
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("workers", 0), ("workers", -1), ("workers", 1.5), ("workers", True), ("n_values", ()), ("u_grid", ())],
+)
+def test_sweep_settings_reject_invalid_fields(field, value):
+    # workers = 0 used to run serially, and an empty grid crashed in max()
+    valid = dict(mu=0.75, n_values=(4,), u_grid=(LocalParam(0.3, 0.2),))
+    with pytest.raises(ValidationError, match=field):
+        SweepSettings(**{**valid, field: value})
+
+
 def test_sweep_pure_case_zero_distance_at_origin():
     settings = SweepSettings(mu=1.0, n_values=(64,), u_grid=(LocalParam(0, 0),))
     rec = convergence_sweep(settings)[0]
@@ -372,7 +384,7 @@ def test_ensemble_distance_zero_and_symmetry():
     params = ModelParams(6, 0.8)
     ua, ub = LocalParam(0.3, 0.1), LocalParam(-0.2, 0.5)
     a, b = ensemble(params, ua), ensemble(params, ub)
-    assert ensemble_distance(a, a) == 0.0
+    assert ensemble_difference(a, a).trace_norm == 0.0
 
     def dense(x, ux, y, uy):
         return sum(
@@ -383,9 +395,9 @@ def test_ensemble_distance_zero_and_symmetry():
     ab = dense(a, ua, b, ub)
     assert ab > 0.1 and ab == pytest.approx(dense(b, ub, a, ua), abs=1e-14)
     a_mirror = replace(a, blocks=tuple(replace(b, core=mirror_rows(b.core)) for b in a.blocks))
-    mirror = ensemble_distance(a, a_mirror)
+    mirror = ensemble_difference(a, a_mirror).trace_norm
     assert mirror == pytest.approx(dense(a, ua, ensemble(params, -ua), -ua), abs=1e-13)
-    assert ensemble_distance(a_mirror, a) == pytest.approx(mirror, abs=1e-14)
+    assert ensemble_difference(a_mirror, a).trace_norm == pytest.approx(mirror, abs=1e-14)
 
 
 def dense_sweep_point(settings, n, u):

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 
 import pytest
 
@@ -199,6 +200,23 @@ def test_plot_deterministic_and_errors(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: config:")
 
 
+def test_plot_draws_one_line_per_mu_and_u(tmp_path):
+    # each polyline runs along n; two mu at one u must not share a line
+    report = tmp_path / "conv.csv"
+    assert run_cli(
+        ["convergence", "--n", "4,8,16", "--mu", "0.75,0.9", "--grid", "0.3,0.2", "--out", str(report)]
+    ) == 0
+    svg = tmp_path / "conv.svg"
+    assert run_cli(["plot", str(report), "--statistic", "forward_distance", "--out", str(svg)]) == 0
+    text = svg.read_text(encoding="utf-8")
+    lines = re.findall(r'<polyline points="([^"]*)"', text)
+    assert len(lines) == 2
+    for points in lines:
+        xs = [float(pt.split(",")[0]) for pt in points.split()]
+        assert len(xs) == 3 and xs == sorted(set(xs))
+    assert "mu=0.75 u=(0.3,0.2)" in text and "mu=0.9 u=(0.3,0.2)" in text
+
+
 @pytest.mark.parametrize(
     "case", ["csv-value", "json-truncated", "json-no-rows", "json-row-not-object", "json-config-not-object"]
 )
@@ -253,11 +271,17 @@ def test_report_roundtrip_read(tmp_path):
         ["risk", "--samples", "100", "--seed", "-1"],
         ["risk", "--samples", "-5"],
         ["risk", "--samples", "1"],
+        ["convergence", "--n", "4,4", "--grid=0.3,0.2"],
+        ["measure-compare", "--n", "16,8,16", "--grid=0.3,0.2"],
+        ["discriminate", "--n", "4", "--mu", "0.75,0.75", "--grid=0.3,0.2"],
+        ["convergence", "--n", "4", "--mu", "0.75,0.750", "--grid=0.3,0.2"],
+        ["risk", "--mu", "0.9,1,0.9"],
     ],
 )
 def test_malformed_or_out_of_range_scalar_is_config_error(argv, capsys):
     # each value is rejected before any experiment runs, never a traceback,
-    # a silent fallback (serial run, quadrature) or a nan bound
+    # a silent fallback (serial run, quadrature) or a nan bound; a value
+    # repeated in a list would repeat every report row it reaches
     assert run_cli(argv) == 2
     assert capsys.readouterr().err.startswith("error: config:")
 

@@ -28,11 +28,8 @@ from spingauss.reference import (
 def test_half_integer_basics():
     j = HalfInteger(3)
     assert j.value == 1.5 and j.dim == 4 and str(j) == "3/2"
-    assert HalfInteger.from_value(2.0) == HalfInteger(4)
     with pytest.raises(DomainError):
         HalfInteger(-1)
-    with pytest.raises(DomainError):
-        HalfInteger.from_value(0.3)
 
 
 def test_local_param_alpha_and_angle():

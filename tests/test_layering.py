@@ -32,13 +32,18 @@ whose blocks are not radial.  Discrimination is a
 state against its own mirror: no module outside ``reference`` defines or
 calls a ``mirrored`` state, and ``measurements`` takes every discrimination
 trace norm from ``numerics.mirror_trace_norm``, never from the generic
-``factor_difference_eigvals``.
+``factor_difference_eigvals``.  And no name outside ``reference`` lacks a
+production caller: every top-level function or class, and every public
+method or property, of a module other than ``reference`` and
+``__init__`` is used by some other statement of those modules, or stands
+in ``WITHOUT_CALLER`` with the reason it stays.
 """
 
 import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import spingauss
@@ -138,17 +143,22 @@ def test_no_state_outside_reference_carries_a_gauge_angle():
     assert offenders == {}
 
 
-def referenced_names(tree: ast.AST) -> set[str]:
-    """Every name ``tree`` uses, reads as an attribute or imports."""
-    names = set()
+def name_uses(tree: ast.AST) -> Counter:
+    """How often ``tree`` uses each name, reads it as an attribute or imports it."""
+    uses = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            uses[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            uses[node.attr] += 1
         elif isinstance(node, ast.alias):
-            names.add(node.name.rsplit(".", 1)[-1])
-    return names
+            uses[node.name.rsplit(".", 1)[-1]] += 1
+    return uses
+
+
+def referenced_names(tree: ast.AST) -> set[str]:
+    """Every name ``tree`` uses, reads as an attribute or imports."""
+    return set(name_uses(tree))
 
 
 def test_only_irreps_references_the_rotation_propagator():
@@ -229,7 +239,7 @@ def test_one_radial_risk_kernel_and_one_polar_tv_kernel():
             if isinstance(node, ast.Call) and names & referenced_names(node.func)
         }
 
-    assert callers({"heterodyne_pdf", "heterodyne_pdf_kernel"}) == {
+    assert callers({"heterodyne_pdf_kernel"}) == {
         "heterodyne_estimation_risk",
         "heterodyne_samples",
     }
@@ -260,6 +270,57 @@ def test_discrimination_takes_no_generic_pair_kernel():
     tree = ast.parse((PACKAGE / "measurements.py").read_text(encoding="utf-8"))
     assert "factor_difference_eigvals" not in defined_or_called(tree)
     assert "mirror_trace_norm" in defined_or_called(tree)
+
+
+# Names no other statement outside ``reference`` and ``__init__`` uses, and
+# why each stays; any other such name fails the gate below, and so does an
+# entry here that has gained a caller or is gone.
+WITHOUT_CALLER = {
+    "channels.coherent_vector_distance": "README lemma API: the coherent-vector limit",
+    "channels.composition_defect": "README lemma API: the rotation composition limit",
+    "qubit_model.multiplicity": "README lemma API: the exact block multiplicity",
+    "qubit_model.log_multiplicity": "README lemma API: the block multiplicity in log space",
+    "qubit_model.concentration_weight": "README lemma API: the weight of the concentration set",
+    "qubit_model.block_weight": "single-spin read of the one block weight table",
+    "qubit_model.log_block_weight": "single-spin read of the block weight in log space",
+    "oscillator.FockOperator.matrix": "the dense view every reference oracle's result is compared through",
+    "qubit_model.BlockState.matrix": "read by bench/spans.py (_ensemble) until ROADMAP item 1's run trace replaces it",
+    "oscillator.FockOperator.trunc": "read by bench/spans.py (_dim_max) until ROADMAP item 1's run trace replaces it",
+}
+
+
+def definitions(tree: ast.Module):
+    """(qualified name, node) of every top-level function or class of
+    ``tree`` and every public method or property of its classes."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield stmt.name, stmt
+        if isinstance(stmt, ast.ClassDef):
+            for item in stmt.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_"):
+                    yield f"{stmt.name}.{item.name}", item
+
+
+def test_every_name_outside_reference_has_a_caller():
+    # a name counts as used when some statement other than its own
+    # definition names it; matching is by bare name, so a method counts as
+    # used if any attribute of that name is read
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name not in ("reference.py", "__init__.py")
+    }
+    uses = sum((name_uses(tree) for tree in trees.values()), Counter())
+    without_caller = {
+        f"{module}.{qualname}"
+        for module, tree in trees.items()
+        for qualname, node in definitions(tree)
+        if uses[node.name] == name_uses(node)[node.name]
+    }
+    unlisted = sorted(without_caller - WITHOUT_CALLER.keys())
+    assert not unlisted, f"no production caller: {', '.join(unlisted)}"
+    stale = sorted(WITHOUT_CALLER.keys() - without_caller)
+    assert not stale, f"listed in WITHOUT_CALLER, but used or gone: {', '.join(stale)}"
 
 
 def package_env() -> dict[str, str]:

@@ -18,7 +18,6 @@ from spingauss.measurements import (
     heterodyne_samples,
     injectivity_radius,
     limit_discrimination,
-    measurement_tv_distance,
     measurement_tv_sweep,
     position_measurement_risk,
 )
@@ -34,7 +33,7 @@ from spingauss.oscillator import (
     PolarGrid,
     _coherent_rows,
     displaced_thermal,
-    heterodyne_pdf,
+    heterodyne_pdf_kernel,
     polar_heterodyne,
 )
 from spingauss import oscillator, qubit_model, reference
@@ -238,6 +237,14 @@ def test_heterodyne_risk_quadrature_reference():
     assert heterodyne_risk_reference(1.0) == pytest.approx(1.0, abs=1e-12)
 
 
+def pdf_at_points(points, u, mu):
+    """The radial kernel ``heterodyne_pdf_kernel`` at the distances of an
+    (G, 2) array of points to u: the outcome density at those points."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    rho = np.hypot(pts[:, 0] - u.ux, pts[:, 1] - u.uy)
+    return heterodyne_pdf_kernel(mu, len(rho))(rho)
+
+
 def risk_grids(mu, u):
     """2-D polar grids around u with the quadrature risk's radius, 8 sigma,
     and its fine and coarse radial orders."""
@@ -257,7 +264,7 @@ def test_quadrature_risk_kernel_matches_pointwise_density(u, mu):
     for grid in risk_grids(mu, u):
         pts, w = grid.nodes()
         (dens,) = polar_heterodyne(grid, mu, core.shape[0]).densities((core,))
-        np.testing.assert_allclose(dens, heterodyne_pdf(pts, u, mu), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(dens, pdf_at_points(pts, u, mu), rtol=0, atol=1e-15)
         sq = (pts[:, 0] - u.ux) ** 2 + (pts[:, 1] - u.uy) ** 2
         moments.append((float(np.sum(w * sq * dens)), float(np.sum(w * dens))))
     (value, mass), (coarse, _) = moments
@@ -351,8 +358,8 @@ def test_monte_carlo_risk_at_the_origin_takes_real_coherent_rows(monkeypatch):
         runs = [
             lambda: heterodyne_estimation_risk(mu, mc=McSpec(seed=5, samples=5_000)),
             lambda: heterodyne_estimation_risk(mu),
-            lambda: heterodyne_pdf(pts, LocalParam(0.4, -0.3), mu),
-            lambda: heterodyne_pdf(pts, LocalParam(-6.0, 8.0), mu),
+            lambda: pdf_at_points(pts, LocalParam(0.4, -0.3), mu),
+            lambda: pdf_at_points(pts, LocalParam(-6.0, 8.0), mu),
         ]
         for run in runs:
             dtypes.clear()
@@ -498,8 +505,7 @@ def test_block_density_pair_matches_public_densities():
 
 
 def test_measurement_tv_smoke_and_decrease():
-    est16 = measurement_tv_distance(ModelParams(16, 0.75), LocalParam(0.5, 0.5))
-    est64 = measurement_tv_distance(ModelParams(64, 0.75), LocalParam(0.5, 0.5))
+    est16, est64 = measurement_tv_sweep(0.75, (16, 64), (LocalParam(0.5, 0.5),))
     for est in (est16, est64):
         assert 0 <= est.grid_term <= 2 + 1e-9
         assert est.covariant_mass == pytest.approx(1.0, abs=2e-3)
@@ -720,7 +726,7 @@ def test_tv_estimate_does_not_depend_on_the_chunk_size(monkeypatch):
     estimates = []
     for chunk in (1, 16, blocks):
         monkeypatch.setattr(measurements, "TV_CHUNK", chunk)
-        estimates.append(measurement_tv_distance(params, u))
+        estimates.append(measurement_tv_sweep(mu, (n,), (u,))[0])
     single, default, whole = estimates
     assert default == whole
     # a chunk of one block runs the batched product on one row per batch,

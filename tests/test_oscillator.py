@@ -6,21 +6,20 @@ import numpy as np
 import pytest
 from scipy.special import gammainc, gammaln, xlogy
 
-from spingauss import oscillator
-from spingauss.errors import AccuracyError, DomainError, TruncationError
+from spingauss.errors import AccuracyError, DomainError
 from spingauss.irreps import LocalParam
 from spingauss.numerics import mirror_rows, trace_norm
 from spingauss.oscillator import (
-    PDF_CHUNK,
     FockTruncation,
     PolarGrid,
     _coherent_rows,
     coherent_coefficients,
     displaced_thermal,
     displacement_columns,
-    heterodyne_pdf,
+    heterodyne_pdf_kernel,
 )
 from spingauss.reference import (
+    TruncationError,
     coherent_state,
     displacement_amplitude,
     displacement_operator,
@@ -310,12 +309,20 @@ def test_heterodyne_completeness_quadrature_oracle():
     assert np.abs(off).max() < 1e-8
 
 
+def pdf_at_points(points, u, mu):
+    """The radial kernel ``heterodyne_pdf_kernel`` at the distances of an
+    (G, 2) array of points to u: the outcome density at those points."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    rho = np.hypot(pts[:, 0] - u.ux, pts[:, 1] - u.uy)
+    return heterodyne_pdf_kernel(mu, len(rho))(rho)
+
+
 def test_heterodyne_pdf_gaussian_oracle():
     # derived closed form: (2mu-1)^2/(pi mu) exp(-(2mu-1)^2 ||d||^2 / mu)
     mu = 0.75
     u = LocalParam(0.4, -0.6)
     pts = np.array([[0.4, -0.6], [1.0, 0.0], [-0.5, 1.2], [2.0, 2.0]])
-    got = heterodyne_pdf(pts, u, mu)
+    got = pdf_at_points(pts, u, mu)
     d2 = np.sum((pts - [u.ux, u.uy]) ** 2, axis=1)
     want = (2 * mu - 1) ** 2 / (math.pi * mu) * np.exp(-((2 * mu - 1) ** 2) * d2 / mu)
     np.testing.assert_allclose(got, want, atol=1e-6)
@@ -355,38 +362,7 @@ def test_heterodyne_pdf_matches_dense_quadratic_form(mu, u):
     for x, y in pts:
         c = coherent_coefficients(math.sqrt(2 * mu - 1) * complex(-y, x), trunc.dim)
         want.append((2 * mu - 1) / math.pi * np.vdot(c, rho @ c).real)
-    np.testing.assert_allclose(heterodyne_pdf(pts, u, mu), want, rtol=0, atol=1e-14)
-
-
-@pytest.mark.parametrize(
-    "mu, u",
-    [
-        pytest.param(0.75, (1.3, -0.7), id="0.75"),
-        pytest.param(1.0, (1.3, -0.7), id="1.0"),
-        pytest.param(1.0, (0.0, 0.0), id="1.0-origin"),
-    ],
-)
-def test_heterodyne_pdf_streams_points_in_chunks(mu, u, monkeypatch):
-    u = LocalParam(*u)
-    rng = np.random.default_rng(3)
-    pts = rng.standard_normal((2 * PDF_CHUNK + 1, 2)) * 1.5 + [u.ux, u.uy]
-    sizes = []
-    kernel = oscillator._coherent_rows
-
-    def counted(zeta, dim, out=None):
-        sizes.append(len(zeta))
-        return kernel(zeta, dim, out)
-
-    monkeypatch.setattr(oscillator, "_coherent_rows", counted)
-    got = heterodyne_pdf(pts, u, mu)
-    assert sizes == [PDF_CHUNK, PDF_CHUNK, 1]
-    # every chunk boundary, plus a sample of the rest, one point at a time
-    picks = np.r_[0, 1, PDF_CHUNK - 1, PDF_CHUNK, 2 * PDF_CHUNK - 1, 2 * PDF_CHUNK,
-                  rng.integers(0, len(pts), 24)]
-    single = [heterodyne_pdf(pts[i : i + 1], u, mu)[0] for i in picks]
-    np.testing.assert_allclose(got[picks], single, rtol=0, atol=1e-15)
-    monkeypatch.setattr(oscillator, "PDF_CHUNK", len(pts))
-    np.testing.assert_allclose(got, heterodyne_pdf(pts, u, mu), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(pdf_at_points(pts, u, mu), want, rtol=0, atol=1e-14)
 
 
 def test_heterodyne_pdf_integrates_to_one():
@@ -395,7 +371,7 @@ def test_heterodyne_pdf_integrates_to_one():
     sig = math.sqrt(mu / 2) / (2 * mu - 1)
     grid = PolarGrid(center=(u.ux, u.uy), radius=8 * sig, n_radial=160, n_angular=128)
     pts, w = grid.nodes()
-    dens = heterodyne_pdf(pts, u, mu)
+    dens = pdf_at_points(pts, u, mu)
     assert abs(np.sum(w * dens) - 1.0) < 1e-4
 
 

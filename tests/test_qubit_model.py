@@ -11,8 +11,6 @@ from spingauss.irreps import HalfInteger, LocalParam
 from spingauss import qubit_model
 from spingauss.qubit_model import (
     ModelParams,
-    binomial_factor,
-    binomial_factor_closed_form,
     block_weight,
     block_weights,
     concentration_set,
@@ -24,7 +22,15 @@ from spingauss.qubit_model import (
     spin_center,
     valid_spins,
 )
-from spingauss.reference import block_state, block_state_zero, lab_frame, ladder_ops, rotation_unitary
+from spingauss.reference import (
+    binomial_factor,
+    binomial_factor_closed_form,
+    block_state,
+    block_state_zero,
+    lab_frame,
+    ladder_ops,
+    rotation_unitary,
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
