@@ -42,11 +42,10 @@ from .qubit_model import (
     valid_spins,
 )
 from .channels import (
-    ConvergenceRecord,
-    SweepSettings,
+    PointStats,
     coherent_vector_distance,
     composition_defect,
-    convergence_sweep,
+    convergence_point,
     inverse_channel,
 )
 from .measurements import (
@@ -59,6 +58,6 @@ from .measurements import (
     heterodyne_risk_reference,
     heterodyne_samples,
     limit_discrimination,
-    measurement_tv_sweep,
+    measurement_tv,
     position_measurement_risk,
 )

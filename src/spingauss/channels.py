@@ -2,34 +2,35 @@
 
 The forward channel embeds every spin block into the oscillator's number
 basis (|j, m> -> |j - m>, the identity on array indices in this package's
-conventions) and mixes the embedded blocks with their weights.  The sweep
-takes its output as one summed corner on the rows the blocks reach
-(``_forward_corner``); the same matrix as a factor, the cores side by side,
-is the test oracle ``spingauss.reference.forward_channel``.  The inverse
-channel block-projects an oscillator state back onto each spin block and
-routes whatever mass lies outside the block's image to the highest weight
-vector |j, j>, which keeps it trace preserving and deterministic.  The
-distance between two ensembles is ``qubit_model.ensemble_difference``.
+conventions) and mixes the embedded blocks with their weights.  A
+convergence point takes its output as one summed corner on the rows the
+blocks reach (``_forward_corner``); the same matrix as a factor, the cores
+side by side, is the test oracle ``spingauss.reference.forward_channel``.
+The inverse channel block-projects an oscillator state back onto each spin
+block and routes whatever mass lies outside the block's image to the
+highest weight vector |j, j>, which keeps it trace preserving and
+deterministic.  The distance between two ensembles is
+``qubit_model.ensemble_difference``.
 
-The convergence experiments evaluate trace-norm distances on a finite grid of
-local parameters; a true supremum is never computed and the grid is recorded
-in every sweep record.  Blocks and the limit state enter in factor form, so
-every distance is diagonalized on the few leading rows the factors reach, or
-on the span of two factors.  The blocks and the limit state at one u are
-stored in u's frame (``qubit_model``), where all of them are real, and both
-channels are the identity on indices, so they carry the frame along and
-every sweep distance is taken in real arithmetic.
+The convergence experiment is one kernel, ``convergence_point(params, u)``:
+the trace-norm distances at one (n, u).  The command line runs it over a
+finite grid of local parameters and reports the largest value on the grid;
+a true supremum is never computed, and the grid is recorded in every
+report.  Blocks and the limit state enter in factor form, so every distance
+is diagonalized on the few leading rows the factors reach, or on the span
+of two factors.  The blocks and the limit state at one u are stored in u's
+frame (``qubit_model``), where all of them are real, and both channels are
+the identity on indices, so they carry the frame along and every distance
+is taken in real arithmetic.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
 from .irreps import HalfInteger, LocalParam, spin_coherent_coords
 from .numerics import coherent_row_support, factor_difference_eigvals, trace_norm
 from .oscillator import (
@@ -140,57 +141,20 @@ def composition_defect(j: HalfInteger, u: LocalParam, v: LocalParam, n: int) -> 
 class PointStats:
     """Distances for one (n, u) grid point."""
 
-    n: int
-    u: LocalParam
     forward: float
     block_max: float
     reverse: float
     error_bound: float  # limit-state rank cut + largest block rank cut + 2 * skipped weight
 
 
-@dataclass(frozen=True)
-class ConvergenceRecord:
-    """Per-n summary of a convergence sweep plus the per-point detail."""
+def convergence_point(params: ModelParams, u: LocalParam) -> PointStats:
+    """Forward, largest concentration-block and reverse distances at one (n, u).
 
-    n: int
-    mu: float
-    epsilon: float
-    grid: tuple[LocalParam, ...]
-    forward_sup: float
-    forward_argmax: LocalParam
-    block_sup: float
-    block_argmax: LocalParam
-    reverse_sup: float
-    reverse_argmax: LocalParam
-    error_bound: float  # largest point error bound, which also bounds each sup
-    points: tuple[PointStats, ...] = field(repr=False)
-
-
-@dataclass(frozen=True)
-class SweepSettings:
-    """Configuration of a convergence sweep: at least one n and one u, and an
-    integer number of workers >= 1."""
-
-    mu: float
-    n_values: tuple[int, ...]
-    u_grid: tuple[LocalParam, ...]
-    epsilon: float = 0.1
-    workers: int = 1
-
-    def __post_init__(self):
-        w = self.workers
-        if isinstance(w, bool) or not isinstance(w, (int, np.integer)) or w < 1:
-            raise ValidationError(f"sweep workers must be an integer >= 1, got {w!r}")
-        for name in ("n_values", "u_grid"):
-            if not getattr(self, name):
-                raise ValidationError(f"sweep {name} must not be empty")
-
-
-def _sweep_point(args) -> PointStats:
-    settings, n, u = args
-    params = ModelParams(n, settings.mu, settings.epsilon)
+    ``block_max`` reads the blocks whose 2j lies in the interval the
+    concentration set spans, the test ``measurements._tv_grid`` makes.
+    """
     ens = ensemble(params, u)
-    phi = displaced_thermal(u, settings.mu)
+    phi = displaced_thermal(u, params.mu)
     # blocks and phi are in u's frame, so the real corners compare
     corner = _forward_corner(ens)
     # everything past the rows the factors reach is zero on both sides
@@ -201,14 +165,13 @@ def _sweep_point(args) -> PointStats:
     diff[:r, :r] -= phi.core @ phi.core.T
     forward = trace_norm(diff)
     back = ensemble_difference(ens, inverse_channel(phi, params))
-    reverse = back.trace_norm
     # a block of at least r rows gets phi's core itself back from the inverse
     # channel, with no leftover column, so its reverse term is its distance
     # to phi; only the blocks of fewer rows are diagonalized again
-    jset = set(concentration_set(params))
+    spins = concentration_set(params)
     block_max = 0.0
     for b, norm in zip(ens.blocks, back.block_norms):
-        if b.j not in jset:
+        if not spins[0].twoj <= b.j.twoj <= spins[-1].twoj:
             continue
         if b.j.dim < r:
             norm = float(np.abs(factor_difference_eigvals(b.core, phi.core)).sum())
@@ -216,42 +179,4 @@ def _sweep_point(args) -> PointStats:
     # the inverse channel is trace-norm contractive, so the rank cuts of phi and
     # of the largest block, and the skipped weight at its worst case, bound all three
     bound = phi.deficit + max(b.discarded for b in ens.blocks) + 2.0 * ens.skipped
-    return PointStats(
-        n=n, u=u, forward=forward, block_max=block_max, reverse=reverse, error_bound=bound
-    )
-
-
-def convergence_sweep(settings: SweepSettings) -> list[ConvergenceRecord]:
-    """Run the forward/reverse distance experiment over the (n, u) grid."""
-    tasks = [(settings, n, u) for n in settings.n_values for u in settings.u_grid]
-    if settings.workers > 1:
-        # imported here, so a serial run never loads multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(settings.workers, os.cpu_count() or 1)) as pool:
-            stats = list(pool.map(_sweep_point, tasks, chunksize=1))
-    else:
-        stats = [_sweep_point(t) for t in tasks]
-    records = []
-    for n in settings.n_values:
-        pts = tuple(s for s in stats if s.n == n)
-        fwd = max(pts, key=lambda s: s.forward)
-        blk = max(pts, key=lambda s: s.block_max)
-        rev = max(pts, key=lambda s: s.reverse)
-        records.append(
-            ConvergenceRecord(
-                n=n,
-                mu=settings.mu,
-                epsilon=settings.epsilon,
-                grid=settings.u_grid,
-                forward_sup=fwd.forward,
-                forward_argmax=fwd.u,
-                block_sup=blk.block_max,
-                block_argmax=blk.u,
-                reverse_sup=rev.reverse,
-                reverse_argmax=rev.u,
-                error_bound=max(s.error_bound for s in pts),
-                points=pts,
-            )
-        )
-    return records
+    return PointStats(forward=forward, block_max=block_max, reverse=back.trace_norm, error_bound=bound)

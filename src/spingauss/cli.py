@@ -19,7 +19,7 @@ import sys
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .channels import SweepSettings, convergence_sweep
+from .channels import convergence_point
 from .errors import (
     AccuracyError,
     ConfigError,
@@ -34,7 +34,7 @@ from .measurements import (
     heterodyne_estimation_risk,
     heterodyne_risk_reference,
     limit_discrimination,
-    measurement_tv_sweep,
+    measurement_tv,
     position_measurement_risk,
 )
 from .qubit_model import ModelParams
@@ -105,7 +105,11 @@ def _parse_axis(spec: str) -> list[float]:
 
 
 def parse_grid(spec: str) -> tuple[LocalParam, ...]:
-    """Grid spec 'min:max:steps' (both axes) or two comma-separated axis specs."""
+    """Grid spec 'min:max:steps' (both axes) or two comma-separated axis specs.
+
+    A grid that holds one point twice is rejected, as a repeated ``--mu`` or
+    ``--n`` value is: it would repeat every report row of that point.
+    """
     try:
         axes = spec.split(",")
         if len(axes) == 1:
@@ -116,7 +120,10 @@ def parse_grid(spec: str) -> tuple[LocalParam, ...]:
             raise ConfigError(f"grid wants one or two axis specs, got {spec!r}")
     except ValueError as exc:
         raise ConfigError(f"invalid grid spec {spec!r}") from exc
-    return tuple(LocalParam(x, y) for x in xs for y in ys)
+    grid = tuple(LocalParam(x, y) for x in xs for y in ys)
+    if len(set(grid)) < len(grid):
+        raise ConfigError(f"repeated point in grid {spec!r}")
+    return grid
 
 
 _GRID = frozenset(("convergence", "discriminate", "measure-compare"))
@@ -134,13 +141,13 @@ KEYS = {
         "comma list of ensemble sizes",
     ),
     "epsilon": Key(
-        "0.1", _scalar("epsilon", float, lambda v: 0.0 < v < 0.5, "lie in (0, 1/2)"), _GRID,
-        "concentration exponent in (0, 1/2)",
+        "0.1", _scalar("epsilon", float, lambda v: 0.0 < v < 0.5, "lie in (0, 1/2)"),
+        frozenset(("convergence", "measure-compare")), "concentration exponent in (0, 1/2)",
     ),
     "grid": Key("-1:1:3", parse_grid, _GRID, "u grid 'min:max:steps[,min:max:steps]'"),
     "workers": Key(
         "1", _scalar("workers", int, lambda v: v >= 1, "be at least 1"),
-        frozenset(("convergence",)), "parallel workers for sweeps",
+        frozenset(("convergence",)), "parallel workers over the (n, u) grid",
     ),
     "samples": Key(
         "0", _scalar("samples", int, lambda v: v == 0 or v >= 2, "be 0 (quadrature) or at least 2"),
@@ -232,24 +239,40 @@ def effective_config(args: argparse.Namespace) -> tuple[dict[str, str], dict[str
     return cfg, values
 
 
+# (PointStats field, per-point statistic, per-n sup statistic) of a convergence report
+_CONVERGENCE_STATS = (
+    ("forward", "forward_distance", "forward_sup"),
+    ("block_max", "block_distance_max", "block_sup"),
+    ("reverse", "reverse_distance", "reverse_sup"),
+)
+
+
 def run_convergence(cfg: dict[str, object]) -> list[ReportRow]:
+    """Per mu, ``convergence_point`` at every (n, u), n-major, then per n the
+    sup rows: the first largest value in grid order, with the largest bound
+    of that n's points, which bounds each sup."""
     rows: list[ReportRow] = []
+    ns, grid = cfg["n"], cfg["grid"]
     for mu in cfg["mu"]:
-        settings = SweepSettings(
-            mu=mu,
-            n_values=tuple(cfg["n"]),
-            u_grid=cfg["grid"],
-            epsilon=cfg["epsilon"],
-            workers=cfg["workers"],
-        )
-        for rec in convergence_sweep(settings):
-            for pt in rec.points:
-                rows.append(ReportRow(rec.n, mu, pt.u.ux, pt.u.uy, "forward_distance", pt.forward, pt.error_bound))
-                rows.append(ReportRow(rec.n, mu, pt.u.ux, pt.u.uy, "block_distance_max", pt.block_max, pt.error_bound))
-                rows.append(ReportRow(rec.n, mu, pt.u.ux, pt.u.uy, "reverse_distance", pt.reverse, pt.error_bound))
-            rows.append(ReportRow(rec.n, mu, rec.forward_argmax.ux, rec.forward_argmax.uy, "forward_sup", rec.forward_sup, rec.error_bound))
-            rows.append(ReportRow(rec.n, mu, rec.block_argmax.ux, rec.block_argmax.uy, "block_sup", rec.block_sup, rec.error_bound))
-            rows.append(ReportRow(rec.n, mu, rec.reverse_argmax.ux, rec.reverse_argmax.uy, "reverse_sup", rec.reverse_sup, rec.error_bound))
+        params = [ModelParams(n, mu, cfg["epsilon"]) for n in ns for _ in grid]
+        us = [u for _ in ns for u in grid]
+        if cfg["workers"] > 1:
+            # imported here, so a serial run never loads multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(max_workers=min(cfg["workers"], os.cpu_count() or 1)) as pool:
+                stats = pool.map(convergence_point, params, us, chunksize=1)
+        else:
+            stats = map(convergence_point, params, us)
+        for n in ns:
+            points = [(u, next(stats)) for u in grid]
+            for u, pt in points:
+                for field, statistic, _ in _CONVERGENCE_STATS:
+                    rows.append(ReportRow(n, mu, u.ux, u.uy, statistic, getattr(pt, field), pt.error_bound))
+            bound = max(pt.error_bound for _, pt in points)
+            for field, _, statistic in _CONVERGENCE_STATS:
+                u, pt = max(points, key=lambda point: getattr(point[1], field))
+                rows.append(ReportRow(n, mu, u.ux, u.uy, statistic, getattr(pt, field), bound))
     return rows
 
 
@@ -261,7 +284,7 @@ def run_discriminate(cfg: dict[str, object]) -> list[ReportRow]:
             rows.append(ReportRow(0, mu, u.ux, u.uy, "limit_risk", limit.risk, limit.error_bound))
             rows.append(ReportRow(0, mu, u.ux, u.uy, "position_risk_baseline", position_measurement_risk(u), 0.0))
             for n in cfg["n"]:
-                res = finite_n_discrimination(ModelParams(n, mu, cfg["epsilon"]), u)
+                res = finite_n_discrimination(ModelParams(n, mu), u)
                 rows.append(ReportRow(n, mu, u.ux, u.uy, "helstrom_risk", res.risk, res.error_bound))
     return rows
 
@@ -269,15 +292,16 @@ def run_discriminate(cfg: dict[str, object]) -> list[ReportRow]:
 def run_measure_compare(cfg: dict[str, object]) -> list[ReportRow]:
     rows: list[ReportRow] = []
     for mu in cfg["mu"]:
-        ests = measurement_tv_sweep(mu, tuple(cfg["n"]), cfg["grid"], epsilon=cfg["epsilon"])
-        for est in ests:
-            u = est.u
-            rows.append(ReportRow(est.n, mu, u.ux, u.uy, "tv_bound", est.tv_bound, est.out_of_grid_bound))
-            rows.append(ReportRow(est.n, mu, u.ux, u.uy, "tv_grid_term", est.grid_term, est.out_of_grid_bound))
-            rows.append(ReportRow(est.n, mu, u.ux, u.uy, "covariant_mass", est.covariant_mass, est.concentration_deficit))
-            rows.append(ReportRow(est.n, mu, u.ux, u.uy, "heterodyne_mass", est.heterodyne_mass, est.concentration_deficit))
-            rows.append(ReportRow(est.n, mu, u.ux, u.uy, "out_of_grid_mass", est.out_of_grid_bound, 0.0))
-            rows.append(ReportRow(est.n, mu, u.ux, u.uy, "concentration_deficit", est.concentration_deficit, 0.0))
+        for n in cfg["n"]:
+            params = ModelParams(n, mu, cfg["epsilon"])
+            for u in cfg["grid"]:
+                est = measurement_tv(params, u)
+                rows.append(ReportRow(n, mu, u.ux, u.uy, "tv_bound", est.tv_bound, est.out_of_grid_bound))
+                rows.append(ReportRow(n, mu, u.ux, u.uy, "tv_grid_term", est.grid_term, est.out_of_grid_bound))
+                rows.append(ReportRow(n, mu, u.ux, u.uy, "covariant_mass", est.covariant_mass, est.concentration_deficit))
+                rows.append(ReportRow(n, mu, u.ux, u.uy, "heterodyne_mass", est.heterodyne_mass, est.concentration_deficit))
+                rows.append(ReportRow(n, mu, u.ux, u.uy, "out_of_grid_mass", est.out_of_grid_bound, 0.0))
+                rows.append(ReportRow(n, mu, u.ux, u.uy, "concentration_deficit", est.concentration_deficit, 0.0))
     return rows
 
 

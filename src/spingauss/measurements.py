@@ -23,8 +23,9 @@ Three experiment families live here.
   block, and their total-variation distance.  The covariant density is a
   closed form at each point.  A block's heterodyne density is not radial;
   it comes from the polar kernel (``oscillator.PolarHeterodyne``) on a grid
-  centred at u, one cosine series in the grid angle per block.  A single
-  (n, u) is ``measurement_tv_sweep`` over one n and one u.
+  centred at u, one cosine series in the grid angle per block.  The
+  comparison is one kernel of one (n, u), ``measurement_tv(params, u)``;
+  the command line runs it over the grid.
 
 Outcome densities live on the plane of local parameters.  The covariant
 measurement's outcomes are sphere directions; they are pulled to the plane
@@ -253,9 +254,6 @@ def plane_jacobian(n: int, radii: np.ndarray) -> np.ndarray:
 class TvEstimate:
     """Total-variation comparison of the two measurements at one (n, u)."""
 
-    n: int
-    mu: float
-    u: LocalParam
     tv_bound: float               # grid term plus worst-case excluded weight term
     grid_term: float
     concentration_deficit: float
@@ -386,31 +384,16 @@ def _block_density_pair(
     return dens_m, tv.heterodyne.densities([b.core for b in blocks])
 
 
-def measurement_tv_sweep(
-    mu: float,
-    n_values: tuple[int, ...],
-    u_list: tuple[LocalParam, ...],
-    epsilon: float = 0.1,
-) -> list[TvEstimate]:
-    """TV comparison of the two measurements over an (n, u) grid.
+def measurement_tv(params: ModelParams, u: LocalParam) -> TvEstimate:
+    """TV comparison of the two measurements at one (n, u).
 
     Sums p_n(j) * integral |covariant - heterodyne| for spins in the
     concentration set, over the quadrature grid ``default_tv_grid`` centred
     at u, then adds twice the excluded weight as the worst case
     contribution of the remaining blocks.  The grid, its qubit
     infidelities, its blocks, its re-centring displacement and its radial
-    and angular tables are built once per (n, u) (``_TvGrid``).
-    """
-    out = []
-    for n in n_values:
-        params = ModelParams(n, mu, epsilon)
-        out.extend(_tv_estimate(params, u) for u in u_list)
-    return out
-
-
-def _tv_estimate(params: ModelParams, u: LocalParam) -> TvEstimate:
-    """One (n, u) of ``measurement_tv_sweep``.  Its ``_TvGrid`` dies on
-    return, so a sweep never holds two grids' tables at once.
+    and angular tables are built once (``_TvGrid``), and die on return, so
+    a run over many points never holds two grids' tables at once.
 
     The blocks go ``TV_CHUNK`` at a time through ``_block_density_pair``,
     and each chunk's (blocks, nodes) densities are reduced to per-block
@@ -444,9 +427,6 @@ def _tv_estimate(params: ModelParams, u: LocalParam) -> TvEstimate:
             included += bw
     deficit = max(0.0, 1.0 - included)
     return TvEstimate(
-        n=params.n,
-        mu=params.mu,
-        u=u,
         tv_bound=grid_term + 2.0 * deficit,
         grid_term=grid_term,
         concentration_deficit=deficit,

@@ -13,10 +13,9 @@ import numpy as np
 import pytest
 
 from spingauss.channels import (
-    SweepSettings,
     coherent_vector_distance,
     composition_defect,
-    convergence_sweep,
+    convergence_point,
 )
 from spingauss.cli import main as cli_main
 from spingauss.irreps import HalfInteger, LocalParam
@@ -25,7 +24,7 @@ from spingauss.measurements import (
     finite_n_discrimination,
     heterodyne_estimation_risk,
     heterodyne_risk_reference,
-    measurement_tv_sweep,
+    measurement_tv,
     position_measurement_risk,
 )
 from spingauss.numerics import trace_norm
@@ -91,20 +90,19 @@ def test_02_weight_normalization():
 
 @pytest.fixture(scope="module")
 def sweeps():
-    out = {}
-    for mu in (0.75, 0.9, 1.0):
-        out[mu] = convergence_sweep(
-            SweepSettings(mu=mu, n_values=(16, 64, 256), u_grid=GRID9)
-        )
-    return out
+    # per mu, the points of GRID9 at n = 16, 64, 256
+    return {
+        mu: [[convergence_point(ModelParams(n, mu), u) for u in GRID9] for n in (16, 64, 256)]
+        for mu in (0.75, 0.9, 1.0)
+    }
 
 
 def test_03_forward_convergence(sweeps):
     t0 = time.time()
     ok = True
     detail = []
-    for mu, recs in sweeps.items():
-        sups = [r.forward_sup for r in recs]
+    for mu, grids in sweeps.items():
+        sups = [max(pt.forward for pt in points) for points in grids]
         ok &= sups[0] > sups[1] > sups[2] and sups[2] < sups[0] / 2
         detail.append(f"mu={mu}: " + " > ".join(f"{s:.4f}" for s in sups))
     report(
@@ -117,8 +115,8 @@ def test_03_forward_convergence(sweeps):
 def test_04_reverse_convergence_and_exact_round_trip(sweeps):
     ok = True
     detail = []
-    for mu, recs in sweeps.items():
-        sups = [r.reverse_sup for r in recs]
+    for mu, grids in sweeps.items():
+        sups = [max(pt.reverse for pt in points) for points in grids]
         ok &= sups[0] > sups[1] > sups[2] and sups[2] < sups[0] / 2
         detail.append(f"mu={mu}: " + " > ".join(f"{s:.4f}" for s in sups))
     rng = np.random.default_rng(2026)
@@ -230,16 +228,17 @@ def test_09_discrimination():
 
 def test_10_measurement_equivalence():
     t0 = time.time()
-    ests = measurement_tv_sweep(0.75, (64, 256, 1024), GRID9)
     by_u = {}
     ok = True
-    for est in ests:
-        by_u.setdefault((est.u.ux, est.u.uy), []).append(est)
-        ok &= abs(est.covariant_mass - 1.0) <= 1e-3 + est.concentration_deficit
-        ok &= abs(est.heterodyne_mass - 1.0) <= 1e-3 + est.concentration_deficit
+    for n in (64, 256, 1024):
+        params = ModelParams(n, 0.75)
+        for u in GRID9:
+            est = measurement_tv(params, u)
+            by_u.setdefault(u, []).append(est)
+            ok &= abs(est.covariant_mass - 1.0) <= 1e-3 + est.concentration_deficit
+            ok &= abs(est.heterodyne_mass - 1.0) <= 1e-3 + est.concentration_deficit
     worst_ratio = 0.0
-    for key, series in by_u.items():
-        series.sort(key=lambda e: e.n)
+    for series in by_u.values():
         tvs = [e.tv_bound for e in series]
         ok &= tvs[0] > tvs[1] > tvs[2]
         worst_ratio = max(worst_ratio, tvs[2] / tvs[0])

@@ -7,14 +7,12 @@ from scipy.stats import binom
 
 from spingauss import channels, oscillator, qubit_model
 from spingauss.channels import (
-    SweepSettings,
-    _sweep_point,
     coherent_vector_distance,
     composition_defect,
-    convergence_sweep,
+    convergence_point,
     inverse_channel,
 )
-from spingauss.errors import DomainError, ValidationError
+from spingauss.errors import DomainError
 from spingauss.measurements import finite_n_discrimination
 from spingauss.irreps import HalfInteger, LocalParam
 from spingauss.numerics import factor_difference_eigvals, mirror_rows, trace_norm
@@ -296,20 +294,21 @@ def test_composition_defect_matches_dense_rotations():
             assert got == pytest.approx(dense_composition_defect(j, u, v, n), abs=1e-13)
 
 
+def grid_points(mu, n, grid):
+    """``convergence_point`` at every u of ``grid``, as the command line runs it."""
+    return [convergence_point(ModelParams(n, mu), u) for u in grid]
+
+
 def test_sweep_smoke_and_structure():
-    settings = SweepSettings(
-        mu=0.75,
-        n_values=(4, 16),
-        u_grid=(LocalParam(0, 0), LocalParam(1, 1)),
-        epsilon=0.1,
-    )
-    recs = convergence_sweep(settings)
-    assert [r.n for r in recs] == [4, 16]
-    for r in recs:
-        assert 0 <= r.forward_sup <= 2 + 1e-9
-        assert 0 <= r.reverse_sup <= 2 + 1e-9
-        assert len(r.points) == 2
-    assert recs[1].forward_sup < recs[0].forward_sup
+    grid = (LocalParam(0, 0), LocalParam(1, 1))
+    sups = []
+    for n in (4, 16):
+        points = grid_points(0.75, n, grid)
+        for pt in points:
+            assert 0 <= pt.forward <= 2 + 1e-9
+            assert 0 <= pt.reverse <= 2 + 1e-9
+        sups.append(max(pt.forward for pt in points))
+    assert sups[1] < sups[0]
 
 
 def test_sweep_forward_block_reverse_triangle_consistency():
@@ -331,40 +330,10 @@ def test_sweep_forward_block_reverse_triangle_consistency():
         assert fwd <= rev + 2 * math.sqrt(t) + 2 * t + 1e-10
 
 
-def test_sweep_parallel_workers_match_serial():
-    settings = SweepSettings(
-        mu=0.9, n_values=(4, 8), u_grid=(LocalParam(0, 0), LocalParam(0.5, 0.5))
-    )
-    serial = convergence_sweep(settings)
-    parallel = convergence_sweep(
-        SweepSettings(
-            mu=0.9,
-            n_values=(4, 8),
-            u_grid=(LocalParam(0, 0), LocalParam(0.5, 0.5)),
-            workers=2,
-        )
-    )
-    for a, b in zip(serial, parallel):
-        assert a.forward_sup == b.forward_sup
-        assert a.reverse_sup == b.reverse_sup
-
-
-@pytest.mark.parametrize(
-    "field, value",
-    [("workers", 0), ("workers", -1), ("workers", 1.5), ("workers", True), ("n_values", ()), ("u_grid", ())],
-)
-def test_sweep_settings_reject_invalid_fields(field, value):
-    # workers = 0 used to run serially, and an empty grid crashed in max()
-    valid = dict(mu=0.75, n_values=(4,), u_grid=(LocalParam(0.3, 0.2),))
-    with pytest.raises(ValidationError, match=field):
-        SweepSettings(**{**valid, field: value})
-
-
 def test_sweep_pure_case_zero_distance_at_origin():
-    settings = SweepSettings(mu=1.0, n_values=(64,), u_grid=(LocalParam(0, 0),))
-    rec = convergence_sweep(settings)[0]
+    pt = convergence_point(ModelParams(64, 1.0), LocalParam(0, 0))
     # single symmetric block, exact embedding of the highest weight vector
-    assert rec.forward_sup <= 1e-10
+    assert pt.forward <= 1e-10
 
 
 def test_sweep_weak_uniformity_over_nonzero_grid():
@@ -372,8 +341,7 @@ def test_sweep_weak_uniformity_over_nonzero_grid():
     # stays within a factor 10; u = 0 sits at the numerical floor and is
     # excluded (its distance is ~1e-13, not a scale for a ratio test)
     grid = tuple(LocalParam(float(x), float(y)) for x in (-1, 0, 1) for y in (-1, 0, 1))
-    rec = convergence_sweep(SweepSettings(mu=0.75, n_values=(256,), u_grid=grid))[0]
-    nonzero = [p.forward for p in rec.points if p.u.norm > 0]
+    nonzero = [pt.forward for u, pt in zip(grid, grid_points(0.75, 256, grid)) if u.norm > 0]
     assert max(nonzero) / min(nonzero) < 10
 
 
@@ -400,15 +368,15 @@ def test_ensemble_distance_zero_and_symmetry():
     assert ensemble_difference(a_mirror, a).trace_norm == pytest.approx(mirror, abs=1e-14)
 
 
-def dense_sweep_point(settings, n, u):
+def dense_convergence_point(params, u):
     """Oracle: the three distances from dense blocks and a padded dense phi,
     on every level a block or the limit core reaches."""
-    params = ModelParams(n, settings.mu, settings.epsilon)
-    dim = max(n + 1, displaced_thermal(u, settings.mu).core.shape[0])
+    n = params.n
+    dim = max(n + 1, displaced_thermal(u, params.mu).core.shape[0])
     pad = 48
     p = params.p
     d_op = displacement_operator(
-        displacement_amplitude(u, settings.mu), FockTruncation(dim + pad), pad=pad
+        displacement_amplitude(u, params.mu), FockTruncation(dim + pad), pad=pad
     )
     thermal = (1 - p) * p ** np.arange(dim + pad)
     phi = ((d_op * thermal) @ d_op.conj().T)[:dim, :dim]
@@ -432,18 +400,13 @@ def dense_sweep_point(settings, n, u):
     return trace_norm(fwd - phi), block_max, reverse
 
 
-def sweep_point(settings, n, u):
-    """One point task, as ``convergence_sweep`` passes it."""
-    return _sweep_point((settings, n, u))
-
-
 @pytest.mark.parametrize("mu", [0.75, 1.0])
 def test_sweep_point_matches_dense_recomputation(mu):
     n = 64
     for u in (LocalParam(0.0, 0.0), LocalParam(0.7, -0.4), LocalParam(-1.0, 1.0)):
-        settings = SweepSettings(mu=mu, n_values=(n,), u_grid=(u,))
-        pt = sweep_point(settings, n, u)
-        want = dense_sweep_point(settings, n, u)
+        params = ModelParams(n, mu)
+        pt = convergence_point(params, u)
+        want = dense_convergence_point(params, u)
         got = (pt.forward, pt.block_max, pt.reverse)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         assert 0.0 <= pt.error_bound < 1e-12
@@ -452,10 +415,9 @@ def test_sweep_point_matches_dense_recomputation(mu):
 def test_sweep_point_block_max_skips_weightless_blocks():
     # at mu = 1 only the block 2j = n carries weight; the weightless blocks of
     # the concentration set (0.224 from 2j = 202 here) must not count
-    n, u = 256, LocalParam(1.0, 0.0)
-    settings = SweepSettings(mu=1.0, n_values=(n,), u_grid=(u,))
-    pt = sweep_point(settings, n, u)
-    want = dense_sweep_point(settings, n, u)
+    params, u = ModelParams(256, 1.0), LocalParam(1.0, 0.0)
+    pt = convergence_point(params, u)
+    want = dense_convergence_point(params, u)
     np.testing.assert_allclose((pt.forward, pt.block_max, pt.reverse), want, rtol=0, atol=1e-12)
     assert pt.block_max < 0.01
 
@@ -471,8 +433,7 @@ def test_pure_rows_match_closed_forms_at_paper_scale(n):
     # distance is 2 sqrt(1 - ov^2).  Both closed forms in 50 digits
     mpmath = pytest.importorskip("mpmath")
     u = LocalParam(1.0, -1.0)
-    settings = SweepSettings(mu=1.0, n_values=(n,), u_grid=(u,))
-    pt = sweep_point(settings, n, u)
+    pt = convergence_point(ModelParams(n, 1.0), u)
     risk = finite_n_discrimination(ModelParams(n, 1.0), u).risk
     with mpmath.workdps(50):
         r = mpmath.sqrt(2)
@@ -501,7 +462,7 @@ def test_pure_reverse_with_leftover_matches_gram_closed_form():
     # eigenvalues are those of R^T D R with V^T V = R R^T, in 50 digits
     mpmath = pytest.importorskip("mpmath")
     n, u = 16, LocalParam(3.0, 0.0)
-    pt = sweep_point(SweepSettings(mu=1.0, n_values=(n,), u_grid=(u,)), n, u)
+    pt = convergence_point(ModelParams(n, 1.0), u)
     with mpmath.workdps(50):
         r, t = mpmath.mpf(3), mpmath.mpf(3) / mpmath.sqrt(n)
         psi = [mpmath.sqrt(mpmath.binomial(n, k)) * mpmath.sin(t) ** k * mpmath.cos(t) ** (n - k)
@@ -549,7 +510,7 @@ def test_diagonal_rows_at_the_origin(n):
         back[0] += phi[~kept[i]].sum()
         reverse += weights[i] * np.abs(blocks[i] - back).sum()
     u = LocalParam(0.0, 0.0)
-    pt = sweep_point(SweepSettings(mu=mu, n_values=(n,), u_grid=(u,)), n, u)
+    pt = convergence_point(params, u)
     assert abs(pt.forward - forward) <= 1e-13
     assert abs(pt.block_max - block_max) <= 1e-13
     assert abs(pt.reverse - reverse) <= 1e-13
@@ -561,7 +522,7 @@ def test_origin_rows_lie_within_their_error_bound(n):
     # rounding, so each distance is the skipped weight and rounding: reverse
     # reads the worst case 2 * skipped that ensemble_difference counts
     u = LocalParam(0.0, 0.0)
-    pt = sweep_point(SweepSettings(mu=0.75, n_values=(n,), u_grid=(u,)), n, u)
+    pt = convergence_point(ModelParams(n, 0.75), u)
     assert pt.reverse > pt.error_bound / 2
     for stat in ("forward", "block_max", "reverse"):
         assert getattr(pt, stat) <= pt.error_bound
@@ -570,11 +531,10 @@ def test_origin_rows_lie_within_their_error_bound(n):
 def test_sweep_point_error_bound_covers_rank_cut(monkeypatch):
     # under-resolve on purpose: a coarse rank cut drops visible trace from
     # every block and from the limit state; the bound must cover the shift
-    n, u = 36, LocalParam(0.8, -0.5)
-    settings = SweepSettings(mu=0.75, n_values=(n,), u_grid=(u,))
-    resolved = sweep_point(settings, n, u)
+    params, u = ModelParams(36, 0.75), LocalParam(0.8, -0.5)
+    resolved = convergence_point(params, u)
     monkeypatch.setattr(qubit_model, "RANK_CUT", 1e-7)
-    coarse = sweep_point(settings, n, u)
+    coarse = convergence_point(params, u)
     assert coarse.error_bound > 1e-8
     for stat in ("forward", "block_max", "reverse"):
         shift = abs(getattr(coarse, stat) - getattr(resolved, stat))
@@ -587,13 +547,12 @@ def test_sweep_point_error_bound_covers_rank_cut(monkeypatch):
 def test_sweep_point_error_bound_covers_skipped_blocks(monkeypatch):
     # leave visible weight unrotated on purpose: the forward distance moves
     # by at most the skipped weight, which the bound carries
-    n, u = 256, LocalParam(1.0, -1.0)
-    settings = SweepSettings(mu=0.75, n_values=(n,), u_grid=(u,))
+    params, u = ModelParams(256, 0.75), LocalParam(1.0, -1.0)
     monkeypatch.setattr(qubit_model, "NEGLIGIBLE_WEIGHT", 0.0)
-    every = sweep_point(settings, n, u)
+    every = convergence_point(params, u)
     monkeypatch.setattr(qubit_model, "NEGLIGIBLE_WEIGHT", 1e-6)
-    coarse = sweep_point(settings, n, u)
-    ens = ensemble(ModelParams(n, 0.75), u)
+    coarse = convergence_point(params, u)
+    ens = ensemble(params, u)
     assert ens.skipped > 1e-6
     assert coarse.error_bound >= ens.skipped
     assert forward_channel(ens).deficit >= ens.skipped
@@ -608,7 +567,7 @@ def test_sweep_point_diagonalizes_each_pair_once(n, monkeypatch):
     # back, so only the concentration blocks of fewer rows are diagonalized
     # again against phi, and block_max is the same per-block trace norm
     u = LocalParam(1.0, -1.0)
-    settings = SweepSettings(mu=0.75, n_values=(n,), u_grid=(u,))
+    params = ModelParams(n, 0.75)
     calls = []
 
     def counted(*args):
@@ -617,8 +576,7 @@ def test_sweep_point_diagonalizes_each_pair_once(n, monkeypatch):
 
     monkeypatch.setattr(channels, "factor_difference_eigvals", counted)
     monkeypatch.setattr(qubit_model, "factor_difference_eigvals", counted)
-    pt = sweep_point(settings, n, u)
-    params = ModelParams(n, 0.75)
+    pt = convergence_point(params, u)
     ens = ensemble(params, u)
     phi = displaced_thermal(u, 0.75)
     rows = phi.core.shape[0]
@@ -650,15 +608,13 @@ def test_default_truncation_holds_the_limit_core(ux, uy, monkeypatch):
     # puts every row past it below the trim), so its trace misses only the
     # rank cut, and the bounds stay at rounding level
     grid = tuple(LocalParam(x, uy) for x in ux)
-    settings = SweepSettings(mu=0.75, n_values=(16,), u_grid=grid)
     for u in grid:
         phi = displaced_thermal(u, 0.75)
         longer = longer_run(monkeypatch, u, 0.75)
         assert longer.core.shape == phi.core.shape
         np.testing.assert_allclose(longer.core, phi.core, rtol=0, atol=1e-15)
         assert float(np.sum(phi.core ** 2)) == pytest.approx(1.0 - phi.deficit, abs=1e-14)
-    rec = convergence_sweep(settings)[0]
-    assert rec.error_bound <= 1e-14
+    assert max(pt.error_bound for pt in grid_points(0.75, 16, grid)) <= 1e-14
 
 
 def test_limit_state_deficit_is_its_rank_cut(monkeypatch):
@@ -666,13 +622,11 @@ def test_limit_state_deficit_is_its_rank_cut(monkeypatch):
     # mu = 0.75, and nothing from the pure state; 1 - sum(core^2) would read
     # only rounding (the benchmark's seed 1 and 2 points)
     u = LocalParam(0.176704, -0.251648)
-    rec = convergence_sweep(SweepSettings(mu=0.75, n_values=(16,), u_grid=(u,)))[0]
-    assert min(pt.error_bound for pt in rec.points) >= (1 / 3) ** 33
+    assert convergence_point(ModelParams(16, 0.75), u).error_bound >= (1 / 3) ** 33
     assert displaced_thermal(u, 0.75).deficit == (1 / 3) ** 33
     pure = displaced_thermal(LocalParam(-0.160437, -0.310645), 1.0)
     assert pure.deficit == 0.0
-    rec = convergence_sweep(SweepSettings(mu=1.0, n_values=(16,), u_grid=(u,)))[0]
-    assert rec.error_bound == 0.0
+    assert convergence_point(ModelParams(16, 1.0), u).error_bound == 0.0
     # far out the core keeps every row it reaches: a kernel run over twice
     # the rows puts every row past it below the trim
     far = displaced_thermal(LocalParam(20.0, 0.0), 0.75)

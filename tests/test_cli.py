@@ -2,10 +2,11 @@ import csv
 import io
 import json
 import re
+from pathlib import Path
 
 import pytest
 
-from spingauss.cli import main, parse_grid, run_convergence, run_discriminate
+from spingauss.cli import KEYS, main, parse_grid, run_convergence, run_discriminate
 from spingauss.errors import ConfigError
 from spingauss.irreps import LocalParam
 from spingauss.reference import discrimination_limit
@@ -67,6 +68,40 @@ def test_convergence_forward_sup_decreasing(tmp_path):
     rows = read_csv_rows(out)
     sups = [float(r["value"]) for r in rows if r["statistic"] == "forward_sup"]
     assert sups[0] > sups[1] > sups[2]
+
+
+def test_sup_rows_take_the_first_largest_point_and_the_largest_bound(tmp_path):
+    # every |u| gives bit-identical rows, so the four corners of the grid tie
+    # for each sup; the sup row names the first of them in grid order
+    out = tmp_path / "conv.csv"
+    assert run_cli(["convergence", "--n", "16,64", "--mu", "0.75", "--grid", "-1:1:3", "--out", str(out)]) == 0
+    rows = read_csv_rows(out)
+    for n in ("16", "64"):
+        at_n = [r for r in rows if r["n"] == n]
+        bound = max(float(r["error_bound"]) for r in at_n if not r["statistic"].endswith("_sup"))
+        for point_stat, sup_stat in (
+            ("forward_distance", "forward_sup"),
+            ("block_distance_max", "block_sup"),
+            ("reverse_distance", "reverse_sup"),
+        ):
+            points = [r for r in at_n if r["statistic"] == point_stat]
+            (sup,) = [r for r in at_n if r["statistic"] == sup_stat]
+            first = max(points, key=lambda r: float(r["value"]))
+            assert sum(r["value"] == first["value"] for r in points) == 4
+            assert (sup["u_x"], sup["u_y"], sup["value"]) == ("-1", "-1", first["value"])
+            assert float(sup["error_bound"]) == bound
+
+
+def test_parallel_workers_write_the_serial_report(tmp_path):
+    argv = ["convergence", "--mu", "0.75,0.9", "--n", "16,64", "--grid=-1:1:3"]
+    reports = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"workers{workers}.csv"
+        assert run_cli(argv + ["--workers", workers, "--out", str(out)]) == 0
+        lines = out.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert sum(line.startswith("# workers = ") for line in lines) == 1
+        reports.append([line for line in lines if not line.startswith("# workers = ")])
+    assert reports[0] == reports[1]
 
 
 def test_csv_json_same_numbers(tmp_path):
@@ -164,6 +199,18 @@ def test_unwritable_output_is_io_error(capsys):
     code = run_cli(["risk", "--mu", "0.9", "--out", "/nonexistent-dir/x.csv"])
     assert code == 4
     assert capsys.readouterr().err.startswith("error: io:")
+
+
+def test_measure_compare_rows_run_mu_then_n_then_u(tmp_path):
+    out = tmp_path / "mc.csv"
+    assert run_cli(["measure-compare", "--mu", "0.75,0.9", "--n", "16,36", "--grid=0:1:2,0.3", "--out", str(out)]) == 0
+    rows = read_csv_rows(out)
+    assert [(float(r["mu"]), int(r["n"]), float(r["u_x"])) for r in rows[::6]] == [
+        (mu, n, ux) for mu in (0.75, 0.9) for n in (16, 36) for ux in (0.0, 1.0)
+    ]
+    assert [r["statistic"] for r in rows[:6]] == [
+        "tv_bound", "tv_grid_term", "covariant_mass", "heterodyne_mass", "out_of_grid_mass", "concentration_deficit",
+    ]
 
 
 def test_measure_compare_smoke(tmp_path):
@@ -276,12 +323,15 @@ def test_report_roundtrip_read(tmp_path):
         ["discriminate", "--n", "4", "--mu", "0.75,0.75", "--grid=0.3,0.2"],
         ["convergence", "--n", "4", "--mu", "0.75,0.750", "--grid=0.3,0.2"],
         ["risk", "--mu", "0.9,1,0.9"],
+        ["convergence", "--n", "4", "--grid=0.3:0.3:2,0.2"],
+        ["measure-compare", "--n", "16", "--grid=-1:1:3,0.5:0.5:2"],
     ],
 )
 def test_malformed_or_out_of_range_scalar_is_config_error(argv, capsys):
     # each value is rejected before any experiment runs, never a traceback,
     # a silent fallback (serial run, quadrature) or a nan bound; a value
-    # repeated in a list would repeat every report row it reaches
+    # repeated in a list, or a point repeated in the grid, would repeat
+    # every report row it reaches
     assert run_cli(argv) == 2
     assert capsys.readouterr().err.startswith("error: config:")
 
@@ -295,17 +345,38 @@ def test_malformed_or_out_of_range_scalar_is_config_error(argv, capsys):
         ["convergence", "--samples", "5"],
         ["convergence", "--trunc", "9"],
         ["discriminate", "--trunc", "9"],
+        ["discriminate", "--epsilon", "0.2"],
     ],
 )
 def test_subcommand_rejects_a_flag_it_does_not_read(argv):
     assert run_cli(argv) == 2
 
 
+def test_readme_flag_table_matches_the_keys():
+    # the README table marks, per flag, the subcommands that read it; a key
+    # left out of the table must be one every experiment reads (the README
+    # names --out and --format in its text)
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    header = next(line for line in text.splitlines() if line.startswith("| flag | meaning |"))
+    commands = [cell.strip() for cell in header.strip("|").split("|")[2:]]
+    table = {}
+    for line in text.splitlines():
+        match = re.match(r"\| `--([a-z]+)` \|", line)
+        if match:
+            cells = [cell.strip() for cell in line.strip().strip("|").split("|")[2:]]
+            assert len(cells) == len(commands), line
+            table[match.group(1)] = {cmd for cmd, cell in zip(commands, cells) if cell == "x"}
+    assert table
+    for key, spec in KEYS.items():
+        assert spec.commands == table.get(key, set(commands)), key
+    assert table.keys() <= KEYS.keys()
+
+
 @pytest.mark.parametrize(
     "command, keys",
     [
         ("convergence", {"mu", "n", "epsilon", "grid", "workers", "format"}),
-        ("discriminate", {"mu", "n", "epsilon", "grid", "format"}),
+        ("discriminate", {"mu", "n", "grid", "format"}),
         ("measure-compare", {"mu", "n", "epsilon", "grid", "format"}),
         ("risk", {"mu", "samples", "seed", "format"}),
     ],

@@ -6,8 +6,9 @@ and with it every benchmarked path, never loads it.  No module of the
 package imports ``scipy`` at all (the column kernel and the binomial weights
 are the package's own), and a command-line run loads no module of numpy
 that its import did not: what the run path needs is imported with the
-package.  The import loads no process pool either: only a sweep with more
-than one worker imports ``concurrent.futures``.  And no function outside it takes a Fock cutoff: each state's core
+package.  The import loads no process pool either: only a ``convergence``
+run with ``--workers`` above 1 imports ``concurrent.futures``, in the
+command line.  And no function outside it takes a Fock cutoff: each state's core
 holds every row it reaches.  No state outside it carries a gauge angle:
 each is stored in the frame of the u it was built at, so no field,
 parameter, keyword or attribute read is named ``psi``.  Every rotation and
@@ -351,7 +352,7 @@ def test_cli_import_leaves_reference_unloaded():
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():
-    # only a sweep with workers > 1 imports it
+    # only a convergence run with --workers > 1 imports it
     probe = (
         "import sys, spingauss.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))"

@@ -18,7 +18,7 @@ from spingauss.measurements import (
     heterodyne_samples,
     injectivity_radius,
     limit_discrimination,
-    measurement_tv_sweep,
+    measurement_tv,
     position_measurement_risk,
 )
 from spingauss.measurements import (
@@ -505,7 +505,7 @@ def test_block_density_pair_matches_public_densities():
 
 
 def test_measurement_tv_smoke_and_decrease():
-    est16, est64 = measurement_tv_sweep(0.75, (16, 64), (LocalParam(0.5, 0.5),))
+    est16, est64 = (measurement_tv(ModelParams(n, 0.75), LocalParam(0.5, 0.5)) for n in (16, 64))
     for est in (est16, est64):
         assert 0 <= est.grid_term <= 2 + 1e-9
         assert est.covariant_mass == pytest.approx(1.0, abs=2e-3)
@@ -530,18 +530,17 @@ def dense_tv(mu, n, u):
     return grid_term, mass_m / included, mass_h / included
 
 
-def test_measurement_tv_sweep_matches_dense_blocks():
-    u_list = (LocalParam(0, 0), LocalParam(1, 0), LocalParam(-0.6, 0.9))
-    swept = measurement_tv_sweep(0.75, (16, 36), u_list)
-    assert [(e.n, e.u) for e in swept] == [(n, u) for n in (16, 36) for u in u_list]
-    for est in swept:
-        grid_term, mass_m, mass_h = dense_tv(0.75, est.n, est.u)
-        assert est.grid_term == pytest.approx(grid_term, abs=1e-12)
-        assert est.covariant_mass == pytest.approx(mass_m, abs=1e-12)
-        assert est.heterodyne_mass == pytest.approx(mass_h, abs=1e-12)
+def test_measurement_tv_matches_dense_blocks():
+    for n in (16, 36):
+        for u in (LocalParam(0, 0), LocalParam(1, 0), LocalParam(-0.6, 0.9)):
+            est = measurement_tv(ModelParams(n, 0.75), u)
+            grid_term, mass_m, mass_h = dense_tv(0.75, n, u)
+            assert est.grid_term == pytest.approx(grid_term, abs=1e-12)
+            assert est.covariant_mass == pytest.approx(mass_m, abs=1e-12)
+            assert est.heterodyne_mass == pytest.approx(mass_h, abs=1e-12)
 
 
-def test_measurement_tv_sweep_frees_each_grid_before_the_next(monkeypatch):
+def test_measurement_tv_frees_its_grid_before_the_next(monkeypatch):
     import spingauss.measurements as measurements
 
     built = []
@@ -554,7 +553,9 @@ def test_measurement_tv_sweep_frees_each_grid_before_the_next(monkeypatch):
         return tv
 
     monkeypatch.setattr(measurements, "_tv_grid", tv_grid)
-    measurement_tv_sweep(0.75, (16, 36), (LocalParam(0, 0), LocalParam(1, 0)))
+    for n in (16, 36):
+        for u in (LocalParam(0, 0), LocalParam(1, 0)):
+            measurement_tv(ModelParams(n, 0.75), u)
     assert len(built) == 4
 
 
@@ -726,7 +727,7 @@ def test_tv_estimate_does_not_depend_on_the_chunk_size(monkeypatch):
     estimates = []
     for chunk in (1, 16, blocks):
         monkeypatch.setattr(measurements, "TV_CHUNK", chunk)
-        estimates.append(measurement_tv_sweep(mu, (n,), (u,))[0])
+        estimates.append(measurement_tv(params, u))
     single, default, whole = estimates
     assert default == whole
     # a chunk of one block runs the batched product on one row per batch,

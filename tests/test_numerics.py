@@ -329,9 +329,9 @@ def test_factor_difference_both_branches_match_dense_spectrum(dtype, monkeypatch
 
 @pytest.mark.parametrize("n", [256, 4096])
 def test_factor_difference_branches_agree_on_ensemble_pairs(n, monkeypatch):
-    # the pairs the sweep diagonalizes: each block against the inverse
-    # channel's block, and against the limit core; every pair once on its
-    # rows and once on the R of its QR
+    # the pairs a convergence point diagonalizes: each block against the
+    # inverse channel's block, and against the limit core; every pair once
+    # on its rows and once on the R of its QR
     from spingauss import numerics
     from spingauss.channels import inverse_channel
     from spingauss.oscillator import displaced_thermal
