@@ -30,14 +30,15 @@ from .oscillator import (
 )
 from .qubit_model import (
     BlockState,
-    EnsembleState,
     ModelParams,
     block_weight,
+    concentration_range,
     concentration_set,
     concentration_weight,
-    ensemble,
     log_multiplicity,
     multiplicity,
+    occurring_range,
+    rotated_blocks,
     spin_center,
     valid_spins,
 )

@@ -3,20 +3,24 @@
 The forward channel embeds every spin block into the oscillator's number
 basis (|j, m> -> |j - m>, the identity on array indices in this package's
 conventions) and mixes the embedded blocks with their weights.  A
-convergence point takes its output as one summed corner on the rows the
-blocks reach (``_forward_corner``); the same matrix as a factor, the cores
-side by side, is the test oracle ``spingauss.reference.forward_channel``.
-The inverse channel block-projects an oscillator state back onto each spin
-block and routes whatever mass lies outside the block's image to the
-highest weight vector |j, j>, which keeps it trace preserving and
-deterministic.  The distance between two ensembles is
-``qubit_model.ensemble_difference``.
+convergence point takes its output as one corner on the rows the blocks
+reach, summed as the blocks stream past; the same matrix as a factor, the
+cores side by side, is the test oracle
+``spingauss.reference.forward_channel``.  The inverse channel
+block-projects an oscillator state back onto each spin block and routes
+whatever mass lies outside the block's image to the highest weight vector
+|j, j>, which keeps it trace preserving and deterministic; it is a
+per-block map of the state's core and 2j, so it too yields its blocks one
+at a time.  The distance between two ensembles zips their two streams
+(``qubit_model.ensemble_difference``).
 
 The convergence experiment is one kernel, ``convergence_point(params, u)``:
 the trace-norm distances at one (n, u).  The command line runs it over a
 finite grid of local parameters and reports the largest value on the grid;
 a true supremum is never computed, and the grid is recorded in every
-report.  Blocks and the limit state enter in factor form, so every distance
+report.  It reads each block once, as the walk yields it, and holds no
+list of cores and no tuple of blocks.  Blocks and the limit state enter
+in factor form, so every distance
 is diagonalized on the few leading rows the factors reach, or on the span
 of two factors.  The blocks and the limit state at one u are stored in u's
 frame (``qubit_model``), where all of them are real, and both channels are
@@ -28,10 +32,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .irreps import HalfInteger, LocalParam, spin_coherent_coords
+from .irreps import HalfInteger, LocalParam, spin_coherent_coords, walk_rows
 from .numerics import coherent_row_support, factor_difference_eigvals, trace_norm
 from .oscillator import (
     FockOperator,
@@ -40,55 +45,43 @@ from .oscillator import (
 )
 from .qubit_model import (
     BlockState,
-    EnsembleState,
     ModelParams,
     block_weights,
-    concentration_set,
-    ensemble,
+    concentration_range,
+    effective_rank,
     ensemble_difference,
     occurring_range,
+    rotated_blocks,
 )
 
 
-def _forward_corner(ens: EnsembleState) -> np.ndarray:
-    """Weighted sum of the blocks' core core^dag on the rows they reach.
-
-    This is the forward channel's output, in the ensemble's frame.
-    """
-    rows = max(b.core.shape[0] for b in ens.blocks)
-    out = np.zeros((rows, rows), dtype=np.result_type(float, *(b.core for b in ens.blocks)))
-    for b in ens.blocks:
-        r = b.core.shape[0]
-        out[:r, :r] += b.weight * (b.core @ b.core.conj().T)
-    return out
-
-
-def inverse_channel(phi: FockOperator, params: ModelParams) -> EnsembleState:
-    """Map an oscillator state to a block-diagonal ensemble with the model weights.
+def inverse_channel(phi: FockOperator, params: ModelParams, lo: int, hi: int) -> Iterator[BlockState]:
+    """The blocks 2j = lo, lo + 2, ..., hi of the ensemble the inverse channel
+    maps phi to, with the model weights, one block at a time.
 
     Works on the factor G of phi, its core (the blocks keep its frame).
     Block j gets the corner G[:2j+1] plus the column sqrt(leftover) e_0,
     where the leftover is the trace of phi outside the block image: the
     block projection with the leftover mass routed to |j, j> (e_0 is
-    unchanged by any frame), which keeps the map trace preserving.  It
-    builds the blocks ``ensemble`` builds (``occurring_range``), with the
-    same weights and the same skipped weight.
+    unchanged by any frame), which keeps the map trace preserving.  A block
+    of at least G's rows has no leftover and gets G itself.  Over the range
+    of ``occurring_range`` it yields the blocks ``rotated_blocks`` yields,
+    with the same weights, and the same skipped weight lies outside it.
     """
     g = phi.core
     row_mass = np.sum((g * g.conj()).real, axis=1)
     weights = block_weights(params)
-    lo, hi, skipped = occurring_range(params)
-    blocks = []
     for twoj in range(lo, hi + 1, 2):
         j = HalfInteger(twoj)
-        core = g[: j.dim]
-        leftover = float(row_mass[j.dim :].sum())
-        if leftover > 0.0:
-            column = np.zeros((core.shape[0], 1), dtype=g.dtype)
-            column[0, 0] = math.sqrt(leftover)
-            core = np.hstack([core, column])
-        blocks.append(BlockState(j, weights[twoj // 2], core))
-    return EnsembleState(params, tuple(blocks), skipped)
+        core = g
+        if j.dim < g.shape[0]:
+            core = g[: j.dim]
+            leftover = float(row_mass[j.dim :].sum())
+            if leftover > 0.0:
+                column = np.zeros((core.shape[0], 1), dtype=g.dtype)
+                column[0, 0] = math.sqrt(leftover)
+                core = np.hstack([core, column])
+        yield BlockState(j, weights[twoj // 2], core)
 
 
 def coherent_vector_distance(j: HalfInteger, u: LocalParam, n: int) -> float:
@@ -150,33 +143,49 @@ class PointStats:
 def convergence_point(params: ModelParams, u: LocalParam) -> PointStats:
     """Forward, largest concentration-block and reverse distances at one (n, u).
 
-    ``block_max`` reads the blocks whose 2j lies in the interval the
-    concentration set spans, the test ``measurements._tv_grid`` makes.
+    One pass over the stream of the occurring blocks reads all three.  The
+    forward channel's output, in the blocks' frame, is the weighted sum of
+    their core core^T, kept as a running sum in a buffer of the rows the
+    walk can reach (``irreps.walk_rows``) or phi holds, and cut to the rows
+    they reached.  Each block meets its image under the inverse channel
+    (``ensemble_difference``) for the reverse distance.  ``block_max``
+    reads the blocks whose 2j lies in ``concentration_range``, the test
+    ``measurements._tv_grid`` makes.
     """
-    ens = ensemble(params, u)
     phi = displaced_thermal(u, params.mu)
-    # blocks and phi are in u's frame, so the real corners compare
-    corner = _forward_corner(ens)
-    # everything past the rows the factors reach is zero on both sides
-    rows = max(corner.shape[0], phi.core.shape[0])
-    diff = np.zeros((rows, rows))
-    diff[: corner.shape[0], : corner.shape[0]] = corner
-    r = phi.core.shape[0]
-    diff[:r, :r] -= phi.core @ phi.core.T
-    forward = trace_norm(diff)
-    back = ensemble_difference(ens, inverse_channel(phi, params))
-    # a block of at least r rows gets phi's core itself back from the inverse
-    # channel, with no leftover column, so its reverse term is its distance
-    # to phi; only the blocks of fewer rows are diagonalized again
-    spins = concentration_set(params)
+    g = phi.core
+    r = g.shape[0]
+    lo, hi, skipped = occurring_range(params)
+    first, last = concentration_range(params)
+    size = max(r, walk_rows(lo, hi, u.norm / math.sqrt(params.n), effective_rank(params.p)))
+    corner = np.zeros((size, size))
+    reach = 0
+    reverse = 0.0
     block_max = 0.0
-    for b, norm in zip(ens.blocks, back.block_norms):
-        if not spins[0].twoj <= b.j.twoj <= spins[-1].twoj:
+    discarded = 0.0
+    blocks = rotated_blocks(params, u, lo, hi)
+    for b, norm in ensemble_difference(blocks, inverse_channel(phi, params, lo, hi)):
+        k = b.core.shape[0]
+        corner[:k, :k] += b.weight * (b.core @ b.core.T)
+        reach = max(reach, k)
+        reverse += b.weight * norm
+        discarded = max(discarded, b.discarded)
+        if not first <= b.j.twoj <= last:
             continue
+        # a block of at least r rows gets phi's core itself back from the
+        # inverse channel, with no leftover column, so its reverse term is
+        # its distance to phi; only the blocks of fewer rows are
+        # diagonalized again
         if b.j.dim < r:
-            norm = float(np.abs(factor_difference_eigvals(b.core, phi.core)).sum())
+            norm = float(np.abs(factor_difference_eigvals(b.core, g)).sum())
         block_max = max(block_max, norm)
+    # blocks and phi are in u's frame, so the real corners compare, and
+    # everything past the rows the factors reach is zero on both sides
+    rows = max(reach, r)
+    diff = corner[:rows, :rows]
+    diff[:r, :r] -= g @ g.T
+    forward = trace_norm(diff)
     # the inverse channel is trace-norm contractive, so the rank cuts of phi and
     # of the largest block, and the skipped weight at its worst case, bound all three
-    bound = phi.deficit + max(b.discarded for b in ens.blocks) + 2.0 * ens.skipped
-    return PointStats(forward=forward, block_max=block_max, reverse=back.trace_norm, error_bound=bound)
+    bound = phi.deficit + discarded + 2.0 * skipped
+    return PointStats(forward=forward, block_max=block_max, reverse=reverse + 2.0 * skipped, error_bound=bound)

@@ -16,11 +16,14 @@ this reproduces the one-qubit closed form
 with phi = Arg(-u_y + i u_x).  ``rotation_columns`` returns the leading
 columns of U_j(u) as a real core: they are Krawtchouk functions, which the
 column kernel ``numerics.three_term_columns`` runs from the spin coherent
-vector.  ``rotation_walk`` returns those cores for a whole range of spins at
-one rotation: it starts with one ``rotation_columns`` call at the lowest spin
-and climbs in whole steps of j, coupling two more qubits at a time
-(``_whole_step``), so the blocks of one (n, u) share a single kernel call
-and every step lands on a spin the range keeps.  The dense U_j(u) is
+vector.  ``rotation_walk`` yields those cores for a whole range of spins at
+one rotation, one at a time: it starts with one ``rotation_columns`` call at
+the lowest spin and climbs in whole steps of j, coupling two more qubits at
+a time (``_whole_step``), so the blocks of one (n, u) share a single kernel
+call, every step lands on a spin the range keeps, and the walk holds only
+the core it steps from.  Each core comes with the mass the row trimming has
+dropped up to its step, and ``walk_rows`` bounds the rows every core
+reaches in closed form, before the walk starts.  The dense U_j(u) is
 ``spingauss.reference.rotation_unitary``, and the half-step walk that
 couples one qubit at a time is ``spingauss.reference.half_step_walk``.
 """
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -204,37 +208,65 @@ def _whole_step(prev: np.ndarray, twoj: int, d1: np.ndarray, cols: int) -> np.nd
     return out
 
 
-def rotation_walk(lo: int, hi: int, radius: float, cols: int) -> tuple[list[np.ndarray], float]:
+def walk_rows(lo: int, hi: int, radius: float, cols: int) -> int:
+    """A closed-form bound on the rows of every core ``rotation_walk(lo, hi,
+    radius, cols)`` yields.
+
+    Up to |w| = pi/4 (modulo the turns and the mirror) column k of U_j(w)
+    sits near row k + 2j sin^2 w, so the leading ``cols`` columns at spin
+    up to 2j = ``hi`` hold to rounding within the rows a coherent vector of
+    |z|^2 = (sqrt(hi) sin w + sqrt(cols))^2 needs, and at most 2j + 1.
+    Past pi/4 the columns are reflected, and where ``cols`` pass j they are
+    completed by the symmetry; either fills every row, so the bound is
+    2j + 1, at lo for the walk's first core and at hi for the rest.
+    """
+    w = radius % math.pi
+    w = min(w, math.pi - w)
+    if w > math.pi / 4 or cols > hi // 2 + 1:
+        return hi + 1
+    rows = min(hi + 1, coherent_row_support((math.sqrt(hi) * math.sin(w) + math.sqrt(cols)) ** 2))
+    return max(rows, lo + 1) if cols > lo // 2 + 1 else rows
+
+
+def rotation_walk(lo: int, hi: int, radius: float, cols: int) -> Iterator[tuple[np.ndarray, float]]:
     """Real cores of U_j(w)[:, :min(cols, 2j + 1)] for 2j = lo, lo + 2, ..., hi,
-    at |w| = ``radius``.
+    at |w| = ``radius``, yielded one at a time, each with the mass the walk
+    has trimmed up to its step.
 
     Each core is, to rounding, the one ``rotation_columns`` returns, in the
-    same frame, w's, on the rows it reaches.  One ``rotation_columns`` call
-    gives the core at 2j = lo, so lo = hi is exactly that call; each whole
-    step up in j is ``_whole_step``, which couples two more qubits at once
-    and lands on the next spin of lo's parity (the two-qubit form of Risbo's
-    recursion, J. Geodesy 70, 383, 1996).  After every step the trailing
-    rows below ``numerics.WALK_TRIM`` are trimmed.  The second value is the
-    mass the trimming dropped, summed over all steps: it bounds the trace
-    any returned column lost to it.
+    same frame, w's, on the rows it reaches (at most ``walk_rows``).  One
+    ``rotation_columns`` call gives the core at 2j = lo, so lo = hi is
+    exactly that call; each whole step up in j is ``_whole_step``, which
+    couples two more qubits at once and lands on the next spin of lo's
+    parity (the two-qubit form of Risbo's recursion, J. Geodesy 70, 383,
+    1996).  After every step the trailing rows below ``numerics.WALK_TRIM``
+    are trimmed.  The mass yielded with a core is what the trimming dropped
+    over the steps up to it, 0 at 2j = lo: it bounds the trace any column
+    of that core lost to it, and it never decreases along the walk.  The
+    walk holds only the core it steps from, so the caller must not write
+    into a yielded core.  A range that is not one parity raises at the
+    call, before any core is built.
     """
     if not 0 <= lo <= hi or (hi - lo) % 2:
         raise DomainError(f"spin range 2j = {lo}..{hi} is not a same-parity range")
+    return _walk(lo, hi, radius, cols)
+
+
+def _walk(lo: int, hi: int, radius: float, cols: int) -> Iterator[tuple[np.ndarray, float]]:
+    """The steps of ``rotation_walk``."""
     c, s = math.cos(radius), math.sin(radius)
     cs = math.sqrt(2.0) * c * s
     d1 = np.array([[c * c, -cs, s * s], [cs, c * c - s * s, -cs], [s * s, cs, c * c]])
     core = rotation_columns(HalfInteger(lo), radius, cols)
-    cores = [core]
     trimmed = 0.0
+    yield core, trimmed
     for twoj in range(lo + 2, hi + 1, 2):
         core, mass = trim_rows(_whole_step(core, twoj, d1, cols))
         # every column of U_j is a unit vector: rescaling to it keeps the
-        # rounding of c^2 + s^2 = 1, the same every step, from compounding;
-        # out of place, so a kept core holds only the rows it keeps
+        # rounding of c^2 + s^2 = 1, the same every step, from compounding
         core = core / np.sqrt(np.einsum("ij,ij->j", core, core))
         trimmed += mass
-        cores.append(core)
-    return cores, trimmed
+        yield core, trimmed
 
 
 def spin_coherent_coords(j: HalfInteger, w: LocalParam) -> np.ndarray:

@@ -58,8 +58,7 @@ from .qubit_model import (
     BlockState,
     ModelParams,
     block_spectrum,
-    concentration_set,
-    ensemble,
+    concentration_range,
     occurring_range,
     rotated_blocks,
 )
@@ -87,16 +86,17 @@ def finite_n_discrimination(params: ModelParams, u: LocalParam) -> BinaryTestRes
     ``mirror_trace_norm`` of its core, and the multiplicity spaces cancel.
     A skipped block's true trace norm lies in [0, 2 w], and each rank cut,
     on either side, moves the trace norm by at most its discarded trace.
+    The blocks are summed as the walk yields them (``rotated_blocks``).
     """
-    ens = ensemble(params, u)
+    lo, hi, skipped = occurring_range(params)
     total = 0.0
     discarded = 0.0
-    for b in ens.blocks:
+    for b in rotated_blocks(params, u, lo, hi):
         total += b.weight * mirror_trace_norm(b.core)
         discarded += b.weight * 2.0 * b.discarded
     return BinaryTestResult(
-        risk=0.5 * (1.0 - 0.5 * (total + 2.0 * ens.skipped)),
-        error_bound=0.5 * ens.skipped + 0.25 * discarded,
+        risk=0.5 * (1.0 - 0.5 * (total + 2.0 * skipped)),
+        error_bound=0.5 * skipped + 0.25 * discarded,
     )
 
 
@@ -350,18 +350,20 @@ def _tv_grid(params: ModelParams, u: LocalParam, grid: PolarGrid) -> _TvGrid:
     covariant data at them (which rejects a grid past the injectivity disk
     before any other work), the included blocks and the heterodyne kernel's
     tables (``oscillator.polar_heterodyne``).  The included blocks are the
-    concentration set's blocks that occur (``qubit_model.occurring_range``),
-    a contiguous range of 2j, from one ``rotated_blocks`` walk over that
-    range alone.  Their rank cuts and the walk's trimmed mass sit far below
-    the quadrature resolution.
+    concentration set's blocks that occur (``qubit_model.occurring_range``
+    within ``qubit_model.concentration_range``), a contiguous range of 2j,
+    from one ``rotated_blocks`` walk over that range alone, kept as one
+    tuple: ``back`` takes its columns from the rows the longest core
+    reaches, which only the whole walk tells.  Their rank cuts and the
+    walk's trimmed mass sit far below the quadrature resolution.
     """
     if grid.center != (u.ux, u.uy):
         raise ValidationError(f"TV grid centred at {grid.center}, not at u = ({u.ux}, {u.uy})")
     pts, w = grid.nodes()
     covariant = _covariant(params, u, pts)
     lo, hi, _ = occurring_range(params)
-    spins = concentration_set(params)
-    blocks = rotated_blocks(params, u, max(lo, spins[0].twoj), min(hi, spins[-1].twoj))
+    first, last = concentration_range(params)
+    blocks = tuple(rotated_blocks(params, u, max(lo, first), min(hi, last)))
     rows = max(b.core.shape[0] for b in blocks)
     return _TvGrid(
         points=pts,

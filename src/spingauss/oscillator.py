@@ -18,7 +18,10 @@ thermal weights past the effective rank r, as
 The heterodyne outcome density has two kernels: the radial
 ``heterodyne_pdf_kernel`` at the distances |u_hat - u|, for the displaced
 thermal state, which the risk runs, and the polar ``polar_heterodyne`` on a
-grid centred at u, for the spin blocks, which are not radial.
+grid centred at u, for the spin blocks, which are not radial.  The polar
+kernel keeps the real coherent rows of its radial nodes, and builds their
+pairwise products only on the rows the re-centred block cores reach
+(``PolarHeterodyne``), not on every row the grid's radius allows.
 """
 
 from __future__ import annotations
@@ -227,7 +230,7 @@ class PolarGrid:
         return pts, w
 
 
-@dataclass(frozen=True)
+@dataclass
 class PolarHeterodyne:
     """Heterodyne outcome densities of real cores on a polar grid centred at u.
 
@@ -241,15 +244,27 @@ class PolarHeterodyne:
     with R_m the real coherent row at s rho, and A = G G^T with
     G = ``back`` F, ``back`` the leading rows of D(-z_c), real in that
     frame: only as many as the radial rows reach at rho = radius, so the
-    tables do not grow with |z_c|.  The radial products R_{m+d} R_m are
-    ``diag`` as [d, m, rho] (zero past the last row) and
-    c_d cos(d (t + pi/2 - psi)) is ``cos`` as [d, t].
+    tables do not grow with |z_c|.  The real coherent rows R_m are
+    ``radial`` as [m, rho] and c_d cos(d (t + pi/2 - psi)) is ``cos`` as
+    [d, t].  The radial products R_{m+d} R_m, as [d, m, rho] and zero
+    past the last row, are ``diag``: built on the rows the first chunk of
+    cores reaches, and rebuilt only when a later chunk reaches further,
+    since the contraction never reads a row past the longest G.
     """
 
     mu: float
     back: np.ndarray
-    diag: np.ndarray
+    radial: np.ndarray
     cos: np.ndarray
+    diag: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    def _products(self, rows: int) -> np.ndarray:
+        """``diag`` on its leading ``rows`` rows, (re)built when it holds fewer."""
+        if self.diag is None or self.diag.shape[0] < rows:
+            self.diag = np.zeros((rows, rows, self.radial.shape[1]))
+            for d in range(rows):
+                self.diag[d, : rows - d] = self.radial[d:rows] * self.radial[: rows - d]
+        return self.diag[:rows, :rows]
 
     def densities(self, cores) -> np.ndarray:
         """(cores, nodes) densities in ``PolarGrid.nodes`` order: h(rho, d) of
@@ -272,7 +287,7 @@ class PolarHeterodyne:
             padded = np.zeros((rows + 1, g.shape[1]))
             padded[: g.shape[0]] = g
             a_diag[:, k] = np.take(padded @ padded.T, flat)
-        h = np.matmul(a_diag, self.diag[:rows, :rows]).reshape(rows, -1)
+        h = np.matmul(a_diag, self._products(rows)).reshape(rows, -1)
         dens = h.T @ self.cos[:rows]
         dens *= (2.0 * self.mu - 1.0) / math.pi
         return dens.reshape(len(gs), -1)
@@ -285,20 +300,16 @@ def polar_heterodyne(grid: PolarGrid, mu: float, rows: int) -> PolarHeterodyne:
     (``heterodyne_pdf_kernel``).  D(z_c) is the real core M = D(|z_c|) in
     u's frame, so D(-z_c) is M^T = S M S, S = diag((-1)^k): ``back`` is one
     signed ``displacement_columns`` call, a column per core row, on the band
-    it reaches."""
+    it reaches.  The radial products wait for the first chunk of cores."""
     u = LocalParam(*grid.center)
     radii, _, angles = grid.axes()
     s = math.sqrt(2.0 * mu - 1.0)
     back = displacement_columns(s * u.norm, rows)
     size = min(back.shape[0], coherent_row_support((s * grid.radius) ** 2))
     back = mirror_rows(back[:size]) * (-1.0) ** np.arange(rows)
-    radial = _coherent_rows(s * radii, size)
-    diag = np.zeros((size, size, len(radii)))
-    for d in range(size):
-        diag[d, : size - d] = radial[d:] * radial[: size - d]
     cos = np.cos(np.outer(np.arange(size), angles + 0.5 * math.pi - u.angle))
     cos[1:] *= 2.0
-    return PolarHeterodyne(mu, back, diag, cos)
+    return PolarHeterodyne(mu, back, _coherent_rows(s * radii, size), cos)
 
 
 def heterodyne_pdf_kernel(mu: float, size: int) -> Callable[[np.ndarray], np.ndarray]:

@@ -7,18 +7,25 @@ matrices and the concentration set of spins that carries asymptotically all of
 the weight.
 
 The blocks of weight above NEGLIGIBLE_WEIGHT are one contiguous range of
-2j (``occurring_range``); a state holds those blocks only, and the summed
-weight of the rest as its ``skipped``, which every distance counts at the
+2j (``occurring_range``); a state is those blocks only, and the summed
+weight of the rest, its ``skipped``, which every distance counts at the
 worst case.  This module alone makes that selection and rotates blocks
 (``rotated_blocks``): one ``irreps.rotation_walk`` per range and u, at
 |u|/sqrt(n), gives every core.  The blocks of one range differ in 2j by
 2, so the walk climbs from one to the next in whole steps of j, coupling
-two more qubits at a time, and builds no core it does not keep.  A
+two more qubits at a time, and builds no core it does not keep.  The
+blocks are a stream: every experiment reads each block once, in
+ascending 2j, so ``rotated_blocks`` yields them one at a time and
+``ensemble_difference`` zips two such streams, and no list of cores or
+tuple of blocks is held on the convergence and discrimination paths (the
+materialized state is the oracle ``spingauss.reference.ensemble``).  A
 rotated block is stored as a low-rank factor: the unrotated block has
 spectrum proportional to p^k, so the eigenvalues below RANK_CUT are
 dropped and rho_j ~ F F^dag with F the rotated leading columns scaled by
 the square roots of the kept eigenvalues.  The dropped trace is recorded
-per block.
+per block.  The run path takes spins as 2j integers
+(``occurring_range``, ``concentration_range``); ``valid_spins`` and
+``concentration_set`` build a ``HalfInteger`` per spin for the lemma API.
 
 The frame.  rho^0 is diagonal, so turning u in the plane by an angle a
 conjugates each block by exp(-i a J_z) (the oscillator state by
@@ -40,8 +47,9 @@ the pmf is taken in Loader's saddle-point form (``_log_binomial_pmf``):
 Stirling remainders and deviance terms, each small or accurate relative to
 itself, so no large logs cancel.  The weights of one ``ModelParams`` are
 computed once, in one numpy pass over every 2j (``block_weights``), and
-shared by ``ensemble``, the inverse channel and the concentration weights;
-the single-spin functions evaluate the same array form on one spin.
+shared by the rotated blocks, the inverse channel and the concentration
+weights; the single-spin functions evaluate the same array form on one
+spin.
 """
 
 from __future__ import annotations
@@ -49,6 +57,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, islice, zip_longest
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -106,33 +116,14 @@ class BlockState:
     core: np.ndarray
     discarded: float = 0.0
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """The dense (2j+1)-dimensional F F^dag in the frame, rebuilt on every access."""
-        rows = self.core.shape[0]
-        out = np.zeros((self.j.dim, self.j.dim), dtype=np.result_type(self.core, float))
-        out[:rows, :rows] = self.core @ self.core.conj().T
-        return out
-
-
-@dataclass(frozen=True)
-class EnsembleState:
-    """Block-diagonal ensemble state: parameters, the occurring blocks
-    (``occurring_range``) in ascending 2j, every one in the frame of the u
-    the ensemble was built at, and ``skipped``, the weight of every other
-    block, which the state omits."""
-
-    params: ModelParams
-    blocks: tuple[BlockState, ...]
-    skipped: float
-
 
 @lru_cache(maxsize=4)
 def valid_spins(n: int) -> tuple[HalfInteger, ...]:
     """All total spins compatible with n qubits, ascending (2j runs n mod 2 .. n).
 
-    Cached per n: the ensemble, the inverse channel and the concentration
-    set of one point walk the same spins.
+    Cached per n, for the concentration set; the run path takes its spins
+    as 2j integers (``occurring_range``, ``concentration_range``) and makes
+    a ``HalfInteger`` only for a block it holds.
     """
     return tuple(HalfInteger(tj) for tj in range(n % 2, n + 1, 2))
 
@@ -273,6 +264,26 @@ def concentration_set(params: ModelParams) -> tuple[HalfInteger, ...]:
     return spins
 
 
+def concentration_range(params: ModelParams) -> tuple[int, int]:
+    """(lo, hi): the least and the greatest 2j of ``concentration_set``.
+
+    Both come from the ends 2 (n(mu - 1/2) -+ n^(1/2+epsilon)) of the
+    window alone: each is rounded inward to an integer, clipped to
+    [n mod 2, n] and moved inward to the parity of n, so no spin between
+    them is built.  An empty window raises ``DomainError``, as the set does.
+    """
+    jn = spin_center(params)
+    width = params.n ** (0.5 + params.epsilon)
+    parity = params.n % 2
+    lo = max(math.ceil(2.0 * (jn - width)), parity)
+    hi = min(math.floor(2.0 * (jn + width)), params.n)
+    lo += (lo - parity) % 2
+    hi -= (hi - parity) % 2
+    if lo > hi:
+        raise DomainError("empty concentration set; epsilon too small for this n")
+    return lo, hi
+
+
 def concentration_weight(params: ModelParams) -> float:
     """Total block weight carried by the concentration set."""
     weights = block_weights(params)
@@ -315,58 +326,46 @@ def occurring_range(params: ModelParams) -> tuple[int, int, float]:
     weights = block_weights(params)
     occurring = [i for i, w in enumerate(weights) if w > NEGLIGIBLE_WEIGHT]
     first, last = occurring[0], occurring[-1]
-    spins = valid_spins(params.n)
-    skipped = sum(weights[:first] + weights[last + 1 :])
-    return spins[first].twoj, spins[last].twoj, skipped
+    # the weights outside, in order, with no copy of either tail
+    skipped = sum(chain(islice(weights, first), islice(weights, last + 1, None)))
+    return params.n % 2 + 2 * first, params.n % 2 + 2 * last, skipped
 
 
-def rotated_blocks(params: ModelParams, u: LocalParam, lo: int, hi: int) -> tuple[BlockState, ...]:
-    """The blocks 2j = lo, lo + 2, ..., hi of the ensemble at u, in u's frame.
+def rotated_blocks(params: ModelParams, u: LocalParam, lo: int, hi: int) -> Iterator[BlockState]:
+    """The blocks 2j = lo, lo + 2, ..., hi of the ensemble at u, in u's frame,
+    yielded in ascending 2j from one ``rotation_walk``.
 
-    One ``rotation_walk`` gives every core; each is scaled in place by the
-    square roots of the kept eigenvalues, so rho_j ~ core core^T, and its
-    ``discarded`` is its rank cut plus the mass the walk trimmed.
+    Each core is the walk's, scaled by the square roots of the kept
+    eigenvalues, so rho_j ~ core core^T; its ``discarded`` is its rank cut
+    plus the mass the walk trimmed up to its step, so it never decreases
+    along the range.  Only the block in hand and the core the walk steps
+    from are held.  A point's ensemble is the range of
+    ``occurring_range``, with its ``skipped`` weight beside the stream.
     """
     p = params.p
     weights = block_weights(params)
-    cores, trimmed = rotation_walk(lo, hi, u.norm / math.sqrt(params.n), effective_rank(p))
-    blocks = []
-    for twoj, core in zip(range(lo, hi + 1, 2), cores):
+    walk = rotation_walk(lo, hi, u.norm / math.sqrt(params.n), effective_rank(p))
+    for twoj, (core, trimmed) in zip(range(lo, hi + 1, 2), walk):
         j = HalfInteger(twoj)
-        core *= np.sqrt(block_spectrum(p, j.dim, core.shape[1]))
-        blocks.append(BlockState(j, weights[twoj // 2], core, discarded_weight(p, j.dim) + trimmed))
-    return tuple(blocks)
+        # out of place: the walk steps on from its own core
+        core = core * np.sqrt(block_spectrum(p, j.dim, core.shape[1]))
+        yield BlockState(j, weights[twoj // 2], core, discarded_weight(p, j.dim) + trimmed)
 
 
-def ensemble(params: ModelParams, u: LocalParam) -> EnsembleState:
-    """The ensemble state for local parameter u, in u's frame: the blocks of
-    ``occurring_range``, from one ``rotated_blocks`` walk."""
-    lo, hi, skipped = occurring_range(params)
-    return EnsembleState(params, rotated_blocks(params, u, lo, hi), skipped)
+def ensemble_difference(a: Iterable[BlockState], b: Iterable[BlockState]) -> Iterator[tuple[BlockState, float]]:
+    """Each block of ``a`` with the trace norm of its difference to the
+    matching block of ``b``, the two streams zipped one pair at a time.
 
-
-@dataclass(frozen=True)
-class EnsembleDifference:
-    """Blockwise spectrum summary of the difference of two ensembles."""
-
-    trace_norm: float    # includes the worst case 2 * skipped
-    block_norms: tuple[float, ...]  # unweighted, one per block
-
-
-def ensemble_difference(a: EnsembleState, b: EnsembleState) -> EnsembleDifference:
-    """Weighted sum of block trace norms of a - b.
-
-    Both states must carry the same (n, mu), hence the same blocks and
-    weights, and the multiplicity spaces cancel; they must be in one frame
-    (see the module docstring).  Each block is diagonalized on the span of
-    its two factors; the skipped weight counts at the worst case
-    2 * skipped, and ``block_norms`` keeps each block's own trace norm.
+    Both must hold the same spins with the same weights, as two states of
+    one (n, mu) over one 2j range do, and be in one frame (see the module
+    docstring); the multiplicity spaces cancel.  A pair of different spin
+    or weight, or a stream that ends before the other, raises
+    ``ValidationError`` when it is reached.  Each pair is diagonalized on
+    the span of its two factors.  The weighted sum of the norms is the trace
+    norm of the difference on the range, to which the blocks outside it add
+    at most 2 * skipped.
     """
-    if a.params.n != b.params.n or a.params.mu != b.params.mu:
-        raise ValidationError("ensembles must share block structure (same n, mu)")
-    total = 0.0
-    norms = []
-    for ba, bb in zip(a.blocks, b.blocks, strict=True):
-        norms.append(float(np.abs(factor_difference_eigvals(ba.core, bb.core)).sum()))
-        total += ba.weight * norms[-1]
-    return EnsembleDifference(total + 2.0 * a.skipped, tuple(norms))
+    for x, y in zip_longest(a, b):
+        if x is None or y is None or x.j != y.j or x.weight != y.weight:
+            raise ValidationError("ensembles must share block structure (same n, mu)")
+        yield x, float(np.abs(factor_difference_eigvals(x.core, y.core)).sum())

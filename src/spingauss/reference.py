@@ -17,8 +17,12 @@ reach, and so is the walk that ``irreps.rotation_walk`` replaced
 time, where the walk takes whole steps of two.  So are the forward channel
 as one factor (``forward_channel``), which the round-trip tests feed to
 ``channels.inverse_channel``, and the binomial factor of a block weight
-(``binomial_factor``).  No other module of the package imports this one,
-so the command line never loads it.
+(``binomial_factor``).  The package streams a point's blocks; the
+materialized state (``EnsembleState``, built by ``ensemble`` and
+``inverse_ensemble``), its distance ``ensemble_distance`` and the dense
+block ``block_matrix`` are here, as the oracles of the one-pass sums.  No
+other module of the package imports this one, so the command line never
+loads it.
 
 States built here are factor-form ``FockOperator`` objects, so their
 ``matrix`` is rebuilt on access like every other state's: a thermal state
@@ -48,13 +52,17 @@ from .oscillator import (
     _coherent_rows,
     coherent_coefficients,
 )
+from .channels import inverse_channel
 from .qubit_model import (
-    EnsembleState,
+    BlockState,
     ModelParams,
     _check_spin,
     _log_binomial_pmf,
     block_spectrum,
+    ensemble_difference,
     log_block_weight,
+    occurring_range,
+    rotated_blocks,
     spin_center,
 )
 
@@ -394,7 +402,7 @@ def block_state_zero(params: ModelParams, j: HalfInteger) -> np.ndarray:
 def block_state(params: ModelParams, j: HalfInteger, u: LocalParam) -> np.ndarray:
     """Rotated spin-j block U_j(u/sqrt(n)) rho0_j U_j(u/sqrt(n))^dag.
 
-    Dense reference for the blocks of ``qubit_model.ensemble``: one
+    Dense reference for the blocks of ``ensemble``: one
     eigendecomposition and two (2j+1)^3 products.
     """
     rho0 = block_state_zero(params, j)
@@ -429,6 +437,55 @@ def binomial_factor_closed_form(params: ModelParams, j: HalfInteger) -> float:
     num = n + (2.0 * (j.value - jn) + 1.0) / (2.0 * mu - 1.0)
     den = n + (j.value - jn + 1.0) / mu
     return tail * num / den
+
+
+@dataclass(frozen=True)
+class EnsembleState:
+    """Block-diagonal ensemble state, held whole: parameters, the occurring
+    blocks (``qubit_model.occurring_range``) in ascending 2j, every one in
+    the frame of the u the ensemble was built at, and ``skipped``, the
+    weight of every other block, which the state omits.  The package
+    streams these blocks instead; this form is the oracle its one-pass
+    sums are checked against."""
+
+    params: ModelParams
+    blocks: tuple[BlockState, ...]
+    skipped: float
+
+
+def ensemble(params: ModelParams, u: LocalParam) -> EnsembleState:
+    """The ensemble state at u, in u's frame: the stream
+    ``qubit_model.rotated_blocks`` over ``occurring_range``, held as one tuple."""
+    lo, hi, skipped = occurring_range(params)
+    return EnsembleState(params, tuple(rotated_blocks(params, u, lo, hi)), skipped)
+
+
+def inverse_ensemble(phi: FockOperator, params: ModelParams) -> EnsembleState:
+    """``channels.inverse_channel`` of phi over ``occurring_range``, held as one
+    tuple, with the skipped weight the ensemble at any u has."""
+    lo, hi, skipped = occurring_range(params)
+    return EnsembleState(params, tuple(inverse_channel(phi, params, lo, hi)), skipped)
+
+
+def ensemble_distance(a: EnsembleState, b: EnsembleState) -> float:
+    """||a - b||_1 of two ensembles of one (n, mu) in one frame: the weighted
+    block norms of ``qubit_model.ensemble_difference``, summed in order,
+    plus the skipped weight at its worst case 2 * skipped, as
+    ``channels.convergence_point`` sums its ``reverse``."""
+    if a.params.n != b.params.n or a.params.mu != b.params.mu:
+        raise ValidationError("ensembles must share block structure (same n, mu)")
+    total = 0.0
+    for block, norm in ensemble_difference(a.blocks, b.blocks):
+        total += block.weight * norm
+    return total + 2.0 * a.skipped
+
+
+def block_matrix(block: BlockState) -> np.ndarray:
+    """The dense (2j+1)-dimensional F F^dag of a block, in its frame."""
+    rows = block.core.shape[0]
+    out = np.zeros((block.j.dim, block.j.dim), dtype=np.result_type(block.core, float))
+    out[:rows, :rows] = block.core @ block.core.conj().T
+    return out
 
 
 def forward_channel(ens: EnsembleState) -> FockOperator:

@@ -10,7 +10,6 @@ from spingauss.channels import (
     coherent_vector_distance,
     composition_defect,
     convergence_point,
-    inverse_channel,
 )
 from spingauss.errors import DomainError
 from spingauss.measurements import finite_n_discrimination
@@ -24,22 +23,24 @@ from spingauss.qubit_model import (
     block_weights,
     concentration_set,
     effective_rank,
-    ensemble,
-    ensemble_difference,
     occurring_range,
     valid_spins,
 )
 from spingauss.reference import (
     EmbeddingMap,
     TruncationError,
+    block_matrix,
     block_state,
     block_state_zero,
     displacement_amplitude,
     displacement_operator,
     embed_block,
+    ensemble,
+    ensemble_distance,
     fock_matrix,
     forward_channel,
     inverse_channel_block,
+    inverse_ensemble,
     lab_frame,
     rotation_unitary,
     thermal_state,
@@ -133,8 +134,8 @@ def test_inverse_channel_single_qubit_thermal():
     mu, dim = 0.75, 32
     p = (1 - mu) / mu
     phi = thermal_state(p, FockTruncation(dim))
-    ens = inverse_channel(phi, ModelParams(1, mu))
-    got = ens.blocks[0].matrix
+    ens = inverse_ensemble(phi, ModelParams(1, mu))
+    got = block_matrix(ens.blocks[0])
     assert got[1, 1].real == pytest.approx((1 - p) * p, abs=1e-15)
     assert got[0, 0].real == pytest.approx(1 - p + p ** 2 - p ** dim, abs=1e-15)
     assert np.trace(got).real == pytest.approx(np.trace(phi.matrix).real, abs=1e-14)
@@ -142,15 +143,16 @@ def test_inverse_channel_single_qubit_thermal():
 
 @pytest.mark.parametrize("n", [128, 65536])
 def test_inverse_channel_builds_the_occurring_blocks(n, monkeypatch):
-    # it builds the blocks ``ensemble`` builds (``occurring_range``), with
-    # their weights and the same skipped weight; block j is phi's core cut to
-    # 2j + 1 rows, plus sqrt(leftover) e_0.  At n = 65536 that is 1617 of the
-    # 32769 spins, 2j in [31144, 34376]
+    # over ``occurring_range`` it yields the blocks ``rotated_blocks``
+    # yields, with their weights, and the same skipped weight lies outside;
+    # block j is phi's core cut to 2j + 1 rows, plus sqrt(leftover) e_0, and
+    # a block of at least the core's rows gets the core itself.  At
+    # n = 65536 that is 1617 of the 32769 spins, 2j in [31144, 34376]
     params = ModelParams(n, 0.75)
     u = LocalParam(0.6, -0.4)
     ens = ensemble(params, u)
     phi = displaced_thermal(u, params.mu)
-    back = inverse_channel(phi, params)
+    back = inverse_ensemble(phi, params)
     lo, hi, skipped = occurring_range(params)
     assert [(b.j, b.weight) for b in back.blocks] == [(b.j, b.weight) for b in ens.blocks]
     assert [b.j.twoj for b in back.blocks] == list(range(lo, hi + 1, 2))
@@ -162,6 +164,7 @@ def test_inverse_channel_builds_the_occurring_blocks(n, monkeypatch):
     rows, cols = phi.core.shape
     row_mass = np.sum(phi.core ** 2, axis=1)
     for b in back.blocks:
+        assert (b.core is phi.core) == (b.j.dim >= rows)
         np.testing.assert_array_equal(b.core[:, :cols], phi.core[: b.j.dim])
         leftover = float(row_mass[b.j.dim :].sum())
         assert b.core.shape[1] == cols + (leftover > 0.0)
@@ -172,10 +175,10 @@ def test_inverse_channel_builds_the_occurring_blocks(n, monkeypatch):
         return
     # built over every spin instead, the reverse distance moves by at most
     # the 2 * skipped the occurring blocks charge for the rest
-    reverse = ensemble_difference(ens, back).trace_norm
+    reverse = ensemble_distance(ens, back)
     monkeypatch.setattr(qubit_model, "NEGLIGIBLE_WEIGHT", 0.0)
-    every = ensemble_difference(ensemble(params, u), inverse_channel(phi, params)).trace_norm
-    assert len(inverse_channel(phi, params).blocks) == len(valid_spins(n))
+    every = ensemble_distance(ensemble(params, u), inverse_ensemble(phi, params))
+    assert len(inverse_ensemble(phi, params).blocks) == len(valid_spins(n))
     assert reverse - 2.0 * skipped - 1e-15 <= every <= reverse + 1e-15
     assert every < reverse
 
@@ -188,8 +191,8 @@ def test_channels_preserve_trace():
     fwd = forward_channel(ens)
     assert np.trace(fock_matrix(fwd, trunc)).real == pytest.approx(1.0, abs=1e-10)
     phi = displaced_thermal(u, 0.75)
-    back = inverse_channel(phi, params)
-    total = sum(b.weight * np.trace(b.matrix).real for b in back.blocks)
+    back = inverse_ensemble(phi, params)
+    total = sum(b.weight * np.trace(block_matrix(b)).real for b in back.blocks)
     assert total == pytest.approx(np.trace(phi.matrix).real, abs=1e-10)
 
 
@@ -202,11 +205,11 @@ def test_round_trip_through_both_channels():
     ens = ensemble(params, u0)
     trunc = FockTruncation(16)
     fwd = forward_channel(ens)
-    back = inverse_channel(fwd, params)
-    round_trip = ensemble_difference(ens, back).trace_norm
+    back = inverse_ensemble(fwd, params)
+    round_trip = ensemble_distance(ens, back)
     phi = thermal_state(params.p, trunc)
     leg_forward = trace_norm(fock_matrix(fwd, trunc) - phi.matrix)
-    leg_reverse = ensemble_difference(ens, inverse_channel(phi, params)).trace_norm
+    leg_reverse = ensemble_distance(ens, inverse_ensemble(phi, params))
     assert round_trip <= leg_forward + leg_reverse + 1e-12
     assert round_trip < 0.1
 
@@ -318,14 +321,14 @@ def test_sweep_forward_block_reverse_triangle_consistency():
     u = LocalParam(1.0, -1.0)
     ens = ensemble(params, u)
     phi = displaced_thermal(u, params.mu)
-    back = inverse_channel(phi, params)
+    back = inverse_ensemble(phi, params)
     dense = phi.matrix
     for ba, bb in zip(ens.blocks, back.blocks):
         if ba.j not in set(concentration_set(params)):
             continue
-        emb = embed_block(ba.matrix, EmbeddingMap(ba.j, phi.trunc))
+        emb = embed_block(block_matrix(ba), EmbeddingMap(ba.j, phi.trunc))
         fwd = trace_norm(emb - dense)
-        rev = trace_norm(ba.matrix - bb.matrix)
+        rev = trace_norm(block_matrix(ba) - block_matrix(bb))
         t = max(0.0, np.trace(dense).real - np.trace(dense[: ba.j.dim, : ba.j.dim]).real)
         assert fwd <= rev + 2 * math.sqrt(t) + 2 * t + 1e-10
 
@@ -352,20 +355,20 @@ def test_ensemble_distance_zero_and_symmetry():
     params = ModelParams(6, 0.8)
     ua, ub = LocalParam(0.3, 0.1), LocalParam(-0.2, 0.5)
     a, b = ensemble(params, ua), ensemble(params, ub)
-    assert ensemble_difference(a, a).trace_norm == 0.0
+    assert ensemble_distance(a, a) == 0.0
 
     def dense(x, ux, y, uy):
         return sum(
-            bx.weight * trace_norm(lab_frame(bx.matrix, ux.angle) - lab_frame(by.matrix, uy.angle))
+            bx.weight * trace_norm(lab_frame(block_matrix(bx), ux.angle) - lab_frame(block_matrix(by), uy.angle))
             for bx, by in zip(x.blocks, y.blocks)
         )
 
     ab = dense(a, ua, b, ub)
     assert ab > 0.1 and ab == pytest.approx(dense(b, ub, a, ua), abs=1e-14)
     a_mirror = replace(a, blocks=tuple(replace(b, core=mirror_rows(b.core)) for b in a.blocks))
-    mirror = ensemble_difference(a, a_mirror).trace_norm
+    mirror = ensemble_distance(a, a_mirror)
     assert mirror == pytest.approx(dense(a, ua, ensemble(params, -ua), -ua), abs=1e-13)
-    assert ensemble_difference(a_mirror, a).trace_norm == pytest.approx(mirror, abs=1e-14)
+    assert ensemble_distance(a_mirror, a) == pytest.approx(mirror, abs=1e-14)
 
 
 def dense_convergence_point(params, u):

@@ -5,7 +5,7 @@ import pytest
 
 from spingauss.errors import DomainError
 import spingauss.irreps as irreps
-from spingauss.irreps import HalfInteger, LocalParam, rotation_columns, rotation_walk, spin_coherent_coords
+from spingauss.irreps import HalfInteger, LocalParam, rotation_columns, rotation_walk, spin_coherent_coords, walk_rows
 from spingauss.qubit_model import (
     NEGLIGIBLE_WEIGHT,
     ModelParams,
@@ -196,6 +196,13 @@ def test_rotation_columns_where_the_start_column_underflows():
     assert np.diag(got).min() > 0.99
 
 
+def walk(lo, hi, radius, cols):
+    """Every core ``rotation_walk`` yields, as one list, and the mass trimmed
+    over the whole walk."""
+    steps = list(rotation_walk(lo, hi, radius, cols))
+    return [core for core, _ in steps], steps[-1][1]
+
+
 def test_rotation_walk_matches_dense_rotation():
     # every 2j <= 12 from starts 2j = 0 .. 5, with as many columns as the
     # blocks have, fewer, and more (the walk caps them at 2j + 1)
@@ -204,7 +211,7 @@ def test_rotation_walk_matches_dense_rotation():
         hi = 12 - (12 - lo) % 2
         for cols in (1, 4, 20):
             u = LocalParam(*rng.uniform(-1.5, 1.5, size=2))
-            cores, trimmed = rotation_walk(lo, hi, u.norm, cols)
+            cores, trimmed = walk(lo, hi, u.norm, cols)
             assert len(cores) == (hi - lo) // 2 + 1
             assert trimmed < 1e-30
             for twoj, core in zip(range(lo, hi + 1, 2), cores):
@@ -217,7 +224,7 @@ def test_rotation_walk_matches_dense_rotation():
 
 def test_rotation_walk_of_one_block_is_the_propagator():
     u = LocalParam(0.7, -0.2)
-    cores, trimmed = rotation_walk(9, 9, u.norm, 4)
+    cores, trimmed = walk(9, 9, u.norm, 4)
     np.testing.assert_array_equal(cores[0], rotation_columns(HalfInteger(9), u.norm, cols=4))
     assert trimmed == 0.0
     with pytest.raises(DomainError):
@@ -234,7 +241,7 @@ def test_rotation_walk_matches_propagator_over_included_blocks(n, radius):
     included = [j for j in valid_spins(n) if block_weight(params, j) > NEGLIGIBLE_WEIGHT]
     w = radius / math.sqrt(n)
     cols = effective_rank(params.p)
-    cores, trimmed = rotation_walk(included[0].twoj, included[-1].twoj, w, cols)
+    cores, trimmed = walk(included[0].twoj, included[-1].twoj, w, cols)
     assert len(cores) == len(included)
     assert trimmed < 1e-30
     for k in (0, len(included) // 3, 2 * len(included) // 3, len(included) - 1):
@@ -256,7 +263,7 @@ def test_rotation_walk_matches_each_block_and_the_half_step_walk(lo, w):
     # half-step oracle starts from the same core, and at lo = 0 also from
     # the bare 1 x 1 core of spin 0, with no kernel call at all
     hi, cols = lo + 40, 20
-    cores, trimmed = rotation_walk(lo, hi, w, cols)
+    cores, trimmed = walk(lo, hi, w, cols)
     start = rotation_columns(HalfInteger(lo), w, cols)
     oracle, oracle_trimmed = half_step_walk(start, lo, hi, w, cols)
     assert len(cores) == len(oracle) == (hi - lo) // 2 + 1
@@ -277,7 +284,7 @@ def test_rotation_walk_matches_each_block_at_n_65536():
     params = ModelParams(65536, 0.75)
     lo, hi, _ = occurring_range(params)
     w, cols = 1.41 / 256, effective_rank(params.p)
-    cores, trimmed = rotation_walk(lo, hi, w, cols)
+    cores, trimmed = walk(lo, hi, w, cols)
     oracle, _ = half_step_walk(rotation_columns(HalfInteger(lo), w, cols), lo, hi, w, cols)
     assert len(cores) == len(oracle) == (hi - lo) // 2 + 1
     assert trimmed < 1e-30
@@ -296,8 +303,49 @@ def test_rotation_walk_takes_one_step_per_kept_spin(monkeypatch, lo, hi):
         return step(prev, twoj, *args)
 
     monkeypatch.setattr(irreps, "_whole_step", spy)
-    rotation_walk(lo, hi, 0.02, 33)
+    stream = rotation_walk(lo, hi, 0.02, 33)
+    assert steps == []
+    next(stream)
+    assert steps == []
+    for k, _ in enumerate(stream, 1):
+        # one step per core, taken when that core is asked for
+        assert steps == list(range(lo + 2, lo + 2 * k + 1, 2))
     assert steps == list(range(lo + 2, hi + 1, 2))
+
+
+@pytest.mark.parametrize("n", [4, 64, 1024, 65536])
+@pytest.mark.parametrize("mu", [0.51, 0.6, 0.75, 0.9, 1.0])
+def test_walk_rows_bounds_every_core_and_the_trimmed_mass_only_grows(n, mu):
+    # the closed form holds every core of the occurring range (its top 50
+    # spins at n = 65536), at |u| = 1.41 and 25, and up to n = 1024 also at
+    # radii on both sides of pi/4, past pi/2 and past pi; at pi/4 and
+    # beyond, and where the columns pass j, it is the whole block
+    params = ModelParams(n, mu)
+    lo, hi, _ = occurring_range(params)
+    lo = max(lo, hi - 100)
+    cols = effective_rank(params.p)
+    radii = [0.0, 1.41 / math.sqrt(n), 25.0 / math.sqrt(n)]
+    if n <= 1024:
+        radii += [0.7, math.pi / 4, 2.0, 3.0, 7.5]
+    for radius in radii:
+        bound = walk_rows(lo, hi, radius, cols)
+        assert bound <= hi + 1
+        reached, masses = 0, []
+        for core, trimmed in rotation_walk(lo, hi, radius, cols):
+            reached = max(reached, core.shape[0])
+            masses.append(trimmed)
+        assert reached <= bound
+        assert masses[0] == 0.0 and masses == sorted(masses)
+
+
+def test_walk_rows_holds_a_first_core_that_fills_its_block():
+    # with 865 columns (mu = 0.51) at 2j = 1700 the columns pass j, so the
+    # first core fills all 1701 rows, more than the 1214 rows the spread of
+    # 865 columns needs at 2j = 1730; the later cores drop back within them
+    lo, hi, cols, radius = 1700, 1730, 865, 0.01
+    sizes = [core.shape[0] for core, _ in rotation_walk(lo, hi, radius, cols)]
+    assert sizes[0] == lo + 1 == walk_rows(lo, hi, radius, cols)
+    assert max(sizes[1:]) <= walk_rows(hi, hi, radius, cols) == 1214
 
 
 def test_rotation_mirror_identity():

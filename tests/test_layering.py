@@ -285,7 +285,6 @@ WITHOUT_CALLER = {
     "qubit_model.block_weight": "single-spin read of the one block weight table",
     "qubit_model.log_block_weight": "single-spin read of the block weight in log space",
     "oscillator.FockOperator.matrix": "the dense view every reference oracle's result is compared through",
-    "qubit_model.BlockState.matrix": "read by bench/spans.py (_ensemble) until ROADMAP item 1's run trace replaces it",
     "oscillator.FockOperator.trunc": "read by bench/spans.py (_dim_max) until ROADMAP item 1's run trace replaces it",
 }
 

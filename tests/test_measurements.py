@@ -27,7 +27,7 @@ from spingauss.measurements import (
     _tv_grid,
     default_tv_grid,
 )
-from spingauss.numerics import mirror_trace_norm, trace_norm
+from spingauss.numerics import mirror_trace_norm, trace_norm, trim_rows
 from spingauss.oscillator import (
     FockTruncation,
     PolarGrid,
@@ -37,11 +37,11 @@ from spingauss.oscillator import (
     polar_heterodyne,
 )
 from spingauss import oscillator, qubit_model, reference
+from spingauss.channels import convergence_point
 from spingauss.qubit_model import (
     ModelParams,
     block_weight,
     concentration_set,
-    ensemble,
     ensemble_difference,
     valid_spins,
 )
@@ -50,6 +50,7 @@ from spingauss.reference import (
     block_state_zero,
     covariant_block_density,
     discrimination_limit,
+    ensemble,
     heterodyne_pullback_density,
     rotation_unitary,
 )
@@ -162,7 +163,13 @@ def test_helstrom_mismatched_ensembles_rejected():
     a = ensemble(ModelParams(2, 0.75), LocalParam(0.1, 0))
     b = ensemble(ModelParams(4, 0.75), LocalParam(0.1, 0))
     with pytest.raises(ValidationError):
-        ensemble_difference(a, b)
+        reference.ensemble_distance(a, b)
+    # the streams themselves: a pair of different weight, or one stream
+    # ending before the other, is refused when it is reached
+    with pytest.raises(ValidationError):
+        list(ensemble_difference(a.blocks, b.blocks))
+    with pytest.raises(ValidationError):
+        list(ensemble_difference(b.blocks, b.blocks[:-1]))
 
 
 def test_discrimination_limit_values():
@@ -648,18 +655,25 @@ def test_recentred_heterodyne_nonnegative_at_scale():
     assert min(float(dens_h.min()) for _, _, dens_h in tv_block_densities(tv)) >= -1e-14
 
 
-def full_size_densities(het, cores):
+def full_size_densities(het, grid, cores):
     """The polar kernel contracted on every row of ``back``, G untrimmed:
     the form that held before each chunk was cut to the rows its G keep.
-    An index past the last row clips to it and meets zeros of ``diag``."""
+    The radial products R_{m+d} R_m come from the grid, on all those rows,
+    zero past the last; an index past the last row clips to it and meets
+    those zeros."""
     size = het.back.shape[0]
+    radii = grid.axes()[0]
+    radial = _coherent_rows(math.sqrt(2.0 * het.mu - 1.0) * radii, size)
+    diag = np.zeros((size, size, len(radii)))
+    for d in range(size):
+        diag[d, : size - d] = radial[d:] * radial[: size - d]
     m = np.arange(size)
     flat = np.minimum(m[:, None] + m, size - 1) * size + m
     a_diag = np.empty((size, len(cores), size))
     for k, core in enumerate(cores):
         g = het.back[:, : core.shape[0]] @ core
         a_diag[:, k] = np.take(g @ g.T, flat)
-    h = np.matmul(a_diag, het.diag).reshape(size, -1)
+    h = np.matmul(a_diag, diag).reshape(size, -1)
     dens = h.T @ het.cos
     dens *= (2.0 * het.mu - 1.0) / math.pi
     return dens.reshape(len(cores), -1)
@@ -674,11 +688,12 @@ def test_trimmed_contraction_matches_full_size_on_tv_grids(n, u):
     # |u| in {0.3, 0.82} at every n, and |u| = 25 at n = 1024, where G does
     # not trim; each chunk as the TV sums take it
     mu, u = 0.75, LocalParam(*u)
-    tv = _tv_grid(ModelParams(n, mu), u, default_tv_grid(mu, u, n))
+    grid = default_tv_grid(mu, u, n)
+    tv = _tv_grid(ModelParams(n, mu), u, grid)
     for start in range(0, len(tv.blocks), TV_CHUNK):
         cores = [b.core for b in tv.blocks[start : start + TV_CHUNK]]
         got = tv.heterodyne.densities(cores)
-        np.testing.assert_allclose(got, full_size_densities(tv.heterodyne, cores), rtol=0, atol=1e-16)
+        np.testing.assert_allclose(got, full_size_densities(tv.heterodyne, grid, cores), rtol=0, atol=1e-16)
 
 
 @pytest.mark.parametrize("mu", [0.75, 1.0])
@@ -689,7 +704,7 @@ def test_trimmed_contraction_matches_full_size_on_risk_grids(u, mu):
     for grid in risk_grids(mu, u):
         het = polar_heterodyne(grid, mu, core.shape[0])
         got = het.densities((core,))
-        np.testing.assert_allclose(got, full_size_densities(het, (core,)), rtol=0, atol=1e-16)
+        np.testing.assert_allclose(got, full_size_densities(het, grid, (core,)), rtol=0, atol=1e-16)
 
 
 def test_trimmed_contraction_runs_on_the_rows_g_keeps(monkeypatch):
@@ -716,6 +731,55 @@ def test_trimmed_contraction_runs_on_the_rows_g_keeps(monkeypatch):
     assert len(shapes) == math.ceil(len(tv.blocks) / TV_CHUNK)
     for rows, cols, radial in shapes:
         assert rows == cols <= 60 and radial == 64
+
+
+def test_radial_products_cover_only_the_rows_the_chunks_reach(monkeypatch):
+    # on the bench's n = 1024 point the first chunk's G reach K = 42 of the
+    # 103 rows of back: the products are built on those K rows, and rebuilt
+    # only when a later chunk reaches further (here no chunk does), so the
+    # table never holds the rows no G reaches
+    n, mu, u = 1024, 0.75, LocalParam(-0.783814, -0.251648)
+    tv = _tv_grid(ModelParams(n, mu), u, default_tv_grid(mu, u, n))
+    het = tv.heterodyne
+    assert het.diag is None and het.radial.shape == (103, 64)
+    built = []
+    products = type(het)._products
+
+    def spy(self, rows):
+        before = self.diag
+        out = products(self, rows)
+        if self.diag is not before:
+            built.append(self.diag.shape)
+        return out
+
+    monkeypatch.setattr(type(het), "_products", spy)
+    reached = []
+    for start in range(0, len(tv.blocks), TV_CHUNK):
+        cores = [b.core for b in tv.blocks[start : start + TV_CHUNK]]
+        reached.append(max(trim_rows(het.back[:, : c.shape[0]] @ c)[0].shape[0] for c in cores))
+        het.densities(cores)
+    grown = [k for k in range(1, len(reached)) if reached[k] > max(reached[:k])]
+    assert [shape[0] for shape in built] == [reached[0]] + [reached[k] for k in grown]
+    assert built[-1] == (max(reached), max(reached), 64) and max(reached) == 42
+
+
+@pytest.mark.parametrize("kernel", [convergence_point, finite_n_discrimination])
+def test_point_kernels_hold_no_more_than_a_block_at_a_time(kernel):
+    # the blocks stream past: from n = 16384 to 65536 the blocks double in
+    # number (808 to 1617), and the traced peak may grow by half at most;
+    # a warm-up call first fills the per-(n, mu) weight tables
+    u = LocalParam(1.0, -1.0)
+    peaks = []
+    for n in (16384, 65536):
+        params = ModelParams(n, 0.75)
+        kernel(params, u)
+        tracemalloc.start()
+        try:
+            kernel(params, u)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 def test_tv_estimate_does_not_depend_on_the_chunk_size(monkeypatch):

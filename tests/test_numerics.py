@@ -333,9 +333,9 @@ def test_factor_difference_branches_agree_on_ensemble_pairs(n, monkeypatch):
     # inverse channel's block, and against the limit core; every pair once
     # on its rows and once on the R of its QR
     from spingauss import numerics
-    from spingauss.channels import inverse_channel
     from spingauss.oscillator import displaced_thermal
-    from spingauss.qubit_model import ModelParams, ensemble
+    from spingauss.qubit_model import ModelParams
+    from spingauss.reference import ensemble, inverse_ensemble
 
     def spectrum(f, g, ratio):
         monkeypatch.setattr(numerics, "QR_ROW_RATIO", ratio)
@@ -346,7 +346,7 @@ def test_factor_difference_branches_agree_on_ensemble_pairs(n, monkeypatch):
         for u in (LocalParam(0.0, 0.0), LocalParam(1.0, -1.0), LocalParam(0.3, 0.2)):
             ens = ensemble(params, u)
             phi = displaced_thermal(u, mu)
-            back = inverse_channel(phi, params)
+            back = inverse_ensemble(phi, params)
             for b, bb in zip(ens.blocks, back.blocks, strict=True):
                 for f, g in ((b.core, bb.core), (b.core, phi.core)):
                     # both padded with zeros to one length
@@ -365,7 +365,8 @@ def test_mirror_rows_flips_odd_rows():
 @pytest.mark.parametrize("n", [64, 4096])
 def test_mirror_trace_norm_matches_generic_kernel(n):
     # a core against its mirror S F is a pair for the generic kernel too
-    from spingauss.qubit_model import ModelParams, ensemble
+    from spingauss.qubit_model import ModelParams
+    from spingauss.reference import ensemble
 
     for u in (LocalParam(0.0, 0.0), LocalParam(1.0, -1.0), LocalParam(0.3, 0.2)):
         for b in ensemble(ModelParams(n, 0.75), u).blocks:

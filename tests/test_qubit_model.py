@@ -13,20 +13,27 @@ from spingauss.qubit_model import (
     ModelParams,
     block_weight,
     block_weights,
+    concentration_range,
     concentration_set,
     concentration_weight,
-    ensemble,
+    discarded_weight,
+    effective_rank,
     log_block_weight,
     log_multiplicity,
     multiplicity,
+    occurring_range,
+    rotated_blocks,
     spin_center,
     valid_spins,
 )
+from spingauss.numerics import trim_rows
 from spingauss.reference import (
     binomial_factor,
     binomial_factor_closed_form,
+    block_matrix,
     block_state,
     block_state_zero,
+    ensemble,
     lab_frame,
     ladder_ops,
     rotation_unitary,
@@ -218,6 +225,30 @@ def test_concentration_set_pure_case_contains_top():
     assert HalfInteger(40) in concentration_set(ModelParams(40, 1.0))
 
 
+@pytest.mark.parametrize("mu", [0.51, 0.6, 0.75, 0.9, 1.0])
+@pytest.mark.parametrize("epsilon", [0.01, 0.1, 0.25, 0.49])
+def test_concentration_range_is_the_ends_of_the_set(mu, epsilon):
+    # from the window's two ends alone, with the parity rounding in
+    # integers; every n up to 300, both parities, and a few large ones
+    for n in [*range(1, 301), 1023, 4096, 65537]:
+        params = ModelParams(n, mu, epsilon)
+        spins = concentration_set(params)
+        assert concentration_range(params) == (spins[0].twoj, spins[-1].twoj)
+
+
+def test_concentration_range_of_an_empty_set_raises():
+    # the window is 4 n^(1/2+epsilon) >= 4 wide in 2j, so no valid epsilon
+    # empties it; epsilon = -1, past the domain, leaves 2j in
+    # [50.48, 50.52] at n = 101, which holds no integer
+    params = object.__new__(ModelParams)
+    for name, value in (("n", 101), ("mu", 0.75), ("epsilon", -1.0)):
+        object.__setattr__(params, name, value)
+    with pytest.raises(DomainError):
+        concentration_set(params)
+    with pytest.raises(DomainError):
+        concentration_range(params)
+
+
 def test_concentration_weight_grows_and_captures_mass():
     weights = [concentration_weight(ModelParams(n, 0.75, 0.1)) for n in (50, 100, 200, 400)]
     assert all(b >= a - 1e-12 for a, b in zip(weights, weights[1:]))
@@ -270,7 +301,7 @@ def test_ensemble_single_copy_is_rotated_qubit():
     assert len(ens.blocks) == 1
     um = rotation_unitary(HalfInteger(1), u)
     want = um @ np.diag([mu, 1 - mu]).astype(complex) @ um.conj().T
-    np.testing.assert_allclose(lab_frame(ens.blocks[0].matrix, u.angle), want, atol=1e-13)
+    np.testing.assert_allclose(lab_frame(block_matrix(ens.blocks[0]), u.angle), want, atol=1e-13)
 
 
 def test_rotated_block_factor_matches_dense_block_state(monkeypatch):
@@ -287,8 +318,8 @@ def test_rotated_block_factor_matches_dense_block_state(monkeypatch):
         assert b.weight == block_weight(params, j)
         if twoj >= 150:
             assert b.core.shape[0] < j.dim / 2
-        np.testing.assert_allclose(lab_frame(b.matrix, u.angle), block_state(params, j, u), atol=1e-14)
-        assert b.discarded == pytest.approx(1.0 - np.trace(b.matrix).real, abs=1e-15)
+        np.testing.assert_allclose(lab_frame(block_matrix(b), u.angle), block_state(params, j, u), atol=1e-14)
+        assert b.discarded == pytest.approx(1.0 - np.trace(block_matrix(b)).real, abs=1e-15)
 
 
 def test_ensemble_rotates_only_occurring_blocks(monkeypatch):
@@ -333,6 +364,43 @@ def test_ensemble_rotates_only_occurring_blocks(monkeypatch):
             assert (held[0].twoj, held[-1].twoj, len(held), len(negligible)) == (lo, hi, 1617, 31152)
 
 
+def walk_trims(lo, hi, radius, cols):
+    """The mass each whole step of the walk trims, from 2j = lo + 2 up: the
+    steps run as a walk that returns every core at once runs them."""
+    c, s = math.cos(radius), math.sin(radius)
+    cs = math.sqrt(2.0) * c * s
+    d1 = np.array([[c * c, -cs, s * s], [cs, c * c - s * s, -cs], [s * s, cs, c * c]])
+    core = irreps.rotation_columns(HalfInteger(lo), radius, cols)
+    masses = []
+    for twoj in range(lo + 2, hi + 1, 2):
+        core, mass = trim_rows(irreps._whole_step(core, twoj, d1, cols))
+        core = core / np.sqrt(np.einsum("ij,ij->j", core, core))
+        masses.append(mass)
+    return masses
+
+
+@pytest.mark.parametrize("n", [4096, 16384])
+def test_streamed_blocks_carry_the_mass_trimmed_up_to_their_step(n):
+    # at |u| = 25 the walk trims rows on some of its steps; each block's
+    # ``discarded`` is its rank cut plus the mass trimmed up to its own step,
+    # so it never decreases, and the last block carries the walk's total
+    params, u = ModelParams(n, 0.75), LocalParam(25.0, 0.0)
+    lo, hi, _ = occurring_range(params)
+    masses = walk_trims(lo, hi, u.norm / math.sqrt(n), effective_rank(params.p))
+    assert sum(m > 0.0 for m in masses) > 10
+    running = [0.0]
+    for mass in masses:
+        running.append(running[-1] + mass)
+    blocks = rotated_blocks(params, u, lo, hi)
+    discarded = []
+    for b, trimmed in zip(blocks, running, strict=True):
+        assert b.discarded == discarded_weight(params.p, b.j.dim) + trimmed
+        discarded.append(b.discarded)
+    assert discarded == sorted(discarded)
+    assert running[-1] > running[len(running) // 2] > 0.0
+    assert discarded[-1] == discarded_weight(params.p, hi + 1) + running[-1]
+
+
 def test_block_matrix_is_the_state_in_the_frame_of_u():
     # the stored block is exp(i psi J_z) rho_j exp(-i psi J_z), psi = u.angle,
     # and ``lab_frame`` undoes exactly that turn
@@ -342,8 +410,8 @@ def test_block_matrix_is_the_state_in_the_frame_of_u():
         turn = np.diag(np.exp(1j * u.angle * np.diag(ladder_ops(b.j)[2]).real))
         rho = block_state(params, b.j, u)
         assert b.core.dtype == np.float64
-        np.testing.assert_allclose(b.matrix, turn @ rho @ turn.conj().T, rtol=0, atol=1e-14)
-        np.testing.assert_allclose(lab_frame(b.matrix, u.angle), rho, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(block_matrix(b), turn @ rho @ turn.conj().T, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(lab_frame(block_matrix(b), u.angle), rho, rtol=0, atol=1e-14)
 
 
 def test_mirrored_ensemble_is_minus_u():
@@ -355,15 +423,15 @@ def test_mirrored_ensemble_is_minus_u():
     for bp, bd in zip(plus.blocks, ensemble(params, -u).blocks):
         np.testing.assert_array_equal(bd.core, bp.core)
         bm = replace(bp, core=mirror_rows(bp.core))
-        lab = lab_frame(bm.matrix, u.angle)
-        np.testing.assert_allclose(lab, lab_frame(bd.matrix, (-u).angle), atol=1e-14)
+        lab = lab_frame(block_matrix(bm), u.angle)
+        np.testing.assert_allclose(lab, lab_frame(block_matrix(bd), (-u).angle), atol=1e-14)
         np.testing.assert_allclose(lab, block_state(params, bm.j, -u), atol=1e-14)
 
 
 def test_ensemble_weights_and_traces_normalized():
     for n in (2, 7, 50, 200):
         ens = ensemble(ModelParams(n, 0.75), LocalParam(0.3, 0.3))
-        total = sum(b.weight * np.trace(b.matrix).real for b in ens.blocks)
+        total = sum(b.weight * np.trace(block_matrix(b)).real for b in ens.blocks)
         assert abs(total - 1.0) < 1e-10
 
 
