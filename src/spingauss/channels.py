@@ -36,7 +36,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .irreps import HalfInteger, LocalParam, spin_coherent_coords, walk_rows
+from .irreps import HalfInteger, LocalParam, spin_coherent_coords
 from .numerics import coherent_row_support, factor_difference_eigvals, trace_norm
 from .oscillator import (
     FockOperator,
@@ -48,29 +48,30 @@ from .qubit_model import (
     ModelParams,
     block_weights,
     concentration_range,
-    effective_rank,
     ensemble_difference,
     occurring_range,
     rotated_blocks,
 )
 
 
-def inverse_channel(phi: FockOperator, params: ModelParams, lo: int, hi: int) -> Iterator[BlockState]:
-    """The blocks 2j = lo, lo + 2, ..., hi of the ensemble the inverse channel
-    maps phi to, with the model weights, one block at a time.
+def inverse_channel(phi: FockOperator, params: ModelParams) -> Iterator[BlockState]:
+    """The blocks of the ensemble the inverse channel maps phi to, with the
+    model weights, one block at a time in ascending 2j.
 
     Works on the factor G of phi, its core (the blocks keep its frame).
     Block j gets the corner G[:2j+1] plus the column sqrt(leftover) e_0,
     where the leftover is the trace of phi outside the block image: the
     block projection with the leftover mass routed to |j, j> (e_0 is
     unchanged by any frame), which keeps the map trace preserving.  A block
-    of at least G's rows has no leftover and gets G itself.  Over the range
-    of ``occurring_range`` it yields the blocks ``rotated_blocks`` yields,
-    with the same weights, and the same skipped weight lies outside it.
+    of at least G's rows has no leftover and gets G itself.  It yields the
+    blocks of ``occurring_range``, the range ``rotated_blocks`` runs over
+    at a point, with the same weights, and the same skipped weight lies
+    outside it.
     """
     g = phi.core
     row_mass = np.sum((g * g.conj()).real, axis=1)
     weights = block_weights(params)
+    lo, hi, _ = occurring_range(params)
     for twoj in range(lo, hi + 1, 2):
         j = HalfInteger(twoj)
         core = g
@@ -145,10 +146,11 @@ def convergence_point(params: ModelParams, u: LocalParam) -> PointStats:
 
     One pass over the stream of the occurring blocks reads all three.  The
     forward channel's output, in the blocks' frame, is the weighted sum of
-    their core core^T, kept as a running sum in a buffer of the rows the
-    walk can reach (``irreps.walk_rows``) or phi holds, and cut to the rows
-    they reached.  Each block meets its image under the inverse channel
-    (``ensemble_difference``) for the reverse distance.  ``block_max``
+    their core core^T, kept as a running sum in a buffer that starts at
+    phi's rows, doubles (up to the top block's 2j + 1) when a block reaches
+    past it, and is cut to the rows reached.  Each block meets its image
+    under the inverse channel (``ensemble_difference``) for the reverse
+    distance.  ``block_max``
     reads the blocks whose 2j lies in ``concentration_range``, the test
     ``measurements._tv_grid`` makes.
     """
@@ -157,15 +159,18 @@ def convergence_point(params: ModelParams, u: LocalParam) -> PointStats:
     r = g.shape[0]
     lo, hi, skipped = occurring_range(params)
     first, last = concentration_range(params)
-    size = max(r, walk_rows(lo, hi, u.norm / math.sqrt(params.n), effective_rank(params.p)))
-    corner = np.zeros((size, size))
+    corner = np.zeros((r, r))
     reach = 0
     reverse = 0.0
     block_max = 0.0
     discarded = 0.0
     blocks = rotated_blocks(params, u, lo, hi)
-    for b, norm in ensemble_difference(blocks, inverse_channel(phi, params, lo, hi)):
+    for b, norm in ensemble_difference(blocks, inverse_channel(phi, params)):
         k = b.core.shape[0]
+        if k > corner.shape[0]:
+            grown = np.zeros((min(max(k, 2 * corner.shape[0]), hi + 1),) * 2)
+            grown[:reach, :reach] = corner[:reach, :reach]
+            corner = grown
         corner[:k, :k] += b.weight * (b.core @ b.core.T)
         reach = max(reach, k)
         reverse += b.weight * norm

@@ -22,8 +22,7 @@ the lowest spin and climbs in whole steps of j, coupling two more qubits at
 a time (``_whole_step``), so the blocks of one (n, u) share a single kernel
 call, every step lands on a spin the range keeps, and the walk holds only
 the core it steps from.  Each core comes with the mass the row trimming has
-dropped up to its step, and ``walk_rows`` bounds the rows every core
-reaches in closed form, before the walk starts.  The dense U_j(u) is
+dropped up to its step.  The dense U_j(u) is
 ``spingauss.reference.rotation_unitary``, and the half-step walk that
 couples one qubit at a time is ``spingauss.reference.half_step_walk``.
 """
@@ -208,33 +207,13 @@ def _whole_step(prev: np.ndarray, twoj: int, d1: np.ndarray, cols: int) -> np.nd
     return out
 
 
-def walk_rows(lo: int, hi: int, radius: float, cols: int) -> int:
-    """A closed-form bound on the rows of every core ``rotation_walk(lo, hi,
-    radius, cols)`` yields.
-
-    Up to |w| = pi/4 (modulo the turns and the mirror) column k of U_j(w)
-    sits near row k + 2j sin^2 w, so the leading ``cols`` columns at spin
-    up to 2j = ``hi`` hold to rounding within the rows a coherent vector of
-    |z|^2 = (sqrt(hi) sin w + sqrt(cols))^2 needs, and at most 2j + 1.
-    Past pi/4 the columns are reflected, and where ``cols`` pass j they are
-    completed by the symmetry; either fills every row, so the bound is
-    2j + 1, at lo for the walk's first core and at hi for the rest.
-    """
-    w = radius % math.pi
-    w = min(w, math.pi - w)
-    if w > math.pi / 4 or cols > hi // 2 + 1:
-        return hi + 1
-    rows = min(hi + 1, coherent_row_support((math.sqrt(hi) * math.sin(w) + math.sqrt(cols)) ** 2))
-    return max(rows, lo + 1) if cols > lo // 2 + 1 else rows
-
-
 def rotation_walk(lo: int, hi: int, radius: float, cols: int) -> Iterator[tuple[np.ndarray, float]]:
     """Real cores of U_j(w)[:, :min(cols, 2j + 1)] for 2j = lo, lo + 2, ..., hi,
     at |w| = ``radius``, yielded one at a time, each with the mass the walk
     has trimmed up to its step.
 
     Each core is, to rounding, the one ``rotation_columns`` returns, in the
-    same frame, w's, on the rows it reaches (at most ``walk_rows``).  One
+    same frame, w's, on the rows it reaches (at most 2j + 1).  One
     ``rotation_columns`` call gives the core at 2j = lo, so lo = hi is
     exactly that call; each whole step up in j is ``_whole_step``, which
     couples two more qubits at once and lands on the next spin of lo's

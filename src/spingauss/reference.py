@@ -463,8 +463,8 @@ def ensemble(params: ModelParams, u: LocalParam) -> EnsembleState:
 def inverse_ensemble(phi: FockOperator, params: ModelParams) -> EnsembleState:
     """``channels.inverse_channel`` of phi over ``occurring_range``, held as one
     tuple, with the skipped weight the ensemble at any u has."""
-    lo, hi, skipped = occurring_range(params)
-    return EnsembleState(params, tuple(inverse_channel(phi, params, lo, hi)), skipped)
+    _, _, skipped = occurring_range(params)
+    return EnsembleState(params, tuple(inverse_channel(phi, params)), skipped)
 
 
 def ensemble_distance(a: EnsembleState, b: EnsembleState) -> float:
@@ -494,7 +494,7 @@ def forward_channel(ens: EnsembleState) -> FockOperator:
     The block embedding is the identity on indices, so the result is the
     cores sqrt(w_j) core_j side by side, in the ensemble's frame, on the
     rows the largest core reaches: the factor form of what
-    ``channels._forward_corner`` sums, which the inverse channel can take
+    ``channels.convergence_point`` sums, which the inverse channel can take
     back.  Its deficit is the weighted trace the blocks' rank cuts dropped
     plus the ensemble's skipped weight, since ||sum_j w_j rho_j||_1 <= sum_j w_j.
     """

@@ -24,6 +24,7 @@ from spingauss.qubit_model import (
     concentration_set,
     effective_rank,
     occurring_range,
+    rotated_blocks,
     valid_spins,
 )
 from spingauss.reference import (
@@ -423,6 +424,18 @@ def test_sweep_point_block_max_skips_weightless_blocks():
     want = dense_convergence_point(params, u)
     np.testing.assert_allclose((pt.forward, pt.block_max, pt.reverse), want, rtol=0, atol=1e-12)
     assert pt.block_max < 0.01
+
+
+def test_forward_corner_grows_past_the_limit_rows():
+    # at |u| = 3 the top blocks reach 109 rows, past the limit core's 105,
+    # so the forward corner's buffer grows while the blocks stream past
+    params, u = ModelParams(256, 0.75), LocalParam(3.0, 0.0)
+    lo, hi, _ = occurring_range(params)
+    rows = max(b.core.shape[0] for b in rotated_blocks(params, u, lo, hi))
+    assert rows > displaced_thermal(u, params.mu).core.shape[0]
+    pt = convergence_point(params, u)
+    want = dense_convergence_point(params, u)
+    np.testing.assert_allclose((pt.forward, pt.block_max, pt.reverse), want, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [1024, 16384, 65536])

@@ -5,7 +5,7 @@ import pytest
 
 from spingauss.errors import DomainError
 import spingauss.irreps as irreps
-from spingauss.irreps import HalfInteger, LocalParam, rotation_columns, rotation_walk, spin_coherent_coords, walk_rows
+from spingauss.irreps import HalfInteger, LocalParam, rotation_columns, rotation_walk, spin_coherent_coords
 from spingauss.qubit_model import (
     NEGLIGIBLE_WEIGHT,
     ModelParams,
@@ -311,41 +311,6 @@ def test_rotation_walk_takes_one_step_per_kept_spin(monkeypatch, lo, hi):
         # one step per core, taken when that core is asked for
         assert steps == list(range(lo + 2, lo + 2 * k + 1, 2))
     assert steps == list(range(lo + 2, hi + 1, 2))
-
-
-@pytest.mark.parametrize("n", [4, 64, 1024, 65536])
-@pytest.mark.parametrize("mu", [0.51, 0.6, 0.75, 0.9, 1.0])
-def test_walk_rows_bounds_every_core_and_the_trimmed_mass_only_grows(n, mu):
-    # the closed form holds every core of the occurring range (its top 50
-    # spins at n = 65536), at |u| = 1.41 and 25, and up to n = 1024 also at
-    # radii on both sides of pi/4, past pi/2 and past pi; at pi/4 and
-    # beyond, and where the columns pass j, it is the whole block
-    params = ModelParams(n, mu)
-    lo, hi, _ = occurring_range(params)
-    lo = max(lo, hi - 100)
-    cols = effective_rank(params.p)
-    radii = [0.0, 1.41 / math.sqrt(n), 25.0 / math.sqrt(n)]
-    if n <= 1024:
-        radii += [0.7, math.pi / 4, 2.0, 3.0, 7.5]
-    for radius in radii:
-        bound = walk_rows(lo, hi, radius, cols)
-        assert bound <= hi + 1
-        reached, masses = 0, []
-        for core, trimmed in rotation_walk(lo, hi, radius, cols):
-            reached = max(reached, core.shape[0])
-            masses.append(trimmed)
-        assert reached <= bound
-        assert masses[0] == 0.0 and masses == sorted(masses)
-
-
-def test_walk_rows_holds_a_first_core_that_fills_its_block():
-    # with 865 columns (mu = 0.51) at 2j = 1700 the columns pass j, so the
-    # first core fills all 1701 rows, more than the 1214 rows the spread of
-    # 865 columns needs at 2j = 1730; the later cores drop back within them
-    lo, hi, cols, radius = 1700, 1730, 865, 0.01
-    sizes = [core.shape[0] for core, _ in rotation_walk(lo, hi, radius, cols)]
-    assert sizes[0] == lo + 1 == walk_rows(lo, hi, radius, cols)
-    assert max(sizes[1:]) <= walk_rows(hi, hi, radius, cols) == 1214
 
 
 def test_rotation_mirror_identity():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import weakref
@@ -709,12 +710,14 @@ def test_trimmed_contraction_matches_full_size_on_risk_grids(u, mu):
 
 def test_trimmed_contraction_runs_on_the_rows_g_keeps(monkeypatch):
     # on the bench's n = 1024 point every re-centred core keeps at most 60
-    # of the 103 rows of back, and the batched product runs on those alone
-    # (back has a column per row of the longest block core, so its rows
-    # follow the rows the walk's trimming keeps)
+    # of the 103 rows of back, and the batched product and its radial
+    # products run on the rows the chunk's longest G keeps alone (back has
+    # a column per row of the longest block core, so its rows follow the
+    # rows the walk's trimming keeps)
     n, mu, u = 1024, 0.75, LocalParam(-0.783814, -0.251648)
     tv = _tv_grid(ModelParams(n, mu), u, default_tv_grid(mu, u, n))
-    assert tv.heterodyne.back.shape[0] == 103
+    het = tv.heterodyne
+    assert het.back.shape[0] == 103 and het.radial.shape == (103, 64)
     shapes = []
 
     class Spy:
@@ -725,42 +728,40 @@ def test_trimmed_contraction_runs_on_the_rows_g_keeps(monkeypatch):
             shapes.append(b.shape)
             return np.matmul(a, b, **kwargs)
 
-    monkeypatch.setattr(oscillator, "np", Spy())
-    for start in range(0, len(tv.blocks), TV_CHUNK):
-        tv.heterodyne.densities([b.core for b in tv.blocks[start : start + TV_CHUNK]])
-    assert len(shapes) == math.ceil(len(tv.blocks) / TV_CHUNK)
-    for rows, cols, radial in shapes:
-        assert rows == cols <= 60 and radial == 64
-
-
-def test_radial_products_cover_only_the_rows_the_chunks_reach(monkeypatch):
-    # on the bench's n = 1024 point the first chunk's G reach K = 42 of the
-    # 103 rows of back: the products are built on those K rows, and rebuilt
-    # only when a later chunk reaches further (here no chunk does), so the
-    # table never holds the rows no G reaches
-    n, mu, u = 1024, 0.75, LocalParam(-0.783814, -0.251648)
-    tv = _tv_grid(ModelParams(n, mu), u, default_tv_grid(mu, u, n))
-    het = tv.heterodyne
-    assert het.diag is None and het.radial.shape == (103, 64)
-    built = []
-    products = type(het)._products
-
-    def spy(self, rows):
-        before = self.diag
-        out = products(self, rows)
-        if self.diag is not before:
-            built.append(self.diag.shape)
-        return out
-
-    monkeypatch.setattr(type(het), "_products", spy)
     reached = []
     for start in range(0, len(tv.blocks), TV_CHUNK):
         cores = [b.core for b in tv.blocks[start : start + TV_CHUNK]]
         reached.append(max(trim_rows(het.back[:, : c.shape[0]] @ c)[0].shape[0] for c in cores))
-        het.densities(cores)
-    grown = [k for k in range(1, len(reached)) if reached[k] > max(reached[:k])]
-    assert [shape[0] for shape in built] == [reached[0]] + [reached[k] for k in grown]
-    assert built[-1] == (max(reached), max(reached), 64) and max(reached) == 42
+    monkeypatch.setattr(oscillator, "np", Spy())
+    for start in range(0, len(tv.blocks), TV_CHUNK):
+        het.densities([b.core for b in tv.blocks[start : start + TV_CHUNK]])
+    assert len(shapes) == len(reached) == math.ceil(len(tv.blocks) / TV_CHUNK)
+    assert shapes == [(k, k, 64) for k in reached] and max(reached) <= 60
+
+
+def test_radial_products_cover_only_the_rows_the_chunks_reach():
+    # on the bench's n = 1024 point the first chunk's G reach K = 42 of the
+    # 103 rows of back and no later chunk reaches further, so the products
+    # are built once, on those K rows; taken in reverse order the chunks
+    # reach 40, then 41 and 42, and the table is rebuilt at each step up,
+    # with the same densities
+    n, mu, u = 1024, 0.75, LocalParam(-0.783814, -0.251648)
+    params, grid = ModelParams(n, mu), default_tv_grid(mu, u, n)
+    tv = _tv_grid(params, u, grid)
+    het = tv.heterodyne
+    chunks = [[b.core for b in tv.blocks[s : s + TV_CHUNK]] for s in range(0, len(tv.blocks), TV_CHUNK)]
+    reached = [max(trim_rows(het.back[:, : c.shape[0]] @ c)[0].shape[0] for c in cores) for cores in chunks]
+    assert het.diag is None and het.radial.shape == (103, 64)
+    assert reached[0] == max(reached) == 42
+    want = [het.densities(cores) for cores in chunks]
+    assert het.diag.shape == (42, 42, 64)
+    het = _tv_grid(params, u, grid).heterodyne
+    tables = []
+    for k in reversed(range(len(chunks))):
+        np.testing.assert_allclose(het.densities(chunks[k]), want[k], rtol=0, atol=1e-16)
+        tables.append(het.diag.shape[0])
+    assert tables == list(itertools.accumulate(reversed(reached), max))
+    assert sorted(set(tables)) == [40, 41, 42]
 
 
 @pytest.mark.parametrize("kernel", [convergence_point, finite_n_discrimination])
