@@ -168,6 +168,14 @@ def rotation_columns(j: HalfInteger, radius: float, cols: int) -> np.ndarray:
     return -core if twoj * (int(turns) + mirror) % 2 else core
 
 
+def core_rows(twoj: int, radius: float, cols: int) -> int:
+    """Rows of the core of U_j(w)[:, :cols], 2j = ``twoj``, |w| = ``radius``,
+    from one ``rotation_columns`` call: taken at the top of a range before
+    its walk, an estimate of the rows the walk's cores reach (0 to 6 rows
+    above them on the 48 grid points tested), not a bound."""
+    return rotation_columns(HalfInteger(twoj), radius, cols).shape[0]
+
+
 def _whole_step(prev: np.ndarray, twoj: int, d1: np.ndarray, cols: int) -> np.ndarray:
     """The core of spin j + 1 = twoj/2 from the core ``prev`` of spin j.
 

@@ -25,7 +25,10 @@ Three experiment families live here.
   it comes from the polar kernel (``oscillator.PolarHeterodyne``) on a grid
   centred at u, one cosine series in the grid angle per block.  The
   comparison is one kernel of one (n, u), ``measurement_tv(params, u)``;
-  the command line runs it over the grid.
+  the command line runs it over the grid.  Like the discrimination sum, it
+  reads the blocks as the walk yields them, a chunk at a time: the polar
+  kernel is sized for the top block's rows before the walk, and grows only
+  if a chunk reaches further.
 
 Outcome densities live on the plane of local parameters.  The covariant
 measurement's outcomes are sphere directions; they are pulled to the plane
@@ -37,13 +40,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, NamedTuple
 
 import numpy as np
 from numpy.random import default_rng
 
 from .errors import AccuracyError, DomainError, ValidationError
-from .irreps import LocalParam
+from .irreps import LocalParam, core_rows
 from .numerics import mirror_trace_norm
 from . import oscillator
 from .oscillator import (
@@ -59,6 +63,7 @@ from .qubit_model import (
     ModelParams,
     block_spectrum,
     concentration_range,
+    effective_rank,
     occurring_range,
     rotated_blocks,
 )
@@ -66,6 +71,9 @@ from .qubit_model import (
 # Blocks per ``_block_density_pair`` call: a chunk's diagonal sums run as one
 # batched product, while its (blocks, points) densities stay a few MiB.
 TV_CHUNK = 16
+# Radial Gauss-Legendre order of the quadrature risk; its resolution term
+# reruns at half of it.
+QUADRATURE_ORDER = 160
 # Std of the Monte Carlo Gaussian proposal, in units of the outcome std.
 MC_PROPOSAL_SCALE = 1.6
 
@@ -167,19 +175,26 @@ def heterodyne_estimation_risk(mu: float, mc: McSpec | None = None) -> RiskEstim
 
     The outcome density is radial about u (``heterodyne_pdf_kernel``), so
     the risk does not depend on u.  Deterministic quadrature over the
-    distance r in [0, 8 sigma] by default, Gauss-Legendre with weights
-    2 pi r dr; with ``mc`` given, importance sampling against a Gaussian
-    proposal instead.  The density always comes from the thermal weights,
-    so neither path assumes the Gaussian closed form.  Building the kernel
-    first rejects mu outside (1/2, 1] before any other work.
+    distance r in [0, R], R = 8 sigma, by default, Gauss-Legendre with
+    weights 2 pi r dr; with ``mc`` given, importance sampling against a
+    Gaussian proposal instead.  The density always comes from the thermal
+    weights, so neither path assumes the Gaussian closed form.  Building
+    the kernel first rejects mu outside (1/2, 1] before any other work.
+
+    The quadrature bound has four terms: the resolution, from a rerun at
+    half the radial order; the second moment past R of the uncut density,
+    a Gaussian of std sigma per axis, e^{-R^2/2 sigma^2} (R^2 + 2 sigma^2)
+    (taken with 4 sigma^2); the thermal weights past the rank cut, p^r,
+    at most R^2 each inside the disk; and the rounding of a sum of
+    ``QUADRATURE_ORDER`` positive terms, that many ulps of the value.
     """
     if mc is None:
-        density = heterodyne_pdf_kernel(mu, 160)
+        density = heterodyne_pdf_kernel(mu, QUADRATURE_ORDER)
         sig = heterodyne_outcome_std(mu)
         radius = 8.0 * sig
         moments = []
         # resolution estimate: repeat at half the radial order
-        for order in (160, 80):
+        for order in (QUADRATURE_ORDER, QUADRATURE_ORDER // 2):
             x, wx = _gauss_legendre(order)
             r = 0.5 * radius * (x + 1.0)
             w = math.pi * radius * wx * r  # 2 pi r dr on [0, radius]
@@ -188,7 +203,10 @@ def heterodyne_estimation_risk(mu: float, mc: McSpec | None = None) -> RiskEstim
         (value, mass), (coarse, _) = moments
         resolution = abs(coarse - value)
         tail = math.exp(-radius ** 2 / (2.0 * sig * sig))
-        bound = resolution + tail * (radius ** 2 + 4 * sig * sig) + (1.0 - mass) * radius ** 2
+        p = (1.0 - mu) / mu
+        rank_cut = p ** effective_rank(p)
+        rounding = QUADRATURE_ORDER * 2.0 ** -52 * value
+        bound = resolution + tail * (radius ** 2 + 4 * sig * sig) + rank_cut * radius ** 2 + rounding
         if bound > 0.02 * max(value, 1e-12):
             raise AccuracyError(
                 f"quadrature risk error bound {bound:.3e} above 2% of value {value:.3e}"
@@ -332,30 +350,41 @@ class _TvGrid:
 
     The covariant side is pointwise (``covariant``).  The heterodyne side is
     the polar kernel ``oscillator.PolarHeterodyne`` on the grid, centred at
-    u, for cores of as many rows as the blocks reach (``heterodyne``).
-    ``points`` and ``weights`` are the grid's nodes.
+    u (``heterodyne``).  ``points`` and ``weights`` are the grid's nodes,
+    and 2j = ``lo`` .. ``hi`` the included blocks, which ``chunks`` walks.
     """
 
+    params: ModelParams
+    u: LocalParam
     points: np.ndarray
     weights: np.ndarray
     covariant: _Covariant
     heterodyne: PolarHeterodyne
-    blocks: tuple[BlockState, ...]
+    lo: int
+    hi: int
+
+    def chunks(self) -> Iterator[tuple[BlockState, ...]]:
+        """The included blocks, ``TV_CHUNK`` at a time from the bottom of the
+        range, from one ``rotated_blocks`` walk: only the chunk in hand is
+        held, and the one the walk is filling."""
+        blocks = rotated_blocks(self.params, self.u, self.lo, self.hi)
+        while chunk := tuple(islice(blocks, TV_CHUNK)):
+            yield chunk
 
 
 def _tv_grid(params: ModelParams, u: LocalParam, grid: PolarGrid) -> _TvGrid:
     """The tables ``grid`` shares across its blocks (``_TvGrid``).
 
     ``grid`` must be centred at u.  One call builds the nodes and the
-    covariant data at them (which rejects a grid past the injectivity disk
-    before any other work), the included blocks and the heterodyne kernel's
-    tables (``oscillator.polar_heterodyne``).  The included blocks are the
-    concentration set's blocks that occur (``qubit_model.occurring_range``
-    within ``qubit_model.concentration_range``), a contiguous range of 2j,
-    from one ``rotated_blocks`` walk over that range alone, kept as one
-    tuple: ``back`` takes its columns from the rows the longest core
-    reaches, which only the whole walk tells.  Their rank cuts and the
-    walk's trimmed mass sit far below the quadrature resolution.
+    covariant data at them, which rejects a grid past the injectivity disk
+    before any rotation, and the heterodyne kernel
+    (``oscillator.polar_heterodyne``), before any block is walked.  The
+    included blocks are the concentration set's blocks that occur
+    (``qubit_model.occurring_range`` within
+    ``qubit_model.concentration_range``), a contiguous range of 2j; their
+    rank cuts and the walk's trimmed mass sit far below the quadrature
+    resolution.  ``back`` gets a column per row the top block's core
+    reaches (``irreps.core_rows``); a chunk that reaches further grows it.
     """
     if grid.center != (u.ux, u.uy):
         raise ValidationError(f"TV grid centred at {grid.center}, not at u = ({u.ux}, {u.uy})")
@@ -363,15 +392,9 @@ def _tv_grid(params: ModelParams, u: LocalParam, grid: PolarGrid) -> _TvGrid:
     covariant = _covariant(params, u, pts)
     lo, hi, _ = occurring_range(params)
     first, last = concentration_range(params)
-    blocks = tuple(rotated_blocks(params, u, max(lo, first), min(hi, last)))
-    rows = max(b.core.shape[0] for b in blocks)
-    return _TvGrid(
-        points=pts,
-        weights=w,
-        covariant=covariant,
-        heterodyne=polar_heterodyne(grid, params.mu, rows),
-        blocks=blocks,
-    )
+    lo, hi = max(lo, first), min(hi, last)
+    rows = core_rows(hi, u.norm / math.sqrt(params.n), effective_rank(params.p))
+    return _TvGrid(params, u, pts, w, covariant, polar_heterodyne(grid, params.mu, rows), lo, hi)
 
 
 def _block_density_pair(
@@ -393,16 +416,19 @@ def measurement_tv(params: ModelParams, u: LocalParam) -> TvEstimate:
     concentration set, over the quadrature grid ``default_tv_grid`` centred
     at u, then adds twice the excluded weight as the worst case
     contribution of the remaining blocks.  The grid, its qubit
-    infidelities, its blocks, its re-centring displacement and its radial
-    and angular tables are built once (``_TvGrid``), and die on return, so
-    a run over many points never holds two grids' tables at once.
+    infidelities, its re-centring displacement and its radial and angular
+    tables are built once, before any block is walked (``_TvGrid``), and
+    die on return, so a run over many points never holds two grids' tables
+    at once.
 
-    The blocks go ``TV_CHUNK`` at a time through ``_block_density_pair``,
-    and each chunk's (blocks, nodes) densities are reduced to per-block
-    integrals by one ``np.sum(..., axis=1)`` per statistic (each row summed
-    as ``np.sum`` sums it alone); the difference is formed in place, so a
-    chunk holds its two density arrays and one product at most.  The block
-    weights are then accumulated one block at a time, in order.
+    The blocks stream from one walk, ``TV_CHUNK`` at a time
+    (``_TvGrid.chunks``), through ``_block_density_pair``, so the cores
+    held do not grow with n.  Each chunk's (blocks, nodes) densities are
+    reduced to per-block integrals by one ``np.sum(..., axis=1)`` per
+    statistic (each row summed as ``np.sum`` sums it alone); the difference
+    is formed in place, so a chunk holds its two density arrays and one
+    product at most.  The block weights are then accumulated one block at
+    a time, in order.
     """
     tv = _tv_grid(params, u, default_tv_grid(params.mu, u, params.n))
     w = tv.weights
@@ -410,17 +436,18 @@ def measurement_tv(params: ModelParams, u: LocalParam) -> TvEstimate:
     mass_m = 0.0
     mass_h = 0.0
     included = 0.0
-    for start in range(0, len(tv.blocks), TV_CHUNK):
-        chunk = tv.blocks[start : start + TV_CHUNK]
+    for chunk in tv.chunks():
         dens_m, dens_h = _block_density_pair(tv, chunk)
         cov = np.sum(w * dens_m, axis=1)
         het = np.sum(w * dens_h, axis=1)
-        # |dens_m - dens_h| w is formed in dens_m, and dens_h dropped first
+        # |dens_m - dens_h| w is formed in dens_m, and dens_h dropped first;
+        # dens_m goes too, before the next chunk's densities are formed
         np.subtract(dens_m, dens_h, out=dens_m)
         del dens_h
         np.abs(dens_m, out=dens_m)
         dens_m *= w
         diff = np.sum(dens_m, axis=1)
+        del dens_m
         for k, block in enumerate(chunk):
             bw = block.weight
             grid_term += bw * float(diff[k])

@@ -19,15 +19,15 @@ The heterodyne outcome density has two kernels: the radial
 ``heterodyne_pdf_kernel`` at the distances |u_hat - u|, for the displaced
 thermal state, which the risk runs, and the polar ``polar_heterodyne`` on a
 grid centred at u, for the spin blocks, which are not radial.  The polar
-kernel keeps the real coherent rows of its radial nodes, and builds their
-pairwise products only on the rows the re-centred block cores reach
-(``PolarHeterodyne``), not on every row the grid's radius allows.
+kernel builds its radial products and angular table only on the rows the
+re-centred block cores reach (``PolarHeterodyne``), not on every row the
+grid's radius allows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
 from typing import Callable
 
@@ -243,28 +243,51 @@ class PolarHeterodyne:
     c_0 = 1 and c_d = 2 past it, h(rho, d) = sum_m R_{m+d} R_m A_{m+d,m}
     with R_m the real coherent row at s rho, and A = G G^T with
     G = ``back`` F, ``back`` the leading rows of D(-z_c), real in that
-    frame: only as many as the radial rows reach at rho = radius, so the
-    tables do not grow with |z_c|.  The real coherent rows R_m are
-    ``radial`` as [m, rho] and c_d cos(d (t + pi/2 - psi)) is ``cos`` as
-    [d, t].  The radial products R_{m+d} R_m, as [d, m, rho] and zero
-    past the last row, are ``diag``: built on the rows the first chunk of
-    cores reaches, and rebuilt only when a later chunk reaches further,
-    since the contraction never reads a row past the longest G.
+    frame: only the ``size`` rows the radial rows reach at rho = radius,
+    so the tables do not grow with |z_c|, and a column per core row.  A
+    chunk of cores with more rows than ``back`` has columns grows it, to
+    twice its columns at least (the leading columns of
+    ``displacement_columns`` do not depend on how many are asked for).
+    |z_c| is ``shift``, the radial nodes s rho are ``amplitudes``, and
+    t + pi/2 - psi at the angular nodes is ``phases``.  The contraction
+    never reads a row past the longest G, so its tables are built on the K
+    rows the first chunk of cores reaches, and rebuilt only when a later
+    chunk reaches further: c_d cos(d (t + pi/2 - psi)) as ``cos`` [d, t],
+    and the radial products R_{m+d} R_m as ``diag`` [d, m, rho], zero past
+    the last row.
     """
 
     mu: float
-    back: np.ndarray
-    radial: np.ndarray
-    cos: np.ndarray
+    shift: float
+    size: int
+    amplitudes: np.ndarray = field(repr=False)
+    phases: np.ndarray = field(repr=False)
+    cols: InitVar[int]
+    back: np.ndarray = field(init=False, repr=False)
+    cos: np.ndarray | None = field(default=None, init=False, repr=False)
     diag: np.ndarray | None = field(default=None, init=False, repr=False)
 
-    def _products(self, rows: int) -> np.ndarray:
-        """``diag`` on its leading ``rows`` rows, (re)built when it holds fewer."""
+    def __post_init__(self, cols: int):
+        self._build_back(cols)
+
+    def _build_back(self, cols: int) -> None:
+        """``back`` with ``cols`` columns: D(z_c) is the real core
+        M = D(|z_c|) in u's frame, so D(-z_c) is M^T = S M S, S = diag((-1)^k),
+        one signed ``displacement_columns`` call on the band it reaches."""
+        back = displacement_columns(self.shift, cols)
+        self.back = mirror_rows(back[: self.size]) * (-1.0) ** np.arange(cols)
+
+    def _tables(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        """``diag`` and ``cos`` on their leading ``rows`` rows, (re)built when
+        they hold fewer; the radial rows live only while ``diag`` is built."""
         if self.diag is None or self.diag.shape[0] < rows:
-            self.diag = np.zeros((rows, rows, self.radial.shape[1]))
+            radial = _coherent_rows(self.amplitudes, rows)
+            self.diag = np.zeros((rows, rows, radial.shape[1]))
             for d in range(rows):
-                self.diag[d, : rows - d] = self.radial[d:rows] * self.radial[: rows - d]
-        return self.diag[:rows, :rows]
+                self.diag[d, : rows - d] = radial[d:] * radial[: rows - d]
+            self.cos = np.cos(np.outer(np.arange(rows), self.phases))
+            self.cos[1:] *= 2.0
+        return self.diag[:rows, :rows], self.cos[:rows]
 
     def densities(self, cores) -> np.ndarray:
         """(cores, nodes) densities in ``PolarGrid.nodes`` order: h(rho, d) of
@@ -275,6 +298,9 @@ class PolarHeterodyne:
         rows the longest kept G reaches: the gather, the batched product
         and the GEMM run on ``diag[:K, :K]`` and ``cos[:K]``.
         """
+        reach = max(core.shape[0] for core in cores)
+        if reach > self.back.shape[1]:
+            self._build_back(max(reach, 2 * self.back.shape[1]))
         gs = [trim_rows(self.back[:, : core.shape[0]] @ core)[0] for core in cores]
         rows = max(g.shape[0] for g in gs)
         # A_{m+d, m} as [d, core, m], gathered from each core's A as it is
@@ -287,29 +313,24 @@ class PolarHeterodyne:
             padded = np.zeros((rows + 1, g.shape[1]))
             padded[: g.shape[0]] = g
             a_diag[:, k] = np.take(padded @ padded.T, flat)
-        h = np.matmul(a_diag, self._products(rows)).reshape(rows, -1)
-        dens = h.T @ self.cos[:rows]
+        diag, cos = self._tables(rows)
+        h = np.matmul(a_diag, diag).reshape(rows, -1)
+        dens = h.T @ cos
         dens *= (2.0 * self.mu - 1.0) / math.pi
         return dens.reshape(len(gs), -1)
 
 
 def polar_heterodyne(grid: PolarGrid, mu: float, rows: int) -> PolarHeterodyne:
-    """The ``PolarHeterodyne`` tables of ``grid``, centred at u, for cores of
-    at most ``rows`` rows: the TV grid's kernel, since a spin block's density
-    is not radial about u, as the displaced thermal state's is
-    (``heterodyne_pdf_kernel``).  D(z_c) is the real core M = D(|z_c|) in
-    u's frame, so D(-z_c) is M^T = S M S, S = diag((-1)^k): ``back`` is one
-    signed ``displacement_columns`` call, a column per core row, on the band
-    it reaches.  The radial products wait for the first chunk of cores."""
+    """The ``PolarHeterodyne`` kernel of ``grid``, centred at u, for cores of
+    ``rows`` rows, or more as they come: the TV grid's kernel, since a spin
+    block's density is not radial about u, as the displaced thermal state's
+    is (``heterodyne_pdf_kernel``).  ``back`` is built here, and the angular
+    and radial tables wait for the first chunk of cores."""
     u = LocalParam(*grid.center)
     radii, _, angles = grid.axes()
     s = math.sqrt(2.0 * mu - 1.0)
-    back = displacement_columns(s * u.norm, rows)
-    size = min(back.shape[0], coherent_row_support((s * grid.radius) ** 2))
-    back = mirror_rows(back[:size]) * (-1.0) ** np.arange(rows)
-    cos = np.cos(np.outer(np.arange(size), angles + 0.5 * math.pi - u.angle))
-    cos[1:] *= 2.0
-    return PolarHeterodyne(mu, back, _coherent_rows(s * radii, size), cos)
+    size = coherent_row_support((s * grid.radius) ** 2)
+    return PolarHeterodyne(mu, s * u.norm, size, s * radii, angles + 0.5 * math.pi - u.angle, rows)
 
 
 def heterodyne_pdf_kernel(mu: float, size: int) -> Callable[[np.ndarray], np.ndarray]:

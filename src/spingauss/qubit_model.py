@@ -17,8 +17,8 @@ two more qubits at a time, and builds no core it does not keep.  The
 blocks are a stream: every experiment reads each block once, in
 ascending 2j, so ``rotated_blocks`` yields them one at a time and
 ``ensemble_difference`` zips two such streams, and no list of cores or
-tuple of blocks is held on the convergence and discrimination paths (the
-materialized state is the oracle ``spingauss.reference.ensemble``).  A
+tuple of blocks is held on the run path: the TV grid takes a chunk at a
+time (the materialized state is the oracle ``spingauss.reference.ensemble``).  A
 rotated block is stored as a low-rank factor: the unrotated block has
 spectrum proportional to p^k, so the eigenvalues below RANK_CUT are
 dropped and rho_j ~ F F^dag with F the rotated leading columns scaled by

@@ -37,7 +37,10 @@ trace norm from ``numerics.mirror_trace_norm``, never from the generic
 production caller: every top-level function or class, and every public
 method or property, of a module other than ``reference`` and
 ``__init__`` is used by some other statement of those modules, or stands
-in ``WITHOUT_CALLER`` with the reason it stays.
+in ``WITHOUT_CALLER`` with the reason it stays.  Every experiment reads
+the blocks once, as the walk yields them: no ``tuple(...)``, ``list(...)``
+or comprehension outside ``reference`` runs over ``rotated_blocks``,
+``rotation_walk``, ``inverse_channel`` or ``ensemble_difference``.
 """
 
 import ast
@@ -271,6 +274,54 @@ def test_discrimination_takes_no_generic_pair_kernel():
     tree = ast.parse((PACKAGE / "measurements.py").read_text(encoding="utf-8"))
     assert "factor_difference_eigvals" not in defined_or_called(tree)
     assert "mirror_trace_norm" in defined_or_called(tree)
+
+
+STREAMS = {"rotated_blocks", "rotation_walk", "inverse_channel", "ensemble_difference"}
+MATERIALIZERS = {"tuple", "list", "set", "frozenset", "sorted"}
+
+
+def materialized_streams(tree: ast.AST) -> list[str]:
+    """Every ``tuple(...)``, ``list(...)`` (or the like) and every list, set
+    or dict comprehension of ``tree`` that runs over a block stream: a call
+    of a name in ``STREAMS``, or a name that an assignment in the same
+    function binds to one."""
+
+    def called(node):
+        return isinstance(node, ast.Call) and ast.unparse(node.func).rsplit(".", 1)[-1] in STREAMS
+
+    found = {}
+    functions = [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for scope in [tree, *functions]:
+        nodes = list(ast.walk(scope))
+        bound = set() if scope is tree else {
+            target.id
+            for node in nodes
+            if isinstance(node, ast.Assign) and called(node.value)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        for node in nodes:
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in MATERIALIZERS:
+                sources = node.args[:1]
+            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp)):
+                sources = [gen.iter for gen in node.generators]
+            else:
+                continue
+            if any(called(src) or (isinstance(src, ast.Name) and src.id in bound) for src in sources):
+                found[id(node)] = ast.unparse(node)
+    return sorted(found.values())
+
+
+def test_no_tuple_of_blocks_on_the_run_path():
+    # every experiment reads the blocks once, as the walk yields them, so
+    # no module but the oracles' materializes a block stream
+    offenders = {
+        path.name: found
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "reference.py"
+        and (found := materialized_streams(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert offenders == {}
 
 
 # Names no other statement outside ``reference`` and ``__init__`` uses, and

@@ -37,7 +37,7 @@ from spingauss.oscillator import (
     heterodyne_pdf_kernel,
     polar_heterodyne,
 )
-from spingauss import oscillator, qubit_model, reference
+from spingauss import irreps, oscillator, qubit_model, reference
 from spingauss.channels import convergence_point
 from spingauss.qubit_model import (
     ModelParams,
@@ -279,10 +279,47 @@ def test_quadrature_risk_kernel_matches_pointwise_density(u, mu):
     est = heterodyne_estimation_risk(mu)
     radius, sig = risk_grids(mu, u)[0].radius, heterodyne_outcome_std(mu)
     tail = math.exp(-radius ** 2 / (2.0 * sig * sig)) * (radius ** 2 + 4 * sig * sig)
-    resolution = est.error_bound - tail - (1.0 - est.mass) * radius ** 2
+    rank_cut = displaced_thermal(u, mu).deficit * radius ** 2
+    rounding = 160 * np.finfo(float).eps * est.value
+    resolution = est.error_bound - tail - rank_cut - rounding
     assert abs(est.value - value) <= 1e-14
     assert abs(est.mass - mass) <= 1e-14
     assert abs(resolution - abs(coarse - value)) <= 1e-14
+
+
+@pytest.mark.parametrize("mu", [0.6, 0.75, 0.9, 1.0])
+def test_quadrature_risk_bound_covers_the_closed_form(mu):
+    # the bound's terms are closed forms or measured, none the rounding
+    # residue 1 - mass (about 1.9e-14 at every mu, times R^2 = 32 to 480)
+    est = heterodyne_estimation_risk(mu)
+    assert abs(est.value - heterodyne_risk_reference(mu)) <= est.error_bound
+    sig = heterodyne_outcome_std(mu)
+    assert est.error_bound < 1.2 * math.exp(-32.0) * (68.0 * sig * sig)
+
+
+@pytest.mark.parametrize("mu", [0.6, 0.75, 0.9, 1.0])
+def test_quadrature_risk_rounding_term_covers_exact_arithmetic(mu):
+    # the same nodes, weights and float thermal weights summed in 40 digits:
+    # the float value is within the bound's rounding term of it
+    mpmath = pytest.importorskip("mpmath")
+    est = heterodyne_estimation_risk(mu)
+    radius = 8.0 * heterodyne_outcome_std(mu)
+    lam = np.diagonal(displaced_thermal(LocalParam(0.0, 0.0), mu).core) ** 2
+    x, wx = oscillator._gauss_legendre(160)
+    r = 0.5 * radius * (x + 1.0)
+    w = math.pi * radius * wx * r
+    with mpmath.workdps(40):
+        s2 = mpmath.mpf(2 * mu - 1)
+        exact = mpmath.fsum(
+            mpmath.mpf(wi) * mpmath.mpf(ri) ** 2 * s2 / mpmath.pi
+            * mpmath.fsum(
+                mpmath.mpf(lk) * mpmath.exp(-s2 * mpmath.mpf(ri) ** 2) * (s2 * mpmath.mpf(ri) ** 2) ** k
+                / mpmath.factorial(k)
+                for k, lk in enumerate(lam)
+            )
+            for ri, wi in zip(r, w)
+        )
+        assert abs(est.value - float(exact)) <= 160 * np.finfo(float).eps * est.value
 
 
 def test_each_gauss_legendre_rule_is_computed_once(monkeypatch):
@@ -504,7 +541,8 @@ def test_block_density_pair_matches_public_densities():
     grid = PolarGrid(center=(u.ux, u.uy), radius=6.0, n_radial=24, n_angular=16)
     pts, _ = grid.nodes()
     tv = _tv_grid(params, u, grid)
-    (dens_m,), (dens_h,) = _block_density_pair(tv, (next(b for b in tv.blocks if b.j == j),))
+    block = next(b for chunk in tv.chunks() for b in chunk if b.j == j)
+    (dens_m,), (dens_h,) = _block_density_pair(tv, (block,))
     rho = block_state(params, j, u)
     want_m = covariant_block_density(j, params.n, rho, pts)
     want_h = heterodyne_pullback_density(j, rho, params.mu, pts)
@@ -570,8 +608,7 @@ def test_measurement_tv_frees_its_grid_before_the_next(monkeypatch):
 def tv_block_densities(tv):
     """(block, covariant, heterodyne) for every included block, in order,
     ``TV_CHUNK`` blocks per ``_block_density_pair`` call, as the TV sums take them."""
-    for start in range(0, len(tv.blocks), TV_CHUNK):
-        chunk = tv.blocks[start : start + TV_CHUNK]
+    for chunk in tv.chunks():
         yield from zip(chunk, *_block_density_pair(tv, chunk))
 
 
@@ -659,12 +696,14 @@ def test_recentred_heterodyne_nonnegative_at_scale():
 def full_size_densities(het, grid, cores):
     """The polar kernel contracted on every row of ``back``, G untrimmed:
     the form that held before each chunk was cut to the rows its G keep.
-    The radial products R_{m+d} R_m come from the grid, on all those rows,
-    zero past the last; an index past the last row clips to it and meets
-    those zeros."""
+    The radial products R_{m+d} R_m and the angular table come from the
+    grid, on all those rows, the products zero past the last; an index past
+    the last row clips to it and meets those zeros."""
     size = het.back.shape[0]
-    radii = grid.axes()[0]
+    radii, _, angles = grid.axes()
     radial = _coherent_rows(math.sqrt(2.0 * het.mu - 1.0) * radii, size)
+    cos = np.cos(np.outer(np.arange(size), angles + 0.5 * math.pi - LocalParam(*grid.center).angle))
+    cos[1:] *= 2.0
     diag = np.zeros((size, size, len(radii)))
     for d in range(size):
         diag[d, : size - d] = radial[d:] * radial[: size - d]
@@ -675,7 +714,7 @@ def full_size_densities(het, grid, cores):
         g = het.back[:, : core.shape[0]] @ core
         a_diag[:, k] = np.take(g @ g.T, flat)
     h = np.matmul(a_diag, diag).reshape(size, -1)
-    dens = h.T @ het.cos
+    dens = h.T @ cos
     dens *= (2.0 * het.mu - 1.0) / math.pi
     return dens.reshape(len(cores), -1)
 
@@ -691,8 +730,8 @@ def test_trimmed_contraction_matches_full_size_on_tv_grids(n, u):
     mu, u = 0.75, LocalParam(*u)
     grid = default_tv_grid(mu, u, n)
     tv = _tv_grid(ModelParams(n, mu), u, grid)
-    for start in range(0, len(tv.blocks), TV_CHUNK):
-        cores = [b.core for b in tv.blocks[start : start + TV_CHUNK]]
+    for chunk in tv.chunks():
+        cores = [b.core for b in chunk]
         got = tv.heterodyne.densities(cores)
         np.testing.assert_allclose(got, full_size_densities(tv.heterodyne, grid, cores), rtol=0, atol=1e-16)
 
@@ -710,14 +749,15 @@ def test_trimmed_contraction_matches_full_size_on_risk_grids(u, mu):
 
 def test_trimmed_contraction_runs_on_the_rows_g_keeps(monkeypatch):
     # on the bench's n = 1024 point every re-centred core keeps at most 60
-    # of the 103 rows of back, and the batched product and its radial
+    # of the 104 rows of back, and the batched product and its radial
     # products run on the rows the chunk's longest G keeps alone (back has
-    # a column per row of the longest block core, so its rows follow the
-    # rows the walk's trimming keeps)
+    # a column per row the top block's core reaches, so its rows follow
+    # the rows the rotation kernel keeps)
     n, mu, u = 1024, 0.75, LocalParam(-0.783814, -0.251648)
     tv = _tv_grid(ModelParams(n, mu), u, default_tv_grid(mu, u, n))
     het = tv.heterodyne
-    assert het.back.shape[0] == 103 and het.radial.shape == (103, 64)
+    assert het.back.shape[0] == 104 and het.diag is None and het.cos is None
+    chunks = [[b.core for b in chunk] for chunk in tv.chunks()]
     shapes = []
 
     class Spy:
@@ -728,33 +768,30 @@ def test_trimmed_contraction_runs_on_the_rows_g_keeps(monkeypatch):
             shapes.append(b.shape)
             return np.matmul(a, b, **kwargs)
 
-    reached = []
-    for start in range(0, len(tv.blocks), TV_CHUNK):
-        cores = [b.core for b in tv.blocks[start : start + TV_CHUNK]]
-        reached.append(max(trim_rows(het.back[:, : c.shape[0]] @ c)[0].shape[0] for c in cores))
+    reached = [max(trim_rows(het.back[:, : c.shape[0]] @ c)[0].shape[0] for c in cores) for cores in chunks]
     monkeypatch.setattr(oscillator, "np", Spy())
-    for start in range(0, len(tv.blocks), TV_CHUNK):
-        het.densities([b.core for b in tv.blocks[start : start + TV_CHUNK]])
-    assert len(shapes) == len(reached) == math.ceil(len(tv.blocks) / TV_CHUNK)
+    for cores in chunks:
+        het.densities(cores)
+    assert len(shapes) == len(reached) == math.ceil(((tv.hi - tv.lo) // 2 + 1) / TV_CHUNK)
     assert shapes == [(k, k, 64) for k in reached] and max(reached) <= 60
 
 
 def test_radial_products_cover_only_the_rows_the_chunks_reach():
     # on the bench's n = 1024 point the first chunk's G reach K = 42 of the
-    # 103 rows of back and no later chunk reaches further, so the products
-    # are built once, on those K rows; taken in reverse order the chunks
-    # reach 40, then 41 and 42, and the table is rebuilt at each step up,
-    # with the same densities
+    # 104 rows of back and no later chunk reaches further, so the radial
+    # products and the angular table are built once, on those K rows; taken
+    # in reverse order the chunks reach 40, then 41 and 42, and the tables
+    # are rebuilt at each step up, with the same densities
     n, mu, u = 1024, 0.75, LocalParam(-0.783814, -0.251648)
     params, grid = ModelParams(n, mu), default_tv_grid(mu, u, n)
     tv = _tv_grid(params, u, grid)
     het = tv.heterodyne
-    chunks = [[b.core for b in tv.blocks[s : s + TV_CHUNK]] for s in range(0, len(tv.blocks), TV_CHUNK)]
+    chunks = [[b.core for b in chunk] for chunk in tv.chunks()]
     reached = [max(trim_rows(het.back[:, : c.shape[0]] @ c)[0].shape[0] for c in cores) for cores in chunks]
-    assert het.diag is None and het.radial.shape == (103, 64)
+    assert het.diag is None and het.cos is None and het.back.shape[0] == 104
     assert reached[0] == max(reached) == 42
     want = [het.densities(cores) for cores in chunks]
-    assert het.diag.shape == (42, 42, 64)
+    assert het.diag.shape == (42, 42, 64) and het.cos.shape == (42, 96)
     het = _tv_grid(params, u, grid).heterodyne
     tables = []
     for k in reversed(range(len(chunks))):
@@ -764,11 +801,12 @@ def test_radial_products_cover_only_the_rows_the_chunks_reach():
     assert sorted(set(tables)) == [40, 41, 42]
 
 
-@pytest.mark.parametrize("kernel", [convergence_point, finite_n_discrimination])
+@pytest.mark.parametrize("kernel", [convergence_point, finite_n_discrimination, measurement_tv])
 def test_point_kernels_hold_no_more_than_a_block_at_a_time(kernel):
     # the blocks stream past: from n = 16384 to 65536 the blocks double in
-    # number (808 to 1617), and the traced peak may grow by half at most;
-    # a warm-up call first fills the per-(n, mu) weight tables
+    # number (808 to 1617), and the traced peak may grow by half at most
+    # (the TV kernel holds a chunk of TV_CHUNK cores at a time); a warm-up
+    # call first fills the per-(n, mu) weight tables
     u = LocalParam(1.0, -1.0)
     peaks = []
     for n in (16384, 65536):
@@ -788,7 +826,8 @@ def test_tv_estimate_does_not_depend_on_the_chunk_size(monkeypatch):
 
     n, mu, u = 1024, 0.75, LocalParam(-0.783814, -0.251648)
     params = ModelParams(n, mu)
-    blocks = len(_tv_grid(params, u, default_tv_grid(mu, u, n)).blocks)
+    tv = _tv_grid(params, u, default_tv_grid(mu, u, n))
+    blocks = (tv.hi - tv.lo) // 2 + 1
     estimates = []
     for chunk in (1, 16, blocks):
         monkeypatch.setattr(measurements, "TV_CHUNK", chunk)
@@ -800,6 +839,48 @@ def test_tv_estimate_does_not_depend_on_the_chunk_size(monkeypatch):
     # heterodyne_mass moves by 2.2e-16 and tv_bound by 6.9e-18 here
     for name in ("tv_bound", "grid_term", "covariant_mass", "heterodyne_mass", "out_of_grid_bound"):
         assert abs(getattr(single, name) - getattr(default, name)) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024, 4096])
+@pytest.mark.parametrize("mu", [0.6, 0.75, 0.9])
+def test_polar_tables_are_sized_for_every_core_the_walk_yields(mu, n):
+    # back gets a column per row the top block's core reaches, taken before
+    # the walk (irreps.core_rows); on these 48 points that covers every core
+    # the walk yields, by 0 to 6 rows
+    for radius in (0.3, 1.0, 1.41, 3.0):
+        u = LocalParam(radius, 0.0)
+        tv = _tv_grid(ModelParams(n, mu), u, default_tv_grid(mu, u, n))
+        reach = max(b.core.shape[0] for chunk in tv.chunks() for b in chunk)
+        assert 0 <= tv.heterodyne.back.shape[1] - reach <= 6
+
+
+@pytest.mark.parametrize("n, u", [(64, (0.7, -0.5)), (1024, (3.0, 0.0)), (256, (-9.0, 8.0))])
+def test_polar_tables_grow_past_a_short_estimate(monkeypatch, n, u):
+    # an estimate of one row grows back at the first chunk, and one of the
+    # first chunk's rows grows it again further up the range, where the
+    # cores reach further; the estimate is the sized tables' either way,
+    # since the leading columns of D(-z_c) do not depend on how many are
+    # built
+    import spingauss.measurements as measurements
+
+    mu, u = 0.75, LocalParam(*u)
+    params = ModelParams(n, mu)
+    want = measurement_tv(params, u)
+    tv = _tv_grid(params, u, default_tv_grid(mu, u, n))
+    first = max(b.core.shape[0] for b in next(tv.chunks()))
+    built = []
+    displacement_columns = oscillator.displacement_columns
+
+    def spy(t, cols):
+        built.append(cols)
+        return displacement_columns(t, cols)
+
+    monkeypatch.setattr(oscillator, "displacement_columns", spy)
+    for short in (1, first):
+        built.clear()
+        monkeypatch.setattr(measurements, "core_rows", lambda *args: short)
+        assert measurement_tv(params, u) == want
+        assert built[0] == short and len(built) >= 2 and built == sorted(set(built))
 
 
 def pointwise_heterodyne(params, u, block, pts):
@@ -826,7 +907,7 @@ def test_recentred_heterodyne_far_from_origin(n, mu, u):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert max(b.core.shape[0] for b in tv.blocks) > tv.heterodyne.back.shape[0]
+    assert max(b.core.shape[0] for b, _, _ in densities) > tv.heterodyne.back.shape[0]
     assert peak < 64 * 2**20
     for block, _, dens_h in densities[:: max(1, len(densities) // 4)]:
         want = pointwise_heterodyne(params, u, block, tv.points)
@@ -842,10 +923,13 @@ def test_tv_grid_rejects_a_grid_off_u():
 
 
 def test_tv_grid_rejects_a_grid_past_the_disk_before_rotating(monkeypatch):
+    # neither the walk nor the rotation kernel call that sizes the polar
+    # tables may run before the injectivity-disk check
     def fail(*args, **kwargs):
         raise AssertionError("rotated a block for a grid that is rejected")
 
     monkeypatch.setattr(qubit_model, "rotation_walk", fail)
+    monkeypatch.setattr(irreps, "rotation_columns", fail)
     n, u = 1024, LocalParam(45.0, 0.0)
     params = ModelParams(n, 0.75)
     with pytest.raises(DomainError):
