@@ -10,9 +10,8 @@ cores side by side, is the test oracle
 block-projects an oscillator state back onto each spin block and routes
 whatever mass lies outside the block's image to the highest weight vector
 |j, j>, which keeps it trace preserving and deterministic; it is a
-per-block map of the state's core and 2j, so it too yields its blocks one
-at a time.  The distance between two ensembles zips their two streams
-(``qubit_model.ensemble_difference``).
+per-block map of the state's core and 2j, so a convergence point meets
+each block it streams with that block's image.
 
 The convergence experiment is one kernel, ``convergence_point(params, u)``:
 the trace-norm distances at one (n, u).  The command line runs it over a
@@ -32,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -43,46 +41,30 @@ from .oscillator import (
     coherent_coefficients,
     displaced_thermal,
 )
-from .qubit_model import (
-    BlockState,
-    ModelParams,
-    block_weights,
-    concentration_range,
-    ensemble_difference,
-    occurring_range,
-    rotated_blocks,
-)
+from .qubit_model import ModelParams, concentration_range, occurring_range, rotated_blocks
 
 
-def inverse_channel(phi: FockOperator, params: ModelParams) -> Iterator[BlockState]:
-    """The blocks of the ensemble the inverse channel maps phi to, with the
-    model weights, one block at a time in ascending 2j.
+def inverse_channel(phi: FockOperator, j: HalfInteger) -> np.ndarray:
+    """The core of block j's image under the inverse channel, in phi's frame.
 
-    Works on the factor G of phi, its core (the blocks keep its frame).
-    Block j gets the corner G[:2j+1] plus the column sqrt(leftover) e_0,
-    where the leftover is the trace of phi outside the block image: the
-    block projection with the leftover mass routed to |j, j> (e_0 is
-    unchanged by any frame), which keeps the map trace preserving.  A block
-    of at least G's rows has no leftover and gets G itself.  It yields the
-    blocks of ``occurring_range``, the range ``rotated_blocks`` runs over
-    at a point, with the same weights, and the same skipped weight lies
-    outside it.
+    Works on the real factor G of phi, its core.  Block j gets the corner
+    G[:2j+1] plus the column sqrt(leftover) e_0, where the leftover is the
+    trace of phi outside the block image: the block projection with the
+    leftover mass routed to |j, j> (e_0 is unchanged by any frame), which
+    keeps the map trace preserving.  A block of at least G's rows has no
+    leftover and gets G itself.
     """
     g = phi.core
-    row_mass = np.sum((g * g.conj()).real, axis=1)
-    weights = block_weights(params)
-    lo, hi, _ = occurring_range(params)
-    for twoj in range(lo, hi + 1, 2):
-        j = HalfInteger(twoj)
-        core = g
-        if j.dim < g.shape[0]:
-            core = g[: j.dim]
-            leftover = float(row_mass[j.dim :].sum())
-            if leftover > 0.0:
-                column = np.zeros((core.shape[0], 1), dtype=g.dtype)
-                column[0, 0] = math.sqrt(leftover)
-                core = np.hstack([core, column])
-        yield BlockState(j, weights[twoj // 2], core)
+    if j.dim >= g.shape[0]:
+        return g
+    core = g[: j.dim]
+    # each row's mass, then their sum: the order every reported value rests on
+    leftover = float(np.sum(g[j.dim :] * g[j.dim :], axis=1).sum())
+    if leftover > 0.0:
+        column = np.zeros((core.shape[0], 1), dtype=g.dtype)
+        column[0, 0] = math.sqrt(leftover)
+        core = np.hstack([core, column])
+    return core
 
 
 def coherent_vector_distance(j: HalfInteger, u: LocalParam, n: int) -> float:
@@ -149,8 +131,7 @@ def convergence_point(params: ModelParams, u: LocalParam) -> PointStats:
     their core core^T, kept as a running sum in a buffer that starts at
     phi's rows, doubles (up to the top block's 2j + 1) when a block reaches
     past it, and is cut to the rows reached.  Each block meets its image
-    under the inverse channel (``ensemble_difference``) for the reverse
-    distance.  ``block_max``
+    under the inverse channel for the reverse distance.  ``block_max``
     reads the blocks whose 2j lies in ``concentration_range``, the test
     ``measurements._tv_grid`` makes.
     """
@@ -164,8 +145,8 @@ def convergence_point(params: ModelParams, u: LocalParam) -> PointStats:
     reverse = 0.0
     block_max = 0.0
     discarded = 0.0
-    blocks = rotated_blocks(params, u, lo, hi)
-    for b, norm in ensemble_difference(blocks, inverse_channel(phi, params)):
+    for b in rotated_blocks(params, u, lo, hi):
+        norm = float(np.abs(factor_difference_eigvals(b.core, inverse_channel(phi, b.j))).sum())
         k = b.core.shape[0]
         if k > corner.shape[0]:
             grown = np.zeros((min(max(k, 2 * corner.shape[0]), hi + 1),) * 2)

@@ -11,21 +11,23 @@ The blocks of weight above NEGLIGIBLE_WEIGHT are one contiguous range of
 weight of the rest, its ``skipped``, which every distance counts at the
 worst case.  This module alone makes that selection and rotates blocks
 (``rotated_blocks``): one ``irreps.rotation_walk`` per range and u, at
-|u|/sqrt(n), gives every core.  The blocks of one range differ in 2j by
-2, so the walk climbs from one to the next in whole steps of j, coupling
-two more qubits at a time, and builds no core it does not keep.  The
-blocks are a stream: every experiment reads each block once, in
-ascending 2j, so ``rotated_blocks`` yields them one at a time and
-``ensemble_difference`` zips two such streams, and no list of cores or
-tuple of blocks is held on the run path: the TV grid takes a chunk at a
-time (the materialized state is the oracle ``spingauss.reference.ensemble``).  A
+|u|/sqrt(n), gives every core.  It compares no blocks: each experiment
+takes its own distance of the block in hand.  The blocks of one range
+differ in 2j by 2, so the walk climbs from one to the next in whole steps
+of j, coupling two more qubits at a time, and builds no core it does not
+keep.  The blocks are a stream: every experiment reads each block once,
+in ascending 2j, so ``rotated_blocks`` yields them one at a time, and no
+list of cores or tuple of blocks is held on the run path: the TV grid
+takes a chunk at a time (the materialized state is the oracle
+``spingauss.reference.ensemble``).  A
 rotated block is stored as a low-rank factor: the unrotated block has
 spectrum proportional to p^k, so the eigenvalues below RANK_CUT are
 dropped and rho_j ~ F F^dag with F the rotated leading columns scaled by
 the square roots of the kept eigenvalues.  The dropped trace is recorded
 per block.  The run path takes spins as 2j integers
 (``occurring_range``, ``concentration_range``); ``valid_spins`` and
-``concentration_set`` build a ``HalfInteger`` per spin for the lemma API.
+``concentration_set``, the ``HalfInteger`` view of ``concentration_range``,
+build one per spin for the lemma API.
 
 The frame.  rho^0 is diagonal, so turning u in the plane by an angle a
 conjugates each block by exp(-i a J_z) (the oscillator state by
@@ -47,7 +49,7 @@ the pmf is taken in Loader's saddle-point form (``_log_binomial_pmf``):
 Stirling remainders and deviance terms, each small or accurate relative to
 itself, so no large logs cancel.  The weights of one ``ModelParams`` are
 computed once, in one numpy pass over every 2j (``block_weights``), and
-shared by the rotated blocks, the inverse channel and the concentration
+shared by the block selection, the rotated blocks and the concentration
 weights; the single-spin functions evaluate the same array form on one
 spin.
 """
@@ -57,14 +59,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, islice, zip_longest
-from typing import Iterable, Iterator
+from itertools import chain, islice
+from typing import Iterator
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError
 from .irreps import HalfInteger, LocalParam, rotation_walk
-from .numerics import factor_difference_eigvals, stirling_remainder
+from .numerics import stirling_remainder
 
 # Eigenvalues of a geometric spectrum below this fraction are dropped from the
 # low-rank factors; for p = 1/3 that keeps 33 of them.
@@ -117,13 +119,12 @@ class BlockState:
     discarded: float = 0.0
 
 
-@lru_cache(maxsize=4)
 def valid_spins(n: int) -> tuple[HalfInteger, ...]:
     """All total spins compatible with n qubits, ascending (2j runs n mod 2 .. n).
 
-    Cached per n, for the concentration set; the run path takes its spins
-    as 2j integers (``occurring_range``, ``concentration_range``) and makes
-    a ``HalfInteger`` only for a block it holds.
+    The run path takes its spins as 2j integers (``occurring_range``,
+    ``concentration_range``) and makes a ``HalfInteger`` only for a block
+    it holds.
     """
     return tuple(HalfInteger(tj) for tj in range(n % 2, n + 1, 2))
 
@@ -245,32 +246,28 @@ def block_weights(params: ModelParams) -> tuple[float, ...]:
     """exp(``log_block_weight``), capped at 1, of every spin of
     ``valid_spins(params.n)``, in order: the spin 2j sits at index 2j // 2.
 
-    One numpy pass over every 2j, cached per ``params``, so the ensemble,
-    the inverse channel and the concentration weights of one (n, mu) share
-    one table.
+    One numpy pass over every 2j, cached per ``params``, so the block
+    selection, the rotated blocks and the concentration weights of one
+    (n, mu) share one table.
     """
     twoj = np.arange(params.n % 2, params.n + 1, 2)
     return tuple(np.minimum(np.exp(_log_block_weights(params, twoj)), 1.0).tolist())
 
 
 def concentration_set(params: ModelParams) -> tuple[HalfInteger, ...]:
-    """Parity-valid spins within n^(1/2+epsilon) of the center n(mu - 1/2)."""
-    jn = spin_center(params)
-    width = params.n ** (0.5 + params.epsilon)
-    lo, hi = 2.0 * (jn - width), 2.0 * (jn + width)
-    spins = tuple(j for j in valid_spins(params.n) if lo <= j.twoj <= hi)
-    if not spins:
-        raise DomainError("empty concentration set; epsilon too small for this n")
-    return spins
+    """The spins of ``concentration_range``, ascending."""
+    lo, hi = concentration_range(params)
+    return tuple(HalfInteger(twoj) for twoj in range(lo, hi + 1, 2))
 
 
 def concentration_range(params: ModelParams) -> tuple[int, int]:
-    """(lo, hi): the least and the greatest 2j of ``concentration_set``.
+    """(lo, hi): the least and the greatest parity-valid 2j within
+    2 n^(1/2+epsilon) of the center 2 n(mu - 1/2), the concentration set.
 
     Both come from the ends 2 (n(mu - 1/2) -+ n^(1/2+epsilon)) of the
     window alone: each is rounded inward to an integer, clipped to
     [n mod 2, n] and moved inward to the parity of n, so no spin between
-    them is built.  An empty window raises ``DomainError``, as the set does.
+    them is built.  An empty window raises ``DomainError``.
     """
     jn = spin_center(params)
     width = params.n ** (0.5 + params.epsilon)
@@ -351,21 +348,3 @@ def rotated_blocks(params: ModelParams, u: LocalParam, lo: int, hi: int) -> Iter
         core = core * np.sqrt(block_spectrum(p, j.dim, core.shape[1]))
         yield BlockState(j, weights[twoj // 2], core, discarded_weight(p, j.dim) + trimmed)
 
-
-def ensemble_difference(a: Iterable[BlockState], b: Iterable[BlockState]) -> Iterator[tuple[BlockState, float]]:
-    """Each block of ``a`` with the trace norm of its difference to the
-    matching block of ``b``, the two streams zipped one pair at a time.
-
-    Both must hold the same spins with the same weights, as two states of
-    one (n, mu) over one 2j range do, and be in one frame (see the module
-    docstring); the multiplicity spaces cancel.  A pair of different spin
-    or weight, or a stream that ends before the other, raises
-    ``ValidationError`` when it is reached.  Each pair is diagonalized on
-    the span of its two factors.  The weighted sum of the norms is the trace
-    norm of the difference on the range, to which the blocks outside it add
-    at most 2 * skipped.
-    """
-    for x, y in zip_longest(a, b):
-        if x is None or y is None or x.j != y.j or x.weight != y.weight:
-            raise ValidationError("ensembles must share block structure (same n, mu)")
-        yield x, float(np.abs(factor_difference_eigvals(x.core, y.core)).sum())

@@ -16,7 +16,7 @@ reach, and so is the walk that ``irreps.rotation_walk`` replaced
 (``half_step_walk``), which climbs in half-steps of j, one qubit at a
 time, where the walk takes whole steps of two.  So are the forward channel
 as one factor (``forward_channel``), which the round-trip tests feed to
-``channels.inverse_channel``, and the binomial factor of a block weight
+the inverse channel, and the binomial factor of a block weight
 (``binomial_factor``).  The package streams a point's blocks; the
 materialized state (``EnsembleState``, built by ``ensemble`` and
 ``inverse_ensemble``), its distance ``ensemble_distance`` and the dense
@@ -44,7 +44,7 @@ import numpy as np
 from .errors import AccuracyError, DomainError, SpinGaussError, ValidationError
 from .irreps import HalfInteger, LocalParam
 from .measurements import BinaryTestResult, injectivity_radius, plane_jacobian
-from .numerics import HERMITICITY_RTOL, as_square_matrix, trim_rows
+from .numerics import HERMITICITY_RTOL, as_square_matrix, factor_difference_eigvals, trim_rows
 from .oscillator import (
     FockOperator,
     FockTruncation,
@@ -59,7 +59,7 @@ from .qubit_model import (
     _check_spin,
     _log_binomial_pmf,
     block_spectrum,
-    ensemble_difference,
+    block_weight,
     log_block_weight,
     occurring_range,
     rotated_blocks,
@@ -461,22 +461,31 @@ def ensemble(params: ModelParams, u: LocalParam) -> EnsembleState:
 
 
 def inverse_ensemble(phi: FockOperator, params: ModelParams) -> EnsembleState:
-    """``channels.inverse_channel`` of phi over ``occurring_range``, held as one
-    tuple, with the skipped weight the ensemble at any u has."""
-    _, _, skipped = occurring_range(params)
-    return EnsembleState(params, tuple(inverse_channel(phi, params)), skipped)
+    """The per-block map ``channels.inverse_channel`` of phi over
+    ``occurring_range``, with the model weights, held as one tuple, and
+    the skipped weight the ensemble at any u has."""
+    lo, hi, skipped = occurring_range(params)
+    spins = [HalfInteger(twoj) for twoj in range(lo, hi + 1, 2)]
+    blocks = tuple(BlockState(j, block_weight(params, j), inverse_channel(phi, j)) for j in spins)
+    return EnsembleState(params, blocks, skipped)
 
 
 def ensemble_distance(a: EnsembleState, b: EnsembleState) -> float:
-    """||a - b||_1 of two ensembles of one (n, mu) in one frame: the weighted
-    block norms of ``qubit_model.ensemble_difference``, summed in order,
-    plus the skipped weight at its worst case 2 * skipped, as
-    ``channels.convergence_point`` sums its ``reverse``."""
-    if a.params.n != b.params.n or a.params.mu != b.params.mu:
+    """||a - b||_1 of two ensembles of one (n, mu) in one frame: the
+    weighted trace norms of their block pairs, each diagonalized on the
+    span of its two factors and summed in order, plus the skipped weight at
+    its worst case 2 * skipped, as ``channels.convergence_point`` sums its
+    ``reverse``.  The multiplicity spaces cancel.  Two ensembles of
+    different spins or weights raise ``ValidationError``."""
+    if (
+        a.params.n != b.params.n
+        or a.params.mu != b.params.mu
+        or [(x.j, x.weight) for x in a.blocks] != [(y.j, y.weight) for y in b.blocks]
+    ):
         raise ValidationError("ensembles must share block structure (same n, mu)")
     total = 0.0
-    for block, norm in ensemble_difference(a.blocks, b.blocks):
-        total += block.weight * norm
+    for x, y in zip(a.blocks, b.blocks):
+        total += x.weight * float(np.abs(factor_difference_eigvals(x.core, y.core)).sum())
     return total + 2.0 * a.skipped
 
 

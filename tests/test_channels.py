@@ -10,6 +10,7 @@ from spingauss.channels import (
     coherent_vector_distance,
     composition_defect,
     convergence_point,
+    inverse_channel,
 )
 from spingauss.errors import DomainError
 from spingauss.measurements import finite_n_discrimination
@@ -135,8 +136,8 @@ def test_inverse_channel_single_qubit_thermal():
     mu, dim = 0.75, 32
     p = (1 - mu) / mu
     phi = thermal_state(p, FockTruncation(dim))
-    ens = inverse_ensemble(phi, ModelParams(1, mu))
-    got = block_matrix(ens.blocks[0])
+    core = inverse_channel(phi, HalfInteger(1))
+    got = core @ core.conj().T
     assert got[1, 1].real == pytest.approx((1 - p) * p, abs=1e-15)
     assert got[0, 0].real == pytest.approx(1 - p + p ** 2 - p ** dim, abs=1e-15)
     assert np.trace(got).real == pytest.approx(np.trace(phi.matrix).real, abs=1e-14)
@@ -144,11 +145,12 @@ def test_inverse_channel_single_qubit_thermal():
 
 @pytest.mark.parametrize("n", [128, 65536])
 def test_inverse_channel_builds_the_occurring_blocks(n, monkeypatch):
-    # over ``occurring_range`` it yields the blocks ``rotated_blocks``
-    # yields, with their weights, and the same skipped weight lies outside;
-    # block j is phi's core cut to 2j + 1 rows, plus sqrt(leftover) e_0, and
-    # a block of at least the core's rows gets the core itself.  At
-    # n = 65536 that is 1617 of the 32769 spins, 2j in [31144, 34376]
+    # the oracle's inverse ensemble holds the blocks ``rotated_blocks``
+    # yields over ``occurring_range``, with their weights, and the same
+    # skipped weight lies outside; the per-block map gives block j phi's
+    # core cut to 2j + 1 rows, plus sqrt(leftover) e_0, and a block of at
+    # least the core's rows the core itself.  At n = 65536 that is 1617 of
+    # the 32769 spins, 2j in [31144, 34376]
     params = ModelParams(n, 0.75)
     u = LocalParam(0.6, -0.4)
     ens = ensemble(params, u)
@@ -192,8 +194,7 @@ def test_channels_preserve_trace():
     fwd = forward_channel(ens)
     assert np.trace(fock_matrix(fwd, trunc)).real == pytest.approx(1.0, abs=1e-10)
     phi = displaced_thermal(u, 0.75)
-    back = inverse_ensemble(phi, params)
-    total = sum(b.weight * np.trace(block_matrix(b)).real for b in back.blocks)
+    total = sum(b.weight * float(np.sum(inverse_channel(phi, b.j) ** 2)) for b in ens.blocks)
     assert total == pytest.approx(np.trace(phi.matrix).real, abs=1e-10)
 
 
@@ -213,6 +214,50 @@ def test_round_trip_through_both_channels():
     leg_reverse = ensemble_distance(ens, inverse_ensemble(phi, params))
     assert round_trip <= leg_forward + leg_reverse + 1e-12
     assert round_trip < 0.1
+
+
+def test_convergence_point_reads_one_block_selection(monkeypatch):
+    # one ``occurring_range`` and one walk per point, wherever the names are
+    # bound: the inverse channel selects no second range
+    calls = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module in (channels, qubit_model):
+        spy(module, "occurring_range")
+    spy(qubit_model, "rotation_walk")
+    convergence_point(ModelParams(64, 0.75), LocalParam(1.0, -1.0))
+    assert sorted(calls) == ["occurring_range", "rotation_walk"]
+
+
+@pytest.mark.parametrize("mu, n, u", [(0.51, 64, LocalParam(0.5, 0.3)), (0.75, 64, LocalParam(3.0, 0.0)),
+                                      (1.0, 16, LocalParam(3.0, 0.0))])
+def test_inverse_channel_matches_the_dense_map(mu, n, u):
+    # a block of fewer rows than phi's core gets the dense block projection
+    # with the leftover at |j, j>, and keeps phi's trace; a block of at
+    # least the core's rows gets the core itself
+    params = ModelParams(n, mu)
+    phi = displaced_thermal(u, mu)
+    rows = phi.core.shape[0]
+    lo, hi, _ = occurring_range(params)
+    short = [HalfInteger(twoj) for twoj in range(lo, hi + 1, 2) if twoj + 1 < rows]
+    assert short
+    dense = phi.matrix
+    trace = float(np.sum(phi.core ** 2))
+    for j in short:
+        core = inverse_channel(phi, j)
+        want = inverse_channel_block(dense, EmbeddingMap(j, phi.trunc))
+        np.testing.assert_allclose(core @ core.T, want, rtol=0, atol=1e-14)
+        assert float(np.sum(core ** 2)) == pytest.approx(trace, abs=1e-14)
+    for twoj in (rows - 1, rows, 2 * rows):
+        assert inverse_channel(phi, HalfInteger(twoj)) is phi.core
 
 
 def test_coherent_vector_distance_zero_u():
@@ -322,14 +367,13 @@ def test_sweep_forward_block_reverse_triangle_consistency():
     u = LocalParam(1.0, -1.0)
     ens = ensemble(params, u)
     phi = displaced_thermal(u, params.mu)
-    back = inverse_ensemble(phi, params)
     dense = phi.matrix
-    for ba, bb in zip(ens.blocks, back.blocks):
+    for ba in ens.blocks:
         if ba.j not in set(concentration_set(params)):
             continue
         emb = embed_block(block_matrix(ba), EmbeddingMap(ba.j, phi.trunc))
         fwd = trace_norm(emb - dense)
-        rev = trace_norm(block_matrix(ba) - block_matrix(bb))
+        rev = trace_norm(block_matrix(ba) - block_matrix(replace(ba, core=inverse_channel(phi, ba.j))))
         t = max(0.0, np.trace(dense).real - np.trace(dense[: ba.j.dim, : ba.j.dim]).real)
         assert fwd <= rev + 2 * math.sqrt(t) + 2 * t + 1e-10
 
@@ -591,7 +635,6 @@ def test_sweep_point_diagonalizes_each_pair_once(n, monkeypatch):
         return factor_difference_eigvals(*args)
 
     monkeypatch.setattr(channels, "factor_difference_eigvals", counted)
-    monkeypatch.setattr(qubit_model, "factor_difference_eigvals", counted)
     pt = convergence_point(params, u)
     ens = ensemble(params, u)
     phi = displaced_thermal(u, 0.75)

@@ -19,8 +19,12 @@ half-step walk that the whole-step ``rotation_walk`` replaced.  Only ``irreps``
 runs the rotation kernel ``rotation_columns``: every other module takes its
 blocks from one ``rotation_walk`` per (n, u), so no per-block kernel loop
 can return.  Only ``qubit_model`` selects and rotates blocks: no other module
-reads ``NEGLIGIBLE_WEIGHT`` or calls ``rotation_walk``, so every state and
+reads ``NEGLIGIBLE_WEIGHT`` or calls ``rotation_walk``, and none but
+``reference`` names the weight table ``block_weights``, so every state and
 the TV grid hold the one selection ``qubit_model.occurring_range`` makes.
+And ``qubit_model`` compares no blocks: it never names
+``factor_difference_eigvals``, so each experiment takes the distances of
+the one block stream it reads.
 Every Gauss-Legendre rule comes from the one cached function
 ``oscillator._gauss_legendre``, every coherent row from the one kernel
 ``oscillator._coherent_rows`` (no other function of ``oscillator`` reads
@@ -39,8 +43,8 @@ method or property, of a module other than ``reference`` and
 ``__init__`` is used by some other statement of those modules, or stands
 in ``WITHOUT_CALLER`` with the reason it stays.  Every experiment reads
 the blocks once, as the walk yields them: no ``tuple(...)``, ``list(...)``
-or comprehension outside ``reference`` runs over ``rotated_blocks``,
-``rotation_walk``, ``inverse_channel`` or ``ensemble_difference``.
+or comprehension outside ``reference`` runs over ``rotated_blocks`` or
+``rotation_walk``.
 """
 
 import ast
@@ -200,13 +204,20 @@ def test_only_reference_names_the_chebyshev_propagator():
 
 
 def test_only_qubit_model_selects_and_rotates_blocks():
-    offenders = [
-        path.name
-        for path in sorted(PACKAGE.glob("*.py"))
-        if path.name not in ("qubit_model.py", "irreps.py", "reference.py")
-        and {"NEGLIGIBLE_WEIGHT", "rotation_walk"} & referenced_names(ast.parse(path.read_text(encoding="utf-8")))
-    ]
-    assert offenders == []
+    def offenders(names, owners):
+        return [
+            path.name
+            for path in sorted(PACKAGE.glob("*.py"))
+            if path.name not in owners and names & referenced_names(ast.parse(path.read_text(encoding="utf-8")))
+        ]
+
+    assert offenders({"NEGLIGIBLE_WEIGHT", "rotation_walk"}, ("qubit_model.py", "irreps.py", "reference.py")) == []
+    assert offenders({"block_weights"}, ("qubit_model.py", "reference.py")) == []
+
+
+def test_qubit_model_compares_no_blocks():
+    tree = ast.parse((PACKAGE / "qubit_model.py").read_text(encoding="utf-8"))
+    assert "factor_difference_eigvals" not in referenced_names(tree)
 
 
 def test_only_the_cached_rule_names_leggauss():
@@ -276,7 +287,7 @@ def test_discrimination_takes_no_generic_pair_kernel():
     assert "mirror_trace_norm" in defined_or_called(tree)
 
 
-STREAMS = {"rotated_blocks", "rotation_walk", "inverse_channel", "ensemble_difference"}
+STREAMS = {"rotated_blocks", "rotation_walk"}
 MATERIALIZERS = {"tuple", "list", "set", "frozenset", "sorted"}
 
 
@@ -333,6 +344,7 @@ WITHOUT_CALLER = {
     "qubit_model.multiplicity": "README lemma API: the exact block multiplicity",
     "qubit_model.log_multiplicity": "README lemma API: the block multiplicity in log space",
     "qubit_model.concentration_weight": "README lemma API: the weight of the concentration set",
+    "qubit_model.valid_spins": "README lemma API: the spins compatible with n qubits",
     "qubit_model.block_weight": "single-spin read of the one block weight table",
     "qubit_model.log_block_weight": "single-spin read of the block weight in log space",
     "oscillator.FockOperator.matrix": "the dense view every reference oracle's result is compared through",

@@ -43,7 +43,6 @@ from spingauss.qubit_model import (
     ModelParams,
     block_weight,
     concentration_set,
-    ensemble_difference,
     valid_spins,
 )
 from spingauss.reference import (
@@ -165,12 +164,6 @@ def test_helstrom_mismatched_ensembles_rejected():
     b = ensemble(ModelParams(4, 0.75), LocalParam(0.1, 0))
     with pytest.raises(ValidationError):
         reference.ensemble_distance(a, b)
-    # the streams themselves: a pair of different weight, or one stream
-    # ending before the other, is refused when it is reached
-    with pytest.raises(ValidationError):
-        list(ensemble_difference(a.blocks, b.blocks))
-    with pytest.raises(ValidationError):
-        list(ensemble_difference(b.blocks, b.blocks[:-1]))
 
 
 def test_discrimination_limit_values():

@@ -229,11 +229,14 @@ def test_concentration_set_pure_case_contains_top():
 @pytest.mark.parametrize("epsilon", [0.01, 0.1, 0.25, 0.49])
 def test_concentration_range_is_the_ends_of_the_set(mu, epsilon):
     # from the window's two ends alone, with the parity rounding in
-    # integers; every n up to 300, both parities, and a few large ones
+    # integers, against the filter of every valid spin by the float window;
+    # every n up to 300, both parities, and a few large ones
     for n in [*range(1, 301), 1023, 4096, 65537]:
         params = ModelParams(n, mu, epsilon)
-        spins = concentration_set(params)
+        jn, width = spin_center(params), n ** (0.5 + epsilon)
+        spins = [j for j in valid_spins(n) if 2.0 * (jn - width) <= j.twoj <= 2.0 * (jn + width)]
         assert concentration_range(params) == (spins[0].twoj, spins[-1].twoj)
+        assert list(concentration_set(params)) == spins
 
 
 def test_concentration_range_of_an_empty_set_raises():
