@@ -17,7 +17,8 @@ Three experiment families live here.
   depend on u.  It is taken by Gauss-Legendre quadrature over the distance
   |u_hat - u|, or by seeded importance-sampling Monte Carlo over the
   offsets u_hat - u, one chunk of samples at a time, through that one
-  kernel.
+  kernel.  The Monte Carlo sums run over fixed blocks of samples, so
+  nothing is kept per sample.
 
 * Covariant versus pulled-back heterodyne outcome densities on each spin
   block, and their total-variation distance.  The covariant density is a
@@ -76,6 +77,9 @@ TV_CHUNK = 16
 QUADRATURE_ORDER = 160
 # Std of the Monte Carlo Gaussian proposal, in units of the outcome std.
 MC_PROPOSAL_SCALE = 1.6
+# Samples per block of the Monte Carlo risk's sums, whatever the chunks the
+# samples are drawn in (``oscillator.PDF_CHUNK``).
+MC_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -189,7 +193,7 @@ def heterodyne_estimation_risk(mu: float, mc: McSpec | None = None) -> RiskEstim
     ``QUADRATURE_ORDER`` positive terms, that many ulps of the value.
     """
     if mc is None:
-        density = heterodyne_pdf_kernel(mu, QUADRATURE_ORDER)
+        density = heterodyne_pdf_kernel(mu)
         sig = heterodyne_outcome_std(mu)
         radius = 8.0 * sig
         moments = []
@@ -212,21 +216,22 @@ def heterodyne_estimation_risk(mu: float, mc: McSpec | None = None) -> RiskEstim
                 f"quadrature risk error bound {bound:.3e} above 2% of value {value:.3e}"
             )
         return RiskEstimate(value=value, error_bound=bound, method="quadrature", mass=mass)
-    # sq w and w, 16 B per sample; the mass is taken before the spread, so
-    # the spread's temporary takes the place of w
-    vals = np.empty(mc.samples)
-    weights = np.empty(mc.samples)
-    start = 0
+    # sums of sq w, its square and w over blocks of MC_BLOCK samples, cut
+    # from the chunks as they come, so they do not depend on the chunk size
+    sums = np.zeros(3)
+    held = np.empty((2, 0))
     for off, w in heterodyne_samples(mu, mc):
-        stop = start + len(w)
-        sq = off[:, 0] ** 2 + off[:, 1] ** 2
-        np.multiply(sq, w, out=vals[start:stop])
-        weights[start:stop] = w
-        start = stop
-    value = float(vals.mean())
-    mass = float(weights.mean())
-    del weights
-    stderr = float(vals.std(ddof=1) / math.sqrt(mc.samples))
+        held = np.concatenate([held, [(off[:, 0] ** 2 + off[:, 1] ** 2) * w, w]], axis=1)
+        whole = held.shape[1] - held.shape[1] % MC_BLOCK
+        for start in range(0, whole, MC_BLOCK):
+            sums += _block_sums(held[:, start : start + MC_BLOCK])
+        held = held[:, whole:]
+    sums += _block_sums(held)
+    total, squares, weight = sums.tolist()
+    value = total / mc.samples
+    mass = weight / mc.samples
+    spread = max(squares - total * value, 0.0) / (mc.samples - 1)
+    stderr = math.sqrt(spread / mc.samples)
     return RiskEstimate(
         value=value,
         error_bound=3.0 * stderr,
@@ -234,6 +239,13 @@ def heterodyne_estimation_risk(mu: float, mc: McSpec | None = None) -> RiskEstim
         mass=mass,
         seed=mc.seed,
     )
+
+
+def _block_sums(block: np.ndarray) -> np.ndarray:
+    """The sums of sq w, of its square and of w over a (2, m) block of
+    (sq w, w) columns."""
+    x, w = block
+    return np.array([x.sum(), np.square(x).sum(), w.sum()])
 
 
 def heterodyne_samples(mu: float, mc: McSpec) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -245,10 +257,10 @@ def heterodyne_samples(mu: float, mc: McSpec) -> Iterator[tuple[np.ndarray, np.n
     proposal, the weights and the risk depend on the offsets alone, and no
     u is needed.  The seeded normals are drawn a chunk at a time, which
     reproduces one draw of all the samples exactly, and the kernel is built
-    once per call, with its one buffer of real coherent rows.
+    once per call.
     """
     chunk = oscillator.PDF_CHUNK
-    density = heterodyne_pdf_kernel(mu, min(chunk, mc.samples))
+    density = heterodyne_pdf_kernel(mu)
     rng = default_rng(mc.seed)
     sp = MC_PROPOSAL_SCALE * heterodyne_outcome_std(mu)
     for start in range(0, mc.samples, chunk):

@@ -18,10 +18,14 @@ thermal weights past the effective rank r, as
 The heterodyne outcome density has two kernels: the radial
 ``heterodyne_pdf_kernel`` at the distances |u_hat - u|, for the displaced
 thermal state, which the risk runs, and the polar ``polar_heterodyne`` on a
-grid centred at u, for the spin blocks, which are not radial.  The polar
-kernel builds its radial products and angular table only on the rows the
-re-centred block cores reach (``PolarHeterodyne``), not on every row the
-grid's radius allows.
+grid centred at u, for the spin blocks, which are not radial.  The radial
+kernel is a Poisson mixture summed in blocks, with no coherent row, so its
+memory does not grow with the thermal rank.  The polar kernel builds its
+radial products and angular table only on the rows the re-centred block
+cores reach (``PolarHeterodyne``), not on every row the grid's radius
+allows.  Both rest on one closed form of the Poisson pmf
+(``_log_poisson``): the coherent rows restart from it, and the radial
+kernel weighs its blocks by it.
 """
 
 from __future__ import annotations
@@ -39,14 +43,15 @@ from .irreps import LocalParam
 from .numerics import coherent_row_support, mirror_rows, stirling_remainder, three_term_columns, trim_rows
 from .qubit_model import effective_rank
 
-# Rows of the coherent-row recurrence between restarts from the closed form;
+# Rows of the coherent-row recurrence between restarts from the closed form,
+# and weights per block of the radial thermal sum (``heterodyne_pdf_kernel``);
 # at least 16, where ``stirling_remainder`` is its series, exact to rounding,
 # and even, so the anchors of a real amplitude carry no sign.
 COHERENT_ANCHOR = 16
 # Samples per call of the radial density kernel (``heterodyne_pdf_kernel``)
-# in the Monte Carlo risk (``measurements.heterodyne_samples``): its one
-# buffer of real coherent rows is about 1 MiB for the 33 rows of mu = 0.75,
-# whatever the number of samples.
+# in the Monte Carlo risk (``measurements.heterodyne_samples``): the kernel
+# and the sampler hold a few arrays of that many doubles, whatever the number
+# of samples or of thermal weights.
 PDF_CHUNK = 4096
 
 
@@ -106,11 +111,9 @@ def _coherent_rows(zeta, dim: int, out: np.ndarray | None = None) -> np.ndarray:
     c_k = c_{k-1} zeta / sqrt(k); every ``COHERENT_ANCHOR`` rows they restart
     from the closed form, which bounds the rounding the product gathers and
     keeps the rows near k ~ |zeta|^2 right where c_0 underflows
-    (|zeta| > 38).  The closed form is taken without cancellation: with
-    x = |zeta|^2 and d = (x - k)/k, log |c_k| = -k (d - log1p(d))/2
-    - log(2 pi k)/4 - S/2, S the Stirling remainder of lgamma(k + 1)
-    (``stirling_remainder``; Loader's saddle-point form of the Poisson pmf
-    |c_k|^2).  Given ``out``, a (dim, G) array of the result's element type
+    (|zeta| > 38).  The closed form is the square root of the Poisson pmf
+    |c_k|^2 at x = |zeta|^2, taken without cancellation (``_log_poisson``).
+    Given ``out``, a (dim, G) array of the result's element type
     (complex for complex amplitudes) whose rows are contiguous, the rows are
     written into it, and the result is it or its real view.
     """
@@ -130,16 +133,31 @@ def _coherent_rows(zeta, dim: int, out: np.ndarray | None = None) -> np.ndarray:
             np.multiply(out[k - 1], zeta, out=out[k])
             out[k] *= 1.0 / math.sqrt(k)
             continue
-        d = (x - k) / k
-        with np.errstate(divide="ignore"):  # log1p(-1) = -inf at zeta = 0
-            log_amp = -0.5 * k * (d - np.log1p(d))
-        amp = np.exp(log_amp - 0.25 * math.log(math.tau * k) - 0.5 * stirling_remainder(k))
+        amp = np.exp(0.5 * _log_poisson(x, k))
         if real:  # k is even here, so zeta^k / |zeta|^k = 1 for either sign
             out[k] = amp
         else:
             out[k].real = amp * np.cos(k * theta)
             out[k].imag = amp * np.sin(k * theta)
     return out if real else out.view(float)
+
+
+def _log_poisson(x: np.ndarray, k: int) -> np.ndarray:
+    """log(e^{-x} x^k / k!) at the means ``x``, for an integer k >= 0.
+
+    Loader's saddle-point form, free of cancellation: with d = (x - k)/k,
+    it is -k (d - log1p(d)) - log(2 pi k)/2 - S, S the Stirling remainder
+    of lgamma(k + 1) (``stirling_remainder``), and -x at k = 0.  The anchors
+    of both radial kernels: the coherent rows (``_coherent_rows``) restart
+    from half of it, and the thermal density (``heterodyne_pdf_kernel``)
+    weighs each block of its sum by its exponential.
+    """
+    if k == 0:
+        return -x
+    d = (x - k) / k
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf at x = 0
+        log_p = -k * (d - np.log1p(d))
+    return log_p - 0.5 * math.log(math.tau * k) - stirling_remainder(k)
 
 
 def displacement_columns(t: float, cols: int) -> np.ndarray:
@@ -174,13 +192,21 @@ def displaced_thermal(u: LocalParam, mu: float) -> FockOperator:
     access.  The deficit is the closed form p^r of the thermal weights past
     the rank cut (exactly 0 for the pure state, p = 0).
     """
+    scale, deficit = _thermal_factors(mu)
+    core = displacement_columns(math.sqrt(2.0 * mu - 1.0) * u.norm, len(scale))
+    core *= scale[None, :]
+    return FockOperator(core, deficit=deficit)
+
+
+def _thermal_factors(mu: float) -> tuple[np.ndarray, float]:
+    """The square roots of the thermal weights (1 - p) p^k, p = (1 - mu)/mu,
+    for k below the effective rank r, and p^r, the trace past the rank cut;
+    mu outside (1/2, 1] raises ``DomainError``."""
     if not 0.5 < mu <= 1.0:
         raise DomainError(f"mu must lie in (1/2, 1], got {mu!r}")
     p = (1.0 - mu) / mu
     r = effective_rank(p)
-    core = displacement_columns(math.sqrt(2.0 * mu - 1.0) * u.norm, r)
-    core *= np.sqrt((1.0 - p) * p ** np.arange(r))[None, :]
-    return FockOperator(core, deficit=p ** r)
+    return np.sqrt((1.0 - p) * p ** np.arange(r)), p ** r
 
 
 @lru_cache(maxsize=None)
@@ -333,27 +359,41 @@ def polar_heterodyne(grid: PolarGrid, mu: float, rows: int) -> PolarHeterodyne:
     return PolarHeterodyne(mu, s * u.norm, size, s * radii, angles + 0.5 * math.pi - u.angle, rows)
 
 
-def heterodyne_pdf_kernel(mu: float, size: int) -> Callable[[np.ndarray], np.ndarray]:
+def heterodyne_pdf_kernel(mu: float) -> Callable[[np.ndarray], np.ndarray]:
     """The outcome density Tr(phi^u h(u_hat)) as a function of the distances
-    rho = |u_hat - u| of one chunk of at most ``size`` points, (g,) -> (g,).
+    rho = |u_hat - u|, (g,) -> (g,).
 
     The heterodyne measurement is covariant, D(z)^dag |w> = e^{i theta} |w - z>,
     so the displaced thermal state's density at u_hat is the thermal state's
     at u_hat - u, rank cut included, and that one is radial:
-    (2 mu - 1)/pi sum_k lambda_k R_k^2, with R_k the real coherent rows at
-    sqrt(2 mu - 1) rho and lambda_k the thermal weights cut at ``RANK_CUT``,
-    read off the diagonal core of the state at u = 0.  The rows fill one real
-    (rows, size) buffer, built once with the weights, and a chunk's result
-    does not depend on how the distances were cut into chunks.
+    (2 mu - 1)/pi sum_k lambda_k e^{-y} y^k/k!, y = (2 mu - 1) rho^2, with
+    lambda_k the thermal weights cut at ``RANK_CUT``, the squares of the
+    factors ``displaced_thermal`` scales its columns with.  No coherent row
+    is formed: the sum runs in blocks of ``COHERENT_ANCHOR`` weights from
+    the anchors a, each block a Horner sum in y with the coefficients
+    lambda_{a+i} a!/(a+i)!, weighed by the Poisson pmf e^{-y} y^a/a!
+    (``_log_poisson``).  Each distance's density is computed alone, so a
+    chunk's result does not depend on how the distances were cut into chunks.
     """
-    lam = np.diagonal(displaced_thermal(LocalParam(0.0, 0.0), mu).core) ** 2
-    scale = math.sqrt(2.0 * mu - 1.0)
-    norm = (2.0 * mu - 1.0) / math.pi
-    radial = np.empty((len(lam), size))
+    lam = _thermal_factors(mu)[0] ** 2
+    s2 = 2.0 * mu - 1.0
+    blocks = []
+    for a in range(0, len(lam), COHERENT_ANCHOR):
+        coef = lam[a : a + COHERENT_ANCHOR].copy()
+        coef[1:] /= np.cumprod(np.arange(a + 1.0, a + len(coef)))
+        blocks.append((a, coef[::-1]))
 
     def density(rho: np.ndarray) -> np.ndarray:
-        rows = _coherent_rows(scale * rho, len(lam), out=radial[:, : len(rho)])
-        return norm * (lam @ np.square(rows, out=rows))
+        y = s2 * np.square(rho)
+        out = np.zeros_like(y)
+        for a, coef in blocks:
+            acc = np.full_like(y, coef[0])
+            for c in coef[1:]:
+                acc *= y
+                acc += c
+            acc *= np.exp(_log_poisson(y, a))
+            out += acc
+        out *= s2 / math.pi
+        return out
 
     return density
-

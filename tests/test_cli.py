@@ -130,6 +130,15 @@ def test_risk_reference_rows(tmp_path):
         assert abs(got - want) / want < 0.01
 
 
+def test_risk_next_to_one_half_exits_zero(tmp_path):
+    # 86,348 thermal weights: the risk holds no table of that many rows
+    out = tmp_path / "risk.csv"
+    assert run_cli(["risk", "--mu", "0.5001", "--out", str(out)]) == 0
+    (row,) = [r for r in read_csv_rows(out) if r["statistic"] == "heterodyne_risk"]
+    want = 0.5001 / (2 * 0.5001 - 1) ** 2
+    assert abs(float(row["value"]) - want) <= float(row["error_bound"])
+
+
 def test_discriminate_report_columns(tmp_path):
     out = tmp_path / "disc.csv"
     assert run_cli(

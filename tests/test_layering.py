@@ -27,8 +27,12 @@ And ``qubit_model`` compares no blocks: it never names
 the one block stream it reads.
 Every Gauss-Legendre rule comes from the one cached function
 ``oscillator._gauss_legendre``, every coherent row from the one kernel
-``oscillator._coherent_rows`` (no other function of ``oscillator`` reads
-``stirling_remainder``, the anchor of its recurrence).  The heterodyne
+``oscillator._coherent_rows``, and every Poisson closed form from the one
+anchor helper ``oscillator._log_poisson``: no other function of
+``oscillator`` reads ``stirling_remainder``, both the row recurrence and
+the radial density call the helper, and the radial density
+``heterodyne_pdf_kernel`` never names ``_coherent_rows``, so it holds no
+buffer of rows.  The heterodyne
 density has one kernel per experiment: in ``measurements`` only the risk
 (``heterodyne_estimation_risk``, ``heterodyne_samples``) calls the radial
 kernel ``heterodyne_pdf_kernel``, at the distances |u_hat - u|, and only
@@ -231,16 +235,22 @@ def test_only_the_cached_rule_names_leggauss():
 
 
 def test_one_coherent_row_kernel():
-    # the Stirling remainder anchors the coherent rows; only their one
-    # kernel may read it, so no second row recurrence grows beside it
+    # the Stirling remainder anchors the coherent rows and the thermal
+    # density's blocks; only their one anchor helper may read it, so no
+    # second closed form grows beside it, and the radial density forms no
+    # coherent row, so no buffer of rows can return to the risk
     tree = ast.parse((PACKAGE / "oscillator.py").read_text(encoding="utf-8"))
+    functions = {stmt.name: stmt for stmt in tree.body if isinstance(stmt, ast.FunctionDef)}
     owners = {
         getattr(stmt, "name", None)
         for stmt in tree.body
         if not isinstance(stmt, (ast.Import, ast.ImportFrom))
         and "stirling_remainder" in referenced_names(stmt)
     }
-    assert owners == {"_coherent_rows"}
+    assert owners == {"_log_poisson"}
+    for kernel in ("_coherent_rows", "heterodyne_pdf_kernel"):
+        assert "_log_poisson" in defined_or_called(functions[kernel])
+    assert "_coherent_rows" not in referenced_names(functions["heterodyne_pdf_kernel"])
 
 
 def test_one_radial_risk_kernel_and_one_polar_tv_kernel():

@@ -243,7 +243,7 @@ def pdf_at_points(points, u, mu):
     (G, 2) array of points to u: the outcome density at those points."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     rho = np.hypot(pts[:, 0] - u.ux, pts[:, 1] - u.uy)
-    return heterodyne_pdf_kernel(mu, len(rho))(rho)
+    return heterodyne_pdf_kernel(mu)(rho)
 
 
 def risk_grids(mu, u):
@@ -379,18 +379,29 @@ def test_monte_carlo_risk_does_not_depend_on_the_chunk(monkeypatch):
     assert all(est == chunks[0] for est in chunks)
 
 
-def test_monte_carlo_risk_at_the_origin_takes_real_coherent_rows(monkeypatch):
-    # the density is the thermal one at |u_hat - u|, a radial sum: neither
-    # risk path, nor the pointwise density at any u, hands the coherent-row
-    # kernel a complex amplitude
+def traced_peak(run):
+    """The traced (``tracemalloc``) peak of the allocations ``run()`` makes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_radial_density_runs_in_real_arithmetic_without_a_rows_buffer(monkeypatch):
+    # the density is the thermal one at |u_hat - u|, a real radial sum:
+    # neither risk path, nor the pointwise density at any u, hands the
+    # Poisson anchors a complex mean, and the kernel holds a few arrays of
+    # the points, never one of (rank, points) (865 rows at mu = 0.51)
     dtypes = []
-    kernel = oscillator._coherent_rows
+    anchor = oscillator._log_poisson
 
-    def spied(zeta, dim, out=None):
-        dtypes.append(np.asarray(zeta).dtype)
-        return kernel(zeta, dim, out)
+    def spied(x, k):
+        dtypes.append(np.asarray(x).dtype)
+        return anchor(x, k)
 
-    monkeypatch.setattr(oscillator, "_coherent_rows", spied)
+    monkeypatch.setattr(oscillator, "_log_poisson", spied)
     pts = [[0.0, 0.0], [0.9, -0.3], [-6.5, 8.0]]
     for mu in (0.75, 0.9, 1.0):
         runs = [
@@ -403,6 +414,17 @@ def test_monte_carlo_risk_at_the_origin_takes_real_coherent_rows(monkeypatch):
             dtypes.clear()
             run()
             assert dtypes and set(dtypes) == {np.dtype(float)}
+    rho = np.linspace(0.0, 9.0 * heterodyne_outcome_std(0.51), 4096)
+    assert traced_peak(lambda: heterodyne_pdf_kernel(0.51)(rho)) <= 16 * 8 * len(rho)
+
+
+def test_quadrature_risk_next_to_one_half_holds_no_rank_sized_table():
+    # 8,601 thermal weights at mu = 0.501: a (rank, points) table of rows
+    # or a (rank, rank) core would take tens of MiB
+    mu = 0.501
+    est = heterodyne_estimation_risk(mu)
+    assert abs(est.value - heterodyne_risk_reference(mu)) <= est.error_bound
+    assert traced_peak(lambda: heterodyne_estimation_risk(mu)) <= 2 * 2 ** 20
 
 
 @pytest.mark.parametrize("mu", [0.5, 0.3, 1.5, math.nan])
@@ -435,18 +457,15 @@ def test_mc_spec_accepts_integer_seed_and_samples():
     assert McSpec(0, 2) == McSpec(np.int64(0), np.int64(2))
 
 
-def test_monte_carlo_risk_memory_grows_by_two_doubles_per_sample():
-    # sq w and w are kept per sample; everything else is a fixed set of
-    # chunk buffers
-    peaks = []
-    for samples in (100_000, 400_000):
-        tracemalloc.start()
-        try:
-            heterodyne_estimation_risk(0.75, mc=McSpec(1, samples))
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] - peaks[0] <= 18 * 300_000
+def test_monte_carlo_risk_memory_is_flat_in_the_samples():
+    # the sums run over fixed blocks of samples, so nothing is kept per
+    # sample: the chunk buffers and one block are all the risk holds
+    small, large = (
+        traced_peak(lambda: heterodyne_estimation_risk(0.75, mc=McSpec(1, samples)))
+        for samples in (100_000, 400_000)
+    )
+    assert large - small <= 64 * 2 ** 10
+    assert traced_peak(lambda: heterodyne_estimation_risk(0.51, mc=McSpec(1, 200_000))) <= 2 * 2 ** 20
 
 
 def test_covariant_density_resolution_of_identity():
