@@ -46,7 +46,7 @@ class HalfInteger:
     twoj: int
 
     def __post_init__(self):
-        if not isinstance(self.twoj, (int, np.integer)) or self.twoj < 0:
+        if isinstance(self.twoj, bool) or not isinstance(self.twoj, (int, np.integer)) or self.twoj < 0:
             raise DomainError(f"twoj must be a nonnegative integer, got {self.twoj!r}")
         object.__setattr__(self, "twoj", int(self.twoj))
 

@@ -16,7 +16,7 @@ Three experiment families live here.
   radial sum (``oscillator.heterodyne_pdf_kernel``), and the risk does not
   depend on u.  It is taken by Gauss-Legendre quadrature over the distance
   |u_hat - u|, or by seeded importance-sampling Monte Carlo over the
-  offsets u_hat - u, one chunk of samples at a time, through that one
+  offsets u_hat - u, ``PDF_CHUNK`` samples at a time, through that one
   kernel.  The Monte Carlo sums run over fixed blocks of samples, so
   nothing is kept per sample.
 
@@ -29,7 +29,10 @@ Three experiment families live here.
   the command line runs it over the grid.  Like the discrimination sum, it
   reads the blocks as the walk yields them, a chunk at a time: the polar
   kernel is sized for the top block's rows before the walk, and grows only
-  if a chunk reaches further.
+  if a chunk reaches further.  A chunk's heterodyne densities are formed
+  before its covariant ones, so the kernel's temporaries are freed before
+  the covariant array is allocated, and the sums take one block's row at
+  a time.
 
 Outcome densities live on the plane of local parameters.  The covariant
 measurement's outcomes are sphere directions; they are pulled to the plane
@@ -50,14 +53,12 @@ from numpy.random import default_rng
 from .errors import AccuracyError, DomainError, ValidationError
 from .irreps import LocalParam, core_rows
 from .numerics import mirror_trace_norm
-from . import oscillator
 from .oscillator import (
     PolarGrid,
     PolarHeterodyne,
     _gauss_legendre,
     displaced_thermal,
     heterodyne_pdf_kernel,
-    polar_heterodyne,
 )
 from .qubit_model import (
     BlockState,
@@ -77,8 +78,12 @@ TV_CHUNK = 16
 QUADRATURE_ORDER = 160
 # Std of the Monte Carlo Gaussian proposal, in units of the outcome std.
 MC_PROPOSAL_SCALE = 1.6
+# Samples per chunk of the Monte Carlo risk (``heterodyne_samples``): the
+# sampler and the radial density kernel hold a few arrays of that many
+# doubles, whatever the number of samples or of thermal weights.
+PDF_CHUNK = 4096
 # Samples per block of the Monte Carlo risk's sums, whatever the chunks the
-# samples are drawn in (``oscillator.PDF_CHUNK``).
+# samples are drawn in (``PDF_CHUNK``).
 MC_BLOCK = 4096
 
 
@@ -250,7 +255,7 @@ def _block_sums(block: np.ndarray) -> np.ndarray:
 
 def heterodyne_samples(mu: float, mc: McSpec) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Importance-sampled outcome offsets u_hat - u and their weights for the
-    heterodyne density, ``oscillator.PDF_CHUNK`` samples per yielded
+    heterodyne density, ``PDF_CHUNK`` samples per yielded
     (offsets, weights) pair.
 
     The density is radial about u (``heterodyne_pdf_kernel``), so the
@@ -259,12 +264,11 @@ def heterodyne_samples(mu: float, mc: McSpec) -> Iterator[tuple[np.ndarray, np.n
     reproduces one draw of all the samples exactly, and the kernel is built
     once per call.
     """
-    chunk = oscillator.PDF_CHUNK
     density = heterodyne_pdf_kernel(mu)
     rng = default_rng(mc.seed)
     sp = MC_PROPOSAL_SCALE * heterodyne_outcome_std(mu)
-    for start in range(0, mc.samples, chunk):
-        off = rng.standard_normal((min(chunk, mc.samples - start), 2)) * sp
+    for start in range(0, mc.samples, PDF_CHUNK):
+        off = rng.standard_normal((min(PDF_CHUNK, mc.samples - start), 2)) * sp
         sq = off[:, 0] ** 2 + off[:, 1] ** 2
         proposal = np.exp(-sq / (2.0 * sp * sp)) / (2.0 * math.pi * sp * sp)
         yield off, density(np.hypot(off[:, 0], off[:, 1])) / proposal
@@ -321,7 +325,7 @@ class _Covariant(NamedTuple):
 
     def densities(self, twojs) -> np.ndarray:
         """Covariant densities of the rotated spin-j blocks, 2j in ``twojs``,
-        as (blocks, points), from one ``exp`` over them all.
+        as (blocks, points), from one ``exp`` over them all, in place.
 
         With U = U_j(u/sqrt(n)) the vector U^dag |j, w> is the spin coherent
         vector of a qubit state at infidelity s^2 from |up>, and the
@@ -331,7 +335,8 @@ class _Covariant(NamedTuple):
         (Arecchi, Courtens, Gilmore & Thomas, PRA 6, 2211, 1972).
         """
         scale = [(twoj + 1) / (4.0 * math.pi) * block_spectrum(self.p, twoj + 1, 1)[0] for twoj in twojs]
-        dens = np.exp(np.asarray(twojs, dtype=float)[:, None] * self.log_q)
+        dens = np.asarray(twojs, dtype=float)[:, None] * self.log_q
+        np.exp(dens, out=dens)
         dens *= np.array(scale)[:, None]
         dens *= self.jac
         return dens
@@ -390,7 +395,7 @@ def _tv_grid(params: ModelParams, u: LocalParam, grid: PolarGrid) -> _TvGrid:
     ``grid`` must be centred at u.  One call builds the nodes and the
     covariant data at them, which rejects a grid past the injectivity disk
     before any rotation, and the heterodyne kernel
-    (``oscillator.polar_heterodyne``), before any block is walked.  The
+    (``oscillator.PolarHeterodyne``), before any block is walked.  The
     included blocks are the concentration set's blocks that occur
     (``qubit_model.occurring_range`` within
     ``qubit_model.concentration_range``), a contiguous range of 2j; their
@@ -406,7 +411,7 @@ def _tv_grid(params: ModelParams, u: LocalParam, grid: PolarGrid) -> _TvGrid:
     first, last = concentration_range(params)
     lo, hi = max(lo, first), min(hi, last)
     rows = core_rows(hi, u.norm / math.sqrt(params.n), effective_rank(params.p))
-    return _TvGrid(params, u, pts, w, covariant, polar_heterodyne(grid, params.mu, rows), lo, hi)
+    return _TvGrid(params, u, pts, w, covariant, PolarHeterodyne(grid, params.mu, rows), lo, hi)
 
 
 def _block_density_pair(
@@ -415,10 +420,12 @@ def _block_density_pair(
     """Covariant and pulled-back densities of a chunk of rotated blocks.
 
     Both are (blocks, points): the closed form ``_Covariant.densities`` at
-    every point, and the grid's heterodyne kernel on the blocks' cores.
+    every point, and the grid's heterodyne kernel on the blocks' cores.  The
+    heterodyne densities come first, so the kernel's temporaries are freed
+    before the covariant array is allocated.
     """
-    dens_m = tv.covariant.densities([b.j.twoj for b in blocks])
-    return dens_m, tv.heterodyne.densities([b.core for b in blocks])
+    dens_h = tv.heterodyne.densities([b.core for b in blocks])
+    return tv.covariant.densities([b.j.twoj for b in blocks]), dens_h
 
 
 def measurement_tv(params: ModelParams, u: LocalParam) -> TvEstimate:
@@ -436,11 +443,9 @@ def measurement_tv(params: ModelParams, u: LocalParam) -> TvEstimate:
     The blocks stream from one walk, ``TV_CHUNK`` at a time
     (``_TvGrid.chunks``), through ``_block_density_pair``, so the cores
     held do not grow with n.  Each chunk's (blocks, nodes) densities are
-    reduced to per-block integrals by one ``np.sum(..., axis=1)`` per
-    statistic (each row summed as ``np.sum`` sums it alone); the difference
-    is formed in place, so a chunk holds its two density arrays and one
-    product at most.  The block weights are then accumulated one block at
-    a time, in order.
+    reduced to per-block integrals one block's row at a time, one ``np.sum``
+    per statistic, and weighed into the sums in block order, so a chunk
+    holds its two density arrays and temporaries of one row at most.
     """
     tv = _tv_grid(params, u, default_tv_grid(params.mu, u, params.n))
     w = tv.weights
@@ -450,22 +455,14 @@ def measurement_tv(params: ModelParams, u: LocalParam) -> TvEstimate:
     included = 0.0
     for chunk in tv.chunks():
         dens_m, dens_h = _block_density_pair(tv, chunk)
-        cov = np.sum(w * dens_m, axis=1)
-        het = np.sum(w * dens_h, axis=1)
-        # |dens_m - dens_h| w is formed in dens_m, and dens_h dropped first;
-        # dens_m goes too, before the next chunk's densities are formed
-        np.subtract(dens_m, dens_h, out=dens_m)
-        del dens_h
-        np.abs(dens_m, out=dens_m)
-        dens_m *= w
-        diff = np.sum(dens_m, axis=1)
-        del dens_m
+        # the chunk's densities go before the next chunk's are formed
         for k, block in enumerate(chunk):
             bw = block.weight
-            grid_term += bw * float(diff[k])
-            mass_m += bw * float(cov[k])
-            mass_h += bw * float(het[k])
+            grid_term += bw * float(np.sum(np.abs(dens_m[k] - dens_h[k]) * w))
+            mass_m += bw * float(np.sum(w * dens_m[k]))
+            mass_h += bw * float(np.sum(w * dens_h[k]))
             included += bw
+        del dens_m, dens_h
     deficit = max(0.0, 1.0 - included)
     return TvEstimate(
         tv_bound=grid_term + 2.0 * deficit,

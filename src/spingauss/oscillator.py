@@ -15,23 +15,27 @@ state carries is the rank cut of its spectrum.  Its trace is the state's
 thermal weights past the effective rank r, as
 ``qubit_model.discarded_weight`` gives for a block.
 
+Coherent rows are real: ``_coherent_rows`` takes real amplitudes t, the
+coherent vector at |z| in the frame of arg z, and a complex vector is that
+row times its frame phases (``coherent_coefficients``), as a spin
+coherent vector is (``irreps.spin_coherent_coords``).
+
 The heterodyne outcome density has two kernels: the radial
 ``heterodyne_pdf_kernel`` at the distances |u_hat - u|, for the displaced
-thermal state, which the risk runs, and the polar ``polar_heterodyne`` on a
+thermal state, which the risk runs, and the polar ``PolarHeterodyne`` on a
 grid centred at u, for the spin blocks, which are not radial.  The radial
 kernel is a Poisson mixture summed in blocks, with no coherent row, so its
 memory does not grow with the thermal rank.  The polar kernel builds its
 radial products and angular table only on the rows the re-centred block
-cores reach (``PolarHeterodyne``), not on every row the grid's radius
-allows.  Both rest on one closed form of the Poisson pmf
-(``_log_poisson``): the coherent rows restart from it, and the radial
-kernel weighs its blocks by it.
+cores reach, not on every row the grid's radius allows.  Both rest on one
+closed form of the Poisson pmf (``_log_poisson``): the coherent rows
+restart from it, and the radial kernel weighs its blocks by it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
@@ -40,7 +44,14 @@ from numpy.polynomial import legendre
 
 from .errors import DomainError
 from .irreps import LocalParam
-from .numerics import coherent_row_support, mirror_rows, stirling_remainder, three_term_columns, trim_rows
+from .numerics import (
+    coherent_row_support,
+    gauge_phases,
+    mirror_rows,
+    stirling_remainder,
+    three_term_columns,
+    trim_rows,
+)
 from .qubit_model import effective_rank
 
 # Rows of the coherent-row recurrence between restarts from the closed form,
@@ -48,11 +59,6 @@ from .qubit_model import effective_rank
 # at least 16, where ``stirling_remainder`` is its series, exact to rounding,
 # and even, so the anchors of a real amplitude carry no sign.
 COHERENT_ANCHOR = 16
-# Samples per call of the radial density kernel (``heterodyne_pdf_kernel``)
-# in the Monte Carlo risk (``measurements.heterodyne_samples``): the kernel
-# and the sampler hold a few arrays of that many doubles, whatever the number
-# of samples or of thermal weights.
-PDF_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -94,52 +100,38 @@ class FockOperator:
 
 
 def coherent_coefficients(z: complex, dim: int) -> np.ndarray:
-    """Number-basis coefficients e^{-|z|^2/2} z^k / sqrt(k!): ``_coherent_rows`` at one point."""
-    return _coherent_rows(complex(z), dim).view(complex)[:, 0]
+    """Number-basis coefficients e^{-|z|^2/2} z^k / sqrt(k!): the real row
+    ``_coherent_rows`` at |z| times the frame phases e^{ik arg z}
+    (``numerics.gauge_phases``), as ``irreps.spin_coherent_coords`` puts
+    its frame back."""
+    z = complex(z)
+    return gauge_phases(math.atan2(z.imag, z.real), dim) * _coherent_rows(abs(z), dim)[:, 0]
 
 
-def _coherent_rows(zeta, dim: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Coherent coefficients of the amplitudes ``zeta``, one row per level.
+def _coherent_rows(amplitudes, dim: int) -> np.ndarray:
+    """Coherent coefficients of the real amplitudes t, as a real (dim, G)
+    array, one row per level: c_k = e^{-t^2/2} t^k / sqrt(k!).
 
-    The result follows the amplitudes' dtype.  For G complex amplitudes it is
-    a real (dim, 2 G) array, Re and Im interleaved: its ``.view(complex)`` is
-    c_k = e^{-|zeta|^2/2} zeta^k / sqrt(k!) as (dim, G), and a real core
-    contracts with it as ``core.T @ rows`` (with zeta in the core's frame).
-    For G real amplitudes the same rows run in real arithmetic and the
-    result is the real (dim, G) array of c_k, bit for bit the real half of
-    the complex call.  Rows follow the running product
-    c_k = c_{k-1} zeta / sqrt(k); every ``COHERENT_ANCHOR`` rows they restart
+    A real core contracts with it as ``core.T @ rows`` (with t in the
+    core's frame); a complex amplitude is a real one times its frame phase
+    (``coherent_coefficients``).  Rows follow the running product
+    c_k = c_{k-1} t / sqrt(k); every ``COHERENT_ANCHOR`` rows they restart
     from the closed form, which bounds the rounding the product gathers and
-    keeps the rows near k ~ |zeta|^2 right where c_0 underflows
-    (|zeta| > 38).  The closed form is the square root of the Poisson pmf
-    |c_k|^2 at x = |zeta|^2, taken without cancellation (``_log_poisson``).
-    Given ``out``, a (dim, G) array of the result's element type
-    (complex for complex amplitudes) whose rows are contiguous, the rows are
-    written into it, and the result is it or its real view.
+    keeps the rows near k ~ t^2 right where c_0 underflows (|t| > 38).  The
+    closed form is the square root of the Poisson pmf c_k^2 at x = t^2,
+    taken without cancellation (``_log_poisson``).
     """
-    zeta = np.asarray(zeta)
-    real = not np.iscomplexobj(zeta)
-    zeta = zeta.astype(float if real else complex, copy=False).reshape(-1)
-    if real:
-        x = zeta * zeta
-    else:
-        x = zeta.real ** 2 + zeta.imag ** 2
-        theta = np.angle(zeta)
-    if out is None:
-        out = np.empty((dim, len(zeta)), dtype=zeta.dtype)
+    t = np.asarray(amplitudes, dtype=float).reshape(-1)
+    x = t * t
+    out = np.empty((dim, len(t)))
     out[0] = np.exp(-0.5 * x)
     for k in range(1, dim):
         if k % COHERENT_ANCHOR:
-            np.multiply(out[k - 1], zeta, out=out[k])
+            np.multiply(out[k - 1], t, out=out[k])
             out[k] *= 1.0 / math.sqrt(k)
-            continue
-        amp = np.exp(0.5 * _log_poisson(x, k))
-        if real:  # k is even here, so zeta^k / |zeta|^k = 1 for either sign
-            out[k] = amp
-        else:
-            out[k].real = amp * np.cos(k * theta)
-            out[k].imag = amp * np.sin(k * theta)
-    return out if real else out.view(float)
+        else:  # k is even here, so t^k / |t|^k = 1 for either sign
+            out[k] = np.exp(0.5 * _log_poisson(x, k))
+    return out
 
 
 def _log_poisson(x: np.ndarray, k: int) -> np.ndarray:
@@ -170,11 +162,17 @@ def displacement_columns(t: float, cols: int) -> np.ndarray:
     Charlier functions: with a = t^2, column 0 is the coherent vector at t
     and ``numerics.three_term_columns`` runs b_k = k + a, c_k = sqrt(a k).
     At t = 0 the columns are the identity.  The rows are those the columns
-    reach, up to the trailing ones below ``numerics.WALK_TRIM``.
+    reach, up to the trailing ones below ``numerics.WALK_TRIM``; a row count
+    that is not finite or that no array can index raises ``DomainError``.
     """
     if t == 0.0:
         return np.eye(cols)
-    rows = coherent_row_support((t + math.sqrt(cols)) ** 2)
+    # the rows are counted before anything is allocated, first on a
+    # product, which overflows to inf where ``** 2`` would raise
+    reach, limit = t + math.sqrt(cols), np.iinfo(np.intp).max
+    if not (reach * reach < limit and coherent_row_support(reach * reach) <= limit):
+        raise DomainError(f"|z| = {t:.6g} needs more number-basis rows than an array can index")
+    rows = coherent_row_support(reach ** 2)
     k = np.arange(cols)
     return three_term_columns(t / np.sqrt(np.arange(1.0, rows)), k + t * t, t * np.sqrt(k))
 
@@ -256,10 +254,11 @@ class PolarGrid:
         return pts, w
 
 
-@dataclass
 class PolarHeterodyne:
     """Heterodyne outcome densities of real cores on a polar grid centred at u.
 
+    The TV grid's kernel, since a spin block's density is not radial about
+    u, as the displaced thermal state's is (``heterodyne_pdf_kernel``).
     With s = sqrt(2 mu - 1) and z_c = s alpha(u), a node u + rho (cos t, sin t)
     has D(z_c)^dag |z> = e^{i theta} |s rho e^{i(t + pi/2)}>, so a state with
     real core F in u's frame (rho ~ F F^T) and psi = u.angle has the density
@@ -270,30 +269,29 @@ class PolarHeterodyne:
     with R_m the real coherent row at s rho, and A = G G^T with
     G = ``back`` F, ``back`` the leading rows of D(-z_c), real in that
     frame: only the ``size`` rows the radial rows reach at rho = radius,
-    so the tables do not grow with |z_c|, and a column per core row.  A
-    chunk of cores with more rows than ``back`` has columns grows it, to
-    twice its columns at least (the leading columns of
-    ``displacement_columns`` do not depend on how many are asked for).
-    |z_c| is ``shift``, the radial nodes s rho are ``amplitudes``, and
-    t + pi/2 - psi at the angular nodes is ``phases``.  The contraction
-    never reads a row past the longest G, so its tables are built on the K
-    rows the first chunk of cores reaches, and rebuilt only when a later
-    chunk reaches further: c_d cos(d (t + pi/2 - psi)) as ``cos`` [d, t],
-    and the radial products R_{m+d} R_m as ``diag`` [d, m, rho], zero past
-    the last row.
+    so the tables do not grow with |z_c|, and a column per core row, ``cols``
+    of them to start with.  A chunk of cores with more rows than ``back``
+    has columns grows it, to twice its columns at least (the leading
+    columns of ``displacement_columns`` do not depend on how many are asked
+    for).  |z_c| is ``shift``, the radial nodes s rho are ``amplitudes``,
+    and t + pi/2 - psi at the angular nodes is ``phases``.  The contraction
+    never reads a row past the longest G, so its tables wait for the first
+    chunk of cores, are built on the K rows it reaches, and are rebuilt
+    only when a later chunk reaches further: c_d cos(d (t + pi/2 - psi)) as
+    ``cos`` [d, t], and the radial products R_{m+d} R_m as ``diag``
+    [d, m, rho], zero past the last row.
     """
 
-    mu: float
-    shift: float
-    size: int
-    amplitudes: np.ndarray = field(repr=False)
-    phases: np.ndarray = field(repr=False)
-    cols: InitVar[int]
-    back: np.ndarray = field(init=False, repr=False)
-    cos: np.ndarray | None = field(default=None, init=False, repr=False)
-    diag: np.ndarray | None = field(default=None, init=False, repr=False)
-
-    def __post_init__(self, cols: int):
+    def __init__(self, grid: PolarGrid, mu: float, cols: int):
+        u = LocalParam(*grid.center)
+        radii, _, angles = grid.axes()
+        s = math.sqrt(2.0 * mu - 1.0)
+        self.mu = mu
+        self.shift = s * u.norm
+        self.size = coherent_row_support((s * grid.radius) ** 2)
+        self.amplitudes = s * radii
+        self.phases = angles + 0.5 * math.pi - u.angle
+        self.cos = self.diag = None
         self._build_back(cols)
 
     def _build_back(self, cols: int) -> None:
@@ -344,19 +342,6 @@ class PolarHeterodyne:
         dens = h.T @ cos
         dens *= (2.0 * self.mu - 1.0) / math.pi
         return dens.reshape(len(gs), -1)
-
-
-def polar_heterodyne(grid: PolarGrid, mu: float, rows: int) -> PolarHeterodyne:
-    """The ``PolarHeterodyne`` kernel of ``grid``, centred at u, for cores of
-    ``rows`` rows, or more as they come: the TV grid's kernel, since a spin
-    block's density is not radial about u, as the displaced thermal state's
-    is (``heterodyne_pdf_kernel``).  ``back`` is built here, and the angular
-    and radial tables wait for the first chunk of cores."""
-    u = LocalParam(*grid.center)
-    radii, _, angles = grid.axes()
-    s = math.sqrt(2.0 * mu - 1.0)
-    size = coherent_row_support((s * grid.radius) ** 2)
-    return PolarHeterodyne(mu, s * u.norm, size, s * radii, angles + 0.5 * math.pi - u.angle, rows)
 
 
 def heterodyne_pdf_kernel(mu: float) -> Callable[[np.ndarray], np.ndarray]:

@@ -627,6 +627,13 @@ def displacement_operator(
     return m
 
 
+def _coherent_columns(z: np.ndarray, dim: int) -> np.ndarray:
+    """Coherent coefficients of the complex amplitudes ``z`` as (dim, G): the
+    real rows ``_coherent_rows`` at |z| times the frame phases e^{ik arg z},
+    column by column as ``coherent_coefficients`` forms one."""
+    return np.exp(1j * np.outer(np.arange(dim), np.angle(z))) * _coherent_rows(np.abs(z), dim)
+
+
 def glauber_mixture(
     mu: float,
     trunc: FockTruncation,
@@ -655,7 +662,7 @@ def glauber_mixture(
     pts, w = quad.nodes()
     z = pts[:, 0] + 1j * pts[:, 1]
     dens = np.exp(-np.abs(z) ** 2 / (2.0 * s2)) / (2.0 * math.pi * s2)
-    core = _coherent_rows(z, trunc.dim).view(complex) * np.sqrt(w * dens)
+    core = _coherent_columns(z, trunc.dim) * np.sqrt(w * dens)
     return FockOperator(core, deficit=tail)
 
 
@@ -815,7 +822,7 @@ def heterodyne_pullback_density(j: HalfInteger, rho_j: np.ndarray, mu: float, u_
     """
     pts, scalar = _as_points(u_hat)
     z = math.sqrt(2.0 * mu - 1.0) * (-pts[:, 1] + 1j * pts[:, 0])
-    rows = _coherent_rows(z, j.dim).view(complex)
+    rows = _coherent_columns(z, j.dim)
     rho = np.asarray(rho_j, dtype=complex)
     vals = np.einsum("ig,ij,jg->g", rows.conj(), rho, rows).real
     dens = (2.0 * mu - 1.0) / math.pi * vals

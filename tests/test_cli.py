@@ -436,6 +436,18 @@ def test_measure_compare_past_the_injectivity_disk_names_it(capsys):
     assert err.startswith("error: config:") and "injectivity radius" in err
 
 
+@pytest.mark.parametrize("command", ["discriminate", "convergence"])
+@pytest.mark.parametrize("point", ["1e20,0", "1e200,0"])
+def test_grid_point_past_any_array_index_names_z(command, point, capsys):
+    # the limit core would need more rows than an array can index (1e20),
+    # or a row count that is not finite (1e200): the column kernel counts
+    # them before it allocates anything, and the run exits 2, not with a
+    # traceback
+    assert run_cli([command, "--mu", "0.75", "--n", "16", "--grid", point]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: |z| = ") and "array can index" in err
+
+
 # |u| = 1.3 at four angles; each hypot(u_x, u_y) is the double 1.3
 COVARIANT_GRID = ((1.3, 0.0), (-0.5, 1.2), (-0.78, -1.04), (1.2, -0.5))
 

@@ -27,7 +27,9 @@ And ``qubit_model`` compares no blocks: it never names
 the one block stream it reads.
 Every Gauss-Legendre rule comes from the one cached function
 ``oscillator._gauss_legendre``, every coherent row from the one kernel
-``oscillator._coherent_rows``, and every Poisson closed form from the one
+``oscillator._coherent_rows``, which runs in real arithmetic alone (a
+complex row is the real row times its frame phases), and every Poisson
+closed form from the one
 anchor helper ``oscillator._log_poisson``: no other function of
 ``oscillator`` reads ``stirling_remainder``, both the row recurrence and
 the radial density call the helper, and the radial density
@@ -36,7 +38,7 @@ buffer of rows.  The heterodyne
 density has one kernel per experiment: in ``measurements`` only the risk
 (``heterodyne_estimation_risk``, ``heterodyne_samples``) calls the radial
 kernel ``heterodyne_pdf_kernel``, at the distances |u_hat - u|, and only
-the TV grid (``_tv_grid``) builds the polar kernel ``polar_heterodyne``,
+the TV grid (``_tv_grid``) builds the polar kernel ``PolarHeterodyne``,
 whose blocks are not radial.  Discrimination is a
 state against its own mirror: no module outside ``reference`` defines or
 calls a ``mirrored`` state, and ``measurements`` takes every discrimination
@@ -238,7 +240,8 @@ def test_one_coherent_row_kernel():
     # the Stirling remainder anchors the coherent rows and the thermal
     # density's blocks; only their one anchor helper may read it, so no
     # second closed form grows beside it, and the radial density forms no
-    # coherent row, so no buffer of rows can return to the risk
+    # coherent row, so no buffer of rows can return to the risk; the row
+    # kernel is real, with no complex branch, interleaved view or buffer
     tree = ast.parse((PACKAGE / "oscillator.py").read_text(encoding="utf-8"))
     functions = {stmt.name: stmt for stmt in tree.body if isinstance(stmt, ast.FunctionDef)}
     owners = {
@@ -251,6 +254,7 @@ def test_one_coherent_row_kernel():
     for kernel in ("_coherent_rows", "heterodyne_pdf_kernel"):
         assert "_log_poisson" in defined_or_called(functions[kernel])
     assert "_coherent_rows" not in referenced_names(functions["heterodyne_pdf_kernel"])
+    assert not {"complex", "iscomplexobj", "view"} & referenced_names(functions["_coherent_rows"])
 
 
 def test_one_radial_risk_kernel_and_one_polar_tv_kernel():
@@ -268,7 +272,7 @@ def test_one_radial_risk_kernel_and_one_polar_tv_kernel():
         "heterodyne_estimation_risk",
         "heterodyne_samples",
     }
-    assert callers({"polar_heterodyne", "PolarHeterodyne"}) == {"_tv_grid"}
+    assert callers({"PolarHeterodyne"}) == {"_tv_grid"}
 
 
 def defined_or_called(tree: ast.AST) -> set[str]:

@@ -117,19 +117,31 @@ def turned(z, turn):
 
 @pytest.mark.parametrize("turn", [0.0, 1.1, -2.7])
 def test_coherent_rows_match_40_digit_oracle(turn):
-    # past c_0's underflow at |z| > 38 the rows near k ~ |z|^2 come from the
-    # re-anchoring alone
+    # the real row at |z| times its frame phases; past c_0's underflow at
+    # |z| > 38 the rows near k ~ |z|^2 come from the re-anchoring alone
     for i, r in enumerate((0.0, 1e-3, 0.5, 3.0, 7.0, 20.0, 37.0, 45.0)):
         z = r * complex(math.cos(0.7 + 1.9 * i), math.sin(0.7 + 1.9 * i))
         dim = math.ceil(r * r + 10 * r + 40) + 1
-        rows = _coherent_rows(turned([z], turn), dim)
-        assert rows.shape == (dim, 2)
-        got = rows.view(complex)[:, 0]
+        got = coherent_coefficients(turned([z], turn)[0], dim)
+        assert got.dtype == complex and got.shape == (dim,)
         want, norm = mp_coherent_rows(z, turn, dim)
         assert np.abs(got - want).max() <= 1e-13
-        assert abs(float(np.sum(rows ** 2)) - norm) <= 1e-13
+        assert abs(float(np.sum(np.abs(got) ** 2)) - norm) <= 1e-13
         if r == 0.0:
             assert got[0] == 1.0 and not got[1:].any()
+
+
+def test_coherent_rows_match_40_digit_oracle_at_real_amplitudes():
+    # the real kernel alone, at either sign and past c_0's underflow
+    # (|t| > 38); a negative amplitude flips the odd rows, bit for bit
+    for t in (0.0, 1e-3, 0.5, -3.0, 7.0, -20.0, 37.0, -39.5, 42.0, -45.0):
+        dim = math.ceil(t * t + 10 * abs(t) + 40) + 1
+        rows = _coherent_rows(np.array([t, -t]), dim)
+        assert rows.dtype == np.float64 and rows.shape == (dim, 2)
+        want, norm = mp_coherent_rows(complex(t), 0.0, dim)
+        assert np.abs(rows[:, 0] - want.real).max() <= 1e-15
+        assert abs(float(np.sum(rows[:, 0] ** 2)) - norm) <= 1e-13
+        np.testing.assert_array_equal(rows[:, 1], (-1.0) ** np.arange(dim) * rows[:, 0])
 
 
 def test_coherent_rows_match_closed_form():
@@ -137,10 +149,8 @@ def test_coherent_rows_match_closed_form():
     for r_max, dim, tol in ((8.0, 140, 3e-14), (45.0, 2520, 5e-13)):
         z = rng.uniform(0, r_max, 300) * np.exp(1j * rng.uniform(-math.pi, math.pi, 300))
         for turn in (0.0, 1.1, -2.7):
-            got = _coherent_rows(turned(z, turn), dim).view(complex)
+            got = np.stack([coherent_coefficients(zeta, dim) for zeta in turned(z, turn)], axis=1)
             np.testing.assert_allclose(got, closed_form_rows(z, dim, turn), rtol=0, atol=tol)
-    one = _coherent_rows(np.array([0.4 - 1.2j]), 30).view(complex)[:, 0]
-    np.testing.assert_array_equal(coherent_coefficients(0.4 - 1.2j, 30), one)
 
 
 def test_coherent_rows_of_real_amplitudes_are_the_real_half():
@@ -150,10 +160,7 @@ def test_coherent_rows_of_real_amplitudes_are_the_real_half():
     for dim, amps in ((1, t), (16, t), (17, t), (33, t), (120, t), (2100, t[::10])):
         rows = _coherent_rows(amps, dim)
         assert rows.dtype == np.float64 and rows.shape == (dim, len(amps))
-        np.testing.assert_array_equal(rows, _coherent_rows(amps.astype(complex), dim)[:, 0::2])
     assert rows[1600:, -1].max() > 0.009
-    out = np.empty((33, len(t)))
-    assert _coherent_rows(t, 33, out=out) is out
     assert coherent_coefficients(0, 3).dtype == complex
     assert coherent_coefficients(0.5, 3).dtype == complex
 

@@ -454,3 +454,13 @@ def test_model_params_validation():
         ModelParams(4, 0.5)
     with pytest.raises(DomainError):
         ModelParams(4, 0.75, 0.5)
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_bool_is_not_a_qubit_count_or_a_spin(flag):
+    # bool is an int subclass: True would build a 1-qubit model, or spin 1/2
+    with pytest.raises(DomainError):
+        ModelParams(flag, 0.75)
+    with pytest.raises(DomainError):
+        HalfInteger(flag)
+    assert ModelParams(np.int64(1), 0.75).n == 1 and HalfInteger(np.int64(1)).twoj == 1
