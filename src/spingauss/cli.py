@@ -6,9 +6,11 @@ keys.  Configuration precedence is command line over config file over
 defaults; the keys a subcommand read are echoed into its report, so a
 report plus the package version fully determines its own numbers (exactly
 for quadrature paths, through the recorded seed for Monte Carlo ones).
+A grid experiment is one list of (mu, n, u) point tasks, run in row order
+by ``run_points``: serially, or over one process pool with ``--workers``.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical accuracy
-failure, 4 I/O error.
+failure or a refused allocation, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
+from functools import partial
 from typing import Callable, NamedTuple
 
 from . import __version__
@@ -38,7 +42,7 @@ from .measurements import (
     position_measurement_risk,
 )
 from .qubit_model import ModelParams
-from .reports import ReportRow, RiskReport, read_report, render_svg, write_report
+from .reports import ReportRow, RiskReport, read_report, render, render_svg, write_report
 
 
 class Key(NamedTuple):
@@ -147,7 +151,7 @@ KEYS = {
     "grid": Key("-1:1:3", parse_grid, _GRID, "u grid 'min:max:steps[,min:max:steps]'"),
     "workers": Key(
         "1", _scalar("workers", int, lambda v: v >= 1, "be at least 1"),
-        frozenset(("convergence",)), "parallel workers over the (n, u) grid",
+        _GRID, "parallel workers over the (mu, n, u) points",
     ),
     "samples": Key(
         "0", _scalar("samples", int, lambda v: v == 0 or v >= 2, "be 0 (quadrature) or at least 2"),
@@ -247,23 +251,27 @@ _CONVERGENCE_STATS = (
 )
 
 
-def run_convergence(cfg: dict[str, object]) -> list[ReportRow]:
-    """Per mu, ``convergence_point`` at every (n, u), n-major, then per n the
-    sup rows: the first largest value in grid order, with the largest bound
-    of that n's points, which bounds each sup."""
-    rows: list[ReportRow] = []
-    ns, grid = cfg["n"], cfg["grid"]
-    for mu in cfg["mu"]:
-        params = [ModelParams(n, mu, cfg["epsilon"]) for n in ns for _ in grid]
-        us = [u for _ in ns for u in grid]
-        if cfg["workers"] > 1:
-            # imported here, so a serial run never loads multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
+def run_points(tasks: list[partial], workers: int) -> list:
+    """Each zero-argument task's result, in task order: serially at one worker,
+    else over one process pool (imported here: a serial run never loads it),
+    which cancels the tasks not yet started once one fails."""
+    if workers == 1:
+        return [task() for task in tasks]
+    from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=min(cfg["workers"], os.cpu_count() or 1)) as pool:
-                stats = pool.map(convergence_point, params, us, chunksize=1)
-        else:
-            stats = map(convergence_point, params, us)
+    with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
+        return list(pool.map(partial.__call__, tasks))
+
+
+def run_convergence(cfg: dict[str, object]) -> list[ReportRow]:
+    """``convergence_point`` at every (mu, n, u), in that order, then per
+    (mu, n) the sup rows: the first largest value in grid order, with the
+    largest bound of that n's points, which bounds each sup."""
+    rows: list[ReportRow] = []
+    mus, ns, grid = cfg["mu"], cfg["n"], cfg["grid"]
+    tasks = [partial(convergence_point, ModelParams(n, mu, cfg["epsilon"]), u) for mu in mus for n in ns for u in grid]
+    stats = iter(run_points(tasks, cfg["workers"]))
+    for mu in mus:
         for n in ns:
             points = [(u, next(stats)) for u in grid]
             for u, pt in points:
@@ -277,31 +285,31 @@ def run_convergence(cfg: dict[str, object]) -> list[ReportRow]:
 
 
 def run_discriminate(cfg: dict[str, object]) -> list[ReportRow]:
+    """Per (mu, u): the limit (n = 0) and position risks, then each n's."""
     rows: list[ReportRow] = []
-    for mu in cfg["mu"]:
-        for u in cfg["grid"]:
-            limit = limit_discrimination(u, mu)
-            rows.append(ReportRow(0, mu, u.ux, u.uy, "limit_risk", limit.risk, limit.error_bound))
+    points = [(mu, u, n) for mu in cfg["mu"] for u in cfg["grid"] for n in (0, *cfg["n"])]
+    tasks = [partial(finite_n_discrimination, ModelParams(n, mu), u) if n else partial(limit_discrimination, u, mu)
+             for mu, u, n in points]
+    for (mu, u, n), res in zip(points, run_points(tasks, cfg["workers"])):
+        if n:
+            rows.append(ReportRow(n, mu, u.ux, u.uy, "helstrom_risk", res.risk, res.error_bound))
+        else:
+            rows.append(ReportRow(0, mu, u.ux, u.uy, "limit_risk", res.risk, res.error_bound))
             rows.append(ReportRow(0, mu, u.ux, u.uy, "position_risk_baseline", position_measurement_risk(u), 0.0))
-            for n in cfg["n"]:
-                res = finite_n_discrimination(ModelParams(n, mu), u)
-                rows.append(ReportRow(n, mu, u.ux, u.uy, "helstrom_risk", res.risk, res.error_bound))
     return rows
 
 
 def run_measure_compare(cfg: dict[str, object]) -> list[ReportRow]:
     rows: list[ReportRow] = []
-    for mu in cfg["mu"]:
-        for n in cfg["n"]:
-            params = ModelParams(n, mu, cfg["epsilon"])
-            for u in cfg["grid"]:
-                est = measurement_tv(params, u)
-                rows.append(ReportRow(n, mu, u.ux, u.uy, "tv_bound", est.tv_bound, est.out_of_grid_bound))
-                rows.append(ReportRow(n, mu, u.ux, u.uy, "tv_grid_term", est.grid_term, est.out_of_grid_bound))
-                rows.append(ReportRow(n, mu, u.ux, u.uy, "covariant_mass", est.covariant_mass, est.concentration_deficit))
-                rows.append(ReportRow(n, mu, u.ux, u.uy, "heterodyne_mass", est.heterodyne_mass, est.concentration_deficit))
-                rows.append(ReportRow(n, mu, u.ux, u.uy, "out_of_grid_mass", est.out_of_grid_bound, 0.0))
-                rows.append(ReportRow(n, mu, u.ux, u.uy, "concentration_deficit", est.concentration_deficit, 0.0))
+    points = [(mu, n, u) for mu in cfg["mu"] for n in cfg["n"] for u in cfg["grid"]]
+    tasks = [partial(measurement_tv, ModelParams(n, mu, cfg["epsilon"]), u) for mu, n, u in points]
+    for (mu, n, u), est in zip(points, run_points(tasks, cfg["workers"])):
+        rows.append(ReportRow(n, mu, u.ux, u.uy, "tv_bound", est.tv_bound, est.out_of_grid_bound))
+        rows.append(ReportRow(n, mu, u.ux, u.uy, "tv_grid_term", est.grid_term, est.out_of_grid_bound))
+        rows.append(ReportRow(n, mu, u.ux, u.uy, "covariant_mass", est.covariant_mass, est.concentration_deficit))
+        rows.append(ReportRow(n, mu, u.ux, u.uy, "heterodyne_mass", est.heterodyne_mass, est.concentration_deficit))
+        rows.append(ReportRow(n, mu, u.ux, u.uy, "out_of_grid_mass", est.out_of_grid_bound, 0.0))
+        rows.append(ReportRow(n, mu, u.ux, u.uy, "concentration_deficit", est.concentration_deficit, 0.0))
     return rows
 
 
@@ -321,10 +329,7 @@ def run_plot(args: argparse.Namespace) -> int:
     report = read_report(args.report)
     statistic = args.statistic
     if not statistic:
-        counted: dict[str, int] = {}
-        for r in report.rows:
-            if r.n > 0:
-                counted[r.statistic] = counted.get(r.statistic, 0) + 1
+        counted = Counter(r.statistic for r in report.rows if r.n > 0)
         statistic = next((s for s, c in counted.items() if c >= 2), None)
         if statistic is None:
             raise ConfigError("report holds no statistic with at least 2 rows")
@@ -351,14 +356,8 @@ def _normalize_argv(argv: list[str]) -> list[str]:
     out = []
     it = iter(argv)
     for tok in it:
-        if tok == "--grid":
-            val = next(it, None)
-            if val is None:
-                out.append(tok)
-            else:
-                out.append(f"--grid={val}")
-        else:
-            out.append(tok)
+        val = next(it, None) if tok == "--grid" else None
+        out.append(tok if val is None else f"--grid={val}")
     return out
 
 
@@ -379,16 +378,16 @@ def main(argv: list[str] | None = None) -> int:
         if values["out"]:
             write_report(report, values["out"], values["format"])
         else:
-            from .reports import render_csv, render_json
-
-            text = render_csv(report) if values["format"] == "csv" else render_json(report)
-            sys.stdout.write(text)
+            sys.stdout.write(render(report, values["format"]))
         return 0
     except (ConfigError, DomainError) as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2
     except (AccuracyError, ValidationError) as exc:
         print(f"error: accuracy: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: memory: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)

@@ -87,10 +87,14 @@ def render_json(report: RiskReport) -> str:
     return json.dumps(payload, indent=2, sort_keys=False) + "\n"
 
 
+def render(report: RiskReport, fmt: str) -> str:
+    """The report in format ``fmt``, csv or json."""
+    return render_csv(report) if fmt == "csv" else render_json(report)
+
+
 def write_report(report: RiskReport, path: str, fmt: str) -> None:
-    text = render_csv(report) if fmt == "csv" else render_json(report)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.write(render(report, fmt))
 
 
 def read_report(path: str) -> RiskReport:

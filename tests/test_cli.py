@@ -1,7 +1,12 @@
+import concurrent.futures
 import csv
 import io
 import json
+import os
 import re
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -92,8 +97,9 @@ def test_sup_rows_take_the_first_largest_point_and_the_largest_bound(tmp_path):
             assert float(sup["error_bound"]) == bound
 
 
-def test_parallel_workers_write_the_serial_report(tmp_path):
-    argv = ["convergence", "--mu", "0.75,0.9", "--n", "16,64", "--grid=-1:1:3"]
+@pytest.mark.parametrize("command", ["convergence", "discriminate", "measure-compare"])
+def test_parallel_workers_write_the_serial_report(tmp_path, command):
+    argv = [command, "--mu", "0.75,0.9", "--n", "16,64", "--grid=-1:1:3"]
     reports = []
     for workers in ("1", "2"):
         out = tmp_path / f"workers{workers}.csv"
@@ -102,6 +108,22 @@ def test_parallel_workers_write_the_serial_report(tmp_path):
         assert sum(line.startswith("# workers = ") for line in lines) == 1
         reports.append([line for line in lines if not line.startswith("# workers = ")])
     assert reports[0] == reports[1]
+
+
+def test_a_grid_run_starts_one_process_pool(tmp_path, monkeypatch):
+    # the points of every mu form one task list, so a run starts one pool
+    # however many mu values it holds
+    started = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    argv = ["convergence", "--mu", "0.75,0.9", "--n", "16", "--grid", "0.5,0", "--workers", "2"]
+    assert run_cli(argv + ["--out", str(tmp_path / "conv.csv")]) == 0
+    assert len(started) == 1
 
 
 def test_csv_json_same_numbers(tmp_path):
@@ -350,7 +372,7 @@ def test_malformed_or_out_of_range_scalar_is_config_error(argv, capsys):
     [
         ["measure-compare", "--trunc", "9"],
         ["risk", "--n", "4"],
-        ["discriminate", "--workers", "2"],
+        ["risk", "--workers", "2"],
         ["convergence", "--samples", "5"],
         ["convergence", "--trunc", "9"],
         ["discriminate", "--trunc", "9"],
@@ -385,8 +407,8 @@ def test_readme_flag_table_matches_the_keys():
     "command, keys",
     [
         ("convergence", {"mu", "n", "epsilon", "grid", "workers", "format"}),
-        ("discriminate", {"mu", "n", "grid", "format"}),
-        ("measure-compare", {"mu", "n", "epsilon", "grid", "format"}),
+        ("discriminate", {"mu", "n", "grid", "workers", "format"}),
+        ("measure-compare", {"mu", "n", "epsilon", "grid", "workers", "format"}),
         ("risk", {"mu", "samples", "seed", "format"}),
     ],
 )
@@ -448,6 +470,26 @@ def test_grid_point_past_any_array_index_names_z(command, point, capsys):
     assert err.startswith("error: config: |z| = ") and "array can index" in err
 
 
+@pytest.mark.parametrize("command", ["discriminate", "convergence"])
+def test_refused_allocation_is_a_memory_error(command):
+    # the limit core at |u| = 1e5 needs a 37.3 GiB row array; under a 2 GiB
+    # address-space limit, set in the child alone, numpy refuses it whatever
+    # the host's overcommit policy, and the run exits 3 with one line
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
+    result = subprocess.run(
+        [sys.executable, "-m", "spingauss.cli", command, "--mu", "0.75", "--n", "16", "--grid", "1e5,0"],
+        env=env, capture_output=True, text=True, timeout=120, preexec_fn=limit_address_space,
+    )
+    assert result.returncode == 3
+    assert result.stderr.startswith("error: memory: ") and result.stderr.count("\n") == 1
+    assert result.stdout == ""
+
+
 # |u| = 1.3 at four angles; each hypot(u_x, u_y) is the double 1.3
 COVARIANT_GRID = ((1.3, 0.0), (-0.5, 1.2), (-0.78, -1.04), (1.2, -0.5))
 
@@ -469,7 +511,7 @@ def test_rotation_covariance_of_report_rows():
     # angles of one |u|.  TV rows are left out: the TV grid's angular nodes
     # do not turn with u, so its values move by the grid's quadrature error
     # (8.4e-7 at n = 64).
-    for runner, cfg in ((run_discriminate, {}), (run_convergence, {"workers": 1})):
-        first, *others = rows_at_each_angle(runner, **cfg)
+    for runner in (run_discriminate, run_convergence):
+        first, *others = rows_at_each_angle(runner, workers=1)
         for rows in others:
             assert rows == first

@@ -6,10 +6,11 @@ and with it every benchmarked path, never loads it.  No module of the
 package imports ``scipy`` at all (the column kernel and the binomial weights
 are the package's own), and a command-line run loads no module of numpy
 that its import did not: what the run path needs is imported with the
-package.  The import loads no process pool either: only a ``convergence``
-run with ``--workers`` above 1 imports ``concurrent.futures``, in the
-command line.  And no function outside it takes a Fock cutoff: each state's core
-holds every row it reaches.  No state outside it carries a gauge angle:
+package.  The import loads no process pool either: only a grid run with
+``--workers`` above 1 imports ``concurrent.futures``, in the command line,
+so a serial run, the one every benchmark workload makes, never loads it.
+And no function outside it takes a Fock cutoff: each state's core holds
+every row it reaches.  No state outside it carries a gauge angle:
 each is stored in the frame of the u it was built at, so no field,
 parameter, keyword or attribute read is named ``psi``.  Every rotation and
 displacement column comes from the one column kernel,
@@ -428,7 +429,7 @@ def test_cli_import_leaves_reference_unloaded():
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():
-    # only a convergence run with --workers > 1 imports it
+    # only a grid run with --workers > 1 imports it
     probe = (
         "import sys, spingauss.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
@@ -449,7 +450,8 @@ CLI_RUNS = (
 
 def test_cli_runs_load_no_further_numpy_or_scipy_module():
     # one small run of each kind after the import: a numpy submodule that
-    # first loads here would be timed in the run, not in the import
+    # first loads here would be timed in the run, not in the import; and a
+    # serial run loads no process pool at all
     probe = (
         "import contextlib, io, sys\n"
         "from spingauss import cli\n"
@@ -457,8 +459,9 @@ def test_cli_runs_load_no_further_numpy_or_scipy_module():
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    codes = [cli.main(argv) for argv in {list(CLI_RUNS)!r}]\n"
         "print(codes, sorted(m for m in set(sys.modules) - before if m.split('.')[0] in ('numpy', 'scipy')))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe], env=package_env(), capture_output=True, text=True, timeout=120, check=True
     )
-    assert result.stdout.strip() == "[0, 0, 0, 0] []"
+    assert result.stdout.splitlines() == ["[0, 0, 0, 0] []", "[]"]
