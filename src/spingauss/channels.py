@@ -24,7 +24,13 @@ is diagonalized on the few leading rows the factors reach, or on the span
 of two factors.  The blocks and the limit state at one u are stored in u's
 frame (``qubit_model``), where all of them are real, and both channels are
 the identity on indices, so they carry the frame along and every distance
-is taken in real arithmetic.
+is taken in real arithmetic.  Each core core^T is formed once and read by
+every difference taken on that core's rows.  The largest block distance
+diagonalizes a block of fewer rows than the limit state only if a bracket
+from its reverse term (``distance_bracket``) leaves it a chance to hold the
+maximum, up to a rounding margin (``bracket_margin``); near mu = 1/2 that
+skips most diagonalizations on the limit state's several hundred rows, and
+the maximum is the one an every-block pass takes, to the bit.
 """
 
 from __future__ import annotations
@@ -123,6 +129,38 @@ class PointStats:
     error_bound: float  # limit-state rank cut + largest block rank cut + 2 * skipped weight
 
 
+def distance_bracket(reverse: float, leftover: float, trace_gap: float) -> tuple[float, float]:
+    """Lower and upper bounds on ||rho_j - phi||_1 for a block of fewer rows
+    than phi's core, from what its reverse term has already read.
+
+    ``reverse`` is ||rho_j - T_j phi||_1, ``leftover`` is eps_j, phi's trace
+    off the block's rows, and ``trace_gap`` is tr rho_j - tr phi.  With P the
+    projection on the block's rows, T_j phi = P phi P + eps_j |0><0|, and
+    for phi of trace t <= 1 the gentle-measurement lemma gives
+    ||phi - P phi P||_1 <= 2 sqrt(t eps_j) <= 2 sqrt(eps_j), so
+    ||phi - T_j phi||_1 <= 2 sqrt(eps_j) + eps_j, and the triangle inequality
+    puts the distance within that of ``reverse``.  The test 2P - 1, of norm
+    1, gives the second lower bound tr rho_j - tr phi + 2 eps_j (rho_j lies
+    on the block's rows).  The bounds hold for the cores as stored, up to
+    the rounding of their inputs.
+    """
+    spread = 2.0 * math.sqrt(leftover) + leftover
+    return max(reverse - spread, trace_gap + 2.0 * leftover), reverse + spread
+
+
+def bracket_margin(phi: FockOperator) -> float:
+    """The rounding allowance of a ``block_max`` bracket at the limit state phi.
+
+    Every distance the bracket reads is a sum of |eigenvalues| of a
+    difference of two states of trace at most 1, on at most d = rows +
+    columns of phi's core, so each is good to a few d^2 double epsilons;
+    16 d^2 of them cover the computed distance, the computed bounds and
+    the computed maximum together.
+    """
+    d = sum(phi.core.shape)
+    return 16.0 * d * d * np.finfo(float).eps
+
+
 def convergence_point(params: ModelParams, u: LocalParam) -> PointStats:
     """Forward, largest concentration-block and reverse distances at one (n, u).
 
@@ -131,45 +169,74 @@ def convergence_point(params: ModelParams, u: LocalParam) -> PointStats:
     their core core^T, kept as a running sum in a buffer that starts at
     phi's rows, doubles (up to the top block's 2j + 1) when a block reaches
     past it, and is cut to the rows reached.  Each block meets its image
-    under the inverse channel for the reverse distance.  ``block_max``
-    reads the blocks whose 2j lies in ``concentration_range``, the test
-    ``measurements._tv_grid`` makes.
+    under the inverse channel for the reverse distance.  Each block's
+    core core^T is formed once, for the forward sum, and phi's once per
+    point.  ``factor_difference_eigvals``, which alone picks rows or QR,
+    reads a given product wherever it takes a difference on that core's
+    own rows: the block's for most reverse terms, phi's for every distance
+    against phi.  On other rows it forms the product afresh, since its
+    rounding depends on the row count.
+
+    ``block_max`` reads the blocks whose 2j lies in ``concentration_range``,
+    the test ``measurements._tv_grid`` makes.  A block of at least phi's
+    rows gets phi's core itself back from the inverse channel, so its
+    reverse term is its distance to phi.  A block of fewer rows is first
+    bracketed (``distance_bracket``) from its reverse term, phi's trace off
+    its rows and the two traces; a running maximum holds the distances and
+    lower bounds seen so far, and a block whose upper bound lies below it
+    by more than ``bracket_margin`` cannot hold the maximum, so it is not
+    diagonalized against phi.  The block that holds the maximum always is,
+    so ``block_max`` is the maximum of the very values an every-block pass
+    would take.  The stream order is unchanged and nothing is buffered.
     """
     phi = displaced_thermal(u, params.mu)
     g = phi.core
     r = g.shape[0]
+    gram = g @ g.T
+    # phi's trace on the rows from d on, for every d < r
+    tail = np.cumsum(np.einsum("ij,ij->i", g, g)[::-1])[::-1]
+    margin = bracket_margin(phi)
     lo, hi, skipped = occurring_range(params)
     first, last = concentration_range(params)
     corner = np.zeros((r, r))
     reach = 0
     reverse = 0.0
     block_max = 0.0
+    # the largest block distance or lower bound read so far
+    seen = 0.0
     discarded = 0.0
     for b in rotated_blocks(params, u, lo, hi):
-        norm = float(np.abs(factor_difference_eigvals(b.core, inverse_channel(phi, b.j))).sum())
+        block_gram = b.core @ b.core.T
+        # a block of at least r rows gets phi's core itself back
+        back_gram = gram if b.j.dim >= r else None
+        norm = float(np.abs(factor_difference_eigvals(b.core, inverse_channel(phi, b.j), block_gram, back_gram)).sum())
         k = b.core.shape[0]
         if k > corner.shape[0]:
             grown = np.zeros((min(max(k, 2 * corner.shape[0]), hi + 1),) * 2)
             grown[:reach, :reach] = corner[:reach, :reach]
             corner = grown
-        corner[:k, :k] += b.weight * (b.core @ b.core.T)
+        corner[:k, :k] += b.weight * block_gram
+        trace_gap = float(np.trace(block_gram)) - float(tail[0])
+        # released before the diagonalization against phi below
+        del block_gram
         reach = max(reach, k)
         reverse += b.weight * norm
         discarded = max(discarded, b.discarded)
         if not first <= b.j.twoj <= last:
             continue
-        # a block of at least r rows gets phi's core itself back from the
-        # inverse channel, with no leftover column, so its reverse term is
-        # its distance to phi; only the blocks of fewer rows are
-        # diagonalized again
         if b.j.dim < r:
-            norm = float(np.abs(factor_difference_eigvals(b.core, g)).sum())
+            lower, upper = distance_bracket(norm, float(tail[b.j.dim]), trace_gap)
+            seen = max(seen, lower)
+            if upper + margin < seen:
+                continue
+            norm = float(np.abs(factor_difference_eigvals(b.core, g, None, gram)).sum())
+        seen = max(seen, norm)
         block_max = max(block_max, norm)
     # blocks and phi are in u's frame, so the real corners compare, and
     # everything past the rows the factors reach is zero on both sides
     rows = max(reach, r)
     diff = corner[:rows, :rows]
-    diff[:r, :r] -= g @ g.T
+    diff[:r, :r] -= gram
     forward = trace_norm(diff)
     # the inverse channel is trace-norm contractive, so the rank cuts of phi and
     # of the largest block, and the skipped weight at its worst case, bound all three

@@ -38,6 +38,10 @@ import numpy as np
 from .errors import DomainError
 from .numerics import coherent_row_support, gauge_phases, mirror_rows, three_term_columns, trim_rows
 
+# Largest rotation angle |w| taken: from 2^26 on, the spacing of doubles is
+# at least 2^-26, so w mod pi keeps fewer than half of a double's digits.
+MAX_ANGLE = 2.0 ** 26
+
 
 @dataclass(frozen=True, order=True)
 class HalfInteger:
@@ -152,8 +156,10 @@ def rotation_columns(j: HalfInteger, radius: float, cols: int) -> np.ndarray:
     U_j(w + pi) = (-1)^N U_j(w), U_j(-w) = S U_j(w) S and
     U_j(w) = R U_j(w - pi/2), R[N - k, k] = (-1)^k.  At radius 0 the
     columns are the identity.  The rows are those the columns reach (at
-    most 2j + 1), up to the trailing ones below ``numerics.WALK_TRIM``.
+    most 2j + 1), up to the trailing ones below ``numerics.WALK_TRIM``.  A
+    radius of ``MAX_ANGLE`` or more raises ``DomainError``.
     """
+    _check_angle(radius)
     twoj, cols = j.twoj, min(cols, j.dim)
     signs = (-1.0) ** np.arange(cols)
     turns, w = divmod(radius, math.pi)
@@ -166,6 +172,16 @@ def rotation_columns(j: HalfInteger, radius: float, cols: int) -> np.ndarray:
     if mirror:  # U_j(w)[x, k] = (-1)^(N + x + k) U_j(pi - w)[x, k]
         core = mirror_rows(core) * signs
     return -core if twoj * (int(turns) + mirror) % 2 else core
+
+
+def _check_angle(radius: float) -> None:
+    """Raise ``DomainError`` for a rotation angle whose double no longer holds
+    its value mod pi to half precision (``MAX_ANGLE``)."""
+    if not radius < MAX_ANGLE:
+        raise DomainError(
+            f"rotation angle |u|/sqrt(n) = {radius:.6g} is past 2^26, where its double "
+            "keeps fewer than half of its digits mod pi"
+        )
 
 
 def core_rows(twoj: int, radius: float, cols: int) -> int:
@@ -231,11 +247,12 @@ def rotation_walk(lo: int, hi: int, radius: float, cols: int) -> Iterator[tuple[
     over the steps up to it, 0 at 2j = lo: it bounds the trace any column
     of that core lost to it, and it never decreases along the walk.  The
     walk holds only the core it steps from, so the caller must not write
-    into a yielded core.  A range that is not one parity raises at the
-    call, before any core is built.
+    into a yielded core.  A range that is not one parity, or a radius of
+    ``MAX_ANGLE`` or more, raises at the call, before any core is built.
     """
     if not 0 <= lo <= hi or (hi - lo) % 2:
         raise DomainError(f"spin range 2j = {lo}..{hi} is not a same-parity range")
+    _check_angle(radius)
     return _walk(lo, hi, radius, cols)
 
 

@@ -16,9 +16,11 @@ real core.  ``factor_difference_eigvals`` diagonalizes F F^dag - G G^dag,
 two cores in one frame, on the span of the two low-rank factors instead of
 on the full space, in real arithmetic for real cores: on the rows the cores
 reach while they are at most ``QR_ROW_RATIO`` times the columns of [F G],
-else on the R of a QR of [F G].  ``mirror_trace_norm`` is the special case
-G = S F, S = diag((-1)^k), a state against its own mirror, which needs no
-stack and no QR.
+else on the R of a QR of [F G].  A caller that has formed F F^dag or
+G G^dag for its own use passes it along, and the kernel reads it wherever
+the difference lies on that core's own rows.  ``mirror_trace_norm`` is
+the special case G = S F, S = diag((-1)^k), a state against its own
+mirror, which needs no stack and no QR.
 ``trace_norm`` takes the one dense trace norm left, the forward distance
 over the leading rows the factors reach.
 
@@ -203,7 +205,22 @@ def mirror_trace_norm(core: np.ndarray) -> float:
     return 4.0 * float(np.linalg.svd(core[0::2] @ core[1::2].T, compute_uv=False).sum())
 
 
-def factor_difference_eigvals(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _gram_on(core: np.ndarray, gram: np.ndarray | None, rows: int, dtype) -> np.ndarray:
+    """core core^dag on ``rows`` rows (missing rows are zero).  ``gram`` is
+    that product on the core's own rows, if the caller has formed it; it is
+    read only when those are ``rows``, since the rounding of a BLAS product
+    depends on its row count (a few entries of a 117-row product move by an
+    ulp once it is padded to 236 rows)."""
+    if gram is not None and core.shape[0] == rows:
+        return gram
+    padded = np.zeros((rows, core.shape[1]), dtype=dtype)
+    padded[: core.shape[0]] = core
+    return padded @ padded.conj().T
+
+
+def factor_difference_eigvals(
+    f: np.ndarray, g: np.ndarray, f_gram: np.ndarray | None = None, g_gram: np.ndarray | None = None
+) -> np.ndarray:
     """Spectrum of F F^dag - G G^dag on the span of [F G], ascending.
 
     ``f`` and ``g`` are the cores F and G of two states in one frame (the
@@ -212,7 +229,10 @@ def factor_difference_eigvals(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     absolute values is its trace norm; a frame is a diagonal unitary, so the
     spectrum is the same in every frame.  The cores hold the leading rows of
     their operators (missing rows are zero), so they may differ in row
-    count.
+    count.  ``f_gram`` and ``g_gram``, when given, are f f^dag and g g^dag
+    on the cores' own rows, formed once by a caller that needs them too;
+    each is read only where the difference is taken on exactly those rows,
+    so every product is formed on the rows it is read on.
 
     The difference is diagonalized on the cheaper of two spaces.  While the
     rows are at most ``QR_ROW_RATIO`` times the columns of the stacked cores
@@ -227,12 +247,12 @@ def factor_difference_eigvals(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     rows = max(f.shape[0], g.shape[0])
     cols = f.shape[1] + g.shape[1]
     dtype = np.result_type(f, g, float)
+    if rows <= QR_ROW_RATIO * cols:
+        return np.linalg.eigvalsh(_gram_on(f, f_gram, rows, dtype) - _gram_on(g, g_gram, rows, dtype))
     fp = np.zeros((rows, f.shape[1]), dtype=dtype)
     gp = np.zeros((rows, g.shape[1]), dtype=dtype)
     fp[: f.shape[0]] = f
     gp[: g.shape[0]] = g
-    if rows <= QR_ROW_RATIO * cols:
-        return np.linalg.eigvalsh(fp @ fp.conj().T - gp @ gp.conj().T)
     if np.array_equal(fp, gp):
         return np.zeros(cols)
     r = np.linalg.qr(np.hstack([fp, gp]), mode="r")

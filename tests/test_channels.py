@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import replace
 
@@ -460,6 +461,19 @@ def test_sweep_point_matches_dense_recomputation(mu):
         assert 0.0 <= pt.error_bound < 1e-12
 
 
+@pytest.mark.parametrize("mu, u", [(0.51, LocalParam(1.0, -1.0)), (0.52, LocalParam(0.3, 0.2))])
+def test_sweep_point_next_to_one_half_matches_dense_recomputation(mu, u):
+    # phi's core is 883 to 904 rows here, past every concentration block, so
+    # block_max runs on the bracket; the dense oracle diagonalizes every
+    # block, and the two agree within the error bound and the oracle's
+    # rounding
+    params = ModelParams(256, mu)
+    pt = convergence_point(params, u)
+    want = dense_convergence_point(params, u)
+    for got, value in zip((pt.forward, pt.block_max, pt.reverse), want):
+        assert abs(got - value) <= pt.error_bound + 1e-13
+
+
 def test_sweep_point_block_max_skips_weightless_blocks():
     # at mu = 1 only the block 2j = n carries weight; the weightless blocks of
     # the concentration set (0.224 from 2j = 202 here) must not count
@@ -620,14 +634,50 @@ def test_sweep_point_error_bound_covers_skipped_blocks(monkeypatch):
     assert every.error_bound < shift <= coarse.error_bound
 
 
-@pytest.mark.parametrize("n", [256, 4096])
-def test_sweep_point_diagonalizes_each_pair_once(n, monkeypatch):
-    # every block held is diagonalized once, against its inverse-channel
-    # image; a block of at least the limit core's rows gets that core itself
-    # back, so only the concentration blocks of fewer rows are diagonalized
-    # again against phi, and block_max is the same per-block trace norm
-    u = LocalParam(1.0, -1.0)
-    params = ModelParams(n, 0.75)
+@functools.lru_cache(maxsize=None)
+def concentration_brackets(mu, n, u):
+    """(lower, upper, exact, short) of each concentration block at (mu, n, u),
+    in stream order: a short block (fewer rows than phi's core) has the
+    bracket of ``channels.distance_bracket``, from inputs taken here afresh,
+    and exact = its distance to phi (phi's core core^T formed once, as the
+    kernel does); a long block has its reverse term three times over."""
+    params = ModelParams(n, mu)
+    phi = displaced_thermal(u, mu)
+    g = phi.core
+    gram = g @ g.T
+    jset = set(concentration_set(params))
+    out = []
+    for b in ensemble(params, u).blocks:
+        if b.j not in jset:
+            continue
+        reverse = float(np.abs(factor_difference_eigvals(b.core, inverse_channel(phi, b.j))).sum())
+        if b.j.dim >= g.shape[0]:
+            out.append((reverse, reverse, reverse, False))
+            continue
+        leftover = float(np.sum(g[b.j.dim :] ** 2))
+        lower, upper = channels.distance_bracket(reverse, leftover, float(np.sum(b.core**2) - np.sum(g**2)))
+        exact = float(np.abs(factor_difference_eigvals(b.core, g, None, gram)).sum())
+        out.append((lower, upper, exact, True))
+    return tuple(out)
+
+
+def bracketed_calls(brackets, margin):
+    """The short blocks the bracket rule diagonalizes against phi: those whose
+    upper bound reaches the running maximum of the distances and lower
+    bounds before them, by ``margin``."""
+    seen, calls = 0.0, 0
+    for lower, upper, exact, short in brackets:
+        if short:
+            seen = max(seen, lower)
+            if upper + margin < seen:
+                continue
+            calls += 1
+        seen = max(seen, exact)
+    return calls
+
+
+def counted_convergence_point(params, u, monkeypatch):
+    """``convergence_point`` at (params, u), and the pair diagonalizations it made."""
     calls = []
 
     def counted(*args):
@@ -635,20 +685,62 @@ def test_sweep_point_diagonalizes_each_pair_once(n, monkeypatch):
         return factor_difference_eigvals(*args)
 
     monkeypatch.setattr(channels, "factor_difference_eigvals", counted)
-    pt = convergence_point(params, u)
+    return convergence_point(params, u), len(calls)
+
+
+@pytest.mark.parametrize("n", [256, 4096])
+def test_sweep_point_diagonalizes_each_pair_once(n, monkeypatch):
+    # every block held is diagonalized once, against its inverse-channel
+    # image; a block of at least the limit core's rows gets that core itself
+    # back, so only the concentration blocks of fewer rows can be
+    # diagonalized again against phi, and only those the bracket does not
+    # rule out; block_max is the same per-block trace norm
+    u = LocalParam(1.0, -1.0)
+    params = ModelParams(n, 0.75)
+    pt, calls = counted_convergence_point(params, u, monkeypatch)
     ens = ensemble(params, u)
     phi = displaced_thermal(u, 0.75)
     rows = phi.core.shape[0]
     jset = set(concentration_set(params))
     measured = [b for b in ens.blocks if b.j in jset]
     short = [b for b in measured if b.j.dim < rows]
-    assert len(calls) == len(ens.blocks) + len(short)
+    brackets = concentration_brackets(0.75, n, u)
+    assert calls == len(ens.blocks) + bracketed_calls(brackets, channels.bracket_margin(phi))
     assert (len(short) > 0) == (n == 256)
     block_max = 0.0
     for b in measured:
         eigs = factor_difference_eigvals(b.core, phi.core)
         block_max = max(block_max, float(np.abs(eigs).sum()))
     assert pt.block_max == block_max
+
+
+def test_block_max_next_to_one_half_diagonalizes_few_short_blocks(monkeypatch):
+    # at mu = 0.51 phi's core has 904 rows and each of the 48 short
+    # concentration blocks used to be diagonalized against all of it; the
+    # 2j = 0 block holds block_max, and its lower bound 2 eps rules out
+    # most blocks after it
+    u, params = LocalParam(1.0, -1.0), ModelParams(512, 0.51)
+    pt, calls = counted_convergence_point(params, u, monkeypatch)
+    brackets = concentration_brackets(0.51, 512, u)
+    short = sum(b[3] for b in brackets)
+    against_phi = calls - len(ensemble(params, u).blocks)
+    assert against_phi == bracketed_calls(brackets, channels.bracket_margin(displaced_thermal(u, 0.51)))
+    assert against_phi <= 15 < short == 48
+    assert pt.block_max == max(b[2] for b in brackets)
+
+
+@pytest.mark.parametrize("mu", [0.51, 0.55, 0.75, 0.9])
+@pytest.mark.parametrize("n", [16, 64, 256, 512])
+@pytest.mark.parametrize("u", [LocalParam(1.0, -1.0), LocalParam(3.0, 0.0), LocalParam(0.2, 0.1)])
+def test_block_max_bracket_holds_block_by_block(mu, n, u):
+    # each short block's distance to phi lies in its bracket, to the
+    # rounding the kernel's margin allows for: where phi's trace off the
+    # block is below 1e-23 the bracket closes on the distance, and rounding
+    # crosses it by up to 8e-16 (mu = 0.75, n = 256, u = (3, 0))
+    margin = channels.bracket_margin(displaced_thermal(u, mu))
+    for lower, upper, exact, short in concentration_brackets(mu, n, u):
+        if short:
+            assert lower - margin <= exact <= upper + margin
 
 
 def longer_run(monkeypatch, u, mu):

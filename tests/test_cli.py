@@ -5,6 +5,7 @@ import json
 import os
 import re
 import resource
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -489,6 +490,30 @@ def test_refused_allocation_is_a_memory_error(command):
     assert result.stderr.startswith("error: memory: ") and result.stderr.count("\n") == 1
     assert result.stdout == ""
 
+
+
+def test_pooled_discrimination_past_the_angle_rule_exits_two():
+    # |u|/sqrt(n) = 3.9e17 keeps no digit mod pi: each finite-n task fails
+    # before its walk, so the pool has no running task to wait for and the
+    # run exits 2 with one line; its own process group lets a run that
+    # hangs be stopped whole, pool workers too
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
+    argv = ["discriminate", "--mu", "0.75", "--n", "65536", "--grid=1e20:-1:2,-1:1:5", "--workers", "2"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "spingauss.cli", *argv],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=20)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("the pooled run had not exited after 20 s")
+    assert proc.returncode == 2
+    assert err.startswith("error: config: ") and err.count("\n") == 1
+    assert out == ""
 
 # |u| = 1.3 at four angles; each hypot(u_x, u_y) is the double 1.3
 COVARIANT_GRID = ((1.3, 0.0), (-0.5, 1.2), (-0.78, -1.04), (1.2, -0.5))

@@ -43,6 +43,9 @@ from spingauss.qubit_model import (
     ModelParams,
     block_weight,
     concentration_set,
+    multiplicity,
+    occurring_range,
+    rotated_blocks,
     valid_spins,
 )
 from spingauss.reference import (
@@ -97,23 +100,48 @@ def test_helstrom_symmetry_and_unitary_invariance():
         assert abs(r1 - r3) < 1e-10
 
 
+def tensor_discrimination_risk(mu, n, u):
+    """Oracle: the risk from the full 2^n-dimensional product states at +-u."""
+    one = []
+    for v in (u, -u):
+        um = rotation_unitary(HalfInteger(1), v.scaled(1 / math.sqrt(n)))
+        one.append(um @ np.diag([mu, 1 - mu]).astype(complex) @ um.conj().T)
+    big_plus, big_minus = one
+    for _ in range(n - 1):
+        big_plus = np.kron(big_plus, one[0])
+        big_minus = np.kron(big_minus, one[1])
+    return 0.5 * (1 - 0.5 * trace_norm(big_plus - big_minus))
+
+
 def test_helstrom_ensembles_vs_brute_force_tensor_oracle():
     # oracle: build the full 2^n-dimensional states and take the trace norm
     mu, n = 0.8, 5
     u = LocalParam(0.6, -0.3)
-    params = ModelParams(n, mu)
-    got = finite_n_discrimination(params, u).risk
-    um = rotation_unitary(HalfInteger(1), u.scaled(1 / math.sqrt(n)))
-    one_plus = um @ np.diag([mu, 1 - mu]).astype(complex) @ um.conj().T
-    um_m = rotation_unitary(HalfInteger(1), (-u).scaled(1 / math.sqrt(n)))
-    one_minus = um_m @ np.diag([mu, 1 - mu]).astype(complex) @ um_m.conj().T
-    big_plus = one_plus
-    big_minus = one_minus
-    for _ in range(n - 1):
-        big_plus = np.kron(big_plus, one_plus)
-        big_minus = np.kron(big_minus, one_minus)
-    want = 0.5 * (1 - 0.5 * trace_norm(big_plus - big_minus))
-    assert got == pytest.approx(want, abs=1e-10)
+    got = finite_n_discrimination(ModelParams(n, mu), u).risk
+    assert got == pytest.approx(tensor_discrimination_risk(mu, n, u), abs=1e-10)
+
+
+@pytest.mark.parametrize("mu", [0.51, 0.52])
+def test_next_to_one_half_blocks_and_risk_match_the_tensor_oracle(mu):
+    # next to 1/2 the block spectra are nearly flat and the limit core is
+    # hundreds of rows; at n <= 10 every block occurs and keeps its rank, so
+    # the streamed blocks hold the whole 2^n spectrum of the product state,
+    # eigenvalue by eigenvalue, and the risk is that of the 2^n states
+    u = LocalParam(0.6, -0.3)
+    for n in range(1, 11):
+        params = ModelParams(n, mu)
+        lo, hi, skipped = occurring_range(params)
+        assert skipped == 0.0
+        got = []
+        for b in rotated_blocks(params, u, lo, hi):
+            count = multiplicity(n, b.j)
+            held = np.linalg.svd(b.core, compute_uv=False) ** 2
+            got.extend(np.repeat(b.weight * held / count, count))
+        want = [mu**k * (1 - mu) ** (n - k) for k in range(n + 1) for _ in range(math.comb(n, k))]
+        assert len(got) == 2**n
+        np.testing.assert_allclose(np.sort(got), np.sort(want), rtol=0, atol=1e-14)
+        risk = finite_n_discrimination(params, u).risk
+        assert risk == pytest.approx(tensor_discrimination_risk(mu, n, u), abs=1e-12)
 
 
 def dense_discrimination_risk(params, u):
@@ -132,6 +160,15 @@ def test_finite_n_discrimination_matches_dense_blocks(mu):
         res = finite_n_discrimination(params, u)
         assert res.risk == pytest.approx(dense_discrimination_risk(params, u), abs=1e-12)
         assert 0.0 <= res.error_bound < 1e-13
+
+
+@pytest.mark.parametrize("mu, u", [(0.51, LocalParam(1.0, -1.0)), (0.52, LocalParam(0.3, 0.2))])
+def test_finite_n_discrimination_next_to_one_half_matches_dense_blocks(mu, u):
+    # at n = 256 the oracle diagonalizes every block densely; the two agree
+    # within the error bound and the oracle's rounding
+    params = ModelParams(256, mu)
+    res = finite_n_discrimination(params, u)
+    assert abs(res.risk - dense_discrimination_risk(params, u)) <= res.error_bound + 1e-13
 
 
 @pytest.mark.parametrize("mu", [0.75, 1.0])
@@ -210,6 +247,21 @@ def test_finite_n_discrimination_symmetries():
     r_minus = finite_n_discrimination(params, -u).risk
     assert abs(r_plus - r_minus) < 1e-14
     assert finite_n_discrimination(params, LocalParam(0, 0)).risk == pytest.approx(0.5, abs=1e-12)
+
+
+def test_finite_n_discrimination_rejects_an_angle_past_the_rule(monkeypatch):
+    # |u|/sqrt(n) = 2.5e19 has no digit left mod pi (it used to return risk
+    # 0.2346 with error_bound 0); the rule raises before any walk is started
+    walks = []
+    monkeypatch.setattr(irreps, "_walk", lambda *args: walks.append(args))
+    with pytest.raises(DomainError, match="rotation angle"):
+        finite_n_discrimination(ModelParams(16, 0.75), LocalParam(1e20, 0.0))
+    assert walks == []
+    # the rule is on the angle itself: 2^26 raises, the double below it runs
+    below = math.nextafter(irreps.MAX_ANGLE, 0.0)
+    assert irreps.rotation_columns(HalfInteger(4), below, 2).shape[1] == 2
+    with pytest.raises(DomainError):
+        irreps.rotation_columns(HalfInteger(4), irreps.MAX_ANGLE, 2)
 
 
 def test_position_measurement_risk_values():
