@@ -314,12 +314,10 @@ def run_measure_compare(cfg: dict[str, object]) -> list[ReportRow]:
 
 
 def run_risk(cfg: dict[str, object]) -> list[ReportRow]:
+    mc = McSpec(cfg["seed"], cfg["samples"]) if cfg["samples"] else None
     rows: list[ReportRow] = []
     for mu in cfg["mu"]:
-        if cfg["samples"] > 0:
-            est = heterodyne_estimation_risk(mu, mc=McSpec(seed=cfg["seed"], samples=cfg["samples"]))
-        else:
-            est = heterodyne_estimation_risk(mu)
+        est = heterodyne_estimation_risk(mu, mc=mc)
         rows.append(ReportRow(0, mu, 0.0, 0.0, "heterodyne_risk", est.value, est.error_bound))
         rows.append(ReportRow(0, mu, 0.0, 0.0, "heterodyne_risk_reference_derived", heterodyne_risk_reference(mu), 0.0))
     return rows

@@ -36,7 +36,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DomainError
-from .numerics import coherent_row_support, gauge_phases, mirror_rows, three_term_columns, trim_rows
+from .numerics import NEGLIGIBLE_RADIUS, coherent_row_support, gauge_phases, mirror_rows, three_term_columns, trim_rows
 
 # Largest rotation angle |w| taken: from 2^26 on, the spacing of doubles is
 # at least 2^-26, so w mod pi keeps fewer than half of a double's digits.
@@ -117,7 +117,7 @@ def _krawtchouk_columns(twoj: int, w: float, cols: int) -> np.ndarray:
     M[x, k] = (-1)^(x+k) M[2j - x, 2j - k] (M commutes with R = U_j(pi/2)),
     since past k = j the recurrence loses its growth on the last rows.
     """
-    if w == 0.0:
+    if w < NEGLIGIBLE_RADIUS:
         return np.eye(cols)
     s, c = math.sin(w), math.cos(w)
     half = min(cols, twoj // 2 + 1)
@@ -154,7 +154,8 @@ def rotation_columns(j: HalfInteger, radius: float, cols: int) -> np.ndarray:
     b_k = p (N - 2k) + k, c_k = sqrt(p q k (N - k + 1)).  The recurrence is
     stable for p <= 1/2, so w is first taken to [0, pi/4] by
     U_j(w + pi) = (-1)^N U_j(w), U_j(-w) = S U_j(w) S and
-    U_j(w) = R U_j(w - pi/2), R[N - k, k] = (-1)^k.  At radius 0 the
+    U_j(w) = R U_j(w - pi/2), R[N - k, k] = (-1)^k.  Below
+    ``numerics.NEGLIGIBLE_RADIUS``, where the recurrence would overflow, the
     columns are the identity.  The rows are those the columns reach (at
     most 2j + 1), up to the trailing ones below ``numerics.WALK_TRIM``.  A
     radius of ``MAX_ANGLE`` or more raises ``DomainError``.

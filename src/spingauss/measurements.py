@@ -63,9 +63,10 @@ from .oscillator import (
 from .qubit_model import (
     BlockState,
     ModelParams,
-    block_spectrum,
     concentration_range,
     effective_rank,
+    eigenvalue_ratio,
+    geometric_spectrum,
     occurring_range,
     rotated_blocks,
 )
@@ -142,16 +143,14 @@ def position_measurement_risk(u: LocalParam) -> float:
 def heterodyne_risk_reference(mu: float) -> float:
     """Derived closed form mu/(2 mu - 1)^2 for the heterodyne mean square
     error; mu outside (1/2, 1] raises ``DomainError``, as the risk does."""
-    if not 0.5 < mu <= 1.0:
-        raise DomainError(f"mu must lie in (1/2, 1], got {mu!r}")
+    eigenvalue_ratio(mu)
     return mu / (2.0 * mu - 1.0) ** 2
 
 
 def heterodyne_outcome_std(mu: float) -> float:
     """Per-axis standard deviation sqrt(mu/2)/(2 mu - 1) of the outcome
     density; mu outside (1/2, 1] raises ``DomainError``, as the risk does."""
-    if not 0.5 < mu <= 1.0:
-        raise DomainError(f"mu must lie in (1/2, 1], got {mu!r}")
+    eigenvalue_ratio(mu)
     return math.sqrt(mu / 2.0) / (2.0 * mu - 1.0)
 
 
@@ -212,8 +211,7 @@ def heterodyne_estimation_risk(mu: float, mc: McSpec | None = None) -> RiskEstim
         (value, mass), (coarse, _) = moments
         resolution = abs(coarse - value)
         tail = math.exp(-radius ** 2 / (2.0 * sig * sig))
-        p = (1.0 - mu) / mu
-        rank_cut = p ** effective_rank(p)
+        rank_cut = geometric_spectrum(eigenvalue_ratio(mu))[1]
         rounding = QUADRATURE_ORDER * 2.0 ** -52 * value
         bound = resolution + tail * (radius ** 2 + 4 * sig * sig) + rank_cut * radius ** 2 + rounding
         if bound > 0.02 * max(value, 1e-12):
@@ -334,7 +332,7 @@ class _Covariant(NamedTuple):
         <j, w| U rho_j U^dag |j, w> = (1 - p)/(1 - p^(2j+1)) (1 - (1 - p) s^2)^(2j)
         (Arecchi, Courtens, Gilmore & Thomas, PRA 6, 2211, 1972).
         """
-        scale = [(twoj + 1) / (4.0 * math.pi) * block_spectrum(self.p, twoj + 1, 1)[0] for twoj in twojs]
+        scale = [(twoj + 1) / (4.0 * math.pi) * geometric_spectrum(self.p, twoj + 1)[0][0] for twoj in twojs]
         dens = np.asarray(twojs, dtype=float)[:, None] * self.log_q
         np.exp(dens, out=dens)
         dens *= np.array(scale)[:, None]

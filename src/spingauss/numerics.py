@@ -50,6 +50,13 @@ QR_ROW_RATIO = 1.3
 # Trailing rows of a column core whose entries all lie below this are dropped
 # (each dropped entry is at most 1e-34 of trace).
 WALK_TRIM = 1e-17
+# Rotation and displacement radii below this are 0 to the column kernels
+# (the identity columns): the recurrence divides by couplings of about the
+# radius, so its quotients reach rows / radius, which from this radius up
+# stays below 2^1024 for any core of fewer than 2^24 rows (more than fits in
+# memory), and below it the columns' off-diagonal entries, about the radius,
+# lie far below rounding.
+NEGLIGIBLE_RADIUS = 2.0 ** -1000
 
 
 def as_square_matrix(a, name: str = "matrix") -> np.ndarray:

@@ -11,9 +11,10 @@ No Fock cutoff is chosen.  A core holds every row the column kernel
 (``displacement_columns``) reaches, which is where the number-basis columns
 of D(z) fall below ``numerics.WALK_TRIM``, so the only approximation a
 state carries is the rank cut of its spectrum.  Its trace is the state's
-``deficit``: p^r for the displaced thermal state, the closed form of the
-thermal weights past the effective rank r, as
-``qubit_model.discarded_weight`` gives for a block.
+``deficit``: p^r for the displaced thermal state, the thermal weights past
+the effective rank r.  The thermal state is the limit of a spin block, so
+``qubit_model.geometric_spectrum`` gives its kept weights and that cut, as
+it does a block's.
 
 Coherent rows are real: ``_coherent_rows`` takes real amplitudes t, the
 coherent vector at |z| in the frame of arg z, and a complex vector is that
@@ -45,6 +46,7 @@ from numpy.polynomial import legendre
 from .errors import DomainError
 from .irreps import LocalParam
 from .numerics import (
+    NEGLIGIBLE_RADIUS,
     coherent_row_support,
     gauge_phases,
     mirror_rows,
@@ -52,7 +54,7 @@ from .numerics import (
     three_term_columns,
     trim_rows,
 )
-from .qubit_model import effective_rank
+from .qubit_model import eigenvalue_ratio, geometric_spectrum
 
 # Rows of the coherent-row recurrence between restarts from the closed form,
 # and weights per block of the radial thermal sum (``heterodyne_pdf_kernel``);
@@ -161,11 +163,13 @@ def displacement_columns(t: float, cols: int) -> np.ndarray:
     and D(-z) = S D(z) S with S = diag((-1)^k).  The columns of M are
     Charlier functions: with a = t^2, column 0 is the coherent vector at t
     and ``numerics.three_term_columns`` runs b_k = k + a, c_k = sqrt(a k).
-    At t = 0 the columns are the identity.  The rows are those the columns
-    reach, up to the trailing ones below ``numerics.WALK_TRIM``; a row count
-    that is not finite or that no array can index raises ``DomainError``.
+    Below ``numerics.NEGLIGIBLE_RADIUS``, 0 included, where the recurrence
+    would overflow, the columns are the identity.  The rows are those the
+    columns reach, up to the trailing ones below ``numerics.WALK_TRIM``; a
+    row count that is not finite or that no array can index raises
+    ``DomainError``.
     """
-    if t == 0.0:
+    if t < NEGLIGIBLE_RADIUS:
         return np.eye(cols)
     # the rows are counted before anything is allocated, first on a
     # product, which overflows to inf where ``** 2`` would raise
@@ -190,21 +194,10 @@ def displaced_thermal(u: LocalParam, mu: float) -> FockOperator:
     access.  The deficit is the closed form p^r of the thermal weights past
     the rank cut (exactly 0 for the pure state, p = 0).
     """
-    scale, deficit = _thermal_factors(mu)
-    core = displacement_columns(math.sqrt(2.0 * mu - 1.0) * u.norm, len(scale))
-    core *= scale[None, :]
+    lam, deficit = geometric_spectrum(eigenvalue_ratio(mu))
+    core = displacement_columns(math.sqrt(2.0 * mu - 1.0) * u.norm, len(lam))
+    core *= np.sqrt(lam)[None, :]
     return FockOperator(core, deficit=deficit)
-
-
-def _thermal_factors(mu: float) -> tuple[np.ndarray, float]:
-    """The square roots of the thermal weights (1 - p) p^k, p = (1 - mu)/mu,
-    for k below the effective rank r, and p^r, the trace past the rank cut;
-    mu outside (1/2, 1] raises ``DomainError``."""
-    if not 0.5 < mu <= 1.0:
-        raise DomainError(f"mu must lie in (1/2, 1], got {mu!r}")
-    p = (1.0 - mu) / mu
-    r = effective_rank(p)
-    return np.sqrt((1.0 - p) * p ** np.arange(r)), p ** r
 
 
 @lru_cache(maxsize=None)
@@ -352,15 +345,16 @@ def heterodyne_pdf_kernel(mu: float) -> Callable[[np.ndarray], np.ndarray]:
     so the displaced thermal state's density at u_hat is the thermal state's
     at u_hat - u, rank cut included, and that one is radial:
     (2 mu - 1)/pi sum_k lambda_k e^{-y} y^k/k!, y = (2 mu - 1) rho^2, with
-    lambda_k the thermal weights cut at ``RANK_CUT``, the squares of the
-    factors ``displaced_thermal`` scales its columns with.  No coherent row
+    lambda_k the thermal weights kept by the rank cut
+    (``qubit_model.geometric_spectrum``), whose square roots
+    ``displaced_thermal`` scales its columns with.  No coherent row
     is formed: the sum runs in blocks of ``COHERENT_ANCHOR`` weights from
     the anchors a, each block a Horner sum in y with the coefficients
     lambda_{a+i} a!/(a+i)!, weighed by the Poisson pmf e^{-y} y^a/a!
     (``_log_poisson``).  Each distance's density is computed alone, so a
     chunk's result does not depend on how the distances were cut into chunks.
     """
-    lam = _thermal_factors(mu)[0] ** 2
+    lam = geometric_spectrum(eigenvalue_ratio(mu))[0]
     s2 = 2.0 * mu - 1.0
     blocks = []
     for a in range(0, len(lam), COHERENT_ANCHOR):

@@ -19,12 +19,17 @@ keep.  The blocks are a stream: every experiment reads each block once,
 in ascending 2j, so ``rotated_blocks`` yields them one at a time, and no
 list of cores or tuple of blocks is held on the run path: the TV grid
 takes a chunk at a time (the materialized state is the oracle
-``spingauss.reference.ensemble``).  A
-rotated block is stored as a low-rank factor: the unrotated block has
-spectrum proportional to p^k, so the eigenvalues below RANK_CUT are
-dropped and rho_j ~ F F^dag with F the rotated leading columns scaled by
-the square roots of the kept eigenvalues.  The dropped trace is recorded
-per block.  The run path takes spins as 2j integers
+``spingauss.reference.ensemble``).
+
+Every state has one spectrum.  An unrotated block and the thermal state,
+its 2j -> infinity limit, have eigenvalues proportional to p^k,
+p = (1 - mu)/mu (``eigenvalue_ratio``, the one check of mu's domain), and
+``geometric_spectrum`` gives both: the eigenvalues above RANK_CUT, and the
+trace of the rest.  A rotated block is stored as a low-rank factor,
+rho_j ~ F F^dag with F the rotated leading columns scaled by the square
+roots of the kept eigenvalues, and the dropped trace is recorded per
+block; the oscillator's displaced thermal state takes the same pair.
+The run path takes spins as 2j integers
 (``occurring_range``, ``concentration_range``); ``valid_spins`` and
 ``concentration_set``, the ``HalfInteger`` view of ``concentration_range``,
 build one per spin for the lemma API.
@@ -92,15 +97,25 @@ class ModelParams:
         if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 1:
             raise DomainError(f"n must be a positive integer, got {self.n!r}")
         object.__setattr__(self, "n", int(self.n))
-        if not 0.5 < self.mu <= 1.0:
-            raise DomainError(f"mu must lie in (1/2, 1], got {self.mu!r}")
+        eigenvalue_ratio(self.mu)
         if not 0.0 < self.epsilon < 0.5:
             raise DomainError(f"epsilon must lie in (0, 1/2), got {self.epsilon!r}")
 
     @property
     def p(self) -> float:
         """Eigenvalue ratio (1 - mu)/mu in [0, 1)."""
-        return (1.0 - self.mu) / self.mu
+        return eigenvalue_ratio(self.mu)
+
+
+def eigenvalue_ratio(mu: float) -> float:
+    """p = (1 - mu)/mu, the ratio of a qubit's two eigenvalues, in [0, 1).
+
+    The one check of the domain mu in (1/2, 1]: anything else, a bool or
+    nan included, raises ``DomainError``.
+    """
+    if isinstance(mu, (bool, np.bool_)) or not 0.5 < mu <= 1.0:
+        raise DomainError(f"mu must lie in (1/2, 1], got {mu!r}")
+    return (1.0 - mu) / mu
 
 
 @dataclass(frozen=True)
@@ -293,23 +308,20 @@ def effective_rank(p: float, dim: int | None = None) -> int:
     return rank if dim is None else min(dim, rank)
 
 
-def block_spectrum(p: float, dim: int, count: int | None = None) -> np.ndarray:
-    """Leading ``count`` eigenvalues (1-p) p^k / (1 - p^dim) of an unrotated block."""
-    count = dim if count is None else count
-    if p == 0.0:
-        out = np.zeros(count)
-        out[0] = 1.0
-        return out
-    c = (1.0 - p) / (1.0 - p ** dim)
-    return c * p ** np.arange(count)
+def geometric_spectrum(p: float, dim: int | None = None) -> tuple[np.ndarray, float]:
+    """(kept, cut): the eigenvalues (1 - p) p^k / (1 - p^dim) of a state of
+    ``dim`` levels for k below ``effective_rank(p, dim)``, and the trace
+    (p^r - p^dim) / (1 - p^dim) the rank cut r drops, 0 where it drops none.
 
-
-def discarded_weight(p: float, dim: int) -> float:
-    """Trace the rank cut drops from a block: (p^r - p^dim) / (1 - p^dim)."""
+    Every state of the package has this spectrum: an unrotated block of
+    2j + 1 levels and, at ``dim=None``, the thermal state, its 2j -> infinity
+    limit, where p^dim is 0.
+    """
     r = effective_rank(p, dim)
-    if r == dim:
-        return 0.0
-    return (p ** r - p ** dim) / (1.0 - p ** dim)
+    tail = 0.0 if dim is None else p ** dim
+    norm = 1.0 - tail
+    kept = (1.0 - p) / norm * p ** np.arange(r)
+    return kept, 0.0 if r == dim else (p ** r - tail) / norm
 
 
 def occurring_range(params: ModelParams) -> tuple[int, int, float]:
@@ -344,7 +356,7 @@ def rotated_blocks(params: ModelParams, u: LocalParam, lo: int, hi: int) -> Iter
     walk = rotation_walk(lo, hi, u.norm / math.sqrt(params.n), effective_rank(p))
     for twoj, (core, trimmed) in zip(range(lo, hi + 1, 2), walk):
         j = HalfInteger(twoj)
+        kept, cut = geometric_spectrum(p, j.dim)
         # out of place: the walk steps on from its own core
-        core = core * np.sqrt(block_spectrum(p, j.dim, core.shape[1]))
-        yield BlockState(j, weights[twoj // 2], core, discarded_weight(p, j.dim) + trimmed)
+        yield BlockState(j, weights[twoj // 2], core * np.sqrt(kept), cut + trimmed)
 

@@ -58,7 +58,6 @@ from .qubit_model import (
     ModelParams,
     _check_spin,
     _log_binomial_pmf,
-    block_spectrum,
     block_weight,
     log_block_weight,
     occurring_range,
@@ -394,9 +393,14 @@ def half_step_walk(
 
 
 def block_state_zero(params: ModelParams, j: HalfInteger) -> np.ndarray:
-    """Unrotated spin-j block: diagonal entries proportional to p^k, descending m."""
+    """Unrotated spin-j block: diagonal entries proportional to p^k, descending m.
+
+    The whole spectrum, normalized by its own sum: the oracle of the closed
+    form ``qubit_model.geometric_spectrum`` and of its rank cut.
+    """
     _check_spin(params.n, j)
-    return np.diag(block_spectrum(params.p, j.dim)).astype(complex)
+    lam = params.p ** np.arange(j.dim)
+    return np.diag(lam / lam.sum()).astype(complex)
 
 
 def block_state(params: ModelParams, j: HalfInteger, u: LocalParam) -> np.ndarray:

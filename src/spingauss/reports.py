@@ -10,7 +10,7 @@ special mode.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 
@@ -39,6 +39,15 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+# Every column of a report row, in ``ReportRow`` field order: its name, its
+# CSV text and the parser that reads it back, by the field's type.
+_COLUMNS = tuple(
+    (f.name, *{"int": (str, int), "float": (_fmt, float), "str": (str, str)}[f.type])
+    for f in fields(ReportRow)
+)
+_HEADER = ",".join(name for name, _, _ in _COLUMNS)
+
+
 def render_csv(report: RiskReport) -> str:
     lines = [f"# spingauss {report.experiment} report"]
     lines.append(f"# version = {report.version}")
@@ -47,21 +56,9 @@ def render_csv(report: RiskReport) -> str:
         if key == "seed":
             continue
         lines.append(f"# {key} = {report.config[key]}")
-    lines.append("n,mu,u_x,u_y,statistic,value,error_bound")
+    lines.append(_HEADER)
     for r in report.rows:
-        lines.append(
-            ",".join(
-                [
-                    str(r.n),
-                    _fmt(r.mu),
-                    _fmt(r.u_x),
-                    _fmt(r.u_y),
-                    r.statistic,
-                    _fmt(r.value),
-                    _fmt(r.error_bound),
-                ]
-            )
-        )
+        lines.append(",".join(text(getattr(r, name)) for name, text, _ in _COLUMNS))
     return "\n".join(lines) + "\n"
 
 
@@ -71,18 +68,7 @@ def render_json(report: RiskReport) -> str:
         "version": report.version,
         "seed": report.seed,
         "config": dict(sorted(report.config.items())),
-        "rows": [
-            {
-                "n": r.n,
-                "mu": r.mu,
-                "u_x": r.u_x,
-                "u_y": r.u_y,
-                "statistic": r.statistic,
-                "value": r.value,
-                "error_bound": r.error_bound,
-            }
-            for r in report.rows
-        ],
+        "rows": [{name: getattr(r, name) for name, _, _ in _COLUMNS} for r in report.rows],
     }
     return json.dumps(payload, indent=2, sort_keys=False) + "\n"
 
@@ -114,18 +100,7 @@ def read_report(path: str) -> RiskReport:
 def _parse_report(text: str) -> RiskReport:
     if text.lstrip().startswith("{"):
         payload = json.loads(text)
-        rows = tuple(
-            ReportRow(
-                n=int(r["n"]),
-                mu=float(r["mu"]),
-                u_x=float(r["u_x"]),
-                u_y=float(r["u_y"]),
-                statistic=str(r["statistic"]),
-                value=float(r["value"]),
-                error_bound=float(r["error_bound"]),
-            )
-            for r in payload["rows"]
-        )
+        rows = tuple(ReportRow(*(parse(r[name]) for name, _, parse in _COLUMNS)) for r in payload["rows"])
         return RiskReport(
             experiment=payload.get("experiment", "unknown"),
             version=payload.get("version", ""),
@@ -157,24 +132,14 @@ def _parse_report(text: str) -> RiskReport:
                     config[key] = val
             continue
         if not header_seen:
-            if line != "n,mu,u_x,u_y,statistic,value,error_bound":
+            if line != _HEADER:
                 raise ConfigError(f"unrecognized report header: {line!r}")
             header_seen = True
             continue
         parts = line.split(",")
-        if len(parts) != 7:
+        if len(parts) != len(_COLUMNS):
             raise ConfigError(f"malformed report row: {line!r}")
-        rows_list.append(
-            ReportRow(
-                n=int(parts[0]),
-                mu=float(parts[1]),
-                u_x=float(parts[2]),
-                u_y=float(parts[3]),
-                statistic=parts[4],
-                value=float(parts[5]),
-                error_bound=float(parts[6]),
-            )
-        )
+        rows_list.append(ReportRow(*(parse(text) for (_, _, parse), text in zip(_COLUMNS, parts))))
     if not header_seen:
         raise ConfigError("not a spingauss report (missing header row)")
     return RiskReport(experiment, version, seed, config, tuple(rows_list))

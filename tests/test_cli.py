@@ -297,20 +297,27 @@ def test_plot_draws_one_line_per_mu_and_u(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "case", ["csv-value", "json-truncated", "json-no-rows", "json-row-not-object", "json-config-not-object"]
+    "case",
+    [
+        "csv-value", "csv-short-row", "json-truncated", "json-no-rows", "json-row-not-object",
+        "json-row-missing-key", "json-config-not-object",
+    ],
 )
 def test_plot_malformed_report_is_a_config_error(case, tmp_path, capsys):
-    # a bad number, a cut-off file, a missing key and a value of the wrong
-    # type each exit 2 with one config line, not a traceback
+    # a bad number, a short row, a cut-off file, a missing key and a value
+    # of the wrong type each exit 2 with one config line, not a traceback
     fmt = case.split("-")[0]
     good, bad = tmp_path / f"good.{fmt}", tmp_path / f"bad.{fmt}"
     argv = ["convergence", "--n", "8,16", "--mu", "0.75", "--grid", "0", "--format", fmt]
     assert run_cli(argv + ["--out", str(good)]) == 0
     text = good.read_text(encoding="utf-8")
-    if case == "csv-value":
+    if case.startswith("csv"):
         lines = text.splitlines()
         fields = lines[-1].split(",")
-        fields[5] = "abc"
+        if case == "csv-value":
+            fields[5] = "abc"
+        else:
+            del fields[-1]
         lines[-1] = ",".join(fields)
         bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
     elif case == "json-truncated":
@@ -319,6 +326,10 @@ def test_plot_malformed_report_is_a_config_error(case, tmp_path, capsys):
         bad.write_text('{"experiment": "convergence", "version": "0"}\n', encoding="utf-8")
     elif case == "json-row-not-object":
         bad.write_text('{"rows": [1, 2]}\n', encoding="utf-8")
+    elif case == "json-row-missing-key":
+        row = json.loads(text)["rows"][0]
+        del row["error_bound"]
+        bad.write_text(json.dumps({"rows": [row]}) + "\n", encoding="utf-8")
     else:
         bad.write_text('{"config": ["mu"], "rows": []}\n', encoding="utf-8")
     capsys.readouterr()
@@ -469,6 +480,20 @@ def test_grid_point_past_any_array_index_names_z(command, point, capsys):
     assert run_cli([command, "--mu", "0.75", "--n", "16", "--grid", point]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: config: |z| = ") and "array can index" in err
+
+
+@pytest.mark.parametrize("command", ["convergence", "discriminate", "measure-compare"])
+def test_subnormal_grid_point_is_the_origin(command, tmp_path):
+    # |u| = 1e-320 once divided the column recurrence by a subnormal coupling:
+    # convergence and discriminate raised, measure-compare reported nan
+    rows = {}
+    for point in ("1e-320,0", "0,0"):
+        out = tmp_path / f"{point}.json"
+        assert run_cli([command, "--n", "16", "--mu", "0.75", "--grid", point, "--format", "json", "--out", str(out)]) == 0
+        rows[point] = read_report(str(out)).rows
+    for tiny, zero in zip(rows["1e-320,0"], rows["0,0"], strict=True):
+        assert tiny.statistic == zero.statistic
+        assert abs(tiny.value - zero.value) <= 1e-15 and abs(tiny.error_bound - zero.error_bound) <= 1e-15
 
 
 @pytest.mark.parametrize("command", ["discriminate", "convergence"])

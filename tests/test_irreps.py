@@ -196,6 +196,27 @@ def test_rotation_columns_where_the_start_column_underflows():
     assert np.diag(got).min() > 0.99
 
 
+# radii down to the least subnormal double; from about 1e-306 on the
+# recurrence would divide by a subnormal coupling and overflow
+VANISHING_RADII = [10.0 ** -k for k in range(290, 324)] + [5e-324]
+
+
+@pytest.mark.parametrize("radius", VANISHING_RADII)
+def test_rotation_columns_at_a_vanishing_radius_are_the_identity(radius):
+    for twoj, cols in ((1, 2), (16, 17), (256, 33), (1024, 200)):
+        core = rotation_columns(HalfInteger(twoj), radius, cols)
+        np.testing.assert_allclose(core, np.eye(cols), rtol=0, atol=1e-280)
+
+
+@pytest.mark.parametrize("radius", [1e-300, 1e-200, 1e-20])
+def test_rotation_columns_at_a_tiny_radius_still_run_the_recurrence(radius):
+    # the identity takes over only below the radii the recurrence can run:
+    # at 1e-300 column 0 is still sqrt(2j) sin w cos^(2j-1) w on row 1
+    core = rotation_columns(HalfInteger(16), radius, 17)
+    assert core[1, 0] == pytest.approx(4.0 * radius, rel=1e-14)
+    assert core[0, 1] == -core[1, 0]
+
+
 def walk(lo, hi, radius, cols):
     """Every core ``rotation_walk`` yields, as one list, and the mass trimmed
     over the whole walk."""

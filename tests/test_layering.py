@@ -25,7 +25,11 @@ reads ``NEGLIGIBLE_WEIGHT`` or calls ``rotation_walk``, and none but
 the TV grid hold the one selection ``qubit_model.occurring_range`` makes.
 And ``qubit_model`` compares no blocks: it never names
 ``factor_difference_eigvals``, so each experiment takes the distances of
-the one block stream it reads.
+the one block stream it reads.  Every state has one spectrum: outside
+``qubit_model`` (and ``reference``) no module forms the eigenvalue ratio
+(1 - mu)/mu, names the rank cut ``RANK_CUT`` or raises the mu-domain
+message, so ``geometric_spectrum`` alone gives kept weights and cut
+traces, and ``eigenvalue_ratio`` alone checks mu.
 Every Gauss-Legendre rule comes from the one cached function
 ``oscillator._gauss_legendre``, every coherent row from the one kernel
 ``oscillator._coherent_rows``, which runs in real arithmetic alone (a
@@ -220,6 +224,43 @@ def test_only_qubit_model_selects_and_rotates_blocks():
 
     assert offenders({"NEGLIGIBLE_WEIGHT", "rotation_walk"}, ("qubit_model.py", "irreps.py", "reference.py")) == []
     assert offenders({"block_weights"}, ("qubit_model.py", "reference.py")) == []
+
+
+MU_DOMAIN = "mu must lie in (1/2, 1]"
+
+
+def spectrum_forms(tree: ast.AST) -> list[str]:
+    """Every eigenvalue ratio (1 - x) / x ``tree`` forms, every string
+    holding the mu-domain message, and every name ``RANK_CUT``."""
+    found = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.Div)
+            and isinstance(node.left, ast.BinOp)
+            and isinstance(node.left.op, ast.Sub)
+            and isinstance(node.left.left, ast.Constant)
+            and node.left.left.value == 1
+            and ast.dump(node.left.right) == ast.dump(node.right)
+        ):
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and MU_DOMAIN in node.value:
+            found.append(node.value)
+    return found + ["RANK_CUT"] * name_uses(tree)["RANK_CUT"]
+
+
+def test_only_qubit_model_forms_the_spectrum_and_checks_mu():
+    offenders = {
+        path.name: found
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name not in ("qubit_model.py", "reference.py")
+        and (found := spectrum_forms(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert offenders == {}
+    # the gate sees each form where it belongs
+    owner = spectrum_forms(ast.parse((PACKAGE / "qubit_model.py").read_text(encoding="utf-8")))
+    assert "(1.0 - mu) / mu" in owner and "RANK_CUT" in owner
+    assert any(MU_DOMAIN in form for form in owner)
 
 
 def test_qubit_model_compares_no_blocks():

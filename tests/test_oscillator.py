@@ -430,6 +430,23 @@ def test_displacement_columns_where_the_start_column_underflows():
     assert np.diag(got).min() > 0.9
 
 
+@pytest.mark.parametrize("t", [10.0 ** -k for k in range(290, 324)] + [5e-324])
+def test_displacement_columns_at_a_vanishing_radius_are_the_identity(t):
+    # from about 1e-306 on the recurrence would divide by a subnormal
+    # coupling and overflow
+    for cols in (2, 33, 2000):
+        np.testing.assert_allclose(displacement_columns(t, cols), np.eye(cols), rtol=0, atol=1e-280)
+
+
+@pytest.mark.parametrize("t", [1e-300, 1e-200, 1e-20])
+def test_displacement_columns_at_a_tiny_radius_still_run_the_recurrence(t):
+    # the identity takes over only below the radii the recurrence can run:
+    # at 1e-300 column 0 is still the coherent vector, t on row 1
+    core = displacement_columns(t, 33)
+    assert core[1, 0] == pytest.approx(t, rel=1e-14)
+    assert core[0, 1] == -core[1, 0]
+
+
 def test_displacement_core_far_out():
     # at t = 40 e^{-t^2/2} underflows long before the rows near t^2 = 1600:
     # the first column is the coherent vector and the columns stay orthonormal

@@ -5,6 +5,12 @@ import numpy as np
 import pytest
 
 from spingauss.errors import DomainError
+from spingauss.measurements import (
+    heterodyne_estimation_risk,
+    heterodyne_outcome_std,
+    heterodyne_risk_reference,
+)
+from spingauss.oscillator import displaced_thermal
 from spingauss.numerics import mirror_rows
 from spingauss import irreps
 from spingauss.irreps import HalfInteger, LocalParam
@@ -16,8 +22,9 @@ from spingauss.qubit_model import (
     concentration_range,
     concentration_set,
     concentration_weight,
-    discarded_weight,
     effective_rank,
+    eigenvalue_ratio,
+    geometric_spectrum,
     log_block_weight,
     log_multiplicity,
     multiplicity,
@@ -397,11 +404,11 @@ def test_streamed_blocks_carry_the_mass_trimmed_up_to_their_step(n):
     blocks = rotated_blocks(params, u, lo, hi)
     discarded = []
     for b, trimmed in zip(blocks, running, strict=True):
-        assert b.discarded == discarded_weight(params.p, b.j.dim) + trimmed
+        assert b.discarded == geometric_spectrum(params.p, b.j.dim)[1] + trimmed
         discarded.append(b.discarded)
     assert discarded == sorted(discarded)
     assert running[-1] > running[len(running) // 2] > 0.0
-    assert discarded[-1] == discarded_weight(params.p, hi + 1) + running[-1]
+    assert discarded[-1] == geometric_spectrum(params.p, hi + 1)[1] + running[-1]
 
 
 def test_block_matrix_is_the_state_in_the_frame_of_u():
@@ -464,3 +471,63 @@ def test_bool_is_not_a_qubit_count_or_a_spin(flag):
     with pytest.raises(DomainError):
         HalfInteger(flag)
     assert ModelParams(np.int64(1), 0.75).n == 1 and HalfInteger(np.int64(1)).twoj == 1
+
+
+# every entry point that takes mu, each checked by ``eigenvalue_ratio``
+MU_ENTRY_POINTS = {
+    "ModelParams": lambda mu: ModelParams(16, mu),
+    "displaced_thermal": lambda mu: displaced_thermal(LocalParam(0.3, -0.2), mu),
+    "heterodyne_estimation_risk": heterodyne_estimation_risk,
+    "heterodyne_risk_reference": heterodyne_risk_reference,
+    "heterodyne_outcome_std": heterodyne_outcome_std,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(MU_ENTRY_POINTS))
+@pytest.mark.parametrize("mu", [True, 0.5, math.nan, 1.0000001])
+def test_every_mu_entry_point_rejects_mu_outside_the_domain(entry, mu):
+    # True is a bool, not mu = 1; nan compares false both ways
+    with pytest.raises(DomainError) as err:
+        MU_ENTRY_POINTS[entry](mu)
+    assert str(err.value) == f"mu must lie in (1/2, 1], got {mu!r}"
+
+
+def test_eigenvalue_ratio_is_p():
+    assert eigenvalue_ratio(0.75) == 1.0 / 3.0 and eigenvalue_ratio(1.0) == 0.0
+    assert eigenvalue_ratio(np.float64(0.75)) == ModelParams(4, 0.75).p
+
+
+SPECTRUM_RATIOS = (0.0, 1.0 / 3.0, 0.96)
+SPECTRUM_DIMS = (1, 2, 33, 34, 1000, None)
+
+
+@pytest.mark.parametrize("p", SPECTRUM_RATIOS)
+@pytest.mark.parametrize("dim", SPECTRUM_DIMS)
+def test_geometric_spectrum_kept_and_cut_sum_to_one(p, dim):
+    kept, cut = geometric_spectrum(p, dim)
+    assert len(kept) == effective_rank(p, dim)
+    assert cut >= 0.0 and (cut == 0.0 or dim is None or len(kept) < dim)
+    assert abs(math.fsum(kept) + cut - 1.0) <= 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("p", SPECTRUM_RATIOS)
+def test_geometric_spectrum_of_the_thermal_state_is_a_long_block(p):
+    # dim=None is the thermal state, the block whose p^dim is 0
+    dim = 20000
+    assert p ** dim == 0.0
+    kept, cut = geometric_spectrum(p, None)
+    block_kept, block_cut = geometric_spectrum(p, dim)
+    np.testing.assert_array_equal(kept, block_kept)
+    assert cut == block_cut
+
+
+@pytest.mark.parametrize("mu", [1.0, 0.75, 1.0 / 1.96])
+@pytest.mark.parametrize("dim", [d for d in SPECTRUM_DIMS if d is not None])
+def test_geometric_spectrum_matches_the_unrotated_block(mu, dim):
+    # p = 0, 1/3 and 0.96 (to rounding); the oracle normalizes the whole
+    # spectrum by its sum, and the cut is the trace past the kept weights
+    params = ModelParams(dim - 1 or 2, mu)  # n = 2j qubits, or 2 for j = 0
+    diag = np.diag(block_state_zero(params, HalfInteger(dim - 1))).real
+    kept, cut = geometric_spectrum(params.p, dim)
+    np.testing.assert_allclose(kept, diag[: len(kept)], rtol=1e-13, atol=0)
+    assert abs(cut - math.fsum(diag[len(kept):])) <= 1e-13 * max(cut, 1e-3)
