@@ -57,8 +57,9 @@ def inverse_channel(phi: FockOperator, j: HalfInteger) -> np.ndarray:
     G[:2j+1] plus the column sqrt(leftover) e_0, where the leftover is the
     trace of phi outside the block image: the block projection with the
     leftover mass routed to |j, j> (e_0 is unchanged by any frame), which
-    keeps the map trace preserving.  A block of at least G's rows has no
-    leftover and gets G itself.
+    keeps the map trace preserving.  A block of fewer rows than G always has
+    a leftover, as G's last row is nonzero; a block of at least G's rows has
+    none and gets G itself.
     """
     g = phi.core
     if j.dim >= g.shape[0]:
@@ -66,11 +67,9 @@ def inverse_channel(phi: FockOperator, j: HalfInteger) -> np.ndarray:
     core = g[: j.dim]
     # each row's mass, then their sum: the order every reported value rests on
     leftover = float(np.sum(g[j.dim :] * g[j.dim :], axis=1).sum())
-    if leftover > 0.0:
-        column = np.zeros((core.shape[0], 1), dtype=g.dtype)
-        column[0, 0] = math.sqrt(leftover)
-        core = np.hstack([core, column])
-    return core
+    column = np.zeros((core.shape[0], 1), dtype=g.dtype)
+    column[0, 0] = math.sqrt(leftover)
+    return np.hstack([core, column])
 
 
 def coherent_vector_distance(j: HalfInteger, u: LocalParam, n: int) -> float:

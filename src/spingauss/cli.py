@@ -2,10 +2,16 @@
 
 Every configuration key is listed once in ``KEYS``, with its parser and the
 subcommands that read it; a subcommand accepts only the flags of its own
-keys.  Configuration precedence is command line over config file over
-defaults; the keys a subcommand read are echoed into its report, so a
-report plus the package version fully determines its own numbers (exactly
-for quadrature paths, through the recorded seed for Monte Carlo ones).
+keys.  A parser converts its value and checks only what no model object
+owns: that a list is nonempty and distinct, and the workers, the format and
+the grid.  Each model value has one check, in the object a runner builds
+from it before any point runs: ``ModelParams`` for mu, n and epsilon
+(``heterodyne_risk_reference`` for mu in ``risk``), ``McSpec`` for the
+samples and the seed.  Configuration precedence is command line over config
+file over defaults; the keys a subcommand read are echoed into its report,
+so a report plus the package version fully determines its own numbers
+(exactly for quadrature paths, through the recorded seed for Monte Carlo
+ones).
 A grid experiment is one list of (mu, n, u) point tasks, run in row order
 by ``run_points``: serially, or over one process pool with ``--workers``.
 
@@ -46,8 +52,8 @@ from .reports import ReportRow, RiskReport, read_report, render, render_svg, wri
 
 
 class Key(NamedTuple):
-    """A configuration key: its default, the parser that checks and converts
-    its value, the subcommands that read it and its flag help."""
+    """A configuration key: its default, the parser that converts its value,
+    the subcommands that read it and its flag help."""
 
     default: str
     parse: Callable[[str], object]
@@ -55,29 +61,26 @@ class Key(NamedTuple):
     help: str
 
 
-def _check(name: str, val, ok: Callable[[object], bool], rule: str):
-    if not ok(val):
-        raise ConfigError(f"{name} must {rule}, got {val}")
-    return val
-
-
-def _scalar(name: str, conv: Callable[[str], object], ok: Callable[[object], bool], rule: str):
-    """Parser of one value, converted by ``conv`` and checked by ``ok``."""
+def _scalar(name: str, conv: Callable[[str], object], ok: Callable[[object], bool] | None = None,
+            rule: str = ""):
+    """Parser of one value, converted by ``conv``; with ``ok`` given, a value
+    it refuses is a ``ConfigError`` that states ``rule``."""
 
     def parse(text: str):
         try:
             val = conv(text)
         except ValueError as exc:
             raise ConfigError(f"invalid {name} {text!r}") from exc
-        return _check(name, val, ok, rule)
+        if ok is not None and not ok(val):
+            raise ConfigError(f"{name} must {rule}, got {val}")
+        return val
 
     return parse
 
 
-def _list(name: str, conv: Callable[[str], object], ok: Callable[[object], bool], rule: str):
-    """Parser of a comma list of distinct values, each converted by ``conv``
-    and checked by ``ok``: a repeated value would repeat every report row it
-    reaches."""
+def _list(name: str, conv: Callable[[str], object]):
+    """Parser of a nonempty comma list of distinct values, each converted by
+    ``conv``: a repeated value would repeat every report row it reaches."""
 
     def parse(text: str) -> list:
         try:
@@ -86,7 +89,6 @@ def _list(name: str, conv: Callable[[str], object], ok: Callable[[object], bool]
             raise ConfigError(f"invalid {name} list {text!r}") from exc
         if not vals:
             raise ConfigError(f"empty {name} list")
-        vals = [_check(name, val, ok, rule) for val in vals]
         if len(set(vals)) < len(vals):
             raise ConfigError(f"repeated value in {name} list {text!r}")
         return vals
@@ -136,31 +138,19 @@ _ALL = _GRID | {"risk"}
 # Every configuration key, with the subcommands that read it.  A subcommand
 # takes a flag only for the keys it reads; a config file may hold any key.
 KEYS = {
-    "mu": Key(
-        "0.75", _list("mu", float, lambda v: 0.5 < v <= 1.0, "lie in (1/2, 1]"), _ALL,
-        "comma list of mu values in (1/2, 1]",
-    ),
-    "n": Key(
-        "16,64,256", _list("n", int, lambda v: v >= 1, "be positive"), _GRID,
-        "comma list of ensemble sizes",
-    ),
+    "mu": Key("0.75", _list("mu", float), _ALL, "comma list of mu values"),
+    "n": Key("16,64,256", _list("n", int), _GRID, "comma list of ensemble sizes"),
     "epsilon": Key(
-        "0.1", _scalar("epsilon", float, lambda v: 0.0 < v < 0.5, "lie in (0, 1/2)"),
-        frozenset(("convergence", "measure-compare")), "concentration exponent in (0, 1/2)",
+        "0.1", _scalar("epsilon", float), frozenset(("convergence", "measure-compare")),
+        "concentration exponent",
     ),
     "grid": Key("-1:1:3", parse_grid, _GRID, "u grid 'min:max:steps[,min:max:steps]'"),
     "workers": Key(
         "1", _scalar("workers", int, lambda v: v >= 1, "be at least 1"),
         _GRID, "parallel workers over the (mu, n, u) points",
     ),
-    "samples": Key(
-        "0", _scalar("samples", int, lambda v: v == 0 or v >= 2, "be 0 (quadrature) or at least 2"),
-        frozenset(("risk",)), "Monte Carlo samples (0 = quadrature)",
-    ),
-    "seed": Key(
-        "20260809", _scalar("seed", int, lambda v: v >= 0, "be nonnegative"),
-        frozenset(("risk",)), "Monte Carlo seed",
-    ),
+    "samples": Key("0", _scalar("samples", int), frozenset(("risk",)), "Monte Carlo samples (0 = quadrature)"),
+    "seed": Key("20260809", _scalar("seed", int), frozenset(("risk",)), "Monte Carlo seed"),
     "format": Key(
         "csv", _scalar("format", str, lambda v: v in ("csv", "json"), "be csv or json"), _ALL,
         "report format, csv or json",
@@ -285,17 +275,18 @@ def run_convergence(cfg: dict[str, object]) -> list[ReportRow]:
 
 
 def run_discriminate(cfg: dict[str, object]) -> list[ReportRow]:
-    """Per (mu, u): the limit (n = 0) and position risks, then each n's."""
+    """Per (mu, u): the limit and position risks, reported at n = 0, then
+    each n's."""
     rows: list[ReportRow] = []
-    points = [(mu, u, n) for mu in cfg["mu"] for u in cfg["grid"] for n in (0, *cfg["n"])]
-    tasks = [partial(finite_n_discrimination, ModelParams(n, mu), u) if n else partial(limit_discrimination, u, mu)
-             for mu, u, n in points]
+    points = [(mu, u, n) for mu in cfg["mu"] for u in cfg["grid"] for n in (None, *cfg["n"])]
+    tasks = [partial(limit_discrimination, u, mu) if n is None
+             else partial(finite_n_discrimination, ModelParams(n, mu), u) for mu, u, n in points]
     for (mu, u, n), res in zip(points, run_points(tasks, cfg["workers"])):
-        if n:
-            rows.append(ReportRow(n, mu, u.ux, u.uy, "helstrom_risk", res.risk, res.error_bound))
-        else:
+        if n is None:
             rows.append(ReportRow(0, mu, u.ux, u.uy, "limit_risk", res.risk, res.error_bound))
             rows.append(ReportRow(0, mu, u.ux, u.uy, "position_risk_baseline", position_measurement_risk(u), 0.0))
+        else:
+            rows.append(ReportRow(n, mu, u.ux, u.uy, "helstrom_risk", res.risk, res.error_bound))
     return rows
 
 
@@ -314,12 +305,17 @@ def run_measure_compare(cfg: dict[str, object]) -> list[ReportRow]:
 
 
 def run_risk(cfg: dict[str, object]) -> list[ReportRow]:
-    mc = McSpec(cfg["seed"], cfg["samples"]) if cfg["samples"] else None
+    """Per mu: the heterodyne risk, by quadrature at 0 samples, else by Monte
+    Carlo, and its closed form.  The seed, which the report records on both
+    paths, and every mu are checked before any risk runs."""
+    spec = McSpec(cfg["seed"], cfg["samples"] or McSpec.samples)
+    mc = spec if cfg["samples"] else None
+    references = [heterodyne_risk_reference(mu) for mu in cfg["mu"]]
     rows: list[ReportRow] = []
-    for mu in cfg["mu"]:
+    for mu, reference in zip(cfg["mu"], references):
         est = heterodyne_estimation_risk(mu, mc=mc)
         rows.append(ReportRow(0, mu, 0.0, 0.0, "heterodyne_risk", est.value, est.error_bound))
-        rows.append(ReportRow(0, mu, 0.0, 0.0, "heterodyne_risk_reference_derived", heterodyne_risk_reference(mu), 0.0))
+        rows.append(ReportRow(0, mu, 0.0, 0.0, "heterodyne_risk_reference_derived", reference, 0.0))
     return rows
 
 

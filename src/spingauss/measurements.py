@@ -17,7 +17,7 @@ Three experiment families live here.
   depend on u.  It is taken by Gauss-Legendre quadrature over the distance
   |u_hat - u|, or by seeded importance-sampling Monte Carlo over the
   offsets u_hat - u, ``PDF_CHUNK`` samples at a time, through that one
-  kernel.  The Monte Carlo sums run over fixed blocks of samples, so
+  kernel.  The Monte Carlo sums add up each chunk as it is drawn, so
   nothing is kept per sample.
 
 * Covariant versus pulled-back heterodyne outcome densities on each spin
@@ -80,12 +80,9 @@ QUADRATURE_ORDER = 160
 # Std of the Monte Carlo Gaussian proposal, in units of the outcome std.
 MC_PROPOSAL_SCALE = 1.6
 # Samples per chunk of the Monte Carlo risk (``heterodyne_samples``): the
-# sampler and the radial density kernel hold a few arrays of that many
-# doubles, whatever the number of samples or of thermal weights.
+# sampler, the radial density kernel and the risk's sums hold a few arrays
+# of that many doubles, whatever the number of samples or of thermal weights.
 PDF_CHUNK = 4096
-# Samples per block of the Monte Carlo risk's sums, whatever the chunks the
-# samples are drawn in (``PDF_CHUNK``).
-MC_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -157,7 +154,8 @@ def heterodyne_outcome_std(mu: float) -> float:
 @dataclass(frozen=True)
 class McSpec:
     """Seeded Monte Carlo settings: an integer seed >= 0 and an integer
-    number of samples >= 2 (the error bound needs a sample spread)."""
+    number of samples >= 2 (the error bound needs a sample spread); any
+    other value raises ``DomainError``."""
 
     seed: int
     samples: int = 200_000
@@ -166,7 +164,7 @@ class McSpec:
         for name, low in (("seed", 0), ("samples", 2)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-                raise ValidationError(f"Monte Carlo {name} must be an integer >= {low}, got {value!r}")
+                raise DomainError(f"Monte Carlo {name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -219,18 +217,12 @@ def heterodyne_estimation_risk(mu: float, mc: McSpec | None = None) -> RiskEstim
                 f"quadrature risk error bound {bound:.3e} above 2% of value {value:.3e}"
             )
         return RiskEstimate(value=value, error_bound=bound, method="quadrature", mass=mass)
-    # sums of sq w, its square and w over blocks of MC_BLOCK samples, cut
-    # from the chunks as they come, so they do not depend on the chunk size
-    sums = np.zeros(3)
-    held = np.empty((2, 0))
+    total = squares = weight = 0.0
     for off, w in heterodyne_samples(mu, mc):
-        held = np.concatenate([held, [(off[:, 0] ** 2 + off[:, 1] ** 2) * w, w]], axis=1)
-        whole = held.shape[1] - held.shape[1] % MC_BLOCK
-        for start in range(0, whole, MC_BLOCK):
-            sums += _block_sums(held[:, start : start + MC_BLOCK])
-        held = held[:, whole:]
-    sums += _block_sums(held)
-    total, squares, weight = sums.tolist()
+        x = (off[:, 0] ** 2 + off[:, 1] ** 2) * w
+        total += float(x.sum())
+        squares += float(np.square(x).sum())
+        weight += float(w.sum())
     value = total / mc.samples
     mass = weight / mc.samples
     spread = max(squares - total * value, 0.0) / (mc.samples - 1)
@@ -242,13 +234,6 @@ def heterodyne_estimation_risk(mu: float, mc: McSpec | None = None) -> RiskEstim
         mass=mass,
         seed=mc.seed,
     )
-
-
-def _block_sums(block: np.ndarray) -> np.ndarray:
-    """The sums of sq w, of its square and of w over a (2, m) block of
-    (sq w, w) columns."""
-    x, w = block
-    return np.array([x.sum(), np.square(x).sum(), w.sum()])
 
 
 def heterodyne_samples(mu: float, mc: McSpec) -> Iterator[tuple[np.ndarray, np.ndarray]]:

@@ -239,11 +239,13 @@ def test_convergence_point_reads_one_block_selection(monkeypatch):
 
 
 @pytest.mark.parametrize("mu, n, u", [(0.51, 64, LocalParam(0.5, 0.3)), (0.75, 64, LocalParam(3.0, 0.0)),
-                                      (1.0, 16, LocalParam(3.0, 0.0))])
+                                      (1.0, 16, LocalParam(3.0, 0.0)), (0.75, 64, LocalParam(0.0, 0.0)),
+                                      (0.75, 64, LocalParam(1e-320, 0.0))])
 def test_inverse_channel_matches_the_dense_map(mu, n, u):
     # a block of fewer rows than phi's core gets the dense block projection
-    # with the leftover at |j, j>, and keeps phi's trace; a block of at
-    # least the core's rows gets the core itself
+    # with the leftover, always positive, at |j, j>, and keeps phi's trace;
+    # a block of at least the core's rows gets the core itself; at |u| = 0
+    # and 1e-320 the core is the scaled identity
     params = ModelParams(n, mu)
     phi = displaced_thermal(u, mu)
     rows = phi.core.shape[0]
@@ -257,6 +259,7 @@ def test_inverse_channel_matches_the_dense_map(mu, n, u):
         want = inverse_channel_block(dense, EmbeddingMap(j, phi.trunc))
         np.testing.assert_allclose(core @ core.T, want, rtol=0, atol=1e-14)
         assert float(np.sum(core ** 2)) == pytest.approx(trace, abs=1e-14)
+        assert core.shape[1] == phi.core.shape[1] + 1 and core[0, -1] > 0.0
     for twoj in (rows - 1, rows, 2 * rows):
         assert inverse_channel(phi, HalfInteger(twoj)) is phi.core
 

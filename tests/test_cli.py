@@ -13,8 +13,10 @@ from pathlib import Path
 import pytest
 
 from spingauss.cli import KEYS, main, parse_grid, run_convergence, run_discriminate
-from spingauss.errors import ConfigError
+from spingauss.errors import ConfigError, DomainError
 from spingauss.irreps import LocalParam
+from spingauss.measurements import McSpec, heterodyne_risk_reference
+from spingauss.qubit_model import ModelParams
 from spingauss.reference import discrimination_limit
 from spingauss.reports import read_report
 
@@ -377,6 +379,32 @@ def test_malformed_or_out_of_range_scalar_is_config_error(argv, capsys):
     # every report row it reaches
     assert run_cli(argv) == 2
     assert capsys.readouterr().err.startswith("error: config:")
+
+
+@pytest.mark.parametrize(
+    "argv, build",
+    [
+        (["convergence", "--mu", "0.4"], lambda: ModelParams(16, 0.4)),
+        (["risk", "--mu", "0.75,0.4"], lambda: heterodyne_risk_reference(0.4)),
+        (["discriminate", "--n", "0"], lambda: ModelParams(0, 0.75)),
+        (["measure-compare", "--epsilon", "0.5"], lambda: ModelParams(16, 0.75, 0.5)),
+        (["risk", "--samples", "1"], lambda: McSpec(20260809, 1)),
+        (["risk", "--samples", "100", "--seed", "-1"], lambda: McSpec(-1, 100)),
+        (["risk", "--seed", "-1"], lambda: McSpec(-1)),
+    ],
+    ids=["mu", "risk-mu", "n", "epsilon", "samples", "seed", "quadrature-seed"],
+)
+def test_model_value_is_rejected_by_its_model_object(argv, build, capsys):
+    # the command line only converts mu, n, epsilon, samples and seed: each
+    # value's one check is the model object's, so its message is the one line
+    # printed, before any row is written (risk --seed -1 is checked on the
+    # quadrature path too, which records the seed)
+    with pytest.raises(DomainError) as exc:
+        build()
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: config: {exc.value}"]
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(

@@ -418,17 +418,19 @@ def test_heterodyne_pdf_moments_match_derived_variance():
     assert abs(w.mean() - 1.0) < 3 * w.std(ddof=1) / math.sqrt(m)
 
 
-def test_monte_carlo_risk_does_not_depend_on_the_chunk(monkeypatch):
+def test_monte_carlo_samples_do_not_depend_on_the_chunk(monkeypatch):
     # chunked normal draws reproduce one draw of every sample, and each
-    # sample's weight is computed alone, so the estimate is the same to the bit
+    # sample's weight is computed alone, so the samples are the same to the bit
     mc = McSpec(seed=9, samples=10_001)
-    chunks = []
+    drawn = []
     for chunk in (7, measurements.PDF_CHUNK, mc.samples, 4 * mc.samples):
         monkeypatch.setattr(measurements, "PDF_CHUNK", chunk)
-        sizes = [len(w) for _, w in heterodyne_samples(0.75, mc)]
+        chunks = list(heterodyne_samples(0.75, mc))
+        sizes = [len(w) for _, w in chunks]
         assert sum(sizes) == mc.samples and max(sizes) == min(chunk, mc.samples)
-        chunks.append(heterodyne_estimation_risk(0.75, mc=mc))
-    assert all(est == chunks[0] for est in chunks)
+        drawn.append([np.concatenate(part) for part in zip(*chunks)])
+    for off, w in drawn[1:]:
+        assert np.array_equal(off, drawn[0][0]) and np.array_equal(w, drawn[0][1])
 
 
 def traced_peak(run):
@@ -501,7 +503,7 @@ def test_heterodyne_closed_forms_reject_mu_outside_the_risks_domain(mu, closed_f
     [(1, 1), (1, 0), (-1, 10), (1, -5), (1, 2.0), (1.5, 10), ("1", 10), (1, None), (True, 10), (1, np.float64(3))],
 )
 def test_mc_spec_rejects_bad_seed_or_samples(seed, samples):
-    with pytest.raises(ValidationError):
+    with pytest.raises(DomainError):
         McSpec(seed, samples)
 
 
@@ -510,8 +512,8 @@ def test_mc_spec_accepts_integer_seed_and_samples():
 
 
 def test_monte_carlo_risk_memory_is_flat_in_the_samples():
-    # the sums run over fixed blocks of samples, so nothing is kept per
-    # sample: the chunk buffers and one block are all the risk holds
+    # the sums add up each chunk as it is drawn, so nothing is kept per
+    # sample: the chunk buffers are all the risk holds
     small, large = (
         traced_peak(lambda: heterodyne_estimation_risk(0.75, mc=McSpec(1, samples)))
         for samples in (100_000, 400_000)
