@@ -41,6 +41,11 @@ from .numerics import NEGLIGIBLE_RADIUS, coherent_row_support, gauge_phases, mir
 # Largest rotation angle |w| taken: from 2^26 on, the spacing of doubles is
 # at least 2^-26, so w mod pi keeps fewer than half of a double's digits.
 MAX_ANGLE = 2.0 ** 26
+# Cores of ``rotation_walk`` per stretch, whose whole steps share one table
+# of coupling factors (``_coupling_rows``): 3 x 8 rows of at most the core's
+# rows + 16 doubles, about one core of 24 columns.  It divides
+# ``measurements.TV_CHUNK``, so a TV chunk ends where a stretch does.
+WALK_STRETCH = 8
 
 
 @dataclass(frozen=True, order=True)
@@ -193,7 +198,27 @@ def core_rows(twoj: int, radius: float, cols: int) -> int:
     return rotation_columns(HalfInteger(twoj), radius, cols).shape[0]
 
 
-def _whole_step(prev: np.ndarray, twoj: int, d1: np.ndarray, cols: int) -> np.ndarray:
+def _coupling_rows(twojs: range, length: int) -> np.ndarray:
+    """The alpha of ``_whole_step`` for each T in ``twojs``, as (steps, 3, length):
+    row q of a step holds alpha_{x,q} at x = 0 .. length - 1.
+
+    The squares are integers below 2^53, exact in doubles, and each is
+    divided by T(T - 1) and rooted as one step alone would do it, so a
+    stretch of steps shares one table, bit for bit.  Past x = T, where no
+    step reads, x is held at T, so no alpha^2 is negative.
+    """
+    t = np.array(twojs, dtype=float)[:, None]
+    x = np.minimum(np.arange(length), t)
+    tx = t - x
+    alpha = np.empty((len(twojs), 3, length))
+    np.multiply(tx, tx - 1, out=alpha[:, 0])
+    np.multiply(2 * x, tx, out=alpha[:, 1])
+    np.multiply(x, x - 1, out=alpha[:, 2])
+    alpha /= (t * (t - 1.0))[:, :, None]
+    return np.sqrt(alpha, out=alpha)
+
+
+def _whole_step(prev: np.ndarray, twoj: int, d1: np.ndarray, cols: int, alpha: np.ndarray) -> np.ndarray:
     """The core of spin j + 1 = twoj/2 from the core ``prev`` of spin j.
 
     The symmetric states of T = twoj qubits couple the symmetric states of
@@ -208,14 +233,12 @@ def _whole_step(prev: np.ndarray, twoj: int, d1: np.ndarray, cols: int) -> np.nd
 
     ``prev`` holds the leading rows of M' (missing rows are zero), so the
     result reaches two rows further; it keeps min(cols, T + 1) columns, and
-    a column of M' out of its range is zero.  The rows of M' never pass
-    2j + 1 = T - 1, so x never passes T and no alpha^2 is negative.
+    a column of M' out of its range is zero.  ``alpha`` is the step's row of
+    ``_coupling_rows``, at least max(rows of M' + 2, columns) long.  The rows
+    of M' never pass 2j + 1 = T - 1, so x never passes T.
     """
     rows, have = prev.shape
     width = min(cols, twoj + 1)
-    x = np.arange(max(rows + 2, width))
-    tx = twoj - x
-    alpha = np.sqrt(np.array([tx * (tx - 1), 2 * x * tx, x * (x - 1)]) / (twoj * (twoj - 1.0)))
     # the columns: plane q' holds alpha_{k,q'} M'[r, k - q'], and one
     # product with d1 mixes the three
     shifted = np.zeros((3, rows, width))
@@ -223,6 +246,7 @@ def _whole_step(prev: np.ndarray, twoj: int, d1: np.ndarray, cols: int) -> np.nd
         h = max(0, min(have, width - q))
         np.multiply(prev[:, :h], alpha[q, q : q + h], out=shifted[q, :, q : q + h])
     mixed = (d1 @ shifted.reshape(3, -1)).reshape(3, rows, width)
+    del shifted
     # the rows: plane q, scaled by alpha_{l,q}, lands q rows down
     out = np.zeros((rows + 2, width))
     for q in range(3):
@@ -265,13 +289,26 @@ def _walk(lo: int, hi: int, radius: float, cols: int) -> Iterator[tuple[np.ndarr
     core = rotation_columns(HalfInteger(lo), radius, cols)
     trimmed = 0.0
     yield core, trimmed
-    for twoj in range(lo + 2, hi + 1, 2):
-        core, mass = trim_rows(_whole_step(core, twoj, d1, cols))
-        # every column of U_j is a unit vector: rescaling to it keeps the
-        # rounding of c^2 + s^2 = 1, the same every step, from compounding
-        core = core / np.sqrt(np.einsum("ij,ij->j", core, core))
-        trimmed += mass
-        yield core, trimmed
+    steps = range(lo + 2, hi + 1, 2)
+    # stretches of WALK_STRETCH cores counted from lo's, the first core, so
+    # a reader that takes a multiple of them at a time stops where a table
+    # was let go
+    for first in range(0, len(steps) + 1, WALK_STRETCH):
+        stretch = steps[max(0, first - 1) : first + WALK_STRETCH - 1]
+        if not stretch:
+            return
+        # a step adds two rows at most, so the table covers the stretch
+        length = max(core.shape[0] + 2 * len(stretch), min(cols, stretch[-1] + 1))
+        table = _coupling_rows(stretch, length)
+        for k, twoj in enumerate(stretch):
+            core, mass = trim_rows(_whole_step(core, twoj, d1, cols, table[k]))
+            # every column of U_j is a unit vector: rescaling to it keeps the
+            # rounding of c^2 + s^2 = 1, the same every step, from compounding
+            core = core / np.sqrt(np.einsum("ij,ij->j", core, core))
+            trimmed += mass
+            if twoj == stretch[-1]:
+                table = None
+            yield core, trimmed
 
 
 def spin_coherent_coords(j: HalfInteger, w: LocalParam) -> np.ndarray:

@@ -31,8 +31,9 @@ Three experiment families live here.
   kernel is sized for the top block's rows before the walk, and grows only
   if a chunk reaches further.  A chunk's heterodyne densities are formed
   before its covariant ones, so the kernel's temporaries are freed before
-  the covariant array is allocated, and the sums take one block's row at
-  a time.
+  the covariant array is allocated, and each statistic's per-block
+  integrals are one matrix-vector product against the node weights, the
+  difference formed in place in the covariant array.
 
 Outcome densities live on the plane of local parameters.  The covariant
 measurement's outcomes are sphere directions; they are pulled to the plane
@@ -72,7 +73,9 @@ from .qubit_model import (
 )
 
 # Blocks per ``_block_density_pair`` call: a chunk's diagonal sums run as one
-# batched product, while its (blocks, points) densities stay a few MiB.
+# batched product, while its (blocks, points) densities stay a few MiB.  A
+# multiple of ``irreps.WALK_STRETCH``, so the walk holds no table of
+# coupling factors while a chunk's densities are formed.
 TV_CHUNK = 16
 # Radial Gauss-Legendre order of the quadrature risk; its resolution term
 # reruns at half of it.
@@ -195,7 +198,7 @@ def heterodyne_estimation_risk(mu: float, mc: McSpec | None = None) -> RiskEstim
     ``QUADRATURE_ORDER`` positive terms, that many ulps of the value.
     """
     if mc is None:
-        density = heterodyne_pdf_kernel(mu)
+        density, rank_cut = heterodyne_pdf_kernel(mu)
         sig = heterodyne_outcome_std(mu)
         radius = 8.0 * sig
         moments = []
@@ -209,7 +212,6 @@ def heterodyne_estimation_risk(mu: float, mc: McSpec | None = None) -> RiskEstim
         (value, mass), (coarse, _) = moments
         resolution = abs(coarse - value)
         tail = math.exp(-radius ** 2 / (2.0 * sig * sig))
-        rank_cut = geometric_spectrum(eigenvalue_ratio(mu))[1]
         rounding = QUADRATURE_ORDER * 2.0 ** -52 * value
         bound = resolution + tail * (radius ** 2 + 4 * sig * sig) + rank_cut * radius ** 2 + rounding
         if bound > 0.02 * max(value, 1e-12):
@@ -247,7 +249,7 @@ def heterodyne_samples(mu: float, mc: McSpec) -> Iterator[tuple[np.ndarray, np.n
     reproduces one draw of all the samples exactly, and the kernel is built
     once per call.
     """
-    density = heterodyne_pdf_kernel(mu)
+    density = heterodyne_pdf_kernel(mu)[0]
     rng = default_rng(mc.seed)
     sp = MC_PROPOSAL_SCALE * heterodyne_outcome_std(mu)
     for start in range(0, mc.samples, PDF_CHUNK):
@@ -411,6 +413,19 @@ def _block_density_pair(
     return tv.covariant.densities([b.j.twoj for b in blocks]), dens_h
 
 
+def _chunk_integrals(
+    dens_m: np.ndarray, dens_h: np.ndarray, w: np.ndarray
+) -> tuple[list[float], list[float], list[float]]:
+    """Per-block integrals of a chunk's (blocks, nodes) densities against the
+    node weights ``w``: |covariant - heterodyne|, covariant and heterodyne,
+    each one matrix-vector product.  The difference is formed in place, in
+    ``dens_m``, which the call overwrites."""
+    cov, het = dens_m @ w, dens_h @ w
+    np.subtract(dens_m, dens_h, out=dens_m)
+    np.abs(dens_m, out=dens_m)
+    return (dens_m @ w).tolist(), cov.tolist(), het.tolist()
+
+
 def measurement_tv(params: ModelParams, u: LocalParam) -> TvEstimate:
     """TV comparison of the two measurements at one (n, u).
 
@@ -426,9 +441,11 @@ def measurement_tv(params: ModelParams, u: LocalParam) -> TvEstimate:
     The blocks stream from one walk, ``TV_CHUNK`` at a time
     (``_TvGrid.chunks``), through ``_block_density_pair``, so the cores
     held do not grow with n.  Each chunk's (blocks, nodes) densities are
-    reduced to per-block integrals one block's row at a time, one ``np.sum``
-    per statistic, and weighed into the sums in block order, so a chunk
-    holds its two density arrays and temporaries of one row at most.
+    reduced to per-block integrals by one matrix-vector product per
+    statistic against the node weights (``_chunk_integrals``), |covariant -
+    heterodyne| formed in place in the covariant array, and weighed into the
+    sums in block order, so a chunk holds its two density arrays and no
+    temporary of a row's size or more.
     """
     tv = _tv_grid(params, u, default_tv_grid(params.mu, u, params.n))
     w = tv.weights
@@ -437,15 +454,13 @@ def measurement_tv(params: ModelParams, u: LocalParam) -> TvEstimate:
     mass_h = 0.0
     included = 0.0
     for chunk in tv.chunks():
-        dens_m, dens_h = _block_density_pair(tv, chunk)
-        # the chunk's densities go before the next chunk's are formed
-        for k, block in enumerate(chunk):
+        # the chunk's densities and sums go before the next chunk's are formed
+        for block, diff, cov, het in zip(chunk, *_chunk_integrals(*_block_density_pair(tv, chunk), w)):
             bw = block.weight
-            grid_term += bw * float(np.sum(np.abs(dens_m[k] - dens_h[k]) * w))
-            mass_m += bw * float(np.sum(w * dens_m[k]))
-            mass_h += bw * float(np.sum(w * dens_h[k]))
+            grid_term += bw * diff
+            mass_m += bw * cov
+            mass_h += bw * het
             included += bw
-        del dens_m, dens_h
     deficit = max(0.0, 1.0 - included)
     return TvEstimate(
         tv_bound=grid_term + 2.0 * deficit,

@@ -31,6 +31,10 @@ radial products and angular table only on the rows the re-centred block
 cores reach, not on every row the grid's radius allows.  Both rest on one
 closed form of the Poisson pmf (``_log_poisson``): the coherent rows
 restart from it, and the radial kernel weighs its blocks by it.
+
+Every Gauss-Legendre rule, the polar kernel's and the risk's, is
+``_gauss_legendre``'s: numpy's ``leggauss`` computed here in its own
+arithmetic, bit for bit, so ``numpy.polynomial`` is never loaded.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial import legendre
 
 from .errors import DomainError
 from .irreps import LocalParam
@@ -202,8 +205,44 @@ def displaced_thermal(u: LocalParam, mu: float) -> FockOperator:
 
 @lru_cache(maxsize=None)
 def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], once per order, read-only."""
-    x, w = legendre.leggauss(order)
+    """Gauss-Legendre nodes and weights on [-1, 1], once per order, read-only.
+
+    The rule is numpy's ``leggauss``, in its own arithmetic, so the nodes and
+    weights are the same to the bit, without loading ``numpy.polynomial``:
+    the nodes are the eigenvalues of the symmetric companion matrix of the
+    Legendre polynomial P_N, N = ``order``, improved by one Newton step,
+    P_N and P_N' summed by Clenshaw's recurrence; the weights are
+    1/(P_{N-1} P_N') at the nodes, each factor scaled by its largest
+    magnitude, symmetrized and normalized to total 2.
+    """
+
+    def series(c, x):
+        # sum_k c_k P_k(x), Clenshaw's recurrence as numpy's ``legval`` runs it
+        if len(c) < 3:
+            return c[0] + (c[1] if len(c) == 2 else 0) * x
+        nd, c0, c1 = len(c), c[-2], c[-1]
+        for i in range(3, len(c) + 1):
+            nd -= 1
+            c0, c1 = c[-i] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+        return c0 + c1 * x
+
+    c = np.zeros(order + 1)
+    c[-1] = 1.0
+    # P_N' = sum of (2k + 1) P_k over k = N - 1, N - 3, ...: integers, exact
+    dc = np.zeros(order)
+    dc[order - 1 :: -2] = 2.0 * np.arange(order - 1, -1, -2) + 1.0
+    scl = 1.0 / np.sqrt(2 * np.arange(order) + 1)
+    off = np.arange(1, order) * scl[: order - 1] * scl[1:order]
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    df = series(dc, x)
+    x -= series(c, x) / df
+    fm = series(c[1:], x)
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
     x.flags.writeable = w.flags.writeable = False
     return x, w
 
@@ -337,9 +376,9 @@ class PolarHeterodyne:
         return dens.reshape(len(gs), -1)
 
 
-def heterodyne_pdf_kernel(mu: float) -> Callable[[np.ndarray], np.ndarray]:
+def heterodyne_pdf_kernel(mu: float) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
     """The outcome density Tr(phi^u h(u_hat)) as a function of the distances
-    rho = |u_hat - u|, (g,) -> (g,).
+    rho = |u_hat - u|, (g,) -> (g,), and the trace p^r its rank cut dropped.
 
     The heterodyne measurement is covariant, D(z)^dag |w> = e^{i theta} |w - z>,
     so the displaced thermal state's density at u_hat is the thermal state's
@@ -353,8 +392,10 @@ def heterodyne_pdf_kernel(mu: float) -> Callable[[np.ndarray], np.ndarray]:
     lambda_{a+i} a!/(a+i)!, weighed by the Poisson pmf e^{-y} y^a/a!
     (``_log_poisson``).  Each distance's density is computed alone, so a
     chunk's result does not depend on how the distances were cut into chunks.
+    The spectrum is formed once, here, and its weights live only while the
+    blocks are built.
     """
-    lam = geometric_spectrum(eigenvalue_ratio(mu))[0]
+    lam, cut = geometric_spectrum(eigenvalue_ratio(mu))
     s2 = 2.0 * mu - 1.0
     blocks = []
     for a in range(0, len(lam), COHERENT_ANCHOR):
@@ -375,4 +416,4 @@ def heterodyne_pdf_kernel(mu: float) -> Callable[[np.ndarray], np.ndarray]:
         out *= s2 / math.pi
         return out
 
-    return density
+    return density, cut

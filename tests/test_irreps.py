@@ -6,6 +6,7 @@ import pytest
 from spingauss.errors import DomainError
 import spingauss.irreps as irreps
 from spingauss.irreps import HalfInteger, LocalParam, rotation_columns, rotation_walk, spin_coherent_coords
+from spingauss.numerics import trim_rows
 from spingauss.qubit_model import (
     NEGLIGIBLE_WEIGHT,
     ModelParams,
@@ -332,6 +333,49 @@ def test_rotation_walk_takes_one_step_per_kept_spin(monkeypatch, lo, hi):
         # one step per core, taken when that core is asked for
         assert steps == list(range(lo + 2, lo + 2 * k + 1, 2))
     assert steps == list(range(lo + 2, hi + 1, 2))
+
+
+def per_step_walk(lo, hi, radius, cols):
+    """The cores and trimmed masses of ``rotation_walk``, with each step
+    forming its own coupling factors alpha, as every step did before a
+    stretch of steps shared one table."""
+    c, s = math.cos(radius), math.sin(radius)
+    cs = math.sqrt(2.0) * c * s
+    d1 = np.array([[c * c, -cs, s * s], [cs, c * c - s * s, -cs], [s * s, cs, c * c]])
+    core, trimmed = rotation_columns(HalfInteger(lo), radius, cols), 0.0
+    steps = [(core, trimmed)]
+    for twoj in range(lo + 2, hi + 1, 2):
+        x = np.arange(max(core.shape[0] + 2, min(cols, twoj + 1)))
+        tx = twoj - x
+        alpha = np.sqrt(np.array([tx * (tx - 1), 2 * x * tx, x * (x - 1)]) / (twoj * (twoj - 1.0)))
+        core, mass = trim_rows(irreps._whole_step(core, twoj, d1, cols, alpha))
+        core = core / np.sqrt(np.einsum("ij,ij->j", core, core))
+        trimmed += mass
+        steps.append((core, trimmed))
+    return steps
+
+
+@pytest.mark.parametrize(
+    "lo, hi, radius, cols",
+    [
+        (7, 7, 0.3, 4),  # lo = hi: the kernel call alone
+        (0, 2, 0.3, 3),  # one step, from the 1 x 1 core of spin 0
+        (0, 130, 0.05, 20),  # several stretches; the first core is narrower than cols
+        (0, 14, 0.3, 6),  # the first stretch alone: lo's core and 7 steps
+        (0, 16, 0.3, 6),  # the first stretch and one step more
+        (3, 33, 0.4, 12),  # two whole stretches
+        (1, 101, 1.2, 40),
+        (0, 200, 0.7, 1),  # one column
+        (296, 712, 0.02, 33),  # 208 steps, the last stretch partial
+        (1628, 2454, 25.0 / 64, 33),  # n = 4096, |u| = 25: steps that trim rows
+    ],
+)
+def test_rotation_walk_is_the_per_step_walk_bit_for_bit(lo, hi, radius, cols):
+    got = list(rotation_walk(lo, hi, radius, cols))
+    want = per_step_walk(lo, hi, radius, cols)
+    assert len(got) == len(want) == (hi - lo) // 2 + 1
+    for (core, trimmed), (old, old_trimmed) in zip(got, want):
+        assert core.shape == old.shape and np.array_equal(core, old) and trimmed == old_trimmed
 
 
 def test_rotation_mirror_identity():

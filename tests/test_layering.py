@@ -31,7 +31,8 @@ the one block stream it reads.  Every state has one spectrum: outside
 message, so ``geometric_spectrum`` alone gives kept weights and cut
 traces, and ``eigenvalue_ratio`` alone checks mu.
 Every Gauss-Legendre rule comes from the one cached function
-``oscillator._gauss_legendre``, every coherent row from the one kernel
+``oscillator._gauss_legendre``, which builds it itself, so no module
+imports ``numpy.polynomial``; every coherent row comes from the one kernel
 ``oscillator._coherent_rows``, which runs in real arithmetic alone (a
 complex row is the real row times its frame phases), and every Poisson
 closed form from the one
@@ -268,12 +269,24 @@ def test_qubit_model_compares_no_blocks():
     assert "factor_difference_eigvals" not in referenced_names(tree)
 
 
-def test_only_the_cached_rule_names_leggauss():
+def test_only_the_cached_rule_builds_a_gauss_legendre_rule():
+    # the rule is the package's own, in leggauss's arithmetic: no module
+    # imports numpy.polynomial or names it, and the one companion-matrix
+    # eigensolve outside the trace norms of numerics is the cached rule's
+    modules = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+    polynomial = {
+        name
+        for name, tree in modules.items()
+        if {"polynomial", "legendre", "leggauss"} & referenced_names(tree)
+        or any(m == "numpy.polynomial" or m.startswith("numpy.polynomial.") for m in imported_modules(tree))
+    }
+    assert polynomial == set()
     owners = {
-        (path.name, getattr(stmt, "name", None))
-        for path in sorted(PACKAGE.glob("*.py"))
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body
-        if "leggauss" in referenced_names(stmt)
+        (name, getattr(stmt, "name", None))
+        for name, tree in modules.items()
+        if name not in ("numerics.py", "reference.py")
+        for stmt in tree.body
+        if "eigvalsh" in referenced_names(stmt)
     }
     assert owners == {("oscillator.py", "_gauss_legendre")}
 
@@ -492,11 +505,13 @@ CLI_RUNS = (
 def test_cli_runs_load_no_further_numpy_or_scipy_module():
     # one small run of each kind after the import: a numpy submodule that
     # first loads here would be timed in the run, not in the import; and a
-    # serial run loads no process pool at all
+    # serial run loads no process pool at all; the import itself loads no
+    # numpy.polynomial module (the Gauss-Legendre rule is the package's own)
     probe = (
         "import contextlib, io, sys\n"
         "from spingauss import cli\n"
         "before = set(sys.modules)\n"
+        "print(sorted(m for m in before if m == 'numpy.polynomial' or m.startswith('numpy.polynomial.')))\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    codes = [cli.main(argv) for argv in {list(CLI_RUNS)!r}]\n"
         "print(codes, sorted(m for m in set(sys.modules) - before if m.split('.')[0] in ('numpy', 'scipy')))\n"
@@ -505,4 +520,4 @@ def test_cli_runs_load_no_further_numpy_or_scipy_module():
     result = subprocess.run(
         [sys.executable, "-c", probe], env=package_env(), capture_output=True, text=True, timeout=120, check=True
     )
-    assert result.stdout.splitlines() == ["[0, 0, 0, 0] []", "[]"]
+    assert result.stdout.splitlines() == ["[]", "[0, 0, 0, 0] []", "[]"]

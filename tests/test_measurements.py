@@ -24,6 +24,7 @@ from spingauss.measurements import (
 )
 from spingauss.measurements import (
     _block_density_pair,
+    _chunk_integrals,
     _covariant,
     _tv_grid,
     default_tv_grid,
@@ -43,6 +44,8 @@ from spingauss.qubit_model import (
     ModelParams,
     block_weight,
     concentration_set,
+    effective_rank,
+    eigenvalue_ratio,
     multiplicity,
     occurring_range,
     rotated_blocks,
@@ -295,7 +298,7 @@ def pdf_at_points(points, u, mu):
     (G, 2) array of points to u: the outcome density at those points."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     rho = np.hypot(pts[:, 0] - u.ux, pts[:, 1] - u.uy)
-    return heterodyne_pdf_kernel(mu)(rho)
+    return heterodyne_pdf_kernel(mu)[0](rho)
 
 
 def risk_grids(mu, u):
@@ -367,26 +370,23 @@ def test_quadrature_risk_rounding_term_covers_exact_arithmetic(mu):
         assert abs(est.value - float(exact)) <= 160 * np.finfo(float).eps * est.value
 
 
-def test_each_gauss_legendre_rule_is_computed_once(monkeypatch):
+def test_each_gauss_legendre_rule_is_computed_once():
+    # the package builds its own rule; each cache miss is one build, so a
+    # TV grid and three quadrature risks build three rules, and asking for
+    # the orders 64, 80 and 160 again builds none: those are the three; each
+    # is numpy's leggauss to the bit
     leggauss = np.polynomial.legendre.leggauss
-    orders = []
-
-    def counted(order):
-        orders.append(order)
-        return leggauss(order)
-
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
     oscillator._gauss_legendre.cache_clear()
     n, mu, u = 64, 0.75, LocalParam(0.7, -0.5)
     _tv_grid(ModelParams(n, mu), u, default_tv_grid(mu, u, n))
     for mu in (0.75, 0.9, 1.0):
         heterodyne_estimation_risk(mu)
-    assert sorted(orders) == [64, 80, 160]
-    for order in orders:
+    assert oscillator._gauss_legendre.cache_info().misses == 3
+    for order in (64, 80, 160):
         got, want = oscillator._gauss_legendre(order), leggauss(order)
         for a, b in zip(got, want):
             assert np.array_equal(a, b) and not a.flags.writeable
-    assert len(orders) == 3
+    assert oscillator._gauss_legendre.cache_info().misses == 3
 
 
 def test_heterodyne_risk_monte_carlo_reproducible_and_consistent():
@@ -469,7 +469,7 @@ def test_radial_density_runs_in_real_arithmetic_without_a_rows_buffer(monkeypatc
             run()
             assert dtypes and set(dtypes) == {np.dtype(float)}
     rho = np.linspace(0.0, 9.0 * heterodyne_outcome_std(0.51), 4096)
-    assert traced_peak(lambda: heterodyne_pdf_kernel(0.51)(rho)) <= 16 * 8 * len(rho)
+    assert traced_peak(lambda: heterodyne_pdf_kernel(0.51)[0](rho)) <= 16 * 8 * len(rho)
 
 
 def test_quadrature_risk_next_to_one_half_holds_no_rank_sized_table():
@@ -479,6 +479,17 @@ def test_quadrature_risk_next_to_one_half_holds_no_rank_sized_table():
     est = heterodyne_estimation_risk(mu)
     assert abs(est.value - heterodyne_risk_reference(mu)) <= est.error_bound
     assert traced_peak(lambda: heterodyne_estimation_risk(mu)) <= 2 * 2 ** 20
+
+
+def test_quadrature_risk_forms_the_thermal_spectrum_once():
+    # 86,348 thermal weights at mu = 0.5001: the kernel forms the spectrum
+    # and hands the risk its cut, so the weights are never held beside the
+    # kernel's blocks; the traced peak is about 35 bytes a weight, where a
+    # second spectrum for the cut alone took 44
+    mu = 0.5001
+    rank = effective_rank(eigenvalue_ratio(mu))
+    assert rank == 86348
+    assert traced_peak(lambda: heterodyne_estimation_risk(mu)) <= 40 * rank
 
 
 @pytest.mark.parametrize("mu", [0.5, 0.3, 1.5, math.nan])
@@ -888,11 +899,13 @@ def test_point_kernels_hold_no_more_than_a_block_at_a_time(kernel):
 def test_tv_traced_peak_at_the_bench_point():
     # on the bench's n = 64 point a chunk's heterodyne densities are formed
     # before its covariant ones, the covariant exponential runs in place and
-    # the sums take one block's row at a time, so no temporary of a chunk's
-    # (blocks, nodes) size sits beside its two density arrays: the traced
-    # peak is 3.90 MiB, where the parent's covariant-first order with
-    # whole-chunk products took 4.65 MiB, and the new order alone 4.25 MiB;
-    # a warm-up call first fills the per-(n, mu) weight tables
+    # the sums are one matrix-vector product per statistic, with the
+    # difference formed in place, so no temporary of a row's or a chunk's
+    # (blocks, nodes) size sits beside its two density arrays, and a chunk
+    # ends where a walk stretch lets its table go: the traced peak is
+    # 3.90 MiB, where covariant-first order with whole-chunk products took
+    # 4.65 MiB, and heterodyne-first order alone 4.25 MiB; a warm-up call
+    # first fills the per-(n, mu) weight tables
     params, u = ModelParams(64, 0.75), LocalParam(-0.783814, -0.251648)
     measurement_tv(params, u)
     assert traced_peak(lambda: measurement_tv(params, u)) <= 4.1 * 2 ** 20
@@ -914,6 +927,26 @@ def test_tv_estimate_does_not_depend_on_the_chunk_size(monkeypatch):
     # heterodyne_mass moves by 2.2e-16 and tv_bound by 6.9e-18 here
     for name in ("tv_bound", "grid_term", "covariant_mass", "heterodyne_mass", "out_of_grid_bound"):
         assert abs(getattr(single, name) - getattr(default, name)) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [64, 1024])
+@pytest.mark.parametrize("u", [(0.176704, -0.251648), (-0.783814, -0.251648)])
+def test_chunk_integrals_match_an_exact_sum_of_the_node_products(n, u):
+    # each block's integrals, one matrix-vector product per statistic,
+    # against math.fsum over the products at the nodes, on the bench's tv
+    # points: within 1e-15 relative
+    mu, u = 0.75, LocalParam(*u)
+    tv = _tv_grid(ModelParams(n, mu), u, default_tv_grid(mu, u, n))
+    w = tv.weights
+    for chunk in tv.chunks():
+        dens_m, dens_h = _block_density_pair(tv, chunk)
+        want = [
+            [math.fsum(np.abs(dm - dh) * w), math.fsum(dm * w), math.fsum(dh * w)]
+            for dm, dh in zip(dens_m, dens_h)
+        ]
+        got = np.transpose(_chunk_integrals(dens_m, dens_h, w))
+        assert got.shape == (len(chunk), 3)
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("n", [64, 256, 1024, 4096])

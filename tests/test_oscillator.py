@@ -321,7 +321,7 @@ def pdf_at_points(points, u, mu):
     (G, 2) array of points to u: the outcome density at those points."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     rho = np.hypot(pts[:, 0] - u.ux, pts[:, 1] - u.uy)
-    return heterodyne_pdf_kernel(mu)(rho)
+    return heterodyne_pdf_kernel(mu)[0](rho)
 
 
 def test_heterodyne_pdf_gaussian_oracle():
@@ -391,7 +391,7 @@ def test_heterodyne_pdf_kernel_matches_40_digit_oracle(mu):
     lam = np.diagonal(displaced_thermal(LocalParam(0.0, 0.0), mu).core) ** 2
     sig = math.sqrt(mu / 2) / (2 * mu - 1)
     rho = np.linspace(0.0, 9.0 * sig, 19)
-    got = heterodyne_pdf_kernel(mu)(rho)
+    got = heterodyne_pdf_kernel(mu)[0](rho)
     with mpmath.workdps(40):
         s2 = mpmath.mpf(2 * mu - 1)
         for r, g in zip(rho, got):

@@ -383,7 +383,8 @@ def walk_trims(lo, hi, radius, cols):
     core = irreps.rotation_columns(HalfInteger(lo), radius, cols)
     masses = []
     for twoj in range(lo + 2, hi + 1, 2):
-        core, mass = trim_rows(irreps._whole_step(core, twoj, d1, cols))
+        alpha = irreps._coupling_rows(range(twoj, twoj + 1), max(core.shape[0] + 2, cols))[0]
+        core, mass = trim_rows(irreps._whole_step(core, twoj, d1, cols, alpha))
         core = core / np.sqrt(np.einsum("ij,ij->j", core, core))
         masses.append(mass)
     return masses
