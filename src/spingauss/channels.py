@@ -177,7 +177,7 @@ def convergence_point(params: ModelParams, u: LocalParam) -> PointStats:
     rounding depends on the row count.
 
     ``block_max`` reads the blocks whose 2j lies in ``concentration_range``,
-    the test ``measurements._tv_grid`` makes.  A block of at least phi's
+    the test ``measurements.measurement_tv`` makes.  A block of at least phi's
     rows gets phi's core itself back from the inverse channel, so its
     reverse term is its distance to phi.  A block of fewer rows is first
     bracketed (``distance_bracket``) from its reverse term, phi's trace off

@@ -23,13 +23,15 @@ Three experiment families live here.
 * Covariant versus pulled-back heterodyne outcome densities on each spin
   block, and their total-variation distance.  The covariant density is a
   closed form at each point.  A block's heterodyne density is not radial;
-  it comes from the polar kernel (``oscillator.PolarHeterodyne``) on a grid
-  centred at u, one cosine series in the grid angle per block.  The
-  comparison is one kernel of one (n, u), ``measurement_tv(params, u)``;
-  the command line runs it over the grid.  Like the discrimination sum, it
-  reads the blocks as the walk yields them, a chunk at a time: the polar
-  kernel is sized for the top block's rows before the walk, and grows only
-  if a chunk reaches further.  A chunk's heterodyne densities are formed
+  it comes from the polar kernel (``oscillator.PolarHeterodyne``) on the
+  grid ``default_tv_grid`` centred at u, one cosine series in the grid
+  angle per block.  The comparison is one kernel of one (n, u),
+  ``measurement_tv(params, u)``, which builds its grid, covariant data and
+  polar kernel itself; the command line runs it over the grid.  Like the
+  discrimination sum, it reads the blocks as the walk yields them, a chunk
+  at a time: the polar kernel is sized for the top block's rows
+  (``irreps.core_rows``) before the walk, and grows only if a chunk
+  reaches further.  A chunk's heterodyne densities are formed
   before its covariant ones, so the kernel's temporaries are freed before
   the covariant array is allocated, and each statistic's per-block
   integrals are one matrix-vector product against the node weights, the
@@ -51,7 +53,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 from numpy.random import default_rng
 
-from .errors import AccuracyError, DomainError, ValidationError
+from .errors import AccuracyError, DomainError
 from .irreps import LocalParam, core_rows
 from .numerics import mirror_trace_norm
 from .oscillator import (
@@ -346,61 +348,8 @@ def _covariant(params: ModelParams, u: LocalParam, pts: np.ndarray) -> _Covarian
     return _Covariant(params.p, plane_jacobian(n, radii), log_q)
 
 
-@dataclass(frozen=True)
-class _TvGrid:
-    """Everything one (n, u) grid shares across its blocks.
-
-    The covariant side is pointwise (``covariant``).  The heterodyne side is
-    the polar kernel ``oscillator.PolarHeterodyne`` on the grid, centred at
-    u (``heterodyne``).  ``points`` and ``weights`` are the grid's nodes,
-    and 2j = ``lo`` .. ``hi`` the included blocks, which ``chunks`` walks.
-    """
-
-    params: ModelParams
-    u: LocalParam
-    points: np.ndarray
-    weights: np.ndarray
-    covariant: _Covariant
-    heterodyne: PolarHeterodyne
-    lo: int
-    hi: int
-
-    def chunks(self) -> Iterator[tuple[BlockState, ...]]:
-        """The included blocks, ``TV_CHUNK`` at a time from the bottom of the
-        range, from one ``rotated_blocks`` walk: only the chunk in hand is
-        held, and the one the walk is filling."""
-        blocks = rotated_blocks(self.params, self.u, self.lo, self.hi)
-        while chunk := tuple(islice(blocks, TV_CHUNK)):
-            yield chunk
-
-
-def _tv_grid(params: ModelParams, u: LocalParam, grid: PolarGrid) -> _TvGrid:
-    """The tables ``grid`` shares across its blocks (``_TvGrid``).
-
-    ``grid`` must be centred at u.  One call builds the nodes and the
-    covariant data at them, which rejects a grid past the injectivity disk
-    before any rotation, and the heterodyne kernel
-    (``oscillator.PolarHeterodyne``), before any block is walked.  The
-    included blocks are the concentration set's blocks that occur
-    (``qubit_model.occurring_range`` within
-    ``qubit_model.concentration_range``), a contiguous range of 2j; their
-    rank cuts and the walk's trimmed mass sit far below the quadrature
-    resolution.  ``back`` gets a column per row the top block's core
-    reaches (``irreps.core_rows``); a chunk that reaches further grows it.
-    """
-    if grid.center != (u.ux, u.uy):
-        raise ValidationError(f"TV grid centred at {grid.center}, not at u = ({u.ux}, {u.uy})")
-    pts, w = grid.nodes()
-    covariant = _covariant(params, u, pts)
-    lo, hi, _ = occurring_range(params)
-    first, last = concentration_range(params)
-    lo, hi = max(lo, first), min(hi, last)
-    rows = core_rows(hi, u.norm / math.sqrt(params.n), effective_rank(params.p))
-    return _TvGrid(params, u, pts, w, covariant, PolarHeterodyne(grid, params.mu, rows), lo, hi)
-
-
 def _block_density_pair(
-    tv: _TvGrid, blocks: tuple[BlockState, ...]
+    heterodyne: PolarHeterodyne, covariant: _Covariant, blocks: tuple[BlockState, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Covariant and pulled-back densities of a chunk of rotated blocks.
 
@@ -409,8 +358,8 @@ def _block_density_pair(
     heterodyne densities come first, so the kernel's temporaries are freed
     before the covariant array is allocated.
     """
-    dens_h = tv.heterodyne.densities([b.core for b in blocks])
-    return tv.covariant.densities([b.j.twoj for b in blocks]), dens_h
+    dens_h = heterodyne.densities([b.core for b in blocks])
+    return covariant.densities([b.j.twoj for b in blocks]), dens_h
 
 
 def _chunk_integrals(
@@ -429,33 +378,47 @@ def _chunk_integrals(
 def measurement_tv(params: ModelParams, u: LocalParam) -> TvEstimate:
     """TV comparison of the two measurements at one (n, u).
 
-    Sums p_n(j) * integral |covariant - heterodyne| for spins in the
-    concentration set, over the quadrature grid ``default_tv_grid`` centred
-    at u, then adds twice the excluded weight as the worst case
-    contribution of the remaining blocks.  The grid, its qubit
-    infidelities, its re-centring displacement and its radial and angular
-    tables are built once, before any block is walked (``_TvGrid``), and
-    die on return, so a run over many points never holds two grids' tables
-    at once.
+    Sums p_n(j) * integral |covariant - heterodyne| over the quadrature grid
+    ``default_tv_grid`` centred at u, for the concentration set's blocks
+    that occur (``qubit_model.occurring_range`` within
+    ``qubit_model.concentration_range``, a contiguous range of 2j whose rank
+    cuts and trimmed mass sit far below the quadrature resolution), then
+    adds twice the excluded weight as the worst case contribution of the
+    remaining blocks.
 
-    The blocks stream from one walk, ``TV_CHUNK`` at a time
-    (``_TvGrid.chunks``), through ``_block_density_pair``, so the cores
-    held do not grow with n.  Each chunk's (blocks, nodes) densities are
-    reduced to per-block integrals by one matrix-vector product per
-    statistic against the node weights (``_chunk_integrals``), |covariant -
-    heterodyne| formed in place in the covariant array, and weighed into the
-    sums in block order, so a chunk holds its two density arrays and no
-    temporary of a row's size or more.
+    Before any block is walked, the call builds the grid's nodes, the
+    covariant data at them (``_covariant``), which rejects a grid past the
+    injectivity disk before any rotation, and the polar kernel
+    ``oscillator.PolarHeterodyne``, whose ``back`` gets a column per row the
+    top block's core reaches (``irreps.core_rows``); a chunk that reaches
+    further grows it.  All die on return, so a run over many points never
+    holds two grids' tables at once.
+
+    The blocks stream from one ``rotated_blocks`` walk, ``TV_CHUNK`` at a
+    time from the bottom of the range, through ``_block_density_pair``, so
+    the cores held do not grow with n.  Each chunk's (blocks, nodes)
+    densities are reduced to per-block integrals by one matrix-vector
+    product per statistic against the node weights (``_chunk_integrals``),
+    |covariant - heterodyne| formed in place in the covariant array, and
+    weighed into the sums in block order, so a chunk holds its two density
+    arrays and no temporary of a row's size or more.
     """
-    tv = _tv_grid(params, u, default_tv_grid(params.mu, u, params.n))
-    w = tv.weights
-    grid_term = 0.0
-    mass_m = 0.0
-    mass_h = 0.0
-    included = 0.0
-    for chunk in tv.chunks():
+    grid = default_tv_grid(params.mu, u, params.n)
+    pts, w = grid.nodes()
+    covariant = _covariant(params, u, pts)
+    del pts  # neither the polar tables nor the walk reads the nodes
+    lo, hi, _ = occurring_range(params)
+    first, last = concentration_range(params)
+    lo, hi = max(lo, first), min(hi, last)
+    rows = core_rows(hi, u.norm / math.sqrt(params.n), effective_rank(params.p))
+    heterodyne = PolarHeterodyne(grid, params.mu, rows)
+    grid_term = mass_m = mass_h = included = 0.0
+    blocks = rotated_blocks(params, u, lo, hi)
+    while chunk := tuple(islice(blocks, TV_CHUNK)):
         # the chunk's densities and sums go before the next chunk's are formed
-        for block, diff, cov, het in zip(chunk, *_chunk_integrals(*_block_density_pair(tv, chunk), w)):
+        for block, diff, cov, het in zip(
+            chunk, *_chunk_integrals(*_block_density_pair(heterodyne, covariant, chunk), w)
+        ):
             bw = block.weight
             grid_term += bw * diff
             mass_m += bw * cov

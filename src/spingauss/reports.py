@@ -154,6 +154,7 @@ def render_svg(report: RiskReport, statistic: str) -> str:
     Pure function of the parsed rows: equal reports give byte-equal files.
     """
     import math
+    from html import escape
 
     rows = [r for r in report.rows if r.statistic == statistic and r.n > 0]
     if len(rows) < 2:
@@ -187,7 +188,7 @@ def render_svg(report: RiskReport, statistic: str) -> str:
         f'viewBox="0 0 {width:g} {height:g}">',
         f'<rect width="{width:g}" height="{height:g}" fill="white"/>',
         f'<text x="{ml}" y="{mt - 14}" font-family="monospace" font-size="13">'
-        f"{report.experiment}: {statistic}</text>",
+        f"{escape(report.experiment, quote=False)}: {escape(statistic, quote=False)}</text>",
     ]
     parts.append(
         f'<line x1="{ml}" y1="{height - mb}" x2="{width - mr}" y2="{height - mb}" stroke="black"/>'

@@ -298,6 +298,24 @@ def test_plot_draws_one_line_per_mu_and_u(tmp_path):
     assert "mu=0.75 u=(0.3,0.2)" in text and "mu=0.9 u=(0.3,0.2)" in text
 
 
+def test_plot_escapes_the_names_in_its_title(tmp_path):
+    # the experiment and statistic names come from the report file, so a
+    # name with XML markup characters must still give a well-formed SVG
+    import xml.etree.ElementTree as ET
+
+    report = tmp_path / "conv.csv"
+    argv = ["convergence", "--n", "8,16", "--mu", "0.75", "--grid", "0", "--format", "csv"]
+    assert run_cli(argv + ["--out", str(report)]) == 0
+    text = report.read_text(encoding="utf-8")
+    text = text.replace("# spingauss convergence report", "# spingauss c&d report")
+    report.write_text(text.replace(",forward_distance,", ",a<b&c,"), encoding="utf-8")
+    svg = tmp_path / "conv.svg"
+    assert run_cli(["plot", str(report), "--statistic", "a<b&c", "--out", str(svg)]) == 0
+    root = ET.parse(svg).getroot()
+    title = root.find("{http://www.w3.org/2000/svg}text")
+    assert title.text == "c&d: a<b&c"
+
+
 @pytest.mark.parametrize(
     "case",
     [

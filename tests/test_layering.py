@@ -44,8 +44,8 @@ buffer of rows.  The heterodyne
 density has one kernel per experiment: in ``measurements`` only the risk
 (``heterodyne_estimation_risk``, ``heterodyne_samples``) calls the radial
 kernel ``heterodyne_pdf_kernel``, at the distances |u_hat - u|, and only
-the TV grid (``_tv_grid``) builds the polar kernel ``PolarHeterodyne``,
-whose blocks are not radial.  Discrimination is a
+the TV kernel (``measurement_tv``) builds the polar kernel
+``PolarHeterodyne``, whose blocks are not radial.  Discrimination is a
 state against its own mirror: no module outside ``reference`` defines or
 calls a ``mirrored`` state, and ``measurements`` takes every discrimination
 trace norm from ``numerics.mirror_trace_norm``, never from the generic
@@ -312,22 +312,27 @@ def test_one_coherent_row_kernel():
     assert not {"complex", "iscomplexobj", "view"} & referenced_names(functions["_coherent_rows"])
 
 
+def callers(module: str, names: set[str]) -> set[str]:
+    """The top-level statements of ``module`` that call a name in ``names``."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    return {
+        getattr(stmt, "name", None)
+        for stmt in tree.body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Call) and names & referenced_names(node.func)
+    }
+
+
 def test_one_radial_risk_kernel_and_one_polar_tv_kernel():
-    tree = ast.parse((PACKAGE / "measurements.py").read_text(encoding="utf-8"))
-
-    def callers(names):
-        return {
-            getattr(stmt, "name", None)
-            for stmt in tree.body
-            for node in ast.walk(stmt)
-            if isinstance(node, ast.Call) and names & referenced_names(node.func)
-        }
-
-    assert callers({"heterodyne_pdf_kernel"}) == {
+    assert callers("measurements", {"heterodyne_pdf_kernel"}) == {
         "heterodyne_estimation_risk",
         "heterodyne_samples",
     }
-    assert callers({"PolarHeterodyne"}) == {"_tv_grid"}
+    assert callers("measurements", {"PolarHeterodyne"}) == {"measurement_tv"}
+    # each grid kernel reads the block stream itself, with no plan object
+    # between it and the walk
+    assert callers("measurements", {"rotated_blocks"}) == {"finite_n_discrimination", "measurement_tv"}
+    assert callers("channels", {"rotated_blocks"}) == {"convergence_point"}
 
 
 def defined_or_called(tree: ast.AST) -> set[str]:

@@ -3,12 +3,13 @@ import math
 import tracemalloc
 import weakref
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 import pytest
 
 from spingauss.errors import DomainError, ValidationError
-from spingauss.irreps import HalfInteger, LocalParam
+from spingauss.irreps import HalfInteger, LocalParam, core_rows
 from spingauss.measurements import (
     TV_CHUNK,
     McSpec,
@@ -26,7 +27,6 @@ from spingauss.measurements import (
     _block_density_pair,
     _chunk_integrals,
     _covariant,
-    _tv_grid,
     default_tv_grid,
 )
 from spingauss.numerics import mirror_trace_norm, trace_norm, trim_rows
@@ -43,6 +43,7 @@ from spingauss.channels import convergence_point
 from spingauss.qubit_model import (
     ModelParams,
     block_weight,
+    concentration_range,
     concentration_set,
     effective_rank,
     eigenvalue_ratio,
@@ -378,7 +379,7 @@ def test_each_gauss_legendre_rule_is_computed_once():
     leggauss = np.polynomial.legendre.leggauss
     oscillator._gauss_legendre.cache_clear()
     n, mu, u = 64, 0.75, LocalParam(0.7, -0.5)
-    _tv_grid(ModelParams(n, mu), u, default_tv_grid(mu, u, n))
+    default_tv_grid(mu, u, n).nodes()
     for mu in (0.75, 0.9, 1.0):
         heterodyne_estimation_risk(mu)
     assert oscillator._gauss_legendre.cache_info().misses == 3
@@ -617,9 +618,9 @@ def test_block_density_pair_matches_public_densities():
     j = HalfInteger(18)
     grid = PolarGrid(center=(u.ux, u.uy), radius=6.0, n_radial=24, n_angular=16)
     pts, _ = grid.nodes()
-    tv = _tv_grid(params, u, grid)
-    block = next(b for chunk in tv.chunks() for b in chunk if b.j == j)
-    (dens_m,), (dens_h,) = _block_density_pair(tv, (block,))
+    covariant, heterodyne = tv_tables(params, u, grid)
+    block = next(b for chunk in tv_chunks(params, u) for b in chunk if b.j == j)
+    (dens_m,), (dens_h,) = _block_density_pair(heterodyne, covariant, (block,))
     rho = block_state(params, j, u)
     want_m = covariant_block_density(j, params.n, rho, pts)
     want_h = heterodyne_pullback_density(j, rho, params.mu, pts)
@@ -666,29 +667,51 @@ def test_measurement_tv_matches_dense_blocks():
 def test_measurement_tv_frees_its_grid_before_the_next(monkeypatch):
     built = []
 
-    def tv_grid(*args):
-        # every grid built so far is gone before the next one is built
+    def polar_kernel(*args):
+        # every grid's kernel built so far is gone before the next one is built
         assert all(ref() is None for ref in built)
-        tv = _tv_grid(*args)
-        built.append(weakref.ref(tv))
-        return tv
+        heterodyne = PolarHeterodyne(*args)
+        built.append(weakref.ref(heterodyne))
+        return heterodyne
 
-    monkeypatch.setattr(measurements, "_tv_grid", tv_grid)
+    monkeypatch.setattr(measurements, "PolarHeterodyne", polar_kernel)
     for n in (16, 36):
         for u in (LocalParam(0, 0), LocalParam(1, 0)):
             measurement_tv(ModelParams(n, 0.75), u)
     assert len(built) == 4
 
 
-def tv_block_densities(tv):
+def included_range(params):
+    """The 2j range of the TV sums: the concentration set's blocks that occur."""
+    lo, hi, _ = occurring_range(params)
+    first, last = concentration_range(params)
+    return max(lo, first), min(hi, last)
+
+
+def tv_tables(params, u, grid):
+    """The covariant data at ``grid``'s nodes and the polar kernel on it, with
+    a column per row the top included block's core reaches, as
+    ``measurement_tv`` builds them on its own grid."""
+    rows = core_rows(included_range(params)[1], u.norm / math.sqrt(params.n), effective_rank(params.p))
+    return _covariant(params, u, grid.nodes()[0]), PolarHeterodyne(grid, params.mu, rows)
+
+
+def tv_chunks(params, u):
+    """The included blocks, ``TV_CHUNK`` at a time from one walk, as the TV sums take them."""
+    blocks = rotated_blocks(params, u, *included_range(params))
+    while chunk := tuple(islice(blocks, TV_CHUNK)):
+        yield chunk
+
+
+def tv_block_densities(params, u, covariant, heterodyne):
     """(block, covariant, heterodyne) for every included block, in order,
     ``TV_CHUNK`` blocks per ``_block_density_pair`` call, as the TV sums take them."""
-    for chunk in tv.chunks():
-        yield from zip(chunk, *_block_density_pair(tv, chunk))
+    for chunk in tv_chunks(params, u):
+        yield from zip(chunk, *_block_density_pair(heterodyne, covariant, chunk))
 
 
 def block_densities(params, u, grid):
-    return list(tv_block_densities(_tv_grid(params, u, grid)))
+    return list(tv_block_densities(params, u, *tv_tables(params, u, grid)))
 
 
 def covariant_densities(params, u, pts):
@@ -751,12 +774,13 @@ def test_recentred_heterodyne_matches_dense_pullback(u):
     n, mu = 64, 0.75
     params, u = ModelParams(n, mu), LocalParam(*u)
     grid = replace(default_tv_grid(mu, u, n), n_angular=16)
-    tv = _tv_grid(params, u, grid)
-    assert tv.heterodyne.back.dtype == float
-    assert tv.heterodyne.back.shape[0] > grid.n_angular
-    for block, _, dens_h in tv_block_densities(tv):
+    pts, _ = grid.nodes()
+    covariant, heterodyne = tv_tables(params, u, grid)
+    assert heterodyne.back.dtype == float
+    assert heterodyne.back.shape[0] > grid.n_angular
+    for block, _, dens_h in tv_block_densities(params, u, covariant, heterodyne):
         rho = block_state(params, block.j, u)
-        want = heterodyne_pullback_density(block.j, rho, mu, tv.points)
+        want = heterodyne_pullback_density(block.j, rho, mu, pts)
         np.testing.assert_allclose(dens_h, want, rtol=0, atol=1e-13)
 
 
@@ -764,8 +788,8 @@ def test_recentred_heterodyne_nonnegative_at_scale():
     # the cosine sum is not a sum of squares, so only rounding may go negative
     n, mu, u = 1024, 0.75, LocalParam(0.7, -0.5)
     params = ModelParams(n, mu)
-    tv = _tv_grid(params, u, default_tv_grid(mu, u, n))
-    assert min(float(dens_h.min()) for _, _, dens_h in tv_block_densities(tv)) >= -1e-14
+    densities = block_densities(params, u, default_tv_grid(mu, u, n))
+    assert min(float(dens_h.min()) for _, _, dens_h in densities) >= -1e-14
 
 
 def full_size_densities(het, grid, cores):
@@ -803,12 +827,12 @@ def test_trimmed_contraction_matches_full_size_on_tv_grids(n, u):
     # |u| in {0.3, 0.82} at every n, and |u| = 25 at n = 1024, where G does
     # not trim; each chunk as the TV sums take it
     mu, u = 0.75, LocalParam(*u)
-    grid = default_tv_grid(mu, u, n)
-    tv = _tv_grid(ModelParams(n, mu), u, grid)
-    for chunk in tv.chunks():
+    params, grid = ModelParams(n, mu), default_tv_grid(mu, u, n)
+    heterodyne = tv_tables(params, u, grid)[1]
+    for chunk in tv_chunks(params, u):
         cores = [b.core for b in chunk]
-        got = tv.heterodyne.densities(cores)
-        np.testing.assert_allclose(got, full_size_densities(tv.heterodyne, grid, cores), rtol=0, atol=1e-16)
+        got = heterodyne.densities(cores)
+        np.testing.assert_allclose(got, full_size_densities(heterodyne, grid, cores), rtol=0, atol=1e-16)
 
 
 @pytest.mark.parametrize("mu", [0.75, 1.0])
@@ -829,10 +853,10 @@ def test_trimmed_contraction_runs_on_the_rows_g_keeps(monkeypatch):
     # a column per row the top block's core reaches, so its rows follow
     # the rows the rotation kernel keeps)
     n, mu, u = 1024, 0.75, LocalParam(-0.783814, -0.251648)
-    tv = _tv_grid(ModelParams(n, mu), u, default_tv_grid(mu, u, n))
-    het = tv.heterodyne
+    params = ModelParams(n, mu)
+    het = tv_tables(params, u, default_tv_grid(mu, u, n))[1]
     assert het.back.shape[0] == 104 and het.diag is None and het.cos is None
-    chunks = [[b.core for b in chunk] for chunk in tv.chunks()]
+    chunks = [[b.core for b in chunk] for chunk in tv_chunks(params, u)]
     shapes = []
 
     class Spy:
@@ -847,7 +871,8 @@ def test_trimmed_contraction_runs_on_the_rows_g_keeps(monkeypatch):
     monkeypatch.setattr(oscillator, "np", Spy())
     for cores in chunks:
         het.densities(cores)
-    assert len(shapes) == len(reached) == math.ceil(((tv.hi - tv.lo) // 2 + 1) / TV_CHUNK)
+    lo, hi = included_range(params)
+    assert len(shapes) == len(reached) == math.ceil(((hi - lo) // 2 + 1) / TV_CHUNK)
     assert shapes == [(k, k, 64) for k in reached] and max(reached) <= 60
 
 
@@ -859,15 +884,14 @@ def test_radial_products_cover_only_the_rows_the_chunks_reach():
     # are rebuilt at each step up, with the same densities
     n, mu, u = 1024, 0.75, LocalParam(-0.783814, -0.251648)
     params, grid = ModelParams(n, mu), default_tv_grid(mu, u, n)
-    tv = _tv_grid(params, u, grid)
-    het = tv.heterodyne
-    chunks = [[b.core for b in chunk] for chunk in tv.chunks()]
+    het = tv_tables(params, u, grid)[1]
+    chunks = [[b.core for b in chunk] for chunk in tv_chunks(params, u)]
     reached = [max(trim_rows(het.back[:, : c.shape[0]] @ c)[0].shape[0] for c in cores) for cores in chunks]
     assert het.diag is None and het.cos is None and het.back.shape[0] == 104
     assert reached[0] == max(reached) == 42
     want = [het.densities(cores) for cores in chunks]
     assert het.diag.shape == (42, 42, 64) and het.cos.shape == (42, 96)
-    het = _tv_grid(params, u, grid).heterodyne
+    het = tv_tables(params, u, grid)[1]
     tables = []
     for k in reversed(range(len(chunks))):
         np.testing.assert_allclose(het.densities(chunks[k]), want[k], rtol=0, atol=1e-16)
@@ -914,8 +938,8 @@ def test_tv_traced_peak_at_the_bench_point():
 def test_tv_estimate_does_not_depend_on_the_chunk_size(monkeypatch):
     n, mu, u = 1024, 0.75, LocalParam(-0.783814, -0.251648)
     params = ModelParams(n, mu)
-    tv = _tv_grid(params, u, default_tv_grid(mu, u, n))
-    blocks = (tv.hi - tv.lo) // 2 + 1
+    lo, hi = included_range(params)
+    blocks = (hi - lo) // 2 + 1
     estimates = []
     for chunk in (1, 16, blocks):
         monkeypatch.setattr(measurements, "TV_CHUNK", chunk)
@@ -936,10 +960,11 @@ def test_chunk_integrals_match_an_exact_sum_of_the_node_products(n, u):
     # against math.fsum over the products at the nodes, on the bench's tv
     # points: within 1e-15 relative
     mu, u = 0.75, LocalParam(*u)
-    tv = _tv_grid(ModelParams(n, mu), u, default_tv_grid(mu, u, n))
-    w = tv.weights
-    for chunk in tv.chunks():
-        dens_m, dens_h = _block_density_pair(tv, chunk)
+    params, grid = ModelParams(n, mu), default_tv_grid(mu, u, n)
+    w = grid.nodes()[1]
+    covariant, heterodyne = tv_tables(params, u, grid)
+    for chunk in tv_chunks(params, u):
+        dens_m, dens_h = _block_density_pair(heterodyne, covariant, chunk)
         want = [
             [math.fsum(np.abs(dm - dh) * w), math.fsum(dm * w), math.fsum(dh * w)]
             for dm, dh in zip(dens_m, dens_h)
@@ -951,15 +976,27 @@ def test_chunk_integrals_match_an_exact_sum_of_the_node_products(n, u):
 
 @pytest.mark.parametrize("n", [64, 256, 1024, 4096])
 @pytest.mark.parametrize("mu", [0.6, 0.75, 0.9])
-def test_polar_tables_are_sized_for_every_core_the_walk_yields(mu, n):
-    # back gets a column per row the top block's core reaches, taken before
-    # the walk (irreps.core_rows); on these 48 points that covers every core
-    # the walk yields, by 0 to 6 rows
+def test_polar_tables_are_sized_for_every_core_the_walk_yields(monkeypatch, mu, n):
+    # measurement_tv gives back a column per row the top block's core
+    # reaches, taken before the walk (irreps.core_rows); on these 48 points
+    # that covers every core the walk yields, by 0 to 6 rows
+    columns, reach = [], []
+
+    def polar_kernel(grid, mu, cols):
+        columns.append(cols)
+        return PolarHeterodyne(grid, mu, cols)
+
+    def density_pair(heterodyne, covariant, blocks):
+        reach.extend(b.core.shape[0] for b in blocks)
+        return _block_density_pair(heterodyne, covariant, blocks)
+
+    monkeypatch.setattr(measurements, "PolarHeterodyne", polar_kernel)
+    monkeypatch.setattr(measurements, "_block_density_pair", density_pair)
     for radius in (0.3, 1.0, 1.41, 3.0):
-        u = LocalParam(radius, 0.0)
-        tv = _tv_grid(ModelParams(n, mu), u, default_tv_grid(mu, u, n))
-        reach = max(b.core.shape[0] for chunk in tv.chunks() for b in chunk)
-        assert 0 <= tv.heterodyne.back.shape[1] - reach <= 6
+        columns.clear()
+        reach.clear()
+        measurement_tv(ModelParams(n, mu), LocalParam(radius, 0.0))
+        assert len(columns) == 1 and 0 <= columns[0] - max(reach) <= 6
 
 
 @pytest.mark.parametrize("n, u", [(64, (0.7, -0.5)), (1024, (3.0, 0.0)), (256, (-9.0, 8.0))])
@@ -972,8 +1009,7 @@ def test_polar_tables_grow_past_a_short_estimate(monkeypatch, n, u):
     mu, u = 0.75, LocalParam(*u)
     params = ModelParams(n, mu)
     want = measurement_tv(params, u)
-    tv = _tv_grid(params, u, default_tv_grid(mu, u, n))
-    first = max(b.core.shape[0] for b in next(tv.chunks()))
+    first = max(b.core.shape[0] for b in next(tv_chunks(params, u)))
     built = []
     displacement_columns = oscillator.displacement_columns
 
@@ -1007,26 +1043,19 @@ def test_recentred_heterodyne_far_from_origin(n, mu, u):
     # tables stay as wide as the radial rows at the grid radius
     params, u = ModelParams(n, mu), LocalParam(*u)
     grid = default_tv_grid(mu, u, n)
+    pts, _ = grid.nodes()
     tracemalloc.start()
     try:
-        tv = _tv_grid(params, u, grid)
-        densities = list(tv_block_densities(tv))
+        covariant, heterodyne = tv_tables(params, u, grid)
+        densities = list(tv_block_densities(params, u, covariant, heterodyne))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert max(b.core.shape[0] for b, _, _ in densities) > tv.heterodyne.back.shape[0]
+    assert max(b.core.shape[0] for b, _, _ in densities) > heterodyne.back.shape[0]
     assert peak < 64 * 2**20
     for block, _, dens_h in densities[:: max(1, len(densities) // 4)]:
-        want = pointwise_heterodyne(params, u, block, tv.points)
+        want = pointwise_heterodyne(params, u, block, pts)
         np.testing.assert_allclose(dens_h, want, rtol=0, atol=1e-13)
-
-
-def test_tv_grid_rejects_a_grid_off_u():
-    n, mu, u = 64, 0.75, LocalParam(0.7, -0.5)
-    params = ModelParams(n, mu)
-    grid = replace(default_tv_grid(mu, u, n), center=(-0.3, 0.9))
-    with pytest.raises(ValidationError):
-        _tv_grid(params, u, grid)
 
 
 def test_tv_grid_rejects_a_grid_past_the_disk_before_rotating(monkeypatch):
@@ -1037,7 +1066,10 @@ def test_tv_grid_rejects_a_grid_past_the_disk_before_rotating(monkeypatch):
 
     monkeypatch.setattr(qubit_model, "rotation_walk", fail)
     monkeypatch.setattr(irreps, "rotation_columns", fail)
-    n, u = 1024, LocalParam(45.0, 0.0)
-    params = ModelParams(n, 0.75)
+    params = ModelParams(1024, 0.75)
+    # |u| = 50 lies past 0.98 pi sqrt(n)/2 = 49.26, and a grid of radius 8
+    # about u = (45, 0) leaves the disk of radius pi sqrt(n)/2 = 50.27
     with pytest.raises(DomainError):
-        _tv_grid(params, u, PolarGrid(center=(45.0, 0.0), radius=8.0))
+        measurement_tv(params, LocalParam(50.0, 0.0))
+    with pytest.raises(DomainError):
+        _covariant(params, LocalParam(45.0, 0.0), PolarGrid(center=(45.0, 0.0), radius=8.0).nodes()[0])
